@@ -28,6 +28,7 @@ pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;
     use std::sync::{Arc, Condvar, Mutex};
+    use std::time::{Duration, Instant};
 
     struct State<T> {
         queue: VecDeque<T>,
@@ -71,27 +72,14 @@ pub mod channel {
 
     impl std::error::Error for RecvError {}
 
-    /// Error returned by [`Receiver::try_recv`].
+    /// Error returned by [`Receiver::recv_timeout`].
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TryRecvError {
-        /// The channel is currently empty but senders remain.
-        Empty,
+    pub enum RecvTimeoutError {
+        /// The timeout elapsed with the channel still empty.
+        Timeout,
         /// The channel is empty and every sender has been dropped.
         Disconnected,
     }
-
-    impl fmt::Display for TryRecvError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                TryRecvError::Empty => f.write_str("receiving on an empty channel"),
-                TryRecvError::Disconnected => {
-                    f.write_str("receiving on an empty, disconnected channel")
-                }
-            }
-        }
-    }
-
-    impl std::error::Error for TryRecvError {}
 
     /// The sending half of an unbounded channel. Cloneable; the channel
     /// disconnects for receivers when the last clone is dropped.
@@ -162,26 +150,31 @@ pub mod channel {
         /// Blocks until a message arrives, failing once the channel is
         /// empty and every sender has been dropped.
         pub fn recv(&self) -> Result<T, RecvError> {
+            self.recv_deadline(None).map_err(|_| RecvError)
+        }
+
+        /// [`recv`](Self::recv) that gives up after `timeout`, telling
+        /// an elapsed wait from a disconnected channel (same contract as
+        /// the real crate).
+        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
+            self.recv_deadline(Some(Instant::now() + timeout))
+        }
+
+        fn recv_deadline(&self, deadline: Option<Instant>) -> Result<T, RecvTimeoutError> {
             let mut state = self.shared.state.lock().expect("channel poisoned");
             loop {
                 if let Some(msg) = state.queue.pop_front() {
                     return Ok(msg);
                 }
                 if state.senders == 0 {
-                    return Err(RecvError);
+                    return Err(RecvTimeoutError::Disconnected);
                 }
-                state = self.shared.ready.wait(state).expect("channel poisoned");
-            }
-        }
-
-        /// Non-blocking receive, distinguishing an empty channel from a
-        /// disconnected one (same contract as the real crate).
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut state = self.shared.state.lock().expect("channel poisoned");
-            match state.queue.pop_front() {
-                Some(msg) => Ok(msg),
-                None if state.senders == 0 => Err(TryRecvError::Disconnected),
-                None => Err(TryRecvError::Empty),
+                let ready = &self.shared.ready;
+                state = match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
+                    None => ready.wait(state).expect("channel poisoned"),
+                    Some(left) if left.is_zero() => return Err(RecvTimeoutError::Timeout),
+                    Some(left) => ready.wait_timeout(state, left).expect("channel poisoned").0,
+                };
             }
         }
     }
@@ -236,13 +229,38 @@ pub mod channel {
         }
 
         #[test]
-        fn try_recv_distinguishes_empty_from_disconnected() {
+        fn recv_timeout_elapses_on_an_empty_live_channel() {
+            let (_tx, rx) = unbounded::<u32>();
+            let wait = Duration::from_millis(20);
+            let t0 = Instant::now();
+            assert_eq!(rx.recv_timeout(wait), Err(RecvTimeoutError::Timeout));
+            assert!(t0.elapsed() >= wait);
+        }
+
+        #[test]
+        fn recv_timeout_returns_early_when_a_send_lands_mid_wait() {
             let (tx, rx) = unbounded::<u32>();
-            assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+            let (parked_tx, parked_rx) = unbounded::<()>();
+            let receiver = std::thread::spawn(move || {
+                parked_tx.send(()).unwrap();
+                let t0 = Instant::now();
+                (rx.recv_timeout(Duration::from_secs(30)), t0.elapsed())
+            });
+            parked_rx.recv().unwrap();
+            tx.send(9).unwrap();
+            let (got, waited) = receiver.join().unwrap();
+            assert_eq!(got, Ok(9));
+            assert!(waited < Duration::from_secs(30), "woke on the send");
+        }
+
+        #[test]
+        fn recv_timeout_reports_disconnected_once_drained_and_senderless() {
+            let (tx, rx) = unbounded::<u32>();
             tx.send(3).unwrap();
-            assert_eq!(rx.try_recv(), Ok(3));
             drop(tx);
-            assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
+            let wait = Duration::from_secs(30);
+            assert_eq!(rx.recv_timeout(wait), Ok(3));
+            assert_eq!(rx.recv_timeout(wait), Err(RecvTimeoutError::Disconnected));
         }
 
         #[test]

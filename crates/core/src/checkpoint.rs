@@ -23,6 +23,8 @@ use pipebd_nn::{Layer, Sgd};
 use pipebd_tensor::{Tensor, TensorError};
 use serde::{Deserialize, Serialize};
 
+use crate::exec::{ExecError, FuncConfig};
+
 /// A bitwise-exact, serializable snapshot of one tensor.
 ///
 /// `crates/json` round-trips `f32` exactly, so snapshot → JSON → restore
@@ -143,6 +145,39 @@ impl Checkpoint {
                 "data cursor {} inconsistent with round {} x batch {}",
                 self.data_cursor, self.round, self.batch
             ));
+        }
+        Ok(())
+    }
+
+    /// Restores global block `index` into `layer` and `optim`
+    /// ([`restore_block`]) and returns the block's loss history so far.
+    pub(crate) fn restore_into(
+        &self,
+        index: usize,
+        layer: &mut dyn Layer,
+        optim: &mut Sgd,
+    ) -> Result<Vec<f32>, ExecError> {
+        let state = self
+            .block(index)
+            .ok_or_else(|| ExecError::Checkpoint(format!("missing block {index}")))?;
+        restore_block(layer, optim, state).map_err(ExecError::Checkpoint)?;
+        Ok(state.losses.clone())
+    }
+
+    /// [`validate`](Self::validate) for a run about to resume from this
+    /// checkpoint, which must also not lie beyond the run's last step.
+    pub(crate) fn validate_resume(
+        &self,
+        num_blocks: usize,
+        cfg: &FuncConfig,
+    ) -> Result<(), ExecError> {
+        self.validate(num_blocks, cfg.batch)
+            .map_err(ExecError::Checkpoint)?;
+        if self.round > cfg.steps {
+            return Err(ExecError::Checkpoint(format!(
+                "checkpoint round {} beyond the run's {} steps",
+                self.round, cfg.steps
+            )));
         }
         Ok(())
     }

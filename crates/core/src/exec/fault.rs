@@ -2,36 +2,29 @@
 //!
 //! The simulator's `FaultScript`s perturb *when* work runs; the driver
 //! interprets the same scripts against the threaded executor's real
-//! worker threads:
+//! worker threads, as a pure function of `(rank, step)`:
 //!
 //! * **Slowdown windows** pause the covered rank's thread for a small
 //!   wall-clock interval each step — observable in timing, invisible in
 //!   results (the tensor determinism contract makes scheduling
 //!   result-free).
-//! * **Host loss** cancels the rank: the step check returns
-//!   [`FaultAction::Lost`], the worker returns a structured
-//!   [`ExecError::RankLost`], and a process-wide abort flag flips so
-//!   every surviving worker unblocks from its channel waits instead of
-//!   hanging on a peer that will never send.
 //! * **Loader slowdown** pauses stage-0 data loading the same way.
-//!
+//! * **Host loss** cancels the rank: the step gate returns
+//!   [`FaultAction::Lost`] and the worker ends its epoch as lost. Waking
+//!   the survivors is the epoch's job, not the driver's — see
+//!   `exec::threaded`.
 //! * **Host join** events for ranks *beyond* the current worker set are
-//!   accepted as pending growth: the step gate returns
-//!   [`FaultAction::Grow`] at the earliest join step, every incumbent
-//!   worker stops cleanly at that round boundary with
-//!   [`ExecError::MembershipGrow`], and the recovery plane re-wires the
-//!   channel graph over the enlarged member set (see
-//!   `exec::recovery`). A join targeting a rank *inside* the worker set
-//!   is still rejected at construction — that member already exists, so
-//!   the script must be projected (`FaultScript::for_survivors`) before
-//!   a driver is built over it.
+//!   pending growth: the step gate returns [`FaultAction::Grow`] at the
+//!   earliest join step, every incumbent stops cleanly at that round
+//!   boundary, and the recovery plane wires the next epoch over the
+//!   enlarged member set (see `exec::recovery`). A join targeting a rank
+//!   *inside* the worker set is rejected at construction — that member
+//!   already exists, so the script must be projected
+//!   (`FaultScript::for_survivors`) before a driver is built over it.
 //!
-//! Non-decoupled configs with a non-healthy script are rejected too — a
-//! `Barrier` over a thread that will be cancelled is a deadlock by
-//! construction, and the recovery plane must never hang.
+//! Non-decoupled configs with a non-healthy script are rejected too: the
+//! recovery plane's replay guarantees are stated for decoupled updates.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 use pipebd_sim::{FaultEvent, FaultScript};
@@ -43,35 +36,25 @@ use super::ExecError;
 /// slowing the test matrix down.
 const PAUSE_PER_FACTOR: Duration = Duration::from_micros(300);
 
-/// How long a blocked worker sleeps between abort-flag polls. The compat
-/// channel has no `recv_timeout`, so cancellation is poll-based.
-pub(crate) const ABORT_POLL: Duration = Duration::from_micros(200);
-
 /// What a worker must do at the top of a training step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
     /// Proceed (any slowdown pause has already been served).
     Continue,
-    /// The rank is lost from this step on: cancel in-flight work and
-    /// return [`ExecError::RankLost`].
+    /// The rank is lost from this step on: the worker ends its epoch.
     Lost,
     /// A scripted join came due: the epoch ends at this round boundary so
-    /// the registry can re-wire the channel graph over the enlarged
-    /// member set. Every incumbent stops here and returns
-    /// [`ExecError::MembershipGrow`].
+    /// the next one can be wired over the enlarged member set. Every
+    /// incumbent stops here.
     Grow,
 }
 
 /// Deterministic interpreter of a [`FaultScript`] over executor threads.
-///
-/// One driver instance is shared (via `Arc`) by every worker of a run;
-/// it is the single source of truth for "has any rank died yet".
+/// Immutable once built; one instance is shared (via `Arc`) by every
+/// worker of an epoch.
 #[derive(Debug)]
 pub struct FaultDriver {
     script: FaultScript,
-    abort: AtomicBool,
-    /// Earliest observed loss as `(rank, step)`.
-    lost: Mutex<Option<(usize, usize)>>,
     /// Earliest pending-join step: the round at which the current epoch
     /// must stop so the member set can grow. `None` when no growth is
     /// scripted.
@@ -91,7 +74,7 @@ impl FaultDriver {
     /// [`FaultScript::validate`], contains a join for a rank already in
     /// the worker set (project the script first), scatters its join
     /// ranks non-contiguously, or `decoupled` is false with a non-healthy
-    /// script (a barrier over a cancellable thread deadlocks).
+    /// script.
     pub fn new(script: &FaultScript, devices: usize, decoupled: bool) -> Result<Self, ExecError> {
         if let Some(FaultEvent::HostJoin { rank, at_step }) = script
             .events
@@ -119,33 +102,13 @@ impl FaultDriver {
             .map_err(|v| ExecError::Config(format!("fault script rejected: {v}")))?;
         if !decoupled && !script.is_healthy() {
             return Err(ExecError::Config(
-                "fault injection requires decoupled updates: a barrier over a \
-                 cancellable thread deadlocks"
-                    .into(),
+                "fault injection requires decoupled updates".into(),
             ));
         }
-        let grow = pending.iter().map(|&(_, s)| s as usize).min();
         Ok(FaultDriver {
             script: script.clone(),
-            abort: AtomicBool::new(false),
-            lost: Mutex::new(None),
-            grow,
+            grow: pending.iter().map(|&(_, s)| s as usize).min(),
         })
-    }
-
-    /// A driver with no perturbations (useful as a test control).
-    pub fn healthy() -> Self {
-        FaultDriver {
-            script: FaultScript::healthy(),
-            abort: AtomicBool::new(false),
-            lost: Mutex::new(None),
-            grow: None,
-        }
-    }
-
-    /// The script being interpreted.
-    pub fn script(&self) -> &FaultScript {
-        &self.script
     }
 
     /// The round at which the current epoch must stop for the member set
@@ -164,7 +127,6 @@ impl FaultDriver {
         }
         let step32 = step.min(u32::MAX as usize) as u32;
         if !self.script.alive(rank, step32) {
-            self.record_loss(rank, step);
             return FaultAction::Lost;
         }
         let factor = self.script.factor(rank, step32);
@@ -182,32 +144,6 @@ impl FaultDriver {
         if factor > 1.0 {
             std::thread::sleep(PAUSE_PER_FACTOR.mul_f64(factor - 1.0));
         }
-    }
-
-    /// Whether any rank has been lost (workers poll this in channel
-    /// waits to unblock instead of hanging).
-    pub fn aborted(&self) -> bool {
-        self.abort.load(Ordering::Acquire)
-    }
-
-    /// The earliest recorded loss, as `(rank, step)`.
-    pub fn first_loss(&self) -> Option<(usize, usize)> {
-        *self.lost.lock().expect("fault driver lock")
-    }
-
-    /// The structured error every worker of an aborted run surfaces.
-    pub(crate) fn loss_error(&self) -> ExecError {
-        let (rank, step) = self.first_loss().unwrap_or((usize::MAX, 0));
-        ExecError::RankLost { rank, step }
-    }
-
-    fn record_loss(&self, rank: usize, step: usize) {
-        let mut lost = self.lost.lock().expect("fault driver lock");
-        if !matches!(*lost, Some((_, s)) if step >= s) {
-            *lost = Some((rank, step));
-        }
-        drop(lost);
-        self.abort.store(true, Ordering::Release);
     }
 }
 
@@ -258,8 +194,6 @@ mod tests {
         assert_eq!(d.before_step(0, 2), FaultAction::Continue);
         assert_eq!(d.before_step(0, 3), FaultAction::Grow);
         assert_eq!(d.before_step(1, 3), FaultAction::Grow);
-        assert!(!d.aborted(), "growth is a clean stop, not an abort");
-        assert!(d.first_loss().is_none());
         // Growth wins over a same-step loss: the loss fires under the
         // re-wired member set, not in this epoch.
         let compound = FaultScript {
@@ -314,28 +248,22 @@ mod tests {
     }
 
     #[test]
-    fn loss_fires_exactly_at_its_step_and_sets_abort() {
+    fn loss_fires_exactly_at_its_step_and_stays_lost() {
         let d = FaultDriver::new(&loss_script(1, 4), 2, true).unwrap();
         assert_eq!(d.before_step(1, 3), FaultAction::Continue);
-        assert!(!d.aborted());
         assert_eq!(d.before_step(1, 4), FaultAction::Lost);
-        assert!(d.aborted());
-        assert_eq!(d.first_loss(), Some((1, 4)));
+        assert_eq!(d.before_step(1, 5), FaultAction::Lost);
         // The surviving rank keeps stepping.
         assert_eq!(d.before_step(0, 4), FaultAction::Continue);
-        // An earlier observation wins the record.
-        d.before_step(1, 4);
-        assert_eq!(d.first_loss(), Some((1, 4)));
     }
 
     #[test]
     fn healthy_driver_never_aborts() {
-        let d = FaultDriver::healthy();
+        let d = FaultDriver::new(&FaultScript::healthy(), 1, true).unwrap();
         for step in 0..16 {
             assert_eq!(d.before_step(0, step), FaultAction::Continue);
             d.before_load(step);
         }
-        assert!(!d.aborted());
-        assert!(d.first_loss().is_none());
+        assert_eq!(d.grow_step(), None);
     }
 }

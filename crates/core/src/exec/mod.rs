@@ -25,36 +25,12 @@
 //!   widened plans over batch-norm students trade exactness for
 //!   parallelism (width-1 plans remain bitwise even with batch norm).
 //!
-//! Both executors are also exposed behind the [`Executor`] trait
-//! ([`ReferenceExecutor`], [`ThreadedExecutor`]) so harness code can be
-//! generic over the strategy under test.
+//! [`ExecutorChoice::run`] dispatches to either executor, so harness
+//! code can quantify over the engine under test.
 //!
-//! # Zero-copy data plane
-//!
-//! The threaded executor relays activations and broadcasts averaged
-//! gradients as [`SharedTensor`] handles (`Arc`-backed, see
-//! [`pipebd_tensor::SharedTensor`]): once a tensor is produced it is
-//! immutable, and every hop — boundary caching, cross-stage relay sends,
-//! gradient broadcast — transfers a reference-count bump instead of a
-//! buffer. The invariants:
-//!
-//! * a relayed activation is never mutated after it is wrapped in a
-//!   [`SharedTensor`]; mutation would require the copy-on-write
-//!   [`SharedTensor::make_mut`], which the executor never calls on relayed
-//!   data;
-//! * the gradient gather *moves* each member's gradient buffers to the
-//!   stage leader (ownership transfer through the channel, no copies), and
-//!   the leader folds the average into the first contribution's buffers
-//!   rather than allocating accumulators;
-//! * averaged gradients are written back as *shared* handles
-//!   (`Param::set_shared_grad`, a refcount bump per param) that the
-//!   optimizer consumes in place, so the sharing path is copy-free end
-//!   to end; per-step copies remain only where the batch genuinely
-//!   changes shape (stage width transitions re-split the batch). See
-//!   `ARCHITECTURE.md` for the full copy audit.
-//!
-//! [`SharedTensor`]: pipebd_tensor::SharedTensor
-//! [`SharedTensor::make_mut`]: pipebd_tensor::SharedTensor::make_mut
+//! The threaded executor's data plane is zero-copy (activations and
+//! averaged gradients travel as `Arc`-backed handles); its invariants are
+//! stated once, in the [`threaded`] module docs.
 
 pub mod fault;
 pub mod recovery;
@@ -84,23 +60,13 @@ pub enum ExecError {
         /// Maximum absolute difference observed.
         diff: f32,
     },
-    /// A rank was cancelled mid-run by the fault driver. Structured —
-    /// never a hang: every surviving worker unblocks and surfaces this.
+    /// A rank was cancelled mid-run by the fault driver and nothing was
+    /// there to recover the run ([`threaded::run_hooked`] runs a single
+    /// epoch; [`recovery::RecoveryRunner`] carries on past a loss).
     RankLost {
         /// The lost GPU rank (logical device index of the failed run).
         rank: usize,
         /// The training step at which the rank died.
-        step: usize,
-    },
-    /// The device set must grow: a scripted [`HostJoin`] came due, so
-    /// the epoch stopped cleanly at a round boundary for the registry to
-    /// re-wire the channel graph over the enlarged member set. Like
-    /// [`ExecError::RankLost`], structured and never a hang — every
-    /// incumbent worker stops at exactly this step.
-    ///
-    /// [`HostJoin`]: pipebd_sim::FaultEvent::HostJoin
-    MembershipGrow {
-        /// The first training step the joined rank participates in.
         step: usize,
     },
     /// The recovery protocol exhausted its restore budget (and no
@@ -124,9 +90,6 @@ impl std::fmt::Display for ExecError {
             }
             ExecError::RankLost { rank, step } => {
                 write!(f, "rank {rank} lost at step {step}")
-            }
-            ExecError::MembershipGrow { step } => {
-                write!(f, "membership grows at step {step}")
             }
             ExecError::RecoveryExhausted { attempts } => {
                 write!(f, "recovery exhausted after {attempts} restore attempts")
@@ -197,6 +160,16 @@ impl FuncConfig {
             .unwrap_or_else(pipebd_tensor::parallel::default_pool_size)
             .max(1)
     }
+
+    /// The stage plan a threaded run over `num_blocks` blocks follows:
+    /// `plan` if set, else contiguous over `devices`.
+    pub(crate) fn stage_plan(&self, num_blocks: usize) -> Result<StagePlan, ExecError> {
+        match &self.plan {
+            Some(p) => Ok(p.clone()),
+            None => StagePlan::contiguous(num_blocks, self.devices)
+                .map_err(|e| ExecError::Config(e.to_string())),
+        }
+    }
 }
 
 /// The outcome of functional training.
@@ -255,82 +228,15 @@ impl FuncOutcome {
     }
 }
 
-/// A blockwise-distillation training strategy.
-///
-/// Implementations take the same inputs and must produce the same trained
-/// student (see the module docs for the exact equivalence guarantees), so
-/// harness code — parity tests, benches, the `Experiment` facade — can be
-/// generic over *how* the schedule executes.
-pub trait Executor {
-    /// Short strategy name for reports and traces.
-    fn name(&self) -> &'static str;
-
-    /// Trains `student` against `teacher` on `data` under `cfg`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError`] for invalid configurations, tensor failures,
-    /// worker panics, or replica divergence.
-    fn run(
-        &self,
-        teacher: &BlockNet,
-        student: &BlockNet,
-        data: &SyntheticImageDataset,
-        cfg: &FuncConfig,
-    ) -> Result<FuncOutcome, ExecError>;
-}
-
-/// [`Executor`] running the golden sequential semantics
-/// ([`reference::run`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ReferenceExecutor;
-
-impl Executor for ReferenceExecutor {
-    fn name(&self) -> &'static str {
-        "reference"
-    }
-
-    fn run(
-        &self,
-        teacher: &BlockNet,
-        student: &BlockNet,
-        data: &SyntheticImageDataset,
-        cfg: &FuncConfig,
-    ) -> Result<FuncOutcome, ExecError> {
-        reference::run(teacher, student, data, cfg).map_err(ExecError::from)
-    }
-}
-
-/// [`Executor`] running the multi-threaded Pipe-BD pipeline
-/// ([`threaded::run`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ThreadedExecutor;
-
-impl Executor for ThreadedExecutor {
-    fn name(&self) -> &'static str {
-        "threaded"
-    }
-
-    fn run(
-        &self,
-        teacher: &BlockNet,
-        student: &BlockNet,
-        data: &SyntheticImageDataset,
-        cfg: &FuncConfig,
-    ) -> Result<FuncOutcome, ExecError> {
-        threaded::run(teacher, student, data, cfg)
-    }
-}
-
-/// Which [`Executor`] implementation drives functional runs — the
-/// `Experiment` facade's executor-selection knob, recorded in every
-/// persisted [`RunReport`](crate::RunReport) so an artifact names the
-/// execution engine behind its numbers.
+/// Which executor drives functional runs — the `Experiment` facade's
+/// executor-selection knob, recorded in every persisted
+/// [`RunReport`](crate::RunReport) so an artifact names the execution
+/// engine behind its numbers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ExecutorChoice {
-    /// Golden sequential semantics ([`ReferenceExecutor`]).
+    /// Golden sequential semantics ([`reference::run`]).
     Reference,
-    /// Real multi-threaded pipeline ([`ThreadedExecutor`]); the default.
+    /// Real multi-threaded pipeline ([`threaded::run`]); the default.
     #[default]
     Threaded,
 }
@@ -344,11 +250,25 @@ impl ExecutorChoice {
         }
     }
 
-    /// Constructs the chosen executor.
-    pub fn executor(&self) -> Box<dyn Executor> {
+    /// Trains `student` against `teacher` on `data` under `cfg` with the
+    /// chosen executor. Both take the same inputs and produce the same
+    /// trained student (see the [module docs](self) for the exact
+    /// equivalence guarantees).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExecError`] for invalid configurations, tensor failures,
+    /// worker panics, or replica divergence.
+    pub fn run(
+        &self,
+        teacher: &BlockNet,
+        student: &BlockNet,
+        data: &SyntheticImageDataset,
+        cfg: &FuncConfig,
+    ) -> Result<FuncOutcome, ExecError> {
         match self {
-            ExecutorChoice::Reference => Box::new(ReferenceExecutor),
-            ExecutorChoice::Threaded => Box::new(ThreadedExecutor),
+            ExecutorChoice::Reference => Ok(reference::run(teacher, student, data, cfg)?),
+            ExecutorChoice::Threaded => threaded::run(teacher, student, data, cfg),
         }
     }
 }

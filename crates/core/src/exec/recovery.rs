@@ -1,30 +1,33 @@
 //! The recovery protocol: checkpoint → replan → resume, with a bounded
 //! restore budget — in both directions of membership change.
 //!
-//! [`RecoveryRunner::run`] drives the threaded executor under a fault
-//! script. On [`ExecError::RankLost`] it restores the latest checkpoint
-//! from the sink, snapshots the degraded cluster membership at the loss
-//! step, asks `pipebd_sched::replan` for a degraded plan over the
-//! survivors, projects the fault script onto them, and retries — up to
-//! `max_restores` times with a small deterministic backoff. Exhausting
-//! the budget degrades gracefully: either to the single-threaded
-//! reference executor (which cannot lose a rank) resuming from the last
-//! checkpoint, or to a clean [`ExecError::RecoveryExhausted`]. Never a
-//! deadlock — every abort path is structured.
+//! [`RecoveryRunner::run`] drives the threaded executor one *epoch* at a
+//! time under a fault script and matches on how each epoch ended
+//! (`EpochEnd`):
 //!
-//! # Elastic growth
+//! * **Finished** — the run is done.
+//! * **Lost** — a rank was cancelled. The runner takes the one
+//!   replan-and-restore path: snapshot the members alive at the loss
+//!   step, ask `pipebd_sched::replan` for a plan over them, project the
+//!   fault script onto them, restore the latest checkpoint of this run's
+//!   plan lineage, and run the next epoch — up to `max_restores` times.
+//!   Exhausting the budget degrades gracefully: either to the
+//!   single-threaded reference executor (which cannot lose a rank)
+//!   resuming from the last checkpoint, or to a clean
+//!   [`ExecError::RecoveryExhausted`].
+//! * **Grow** — a scripted `HostJoin` came due and every incumbent
+//!   stopped cleanly at the join's round boundary, with a forced
+//!   checkpoint at exactly that round. The same path runs over the
+//!   **enlarged** member set (the admitted join is dropped from the
+//!   script, later joins stay pending) and resumes from the boundary
+//!   checkpoint. Growth consumes no restore budget — nothing was lost.
 //!
-//! The member set can also *grow*. A scripted `HostJoin` ends the
-//! current epoch cleanly at the join's round boundary
-//! ([`ExecError::MembershipGrow`], with a forced checkpoint at exactly
-//! that round); the runner then replans over the **enlarged** member
-//! set, projects the script (the admitted join is dropped, later joins
-//! stay pending), re-wires the channel graph by starting a fresh epoch,
-//! and resumes from the boundary checkpoint. Growth consumes no restore
-//! budget — nothing was lost. A join naming a rank of the initial
-//! worker set means that host is absent at step 0 and arrives mid-run:
-//! the first epoch starts over the step-0 members and the join is
-//! renumbered onto a fresh rank beyond them. Rejoin after loss
+//! Anything else an epoch returns is a real error and ends the run.
+//!
+//! A join naming a rank of the initial worker set means that host is
+//! absent at step 0 and arrives mid-run: the first epoch starts over the
+//! step-0 members (the same replan, with nothing to restore) and the join
+//! is renumbered onto a fresh rank beyond them. Rejoin after loss
 //! composes from the two primitives: the lost host's *hardware* comes
 //! back under a fresh logical rank (`HostJoin` on a new id), since a
 //! cancelled worker itself cannot restart.
@@ -52,7 +55,6 @@
 //!   (the conformance plane's recovery tolerance), not bitwise equality.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use pipebd_data::SyntheticImageDataset;
 use pipebd_models::Workload;
@@ -63,6 +65,7 @@ use pipebd_sim::{FaultEvent, FaultScript, HardwareConfig};
 use pipebd_trace::{SpanKind, TraceCollector};
 
 use super::fault::FaultDriver;
+use super::registry::EpochEnd;
 use super::threaded::{self, RunHooks};
 use super::{reference, ExecError, FuncConfig, FuncOutcome};
 use crate::checkpoint::{Checkpoint, CheckpointPolicy, CheckpointSink};
@@ -75,9 +78,6 @@ pub struct RecoveryPolicy {
     pub checkpoint_every: usize,
     /// Maximum restore attempts before degrading to the fallback.
     pub max_restores: usize,
-    /// Base backoff slept before restore attempt `n` (scaled by `n`,
-    /// deterministic — no jitter, nothing result-affecting).
-    pub backoff: Duration,
     /// Whether budget exhaustion falls back to the reference executor
     /// (`true`) or surfaces [`ExecError::RecoveryExhausted`] (`false`).
     pub reference_fallback: bool,
@@ -88,7 +88,6 @@ impl Default for RecoveryPolicy {
         RecoveryPolicy {
             checkpoint_every: 2,
             max_restores: 3,
-            backoff: Duration::from_millis(1),
             reference_fallback: true,
         }
     }
@@ -145,7 +144,7 @@ impl RecoveryRunner<'_> {
     ///
     /// Returns [`ExecError::Config`] for unrealizable scripts (overlap
     /// violations, loss-before-join orderings, non-decoupled configs,
-    /// scripts where every rank joins late),
+    /// scripts that leave no member at some step),
     /// [`ExecError::RecoveryExhausted`] when the budget runs out with no
     /// fallback configured, [`ExecError::Checkpoint`] when the sink's
     /// checkpoint fails the plan-lineage gate, or any underlying
@@ -164,233 +163,176 @@ impl RecoveryRunner<'_> {
                 self.workload.num_blocks()
             )));
         }
-        let base_plan = match &cfg.plan {
-            Some(p) => p.clone(),
-            None => StagePlan::contiguous(b, cfg.devices)
-                .map_err(|e| ExecError::Config(e.to_string()))?,
+        let base_plan = cfg.stage_plan(b)?;
+        let mut run = Run {
+            runner: self,
+            teacher,
+            student,
+            data,
+            // The replay-equivalence contract: a split-free incumbent must
+            // stay split-free through every replan, or bitwise parity dies.
+            preserve_width1: !base_plan.uses_batch_split(),
+            cfg: cfg.clone(),
+            script: self.script.clone(),
+            resume: None,
+            lineage: Vec::new(),
+            restores: 0,
+            grows: 0,
+            replans: 0,
+            resumed_rounds: Vec::new(),
         };
-        // The replay-equivalence contract: a split-free incumbent must
-        // stay split-free through every replan, or bitwise parity dies.
-        let preserve_width1 = !base_plan.uses_batch_split();
-
-        let mut cfg = cfg.clone();
-        let mut script = self.script.clone();
-        let mut resume: Option<Arc<Checkpoint>> = None;
-        let mut restores = 0usize;
-        let mut grows = 0usize;
-        let mut resumed_rounds = Vec::new();
-        let mut replans = 0usize;
-
         // Elastic start: a join naming an in-set rank means that host is
-        // absent at step 0 and arrives mid-run. Start the first epoch
-        // over the step-0 members — the projection renumbers the join
-        // onto a fresh rank beyond them — and let the grow arm below
-        // admit it when the join comes due.
-        let in_set_join = script
-            .events
-            .iter()
-            .any(|e| matches!(e, FaultEvent::HostJoin { rank, .. } if *rank < cfg.devices));
-        if in_set_join {
-            let total = cfg.devices + script.pending_joins(cfg.devices).len();
-            let hw = HardwareConfig::a6000_server(total);
-            let server = DegradedServer::at_step(&hw, &script, 0)
-                .map_err(|v| ExecError::Config(format!("replan: {v}")))?;
-            let members = server.members.clone();
-            let m = members.len();
-            if m == 0 {
-                return Err(ExecError::Config(
-                    "fault script leaves no step-0 members: every rank joins later".into(),
-                ));
-            }
-            if m < cfg.devices {
-                let decision = replan(self.workload, &server, cfg.batch);
-                replans += 1;
-                let mut plan = decision.plan;
-                let indivisible = plan.stages.iter().any(|s| cfg.batch % s.width() != 0);
-                if (preserve_width1 && plan.uses_batch_split()) || indivisible {
-                    plan = StagePlan::contiguous(b, m).map_err(|e| {
-                        ExecError::Config(format!("no runnable plan for {m} initial members: {e}"))
-                    })?;
-                }
-                script = script.for_survivors(&members);
-                cfg.devices = m;
-                cfg.plan = Some(plan);
-            }
+        // absent at step 0 and arrives mid-run. Plan the first epoch over
+        // the step-0 members — the projection renumbers the join onto a
+        // fresh rank beyond them — and let the grow arm below admit it
+        // when the join comes due. Nothing has run, so nothing is restored.
+        let in_set_join =
+            |e: &FaultEvent| matches!(e, FaultEvent::HostJoin { rank, .. } if *rank < cfg.devices);
+        if self.script.events.iter().any(in_set_join) {
+            run.replan(0)?;
+        } else {
+            run.lineage.push(base_plan.fingerprint());
         }
-
-        // The plan fingerprints of every epoch this run has used, newest
-        // last — the lineage restores are checked against.
-        let mut lineage: Vec<String> = vec![cfg.plan.as_ref().unwrap_or(&base_plan).fingerprint()];
 
         loop {
-            let driver = Arc::new(FaultDriver::new(
-                &script,
-                cfg.devices,
-                cfg.decoupled_updates,
-            )?);
-            let hooks = RunHooks {
-                driver: Some(driver),
-                resume: resume.clone(),
-                checkpoint: Some((
-                    CheckpointPolicy::every(self.policy.checkpoint_every),
-                    Arc::clone(&self.sink),
-                )),
-                trace: self.trace.clone(),
+            let step = match run.epoch()? {
+                EpochEnd::Finished(outcome) => return Ok(run.report(outcome, false)),
+                EpochEnd::Lost { .. } if run.restores == self.policy.max_restores => {
+                    return run.exhausted()
+                }
+                EpochEnd::Lost { step, .. } => {
+                    run.restores += 1;
+                    step
+                }
+                // Growth consumes no restore budget — nothing was lost.
+                EpochEnd::Grow { step } => {
+                    run.grows += 1;
+                    step
+                }
             };
-            match threaded::run_hooked(teacher, student, data, &cfg, &hooks) {
-                Ok(outcome) => {
-                    return Ok(RecoveryReport {
-                        outcome,
-                        restores,
-                        grows,
-                        resumed_rounds,
-                        replans,
-                        fell_back: false,
-                        final_devices: cfg.devices,
-                    })
-                }
-                Err(ExecError::RankLost { rank: _, step }) => {
-                    restores += 1;
-                    if restores > self.policy.max_restores {
-                        return self.exhausted(
-                            teacher,
-                            student,
-                            data,
-                            &cfg,
-                            restores - 1,
-                            grows,
-                            resumed_rounds,
-                            replans,
-                        );
-                    }
-                    // Deterministic bounded backoff before the attempt.
-                    std::thread::sleep(self.policy.backoff * restores as u32);
-
-                    // Degraded membership at the loss step, then a fresh
-                    // plan search over the survivors. The rank space
-                    // includes pending joins so a loss + rejoin compound
-                    // script stays valid through the projection.
-                    let replan_t0 = self.trace.as_deref().map(TraceCollector::now_ns);
-                    let total = cfg.devices + script.pending_joins(cfg.devices).len();
-                    let hw = HardwareConfig::a6000_server(total);
-                    let server = DegradedServer::at_step(&hw, &script, step as u32)
-                        .map_err(|v| ExecError::Config(format!("replan: {v}")))?;
-                    let members = server.members.clone();
-                    let m = members.len();
-                    let decision = replan(self.workload, &server, cfg.batch);
-                    replans += 1;
-                    if let (Some(tc), Some(t0)) = (self.trace.as_deref(), replan_t0) {
-                        tc.event(SpanKind::Replan, step as u32, t0, tc.now_ns());
-                    }
-                    let mut plan = decision.plan;
-                    let indivisible = plan.stages.iter().any(|s| cfg.batch % s.width() != 0);
-                    if (preserve_width1 && plan.uses_batch_split()) || indivisible {
-                        plan = StagePlan::contiguous(b, m).map_err(|e| {
-                            ExecError::Config(format!(
-                                "no runnable degraded plan for {m} survivors: {e}"
-                            ))
-                        })?;
-                    }
-                    script = script.for_survivors(&members);
-                    cfg.devices = m;
-                    lineage.push(plan.fingerprint());
-                    cfg.plan = Some(plan);
-                    let restore_t0 = self.trace.as_deref().map(TraceCollector::now_ns);
-                    resume = self
-                        .sink
-                        .latest_matching(&lineage)
-                        .map_err(ExecError::Checkpoint)?
-                        .map(Arc::new);
-                    resumed_rounds.push(resume.as_ref().map_or(0, |c| c.round));
-                    if let (Some(tc), Some(t0)) = (self.trace.as_deref(), restore_t0) {
-                        tc.event(SpanKind::Restore, step as u32, t0, tc.now_ns());
-                    }
-                }
-                Err(ExecError::MembershipGrow { step }) => {
-                    // A scripted join came due: the epoch stopped cleanly
-                    // at the boundary (with a forced checkpoint there), so
-                    // admit the joins and re-wire. Growth consumes no
-                    // restore budget — nothing was lost.
-                    grows += 1;
-                    let replan_t0 = self.trace.as_deref().map(TraceCollector::now_ns);
-                    let total = cfg.devices + script.pending_joins(cfg.devices).len();
-                    let hw = HardwareConfig::a6000_server(total);
-                    let server = DegradedServer::at_step(&hw, &script, step as u32)
-                        .map_err(|v| ExecError::Config(format!("replan: {v}")))?;
-                    let members = server.members.clone();
-                    let m = members.len();
-                    let decision = replan(self.workload, &server, cfg.batch);
-                    replans += 1;
-                    if let (Some(tc), Some(t0)) = (self.trace.as_deref(), replan_t0) {
-                        tc.event(SpanKind::Replan, step as u32, t0, tc.now_ns());
-                    }
-                    let mut plan = decision.plan;
-                    let indivisible = plan.stages.iter().any(|s| cfg.batch % s.width() != 0);
-                    if (preserve_width1 && plan.uses_batch_split()) || indivisible {
-                        plan = StagePlan::contiguous(b, m).map_err(|e| {
-                            ExecError::Config(format!(
-                                "no runnable grown plan for {m} members: {e}"
-                            ))
-                        })?;
-                    }
-                    // Projection drops the admitted joins (their ranks are
-                    // members now) and keeps later joins pending under
-                    // fresh ids, so staggered joins grow epoch by epoch.
-                    script = script.for_survivors(&members);
-                    cfg.devices = m;
-                    lineage.push(plan.fingerprint());
-                    cfg.plan = Some(plan);
-                    let restore_t0 = self.trace.as_deref().map(TraceCollector::now_ns);
-                    resume = self
-                        .sink
-                        .latest_matching(&lineage)
-                        .map_err(ExecError::Checkpoint)?
-                        .map(Arc::new);
-                    resumed_rounds.push(resume.as_ref().map_or(0, |c| c.round));
-                    if let (Some(tc), Some(t0)) = (self.trace.as_deref(), restore_t0) {
-                        tc.event(SpanKind::Restore, step as u32, t0, tc.now_ns());
-                    }
-                }
-                Err(e) => return Err(e),
-            }
+            run.replan_and_restore(step)?;
         }
+    }
+}
+
+/// One recovered run's loop state: what the next epoch runs under, and
+/// what the report will count.
+struct Run<'a> {
+    runner: &'a RecoveryRunner<'a>,
+    teacher: &'a BlockNet,
+    student: &'a BlockNet,
+    data: &'a SyntheticImageDataset,
+    preserve_width1: bool,
+    /// Devices and plan of the next epoch.
+    cfg: FuncConfig,
+    /// The fault script projected onto the current members.
+    script: FaultScript,
+    resume: Option<Arc<Checkpoint>>,
+    /// The plan fingerprints of every epoch this run has used, newest
+    /// last — the lineage restores are checked against.
+    lineage: Vec<String>,
+    restores: usize,
+    grows: usize,
+    replans: usize,
+    resumed_rounds: Vec<usize>,
+}
+
+impl Run<'_> {
+    /// Runs one epoch of the threaded executor under the current script.
+    fn epoch(&self) -> Result<EpochEnd, ExecError> {
+        let runner = self.runner;
+        let driver = FaultDriver::new(&self.script, self.cfg.devices, self.cfg.decoupled_updates)?;
+        let hooks = RunHooks {
+            driver: Some(Arc::new(driver)),
+            resume: self.resume.clone(),
+            checkpoint: Some((
+                CheckpointPolicy::every(runner.policy.checkpoint_every),
+                Arc::clone(&runner.sink),
+            )),
+            trace: runner.trace.clone(),
+        };
+        threaded::run_epoch(self.teacher, self.student, self.data, &self.cfg, &hooks)
+    }
+
+    /// Re-forms the run over the members alive at `step`: a fresh plan
+    /// search over them, and the script projected onto them.
+    fn replan(&mut self, step: usize) -> Result<(), ExecError> {
+        // The rank space includes pending joins so a loss + rejoin
+        // compound script stays valid through the projection.
+        let total = self.cfg.devices + self.script.pending_joins(self.cfg.devices).len();
+        let hw = HardwareConfig::a6000_server(total);
+        let server = DegradedServer::at_step(&hw, &self.script, step as u32)
+            .map_err(|v| ExecError::Config(format!("replan: {v}")))?;
+        let m = server.num_members();
+        let mut plan = replan(self.runner.workload, &server, self.cfg.batch).plan;
+        self.replans += 1;
+        let indivisible = plan.stages.iter().any(|s| self.cfg.batch % s.width() != 0);
+        if (self.preserve_width1 && plan.uses_batch_split()) || indivisible {
+            plan = StagePlan::contiguous(self.teacher.num_blocks(), m).map_err(|e| {
+                ExecError::Config(format!(
+                    "no runnable plan for the {m} members at step {step}: {e}"
+                ))
+            })?;
+        }
+        // Projection drops the admitted joins (their ranks are members
+        // now) and keeps later joins pending under fresh ids, so
+        // staggered joins grow epoch by epoch.
+        self.script = self.script.for_survivors(&server.members);
+        self.cfg.devices = m;
+        self.lineage.push(plan.fingerprint());
+        self.cfg.plan = Some(plan);
+        Ok(())
+    }
+
+    /// The one path after a membership change at `step`, loss or growth:
+    /// [`replan`](Self::replan), then restore the latest checkpoint of
+    /// this run's lineage (none yet means restarting from scratch).
+    fn replan_and_restore(&mut self, step: usize) -> Result<(), ExecError> {
+        let trace = self.runner.trace.as_deref();
+        let timed = |kind: SpanKind, t0: Option<u64>| {
+            if let (Some(tc), Some(t0)) = (trace, t0) {
+                tc.event(kind, step as u32, t0, tc.now_ns());
+            }
+        };
+        let t0 = trace.map(TraceCollector::now_ns);
+        self.replan(step)?;
+        timed(SpanKind::Replan, t0);
+        let t0 = trace.map(TraceCollector::now_ns);
+        let latest = self.runner.sink.latest_matching(&self.lineage);
+        self.resume = latest.map_err(ExecError::Checkpoint)?.map(Arc::new);
+        self.resumed_rounds
+            .push(self.resume.as_ref().map_or(0, |c| c.round));
+        timed(SpanKind::Restore, t0);
+        Ok(())
     }
 
     /// Budget exhausted: reference fallback or a structured error.
-    #[allow(clippy::too_many_arguments)]
-    fn exhausted(
-        &self,
-        teacher: &BlockNet,
-        student: &BlockNet,
-        data: &SyntheticImageDataset,
-        cfg: &FuncConfig,
-        attempts: usize,
-        grows: usize,
-        mut resumed_rounds: Vec<usize>,
-        replans: usize,
-    ) -> Result<RecoveryReport, ExecError> {
-        if !self.policy.reference_fallback {
-            return Err(ExecError::RecoveryExhausted { attempts });
+    fn exhausted(mut self) -> Result<RecoveryReport, ExecError> {
+        if !self.runner.policy.reference_fallback {
+            return Err(ExecError::RecoveryExhausted {
+                attempts: self.restores,
+            });
         }
-        let latest = self.sink.latest().map_err(ExecError::Checkpoint)?;
+        let latest = self.runner.sink.latest().map_err(ExecError::Checkpoint)?;
+        self.resumed_rounds
+            .push(latest.as_ref().map_or(0, |c| c.round));
+        let (teacher, student, data) = (self.teacher, self.student, self.data);
         let outcome = match &latest {
-            Some(ckpt) => {
-                resumed_rounds.push(ckpt.round);
-                reference::resume(teacher, student, data, cfg, ckpt)?
-            }
-            None => {
-                resumed_rounds.push(0);
-                reference::run(teacher, student, data, cfg)?
-            }
+            Some(ckpt) => reference::resume(teacher, student, data, &self.cfg, ckpt)?,
+            None => reference::run(teacher, student, data, &self.cfg)?,
         };
-        Ok(RecoveryReport {
+        Ok(self.report(outcome, true))
+    }
+
+    fn report(self, outcome: FuncOutcome, fell_back: bool) -> RecoveryReport {
+        RecoveryReport {
             outcome,
-            restores: attempts,
-            grows,
-            resumed_rounds,
-            replans,
-            fell_back: true,
-            final_devices: 1,
-        })
+            restores: self.restores,
+            grows: self.grows,
+            resumed_rounds: self.resumed_rounds,
+            replans: self.replans,
+            fell_back,
+            final_devices: if fell_back { 1 } else { self.cfg.devices },
+        }
     }
 }

@@ -12,7 +12,7 @@ use pipebd_tensor::parallel::{self, ComputePool};
 use pipebd_tensor::TensorError;
 
 use super::{ExecError, FuncConfig, FuncOutcome};
-use crate::checkpoint::{self, Checkpoint};
+use crate::checkpoint::Checkpoint;
 
 /// Trains `student` against `teacher` sequentially: for every step, run
 /// the teacher forward once, then train each student block on its boundary
@@ -34,8 +34,10 @@ pub fn run(
     data: &SyntheticImageDataset,
     cfg: &FuncConfig,
 ) -> Result<FuncOutcome, TensorError> {
-    let pool = ComputePool::new(cfg.pool_budget());
-    parallel::install(&pool, || run_serial_semantics(teacher, student, data, cfg))
+    serial_semantics(teacher, student, data, cfg, None).map_err(|e| match e {
+        ExecError::Tensor(e) => e,
+        other => unreachable!("a run from scratch restores no checkpoint: {other}"),
+    })
 }
 
 /// Resumes the sequential semantics from a checkpoint: restores every
@@ -59,55 +61,19 @@ pub fn resume(
     cfg: &FuncConfig,
     from: &Checkpoint,
 ) -> Result<FuncOutcome, ExecError> {
-    from.validate(teacher.num_blocks(), cfg.batch)
-        .map_err(ExecError::Checkpoint)?;
-    if from.round > cfg.steps {
-        return Err(ExecError::Checkpoint(format!(
-            "checkpoint round {} beyond the run's {} steps",
-            from.round, cfg.steps
-        )));
-    }
-    let pool = ComputePool::new(cfg.pool_budget());
-    parallel::install(&pool, || {
-        resume_serial_semantics(teacher, student, data, cfg, from)
-    })
+    from.validate_resume(teacher.num_blocks(), cfg)?;
+    serial_semantics(teacher, student, data, cfg, Some(from))
 }
 
-fn run_serial_semantics(
+/// The one body behind [`run`] and [`resume`]: fresh optimizer state,
+/// optionally overwritten from a checkpoint, then [`train_range`] from
+/// the checkpoint's round (or 0) under the run's compute pool.
+fn serial_semantics(
     teacher: &BlockNet,
     student: &BlockNet,
     data: &SyntheticImageDataset,
     cfg: &FuncConfig,
-) -> Result<FuncOutcome, TensorError> {
-    let mut teacher = teacher.clone();
-    let mut student = student.clone();
-    let b = teacher.num_blocks();
-    let mut optims: Vec<Sgd> = (0..b)
-        .map(|_| Sgd::new(cfg.lr, cfg.momentum, 0.0))
-        .collect();
-    let mut losses = vec![Vec::with_capacity(cfg.steps); b];
-    train_range(
-        &mut teacher,
-        &mut student,
-        &mut optims,
-        &mut losses,
-        data,
-        cfg,
-        0,
-    )?;
-
-    let params = (0..b)
-        .map(|i| pipebd_nn::snapshot_params(student.block_mut(i)))
-        .collect();
-    Ok(FuncOutcome { params, losses })
-}
-
-fn resume_serial_semantics(
-    teacher: &BlockNet,
-    student: &BlockNet,
-    data: &SyntheticImageDataset,
-    cfg: &FuncConfig,
-    from: &Checkpoint,
+    from: Option<&Checkpoint>,
 ) -> Result<FuncOutcome, ExecError> {
     let mut teacher = teacher.clone();
     let mut student = student.clone();
@@ -116,23 +82,24 @@ fn resume_serial_semantics(
         .map(|_| Sgd::new(cfg.lr, cfg.momentum, 0.0))
         .collect();
     let mut losses = vec![Vec::with_capacity(cfg.steps); b];
-    for i in 0..b {
-        let state = from
-            .block(i)
-            .ok_or_else(|| ExecError::Checkpoint(format!("missing block {i}")))?;
-        checkpoint::restore_block(student.block_mut(i), &mut optims[i], state)
-            .map_err(ExecError::Checkpoint)?;
-        losses[i] = state.losses.clone();
+    if let Some(from) = from {
+        for i in 0..b {
+            losses[i] = from.restore_into(i, student.block_mut(i), &mut optims[i])?;
+        }
     }
-    train_range(
-        &mut teacher,
-        &mut student,
-        &mut optims,
-        &mut losses,
-        data,
-        cfg,
-        from.round,
-    )?;
+    let start = from.map_or(0, |c| c.round);
+    let pool = ComputePool::new(cfg.pool_budget());
+    parallel::install(&pool, || {
+        train_range(
+            &mut teacher,
+            &mut student,
+            &mut optims,
+            &mut losses,
+            data,
+            cfg,
+            start,
+        )
+    })?;
 
     let params = (0..b)
         .map(|i| pipebd_nn::snapshot_params(student.block_mut(i)))

@@ -1,28 +1,26 @@
-//! The dynamic device-thread registry: worker threads as an *epoch*.
+//! The device-thread registry: one epoch's worker threads and the
+//! channel fabric between them.
 //!
-//! PR 8's executor spawned a fixed thread set and tore the whole run
-//! down on any membership change. The registry splits that lifecycle
-//! into explicit pieces so the recovery plane can run a sequence of
-//! epochs over a *changing* member set:
+//! An *epoch* is one run of the worker set over a fixed member set and
+//! plan. The recovery plane runs a sequence of epochs over a changing
+//! member set; nothing is mutated mid-epoch.
 //!
-//! * [`wire_roles`] builds one epoch's channel fabric — the relay
-//!   senders/receivers between adjacent stages and the leader-based
-//!   grad-share channels within widened stages — from a [`StagePlan`].
-//!   Re-wiring after a membership change is simply wiring the next
-//!   epoch's fabric from the replanned incumbent; channels are never
-//!   mutated mid-epoch.
-//! * [`DeviceRegistry`] spawns device workers into the epoch (recording
-//!   a `worker_spawn` trace event per rank) and retires them at the
-//!   epoch's end (`worker_retire`), joining threads, converting panics
-//!   to structured errors, and folding the workers' kernel-pool
-//!   counters into the trace metrics registry.
+//! * [`wire_roles`] builds an epoch's fabric from a [`StagePlan`]: relay
+//!   channels between adjacent stages and a [`GradLink`] per device for
+//!   leader-based gradient averaging within widened stages. Every
+//!   channel endpoint lives in exactly the roles that use it, so a role
+//!   that goes away disconnects its peers instead of leaving them
+//!   blocked.
+//! * [`DeviceRegistry`] spawns device workers into the epoch (a
+//!   `worker_spawn` trace event per rank) and retires them at its end
+//!   (`worker_retire`): it joins every thread, turns panics into
+//!   [`ExecError::WorkerPanic`], and folds the kernel-pool counters into
+//!   the trace metrics.
 //!
-//! An epoch ends in one of three ways, all at a round boundary: the run
-//! completes, a rank is lost (`ExecError::RankLost`), or a scripted
-//! join comes due (`ExecError::MembershipGrow`) and the member set must
-//! grow. In every case `retire` returns each worker's structured
-//! result; the recovery protocol (`exec::recovery`) decides whether a
-//! next epoch follows and over which members.
+//! Each worker reports how its epoch ended as a [`WorkerEnd`]; `Err` is
+//! kept for real failures. `threaded::run_epoch` folds the ends into
+//! one [`EpochEnd`], and the recovery protocol (`exec::recovery`)
+//! decides whether another epoch follows and over which members.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -34,7 +32,7 @@ use pipebd_tensor::parallel::{self, ComputePool};
 use pipebd_tensor::{SharedTensor, Tensor};
 use pipebd_trace::{SpanKind, TraceCollector};
 
-use super::ExecError;
+use super::{ExecError, FuncOutcome};
 
 /// A relayed activation: the sending member's index and its batch shard,
 /// shared by handle (sending is a refcount bump, not a copy).
@@ -50,6 +48,46 @@ pub(crate) type GradBundle = (Vec<Vec<SharedTensor>>, Vec<f32>);
 /// One worker's result rows: `(block, member, params, losses)`.
 pub(crate) type WorkerOut = Vec<(usize, usize, Vec<Tensor>, Vec<f32>)>;
 
+/// How one worker's epoch ended, short of a real failure.
+pub(crate) enum WorkerEnd {
+    /// Every round ran; the worker's result rows.
+    Done(WorkerOut),
+    /// A scripted join came due: stopped cleanly before round `step`.
+    Grow { step: usize },
+    /// The fault script cancelled this rank at round `step`.
+    Lost { rank: usize, step: usize },
+    /// A peer ended early (abort flag or a hung-up channel), so this
+    /// worker stopped too. Never the cause of an epoch's end.
+    PeerGone,
+}
+
+/// How an epoch ended: the fold of its workers' [`WorkerEnd`]s.
+pub(crate) enum EpochEnd {
+    /// Every worker ran every round.
+    Finished(FuncOutcome),
+    /// The member set must grow before round `step`.
+    Grow { step: usize },
+    /// `rank` was lost at round `step` (the earliest loss).
+    Lost { rank: usize, step: usize },
+}
+
+/// A device's end of its stage's gradient-sharing fabric.
+pub(crate) enum GradLink {
+    /// Width-1 stage: nothing to share.
+    Solo,
+    /// Member 0 of a widened stage: gathers every other member's
+    /// gradients and sends each the average.
+    Leader {
+        gather: Receiver<GradMsg>,
+        broadcast: Vec<Sender<GradBundle>>,
+    },
+    /// Members `1..`: send to the leader, receive the average.
+    Member {
+        to_leader: Sender<GradMsg>,
+        averaged: Receiver<GradBundle>,
+    },
+}
+
 /// Everything one device worker needs of the epoch's channel fabric.
 pub(crate) struct DeviceRole {
     pub device: usize,
@@ -61,15 +99,11 @@ pub(crate) struct DeviceRole {
     pub first_block: usize,
     pub teacher_blocks: Vec<Block>,
     pub student_blocks: Vec<Block>,
-    /// Receivers for the previous stage's shards (empty for stage 0).
+    /// Receiver for the previous stage's shards (`None` for stage 0).
     pub input_rx: Option<Receiver<Shard>>,
     /// Senders to every member of the next stage (empty for the last).
     pub output_tx: Vec<Sender<Shard>>,
-    /// Gradient sharing within the stage (leader-based averaging).
-    pub grad_to_leader: Option<Sender<GradMsg>>,
-    pub grad_from_members: Option<Receiver<GradMsg>>,
-    pub grad_broadcast_tx: Vec<Sender<GradBundle>>,
-    pub grad_broadcast_rx: Option<Receiver<GradBundle>>,
+    pub grads: GradLink,
 }
 
 /// Builds one epoch's channel fabric for `plan`: per-stage relay
@@ -91,11 +125,15 @@ pub(crate) fn wire_roles(
     }
 
     for (si, stage) in plan.stages.iter().enumerate() {
-        // Gradient-sharing fabric for this stage (width > 1).
         let width = stage.width();
-        let (leader_tx, leader_rx) = unbounded::<GradMsg>();
-        let broadcast: Vec<(Sender<GradBundle>, Receiver<GradBundle>)> =
-            (0..width).map(|_| unbounded()).collect();
+        // The stage's gradient fabric: one gather channel into the leader
+        // and one averaged-bundle channel out to each other member. Roles
+        // take clones and the originals drop with this iteration, so the
+        // leader holds no sender to its own gather channel: it disconnects
+        // when the members are gone.
+        let (to_leader, gather) = unbounded::<GradMsg>();
+        let (broadcast, averaged): (Vec<_>, Vec<_>) =
+            (1..width).map(|_| unbounded::<GradBundle>()).unzip();
 
         for (member, &device) in stage.devices.iter().enumerate() {
             let teacher_blocks: Vec<Block> =
@@ -106,6 +144,19 @@ pub(crate) fn wire_roles(
                 stage_rx[si + 1].iter().map(|(tx, _)| tx.clone()).collect()
             } else {
                 Vec::new()
+            };
+            let grads = if width == 1 {
+                GradLink::Solo
+            } else if member == 0 {
+                GradLink::Leader {
+                    gather: gather.clone(),
+                    broadcast: broadcast.clone(),
+                }
+            } else {
+                GradLink::Member {
+                    to_leader: to_leader.clone(),
+                    averaged: averaged[member - 1].clone(),
+                }
             };
             roles.push(DeviceRole {
                 device,
@@ -126,14 +177,7 @@ pub(crate) fn wire_roles(
                     Some(stage_rx[si][member].1.clone())
                 },
                 output_tx,
-                grad_to_leader: (width > 1).then(|| leader_tx.clone()),
-                grad_from_members: (width > 1 && member == 0).then(|| leader_rx.clone()),
-                grad_broadcast_tx: if width > 1 && member == 0 {
-                    broadcast.iter().map(|(tx, _)| tx.clone()).collect()
-                } else {
-                    Vec::new()
-                },
-                grad_broadcast_rx: (width > 1).then(|| broadcast[member].1.clone()),
+                grads,
             });
         }
     }
@@ -144,7 +188,7 @@ pub(crate) fn wire_roles(
 /// at a round boundary; the next epoch (if any) opens a fresh registry
 /// over a freshly wired fabric.
 pub(crate) struct DeviceRegistry {
-    handles: Vec<(usize, JoinHandle<Result<WorkerOut, ExecError>>)>,
+    handles: Vec<JoinHandle<Result<WorkerEnd, ExecError>>>,
     /// Kernel pools, retained (handle clones) in `full` trace mode so
     /// retire can snapshot their steal/park/wake counters after the join.
     pools: Vec<ComputePool>,
@@ -173,9 +217,8 @@ impl DeviceRegistry {
     /// round.
     pub fn spawn(
         &mut self,
-        device: usize,
         pool: ComputePool,
-        body: impl FnOnce() -> Result<WorkerOut, ExecError> + Send + 'static,
+        body: impl FnOnce() -> Result<WorkerEnd, ExecError> + Send + 'static,
     ) {
         if let Some(tc) = &self.trace {
             if tc.full() {
@@ -184,39 +227,31 @@ impl DeviceRegistry {
             let t = tc.now_ns();
             tc.event(SpanKind::WorkerSpawn, self.epoch_start as u32, t, t);
         }
-        self.handles.push((
-            device,
-            std::thread::spawn(move || parallel::install(&pool, body)),
-        ));
+        self.handles
+            .push(std::thread::spawn(move || parallel::install(&pool, body)));
     }
 
     /// Retires the epoch: joins every worker (spawn order), records a
     /// `worker_retire` trace event per rank (at the loss/grow step for
     /// structurally stopped workers, the epoch end otherwise), folds the
     /// retained kernel-pool counters into the metrics registry, and
-    /// returns each worker's structured result.
+    /// returns how each worker ended.
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError::WorkerPanic`] if a worker thread panicked.
-    pub fn retire(self) -> Result<Vec<Result<WorkerOut, ExecError>>, ExecError> {
-        let DeviceRegistry {
-            handles,
-            pools,
-            trace,
-            epoch_end,
-            ..
-        } = self;
-        let mut results = Vec::with_capacity(handles.len());
-        for (_device, h) in handles {
+    /// Returns the first worker's real failure in spawn order — its own
+    /// error, or [`ExecError::WorkerPanic`] if its thread panicked — once
+    /// every thread has been joined.
+    pub fn retire(self) -> Result<Vec<WorkerEnd>, ExecError> {
+        let mut results = Vec::with_capacity(self.handles.len());
+        for h in self.handles {
             let r = h
                 .join()
-                .map_err(|p| ExecError::WorkerPanic(format!("{p:?}")))?;
-            if let Some(tc) = &trace {
+                .unwrap_or_else(|p| Err(ExecError::WorkerPanic(format!("{p:?}"))));
+            if let Some(tc) = &self.trace {
                 let retired = match &r {
-                    Err(ExecError::RankLost { step, .. })
-                    | Err(ExecError::MembershipGrow { step }) => *step,
-                    _ => epoch_end,
+                    Ok(WorkerEnd::Lost { step, .. } | WorkerEnd::Grow { step }) => *step,
+                    _ => self.epoch_end,
                 };
                 let t = tc.now_ns();
                 tc.event(SpanKind::WorkerRetire, retired as u32, t, t);
@@ -224,15 +259,15 @@ impl DeviceRegistry {
             results.push(r);
         }
         // With every worker joined the pool counters are final.
-        if let Some(tc) = &trace {
+        if let Some(tc) = &self.trace {
             let m = tc.metrics();
-            for pool in &pools {
+            for pool in &self.pools {
                 let st = pool.stats();
                 m.counter("pool.steals").add(st.steals);
                 m.counter("pool.parks").add(st.parks);
                 m.counter("pool.wakes").add(st.wakes);
             }
         }
-        Ok(results)
+        results.into_iter().collect()
     }
 }

@@ -13,40 +13,59 @@
 //!    (line 15, DPU);
 //! 6. update the student weights (line 16).
 //!
-//! # Zero-copy relay
+//! # Zero-copy data plane
 //!
-//! The data plane shares immutable tensors instead of copying them (see
-//! the [module docs](super) for the invariants):
+//! Once a tensor is produced it is immutable, and every hop transfers a
+//! [`SharedTensor`] handle (`Arc`-backed) instead of a buffer:
 //!
 //! * boundary activations are wrapped in [`SharedTensor`] once, then
 //!   cached locally and relayed to every next-stage member as handle
-//!   clones — a steady-state hop performs zero full-tensor deep copies;
+//!   clones — a steady-state hop performs zero full-tensor deep copies,
+//!   and a relayed activation is never mutated afterwards (that would
+//!   take the copy-on-write [`SharedTensor::make_mut`], which the
+//!   executor never calls on relayed data);
 //! * the gradient gather **moves** each member's gradient buffers to the
 //!   stage leader through the channel, the leader folds the average into
-//!   the first contribution's buffers (no accumulator allocation), the
-//!   averaged bundle is broadcast as shared handles, and each member
-//!   installs its handles directly as `Param` shared gradients (the
-//!   optimizer consumes them in place) — the sharing path performs zero
-//!   buffer copies;
+//!   its own buffers (no accumulator allocation), the averaged bundle is
+//!   sent out as shared handles, and each member installs its handles
+//!   directly as `Param` shared gradients (the optimizer consumes them
+//!   in place) — the sharing path performs zero buffer copies;
 //! * the only remaining per-step copy is batch re-sharding at stage
 //!   width *transitions* (equal-width hops forward handles untouched).
+//!   See `ARCHITECTURE.md` for the full copy audit.
 //!
 //! Stage replicas are verified to remain bitwise identical after gradient
 //! averaging — divergence is reported as an error.
+//!
+//! # How an epoch ends
+//!
+//! Every call is one *epoch* of the device-thread registry. Each worker
+//! reports how it ended as a `WorkerEnd` and `run_epoch` folds those
+//! into one `EpochEnd`; `Err` is kept for real failures, which always
+//! outrank a peer's hang-up. A worker that ends any other way than
+//! `Done`/`Grow` — an error, a lost rank, a panic — raises the epoch's
+//! abort flag, and every blocking wait (the one channel receive,
+//! `recv_or_gone`, and the step barrier) re-checks the flag at a short
+//! interval, so no peer outlives the failure by more than `ABORT_WAKE`.
+//! That holds for every run, with or without a fault script.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Barrier};
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use pipebd_data::SyntheticImageDataset;
-use pipebd_nn::{mse_loss, BlockNet, Layer, Mode, Sgd};
-use pipebd_sched::StagePlan;
+use pipebd_nn::{mse_loss, Block, BlockNet, Layer, Mode, Sgd};
 use pipebd_tensor::parallel::ComputePool;
 use pipebd_tensor::{SharedTensor, Tensor};
 use pipebd_trace::{Span, SpanKind, TraceCollector, TrackRecorder};
 
-use super::fault::{FaultAction, FaultDriver, ABORT_POLL};
-use super::registry::{self, DeviceRegistry, DeviceRole, GradBundle, Shard, WorkerOut};
+use super::fault::{FaultAction, FaultDriver};
+use super::registry::{
+    self, DeviceRegistry, DeviceRole, EpochEnd, GradBundle, GradLink, GradMsg, Shard, WorkerEnd,
+    WorkerOut,
+};
 pub use super::ExecError;
 use super::{FuncConfig, FuncOutcome};
 use crate::checkpoint::{self, BlockState, Checkpoint, CheckpointPolicy, CheckpointSink};
@@ -55,7 +74,7 @@ use crate::checkpoint::{self, BlockState, Checkpoint, CheckpointPolicy, Checkpoi
 /// point, checkpoint capture, and span tracing. [`run`] uses the empty
 /// default; the recovery protocol ([`super::recovery`]) wires the first
 /// three, the trace plane the fourth.
-#[derive(Default)]
+#[derive(Default, Clone)]
 pub struct RunHooks {
     /// Fault driver interpreting a `FaultScript` against the workers.
     pub driver: Option<Arc<FaultDriver>>,
@@ -76,12 +95,73 @@ pub struct RunHooks {
 /// stage's member 0 to the assembly loop on the coordinating thread.
 type CkptFrag = (usize, BlockState);
 
-/// What each worker thread needs of the hooks.
-struct WorkerHooks {
-    driver: Option<Arc<FaultDriver>>,
-    resume: Option<Arc<Checkpoint>>,
-    ckpt: Option<(CheckpointPolicy, Sender<CkptFrag>)>,
-    trace: Option<Arc<TraceCollector>>,
+/// How long a blocked worker waits between looks at the epoch's abort
+/// flag. A wait that is served (a message, a full barrier) returns at
+/// once; the interval only bounds how long a peer outlives a failure.
+const ABORT_WAKE: Duration = Duration::from_millis(1);
+
+/// What every worker of one epoch shares.
+struct Epoch {
+    cfg: FuncConfig,
+    data: SyntheticImageDataset,
+    hooks: RunHooks,
+    /// Raised by any worker that ends other than `Done`/`Grow`.
+    abort: AtomicBool,
+    /// The step barrier's `(arrived, generation)`.
+    barrier: Mutex<(usize, usize)>,
+    released: Condvar,
+}
+
+impl Epoch {
+    /// The per-step barrier of coupled updates (Algorithm 1, line 15):
+    /// like `std::sync::Barrier` over the epoch's devices, but a waiter
+    /// gives up once the epoch aborts — a worker that failed will never
+    /// arrive.
+    fn barrier_wait(&self) -> Result<(), Halt> {
+        let mut state = self.barrier.lock().expect("barrier holders never panic");
+        state.0 += 1;
+        if state.0 == self.cfg.devices {
+            *state = (0, state.1 + 1);
+            self.released.notify_all();
+            return Ok(());
+        }
+        let generation = state.1;
+        while state.1 == generation {
+            if self.abort.load(Ordering::SeqCst) {
+                return Err(Halt::PeerGone);
+            }
+            let woken = self.released.wait_timeout(state, ABORT_WAKE);
+            state = woken.expect("barrier holders never panic").0;
+        }
+        Ok(())
+    }
+}
+
+/// Why a worker stopped mid-step.
+enum Halt {
+    /// The epoch is aborting or a channel peer hung up. Secondary damage:
+    /// it ends the worker as [`WorkerEnd::PeerGone`], never as an error.
+    PeerGone,
+    /// A real failure, reported as the worker's `Err`.
+    Failed(ExecError),
+}
+
+impl<E: Into<ExecError>> From<E> for Halt {
+    fn from(e: E) -> Self {
+        Halt::Failed(e.into())
+    }
+}
+
+/// The executor's one receive: blocks on `rx` until a message arrives,
+/// every sender is gone, or the epoch aborts.
+fn recv_or_gone<T>(rx: &Receiver<T>, abort: &AtomicBool) -> Result<T, Halt> {
+    loop {
+        match rx.recv_timeout(ABORT_WAKE) {
+            Ok(v) => return Ok(v),
+            Err(RecvTimeoutError::Timeout) if !abort.load(Ordering::SeqCst) => {}
+            Err(_) => return Err(Halt::PeerGone),
+        }
+    }
 }
 
 /// Runs `f` inside a recorded span when a recorder is present (the span
@@ -124,15 +204,17 @@ pub fn run(
 /// [`run`] with instrumentation: fault injection, checkpoint capture,
 /// and resume-from-checkpoint (see [`RunHooks`]).
 ///
-/// With a fault driver installed, a host loss never hangs: the lost
-/// worker returns [`ExecError::RankLost`] and every surviving worker
-/// unblocks from its channel waits via the driver's abort flag and
-/// surfaces the same structured error.
+/// A run never hangs on a failed worker (see the [module docs](self)).
+/// This entry point runs a single epoch, so a scripted membership change
+/// is an error here; the recovery protocol ([`super::recovery`]) is what
+/// carries a run across epochs.
 ///
 /// # Errors
 ///
 /// Returns [`ExecError`] for invalid configurations, tensor failures,
-/// worker panics, replica divergence, rank loss, or checkpoint failures.
+/// worker panics, replica divergence, checkpoint failures,
+/// [`ExecError::RankLost`] when the fault driver cancels a rank, or
+/// [`ExecError::Config`] when a scripted join comes due.
 pub fn run_hooked(
     teacher: &BlockNet,
     student: &BlockNet,
@@ -140,6 +222,30 @@ pub fn run_hooked(
     cfg: &FuncConfig,
     hooks: &RunHooks,
 ) -> Result<FuncOutcome, ExecError> {
+    match run_epoch(teacher, student, data, cfg, hooks)? {
+        EpochEnd::Finished(outcome) => Ok(outcome),
+        EpochEnd::Lost { rank, step } => Err(ExecError::RankLost { rank, step }),
+        EpochEnd::Grow { step } => Err(ExecError::Config(format!(
+            "a join came due at step {step}: growing the member set takes the recovery runner"
+        ))),
+    }
+}
+
+/// Runs one epoch: wires the fabric for `cfg.plan`, spawns a worker per
+/// device, assembles checkpoints while they run, and folds how they
+/// ended into one [`EpochEnd`].
+///
+/// # Errors
+///
+/// As [`run_hooked`], except that a lost rank or a due join is an
+/// `Ok(EpochEnd)`, not an error.
+pub(crate) fn run_epoch(
+    teacher: &BlockNet,
+    student: &BlockNet,
+    data: &SyntheticImageDataset,
+    cfg: &FuncConfig,
+    hooks: &RunHooks,
+) -> Result<EpochEnd, ExecError> {
     let b = teacher.num_blocks();
     if student.num_blocks() != b {
         return Err(ExecError::Config(format!(
@@ -147,12 +253,7 @@ pub fn run_hooked(
             student.num_blocks()
         )));
     }
-    let plan = match &cfg.plan {
-        Some(p) => p.clone(),
-        None => {
-            StagePlan::contiguous(b, cfg.devices).map_err(|e| ExecError::Config(e.to_string()))?
-        }
-    };
+    let plan = cfg.stage_plan(b)?;
     plan.validate()
         .map_err(|e| ExecError::Config(e.to_string()))?;
     if plan.num_blocks != b || plan.num_devices != cfg.devices {
@@ -171,28 +272,8 @@ pub fn run_hooked(
         }
     }
     if let Some(ckpt) = &hooks.resume {
-        ckpt.validate(b, cfg.batch).map_err(ExecError::Checkpoint)?;
-        if ckpt.round > cfg.steps {
-            return Err(ExecError::Checkpoint(format!(
-                "checkpoint round {} beyond the run's {} steps",
-                ckpt.round, cfg.steps
-            )));
-        }
+        ckpt.validate_resume(b, cfg)?;
     }
-
-    // Wire one epoch's channel fabric from the plan. Every run is an
-    // epoch of the device-thread registry; membership changes end the
-    // epoch, and the next `run_hooked` call (driven by the recovery
-    // protocol) wires a fresh fabric over the new member set.
-    let roles = registry::wire_roles(&plan, teacher, student);
-    // The plan's structural fingerprint stamps every checkpoint this run
-    // writes, so a later resume can prove lineage (see
-    // `CheckpointSink::latest_matching`).
-    let fingerprint = plan.fingerprint();
-
-    let barrier = Arc::new(Barrier::new(cfg.devices));
-    let data = Arc::new(data.clone());
-    let cfg_arc = Arc::new(cfg.clone());
 
     // Split the host compute budget across device ranks: each worker
     // installs a pool of its assigned width, so intra-stage kernel
@@ -206,27 +287,30 @@ pub fn run_hooked(
     // Checkpoint fabric: member-0 workers stream per-block fragments to
     // this thread, which assembles complete rounds and stores them. The
     // sender clones live in the workers; once they all exit, `recv`
-    // disconnects and the assembly loop ends — no polling needed.
-    let ckpt_channel = hooks.checkpoint.as_ref().map(|_| unbounded::<CkptFrag>());
+    // disconnects and the assembly loop ends.
+    let ckpt = hooks.checkpoint.as_ref().map(|(policy, sink)| {
+        let (tx, rx) = unbounded::<CkptFrag>();
+        (*policy, tx, rx, sink)
+    });
 
+    let epoch = Arc::new(Epoch {
+        cfg: cfg.clone(),
+        data: data.clone(),
+        hooks: hooks.clone(),
+        abort: AtomicBool::new(false),
+        barrier: Mutex::new((0, 0)),
+        released: Condvar::new(),
+    });
     let start_round = hooks.resume.as_ref().map_or(0, |c| c.round);
     let mut devices = DeviceRegistry::open(hooks.trace.clone(), start_round, cfg.steps);
-    for role in roles {
-        let barrier = Arc::clone(&barrier);
-        let data = Arc::clone(&data);
-        let cfg = Arc::clone(&cfg_arc);
+    for role in registry::wire_roles(&plan, teacher, student) {
         let pool = ComputePool::new(intra_widths[role.device]);
-        let wh = WorkerHooks {
-            driver: hooks.driver.clone(),
-            resume: hooks.resume.clone(),
-            ckpt: hooks.checkpoint.as_ref().map(|(policy, _)| {
-                let (tx, _) = ckpt_channel.as_ref().expect("channel exists");
-                (*policy, tx.clone())
-            }),
-            trace: hooks.trace.clone(),
-        };
-        let device = role.device;
-        devices.spawn(device, pool, move || worker(role, barrier, data, cfg, wh));
+        let epoch = Arc::clone(&epoch);
+        // Replicas hold bitwise identical state, so member 0 alone
+        // captures its stage's blocks.
+        let capture = ckpt.as_ref().filter(|_| role.member == 0);
+        let capture = capture.map(|(policy, tx, ..)| (*policy, tx.clone()));
+        devices.spawn(pool, move || worker(role, &epoch, capture));
     }
 
     // Assemble checkpoints while the workers run. A round is stored the
@@ -236,111 +320,130 @@ pub fn run_hooked(
     // per-block objective is schedule-independent, so the assembled state
     // equals the sequential reference after r steps, bit for bit.
     let mut ckpt_err: Option<String> = None;
-    if let Some((tx, rx)) = ckpt_channel {
+    if let Some((_, tx, rx, sink)) = ckpt {
         drop(tx);
-        let sink = &hooks.checkpoint.as_ref().expect("checkpoint configured").1;
+        // The plan's structural fingerprint stamps every checkpoint this
+        // epoch writes, so a later resume can prove lineage (see
+        // `CheckpointSink::latest_matching`).
+        let fingerprint = plan.fingerprint();
         let mut pending: HashMap<usize, Vec<BlockState>> = HashMap::new();
         while let Ok((round, state)) = rx.recv() {
-            let entry = pending.entry(round).or_default();
-            entry.push(state);
-            if entry.len() == b {
-                let mut blocks = pending.remove(&round).expect("entry exists");
-                blocks.sort_by_key(|s| s.block);
-                let ckpt = Checkpoint {
-                    round,
-                    data_cursor: round as u64 * cfg.batch as u64,
-                    batch: cfg.batch,
-                    lr: cfg.lr,
-                    momentum: cfg.momentum,
-                    plan_fingerprint: fingerprint.clone(),
-                    blocks,
-                };
-                if ckpt_err.is_none() {
-                    if let Err(e) = sink.store(&ckpt) {
-                        ckpt_err = Some(e);
-                    }
-                }
+            let fragments = pending.entry(round).or_default();
+            fragments.push(state);
+            if fragments.len() < b {
+                continue;
+            }
+            let mut blocks = std::mem::take(fragments);
+            blocks.sort_by_key(|s| s.block);
+            let ckpt = Checkpoint {
+                round,
+                data_cursor: round as u64 * cfg.batch as u64,
+                batch: cfg.batch,
+                lr: cfg.lr,
+                momentum: cfg.momentum,
+                plan_fingerprint: fingerprint.clone(),
+                blocks,
+            };
+            if ckpt_err.is_none() {
+                ckpt_err = sink.store(&ckpt).err();
             }
         }
     }
 
-    // Retire the epoch: join everything before deciding the error so a
-    // rank loss is reported as the structured `RankLost` rather than
-    // whichever secondary hangup a surviving worker observed first; a
-    // scripted membership growth likewise outranks secondary errors but
-    // yields to a genuine loss at the same boundary.
-    let mut by_block: Vec<Option<Vec<Tensor>>> = vec![None; b];
-    let mut losses_by_block: Vec<Option<Vec<f32>>> = vec![None; b];
-    let mut replicas: Vec<Vec<(usize, Vec<Tensor>)>> = vec![Vec::new(); b];
-    let mut errors: Vec<ExecError> = Vec::new();
-    for result in devices.retire()? {
-        match result {
-            Err(e) => errors.push(e),
-            Ok(out) => {
-                for (block, member, params, losses) in out {
-                    replicas[block].push((member, params.clone()));
-                    if member == 0 {
-                        by_block[block] = Some(params);
-                        losses_by_block[block] = Some(losses);
-                    }
-                }
+    // Retire the epoch and fold how its workers ended. Real failures come
+    // first (`retire` returns a worker's, then the sink's); then the
+    // earliest loss; then a growth, which every incumbent reports at the
+    // same boundary.
+    let mut rows = WorkerOut::new();
+    let (mut lost, mut grow, mut peer_gone) = (None, None, false);
+    for end in devices.retire()? {
+        match end {
+            WorkerEnd::Done(out) => rows.extend(out),
+            WorkerEnd::Lost { rank, step } => {
+                lost = Some(lost.map_or((step, rank), |l: (usize, usize)| l.min((step, rank))));
             }
+            WorkerEnd::Grow { step } => grow = Some(step),
+            WorkerEnd::PeerGone => peer_gone = true,
         }
-    }
-
-    if !errors.is_empty() {
-        let idx = errors
-            .iter()
-            .position(|e| matches!(e, ExecError::RankLost { .. }))
-            .or_else(|| {
-                errors
-                    .iter()
-                    .position(|e| matches!(e, ExecError::MembershipGrow { .. }))
-            })
-            .unwrap_or(0);
-        return Err(errors.swap_remove(idx));
     }
     if let Some(e) = ckpt_err {
         return Err(ExecError::Checkpoint(e));
     }
+    if let Some((step, rank)) = lost {
+        return Ok(EpochEnd::Lost { rank, step });
+    }
+    if let Some(step) = grow {
+        return Ok(EpochEnd::Grow { step });
+    }
+    if peer_gone {
+        return Err(ExecError::Config(
+            "a worker found its peers gone, but no worker failed or was lost".into(),
+        ));
+    }
+    finished(rows).map(EpochEnd::Finished)
+}
 
-    // Replica parity: every member of a widened stage must hold identical
-    // parameters after averaged updates.
-    for (block, reps) in replicas.iter().enumerate() {
-        let Some((_, reference)) = reps.iter().find(|(m, _)| *m == 0) else {
-            continue;
-        };
-        for (member, params) in reps {
-            if *member == 0 {
-                continue;
-            }
-            for (a, c) in reference.iter().zip(params.iter()) {
-                let diff = a.max_abs_diff(c)?;
-                if diff > 1e-6 {
-                    return Err(ExecError::ReplicaDivergence { block, diff });
-                }
+/// Builds the outcome of a finished epoch from every worker's rows.
+/// Member 0 of each stage speaks for its blocks, once every replica of a
+/// widened stage is shown to hold the same parameters after its averaged
+/// updates.
+fn finished(rows: WorkerOut) -> Result<FuncOutcome, ExecError> {
+    // A validated plan puts every block in exactly one stage, so the
+    // member-0 rows sorted by block are blocks `0..b`.
+    let (mut lead, replicas): (WorkerOut, WorkerOut) =
+        rows.into_iter().partition(|(_, member, ..)| *member == 0);
+    lead.sort_by_key(|(block, ..)| *block);
+    for (block, _, params, _) in &replicas {
+        for (a, c) in lead[*block].2.iter().zip(params) {
+            let diff = a.max_abs_diff(c)?;
+            if diff > 1e-6 {
+                return Err(ExecError::ReplicaDivergence {
+                    block: *block,
+                    diff,
+                });
             }
         }
     }
-
-    let params: Vec<Vec<Tensor>> = by_block
-        .into_iter()
-        .map(|p| p.expect("every block owned by exactly one stage"))
-        .collect();
-    let losses = losses_by_block
-        .into_iter()
-        .map(|l| l.expect("every block has losses"))
-        .collect();
+    let (params, losses) = lead.into_iter().map(|(_, _, p, l)| (p, l)).unzip();
     Ok(FuncOutcome { params, losses })
 }
 
+/// One device thread's epoch: trains, and on the way out raises the
+/// abort flag unless the end was clean.
 fn worker(
     mut role: DeviceRole,
-    barrier: Arc<Barrier>,
-    data: Arc<SyntheticImageDataset>,
-    cfg: Arc<FuncConfig>,
-    hooks: WorkerHooks,
-) -> Result<WorkerOut, ExecError> {
+    epoch: &Epoch,
+    capture: Option<(CheckpointPolicy, Sender<CkptFrag>)>,
+) -> Result<WorkerEnd, ExecError> {
+    /// Raises the flag when dropped, so every way out but a clean one —
+    /// an error's `?`, a lost rank, a panic's unwinding — wakes the peers
+    /// blocked on this worker. A clean end forgets it instead.
+    struct RaiseOnDrop<'a>(&'a AtomicBool);
+    impl Drop for RaiseOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+    let abort = RaiseOnDrop(&epoch.abort);
+    let end = match train(&mut role, epoch, capture.as_ref()) {
+        Ok(end) => end,
+        Err(Halt::PeerGone) => WorkerEnd::PeerGone,
+        Err(Halt::Failed(e)) => return Err(e),
+    };
+    if matches!(end, WorkerEnd::Done(_) | WorkerEnd::Grow { .. }) {
+        std::mem::forget(abort);
+    }
+    Ok(end)
+}
+
+fn train(
+    role: &mut DeviceRole,
+    epoch: &Epoch,
+    capture: Option<&(CheckpointPolicy, Sender<CkptFrag>)>,
+) -> Result<WorkerEnd, Halt> {
+    let Epoch {
+        cfg, hooks, abort, ..
+    } = epoch;
     let num_blocks = role.teacher_blocks.len();
     let mut optims: Vec<Sgd> = (0..num_blocks)
         .map(|_| Sgd::new(cfg.lr, cfg.momentum, 0.0))
@@ -353,12 +456,7 @@ fn worker(
     let start = hooks.resume.as_ref().map_or(0, |c| c.round);
     if let Some(ckpt) = &hooks.resume {
         for (i, s) in role.student_blocks.iter_mut().enumerate() {
-            let block = role.first_block + i;
-            let state = ckpt
-                .block(block)
-                .ok_or_else(|| ExecError::Checkpoint(format!("missing block {block}")))?;
-            checkpoint::restore_block(s, &mut optims[i], state).map_err(ExecError::Checkpoint)?;
-            losses[i] = state.losses.clone();
+            losses[i] = ckpt.restore_into(role.first_block + i, s, &mut optims[i])?;
         }
     }
     let driver = hooks.driver.as_deref();
@@ -373,8 +471,7 @@ fn worker(
     // member may deliver step s+1 before a slow one delivers step s. Each
     // sender's channel order is its step order, so one FIFO per upstream
     // member restores alignment.
-    let mut shard_queues: Vec<std::collections::VecDeque<SharedTensor>> =
-        vec![std::collections::VecDeque::new(); role.prev_width];
+    let mut shard_queues: Vec<VecDeque<SharedTensor>> = vec![VecDeque::new(); role.prev_width];
 
     for step in start..cfg.steps {
         // (0) Fault gate: serve this rank's slowdown pause, stop for a
@@ -382,38 +479,35 @@ fn worker(
         // incumbent at the same round boundary (the driver gates growth
         // before the loss check, so all ranks agree on the boundary);
         // channel sends for earlier steps have already balanced, so the
-        // epoch drains cleanly without an abort flag.
-        if let Some(d) = driver {
-            match d.before_step(role.device, step) {
-                FaultAction::Continue => {}
-                FaultAction::Grow => return Err(ExecError::MembershipGrow { step }),
-                FaultAction::Lost => {
-                    return Err(ExecError::RankLost {
-                        rank: role.device,
-                        step,
-                    })
-                }
-            }
+        // epoch drains cleanly and needs no abort.
+        let rank = role.device;
+        match driver.map_or(FaultAction::Continue, |d| d.before_step(rank, step)) {
+            FaultAction::Continue => {}
+            FaultAction::Grow => return Ok(WorkerEnd::Grow { step }),
+            FaultAction::Lost => return Ok(WorkerEnd::Lost { rank, step }),
         }
 
         // (1) Input: load data (stage 0) or receive the relayed activation.
         let input: SharedTensor = spanned(&mut rec, SpanKind::Load, None, step as u32, || {
-            if role.stage_index == 0 {
-                if let Some(d) = driver {
-                    d.before_load(step);
+            match &role.input_rx {
+                None => {
+                    if let Some(d) = driver {
+                        d.before_load(step);
+                    }
+                    // Sample generation is per-index deterministic, so each
+                    // member materializes exactly its own shard — identical
+                    // values to splitting a full batch (widths divide the
+                    // batch), without generating the other members' rows
+                    // only to discard them.
+                    let shard = cfg.batch / role.width;
+                    let start = step as u64 * cfg.batch as u64 + (role.member * shard) as u64;
+                    let (x, _labels) = epoch.data.batch(start, shard);
+                    Ok(SharedTensor::new(x))
                 }
-                // Sample generation is per-index deterministic, so each member
-                // materializes exactly its own shard — identical values to
-                // splitting a full batch (widths divide the batch), without
-                // generating the other members' rows only to discard them.
-                let shard = cfg.batch / role.width;
-                let start = step as u64 * cfg.batch as u64 + (role.member * shard) as u64;
-                let (x, _labels) = data.batch(start, shard);
-                Ok(SharedTensor::new(x))
-            } else {
-                let rx = role.input_rx.as_ref().expect("non-first stage receives");
-                let prev_shards = receive_full_batch(rx, &mut shard_queues, driver)?;
-                reshard(prev_shards, role.width, role.member)
+                Some(rx) => {
+                    let prev_shards = receive_full_batch(rx, &mut shard_queues, abort)?;
+                    Ok::<_, Halt>(reshard(prev_shards, role.width, role.member)?)
+                }
             }
         })?;
 
@@ -425,7 +519,7 @@ fn worker(
         for (bi, t) in role.teacher_blocks.iter_mut().enumerate() {
             let block = Some((role.first_block + bi) as u16);
             cur = spanned(&mut rec, SpanKind::Teacher, block, step as u32, || {
-                Ok::<_, ExecError>(SharedTensor::new(t.forward(&cur, Mode::Eval)?))
+                Ok::<_, Halt>(SharedTensor::new(t.forward(&cur, Mode::Eval)?))
             })?;
             boundaries.push(cur.clone());
         }
@@ -437,7 +531,7 @@ fn worker(
             let t0 = rec.as_mut().map(|r| r.now_ns());
             for tx in &role.output_tx {
                 tx.send((role.member, cur.clone()))
-                    .map_err(|_| hangup(driver, "next stage"))?;
+                    .map_err(|_| Halt::PeerGone)?;
             }
             if let (Some(r), Some(t0)) = (rec.as_mut(), t0) {
                 let t1 = r.now_ns();
@@ -466,7 +560,7 @@ fn worker(
                 let s_out = s.forward(s_in, Mode::Train)?;
                 let loss = mse_loss(&s_out, &boundaries[i])?;
                 s.backward(&loss.grad)?;
-                Ok::<_, ExecError>(loss.loss)
+                Ok::<_, Halt>(loss.loss)
             })?;
             step_losses.push(loss);
         }
@@ -474,15 +568,15 @@ fn worker(
         // (4) Gradient sharing within a widened stage (line 14).
         if role.width > 1 {
             spanned(&mut rec, SpanKind::GradShare, None, step as u32, || {
-                share_gradients(&mut role, &mut step_losses, driver)
+                share_gradients(role, &mut step_losses, abort)
             })?;
         }
 
         // (5) Barrier unless decoupled (line 15).
         if !cfg.decoupled_updates {
             spanned(&mut rec, SpanKind::Barrier, None, step as u32, || {
-                barrier.wait();
-            });
+                epoch.barrier_wait()
+            })?;
         }
 
         // (6) Updates (line 16).
@@ -491,39 +585,35 @@ fn worker(
             spanned(&mut rec, SpanKind::Update, block, step as u32, || {
                 optims[i].step(s)?;
                 pipebd_nn::zero_grad(s);
-                Ok::<_, ExecError>(())
+                Ok::<_, Halt>(())
             })?;
             losses[i].push(step_losses[i]);
         }
 
-        // (7) Checkpoint capture at round boundaries. Member 0 streams
-        // its blocks' state to the assembly loop; replicas hold bitwise
-        // identical state, so one capture per block suffices. A pending
+        // (7) Checkpoint capture at round boundaries: the capturing
+        // member streams its blocks' state to the assembly loop. A pending
         // membership growth forces a capture at exactly the grow
         // boundary (regardless of the policy interval), so the next
         // epoch resumes from the joined round and the new rank never
         // recomputes pre-join steps.
-        if role.member == 0 {
-            if let Some((policy, tx)) = &hooks.ckpt {
-                let done = step + 1;
-                let grow_boundary =
-                    driver.and_then(FaultDriver::grow_step) == Some(done) && done < cfg.steps;
-                if policy.due(done, cfg.steps) || grow_boundary {
-                    spanned(&mut rec, SpanKind::Checkpoint, None, step as u32, || {
-                        for (i, s) in role.student_blocks.iter_mut().enumerate() {
-                            let state = checkpoint::capture_block(
-                                s,
-                                role.first_block + i,
-                                &optims[i],
-                                &losses[i],
-                            );
-                            tx.send((done, state)).map_err(|_| {
-                                ExecError::Checkpoint("assembly loop hung up".into())
-                            })?;
-                        }
-                        Ok::<_, ExecError>(())
-                    })?;
-                }
+        if let Some((policy, tx)) = capture {
+            let done = step + 1;
+            let grow_boundary =
+                driver.and_then(FaultDriver::grow_step) == Some(done) && done < cfg.steps;
+            if policy.due(done, cfg.steps) || grow_boundary {
+                spanned(&mut rec, SpanKind::Checkpoint, None, step as u32, || {
+                    for (i, s) in role.student_blocks.iter_mut().enumerate() {
+                        let state = checkpoint::capture_block(
+                            s,
+                            role.first_block + i,
+                            &optims[i],
+                            &losses[i],
+                        );
+                        tx.send((done, state))
+                            .map_err(|_| ExecError::Checkpoint("assembly loop hung up".into()))?;
+                    }
+                    Ok::<_, ExecError>(())
+                })?;
             }
         }
     }
@@ -533,72 +623,25 @@ fn worker(
     let out = role
         .student_blocks
         .iter_mut()
+        .zip(losses)
         .enumerate()
-        .map(|(i, s)| {
-            (
-                role.first_block + i,
-                role.member,
-                pipebd_nn::snapshot_params(s),
-                losses[i].clone(),
-            )
+        .map(|(i, (s, losses))| {
+            let params = pipebd_nn::snapshot_params(s);
+            (role.first_block + i, role.member, params, losses)
         })
         .collect();
-    let _ = role.device;
-    Ok(out)
-}
-
-/// Receives from `rx`, unblocking on the fault driver's abort flag.
-///
-/// The compat channel has no `recv_timeout`, so cancellation is a
-/// `try_recv` poll loop: when a rank dies, every peer blocked on a
-/// channel that will never deliver observes the abort flag within one
-/// poll interval and surfaces the structured loss error instead of
-/// hanging forever.
-fn recv_or_abort<T>(
-    rx: &Receiver<T>,
-    driver: Option<&FaultDriver>,
-    what: &str,
-) -> Result<T, ExecError> {
-    let Some(d) = driver else {
-        return rx
-            .recv()
-            .map_err(|_| ExecError::Config(format!("{what} hung up")));
-    };
-    loop {
-        match rx.try_recv() {
-            Ok(v) => return Ok(v),
-            Err(TryRecvError::Disconnected) => return Err(hangup(driver, what)),
-            Err(TryRecvError::Empty) => {
-                if d.aborted() {
-                    return Err(d.loss_error());
-                }
-                std::thread::sleep(ABORT_POLL);
-            }
-        }
-    }
-}
-
-/// The error for a dropped channel peer: a recorded rank loss if the
-/// fault driver saw one (the hangup is secondary damage), else a plain
-/// config error.
-fn hangup(driver: Option<&FaultDriver>, what: &str) -> ExecError {
-    if let Some(d) = driver {
-        if d.aborted() {
-            return d.loss_error();
-        }
-    }
-    ExecError::Config(format!("{what} hung up"))
+    Ok(WorkerEnd::Done(out))
 }
 
 /// Receives until every upstream member has a queued shard for the current
 /// step, then pops one shard per member, ordered by member index.
 fn receive_full_batch(
     rx: &Receiver<Shard>,
-    queues: &mut [std::collections::VecDeque<SharedTensor>],
-    driver: Option<&FaultDriver>,
-) -> Result<Vec<SharedTensor>, ExecError> {
-    while queues.iter().any(std::collections::VecDeque::is_empty) {
-        let (member, shard) = recv_or_abort(rx, driver, "previous stage")?;
+    queues: &mut [VecDeque<SharedTensor>],
+    abort: &AtomicBool,
+) -> Result<Vec<SharedTensor>, Halt> {
+    while queues.iter().any(VecDeque::is_empty) {
+        let (member, shard) = recv_or_gone(rx, abort)?;
         queues
             .get_mut(member)
             .ok_or_else(|| ExecError::Config(format!("unknown upstream member {member}")))?
@@ -643,95 +686,87 @@ fn reshard(
     Ok(SharedTensor::new(shards.swap_remove(member)))
 }
 
+/// Moves the local gradients out of the params: they are about to be
+/// replaced by the averaged bundle, so the gather can transfer ownership
+/// through the channel instead of copying buffers. The next backward
+/// pass re-seeds each accumulator by moving its freshly computed
+/// gradient in (`Param::accumulate_grad`).
+fn take_grads(blocks: &mut [Block]) -> Vec<Vec<Tensor>> {
+    blocks
+        .iter_mut()
+        .map(|s| {
+            let mut grads = Vec::new();
+            s.visit_params(&mut |p| grads.push(p.take_grad()));
+            grads
+        })
+        .collect()
+}
+
 fn share_gradients(
     role: &mut DeviceRole,
     step_losses: &mut [f32],
-    driver: Option<&FaultDriver>,
-) -> Result<(), ExecError> {
-    // Move the local gradients out of the params: they are about to be
-    // replaced by the averaged bundle, so the gather can transfer
-    // ownership through the channel instead of copying buffers. The next
-    // backward pass re-seeds each accumulator by moving its freshly
-    // computed gradient in (`Param::accumulate_grad`).
-    let mut local: Vec<Vec<Tensor>> = Vec::with_capacity(role.student_blocks.len());
-    for s in &mut role.student_blocks {
-        let mut grads = Vec::new();
-        s.visit_params(&mut |p| grads.push(p.take_grad()));
-        local.push(grads);
-    }
-
-    let (avg, avg_losses): GradBundle = if role.member == 0 {
-        // Leader: gather, average in member order, broadcast.
-        let rx = role
-            .grad_from_members
-            .as_ref()
-            .expect("leader has a gather channel");
-        let mut contributions: Vec<Option<(Vec<Vec<Tensor>>, Vec<f32>)>> = vec![None; role.width];
-        contributions[0] = Some((local, step_losses.to_vec()));
-        for _ in 1..role.width {
-            let (member, grads, l) = recv_or_abort(rx, driver, "gradient gather")?;
-            contributions[member] = Some((grads, l));
-        }
-        // Fold the average into the first contribution's buffers — the
-        // accumulator reuses the moved-in gradient storage, allocating
-        // nothing.
-        let mut iter = contributions.into_iter().map(|c| c.expect("all members"));
-        let (mut acc, mut loss_acc) = iter.next().expect("width >= 1");
-        for (grads, l) in iter {
-            for (a, g) in acc.iter_mut().zip(grads.iter()) {
-                for (ta, tg) in a.iter_mut().zip(g.iter()) {
-                    ta.add_assign(tg)?;
+    abort: &AtomicBool,
+) -> Result<(), Halt> {
+    let (avg, avg_losses): GradBundle = match &role.grads {
+        GradLink::Solo => return Ok(()),
+        GradLink::Leader { gather, broadcast } => {
+            // Gather, then fold in member order — arrival order is the
+            // schedule's, and the float sum must not depend on it. The
+            // average accumulates into the leader's own moved-out
+            // gradient storage, allocating nothing.
+            let mut others: Vec<GradMsg> = (1..role.width)
+                .map(|_| recv_or_gone(gather, abort))
+                .collect::<Result<_, _>>()?;
+            others.sort_by_key(|(member, ..)| *member);
+            let mut acc = take_grads(&mut role.student_blocks);
+            let mut loss_acc = step_losses.to_vec();
+            for (_, grads, l) in &others {
+                for (a, g) in acc.iter_mut().zip(grads) {
+                    for (ta, tg) in a.iter_mut().zip(g) {
+                        ta.add_assign(tg)?;
+                    }
+                }
+                for (la, lb) in loss_acc.iter_mut().zip(l) {
+                    *la += lb;
                 }
             }
-            for (la, lb) in loss_acc.iter_mut().zip(l.iter()) {
-                *la += lb;
-            }
-        }
-        let inv = 1.0 / role.width as f32;
-        for block in &mut acc {
-            for g in block {
+            let inv = 1.0 / role.width as f32;
+            for g in acc.iter_mut().flatten() {
                 g.scale(inv);
             }
+            for l in &mut loss_acc {
+                *l *= inv;
+            }
+            // Publish the averaged gradients behind shared handles; each
+            // send clones handles, not buffers.
+            let bundle: GradBundle = (
+                acc.into_iter()
+                    .map(|block| block.into_iter().map(SharedTensor::new).collect())
+                    .collect(),
+                loss_acc,
+            );
+            for tx in broadcast {
+                tx.send(bundle.clone()).map_err(|_| Halt::PeerGone)?;
+            }
+            bundle
         }
-        for l in &mut loss_acc {
-            *l *= inv;
+        GradLink::Member {
+            to_leader,
+            averaged,
+        } => {
+            let local = take_grads(&mut role.student_blocks);
+            to_leader
+                .send((role.member, local, step_losses.to_vec()))
+                .map_err(|_| Halt::PeerGone)?;
+            recv_or_gone(averaged, abort)?
         }
-        // Publish the averaged gradients behind shared handles; each
-        // broadcast send clones handles, not buffers.
-        let bundle: GradBundle = (
-            acc.into_iter()
-                .map(|block| block.into_iter().map(SharedTensor::new).collect())
-                .collect(),
-            loss_acc,
-        );
-        for tx in &role.grad_broadcast_tx {
-            tx.send(bundle.clone())
-                .map_err(|_| hangup(driver, "gradient broadcast"))?;
-        }
-        let rx = role
-            .grad_broadcast_rx
-            .as_ref()
-            .expect("leader also receives its broadcast");
-        recv_or_abort(rx, driver, "broadcast loopback")?
-    } else {
-        let tx = role
-            .grad_to_leader
-            .as_ref()
-            .expect("members have a gather channel");
-        tx.send((role.member, local, step_losses.to_vec()))
-            .map_err(|_| hangup(driver, "gradient gather"))?;
-        let rx = role
-            .grad_broadcast_rx
-            .as_ref()
-            .expect("members receive the broadcast");
-        recv_or_abort(rx, driver, "gradient broadcast")?
     };
 
     // Install the averaged gradients as shared handles — a refcount bump
     // per param, not a copy. Every member of the stage points its params
     // at the same averaged buffers; the optimizer consumes them in place
     // (`Sgd::step` reads `Param::grad_view` without mutating), so the
-    // sharing path is now copy-free end to end.
+    // sharing path is copy-free end to end.
     for (s, grads) in role.student_blocks.iter_mut().zip(avg.iter()) {
         let mut idx = 0usize;
         s.visit_params(&mut |p| {
@@ -748,6 +783,7 @@ mod tests {
     use super::*;
     use crate::exec::reference;
     use pipebd_models::{mini_student_dsconv, mini_teacher, MiniConfig};
+    use pipebd_sched::StagePlan;
     use pipebd_tensor::Rng64;
 
     fn setup(blocks: usize) -> (BlockNet, BlockNet, SyntheticImageDataset) {
@@ -890,6 +926,78 @@ mod tests {
                 "block {i} loss did not decrease"
             );
         }
+    }
+
+    /// Runs `f` on its own thread; fails the test if it has not returned
+    /// within 10 s (a hang would otherwise stall the whole suite).
+    fn within_watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(f()));
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("hung: no result within 10 s")
+    }
+
+    /// A 3-stage run whose last student block expects 5 input channels
+    /// where its teacher boundary has 6: device 2 fails in its first
+    /// student forward while devices 0 and 1 are healthy.
+    fn run_with_mismatched_last_block(decoupled_updates: bool) -> Result<FuncOutcome, ExecError> {
+        within_watchdog(move || {
+            let (teacher, student, data) = setup(3);
+            let narrow = MiniConfig {
+                blocks: 3,
+                channels: 5,
+                batch_norm: false,
+            };
+            let narrow = mini_student_dsconv(narrow, &mut Rng64::seed_from_u64(1));
+            let student = BlockNet::new(vec![
+                student.block(0).clone(),
+                student.block(1).clone(),
+                narrow.block(2).clone(),
+            ]);
+            let cfg = FuncConfig {
+                devices: 3,
+                steps: 4,
+                batch: 8,
+                decoupled_updates,
+                ..FuncConfig::default()
+            };
+            run(&teacher, &student, &data, &cfg)
+        })
+    }
+
+    #[test]
+    fn barrier_run_returns_the_tensor_error_instead_of_hanging() {
+        // The healthy stages are parked in the step barrier when device 2
+        // fails; they must wake, and the failure must be what is reported.
+        let end = run_with_mismatched_last_block(false);
+        assert!(matches!(end, Err(ExecError::Tensor(_))), "got {end:?}");
+    }
+
+    #[test]
+    fn decoupled_run_returns_the_tensor_error_not_a_peers_hangup() {
+        // Devices 0 and 1 find their downstream gone; that is secondary
+        // damage and must not outrank device 2's own error.
+        let end = run_with_mismatched_last_block(true);
+        assert!(matches!(end, Err(ExecError::Tensor(_))), "got {end:?}");
+    }
+
+    #[test]
+    fn leader_gather_ends_as_peer_gone_when_its_member_goes_away() {
+        let (teacher, student, _) = setup(2);
+        let plan = StagePlan::internal_relaying(2, 2);
+        let mut roles = registry::wire_roles(&plan, &teacher, &student);
+        drop(roles.pop().expect("member 1"));
+        let leader = roles.pop().expect("member 0");
+        let gone = within_watchdog(move || {
+            let GradLink::Leader { gather, .. } = &leader.grads else {
+                panic!("member 0 of a widened stage leads");
+            };
+            matches!(
+                recv_or_gone(gather, &AtomicBool::new(false)),
+                Err(Halt::PeerGone)
+            )
+        });
+        assert!(gone, "the gather must disconnect, not block or deliver");
     }
 
     #[test]

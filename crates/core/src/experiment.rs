@@ -5,7 +5,7 @@ use pipebd_models::Workload;
 use pipebd_sched::{ahd, AhdDecision, CostModel, Profiler};
 use pipebd_sim::{render_gantt, simulate, Breakdown, HardwareConfig, SimTime};
 
-use crate::exec::{Executor, ExecutorChoice};
+use crate::exec::ExecutorChoice;
 use crate::lower::{lower, Lowering};
 use crate::memory::memory_per_rank;
 use crate::report::RunReport;
@@ -90,9 +90,9 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Selects which functional [`Executor`] backs
-    /// [`Experiment::functional_executor`]; recorded in every
-    /// [`RunReport`] so persisted artifacts name their execution engine.
+    /// Selects which functional executor backs the experiment
+    /// ([`ExecutorChoice::run`]); recorded in every [`RunReport`] so
+    /// persisted artifacts name their execution engine.
     pub fn executor(mut self, executor: ExecutorChoice) -> Self {
         self.executor = executor;
         self
@@ -157,14 +157,6 @@ impl Experiment {
     /// The configured functional-executor choice.
     pub fn executor_choice(&self) -> ExecutorChoice {
         self.executor
-    }
-
-    /// Constructs the configured functional [`Executor`] (first step of
-    /// wiring the executor trait through the facade: callers running the
-    /// real threaded pipeline select the engine here instead of naming
-    /// `exec::threaded` directly).
-    pub fn functional_executor(&self) -> Box<dyn Executor> {
-        self.executor.executor()
     }
 
     /// Rounds per epoch (`steps_per_epoch × rounds_per_step`).
@@ -301,7 +293,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(e.executor_choice(), ExecutorChoice::Reference);
-        assert_eq!(e.functional_executor().name(), "reference");
         let r = e.run(Strategy::TrDpu).unwrap();
         assert_eq!(r.executor, ExecutorChoice::Reference);
         // Default is the threaded pipeline.
@@ -309,7 +300,6 @@ mod tests {
             .sim_rounds(4)
             .build()
             .unwrap();
-        assert_eq!(d.functional_executor().name(), "threaded");
         assert_eq!(
             d.run(Strategy::TrDpu).unwrap().executor,
             ExecutorChoice::Threaded

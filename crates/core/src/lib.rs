@@ -35,7 +35,7 @@ mod report;
 mod strategy;
 
 pub use checkpoint::{BlockState, Checkpoint, CheckpointPolicy, CheckpointSink, MemorySink};
-pub use exec::{Executor, ExecutorChoice};
+pub use exec::ExecutorChoice;
 pub use experiment::{Experiment, ExperimentBuilder, ExperimentError};
 pub use memory::memory_per_rank;
 pub use report::RunReport;

@@ -1,12 +1,12 @@
 //! Executor-equivalence suite: the reference and threaded executors,
-//! addressed uniformly through the [`Executor`] trait, must produce
+//! addressed uniformly through [`ExecutorChoice::run`], must produce
 //! identical training trajectories — losses at every step and final
 //! parameters, bit for bit on width-1 plans. A single-step run with zero
 //! momentum additionally pins the *gradients* (the parameter delta is
 //! exactly `-lr * grad`), so a relay or aggregation bug that perturbed
 //! gradients without changing the loss curve would still be caught.
 
-use pipebd_core::exec::{Executor, FuncConfig, ReferenceExecutor, ThreadedExecutor};
+use pipebd_core::exec::{ExecutorChoice, FuncConfig};
 use pipebd_data::SyntheticImageDataset;
 use pipebd_models::{mini_student_dsconv, mini_teacher, MiniConfig};
 use pipebd_nn::BlockNet;
@@ -35,12 +35,12 @@ fn losses_and_params_are_bitwise_identical_across_executors() {
         decoupled_updates: true,
         ..FuncConfig::default()
     };
-    let executors: [&dyn Executor; 2] = [&ReferenceExecutor, &ThreadedExecutor];
+    let executors = [ExecutorChoice::Reference, ExecutorChoice::Threaded];
     let outcomes: Vec<_> = executors
         .iter()
         .map(|e| {
             (
-                e.name(),
+                e.label(),
                 e.run(&teacher, &student, &data, &cfg)
                     .expect("executor runs"),
             )
@@ -73,10 +73,10 @@ fn single_step_gradients_are_bitwise_identical() {
         decoupled_updates: false,
         ..FuncConfig::default()
     };
-    let golden = ReferenceExecutor
+    let golden = ExecutorChoice::Reference
         .run(&teacher, &student, &data, &cfg)
         .expect("reference runs");
-    let threaded = ThreadedExecutor
+    let threaded = ExecutorChoice::Threaded
         .run(&teacher, &student, &data, &cfg)
         .expect("threaded runs");
     assert_eq!(
@@ -89,5 +89,8 @@ fn single_step_gradients_are_bitwise_identical() {
 
 #[test]
 fn executor_names_are_distinct() {
-    assert_ne!(ReferenceExecutor.name(), ThreadedExecutor.name());
+    assert_ne!(
+        ExecutorChoice::Reference.label(),
+        ExecutorChoice::Threaded.label()
+    );
 }

@@ -75,16 +75,19 @@ fn aligned(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
 }
 
 /// Runs `f` with this thread's packing scratch grown to the given sizes.
+/// Like every scratch user here, the buffers leave the cell for the
+/// call, so a re-entrant use on the same thread (a pool job stolen while
+/// this thread waits on a scope) allocates instead of panicking on a
+/// live borrow.
 fn with_pack_buffers<R>(
     a_len: usize,
     b_len: usize,
     f: impl FnOnce(&mut [f32], &mut [f32]) -> R,
 ) -> R {
-    PACK_BUFFERS.with(|cell| {
-        let mut bufs = cell.borrow_mut();
-        let (pa, pb) = &mut *bufs;
-        f(aligned(pa, a_len), aligned(pb, b_len))
-    })
+    let (mut pa, mut pb) = PACK_BUFFERS.take();
+    let out = f(aligned(&mut pa, a_len), aligned(&mut pb, b_len));
+    PACK_BUFFERS.set((pa, pb));
+    out
 }
 
 /// `C (+)= A @ B` for strided operands and a contiguous row-major `C`.
@@ -222,38 +225,39 @@ fn gemm_cols_parallel(
 ) {
     debug_assert!(nband % NR == 0 && nband < n);
     let nbands = n.div_ceil(nband);
-    BAND_SCRATCH.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        if buf.len() < m * nband * nbands {
-            buf.resize(m * nband * nbands, 0.0);
-        }
-        let scratch = &mut buf[..m * nband * nbands];
-        let extent = |bi: usize| (bi * nband, nband.min(n - bi * nband));
-        if accumulate {
-            for (bi, sb) in scratch.chunks_mut(m * nband).enumerate() {
-                let (j0, nb) = extent(bi);
-                for r in 0..m {
-                    sb[r * nb..][..nb].copy_from_slice(&c[r * n + j0..][..nb]);
-                }
-            }
-        }
-        pool.run_scope(|s| {
-            for (bi, sb) in scratch.chunks_mut(m * nband).enumerate() {
-                let (j0, nb) = extent(bi);
-                let b_band = &b[j0 * csb..];
-                let sb = &mut sb[..m * nb];
-                s.spawn(move || {
-                    gemm_serial(m, nb, k, a, rsa, csa, b_band, rsb, csb, sb, accumulate);
-                });
-            }
-        });
-        for (bi, sb) in scratch.chunks(m * nband).enumerate() {
+    // Out of the cell while the scope below runs: helping it may steal a
+    // foreign GEMM that lands in this function on this thread.
+    let mut buf = BAND_SCRATCH.take();
+    if buf.len() < m * nband * nbands {
+        buf.resize(m * nband * nbands, 0.0);
+    }
+    let scratch = &mut buf[..m * nband * nbands];
+    let extent = |bi: usize| (bi * nband, nband.min(n - bi * nband));
+    if accumulate {
+        for (bi, sb) in scratch.chunks_mut(m * nband).enumerate() {
             let (j0, nb) = extent(bi);
             for r in 0..m {
-                c[r * n + j0..][..nb].copy_from_slice(&sb[r * nb..][..nb]);
+                sb[r * nb..][..nb].copy_from_slice(&c[r * n + j0..][..nb]);
             }
         }
+    }
+    pool.run_scope(|s| {
+        for (bi, sb) in scratch.chunks_mut(m * nband).enumerate() {
+            let (j0, nb) = extent(bi);
+            let b_band = &b[j0 * csb..];
+            let sb = &mut sb[..m * nb];
+            s.spawn(move || {
+                gemm_serial(m, nb, k, a, rsa, csa, b_band, rsb, csb, sb, accumulate);
+            });
+        }
     });
+    for (bi, sb) in scratch.chunks(m * nband).enumerate() {
+        let (j0, nb) = extent(bi);
+        for r in 0..m {
+            c[r * n + j0..][..nb].copy_from_slice(&sb[r * nb..][..nb]);
+        }
+    }
+    BAND_SCRATCH.set(buf);
 }
 
 /// The single-threaded three-level blocked kernel — the serial core

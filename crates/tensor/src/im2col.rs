@@ -40,14 +40,19 @@ thread_local! {
 }
 
 /// Runs `f` with this thread's column scratch grown to `len`.
+///
+/// The buffer is taken out of the cell for the call: `f` may wait on a
+/// pool scope and, while helping, run a foreign scope's convolution job
+/// on this thread. That job finds the cell empty and allocates its own
+/// scratch instead of meeting a live borrow.
 fn with_col_buffer<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
-    COL_BUFFER.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        if buf.len() < len {
-            buf.resize(len, 0.0);
-        }
-        f(&mut buf[..len])
-    })
+    let mut buf = COL_BUFFER.take();
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    let out = f(&mut buf[..len]);
+    COL_BUFFER.set(buf);
+    out
 }
 
 /// Per-call geometry, precomputed once by the dispatching kernels.

@@ -182,3 +182,60 @@ fn repeated_pooled_runs_are_bit_stable() {
         assert_eq!(first.max_abs_diff(&again).unwrap(), 0.0);
     }
 }
+
+#[test]
+fn concurrent_callers_sharing_one_pool_match_their_serial_twins() {
+    // What the threaded executor's device threads do: several top-level
+    // kernel callers on one pool. A caller waiting on its own scope helps
+    // by running whatever job it can steal — including another caller's
+    // convolution unit, on this thread, while this thread's own kernel is
+    // mid-flight. Single-unit convs (n = 1: the caller itself holds the
+    // column scratch across a banded GEMM) are mixed with multi-unit ones
+    // (n = 2: the units are the stealable jobs) so that re-entry happens.
+    const CALLERS: usize = 4;
+    const ROUNDS: usize = 60;
+    let spec = Conv2dSpec {
+        in_channels: 4,
+        out_channels: 12,
+        kernel: 3,
+        stride: 1,
+        padding: 1,
+        groups: 1,
+    };
+    let pool = ComputePool::new(2);
+    let start = std::sync::Barrier::new(CALLERS);
+    std::thread::scope(|s| {
+        for caller in 0..CALLERS {
+            let (pool, start) = (&pool, &start);
+            s.spawn(move || {
+                let mut rng = Rng64::seed_from_u64(7 + caller as u64);
+                let n = 1 + caller % 2;
+                let x = Tensor::randn(&[n, spec.in_channels, 8, 8], &mut rng);
+                let wt = Tensor::randn(&spec.weight_dims(), &mut rng);
+                let dy = Tensor::randn(&[n, spec.out_channels, 8, 8], &mut rng);
+                let a = Tensor::randn(&[40, 24], &mut rng);
+                let b = Tensor::randn(&[24, 72], &mut rng);
+                let kernels = || {
+                    [
+                        conv2d_with(&x, &wt, spec, KernelPolicy::Blocked).unwrap(),
+                        conv2d_grad_input_with(&dy, &wt, spec, (8, 8), KernelPolicy::Blocked)
+                            .unwrap(),
+                        conv2d_grad_weight_with(&x, &dy, spec, KernelPolicy::Blocked).unwrap(),
+                        a.matmul_with(&b, KernelPolicy::Blocked).unwrap(),
+                    ]
+                };
+                let serial = install(&ComputePool::new(1), kernels);
+                start.wait();
+                for round in 0..ROUNDS {
+                    let pooled = install(pool, kernels);
+                    for (i, (p, s)) in pooled.iter().zip(&serial).enumerate() {
+                        assert!(
+                            p.max_abs_diff(s).unwrap() == 0.0,
+                            "caller {caller} round {round} kernel {i} diverged from serial"
+                        );
+                    }
+                }
+            });
+        }
+    });
+}

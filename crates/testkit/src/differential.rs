@@ -11,10 +11,10 @@
 use std::sync::Arc;
 
 use pipebd_core::exec::recovery::{RecoveryPolicy, RecoveryRunner};
-use pipebd_core::exec::{reference, threaded, FuncConfig, FuncOutcome};
+use pipebd_core::exec::{reference, FuncConfig, FuncOutcome};
 use pipebd_core::lower::fault::lower_faulted;
 use pipebd_core::lower::{lower, relay, Lowering};
-use pipebd_core::{ExecutorChoice, MemorySink, Strategy};
+use pipebd_core::{MemorySink, Strategy};
 use pipebd_data::SyntheticImageDataset;
 use pipebd_models::{mini_student_dsconv, mini_student_supernet, mini_teacher, MiniConfig};
 use pipebd_sched::replan::degraded_estimate;
@@ -180,12 +180,10 @@ fn exec_differential(s: &Scenario) -> Result<(f64, f64), String> {
     };
     let golden = reference::run(&teacher, &student, &data, &func)
         .map_err(|e| format!("reference run failed: {e}"))?;
-    let subject: FuncOutcome = match s.subject {
-        ExecutorChoice::Reference => reference::run(&teacher, &student, &data, &func)
-            .map_err(|e| format!("second reference run failed: {e}"))?,
-        ExecutorChoice::Threaded => threaded::run(&teacher, &student, &data, &func)
-            .map_err(|e| format!("threaded run failed: {e}"))?,
-    };
+    let subject: FuncOutcome = s
+        .subject
+        .run(&teacher, &student, &data, &func)
+        .map_err(|e| format!("{} subject run failed: {e}", s.subject))?;
     Ok((
         f64::from(subject.max_param_diff(&golden)),
         f64::from(subject.max_loss_diff(&golden)),
@@ -585,6 +583,7 @@ pub fn run_scenario(s: &Scenario, book: &ToleranceBook) -> ScenarioOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pipebd_core::ExecutorChoice;
     use pipebd_sim::{Resource, TaskKind};
 
     #[test]

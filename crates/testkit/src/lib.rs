@@ -19,7 +19,7 @@
 //! deterministically ([`enumerate`]) and every scenario runs the full
 //! differential ([`run_scenario`]):
 //!
-//! * **Executor differential** — [`ReferenceExecutor`] vs the scenario's
+//! * **Executor differential** — [`reference::run`] vs the scenario's
 //!   subject executor on real miniature models: bit-level loss/parameter
 //!   agreement for width-1 plans, reassociation-bounded (`1e-4`) for
 //!   batch-split plans;
@@ -56,7 +56,7 @@
 //! Everything is seeded and `Date`-free: the same commit always enumerates
 //! and replays the same scenarios.
 //!
-//! [`ReferenceExecutor`]: pipebd_core::exec::ReferenceExecutor
+//! [`reference::run`]: pipebd_core::exec::reference::run
 
 #![warn(missing_docs)]
 
