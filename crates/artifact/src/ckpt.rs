@@ -1,91 +1,154 @@
-//! Durable checkpoint persistence: a [`CheckpointSink`] backed by the
-//! artifact store.
+//! Durable checkpoint persistence: a [`CheckpointSink`] backed by one
+//! binary file.
 //!
 //! The recovery plane's in-memory sink dies with the process; this one
-//! survives it. Each store round-trips the checkpoint through a
-//! schema-tagged `pipebd.checkpoint` envelope (bitwise, by the JSON
-//! crate's float round-trip contract), written atomically — a crash
-//! mid-save leaves the previous envelope intact, never a torn file. A
-//! file that *is* torn (truncated by an external crash, corrupted on
-//! disk) surfaces as a structured error from [`CheckpointStore::latest`],
-//! never a silent "no checkpoint": silently restarting from scratch when
-//! a checkpoint existed would discard training the operator paid for.
+//! survives it. A file that is torn (truncated by an external crash,
+//! corrupted on disk) surfaces as a structured error from
+//! [`CheckpointStore::latest`], never a silent "no checkpoint": silently
+//! restarting from scratch when a checkpoint existed would discard
+//! training the operator paid for.
+//!
+//! # File layout
+//!
+//! One self-describing file, `<root>/<name>.ckpt`, written and read by
+//! `pipebd_core::checkpoint::{encode, decode}`; all integers and floats
+//! are little-endian.
+//!
+//! | bytes | what |
+//! |---|---|
+//! | 8 | magic `PBDCKPT\n` |
+//! | 4 | `H`: header length, `u32` |
+//! | `H` | header: one compact JSON object (below) |
+//! | `P` | payload: raw `f32`s, `P` = the header's `payload_bytes` |
+//! | 8 | checksum, `u64`: FNV-1a over the 8-byte words of every byte before it |
+//!
+//! ```json
+//! {"schema": "pipebd.checkpoint", "version": 2,
+//!  "round": 4, "data_cursor": 32, "batch": 8,
+//!  "lr_bits": 1028443341, "momentum_bits": 1063675494,
+//!  "plan_fingerprint": "2x1:…", "payload_bytes": 1158144,
+//!  "blocks": [{"block": 0,
+//!    "params":     [{"dtype": "f32", "dims": [32, 32, 3, 3], "offset": 0, "bytes": 36864}, …],
+//!    "velocities": [{"dtype": "f32", "dims": [32, 32, 3, 3], "offset": 73728, "bytes": 36864}, …],
+//!    "losses":      {"dtype": "f32", "dims": [4], "offset": 147456, "bytes": 16}}, …]}
+//! ```
+//!
+//! `offset` counts from the payload's first byte. `lr` and `momentum` are
+//! stored as their IEEE-754 bit patterns, and tensors as raw bytes, so
+//! every value — NaN payloads, infinities, `-0.0`, subnormals — comes
+//! back bit for bit without a float printer in the loop. The header
+//! precedes the payload so the round of the checkpoint on disk can be
+//! read without it. A file of the wrong total length or checksum is torn;
+//! a file starting with `{` is a version-1 JSON envelope and is refused
+//! with a version error (there is no reader for it).
 
-use std::io;
+use std::fs::{self, File};
+use std::io::{self, Read};
 use std::path::PathBuf;
 
+use pipebd_core::checkpoint::{self, CodecError};
 use pipebd_core::{Checkpoint, CheckpointSink};
 
-use crate::{ArtifactError, ArtifactStore};
+use crate::store::{retrying, write_atomic};
+use crate::ArtifactError;
 
-/// A [`CheckpointSink`] that persists checkpoints as artifacts.
-///
-/// Keeps the highest-round checkpoint under one artifact name (decoupled
-/// pipelines complete rounds out of order, so stores can arrive stale).
+impl From<CodecError> for ArtifactError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Version { found } => ArtifactError::Version {
+                found,
+                expected: checkpoint::VERSION,
+            },
+            CodecError::Corrupt(why) => ArtifactError::Malformed(why),
+        }
+    }
+}
+
+/// A [`CheckpointSink`] that keeps the highest-round checkpoint in one
+/// file (decoupled pipelines complete rounds out of order, so stores can
+/// arrive stale). Writes are atomic: a crash mid-store leaves the
+/// previous checkpoint intact.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
-    store: ArtifactStore,
+    path: PathBuf,
     name: String,
 }
 
 impl CheckpointStore {
-    /// A checkpoint store writing `<root>/<name>.json`.
+    /// A checkpoint store writing `<root>/<name>.ckpt`.
     pub fn at(root: impl Into<PathBuf>, name: impl Into<String>) -> Self {
+        let name = name.into();
         CheckpointStore {
-            store: ArtifactStore::at(root),
-            name: name.into(),
-        }
-    }
-
-    /// A checkpoint store inside an existing artifact store.
-    pub fn in_store(store: ArtifactStore, name: impl Into<String>) -> Self {
-        CheckpointStore {
-            store,
-            name: name.into(),
+            path: root.into().join(format!("{name}.ckpt")),
+            name,
         }
     }
 
     /// The path the checkpoint lands at.
     pub fn path(&self) -> PathBuf {
-        self.store.path_of(&self.name)
+        self.path.clone()
     }
 
-    fn load_latest(&self) -> Result<Option<Checkpoint>, String> {
-        match self.store.load::<Checkpoint>(&self.name) {
-            Ok(ckpt) => Ok(Some(ckpt)),
-            // No file yet is the one benign miss: nothing was ever stored.
-            Err(ArtifactError::Io(e)) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-            // Anything else — torn JSON, schema drift, read failure — is a
-            // hard error. A checkpoint existed; losing it must be loud.
-            Err(e) => Err(format!("checkpoint `{}`: {e}", self.name)),
+    /// The round of the checkpoint on disk, from its header and the
+    /// file's length alone; `None` when there is no file.
+    fn incumbent_round(&self) -> Result<Option<usize>, ArtifactError> {
+        let mut file = match retrying(|| File::open(&self.path)) {
+            Ok(file) => file,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e.into()),
+        };
+        let mut head = Vec::new();
+        let prelude = checkpoint::PRELUDE_LEN as u64;
+        file.by_ref().take(prelude).read_to_end(&mut head)?;
+        let span = checkpoint::header_span(&head)? as u64;
+        file.by_ref().take(span - prelude).read_to_end(&mut head)?;
+        let peek = checkpoint::peek(&head)?;
+        match file.metadata()?.len() {
+            len if len == peek.file_len => Ok(Some(peek.round)),
+            len => Err(ArtifactError::Malformed(format!(
+                "file is {len} bytes, header declares {}",
+                peek.file_len
+            ))),
         }
+    }
+
+    fn named(&self, e: impl Into<ArtifactError>) -> String {
+        format!("checkpoint `{}`: {}", self.name, e.into())
     }
 }
 
 impl CheckpointSink for CheckpointStore {
     fn store(&self, checkpoint: &Checkpoint) -> Result<(), String> {
         // Round-max semantics, matching the in-memory sink: never replace
-        // a newer checkpoint with a stale round. A torn incumbent is the
-        // exception — overwriting it with a valid envelope is the repair.
-        if let Ok(Some(existing)) = self.load_latest() {
-            if existing.round >= checkpoint.round {
-                return Ok(());
-            }
+        // a newer checkpoint with a stale round. A torn, damaged or
+        // foreign-version incumbent is the exception — overwriting it
+        // with a valid file is the repair. Failing to *read* it is not:
+        // the file may be fine, so that error goes to the caller.
+        match self.incumbent_round() {
+            Ok(Some(round)) if round >= checkpoint.round => return Ok(()),
+            Err(ArtifactError::Io(e)) => return Err(self.named(e)),
+            _ => {}
         }
-        self.store
-            .save(&self.name, checkpoint)
-            .map(|_| ())
-            .map_err(|e| format!("checkpoint `{}`: {e}", self.name))
+        write_atomic(&self.path, &checkpoint::encode(checkpoint)).map_err(|e| self.named(e))
     }
 
     fn latest(&self) -> Result<Option<Checkpoint>, String> {
-        self.load_latest()
+        let bytes = match retrying(|| fs::read(&self.path)) {
+            Ok(bytes) => bytes,
+            // No file yet is the one benign miss: nothing was ever stored.
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(self.named(e)),
+        };
+        // A checkpoint existed; losing it must be loud.
+        let decoded = checkpoint::decode(&bytes);
+        decoded.map(Some).map_err(|e| self.named(e))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pipebd_core::checkpoint::TensorSnapshot;
     use pipebd_core::BlockState;
 
     fn temp_root(tag: &str) -> PathBuf {
@@ -96,6 +159,10 @@ mod tests {
     }
 
     fn checkpoint(round: usize) -> Checkpoint {
+        let weights = TensorSnapshot {
+            dims: vec![2, 3],
+            data: vec![0.5, -1.25, 3.0, 1e-3, 7.0, -0.125],
+        };
         Checkpoint {
             round,
             data_cursor: (round * 8) as u64,
@@ -105,8 +172,8 @@ mod tests {
             plan_fingerprint: "1x1:test".to_string(),
             blocks: vec![BlockState {
                 block: 0,
-                params: vec![],
-                velocities: vec![],
+                params: vec![weights.clone()],
+                velocities: vec![weights],
                 losses: vec![0.25; round],
             }],
         }
@@ -130,16 +197,57 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
+    /// JSON rendered NaN and the infinities as `null`, so a checkpoint
+    /// holding one stored "successfully" and never loaded again.
+    #[test]
+    fn non_finite_and_odd_floats_come_back_bit_for_bit() {
+        let odd = [
+            f32::from_bits(0x7fc0_1234), // quiet NaN with payload bits
+            f32::from_bits(0xff80_0001), // negative signalling NaN
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            f32::from_bits(1),           // smallest subnormal
+            f32::from_bits(0x807f_ffff), // largest negative subnormal
+            f32::MIN_POSITIVE,
+            f32::MAX,
+        ];
+        let snapshot = TensorSnapshot {
+            dims: vec![3, 3],
+            data: odd.to_vec(),
+        };
+        let mut ckpt = checkpoint(odd.len());
+        ckpt.lr = f32::NAN;
+        ckpt.momentum = f32::NEG_INFINITY;
+        ckpt.blocks[0].params = vec![snapshot.clone()];
+        ckpt.blocks[0].velocities = vec![snapshot];
+        ckpt.blocks[0].losses = odd.to_vec();
+
+        let root = temp_root("bits");
+        let sink = CheckpointStore::at(&root, "ckpt");
+        sink.store(&ckpt).unwrap();
+        let back = sink.latest().unwrap().expect("stored");
+
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let (was, now) = (&ckpt.blocks[0], &back.blocks[0]);
+        assert_eq!(bits(&now.params[0].data), bits(&was.params[0].data));
+        assert_eq!(bits(&now.velocities[0].data), bits(&was.velocities[0].data));
+        assert_eq!(bits(&now.losses), bits(&was.losses));
+        assert_eq!(back.lr.to_bits(), ckpt.lr.to_bits());
+        assert_eq!(back.momentum.to_bits(), ckpt.momentum.to_bits());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
     #[test]
     fn torn_file_is_a_hard_error_not_a_silent_miss() {
         let root = temp_root("torn");
         let sink = CheckpointStore::at(&root, "ckpt");
         sink.store(&checkpoint(3)).unwrap();
 
-        // Simulate a crash that truncated the envelope mid-write (only
+        // Simulate a crash that truncated the file mid-write (only
         // possible through paths that bypass the atomic rename).
-        let text = std::fs::read_to_string(sink.path()).unwrap();
-        std::fs::write(sink.path(), &text[..text.len() / 2]).unwrap();
+        let bytes = std::fs::read(sink.path()).unwrap();
+        std::fs::write(sink.path(), &bytes[..bytes.len() / 2]).unwrap();
 
         let err = sink.latest().unwrap_err();
         assert!(
@@ -150,6 +258,100 @@ mod tests {
         // Storing a fresh checkpoint repairs the torn incumbent.
         sink.store(&checkpoint(1)).unwrap();
         assert_eq!(sink.latest().unwrap().unwrap().round, 1);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Every way the file at `path()` can be wrong is a structured error
+    /// from `latest()` that names the checkpoint — never `Ok(None)` — and
+    /// the next `store` repairs it. What the header or the file's length
+    /// gives away is repaired even by an older round; damage inside a
+    /// payload of the right length is invisible to `store`, which reads
+    /// the header only, and goes with the next newer round.
+    #[test]
+    fn corruption_matrix_errors_loudly_and_store_repairs() {
+        let root = temp_root("matrix");
+        let sink = CheckpointStore::at(&root, "ckpt");
+        let good = checkpoint::encode(&checkpoint(5));
+        let header_end = checkpoint::header_span(&good).unwrap();
+        let flipped = {
+            let mut bytes = good.clone();
+            bytes[header_end + 9] ^= 0x10;
+            bytes
+        };
+        let wrong_magic = {
+            let mut bytes = good.clone();
+            bytes[..4].copy_from_slice(b"RIFF");
+            bytes
+        };
+        let v1 = br#"{"schema": "pipebd.checkpoint", "version": 1, "name": "ckpt",
+            "created_unix_s": 1753000000, "payload": {"round": 5, "blocks": []}}"#;
+        let in_header = &good[..checkpoint::PRELUDE_LEN + 20];
+        let cases: [(&str, &[u8], &str, usize); 7] = [
+            ("empty file", &[], "bad magic", 1),
+            ("cut in the header", in_header, "inside the header", 1),
+            ("cut in the payload", &good[..header_end + 10], "bytes", 1),
+            (
+                "cut before the checksum",
+                &good[..good.len() - 8],
+                "bytes",
+                1,
+            ),
+            ("one flipped payload byte", &flipped, "bad checksum", 6),
+            ("wrong magic", &wrong_magic, "bad magic", 1),
+            ("version-1 JSON envelope", v1, "found 1, expected 2", 1),
+        ];
+        for (case, bytes, expected, repair_round) in cases {
+            std::fs::create_dir_all(&root).unwrap();
+            std::fs::write(sink.path(), bytes).unwrap();
+            let err = sink.latest().expect_err(case);
+            assert!(
+                err.contains("checkpoint `ckpt`") && err.contains(expected),
+                "{case}: unexpected error: {err}"
+            );
+            sink.store(&checkpoint(repair_round)).unwrap();
+            let repaired = sink.latest().unwrap().unwrap();
+            assert_eq!(repaired, checkpoint(repair_round), "{case}");
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A write that crashed before its rename leaves a `.tmp` sibling and
+    /// the incumbent untouched: `latest` still returns the incumbent, and
+    /// the next store replaces the sibling.
+    #[test]
+    fn leftover_tmp_sibling_neither_hides_nor_replaces_the_incumbent() {
+        let root = temp_root("tmp_sibling");
+        let sink = CheckpointStore::at(&root, "ckpt");
+        sink.store(&checkpoint(3)).unwrap();
+        let tmp = root.join("ckpt.ckpt.tmp");
+        let newer = checkpoint::encode(&checkpoint(9));
+        std::fs::write(&tmp, &newer[..newer.len() / 3]).unwrap();
+
+        assert_eq!(sink.latest().unwrap().unwrap(), checkpoint(3));
+        sink.store(&checkpoint(4)).unwrap();
+        assert_eq!(sink.latest().unwrap().unwrap(), checkpoint(4));
+        assert!(!tmp.exists(), "the next store consumes the sibling");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Only a torn or foreign *file* is repaired by overwrite. When the
+    /// incumbent cannot be read at all (here: the path is a directory)
+    /// the error comes back, naming the checkpoint, and nothing is
+    /// written over it.
+    #[test]
+    fn unreadable_incumbent_is_an_error_not_a_repair() {
+        let root = temp_root("unreadable");
+        let sink = CheckpointStore::at(&root, "ckpt");
+        std::fs::create_dir_all(sink.path()).unwrap();
+
+        let err = sink.store(&checkpoint(2)).unwrap_err();
+        assert!(
+            err.contains("checkpoint `ckpt`") && err.contains("I/O"),
+            "unexpected error: {err}"
+        );
+        assert!(sink.latest().unwrap_err().contains("checkpoint `ckpt`"));
+        assert!(sink.path().is_dir(), "nothing replaced the incumbent");
+        assert!(!root.join("ckpt.ckpt.tmp").exists(), "nothing was written");
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -24,6 +24,11 @@
 //! [`ArtifactPayload`] impl; [`ArtifactStore::load`] rejects mismatches
 //! ([`ArtifactError::Schema`] / [`ArtifactError::Version`]) so a payload
 //! struct can only evolve together with a version bump.
+//!
+//! Checkpoints are the one artifact that is not an envelope: a
+//! [`CheckpointStore`] keeps training state in a binary file of its own
+//! (layout in the `ckpt` module's source), sharing only the store's
+//! atomic write and its error type.
 
 mod ckpt;
 mod payload;
@@ -39,7 +44,7 @@ pub use payload::{
 pub use store::{ArtifactError, ArtifactMeta, ArtifactStore};
 pub use trace::{GateCheck, GateReport, TraceArtifact};
 
-use pipebd_core::{Checkpoint, RunReport};
+use pipebd_core::RunReport;
 use pipebd_sched::StagePlan;
 use serde::{de::DeserializeOwned, Serialize};
 
@@ -59,10 +64,5 @@ impl ArtifactPayload for RunReport {
 
 impl ArtifactPayload for StagePlan {
     const SCHEMA: &'static str = "pipebd.schedule_plan";
-    const VERSION: u32 = 1;
-}
-
-impl ArtifactPayload for Checkpoint {
-    const SCHEMA: &'static str = "pipebd.checkpoint";
     const VERSION: u32 = 1;
 }

@@ -31,7 +31,7 @@ pub enum ArtifactError {
         /// Version the payload type expects.
         expected: u32,
     },
-    /// The file is not a well-formed artifact envelope.
+    /// The file is not a well-formed artifact (envelope or checkpoint).
     Malformed(String),
 }
 
@@ -52,7 +52,7 @@ impl fmt::Display for ArtifactError {
                     "artifact version mismatch: found {found}, expected {expected}"
                 )
             }
-            ArtifactError::Malformed(msg) => write!(f, "malformed artifact envelope: {msg}"),
+            ArtifactError::Malformed(msg) => write!(f, "malformed artifact: {msg}"),
         }
     }
 }
@@ -137,11 +137,8 @@ impl ArtifactStore {
     /// The envelope is pretty-printed (artifacts are meant to be diffed
     /// and read in review) and ends with a newline.
     ///
-    /// The write is **atomic**: the envelope lands in a `.tmp` sibling
-    /// first and is renamed over the target, so a crash mid-save can
-    /// never leave a torn artifact — readers see the old envelope or the
-    /// new one, nothing in between. Transient filesystem errors
-    /// (interrupts and friends) are retried with a short backoff.
+    /// The write is atomic (a `.tmp` sibling renamed over the target):
+    /// readers see the old envelope or the new one, nothing in between.
     ///
     /// # Errors
     ///
@@ -169,12 +166,7 @@ impl ArtifactStore {
         let mut text = pipebd_json::to_string_pretty(&envelope)?;
         text.push('\n');
         let path = self.path_of(name);
-        let tmp = self.root.join(format!("{name}.json.tmp"));
-        retrying(|| {
-            fs::create_dir_all(&self.root)?;
-            fs::write(&tmp, &text)?;
-            fs::rename(&tmp, &path)
-        })?;
+        write_atomic(&path, text.as_bytes())?;
         Ok(path)
     }
 
@@ -323,6 +315,26 @@ fn unix_now_s() -> u64 {
         .map_or(0, |d| d.as_secs())
 }
 
+/// Writes `bytes` to `path` atomically: they land in a `<path>.tmp`
+/// sibling first, which is renamed over the target, so a process that
+/// dies mid-write never leaves a torn file at `path` (at worst a stale
+/// sibling, which the next write replaces). Nothing is `fsync`ed: after
+/// a power loss the file may be short, which is for the reader to detect
+/// (checkpoints carry their length and a checksum). Missing parent
+/// directories are created; transient filesystem errors are retried
+/// ([`retrying`]).
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    retrying(|| {
+        if let Some(dir) = path.parent() {
+            fs::create_dir_all(dir)?;
+        }
+        fs::write(&tmp, bytes)?;
+        fs::rename(&tmp, path)
+    })
+}
+
 /// Attempts before [`retrying`] gives up and surfaces the error.
 const IO_ATTEMPTS: u32 = 3;
 
@@ -335,7 +347,7 @@ const IO_BACKOFF: std::time::Duration = std::time::Duration::from_millis(2);
 /// [`IO_ATTEMPTS`] tries with a short linear backoff; deterministic
 /// failures (missing file, permissions, full disk) surface immediately —
 /// retrying those only delays the caller's error handling.
-fn retrying<T>(mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
+pub(crate) fn retrying<T>(mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
     let mut attempt = 1;
     loop {
         match op() {

@@ -456,7 +456,7 @@ fn recovery_self_test() -> bool {
         }
     }
 
-    // Torn-checkpoint half: truncate a persisted envelope mid-file; the
+    // Torn-checkpoint half: truncate a persisted checkpoint mid-file; the
     // durable sink must error loudly instead of reporting "no checkpoint".
     let root = std::env::temp_dir().join(format!("pipebd_gate_torn_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
@@ -477,8 +477,8 @@ fn recovery_self_test() -> bool {
         return false;
     }
     let path = ckpt_sink.path();
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
+    let bytes = match std::fs::read(&path) {
+        Ok(b) => b,
         Err(e) => {
             eprintln!(
                 "recovery self-test FAILED: no checkpoint landed at {}: {e}",
@@ -487,7 +487,7 @@ fn recovery_self_test() -> bool {
             return false;
         }
     };
-    std::fs::write(&path, &text[..text.len() / 2]).expect("torn fixture persists");
+    std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("torn fixture persists");
     let torn_fired = ckpt_sink.latest().is_err();
     let _ = std::fs::remove_dir_all(&root);
     if !torn_fired {

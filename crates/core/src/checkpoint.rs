@@ -12,13 +12,17 @@
 //!
 //! Persistence is decoupled through the [`CheckpointSink`] trait: the
 //! executor streams completed checkpoints into a sink without knowing
-//! whether they land in memory ([`MemorySink`]) or in a schema-versioned
-//! `pipebd.checkpoint` artifact envelope (`pipebd_artifact`'s
-//! `CheckpointStore`, which layers atomic write-rename and retry on top).
+//! whether they land in memory ([`MemorySink`]) or in a binary
+//! `pipebd.checkpoint` file (`pipebd_artifact`'s `CheckpointStore`, which
+//! layers atomic write-rename and retry on top of [`encode`] /
+//! [`decode`], the pure byte codec below; the file layout is described
+//! once, in that crate's `ckpt` module).
 //! The round-interval policy lives in [`CheckpointPolicy`].
 
+use std::fmt;
 use std::sync::Mutex;
 
+use pipebd_json::Value;
 use pipebd_nn::{Layer, Sgd};
 use pipebd_tensor::{Tensor, TensorError};
 use serde::{Deserialize, Serialize};
@@ -27,8 +31,9 @@ use crate::exec::{ExecError, FuncConfig};
 
 /// A bitwise-exact, serializable snapshot of one tensor.
 ///
-/// `crates/json` round-trips `f32` exactly, so snapshot → JSON → restore
-/// reproduces the original buffer bit for bit.
+/// [`encode`] writes `data` as raw little-endian `f32`, so snapshot →
+/// file → restore reproduces the original buffer bit for bit, non-finite
+/// values included.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TensorSnapshot {
     /// Tensor shape.
@@ -82,7 +87,7 @@ pub struct Checkpoint {
     /// Completed optimizer steps (the resume point).
     pub round: usize,
     /// Next sample index: `round × batch`. Redundant with `round` but
-    /// stored explicitly so an envelope is self-describing.
+    /// stored explicitly so a checkpoint file is self-describing.
     pub data_cursor: u64,
     /// Global batch size of the run that produced this state.
     pub batch: usize,
@@ -191,10 +196,8 @@ pub fn capture_block(
     optim: &Sgd,
     losses: &[f32],
 ) -> BlockState {
-    let params = pipebd_nn::snapshot_params(layer)
-        .iter()
-        .map(TensorSnapshot::of)
-        .collect();
+    let mut params = Vec::new();
+    layer.visit_params(&mut |p| params.push(TensorSnapshot::of(&p.value)));
     let velocities = optim.velocities().iter().map(TensorSnapshot::of).collect();
     BlockState {
         block,
@@ -298,7 +301,7 @@ pub trait CheckpointSink: Send + Sync {
     /// # Errors
     ///
     /// Returns the sink-specific failure as text (a torn on-disk
-    /// envelope is an error, never silently `None`).
+    /// file is an error, never silently `None`).
     fn latest(&self) -> Result<Option<Checkpoint>, String>;
 
     /// [`CheckpointSink::latest`], gated on plan lineage: the checkpoint's
@@ -306,7 +309,7 @@ pub trait CheckpointSink: Send + Sync {
     /// every plan the restoring recovery has run under). A checkpoint
     /// written under a foreign plan is **mismatched state** — silently
     /// resuming it would splice another run's trajectory into this one —
-    /// so it is a structured error, distinct from a torn envelope (which
+    /// so it is a structured error, distinct from a torn file (which
     /// `latest` already reports as its own sink-specific text).
     ///
     /// Checkpoints with an empty fingerprint predate the lineage stamp
@@ -374,6 +377,307 @@ impl CheckpointSink for MemorySink {
     }
 }
 
+/// Schema tag in every checkpoint file's header.
+pub const SCHEMA: &str = "pipebd.checkpoint";
+
+/// Format version [`encode`] writes and [`decode`] accepts. Version 1 was
+/// a JSON artifact envelope; no reader for it remains.
+pub const VERSION: u32 = 2;
+
+/// First bytes of every checkpoint file.
+const MAGIC: [u8; 8] = *b"PBDCKPT\n";
+
+/// Length of the fixed-size prelude (magic + `u32` header length): what
+/// [`header_span`] needs to say how far the header reaches.
+pub const PRELUDE_LEN: usize = MAGIC.len() + 4;
+
+/// The only element type version 2 stores.
+const F32: &str = "f32";
+
+/// Why bytes do not decode as a checkpoint.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CodecError {
+    /// A well-formed checkpoint of a format version this build does not
+    /// read (including the version-1 JSON envelope).
+    Version {
+        /// Version found in the file.
+        found: u64,
+    },
+    /// Not a checkpoint, or a torn or damaged one.
+    Corrupt(String),
+}
+
+impl fmt::Display for CodecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CodecError::Version { found } => {
+                write!(f, "checkpoint format version {found}, expected {VERSION}")
+            }
+            CodecError::Corrupt(why) => write!(f, "corrupt checkpoint: {why}"),
+        }
+    }
+}
+
+impl std::error::Error for CodecError {}
+
+fn corrupt(why: impl Into<String>) -> CodecError {
+    CodecError::Corrupt(why.into())
+}
+
+/// The JSON header: run metadata plus where each tensor sits in the
+/// payload. `lr` and `momentum` travel as IEEE-754 bit patterns so the
+/// header, too, is exact for every value (JSON has no NaN or infinity).
+#[derive(Serialize, Deserialize)]
+struct Header {
+    schema: String,
+    version: u32,
+    round: usize,
+    data_cursor: u64,
+    batch: usize,
+    lr_bits: u32,
+    momentum_bits: u32,
+    plan_fingerprint: String,
+    payload_bytes: usize,
+    blocks: Vec<BlockLayout>,
+}
+
+#[derive(Serialize, Deserialize)]
+struct BlockLayout {
+    block: usize,
+    params: Vec<TensorLayout>,
+    velocities: Vec<TensorLayout>,
+    losses: TensorLayout,
+}
+
+/// One tensor's place in the payload (byte offsets from the payload's
+/// start). `bytes` is stored rather than derived from `dims`, so a
+/// snapshot whose `data` does not fill its `dims` round-trips as it is
+/// and is rejected where it always was, in [`TensorSnapshot::to_tensor`].
+#[derive(Debug, Serialize, Deserialize)]
+struct TensorLayout {
+    dtype: String,
+    dims: Vec<usize>,
+    offset: usize,
+    bytes: usize,
+}
+
+impl TensorLayout {
+    /// Appends `data` to `payload`, bit pattern by bit pattern, and
+    /// records where it went.
+    fn place(payload: &mut Vec<u8>, dims: &[usize], data: &[f32]) -> Self {
+        let offset = payload.len();
+        for v in data {
+            payload.extend_from_slice(&v.to_le_bytes());
+        }
+        TensorLayout {
+            dtype: F32.to_string(),
+            dims: dims.to_vec(),
+            offset,
+            bytes: payload.len() - offset,
+        }
+    }
+
+    /// Reads the tensor's elements back out of `payload`.
+    fn floats(&self, payload: &[u8]) -> Result<Vec<f32>, CodecError> {
+        let raw = (self.offset.checked_add(self.bytes))
+            .and_then(|end| payload.get(self.offset..end))
+            .filter(|raw| self.dtype == F32 && raw.len() % 4 == 0)
+            .ok_or_else(|| corrupt(format!("no {self:?} in a {}-byte payload", payload.len())))?;
+        let floats = raw.chunks_exact(4);
+        Ok(floats
+            .map(|c| f32::from_le_bytes(c.try_into().expect("chunks of 4")))
+            .collect())
+    }
+}
+
+/// A 64-bit FNV-1a fold over 8-byte little-endian words (the tail is
+/// zero-padded). Every step is a bijection of the running state, so any
+/// change confined to one word changes the sum; it detects torn and
+/// bit-rotted files and is not a defence against forgery.
+fn checksum(bytes: &[u8]) -> u64 {
+    let fold = |sum: u64, word: u64| (sum ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+    let words = bytes.chunks_exact(8);
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    let sum = words
+        .map(|w| u64::from_le_bytes(w.try_into().expect("chunks of 8")))
+        .fold(0xcbf2_9ce4_8422_2325, fold);
+    fold(sum, u64::from_le_bytes(tail))
+}
+
+/// Serializes a checkpoint into the bytes of a checkpoint file: prelude,
+/// JSON header, raw little-endian `f32` payload, checksum of everything
+/// before it. Pure; every `f32` is copied once, by bit pattern.
+pub fn encode(ckpt: &Checkpoint) -> Vec<u8> {
+    let mut payload = Vec::new();
+    let place_all = |payload: &mut Vec<u8>, tensors: &[TensorSnapshot]| {
+        let placed = (tensors.iter()).map(|t| TensorLayout::place(payload, &t.dims, &t.data));
+        placed.collect::<Vec<_>>()
+    };
+    let mut blocks = Vec::with_capacity(ckpt.blocks.len());
+    for b in &ckpt.blocks {
+        blocks.push(BlockLayout {
+            block: b.block,
+            params: place_all(&mut payload, &b.params),
+            velocities: place_all(&mut payload, &b.velocities),
+            losses: TensorLayout::place(&mut payload, &[b.losses.len()], &b.losses),
+        });
+    }
+    let header = pipebd_json::to_string(&Header {
+        schema: SCHEMA.to_string(),
+        version: VERSION,
+        round: ckpt.round,
+        data_cursor: ckpt.data_cursor,
+        batch: ckpt.batch,
+        lr_bits: ckpt.lr.to_bits(),
+        momentum_bits: ckpt.momentum.to_bits(),
+        plan_fingerprint: ckpt.plan_fingerprint.clone(),
+        payload_bytes: payload.len(),
+        blocks,
+    })
+    .expect("a header of integers and strings serializes");
+    let header_len = u32::try_from(header.len()).expect("a header is far below 4 GiB");
+
+    let mut out = Vec::with_capacity(PRELUDE_LEN + header.len() + payload.len() + 8);
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&header_len.to_le_bytes());
+    out.extend_from_slice(header.as_bytes());
+    out.extend_from_slice(&payload);
+    let sum = checksum(&out);
+    out.extend_from_slice(&sum.to_le_bytes());
+    out
+}
+
+/// Given a file's first [`PRELUDE_LEN`] bytes (more are fine), the number
+/// of leading bytes that hold prelude and header — what [`peek`] needs,
+/// so a reader can look at a checkpoint without its payload.
+///
+/// # Errors
+///
+/// [`CodecError::Version`] for a version-1 file — recognised, not read, by
+/// the `{` every JSON envelope began with — and [`CodecError::Corrupt`]
+/// for any other magic or a prelude cut short.
+pub fn header_span(prelude: &[u8]) -> Result<usize, CodecError> {
+    let Some(rest) = prelude.strip_prefix(&MAGIC) else {
+        return Err(match prelude.first() {
+            Some(b'{') => CodecError::Version { found: 1 },
+            _ => corrupt("not a checkpoint file (bad magic)"),
+        });
+    };
+    let len = (rest.get(..4))
+        .ok_or_else(|| corrupt("truncated before the header length"))?
+        .try_into()
+        .expect("a slice of 4");
+    Ok(PRELUDE_LEN + u32::from_le_bytes(len) as usize)
+}
+
+/// Parses and vets the header held in the first [`header_span`] bytes;
+/// returns it with the offset at which the payload starts.
+fn read_header(bytes: &[u8]) -> Result<(Header, usize), CodecError> {
+    let payload_start = header_span(bytes)?;
+    let text = (bytes.get(PRELUDE_LEN..payload_start))
+        .ok_or_else(|| corrupt("truncated inside the header"))?;
+    let header = std::str::from_utf8(text)
+        .map_err(|e| e.to_string())
+        .and_then(|text| pipebd_json::parse(text).map_err(|e| e.to_string()))
+        .map_err(|e| corrupt(format!("header: {e}")))?;
+    match header.get("schema").and_then(Value::as_str) {
+        Some(SCHEMA) => {}
+        found => return Err(corrupt(format!("header schema {found:?}, not `{SCHEMA}`"))),
+    }
+    match header.get("version").and_then(Value::as_u64) {
+        Some(found) if found == u64::from(VERSION) => {}
+        Some(found) => return Err(CodecError::Version { found }),
+        None => return Err(corrupt("header has no version")),
+    }
+    let header = pipebd_json::from_value(&header).map_err(|e| corrupt(format!("header: {e}")))?;
+    Ok((header, payload_start))
+}
+
+/// Total file length for a payload of `payload_bytes` starting at
+/// `payload_start`, unless that overflows (which no real file does).
+fn file_len(payload_start: usize, payload_bytes: usize) -> Option<usize> {
+    payload_start.checked_add(payload_bytes)?.checked_add(8)
+}
+
+/// What a checkpoint file's header says about the file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Peek {
+    /// The round the checkpoint was taken at.
+    pub round: usize,
+    /// The length of the whole file; a file of any other length is torn.
+    pub file_len: u64,
+}
+
+/// Reads a checkpoint file's header from its leading [`header_span`]
+/// bytes alone; the payload is neither needed nor verified.
+///
+/// # Errors
+///
+/// As [`header_span`], plus [`CodecError::Corrupt`] for a truncated or
+/// unparsable header and [`CodecError::Version`] for a foreign version.
+pub fn peek(bytes: &[u8]) -> Result<Peek, CodecError> {
+    let (header, payload_start) = read_header(bytes)?;
+    let file_len = file_len(payload_start, header.payload_bytes)
+        .ok_or_else(|| corrupt("header declares an impossible payload size"))?;
+    Ok(Peek {
+        round: header.round,
+        file_len: file_len as u64,
+    })
+}
+
+/// Rebuilds the checkpoint [`encode`] serialized, bit for bit.
+///
+/// # Errors
+///
+/// As [`peek`], plus [`CodecError::Corrupt`] when the length is not what
+/// the header declares (a torn file), the checksum does not match, or a
+/// tensor lies outside the payload.
+pub fn decode(bytes: &[u8]) -> Result<Checkpoint, CodecError> {
+    let (header, payload_start) = read_header(bytes)?;
+    if file_len(payload_start, header.payload_bytes) != Some(bytes.len()) {
+        return Err(corrupt(format!(
+            "file is {} bytes, header declares {payload_start} + {} + 8",
+            bytes.len(),
+            header.payload_bytes
+        )));
+    }
+    let (body, sum) = bytes.split_at(bytes.len() - 8);
+    if checksum(body).to_le_bytes() != sum {
+        return Err(corrupt("bad checksum"));
+    }
+    let payload = &body[payload_start..];
+    let snapshots = |layouts: Vec<TensorLayout>| {
+        let snapshot = |at: TensorLayout| {
+            let data = at.floats(payload)?;
+            Ok(TensorSnapshot {
+                dims: at.dims,
+                data,
+            })
+        };
+        let snapshots = layouts.into_iter().map(snapshot);
+        snapshots.collect::<Result<Vec<_>, CodecError>>()
+    };
+    let mut blocks = Vec::with_capacity(header.blocks.len());
+    for b in header.blocks {
+        blocks.push(BlockState {
+            block: b.block,
+            losses: b.losses.floats(payload)?,
+            params: snapshots(b.params)?,
+            velocities: snapshots(b.velocities)?,
+        });
+    }
+    Ok(Checkpoint {
+        round: header.round,
+        data_cursor: header.data_cursor,
+        batch: header.batch,
+        lr: f32::from_bits(header.lr_bits),
+        momentum: f32::from_bits(header.momentum_bits),
+        plan_fingerprint: header.plan_fingerprint,
+        blocks,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,6 +713,54 @@ mod tests {
         let json = pipebd_json::to_string(&snap).unwrap();
         let reparsed: TensorSnapshot = pipebd_json::from_str(&json).unwrap();
         assert_eq!(reparsed.to_tensor().unwrap(), t);
+    }
+
+    #[test]
+    fn codec_roundtrips_and_peeks_without_the_payload() {
+        let ckpt = tiny_checkpoint(4, 8);
+        let bytes = encode(&ckpt);
+        assert_eq!(decode(&bytes).unwrap(), ckpt);
+
+        let span = header_span(&bytes[..PRELUDE_LEN]).unwrap();
+        let seen = peek(&bytes[..span]).unwrap();
+        assert_eq!(seen.round, 4);
+        assert_eq!(seen.file_len, bytes.len() as u64);
+        assert!(matches!(
+            peek(&bytes[..span - 1]),
+            Err(CodecError::Corrupt(_))
+        ));
+    }
+
+    /// Rewrites `from` to the equally long `to` in an encoded header and
+    /// re-seals the file, so only the edited field is wrong.
+    fn with_header_edit(bytes: &[u8], from: &str, to: &str) -> Vec<u8> {
+        assert_eq!(from.len(), to.len());
+        let span = header_span(bytes).unwrap();
+        let header = std::str::from_utf8(&bytes[PRELUDE_LEN..span]).unwrap();
+        assert!(header.contains(from), "{header}");
+        let mut out = bytes[..PRELUDE_LEN].to_vec();
+        out.extend_from_slice(header.replacen(from, to, 1).as_bytes());
+        out.extend_from_slice(&bytes[span..bytes.len() - 8]);
+        let sum = checksum(&out);
+        out.extend_from_slice(&sum.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn codec_refuses_other_versions_and_out_of_payload_tensors() {
+        let bytes = encode(&tiny_checkpoint(2, 8));
+        assert_eq!(
+            decode(br#"{"schema": "pipebd.checkpoint", "version": 1}"#),
+            Err(CodecError::Version { found: 1 })
+        );
+        let newer = with_header_edit(&bytes, r#""version":2"#, r#""version":3"#);
+        assert_eq!(decode(&newer), Err(CodecError::Version { found: 3 }));
+
+        let overrun = with_header_edit(&bytes, r#""bytes":24"#, r#""bytes":96"#);
+        let err = decode(&overrun).unwrap_err();
+        assert!(err.to_string().contains("56-byte payload"), "{err}");
+        let ragged = with_header_edit(&bytes, r#""bytes":24"#, r#""bytes":23"#);
+        assert!(decode(&ragged).is_err());
     }
 
     #[test]

@@ -278,17 +278,3 @@ impl std::fmt::Display for ExecutorChoice {
         f.write_str(self.label())
     }
 }
-
-impl std::str::FromStr for ExecutorChoice {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "reference" => Ok(ExecutorChoice::Reference),
-            "threaded" => Ok(ExecutorChoice::Threaded),
-            other => Err(format!(
-                "unknown executor `{other}` (expected `reference` or `threaded`)"
-            )),
-        }
-    }
-}

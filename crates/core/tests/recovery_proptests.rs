@@ -1,5 +1,5 @@
 //! Property-based tests for the recovery plane: checkpoints round-trip
-//! bitwise through JSON under *any* strategy and pool size, restore
+//! bitwise through the file codec under *any* strategy and pool size, restore
 //! attempts never exceed the configured budget, a healthy fault script
 //! never triggers the recovery machinery at all, the plan-lineage gate
 //! keeps "torn sink" and "foreign checkpoint" failures distinct, and
@@ -10,7 +10,7 @@ use std::sync::Arc;
 use pipebd_core::exec::recovery::{RecoveryPolicy, RecoveryRunner};
 use pipebd_core::exec::threaded::{self, RunHooks};
 use pipebd_core::exec::{reference, FuncConfig};
-use pipebd_core::{Checkpoint, CheckpointPolicy, CheckpointSink, MemorySink};
+use pipebd_core::{checkpoint, Checkpoint, CheckpointPolicy, CheckpointSink, MemorySink};
 use pipebd_data::SyntheticImageDataset;
 use pipebd_models::{mini_student_dsconv, mini_teacher, MiniConfig, Workload};
 use pipebd_sched::StagePlan;
@@ -51,7 +51,7 @@ impl CheckpointSink for TornSink {
     }
 
     fn latest(&self) -> Result<Option<Checkpoint>, String> {
-        Err("checkpoint `ckpt`: parse error at byte 12".into())
+        Err("checkpoint `ckpt`: malformed artifact: bad checksum".into())
     }
 }
 
@@ -71,7 +71,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// For any strategy, pool size, and update mode, a captured
-    /// checkpoint survives the JSON round-trip bit for bit.
+    /// checkpoint survives the file codec's round-trip bit for bit.
     #[test]
     fn checkpoint_roundtrips_bitwise_across_strategies_and_pools(
         plan in plan_strategy(),
@@ -107,9 +107,8 @@ proptest! {
         prop_assert_eq!(ckpt.round, 4);
         prop_assert!(ckpt.validate(BLOCKS, BATCH).is_ok());
 
-        let text = pipebd_json::to_string_pretty(&pipebd_json::to_value(&ckpt).unwrap()).unwrap();
-        let back: Checkpoint = pipebd_json::from_value(&pipebd_json::parse(&text).unwrap()).unwrap();
-        prop_assert_eq!(back, ckpt, "JSON round-trip must be bitwise");
+        let back = checkpoint::decode(&checkpoint::encode(&ckpt)).unwrap();
+        prop_assert_eq!(back, ckpt, "encode/decode must be bitwise");
     }
 
     /// The restore budget is a hard bound: however the script kills
@@ -256,7 +255,7 @@ proptest! {
         let torn_err = TornSink
             .latest_matching(std::slice::from_ref(&own))
             .expect_err("a torn sink must fail loudly");
-        prop_assert!(torn_err.contains("parse error"), "got: {torn_err}");
+        prop_assert!(torn_err.contains("bad checksum"), "got: {torn_err}");
         prop_assert!(
             !torn_err.contains("mismatch"),
             "torn and mismatched must stay distinct: {torn_err}"
