@@ -77,6 +77,37 @@ fn bench_kernel_policies(c: &mut Criterion) {
             },
         );
     }
+
+    // The DS-Conv student's hot loop: depthwise 3x3 over 128 planes of
+    // 32x32. Blocked here is the direct stencil, not im2col + GEMM.
+    let x = Tensor::randn(&[8, 16, 32, 32], &mut rng);
+    let w = Tensor::randn(&[16, 1, 3, 3], &mut rng);
+    let spec = Conv2dSpec::depthwise(16, 3, 1, 1);
+    let dy = Tensor::randn(&[8, 16, 32, 32], &mut rng);
+    for policy in [KernelPolicy::Naive, KernelPolicy::Blocked] {
+        c.bench_function(format!("tensor/dwconv2d_16x32x32_{policy}"), |bench| {
+            bench.iter(|| black_box(conv2d_with(&x, &w, spec, policy).expect("shapes match")))
+        });
+        c.bench_function(
+            format!("tensor/dwconv2d_grad_input_16x32x32_{policy}"),
+            |bench| {
+                bench.iter(|| {
+                    black_box(
+                        conv2d_grad_input_with(&dy, &w, spec, (32, 32), policy)
+                            .expect("shapes match"),
+                    )
+                })
+            },
+        );
+        c.bench_function(
+            format!("tensor/dwconv2d_grad_weight_16x32x32_{policy}"),
+            |bench| {
+                bench.iter(|| {
+                    black_box(conv2d_grad_weight_with(&x, &dy, spec, policy).expect("shapes match"))
+                })
+            },
+        );
+    }
 }
 
 fn bench_engine(c: &mut Criterion) {

@@ -49,6 +49,11 @@ fn main() {
     let spec = Conv2dSpec::dense(8, 8, 3, 1, 1);
     let a = Tensor::randn(&[128, 128], &mut rng);
     let b = Tensor::randn(&[128, 128], &mut rng);
+    // The DS-Conv student's hot loop: 128 planes of 32x32, 9 taps each.
+    let dwx = Tensor::randn(&[8, 16, 32, 32], &mut rng);
+    let dww = Tensor::randn(&[16, 1, 3, 3], &mut rng);
+    let dwdy = Tensor::randn(&[8, 16, 32, 32], &mut rng);
+    let dwspec = Conv2dSpec::depthwise(16, 3, 1, 1);
 
     let cases: Vec<(&str, Box<dyn Fn(KernelPolicy)>)> = vec![
         (
@@ -72,6 +77,28 @@ fn main() {
             }),
         ),
         (
+            "dwconv2d_16x32x32",
+            Box::new(|p| {
+                std::hint::black_box(conv2d_with(&dwx, &dww, dwspec, p).expect("dwconv2d"));
+            }),
+        ),
+        (
+            "dwconv2d_grad_input_16x32x32",
+            Box::new(|p| {
+                std::hint::black_box(
+                    conv2d_grad_input_with(&dwdy, &dww, dwspec, (32, 32), p).expect("dw grad in"),
+                );
+            }),
+        ),
+        (
+            "dwconv2d_grad_weight_16x32x32",
+            Box::new(|p| {
+                std::hint::black_box(
+                    conv2d_grad_weight_with(&dwx, &dwdy, dwspec, p).expect("dw grad w"),
+                );
+            }),
+        ),
+        (
             "matmul_128",
             Box::new(|p| {
                 std::hint::black_box(a.matmul_with(&b, p).expect("matmul"));
@@ -87,7 +114,7 @@ fn main() {
         let speedup = naive / blocked;
         let verdict = if speedup >= 1.0 { "ok" } else { "REGRESSION" };
         println!(
-            "{name:<28} naive {:>9.1} us   blocked {:>9.1} us   {speedup:>5.2}x  {verdict}",
+            "{name:<30} naive {:>9.1} us   blocked {:>9.1} us   {speedup:>5.2}x  {verdict}",
             naive * 1e6,
             blocked * 1e6,
         );
@@ -118,7 +145,7 @@ fn main() {
     let mut scaling = Vec::new();
     for (name, run) in scaling_cases {
         let mut points = Vec::new();
-        let mut line = format!("{name:<28} scaling ");
+        let mut line = format!("{name:<30} scaling ");
         for &width in &SCALING_POOLS {
             let pool = ComputePool::new(width);
             let secs = install(&pool, || time(run, 5, 3));

@@ -42,16 +42,24 @@ impl std::fmt::Debug for Sequential {
 
 impl Layer for Sequential {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
-        let mut cur = x.clone();
-        for layer in &mut self.layers {
+        // The first layer reads the caller's tensor in place; only the
+        // empty sequence (the identity) has to return a copy.
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return Ok(x.clone());
+        };
+        let mut cur = first.forward(x, mode)?;
+        for layer in rest {
             cur = layer.forward(&cur, mode)?;
         }
         Ok(cur)
     }
 
     fn backward(&mut self, dy: &Tensor) -> Result<Tensor> {
-        let mut cur = dy.clone();
-        for layer in self.layers.iter_mut().rev() {
+        let Some((last, rest)) = self.layers.split_last_mut() else {
+            return Ok(dy.clone());
+        };
+        let mut cur = last.backward(dy)?;
+        for layer in rest.iter_mut().rev() {
             cur = layer.backward(&cur)?;
         }
         Ok(cur)
@@ -92,6 +100,50 @@ mod tests {
         assert_eq!(y.dims(), &[2, 3]);
         let dx = net.backward(&Tensor::ones(&[2, 3])).unwrap();
         assert_eq!(dx.dims(), &[2, 4]);
+    }
+
+    #[test]
+    fn borrowing_the_argument_changes_no_bit() {
+        // What `forward` / `backward` did when they copied their argument
+        // first: every layer fed an owned tensor.
+        fn copy_then_chain(
+            layers: &mut [Box<dyn Layer>],
+            arg: &Tensor,
+            mut step: impl FnMut(&mut dyn Layer, &Tensor) -> Tensor,
+        ) -> Tensor {
+            let mut cur = arg.clone();
+            for layer in layers {
+                cur = step(layer.as_mut(), &cur);
+            }
+            cur
+        }
+        let mut rng = Rng64::seed_from_u64(3);
+        let layers = || -> Vec<Box<dyn Layer>> {
+            let mut rng = Rng64::seed_from_u64(4);
+            vec![
+                Box::new(Linear::new(4, 8, &mut rng)),
+                Box::new(Relu::new()),
+                Box::new(Linear::new(8, 3, &mut rng)),
+            ]
+        };
+        let (x, dy) = (
+            Tensor::randn(&[5, 4], &mut rng),
+            Tensor::randn(&[5, 3], &mut rng),
+        );
+        let mut net = Sequential::new(layers());
+        let mut old = layers();
+        let y = net.forward(&x, Mode::Train).unwrap();
+        let y_old = copy_then_chain(&mut old, &x, |l, t| l.forward(t, Mode::Train).unwrap());
+        assert_eq!(y.data(), y_old.data());
+        let dx = net.backward(&dy).unwrap();
+        old.reverse();
+        let dx_old = copy_then_chain(&mut old, &dy, |l, t| l.backward(t).unwrap());
+        assert_eq!(dx.data(), dx_old.data());
+
+        // The empty sequence is the identity, and hands back a copy.
+        let mut empty = Sequential::default();
+        assert_eq!(empty.forward(&x, Mode::Eval).unwrap().data(), x.data());
+        assert_eq!(empty.backward(&dy).unwrap().data(), dy.data());
     }
 
     #[test]

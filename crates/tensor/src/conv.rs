@@ -11,7 +11,8 @@
 //! * **naive** — direct 7-deep loops: slow, exact, deterministic, easy to
 //!   verify against finite differences, and kept as the oracle;
 //! * **blocked** — the im2col + packed-GEMM lowering in the `im2col`
-//!   module (the default), typically an order of magnitude faster.
+//!   module, or for depthwise geometry the `stencil` module's direct
+//!   kernels (the default), typically an order of magnitude faster.
 
 use crate::error::TensorError;
 use crate::im2col::{
@@ -114,11 +115,8 @@ impl Conv2dSpec {
             * (self.kernel as u64)
     }
 
-    fn validate(
-        &self,
-        x: &Tensor,
-        w: &Tensor,
-    ) -> Result<(usize, usize, usize, usize), TensorError> {
+    /// Checks the spec against itself and the input; `x`'s `(n, ci, h, w)`.
+    fn validate_input(&self, x: &Tensor) -> Result<(usize, usize, usize, usize), TensorError> {
         if self.stride == 0 {
             return Err(TensorError::invalid("conv2d: stride must be > 0"));
         }
@@ -146,6 +144,15 @@ impl Conv2dSpec {
                 op: "conv2d",
             });
         }
+        Ok((n, ci, h, wd))
+    }
+
+    fn validate(
+        &self,
+        x: &Tensor,
+        w: &Tensor,
+    ) -> Result<(usize, usize, usize, usize), TensorError> {
+        let dims = self.validate_input(x)?;
         if w.dims() != self.weight_dims() {
             return Err(TensorError::ShapeMismatch {
                 expected: self.weight_dims().to_vec(),
@@ -153,7 +160,7 @@ impl Conv2dSpec {
                 op: "conv2d",
             });
         }
-        Ok((n, ci, h, wd))
+        Ok(dims)
     }
 }
 
@@ -419,9 +426,8 @@ pub fn conv2d_grad_weight_with(
     spec: Conv2dSpec,
     policy: KernelPolicy,
 ) -> Result<Tensor, TensorError> {
-    // Reuse forward validation for x; dy validated against derived extents.
-    let dummy_w = Tensor::zeros(&spec.weight_dims());
-    let (n, _ci, h, wd) = spec.validate(x, &dummy_w)?;
+    // Forward validation for x; dy validated against derived extents.
+    let (n, _ci, h, wd) = spec.validate_input(x)?;
     let oh = spec.out_extent(h)?;
     let ow = spec.out_extent(wd)?;
     if dy.dims() != [n, spec.out_channels, oh, ow] {
@@ -645,6 +651,26 @@ mod tests {
         assert!(conv2d(&x, &wbad, spec).is_err());
         let bad = Conv2dSpec { stride: 0, ..spec };
         assert!(conv2d(&x, &w, bad).is_err());
+
+        // Grad-weight checks x exactly as forward does, then dy.
+        let dy = Tensor::zeros(&[1, 2, 4, 4]);
+        assert!(conv2d_grad_weight(&x, &dy, spec).is_ok());
+        assert!(conv2d_grad_weight(&x, &dy, bad).is_err());
+        let xbad = Tensor::zeros(&[1, 3, 4, 4]); // wrong channels
+        assert!(matches!(
+            conv2d_grad_weight(&xbad, &dy, spec),
+            Err(TensorError::ShapeMismatch { op: "conv2d", .. })
+        ));
+        assert!(conv2d_grad_weight(&Tensor::zeros(&[2, 4, 4]), &dy, spec).is_err()); // rank
+        for dims in [[1, 3, 4, 4], [2, 2, 4, 4], [1, 2, 3, 4]] {
+            assert!(matches!(
+                conv2d_grad_weight(&x, &Tensor::zeros(&dims), spec),
+                Err(TensorError::ShapeMismatch {
+                    op: "conv2d_grad_weight",
+                    ..
+                })
+            ));
+        }
     }
 
     #[test]

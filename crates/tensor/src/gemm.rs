@@ -22,7 +22,7 @@
 //! The microkernel keeps an `MR x NR` accumulator as a fixed-size array,
 //! which LLVM autovectorizes and keeps in vector registers — no
 //! intrinsics; the instruction set it may use is chosen at runtime by
-//! the [`SimdTier`] dispatch (`simd` module), not at compile time.
+//! the [`crate::SimdTier`] dispatch (`simd` module), not at compile time.
 //! Per-element accumulation order over `k` is identical to the naive
 //! loops (panels ascend, lanes are independent), so the two policies
 //! agree to rounding contraction, not just to "some tolerance".
@@ -41,7 +41,7 @@
 
 use std::cell::RefCell;
 
-use crate::simd::{simd_tier, SimdTier};
+use crate::simd::{run_tiered, simd_tier, TierBody};
 
 /// Rows of C carried per microkernel tile.
 const MR: usize = 8;
@@ -288,7 +288,7 @@ pub(crate) fn gemm_serial(
         return;
     }
 
-    // Resolved once per kernel invocation; `macro_kernel` dispatches to
+    // Resolved once per kernel invocation; `run_tiered` dispatches to
     // the code compiled for this tier.
     let tier = simd_tier();
     let mc = MC.min(m.next_multiple_of(MR));
@@ -314,7 +314,8 @@ pub(crate) fn gemm_serial(
                 while ic < m {
                     let mb = mc.min(m - ic);
                     pack_a(pa, a, rsa, csa, ic, mb, pc, kb);
-                    macro_kernel(tier, pa, pb, mb, nb, kb, &mut c[ic * n..], n, jc, add);
+                    let c = &mut c[ic * n..];
+                    run_tiered(tier, MacroKernel(pa, pb, mb, nb, kb, c, n, jc, add));
                     ic += mb;
                 }
                 pc += kb;
@@ -395,125 +396,42 @@ fn pack_b(
     }
 }
 
-/// Dispatches the macro-kernel to the code compiled for `tier`. All
-/// three targets run [`macro_kernel_body`]; only the instruction set
-/// LLVM may use differs, and the `mul_add` chains make the results
-/// bitwise identical across tiers (see the `simd` module docs).
-#[allow(clippy::too_many_arguments)]
-#[allow(unsafe_code)]
-fn macro_kernel(
-    tier: SimdTier,
-    pa: &[f32],
-    pb: &[f32],
-    mb: usize,
-    nb: usize,
-    kb: usize,
-    c: &mut [f32],
-    ldc: usize,
-    jc: usize,
-    add: bool,
-) {
-    match tier {
-        SimdTier::Scalar => macro_kernel_body(pa, pb, mb, nb, kb, c, ldc, jc, add),
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        // SAFETY: `simd_tier()` only ever yields a tier that passed
-        // `SimdTier::is_supported` on this CPU (the probe, the validated
-        // setter, or the panicking env parse), so the required features
-        // are present at runtime.
-        SimdTier::Fma => unsafe { macro_kernel_fma(pa, pb, mb, nb, kb, c, ldc, jc, add) },
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        // SAFETY: as above — Avx512 is unreachable on CPUs lacking it.
-        SimdTier::Avx512 => unsafe { macro_kernel_avx512(pa, pb, mb, nb, kb, c, ldc, jc, add) },
-        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        _ => unreachable!("non-scalar tiers are never supported off x86"),
-    }
-}
+/// `(pa, pb, mb, nb, kb, c, ldc, jc, add)`: one macro-kernel pass over a
+/// pair of packed panels — GEMM's [`TierBody`]. Every tier runs this one
+/// source; only the instruction set LLVM may use differs, and the `mul_add`
+/// chains keep the results bitwise identical (see the `simd` module docs).
+#[rustfmt::skip]
+struct MacroKernel<'a>(&'a [f32], &'a [f32], usize, usize, usize, &'a mut [f32], usize, usize, bool);
 
-/// [`macro_kernel_body`] compiled with AVX2 + FMA enabled.
-///
-/// # Safety
-///
-/// The caller must ensure the CPU supports `avx2` and `fma`.
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-#[allow(unsafe_code)]
-unsafe fn macro_kernel_fma(
-    pa: &[f32],
-    pb: &[f32],
-    mb: usize,
-    nb: usize,
-    kb: usize,
-    c: &mut [f32],
-    ldc: usize,
-    jc: usize,
-    add: bool,
-) {
-    macro_kernel_body(pa, pb, mb, nb, kb, c, ldc, jc, add);
-}
-
-/// [`macro_kernel_body`] compiled with AVX-512 (F/VL/DQ/BW) enabled.
-///
-/// # Safety
-///
-/// The caller must ensure the CPU supports the enabled AVX-512 subsets.
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "avx512f,avx512vl,avx512dq,avx512bw,avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-#[allow(unsafe_code)]
-unsafe fn macro_kernel_avx512(
-    pa: &[f32],
-    pb: &[f32],
-    mb: usize,
-    nb: usize,
-    kb: usize,
-    c: &mut [f32],
-    ldc: usize,
-    jc: usize,
-    add: bool,
-) {
-    macro_kernel_body(pa, pb, mb, nb, kb, c, ldc, jc, add);
-}
-
-/// Runs the microkernel over every `MR x NR` tile of the packed panels.
-/// `inline(always)` so each `#[target_feature]` wrapper gets its own
-/// fully-inlined copy compiled under that wrapper's instruction set.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn macro_kernel_body(
-    pa: &[f32],
-    pb: &[f32],
-    mb: usize,
-    nb: usize,
-    kb: usize,
-    c: &mut [f32],
-    ldc: usize,
-    jc: usize,
-    add: bool,
-) {
-    let mut ir = 0;
-    while ir < mb {
-        let rows = MR.min(mb - ir);
-        let apanel = &pa[(ir / MR) * MR * kb..][..MR * kb];
-        let mut jr = 0;
-        while jr < nb {
-            let cols = NR.min(nb - jr);
-            let bpanel = &pb[(jr / NR) * NR * kb..][..NR * kb];
-            let acc = microkernel(apanel, bpanel);
-            // Spill the register tile into C's valid region.
-            for r in 0..rows {
-                let crow = &mut c[(ir + r) * ldc + jc + jr..][..cols];
-                if add {
-                    for (dst, &v) in crow.iter_mut().zip(acc[r].iter()) {
-                        *dst += v;
+impl TierBody for MacroKernel<'_> {
+    /// Runs the microkernel over every `MR x NR` tile of the packed panels.
+    #[inline(always)]
+    fn run(self) {
+        let MacroKernel(pa, pb, mb, nb, kb, c, ldc, jc, add) = self;
+        let mut ir = 0;
+        while ir < mb {
+            let rows = MR.min(mb - ir);
+            let apanel = &pa[(ir / MR) * MR * kb..][..MR * kb];
+            let mut jr = 0;
+            while jr < nb {
+                let cols = NR.min(nb - jr);
+                let bpanel = &pb[(jr / NR) * NR * kb..][..NR * kb];
+                let acc = microkernel(apanel, bpanel);
+                // Spill the register tile into C's valid region.
+                for r in 0..rows {
+                    let crow = &mut c[(ir + r) * ldc + jc + jr..][..cols];
+                    if add {
+                        for (dst, &v) in crow.iter_mut().zip(acc[r].iter()) {
+                            *dst += v;
+                        }
+                    } else {
+                        crow.copy_from_slice(&acc[r][..cols]);
                     }
-                } else {
-                    crow.copy_from_slice(&acc[r][..cols]);
                 }
+                jr += cols;
             }
-            jr += cols;
+            ir += rows;
         }
-        ir += rows;
     }
 }
 

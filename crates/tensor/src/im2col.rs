@@ -19,9 +19,13 @@
 //! order `(icg, ky, kx)`, so both policies sum contributions in the same
 //! sequence.
 //!
-//! Pointwise convolutions (`k == 1`, stride 1, no padding) skip the
-//! lowering entirely: the group's input block *is* the column matrix, so
-//! the GEMM reads `x` (and writes `dx`) in place.
+//! What is lowered is chosen from the [`Conv2dSpec`] alone:
+//!
+//! | geometry | lowered to |
+//! |---|---|
+//! | dense, grouped | `col`, then GEMM |
+//! | pointwise (`k == 1`, stride 1, no padding) | GEMM on `x` / `dx` in place: the group's input block *is* the column matrix |
+//! | depthwise (`cig == 1`, `cog == 1`) | nothing — the `stencil` module, called from the same unit bodies: at `M = 1, K = k*k` the GEMM packs as many floats as it multiplies |
 //!
 //! The column matrix lives in thread-local scratch ([`with_col_buffer`]):
 //! steady-state training re-lowers into the same allocation every step.
@@ -33,6 +37,8 @@ use std::cell::RefCell;
 use crate::conv::Conv2dSpec;
 use crate::gemm::gemm_strided;
 use crate::parallel::{self, ComputePool};
+use crate::simd::{run_tiered, simd_tier};
+use crate::stencil::{Depthwise, Plane, Stencil};
 
 thread_local! {
     /// Column-matrix scratch, reused across calls on this thread.
@@ -75,6 +81,16 @@ impl ConvGeom {
 
     fn cog(&self, spec: &Conv2dSpec) -> usize {
         spec.out_channels / spec.groups
+    }
+
+    /// The plane geometry of the direct stencil, when every group is one
+    /// plane in, one plane out (depthwise).
+    fn depthwise(&self, spec: &Conv2dSpec) -> Option<Plane> {
+        let (k, s, pad, adjoint) = (spec.kernel, spec.stride, spec.padding, false);
+        let (h, w, oh, ow) = (self.h, self.w, self.oh, self.ow);
+        #[rustfmt::skip]
+        let plane = Plane { h, w, oh, ow, k, s, pad, adjoint };
+        (self.cig(spec) == 1 && self.cog(spec) == 1).then_some(plane)
     }
 
     /// Whether the lowering is the identity (the input block is `col`).
@@ -171,7 +187,9 @@ fn conv2d_unit(x: &[f32], w: &[f32], og: &mut [f32], spec: &Conv2dSpec, g: &Conv
     let (hw, ohow) = (g.h * g.w, g.oh * g.ow);
     let xg = &x[(b * spec.in_channels + gi * cig) * hw..][..cig * hw];
     let wg = &w[gi * cog * ckk..][..cog * ckk];
-    if g.pointwise(spec) {
+    if let Some(p) = g.depthwise(spec) {
+        run_tiered(simd_tier(), Depthwise(Stencil::Correlate(xg, wg, og), p));
+    } else if g.pointwise(spec) {
         gemm_strided(cog, ohow, ckk, wg, ckk, 1, xg, hw, 1, og, false);
     } else {
         with_col_buffer(ckk * ohow, |col| {
@@ -248,7 +266,13 @@ fn grad_input_unit(
     let ohow = g.oh * g.ow;
     let dyg = &dy[(b * spec.out_channels + gi * cog) * ohow..][..cog * ohow];
     let wg = &w[gi * cog * ckk..][..cog * ckk];
-    if g.pointwise(spec) {
+    if let Some(p) = g.depthwise(spec) {
+        let adj = Plane { adjoint: true, ..p };
+        run_tiered(
+            simd_tier(),
+            Depthwise(Stencil::Correlate(dyg, wg, dxg), adj),
+        );
+    } else if g.pointwise(spec) {
         // dxg[ckk, hw] = W_gᵀ @ dy_g  (ckk == cig, hw == ohow here).
         gemm_strided(ckk, ohow, cog, wg, 1, ckk, dyg, ohow, 1, dxg, false);
     } else {
@@ -301,6 +325,10 @@ fn grad_weight_group(
     let (cig, cog) = (g.cig(spec), g.cog(spec));
     let ckk = cig * spec.kernel * spec.kernel;
     let (hw, ohow) = (g.h * g.w, g.oh * g.ow);
+    if let Some(p) = g.depthwise(spec) {
+        let op = Stencil::GradWeight(&x[gi * hw..], &dy[gi * ohow..], dwg, g.n, spec.groups);
+        return run_tiered(simd_tier(), Depthwise(op, p));
+    }
     if g.pointwise(spec) {
         for b in 0..g.n {
             let xg = &x[(b * spec.in_channels + gi * cig) * hw..][..cig * hw];

@@ -42,6 +42,7 @@ mod rng;
 mod shape;
 mod shared;
 mod simd;
+mod stencil;
 mod tensor;
 
 pub use conv::{

@@ -1,27 +1,32 @@
-//! Runtime SIMD dispatch for the blocked-GEMM microkernel.
+//! Runtime SIMD dispatch for the tier-compiled kernel bodies.
 //!
 //! The compute plane used to be compiled `-C target-cpu=native`, which
 //! made the binary fast on exactly one microarchitecture and illegal
-//! (SIGILL) everywhere newer instructions were missing. Instead, the
-//! GEMM macro-kernel now exists in three [`SimdTier`]s — one compiled
-//! body per instruction-set level, selected **once at startup** by
-//! probing the CPU:
+//! (SIGILL) everywhere newer instructions were missing. Instead, each
+//! [`TierBody`] — the GEMM macro-kernel (`gemm::MacroKernel`) and the
+//! depthwise stencil (`stencil::Depthwise`) — exists in three
+//! [`SimdTier`]s, one compiled body per instruction-set level, selected
+//! **once at startup** by probing the CPU ([`run_tiered`] is the only
+//! caller of the `#[target_feature]` wrappers):
 //!
-//! | tier | `#[target_feature]` | microkernel shape |
+//! | tier | `#[target_feature]` | GEMM microkernel shape |
 //! |------|---------------------|-------------------|
 //! | [`SimdTier::Avx512`] | `avx512f,avx512vl,avx512dq,avx512bw,avx2,fma` | 8×32 tile in zmm registers |
 //! | [`SimdTier::Fma`] | `avx2,fma` | same tile in ymm registers |
 //! | [`SimdTier::Scalar`] | none (baseline x86-64 / any arch) | autovectorized to SSE2 or scalar, `fmaf` via libm |
 //!
-//! Every tier runs the **same Rust source** (`gemm::macro_kernel_body`);
-//! only the enabled instruction set differs. Because the kernel's inner
-//! update is `f32::mul_add` — a *fused* multiply-add with a single
-//! rounding on every tier, hardware FMA or software `fmaf` alike — and
-//! each output element's fma chain over `k` is identical regardless of
-//! vector width, **all tiers produce bitwise-identical results**. The
-//! scalar tier is therefore slow (a libm call per multiply-add on
-//! pre-FMA hardware) but everywhere-correct; the tier tests assert the
-//! bitwise claim directly.
+//! Every tier runs the **same Rust source**; only the enabled
+//! instruction set differs. Because the kernels' inner update is
+//! `f32::mul_add` — a *fused* multiply-add with a single rounding on
+//! every tier, hardware FMA or software `fmaf` alike — and each output
+//! element's fma chain is identical regardless of vector width, **all
+//! tiers produce bitwise-identical results**. The one reduction that is
+//! not a single chain, the stencil's grad-weight, keeps 16 partial sums
+//! per tap: the source, not the register width, says which lane an
+//! element joins and in which order the 16 are folded, so it too is
+//! the same arithmetic on every tier. The scalar tier is therefore slow
+//! (a libm call per multiply-add on pre-FMA hardware) but
+//! everywhere-correct; the tier tests assert the bitwise claim directly.
 //!
 //! Selection, in precedence order (mirroring `PIPEBD_KERNEL_POLICY`):
 //!
@@ -37,7 +42,7 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-/// An instruction-set level the GEMM macro-kernel is compiled for.
+/// An instruction-set level the kernel bodies are compiled for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SimdTier {
     /// Baseline code generation; runs on every CPU the binary targets.
@@ -193,6 +198,58 @@ pub fn set_simd_tier(tier: SimdTier) -> Result<(), String> {
     }
     TIER.store(tier.as_u8(), Ordering::Relaxed);
     Ok(())
+}
+
+/// A kernel body compiled once per [`SimdTier`]. Implement `run` as
+/// `#[inline(always)]`: each `#[target_feature]` wrapper below then holds
+/// its own copy, generated under that wrapper's instruction set.
+pub(crate) trait TierBody {
+    /// Runs the kernel.
+    fn run(self);
+}
+
+/// Runs `body` in the code compiled for `tier` — the one dispatch point
+/// every tier-compiled kernel goes through.
+#[allow(unsafe_code)]
+pub(crate) fn run_tiered(tier: SimdTier, body: impl TierBody) {
+    match tier {
+        SimdTier::Scalar => body.run(),
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        // SAFETY: `simd_tier()` only ever yields a tier that passed
+        // `SimdTier::is_supported` on this CPU (the probe, the validated
+        // setter, or the panicking env parse), so the required features
+        // are present at runtime.
+        SimdTier::Fma => unsafe { run_fma(body) },
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        // SAFETY: as above — Avx512 is unreachable on CPUs lacking it.
+        SimdTier::Avx512 => unsafe { run_avx512(body) },
+        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+        _ => unreachable!("non-scalar tiers are never supported off x86"),
+    }
+}
+
+/// `body` compiled with AVX2 + FMA enabled.
+///
+/// # Safety
+///
+/// The caller must ensure the CPU supports `avx2` and `fma`.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2,fma")]
+#[allow(unsafe_code)]
+unsafe fn run_fma(body: impl TierBody) {
+    body.run();
+}
+
+/// `body` compiled with AVX-512 (F/VL/DQ/BW) enabled.
+///
+/// # Safety
+///
+/// The caller must ensure the CPU supports the enabled AVX-512 subsets.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx512f,avx512vl,avx512dq,avx512bw,avx2,fma")]
+#[allow(unsafe_code)]
+unsafe fn run_avx512(body: impl TierBody) {
+    body.run();
 }
 
 #[cfg(test)]

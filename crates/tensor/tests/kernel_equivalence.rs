@@ -119,6 +119,28 @@ proptest! {
     }
 
     #[test]
+    fn wide_depthwise_stencil_matches_naive(
+        channels in 1usize..4,
+        ksel in 0usize..3,
+        stride in 1usize..4,
+        psel in 0usize..6,
+        n in 1usize..4,
+        h in 3usize..41,
+        wsel in 1usize..38,
+        seed in any::<u64>(),
+    ) {
+        // Planes wide enough to fill whole vector chunks with ragged
+        // tails, padding past `k / 2` (up to `k`: every row has absent
+        // taps) and planes narrower than the kernel — every branch of the
+        // direct stencil, all three kernels. `w` is `3..41` and never `h`.
+        let k = [1, 3, 5][ksel];
+        let padding = psel % (k + 1);
+        let w = 3 + (h - 3 + wsel) % 38;
+        prop_assume!(h + 2 * padding >= k && w + 2 * padding >= k);
+        check_all(Conv2dSpec::depthwise(channels, k, stride, padding), n, h, w, seed);
+    }
+
+    #[test]
     fn matmul_family_blocked_matches_naive(
         m in 1usize..41,
         k in 1usize..41,

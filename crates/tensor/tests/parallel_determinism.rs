@@ -154,6 +154,30 @@ proptest! {
     }
 }
 
+#[test]
+fn wide_depthwise_is_bitwise_serial_at_every_pool_width() {
+    // The direct stencil inherits the blocked path's output partitioning:
+    // planes wide enough for whole vector steps with ragged tails (33 and
+    // 20 are no multiples of a step), 18 (batch, channel) units and 6
+    // per-channel `dw` blocks split 1, 2 and 4 ways.
+    let mut rng = Rng64::seed_from_u64(14);
+    for (k, stride) in [(3, 1), (5, 1), (3, 2)] {
+        let spec = Conv2dSpec::depthwise(6, k, stride, k / 2);
+        let x = Tensor::randn(&[3, 6, 33, 20], &mut rng);
+        let wt = Tensor::randn(&spec.weight_dims(), &mut rng);
+        let y = assert_pool_invariant_ret("wide depthwise forward", || {
+            conv2d_with(&x, &wt, spec, KernelPolicy::Blocked).unwrap()
+        });
+        let dy = Tensor::randn(y.dims(), &mut rng);
+        assert_pool_invariant("wide depthwise grad input", || {
+            conv2d_grad_input_with(&dy, &wt, spec, (33, 20), KernelPolicy::Blocked).unwrap()
+        });
+        assert_pool_invariant("wide depthwise grad weight", || {
+            conv2d_grad_weight_with(&x, &dy, spec, KernelPolicy::Blocked).unwrap()
+        });
+    }
+}
+
 /// [`assert_pool_invariant`], returning the serial result for reuse.
 fn assert_pool_invariant_ret(what: &str, f: impl Fn() -> Tensor) -> Tensor {
     let serial = install(&ComputePool::new(1), &f);
@@ -215,8 +239,18 @@ fn concurrent_callers_sharing_one_pool_match_their_serial_twins() {
                 let dy = Tensor::randn(&[n, spec.out_channels, 8, 8], &mut rng);
                 let a = Tensor::randn(&[40, 24], &mut rng);
                 let b = Tensor::randn(&[24, 72], &mut rng);
+                // The depthwise stencil's units are stolen the same way;
+                // it holds no scratch a re-entrant call could find taken.
+                let dw = Conv2dSpec::depthwise(6, 3, 1, 1);
+                let dwx = Tensor::randn(&[3, 6, 33, 20], &mut rng);
+                let dww = Tensor::randn(&dw.weight_dims(), &mut rng);
+                let dwdy = Tensor::randn(&[3, 6, 33, 20], &mut rng);
                 let kernels = || {
                     [
+                        conv2d_with(&dwx, &dww, dw, KernelPolicy::Blocked).unwrap(),
+                        conv2d_grad_input_with(&dwdy, &dww, dw, (33, 20), KernelPolicy::Blocked)
+                            .unwrap(),
+                        conv2d_grad_weight_with(&dwx, &dwdy, dw, KernelPolicy::Blocked).unwrap(),
                         conv2d_with(&x, &wt, spec, KernelPolicy::Blocked).unwrap(),
                         conv2d_grad_input_with(&dy, &wt, spec, (8, 8), KernelPolicy::Blocked)
                             .unwrap(),

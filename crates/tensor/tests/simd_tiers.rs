@@ -1,19 +1,22 @@
 //! The runtime-dispatch battery: every supported SIMD tier must compute
 //! the same numbers, and misconfiguration must fail loudly.
 //!
-//! The blocked GEMM macrokernel is compiled three times (scalar, FMA,
-//! AVX-512) and selected per call from one probed-at-startup tier (or a
-//! `PIPEBD_SIMD` override). Every tier accumulates through single-
-//! rounding `f32::mul_add`, so supported tiers are **bitwise** equal to
-//! each other — asserted here, not just "close" — and match the naive
-//! oracle within FMA-contraction tolerance.
+//! The blocked GEMM macrokernel and the depthwise stencil are each
+//! compiled three times (scalar, FMA, AVX-512) and selected per call from
+//! one probed-at-startup tier (or a `PIPEBD_SIMD` override). Every tier
+//! accumulates through single-rounding `f32::mul_add`, so supported tiers
+//! are **bitwise** equal to each other — asserted here, not just "close"
+//! — and match the naive oracle within FMA-contraction tolerance.
 //!
 //! Tier forcing mutates process-global dispatch state, so everything
 //! that switches tiers lives in ONE `#[test]` (tests in a binary run
 //! concurrently); the pure resolution checks are separate.
 
+use pipebd_tensor::{
+    conv2d_grad_input_with, conv2d_grad_weight_with, conv2d_with, Conv2dSpec, KernelPolicy, Rng64,
+    SimdTier, Tensor,
+};
 use pipebd_tensor::{resolve_simd_override, set_simd_tier, simd_tier};
-use pipebd_tensor::{KernelPolicy, Rng64, SimdTier, Tensor};
 
 #[test]
 fn every_supported_tier_matches_the_oracle_and_each_other() {
@@ -61,6 +64,48 @@ fn every_supported_tier_matches_the_oracle_and_each_other() {
                 0.0,
                 "{tier} differs from {base_tier} at {m}x{k}x{n}"
             );
+        }
+    }
+
+    // The depthwise stencil is the second tier-compiled body. Planes wide
+    // enough for whole vector steps with ragged tails, a strided one for
+    // the generic loops: forward, grad-input and grad-weight are bitwise
+    // equal on every tier (each element is one mul_add chain; grad-weight's
+    // 16 partial sums and their fold tree are fixed by the source).
+    for (k, stride, padding) in [(3, 1, 1), (5, 1, 2), (3, 2, 1)] {
+        let spec = Conv2dSpec::depthwise(6, k, stride, padding);
+        let x = Tensor::randn(&[3, 6, 33, 20], &mut rng);
+        let wt = Tensor::randn(&spec.weight_dims(), &mut rng);
+        let (oh, ow) = (spec.out_extent(33).unwrap(), spec.out_extent(20).unwrap());
+        let dy = Tensor::randn(&[3, 6, oh, ow], &mut rng);
+        let kernels = |policy| {
+            let y = conv2d_with(&x, &wt, spec, policy).unwrap();
+            let dx = conv2d_grad_input_with(&dy, &wt, spec, (33, 20), policy).unwrap();
+            let dw = conv2d_grad_weight_with(&x, &dy, spec, policy).unwrap();
+            [y, dx, dw]
+        };
+        let oracle = kernels(KernelPolicy::Naive);
+        let mut base: Option<(SimdTier, [Tensor; 3])> = None;
+        for &tier in &supported {
+            set_simd_tier(tier).unwrap();
+            let out = kernels(KernelPolicy::Blocked);
+            for (i, (o, n)) in out.iter().zip(&oracle).enumerate() {
+                let scale = 1.0 + n.data().iter().fold(0.0f32, |s, v| s.max(v.abs()));
+                let diff = n.max_abs_diff(o).unwrap();
+                assert!(diff <= 1e-4 * scale, "{tier} depthwise kernel {i}: {diff}");
+            }
+            match &base {
+                None => base = Some((tier, out)),
+                Some((base_tier, want)) => {
+                    for (i, (o, b)) in out.iter().zip(want).enumerate() {
+                        assert_eq!(
+                            o.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                            b.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                            "{tier} differs from {base_tier}: depthwise k{k} s{stride} kernel {i}"
+                        );
+                    }
+                }
+            }
         }
     }
 
