@@ -1,12 +1,10 @@
-//! The artifact plane: durable, machine-readable run and bench records.
+//! The artifact plane: durable, machine-readable run records.
 //!
-//! Every figure bin, bench, and schedule search in this workspace used to
-//! print human text and exit; the numbers lived on only as prose in
-//! `EXPERIMENTS.md`. This crate gives them a persistent form: an
-//! [`ArtifactStore`] writes schema-tagged, versioned JSON envelopes under
-//! `target/artifacts/` and reads them back with drift checks, so measured
-//! profiles can feed the scheduler (PipeDream-style measured-profile
-//! workflows) and bench baselines can be tracked in-repo.
+//! Every figure bin, conformance sweep, and schedule search in this
+//! workspace gets a persistent form here: an [`ArtifactStore`] writes
+//! schema-tagged, versioned JSON envelopes under `target/artifacts/` and
+//! reads them back with drift checks, so measured profiles can feed the
+//! scheduler (PipeDream-style measured-profile workflows).
 //!
 //! # Envelope format
 //!
@@ -36,13 +34,9 @@ mod store;
 mod trace;
 
 pub use ckpt::CheckpointStore;
-pub use payload::{
-    machine_fingerprint, pooled_fingerprint, BenchDelta, BenchKernels, BenchRecord, BenchSuite,
-    BenchTolerance, BlockCost, CostProfile, KernelComparison, RunSet, ScalingCurve, ScalingDelta,
-    ScalingPoint, SpeedupDelta,
-};
+pub use payload::{BlockCost, CostProfile, RunSet};
 pub use store::{ArtifactError, ArtifactMeta, ArtifactStore};
-pub use trace::{GateCheck, GateReport, TraceArtifact};
+pub use trace::TraceArtifact;
 
 use pipebd_core::RunReport;
 use pipebd_sched::StagePlan;

@@ -1,5 +1,5 @@
 //! Artifact payload types beyond the core report/plan structs: figure run
-//! sets, profiled cost tables, and bench baselines.
+//! sets and profiled cost tables.
 
 use pipebd_core::RunReport;
 use pipebd_models::BlockModel;
@@ -123,523 +123,5 @@ impl CostProfile {
             .map(|b| SimTime::from_ns(b.update_ns))
             .collect();
         ProfileTable::from_parts(self.batch_sizes.clone(), teacher, student, update)
-    }
-}
-
-/// One naive-vs-blocked kernel comparison from the `kernel_smoke` gate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct KernelComparison {
-    /// Kernel case name (e.g. `"conv2d_8x16x16"`).
-    pub kernel: String,
-    /// Best-of-N mean time of the naive oracle, nanoseconds.
-    pub naive_ns: u64,
-    /// Best-of-N mean time of the blocked path, nanoseconds.
-    pub blocked_ns: u64,
-    /// `naive_ns / blocked_ns`.
-    pub speedup: f64,
-}
-
-/// One measured point of a thread-scaling curve: the blocked path timed
-/// under an installed compute pool of `pool` lanes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ScalingPoint {
-    /// Installed pool width (1 pins the serial path).
-    pub pool: usize,
-    /// Best-of-N mean time per call, nanoseconds.
-    pub mean_ns: u64,
-}
-
-/// The thread-scaling curve of one kernel: the same blocked call timed
-/// under pools of increasing width. On multi-core hosts the curve slopes
-/// down; on a 1-vCPU runner it is flat (the points record pool *overhead*,
-/// not speedup) — either shape is a baseline worth holding.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ScalingCurve {
-    /// Kernel case name (matches a [`KernelComparison::kernel`]).
-    pub kernel: String,
-    /// Measured points, ascending by pool width.
-    pub points: Vec<ScalingPoint>,
-}
-
-/// The kernel-smoke baseline (`BENCH_kernels.json`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchKernels {
-    /// Active process-global kernel policy when the gate ran.
-    pub kernel_policy: String,
-    /// Fingerprint of the run (see [`pooled_fingerprint`]); cross-machine
-    /// comparisons are informational only.
-    pub fingerprint: String,
-    /// All compared kernels.
-    pub cases: Vec<KernelComparison>,
-    /// Thread-scaling curves for the pool-parallel kernels.
-    pub scaling: Vec<ScalingCurve>,
-}
-
-impl ArtifactPayload for BenchKernels {
-    const SCHEMA: &'static str = "pipebd.bench_kernels";
-    // v2: added `fingerprint` (the regression gate's escape hatch).
-    // v3: added `scaling`; the fingerprint now carries the pool budget.
-    const VERSION: u32 = 3;
-}
-
-/// Drift of one kernel's blocked-vs-naive speedup against a baseline run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpeedupDelta {
-    /// Kernel case name.
-    pub kernel: String,
-    /// Baseline speedup (naive / blocked).
-    pub baseline: f64,
-    /// Current speedup.
-    pub current: f64,
-    /// Whether the current speedup collapsed below
-    /// `baseline × min_retained` (a compute-plane regression).
-    pub regressed: bool,
-}
-
-impl BenchKernels {
-    /// Compares kernel speedups against a baseline run: a kernel regresses
-    /// when its speedup drops below `baseline × min_retained` (speedups are
-    /// timing *ratios*, so they transfer across machines far better than
-    /// raw nanoseconds). Kernels absent from either side are skipped.
-    pub fn compare_speedups(
-        &self,
-        baseline: &BenchKernels,
-        min_retained: f64,
-    ) -> Vec<SpeedupDelta> {
-        self.cases
-            .iter()
-            .filter_map(|c| {
-                baseline
-                    .cases
-                    .iter()
-                    .find(|b| b.kernel == c.kernel)
-                    .map(|b| SpeedupDelta {
-                        kernel: c.kernel.clone(),
-                        baseline: b.speedup,
-                        current: c.speedup,
-                        regressed: c.speedup < b.speedup * min_retained,
-                    })
-            })
-            .collect()
-    }
-
-    /// Compares thread-scaling curves point-by-point against a baseline
-    /// run: one [`ScalingDelta`] per `(kernel, pool)` pair present in
-    /// both. Scaling points are raw nanoseconds at a specific pool width,
-    /// so callers should only treat regressions as fatal when the
-    /// (pool-aware) fingerprints match — a different host or pool budget
-    /// legitimately reshapes the whole curve.
-    pub fn compare_scaling(
-        &self,
-        baseline: &BenchKernels,
-        tol: &BenchTolerance,
-    ) -> Vec<ScalingDelta> {
-        let mut deltas = Vec::new();
-        for curve in &self.scaling {
-            let Some(base_curve) = baseline.scaling.iter().find(|b| b.kernel == curve.kernel)
-            else {
-                continue;
-            };
-            for p in &curve.points {
-                let Some(b) = base_curve.points.iter().find(|b| b.pool == p.pool) else {
-                    continue;
-                };
-                let id = format!("scaling/{}/p{}", curve.kernel, p.pool);
-                let ratio = if b.mean_ns == 0 {
-                    f64::INFINITY
-                } else {
-                    p.mean_ns as f64 / b.mean_ns as f64
-                };
-                deltas.push(ScalingDelta {
-                    regressed: tol.regresses(&id, b.mean_ns, p.mean_ns),
-                    max_ratio: tol.max_ratio(&id),
-                    kernel: curve.kernel.clone(),
-                    pool: p.pool,
-                    baseline_ns: b.mean_ns,
-                    current_ns: p.mean_ns,
-                    ratio,
-                });
-            }
-        }
-        deltas
-    }
-}
-
-/// One scaling point's drift against a baseline curve, with its verdict.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScalingDelta {
-    /// Kernel case name.
-    pub kernel: String,
-    /// Pool width of the compared point.
-    pub pool: usize,
-    /// Baseline mean, nanoseconds.
-    pub baseline_ns: u64,
-    /// Current mean, nanoseconds.
-    pub current_ns: u64,
-    /// `current_ns / baseline_ns`.
-    pub ratio: f64,
-    /// Ratio limit that applied to this point.
-    pub max_ratio: f64,
-    /// Whether the slowdown exceeds the limit.
-    pub regressed: bool,
-}
-
-/// One timed benchmark from a criterion-shim run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BenchRecord {
-    /// Benchmark id (e.g. `"exec/threaded_mini_4dev_6steps"`).
-    pub id: String,
-    /// Mean time per iteration, nanoseconds.
-    pub mean_ns: u64,
-    /// Timed iterations behind the mean.
-    pub iters: u64,
-}
-
-/// A persisted bench run (`BENCH_e2e.json` from the micro bench).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchSuite {
-    /// Suite name (the bench target).
-    pub suite: String,
-    /// Active process-global kernel policy during the run.
-    pub kernel_policy: String,
-    /// Machine fingerprint of the run (see [`machine_fingerprint`]). The
-    /// regression gate only *enforces* nanosecond tolerances when the
-    /// current fingerprint matches the baseline's; cross-machine
-    /// comparisons are reported but do not fail the gate.
-    pub fingerprint: String,
-    /// All measurements, in execution order.
-    pub records: Vec<BenchRecord>,
-}
-
-impl ArtifactPayload for BenchSuite {
-    const SCHEMA: &'static str = "pipebd.bench_suite";
-    // v2: added `fingerprint` (the regression gate's escape hatch).
-    // v3: the fingerprint carries the pool budget, and the micro bench
-    //     records pool-swept executor ids (`…_p{1,2,4}`).
-    const VERSION: u32 = 3;
-}
-
-/// Per-metric slowdown tolerance for [`BenchSuite::compare_with`].
-///
-/// A benchmark regresses when `current_ns > baseline_ns × max_ratio`. The
-/// default ratio covers single-threaded microbenches; noisier ids (the
-/// threaded executor, anything scheduling-bound) can carry looser
-/// overrides, matched by longest prefix.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchTolerance {
-    /// Ratio limit applied when no override matches.
-    pub default_max_ratio: f64,
-    /// `(id_prefix, max_ratio)` overrides; the longest matching prefix
-    /// wins.
-    pub overrides: Vec<(String, f64)>,
-    /// Absolute noise floor in nanoseconds: a slowdown only regresses when
-    /// it also exceeds `baseline + floor_ns`. Sub-100µs microbenches on a
-    /// contended core jitter by whole multiples of their mean; the floor
-    /// keeps them from flagging while leaving every bench large enough to
-    /// matter fully ratio-gated.
-    pub floor_ns: u64,
-}
-
-impl BenchTolerance {
-    /// The regression gate's default policy: 1.6× on microbenches, 2.2× on
-    /// the threaded-executor and relay-pipeline benches (thread scheduling
-    /// on shared runners is noisy), 100 µs absolute noise floor.
-    pub fn gate_default() -> Self {
-        BenchTolerance {
-            default_max_ratio: 1.6,
-            overrides: vec![("exec/".into(), 2.2), ("relay/pipeline".into(), 2.2)],
-            floor_ns: 100_000,
-        }
-    }
-
-    /// The regression gate's policy for thread-scaling curves: 2.0× per
-    /// point (a pool width whose time doubles lost its decomposition) with
-    /// a 30 µs floor — scaling points are best-of-N means of ~50–500 µs
-    /// kernels, steadier than end-to-end benches, so they can carry a
-    /// tighter floor than [`BenchTolerance::gate_default`].
-    pub fn scaling_default() -> Self {
-        BenchTolerance {
-            default_max_ratio: 2.0,
-            overrides: vec![],
-            floor_ns: 30_000,
-        }
-    }
-
-    /// The ratio limit for a benchmark id.
-    pub fn max_ratio(&self, id: &str) -> f64 {
-        self.overrides
-            .iter()
-            .filter(|(prefix, _)| id.starts_with(prefix.as_str()))
-            .max_by_key(|(prefix, _)| prefix.len())
-            .map_or(self.default_max_ratio, |(_, r)| *r)
-    }
-
-    /// Whether a `(baseline, current)` pair regresses under this policy:
-    /// the slowdown must exceed both the id's ratio limit and the absolute
-    /// noise floor.
-    pub fn regresses(&self, id: &str, baseline_ns: u64, current_ns: u64) -> bool {
-        let over_floor = current_ns > baseline_ns.saturating_add(self.floor_ns);
-        let over_ratio = if baseline_ns == 0 {
-            current_ns > 0
-        } else {
-            current_ns as f64 / baseline_ns as f64 > self.max_ratio(id)
-        };
-        over_floor && over_ratio
-    }
-}
-
-/// One benchmark's drift against a baseline, with its verdict.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchDelta {
-    /// Benchmark id.
-    pub id: String,
-    /// Baseline mean, nanoseconds.
-    pub baseline_ns: u64,
-    /// Current mean, nanoseconds.
-    pub current_ns: u64,
-    /// `current_ns / baseline_ns`.
-    pub ratio: f64,
-    /// Ratio limit that applied to this id.
-    pub max_ratio: f64,
-    /// Whether the slowdown exceeds the limit.
-    pub regressed: bool,
-}
-
-impl BenchSuite {
-    /// Summarizes drift against a baseline suite: `(id, baseline_ns,
-    /// current_ns)` for every id present in both.
-    pub fn compare(&self, baseline: &BenchSuite) -> Vec<(String, u64, u64)> {
-        self.records
-            .iter()
-            .filter_map(|r| {
-                baseline
-                    .records
-                    .iter()
-                    .find(|b| b.id == r.id)
-                    .map(|b| (r.id.clone(), b.mean_ns, r.mean_ns))
-            })
-            .collect()
-    }
-
-    /// Compares against a baseline under per-metric tolerances: one
-    /// [`BenchDelta`] per id present in both suites, with `regressed` set
-    /// when the slowdown ratio exceeds the id's limit. This is the
-    /// perf-regression gate's core primitive; callers decide whether a
-    /// regression is fatal (same machine fingerprint) or informational.
-    pub fn compare_with(&self, baseline: &BenchSuite, tol: &BenchTolerance) -> Vec<BenchDelta> {
-        self.compare(baseline)
-            .into_iter()
-            .map(|(id, baseline_ns, current_ns)| {
-                let ratio = if baseline_ns == 0 {
-                    f64::INFINITY
-                } else {
-                    current_ns as f64 / baseline_ns as f64
-                };
-                let max_ratio = tol.max_ratio(&id);
-                BenchDelta {
-                    regressed: tol.regresses(&id, baseline_ns, current_ns),
-                    id,
-                    baseline_ns,
-                    current_ns,
-                    ratio,
-                    max_ratio,
-                }
-            })
-            .collect()
-    }
-}
-
-/// A stable identifier for the machine a bench artifact was recorded on.
-///
-/// Resolution order: the `PIPEBD_BENCH_FINGERPRINT` environment variable
-/// (explicit override for fleets), else the first `model name` line of
-/// `/proc/cpuinfo` plus the logical core count, else the compile-time
-/// architecture. Deliberately date-free and boot-stable so two runs on the
-/// same host always agree.
-pub fn machine_fingerprint() -> String {
-    if let Ok(explicit) = std::env::var("PIPEBD_BENCH_FINGERPRINT") {
-        let trimmed = explicit.trim();
-        if !trimmed.is_empty() {
-            return trimmed.to_string();
-        }
-    }
-    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
-    if let Ok(cpuinfo) = std::fs::read_to_string("/proc/cpuinfo") {
-        for line in cpuinfo.lines() {
-            if let Some(rest) = line.strip_prefix("model name") {
-                if let Some((_, model)) = rest.split_once(':') {
-                    return format!("{} x{cores}", model.trim());
-                }
-            }
-        }
-    }
-    format!("{} x{cores}", std::env::consts::ARCH)
-}
-
-/// [`machine_fingerprint`] extended with the compute-pool budget the run
-/// was recorded under (`… pool<N>`). Thread-scaling baselines and pooled
-/// executor benches are only comparable when both the host *and* the pool
-/// budget match — a `PIPEBD_POOL` override changes the numbers without
-/// changing the machine — so v3 bench artifacts key on both.
-pub fn pooled_fingerprint(pool_budget: usize) -> String {
-    format!("{} pool{pool_budget}", machine_fingerprint())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn suite(ns: &[(&str, u64)], fingerprint: &str) -> BenchSuite {
-        BenchSuite {
-            suite: "micro".into(),
-            kernel_policy: "blocked".into(),
-            fingerprint: fingerprint.into(),
-            records: ns
-                .iter()
-                .map(|(id, mean_ns)| BenchRecord {
-                    id: (*id).to_string(),
-                    mean_ns: *mean_ns,
-                    iters: 10,
-                })
-                .collect(),
-        }
-    }
-
-    #[test]
-    fn tolerance_prefix_overrides_win_by_length() {
-        let tol = BenchTolerance {
-            default_max_ratio: 1.5,
-            overrides: vec![("exec/".into(), 2.0), ("exec/threaded".into(), 3.0)],
-            floor_ns: 0,
-        };
-        assert_eq!(tol.max_ratio("tensor/matmul_64"), 1.5);
-        assert_eq!(tol.max_ratio("exec/hybrid"), 2.0);
-        assert_eq!(tol.max_ratio("exec/threaded_mini"), 3.0);
-    }
-
-    #[test]
-    fn compare_with_flags_only_out_of_budget_slowdowns() {
-        let baseline = suite(&[("a", 100_000), ("b", 100_000), ("c", 100_000)], "m1");
-        let current = suite(&[("a", 120_000), ("b", 200_000), ("d", 50_000)], "m1");
-        let tol = BenchTolerance {
-            default_max_ratio: 1.5,
-            overrides: vec![],
-            floor_ns: 0,
-        };
-        let deltas = current.compare_with(&baseline, &tol);
-        // `c` is missing from current, `d` from baseline: both skipped.
-        assert_eq!(deltas.len(), 2);
-        assert!(!deltas[0].regressed, "1.2x is within the 1.5x budget");
-        assert!(deltas[1].regressed, "2.0x exceeds the 1.5x budget");
-        assert!((deltas[1].ratio - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn noise_floor_shields_tiny_benches_only() {
-        let tol = BenchTolerance {
-            default_max_ratio: 1.5,
-            overrides: vec![],
-            floor_ns: 100_000,
-        };
-        // 10 µs → 20 µs: 2x ratio but a 10 µs delta — noise, not a
-        // regression.
-        assert!(!tol.regresses("tiny", 10_000, 20_000));
-        // 1 ms → 2 ms: same ratio, far over the floor — regression.
-        assert!(tol.regresses("big", 1_000_000, 2_000_000));
-        // 1 ms → 1.2 ms: over the floor but within ratio — fine.
-        assert!(!tol.regresses("big", 1_000_000, 1_200_000));
-    }
-
-    #[test]
-    fn compare_speedups_flags_collapsed_wins() {
-        let case = |kernel: &str, speedup: f64| KernelComparison {
-            kernel: kernel.into(),
-            naive_ns: 1000,
-            blocked_ns: (1000.0 / speedup) as u64,
-            speedup,
-        };
-        let baseline = BenchKernels {
-            kernel_policy: "blocked".into(),
-            fingerprint: "m1".into(),
-            cases: vec![case("conv", 10.0), case("matmul", 4.0)],
-            scaling: vec![],
-        };
-        let current = BenchKernels {
-            kernel_policy: "blocked".into(),
-            fingerprint: "m1".into(),
-            cases: vec![case("conv", 8.0), case("matmul", 1.2)],
-            scaling: vec![],
-        };
-        let deltas = current.compare_speedups(&baseline, 0.5);
-        assert!(!deltas[0].regressed, "8x retains >50% of 10x");
-        assert!(deltas[1].regressed, "1.2x lost >50% of 4x");
-    }
-
-    fn kernels_with_curve(points: &[(usize, u64)]) -> BenchKernels {
-        BenchKernels {
-            kernel_policy: "blocked".into(),
-            fingerprint: "m1 pool4".into(),
-            cases: vec![],
-            scaling: vec![ScalingCurve {
-                kernel: "matmul_128".into(),
-                points: points
-                    .iter()
-                    .map(|&(pool, mean_ns)| ScalingPoint { pool, mean_ns })
-                    .collect(),
-            }],
-        }
-    }
-
-    #[test]
-    fn compare_scaling_flags_collapsed_points_only() {
-        let baseline = kernels_with_curve(&[(1, 200_000), (2, 120_000), (4, 80_000)]);
-        // Pool 4 collapsed back to the serial time (its decomposition is
-        // gone); pools 1–2 drift within budget.
-        let current = kernels_with_curve(&[(1, 210_000), (2, 150_000), (4, 200_000)]);
-        let deltas = current.compare_scaling(&baseline, &BenchTolerance::scaling_default());
-        assert_eq!(deltas.len(), 3);
-        assert!(!deltas[0].regressed, "1.05x at pool 1 is noise");
-        assert!(!deltas[1].regressed, "1.25x at pool 2 is within budget");
-        assert!(deltas[2].regressed, "2.5x at pool 4 lost the decomposition");
-        assert_eq!(deltas[2].pool, 4);
-    }
-
-    #[test]
-    fn compare_scaling_skips_unmatched_kernels_and_pools() {
-        let baseline = kernels_with_curve(&[(1, 200_000), (2, 120_000)]);
-        let mut current = kernels_with_curve(&[(1, 200_000), (8, 60_000)]);
-        current.scaling.push(ScalingCurve {
-            kernel: "only_current".into(),
-            points: vec![ScalingPoint {
-                pool: 1,
-                mean_ns: 1,
-            }],
-        });
-        let deltas = current.compare_scaling(&baseline, &BenchTolerance::scaling_default());
-        // Only (matmul_128, pool 1) overlaps.
-        assert_eq!(deltas.len(), 1);
-        assert_eq!(deltas[0].pool, 1);
-    }
-
-    #[test]
-    fn pooled_fingerprint_appends_the_budget() {
-        let pooled = pooled_fingerprint(4);
-        assert_eq!(pooled, format!("{} pool4", machine_fingerprint()));
-        // Different budgets on the same host must not compare as equal.
-        assert_ne!(pooled, pooled_fingerprint(1));
-    }
-
-    #[test]
-    fn fingerprint_is_stable_and_nonempty() {
-        let a = machine_fingerprint();
-        let b = machine_fingerprint();
-        assert_eq!(a, b);
-        assert!(!a.is_empty());
-    }
-
-    #[test]
-    fn gate_default_loosens_executor_benches() {
-        let tol = BenchTolerance::gate_default();
-        assert!(tol.max_ratio("exec/threaded_mini_4dev_6steps") > tol.max_ratio("tensor/matmul"));
     }
 }

@@ -1,4 +1,4 @@
-//! The on-disk store: save/load/list/compare of schema-tagged envelopes.
+//! The on-disk store: save/load/list of schema-tagged envelopes.
 
 use std::fmt;
 use std::fs;
@@ -285,27 +285,6 @@ impl ArtifactStore {
         }
         names.sort();
         Ok(names)
-    }
-
-    /// Compares a stored artifact's payload against `current`: `Ok(true)`
-    /// when the persisted JSON tree equals the tree `current` serializes
-    /// to (schema and version must match too). The comparison is at the
-    /// JSON level, so it is exactly the round-trip equality the tests pin.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ArtifactStore::load`]; a missing file is an error, not a
-    /// mismatch.
-    pub fn matches<T: ArtifactPayload>(
-        &self,
-        name: &str,
-        current: &T,
-    ) -> Result<bool, ArtifactError> {
-        let (meta, stored) = self.load_raw(name)?;
-        if meta.schema != T::SCHEMA || meta.version != u64::from(T::VERSION) {
-            return Ok(false);
-        }
-        Ok(stored == pipebd_json::to_value(current)?)
     }
 }
 

@@ -1,12 +1,8 @@
-//! Trace-plane artifacts: persisted executor observations and the
-//! regression gate's machine-readable verdict.
+//! Trace-plane artifacts: persisted executor observations.
 //!
 //! A [`TraceArtifact`] freezes what one instrumented run *measured* — the
 //! per-stage busy/bubble summary, the metrics registry snapshot, and
-//! (when the run was differentialed) the measured-vs-predicted verdict —
-//! so bubble-ratio trends can be compared across commits without re-running
-//! anything. A [`GateReport`] is the regression gate's sweep verdict in the
-//! same envelope format, for CI to archive and diff.
+//! (when the run was differentialed) the measured-vs-predicted verdict.
 
 use pipebd_trace::{MetricsSnapshot, TraceDifferential, TraceSummary};
 use serde::{Deserialize, Serialize};
@@ -34,38 +30,6 @@ pub struct TraceArtifact {
 
 impl ArtifactPayload for TraceArtifact {
     const SCHEMA: &'static str = "pipebd.trace";
-    const VERSION: u32 = 1;
-}
-
-/// One named check inside a [`GateReport`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GateCheck {
-    /// Check name (e.g. `"bench_e2e"`, `"recovery_honest"`).
-    pub name: String,
-    /// Whether the check passed.
-    pub pass: bool,
-    /// One-line human detail (counts, worst ratio, skip reason).
-    pub detail: String,
-}
-
-/// The regression gate's sweep verdict, persisted for CI archaeology.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GateReport {
-    /// Overall verdict (`false` when any fatal check failed).
-    pub pass: bool,
-    /// Machine fingerprint the gate ran on (nanosecond tolerances are
-    /// only *enforced* against a matching baseline).
-    pub fingerprint: String,
-    /// Every check the gate ran, in execution order.
-    pub checks: Vec<GateCheck>,
-    /// Whole-run bubble ratio of the gate's traced scenario, when the
-    /// trace hook ran — the trend the gate tracks non-fatally across
-    /// commits.
-    pub bubble_ratio: Option<f64>,
-}
-
-impl ArtifactPayload for GateReport {
-    const SCHEMA: &'static str = "pipebd.gate_report";
     const VERSION: u32 = 1;
 }
 
@@ -123,27 +87,6 @@ mod tests {
         assert_eq!(loaded, art);
         assert_eq!(meta.schema, "pipebd.trace");
         assert_eq!(meta.version, 1);
-        assert!(store.matches("TRACE_test", &art).unwrap());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn gate_report_round_trips_through_the_store() {
-        let dir = std::env::temp_dir().join(format!("pipebd_gate_art_{}", std::process::id()));
-        let store = ArtifactStore::at(&dir);
-        let report = GateReport {
-            pass: true,
-            fingerprint: "m1 pool1".into(),
-            checks: vec![GateCheck {
-                name: "bench_e2e".into(),
-                pass: true,
-                detail: "12 ids within budget".into(),
-            }],
-            bubble_ratio: Some(0.74),
-        };
-        store.save("GATE_test", &report).unwrap();
-        let loaded = store.load::<GateReport>("GATE_test").unwrap();
-        assert_eq!(loaded, report);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

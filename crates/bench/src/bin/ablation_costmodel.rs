@@ -1,12 +1,13 @@
 //! Ablation: how sensitive are the paper's conclusions to the simulator's
 //! calibration knobs?
 //!
-//! DESIGN.md calls out three modeling choices: the occupancy
-//! half-saturation point (`occ_half`), the loader decode cost, and the
-//! prefetch depth (fixed at 4). This harness sweeps the first two across
-//! an order of magnitude and reports the Pipe-BD-over-DP speedup for each
-//! setting — demonstrating that *who wins* is calibration-independent even
-//! though *by how much* moves.
+//! The simulator's cost model rests on three modeling choices: the
+//! occupancy half-saturation point (`GpuModel::occ_half`), the loader
+//! decode cost, and the prefetch depth (fixed at 4; ARCHITECTURE.md, "The
+//! fault plane", describes the loader pool). This harness sweeps the first
+//! two across an order of magnitude and reports the Pipe-BD-over-DP
+//! speedup for each setting — demonstrating that *who wins* is
+//! calibration-independent even though *by how much* moves.
 
 use pipebd_bench::{header, persist_run_set};
 use pipebd_core::{ExperimentBuilder, RunReport, Strategy};

@@ -16,10 +16,8 @@
 //!
 //! Run with: `cargo run --release -p pipebd_bench --bin artifact_smoke`
 
-use pipebd_artifact::ArtifactStore;
 use pipebd_artifact::{
-    ArtifactError, ArtifactMeta, ArtifactPayload, BenchKernels, BenchSuite, CostProfile,
-    GateReport, RunSet, TraceArtifact,
+    ArtifactError, ArtifactMeta, ArtifactPayload, ArtifactStore, CostProfile, RunSet, TraceArtifact,
 };
 use pipebd_core::RunReport;
 use pipebd_json::Value;
@@ -73,18 +71,6 @@ fn revalidate(meta: &ArtifactMeta, payload: &Value) -> Result<String, ArtifactEr
                 profile.workload
             ))
         }
-        BenchKernels::SCHEMA => {
-            let kernels: BenchKernels = typed(meta, payload)?;
-            Ok(format!("{} kernel comparisons", kernels.cases.len()))
-        }
-        BenchSuite::SCHEMA => {
-            let suite: BenchSuite = typed(meta, payload)?;
-            Ok(format!(
-                "{} measurements ({})",
-                suite.records.len(),
-                suite.suite
-            ))
-        }
         ScenarioSet::SCHEMA => {
             let set: ScenarioSet = typed(meta, payload)?;
             // Persisted scenarios must still be runnable (plans lay out).
@@ -107,10 +93,6 @@ fn revalidate(meta: &ArtifactMeta, payload: &Value) -> Result<String, ArtifactEr
                 "{} ({}): {} spans, bubble {:.3}",
                 trace.scenario, trace.mode, trace.summary.spans, trace.summary.bubble_ratio
             ))
-        }
-        GateReport::SCHEMA => {
-            let gate: GateReport = typed(meta, payload)?;
-            Ok(format!("{} checks, pass={}", gate.checks.len(), gate.pass))
         }
         other => Err(ArtifactError::Malformed(format!(
             "unknown schema `{other}` — register the payload type in artifact_smoke"

@@ -1,9 +1,10 @@
 //! Shared helpers for the experiment harness binaries.
 //!
 //! Each binary in `src/bin` regenerates one table or figure of the Pipe-BD
-//! paper (see `DESIGN.md` §5 for the experiment index and `EXPERIMENTS.md`
-//! for paper-vs-measured results). This library holds the formatting and
-//! sweep plumbing they share.
+//! paper, or gates one plane described in `ARCHITECTURE.md` (conformance,
+//! artifact, trace); timing numbers come from `benchmark/` alone (see
+//! `EXPERIMENTS.md`). This library holds the formatting and sweep plumbing
+//! they share.
 
 #![warn(missing_docs)]
 

@@ -13,7 +13,8 @@
 
 use pipebd_artifact::ArtifactStore;
 use pipebd_testkit::{
-    enumerate, run_scenario, ConformanceReport, Scenario, ScenarioSet, ToleranceBook,
+    enumerate, run_scenario, ConformanceReport, FaultClass, RatioBudget, Scenario, ScenarioSet,
+    SimWorkload, ToleranceBook,
 };
 
 /// Scenarios whose declared kernel policy matches the ambient one.
@@ -44,26 +45,49 @@ fn sampled_matrix_conforms_under_ambient_policy() {
     assert_all_pass(ambient_scenarios().into_iter().step_by(25));
 }
 
+/// The cheapest workload's replanned fault scenario for `class`.
+fn replanned_fault_scenario(class: FaultClass) -> Scenario {
+    ambient_scenarios()
+        .into_iter()
+        .find(|s| {
+            s.sim_workload == SimWorkload::Synthetic
+                && s.ranks == 4
+                && s.fault
+                    .as_ref()
+                    .is_some_and(|f| f.class == class && f.replan)
+        })
+        .unwrap_or_else(|| panic!("no replanned {class:?} scenario at 4 ranks"))
+}
+
 #[test]
 fn one_fault_scenario_per_class_conforms() {
-    // The debug-mode fault smoke: the cheapest workload's fault slice,
-    // one replanned scenario per fault class, so tier-1 exercises the
-    // whole splice path even if sampling were to shift.
-    let mut picked = Vec::new();
-    for class in pipebd_testkit::FaultClass::ALL {
-        let s = ambient_scenarios()
-            .into_iter()
-            .find(|s| {
-                s.sim_workload == pipebd_testkit::SimWorkload::Synthetic
-                    && s.ranks == 4
-                    && s.fault
-                        .as_ref()
-                        .is_some_and(|f| f.class == class && f.replan)
-            })
-            .unwrap_or_else(|| panic!("no replanned {class:?} scenario at 4 ranks"));
-        picked.push(s);
-    }
-    assert_all_pass(picked.into_iter());
+    // The debug-mode fault smoke: one replanned scenario per fault class,
+    // so tier-1 exercises the whole splice path even if sampling were to
+    // shift.
+    assert_all_pass(FaultClass::ALL.into_iter().map(replanned_fault_scenario));
+}
+
+#[test]
+fn sabotaged_slowdown_budget_fails_and_names_the_class() {
+    // The fault budgets must be able to fire: the scenario that passes the
+    // declared book fails one whose slowdown window no real period meets,
+    // and the failure says which class's budget it broke.
+    let s = replanned_fault_scenario(FaultClass::Slowdown);
+    let book = ToleranceBook::gate_default();
+    let honest = run_scenario(&s, &book);
+    assert!(honest.pass, "{}: {}", honest.id, honest.detail);
+    let sabotaged = ToleranceBook {
+        fault_slowdown: RatioBudget { lo: 0.0, hi: 1e-3 },
+        ..book
+    };
+    let fired = run_scenario(&s, &sabotaged);
+    assert!(!fired.pass, "{}: passed an unsatisfiable budget", fired.id);
+    assert!(
+        fired.detail.contains("slowdown"),
+        "{}: detail does not name the fault class: {}",
+        fired.id,
+        fired.detail
+    );
 }
 
 #[test]

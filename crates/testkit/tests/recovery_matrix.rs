@@ -13,8 +13,8 @@
 use std::sync::Arc;
 
 use pipebd_core::exec::recovery::{RecoveryPolicy, RecoveryRunner};
-use pipebd_core::exec::{reference, FuncConfig};
-use pipebd_core::MemorySink;
+use pipebd_core::exec::{reference, ExecError, FuncConfig};
+use pipebd_core::{Checkpoint, CheckpointSink, MemorySink};
 use pipebd_data::SyntheticImageDataset;
 use pipebd_models::{mini_student_dsconv, mini_teacher, MiniConfig, Workload};
 use pipebd_sim::{FaultEvent, FaultScript};
@@ -138,6 +138,20 @@ fn growth_fixture() -> (
     (teacher, student, data, workload)
 }
 
+/// Two logical devices, serial kernels, decoupled updates.
+fn growth_func(steps: usize) -> FuncConfig {
+    FuncConfig {
+        devices: 2,
+        steps,
+        batch: 8,
+        lr: 0.05,
+        momentum: 0.9,
+        plan: None,
+        decoupled_updates: true,
+        pool_size: Some(1),
+    }
+}
+
 #[test]
 fn join_scripts_complete_end_to_end_bitwise() {
     // ISSUE 10's tentpole claim: this exact script used to return
@@ -153,16 +167,7 @@ fn join_scripts_complete_end_to_end_bitwise() {
             at_step: 3,
         }],
     };
-    let func = FuncConfig {
-        devices: 2,
-        steps: 4,
-        batch: 8,
-        lr: 0.05,
-        momentum: 0.9,
-        plan: None,
-        decoupled_updates: true,
-        pool_size: Some(1),
-    };
+    let func = growth_func(4);
     let runner = RecoveryRunner {
         workload: &workload,
         script: &script,
@@ -205,16 +210,7 @@ fn killed_rank_rejoining_two_rounds_later_replays_bitwise() {
             },
         ],
     };
-    let func = FuncConfig {
-        devices: 2,
-        steps: 8,
-        batch: 8,
-        lr: 0.05,
-        momentum: 0.9,
-        plan: None,
-        decoupled_updates: true,
-        pool_size: Some(1),
-    };
+    let func = growth_func(8);
     let runner = RecoveryRunner {
         workload: &workload,
         script: &script,
@@ -237,5 +233,74 @@ fn killed_rank_rejoining_two_rounds_later_replays_bitwise() {
         report.outcome.max_param_diff(&golden),
         0.0,
         "width-1 loss + rejoin must replay bitwise"
+    );
+}
+
+#[test]
+fn zero_restore_budget_surfaces_recovery_exhausted() {
+    // A host loss with no restores allowed and no reference fallback has
+    // nowhere to go: the run must end in the structured exhaustion error,
+    // never a hang or a silent pass.
+    let (teacher, student, data, workload) = growth_fixture();
+    let script = FaultScript {
+        events: vec![FaultEvent::HostLoss {
+            rank: 1,
+            at_step: 4,
+        }],
+    };
+    let runner = RecoveryRunner {
+        workload: &workload,
+        script: &script,
+        policy: RecoveryPolicy {
+            max_restores: 0,
+            reference_fallback: false,
+            ..RecoveryPolicy::default()
+        },
+        sink: Arc::new(MemorySink::default()),
+        trace: None,
+    };
+    let result = runner.run(&teacher, &student, &data, &growth_func(8));
+    assert!(
+        matches!(result, Err(ExecError::RecoveryExhausted { attempts: 0 })),
+        "expected RecoveryExhausted {{ attempts: 0 }}, got {:?}",
+        result.map(|r| r.restores)
+    );
+}
+
+#[test]
+fn stale_plan_checkpoint_fails_the_rejoin_loudly() {
+    // A checkpoint from a foreign plan, planted at a round that wins the
+    // sink's round-max race: the join's boundary restore must refuse it
+    // with the structured mismatch, not resume another run's trajectory.
+    let (teacher, student, data, workload) = growth_fixture();
+    let sink = Arc::new(MemorySink::default());
+    sink.store(&Checkpoint {
+        round: 99,
+        data_cursor: 99 * 8,
+        batch: 8,
+        lr: 0.05,
+        momentum: 0.9,
+        plan_fingerprint: "9x9:0000000000000bad".to_string(),
+        blocks: vec![],
+    })
+    .expect("the stale checkpoint plants");
+    let script = FaultScript {
+        events: vec![FaultEvent::HostJoin {
+            rank: 1,
+            at_step: 3,
+        }],
+    };
+    let runner = RecoveryRunner {
+        workload: &workload,
+        script: &script,
+        policy: RecoveryPolicy::default(),
+        sink,
+        trace: None,
+    };
+    let result = runner.run(&teacher, &student, &data, &growth_func(6));
+    assert!(
+        matches!(&result, Err(ExecError::Checkpoint(msg)) if msg.contains("plan fingerprint mismatch")),
+        "expected a plan fingerprint mismatch, got {:?}",
+        result.map(|r| r.grows)
     );
 }
