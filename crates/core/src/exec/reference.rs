@@ -128,7 +128,7 @@ fn train_range(
             let input = if i == 0 { &x } else { &boundaries[i - 1] };
             let s_out = student.block_mut(i).forward(input, Mode::Train)?;
             let loss = mse_loss(&s_out, &boundaries[i])?;
-            student.block_mut(i).backward(&loss.grad)?;
+            student.block_mut(i).backward_params(&loss.grad)?;
             optims[i].step(student.block_mut(i))?;
             pipebd_nn::zero_grad(student.block_mut(i));
             losses[i].push(loss.loss);

@@ -16,7 +16,12 @@
 //! # Zero-copy data plane
 //!
 //! Once a tensor is produced it is immutable, and every hop transfers a
-//! [`SharedTensor`] handle (`Arc`-backed) instead of a buffer:
+//! [`SharedTensor`] handle (a refcount on the tensor's own buffer) instead
+//! of a buffer — and the sharing does not stop at the block's door: a
+//! student layer that caches its input holds that same buffer until its
+//! backward pass consumes it, and student blocks run
+//! [`Layer::backward_params`], because nobody reads the gradient with
+//! respect to a detached teacher activation:
 //!
 //! * boundary activations are wrapped in [`SharedTensor`] once, then
 //!   cached locally and relayed to every next-stage member as handle
@@ -559,7 +564,7 @@ fn train(
                 let s_in = if i == 0 { &input } else { &boundaries[i - 1] };
                 let s_out = s.forward(s_in, Mode::Train)?;
                 let loss = mse_loss(&s_out, &boundaries[i])?;
-                s.backward(&loss.grad)?;
+                s.backward_params(&loss.grad)?;
                 Ok::<_, Halt>(loss.loss)
             })?;
             step_losses.push(loss);

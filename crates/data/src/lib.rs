@@ -74,37 +74,52 @@ impl SyntheticImageDataset {
     /// Materializes sample `index` as a `[3, h, w]` tensor.
     pub fn sample(&self, index: u64) -> Tensor {
         let shape = self.spec.sample_shape;
-        let class = self.label(index) as f32;
-        let mut rng = Rng64::seed_from_u64(self.seed ^ index.rotate_left(17));
-        let mut data = Vec::with_capacity(shape.elems() as usize);
-        let (h, w) = (shape.h as f32, shape.w as f32);
-        for c in 0..shape.c {
-            let phase = class * 0.7 + c as f32 * 1.3;
-            for y in 0..shape.h {
-                for x in 0..shape.w {
-                    // Class-dependent smooth pattern + seeded noise.
-                    let fy = y as f32 / h;
-                    let fx = x as f32 / w;
-                    let pattern = ((fx * (2.0 + class) * std::f32::consts::PI) + phase).sin()
-                        * ((fy * (1.0 + class)) * std::f32::consts::PI).cos();
-                    data.push(0.5 * pattern + 0.1 * rng.normal());
-                }
-            }
-        }
+        let mut data = vec![0.0f32; shape.elems() as usize];
+        self.write_sample(index, &mut data);
         Tensor::from_vec(data, &[shape.c, shape.h, shape.w]).expect("shape math is consistent")
     }
 
+    /// Writes sample `index` into `out`, one `[c, h, w]` image: a
+    /// class-dependent smooth pattern plus seeded noise. The pattern is a
+    /// sine of the column times a cosine of the row, so each is evaluated
+    /// once per row or column instead of once per pixel; the noise stream
+    /// is drawn in pixel order. Returns the sample's label.
+    fn write_sample(&self, index: u64, out: &mut [f32]) -> usize {
+        let shape = self.spec.sample_shape;
+        let label = self.label(index);
+        let class = label as f32;
+        let mut rng = Rng64::seed_from_u64(self.seed ^ index.rotate_left(17));
+        let (h, w) = (shape.h as f32, shape.w as f32);
+        let cos_row: Vec<f32> = (0..shape.h)
+            .map(|y| ((y as f32 / h * (1.0 + class)) * std::f32::consts::PI).cos())
+            .collect();
+        let mut sin_col = vec![0.0f32; shape.w];
+        for c in 0..shape.c {
+            let phase = class * 0.7 + c as f32 * 1.3;
+            for (x, s) in sin_col.iter_mut().enumerate() {
+                *s = ((x as f32 / w * (2.0 + class) * std::f32::consts::PI) + phase).sin();
+            }
+            for (y, &cos) in cos_row.iter().enumerate() {
+                let row = &mut out[(c * shape.h + y) * shape.w..][..shape.w];
+                for (v, &sin) in row.iter_mut().zip(&sin_col) {
+                    *v = 0.5 * (sin * cos) + 0.1 * rng.normal();
+                }
+            }
+        }
+        label
+    }
+
     /// Materializes a batch starting at `start` (wrapping around the end),
-    /// returning `[n, 3, h, w]` images and their labels.
+    /// returning `[n, 3, h, w]` images and their labels. Each sample is
+    /// written straight into its slice of the batch buffer.
     pub fn batch(&self, start: u64, n: usize) -> (Tensor, Vec<usize>) {
         let shape = self.spec.sample_shape;
         let per = shape.elems() as usize;
-        let mut data = Vec::with_capacity(n * per);
+        let mut data = vec![0.0f32; n * per];
         let mut labels = Vec::with_capacity(n);
         for k in 0..n {
             let idx = (start + k as u64) % self.len().max(1);
-            data.extend_from_slice(self.sample(idx).data());
-            labels.push(self.label(idx));
+            labels.push(self.write_sample(idx, &mut data[k * per..(k + 1) * per]));
         }
         let images = Tensor::from_vec(data, &[n, shape.c, shape.h, shape.w])
             .expect("batch shape is consistent");
@@ -150,6 +165,54 @@ impl Iterator for EpochBatches<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The generator as first written: the whole pattern evaluated per
+    /// pixel. `sample` and `batch` must reproduce it bit for bit.
+    fn per_pixel_sample(ds: &SyntheticImageDataset, index: u64) -> Vec<f32> {
+        let shape = ds.spec.sample_shape;
+        let class = ds.label(index) as f32;
+        let mut rng = Rng64::seed_from_u64(ds.seed ^ index.rotate_left(17));
+        let mut data = Vec::with_capacity(shape.elems() as usize);
+        let (h, w) = (shape.h as f32, shape.w as f32);
+        for c in 0..shape.c {
+            let phase = class * 0.7 + c as f32 * 1.3;
+            for y in 0..shape.h {
+                for x in 0..shape.w {
+                    let fy = y as f32 / h;
+                    let fx = x as f32 / w;
+                    let pattern = ((fx * (2.0 + class) * std::f32::consts::PI) + phase).sin()
+                        * ((fy * (1.0 + class)) * std::f32::consts::PI).cos();
+                    data.push(0.5 * pattern + 0.1 * rng.normal());
+                }
+            }
+        }
+        data
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn separable_generator_matches_the_per_pixel_formula_bitwise() {
+        // Odd side, every class in play, and a batch that wraps.
+        let ds = SyntheticImageDataset::mini(21, 33, 10, 11);
+        for index in [0u64, 7, 20] {
+            assert_eq!(
+                bits(ds.sample(index).data()),
+                bits(&per_pixel_sample(&ds, index)),
+                "sample {index}"
+            );
+        }
+        let (images, labels) = ds.batch(17, 9); // indices 17..=20, then 0..=4
+        let per = 3 * 33 * 33;
+        for (k, chunk) in images.data().chunks_exact(per).enumerate() {
+            let idx = (17 + k as u64) % 21;
+            assert_eq!(bits(chunk), bits(&per_pixel_sample(&ds, idx)), "row {k}");
+            assert_eq!(labels[k], ds.label(idx));
+        }
+        assert_eq!(labels.len(), 9);
+    }
 
     #[test]
     fn samples_are_deterministic() {

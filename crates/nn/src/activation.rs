@@ -1,15 +1,34 @@
-use pipebd_tensor::{parallel, Result, Tensor, TensorError};
+use pipebd_tensor::{Result, Tensor, TensorError};
 
 use crate::{Layer, Mode, Param};
 
-/// Minimum elements per parallel chunk for activation maps — below this,
-/// task spawning costs more than the arithmetic it distributes.
-const MIN_PAR_CHUNK: usize = 4096;
+/// `dx[i] = dy[i]` where `keep(y[i])`, else `0` — a select per element,
+/// not a branch: which side an element takes is data the branch predictor
+/// cannot learn. `y` is the layer's kept output.
+fn gate_gradient(
+    y: &Tensor,
+    dy: &Tensor,
+    op: &'static str,
+    keep: impl Fn(f32) -> bool,
+) -> Result<Tensor> {
+    if y.numel() != dy.numel() {
+        return Err(TensorError::LengthMismatch {
+            expected: y.numel(),
+            actual: dy.numel(),
+            op,
+        });
+    }
+    let dx = dy.data().iter().zip(y.data());
+    let dx = dx.map(|(&g, &y)| if keep(y) { g } else { 0.0 }).collect();
+    Tensor::from_vec(dx, dy.dims())
+}
 
 /// Rectified linear unit, `max(0, x)`.
 #[derive(Debug, Clone, Default)]
 pub struct Relu {
-    mask: Option<Vec<bool>>,
+    /// The last train-mode output, which doubles as the backward mask:
+    /// `y > 0` exactly where `x > 0`.
+    output: Option<Tensor>,
 }
 
 impl Relu {
@@ -21,38 +40,19 @@ impl Relu {
 
 impl Layer for Relu {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
+        let y = x.map(|v| v.max(0.0));
         if mode == Mode::Train {
-            self.mask = Some(x.data().iter().map(|&v| v > 0.0).collect());
+            self.output = Some(y.clone());
         }
-        let mut y = x.clone();
-        // Elementwise, so chunking cannot change any element's value.
-        parallel::for_each_chunk(y.data_mut(), MIN_PAR_CHUNK, |chunk| {
-            for v in chunk {
-                *v = v.max(0.0);
-            }
-        });
         Ok(y)
     }
 
     fn backward(&mut self, dy: &Tensor) -> Result<Tensor> {
-        let mask = self
-            .mask
-            .as_ref()
+        let y = self
+            .output
+            .take()
             .ok_or_else(|| TensorError::invalid("relu: backward before forward"))?;
-        if mask.len() != dy.numel() {
-            return Err(TensorError::LengthMismatch {
-                expected: mask.len(),
-                actual: dy.numel(),
-                op: "relu_backward",
-            });
-        }
-        let mut dx = dy.clone();
-        for (v, &keep) in dx.data_mut().iter_mut().zip(mask.iter()) {
-            if !keep {
-                *v = 0.0;
-            }
-        }
-        Ok(dx)
+        gate_gradient(&y, dy, "relu_backward", |y| y > 0.0)
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
@@ -69,7 +69,9 @@ impl Layer for Relu {
 /// ReLU6, `min(max(0, x), 6)` — the activation used by MobileNetV2.
 #[derive(Debug, Clone, Default)]
 pub struct Relu6 {
-    mask: Option<Vec<bool>>,
+    /// The last train-mode output, which doubles as the backward mask:
+    /// `0 < y < 6` exactly where `0 < x < 6`.
+    output: Option<Tensor>,
 }
 
 impl Relu6 {
@@ -81,37 +83,19 @@ impl Relu6 {
 
 impl Layer for Relu6 {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
+        let y = x.map(|v| v.clamp(0.0, 6.0));
         if mode == Mode::Train {
-            self.mask = Some(x.data().iter().map(|&v| v > 0.0 && v < 6.0).collect());
+            self.output = Some(y.clone());
         }
-        let mut y = x.clone();
-        parallel::for_each_chunk(y.data_mut(), MIN_PAR_CHUNK, |chunk| {
-            for v in chunk {
-                *v = v.clamp(0.0, 6.0);
-            }
-        });
         Ok(y)
     }
 
     fn backward(&mut self, dy: &Tensor) -> Result<Tensor> {
-        let mask = self
-            .mask
-            .as_ref()
+        let y = self
+            .output
+            .take()
             .ok_or_else(|| TensorError::invalid("relu6: backward before forward"))?;
-        if mask.len() != dy.numel() {
-            return Err(TensorError::LengthMismatch {
-                expected: mask.len(),
-                actual: dy.numel(),
-                op: "relu6_backward",
-            });
-        }
-        let mut dx = dy.clone();
-        for (v, &keep) in dx.data_mut().iter_mut().zip(mask.iter()) {
-            if !keep {
-                *v = 0.0;
-            }
-        }
-        Ok(dx)
+        gate_gradient(&y, dy, "relu6_backward", |y| y > 0.0 && y < 6.0)
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
@@ -154,5 +138,32 @@ mod tests {
     fn backward_before_forward_errors() {
         let mut l = Relu::new();
         assert!(l.backward(&Tensor::ones(&[1])).is_err());
+    }
+
+    #[test]
+    fn kept_output_is_the_returned_buffer_and_backward_consumes_it() {
+        let x = Tensor::from_vec(vec![-1.0, 0.5, 7.0], &[3]).unwrap();
+        let dy = Tensor::ones(&[3]);
+        let mut relu = Relu::new();
+        relu.forward(&x, Mode::Eval).unwrap();
+        assert!(relu.output.is_none(), "eval mode keeps nothing");
+        let y = relu.forward(&x, Mode::Train).unwrap();
+        assert_eq!(
+            relu.output.as_ref().unwrap().data().as_ptr(),
+            y.data().as_ptr()
+        );
+        relu.backward(&dy).unwrap();
+        assert!(relu.output.is_none());
+        assert!(relu.backward(&dy).is_err(), "second backward, no forward");
+
+        let mut relu6 = Relu6::new();
+        let y = relu6.forward(&x, Mode::Train).unwrap();
+        assert_eq!(
+            relu6.output.as_ref().unwrap().data().as_ptr(),
+            y.data().as_ptr()
+        );
+        relu6.backward_params(&dy).unwrap();
+        assert!(relu6.output.is_none());
+        assert!(relu6.backward(&dy).is_err(), "second backward, no forward");
     }
 }

@@ -48,6 +48,10 @@ impl Layer for Block {
         self.inner.backward(dy)
     }
 
+    fn backward_params(&mut self, dy: &Tensor) -> Result<()> {
+        self.inner.backward_params(dy)
+    }
+
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.inner.visit_params(f)
     }

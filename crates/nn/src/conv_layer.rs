@@ -1,5 +1,6 @@
 use pipebd_tensor::{
-    conv2d, conv2d_grad_input, conv2d_grad_weight, Conv2dSpec, Result, Rng64, Tensor, TensorError,
+    conv2d, conv2d_grad_input, conv2d_grad_weight, reduce, Conv2dSpec, Result, Rng64, Tensor,
+    TensorError,
 };
 
 use crate::{Layer, Mode, Param};
@@ -17,6 +18,8 @@ pub struct Conv2d {
     cache: Option<ConvCache>,
 }
 
+/// A handle to the last train-mode input (shared with the caller, not
+/// copied), held until a backward pass consumes it.
 #[derive(Debug, Clone)]
 struct ConvCache {
     input: Tensor,
@@ -77,9 +80,9 @@ impl Conv2d {
 }
 
 fn add_channel_bias(y: &mut Tensor, bias: &Tensor) {
-    let dims = y.dims().to_vec();
+    let dims = y.dims();
     let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-    let bd = bias.data().to_vec();
+    let bd = bias.data();
     let yd = y.data_mut();
     for b in 0..n {
         for ch in 0..c {
@@ -100,7 +103,7 @@ fn channel_bias_grad(dy: &Tensor) -> Tensor {
     for b in 0..n {
         for ch in 0..c {
             let base = (b * c + ch) * h * w;
-            db[ch] += dyd[base..base + h * w].iter().sum::<f32>();
+            db[ch] += reduce::sum(&dyd[base..base + h * w]);
         }
     }
     Tensor::from_vec(db, &[c]).expect("channel bias grad shape")
@@ -119,18 +122,27 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, dy: &Tensor) -> Result<Tensor> {
-        let cache = self
+        // The input's extent, read before `backward_params` consumes it.
+        let hw = self.cache.as_ref().map(|c| {
+            let dims = c.input.dims();
+            (dims[2], dims[3])
+        });
+        self.backward_params(dy)?;
+        let hw = hw.expect("backward_params fails without a cache");
+        conv2d_grad_input(dy, &self.weight.value, self.spec, hw)
+    }
+
+    fn backward_params(&mut self, dy: &Tensor) -> Result<()> {
+        let ConvCache { input: x } = self
             .cache
-            .as_ref()
+            .take()
             .ok_or_else(|| TensorError::invalid("conv2d: backward before forward"))?;
-        let x = &cache.input;
-        let dw = conv2d_grad_weight(x, dy, self.spec)?;
+        let dw = conv2d_grad_weight(&x, dy, self.spec)?;
         self.weight.accumulate_grad(dw)?;
         if let Some(b) = &mut self.bias {
             b.accumulate_grad(channel_bias_grad(dy))?;
         }
-        let hw = (x.dims()[2], x.dims()[3]);
-        conv2d_grad_input(dy, &self.weight.value, self.spec, hw)
+        Ok(())
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -215,5 +227,34 @@ mod tests {
         let x = Tensor::randn(&[1, 1, 4, 4], &mut rng);
         conv.forward(&x, Mode::Eval).unwrap();
         assert!(conv.backward(&Tensor::ones(&[1, 1, 4, 4])).is_err());
+    }
+
+    #[test]
+    fn cache_aliases_the_input_and_either_backward_consumes_it() {
+        let mut rng = Rng64::seed_from_u64(4);
+        let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng);
+        let x = Tensor::randn(&[2, 2, 5, 5], &mut rng);
+        let dy = Tensor::ones(&[2, 3, 5, 5]);
+        for params_only in [false, true] {
+            conv.forward(&x, Mode::Train).unwrap();
+            let cached = &conv.cache.as_ref().expect("train mode caches").input;
+            assert_eq!(
+                cached.data().as_ptr(),
+                x.data().as_ptr(),
+                "a handle, not a copy"
+            );
+            let second = if params_only {
+                conv.backward_params(&dy).unwrap();
+                conv.backward_params(&dy)
+            } else {
+                conv.backward(&dy).unwrap();
+                conv.backward(&dy).map(drop)
+            };
+            assert!(
+                conv.cache.is_none(),
+                "the layer holds nothing after backward"
+            );
+            assert!(second.is_err(), "second backward without a forward");
+        }
     }
 }

@@ -78,10 +78,22 @@ pub enum Mode {
 
 /// A differentiable layer with explicit forward and backward passes.
 ///
-/// Implementations cache whatever they need during [`Layer::forward`] and
-/// consume the cache in [`Layer::backward`], accumulating parameter
-/// gradients into their [`Param`]s. Calling `backward` before `forward`
-/// is an error.
+/// Two contracts hold for every implementation:
+///
+/// * **`backward` consumes the cache.** A train-mode [`Layer::forward`]
+///   keeps what the backward pass needs — for most layers a handle to an
+///   activation that already exists (its input or its output; tensor
+///   storage is reference-counted, so keeping one is not a copy). Either
+///   backward entry takes the cache out, so a layer holds no activation
+///   between a backward pass and the next forward, and a second backward
+///   without a forward in between is an error, exactly as a backward
+///   before any forward is.
+/// * **[`Layer::backward_params`] forms parameter gradients only.** It
+///   leaves bit-identical gradients in the layer's [`Param`]s to
+///   [`Layer::backward`] and does not compute the gradient with respect
+///   to the layer's input. That is the entry for a block whose input
+///   nobody differentiates: data, or a detached teacher activation —
+///   every student block of blockwise distillation.
 ///
 /// Layers are [`Send`] so the threaded executor can move blocks onto
 /// device threads, and boxed layers are cloneable so data-parallel groups
@@ -104,6 +116,17 @@ pub trait Layer: Send {
     /// Returns an error if no forward pass was cached or `dy` has the wrong
     /// shape.
     fn backward(&mut self, dy: &Tensor) -> Result<Tensor>;
+
+    /// [`Layer::backward`] without the input gradient: accumulates
+    /// parameter gradients and consumes the cache. Layers whose input
+    /// gradient is separable work override this to skip it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Layer::backward`].
+    fn backward_params(&mut self, dy: &Tensor) -> Result<()> {
+        self.backward(dy).map(drop)
+    }
 
     /// Visits every parameter (weights and, for NAS layers, architecture
     /// parameters) exactly once, in a deterministic order.

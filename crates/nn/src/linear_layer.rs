@@ -9,6 +9,8 @@ use crate::{Layer, Mode, Param};
 pub struct Linear {
     weight: Param,
     bias: Param,
+    /// A handle to the last train-mode input (shared with the caller, not
+    /// copied), held until a backward pass consumes it.
     cache: Option<Tensor>,
 }
 
@@ -49,14 +51,18 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, dy: &Tensor) -> Result<Tensor> {
+        // dW = xᵀ dy ; db = column sums of dy ; dx = dy Wᵀ.
+        self.backward_params(dy)?;
+        dy.matmul_b_t(&self.weight.value)
+    }
+
+    fn backward_params(&mut self, dy: &Tensor) -> Result<()> {
         let x = self
             .cache
-            .as_ref()
+            .take()
             .ok_or_else(|| TensorError::invalid("linear: backward before forward"))?;
-        // dW = xᵀ dy ; db = column sums of dy ; dx = dy Wᵀ.
         self.weight.accumulate_grad(x.matmul_t_a(dy)?)?;
-        self.bias.accumulate_grad(dy.sum_rows()?)?;
-        dy.matmul_b_t(&self.weight.value)
+        self.bias.accumulate_grad(dy.sum_rows()?)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -181,6 +187,32 @@ mod tests {
             let mut doubled = a.clone();
             doubled.scale(2.0);
             assert!(doubled.allclose(b, 1e-5).unwrap());
+        }
+    }
+
+    #[test]
+    fn cache_aliases_the_input_and_either_backward_consumes_it() {
+        let mut rng = Rng64::seed_from_u64(3);
+        let mut l = Linear::new(3, 2, &mut rng);
+        let x = Tensor::randn(&[4, 3], &mut rng);
+        let dy = Tensor::ones(&[4, 2]);
+        for params_only in [false, true] {
+            l.forward(&x, Mode::Train).unwrap();
+            let cached = l.cache.as_ref().expect("train mode caches");
+            assert_eq!(
+                cached.data().as_ptr(),
+                x.data().as_ptr(),
+                "a handle, not a copy"
+            );
+            let second = if params_only {
+                l.backward_params(&dy).unwrap();
+                l.backward_params(&dy)
+            } else {
+                l.backward(&dy).unwrap();
+                l.backward(&dy).map(drop)
+            };
+            assert!(l.cache.is_none(), "the layer holds nothing after backward");
+            assert!(second.is_err(), "second backward without a forward");
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Loss functions for blockwise distillation and evaluation.
 
-use pipebd_tensor::{Result, Tensor, TensorError};
+use pipebd_tensor::{reduce, Result, Tensor, TensorError};
 
 /// A scalar loss with the gradient w.r.t. the first argument.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,11 +38,10 @@ pub struct LossValue {
 /// # }
 /// ```
 pub fn mse_loss(student: &Tensor, teacher: &Tensor) -> Result<LossValue> {
-    let diff = student.sub(teacher)?;
-    let n = diff.numel().max(1) as f32;
-    let loss = diff.sq_norm() / n;
-    let mut grad = diff;
-    grad.scale(2.0 / n);
+    let n = student.numel().max(1) as f32;
+    let k = 2.0 / n;
+    let grad = student.zip(teacher, |s, t| (s - t) * k)?;
+    let loss = reduce::sq_dist(student.data(), teacher.data()) / n;
     Ok(LossValue { loss, grad })
 }
 

@@ -1,4 +1,4 @@
-use pipebd_tensor::{Result, Tensor, TensorError};
+use pipebd_tensor::{reduce, Result, Tensor, TensorError};
 
 use crate::{Layer, Mode, Param};
 
@@ -59,6 +59,40 @@ impl MixedOp {
     pub fn best_candidate(&self) -> usize {
         self.alpha.value.argmax().unwrap_or(0)
     }
+
+    /// The architecture-gradient half of a backward pass: consumes the
+    /// cache, accumulates `∂L/∂α` and returns the softmax weights the
+    /// forward pass mixed with.
+    fn backward_arch(&mut self, dy: &Tensor) -> Result<Vec<f32>> {
+        let cache = self
+            .cache
+            .take()
+            .ok_or_else(|| TensorError::invalid("mixed_op: backward before forward"))?;
+        if let Some(y) = cache.outputs.iter().find(|y| y.dims() != dy.dims()) {
+            return Err(TensorError::ShapeMismatch {
+                expected: y.dims().to_vec(),
+                actual: dy.dims().to_vec(),
+                op: "mixed_op_backward",
+            });
+        }
+        // Inner products ⟨dy, y_k⟩ for the architecture gradient.
+        let dots: Vec<f32> = cache
+            .outputs
+            .iter()
+            .map(|y| reduce::dot(y.data(), dy.data()))
+            .collect();
+        let mean_dot: f32 = cache
+            .weights
+            .iter()
+            .zip(dots.iter())
+            .map(|(&w, &d)| w * d)
+            .sum();
+        let alpha_grad = self.alpha.grad_mut().data_mut();
+        for k in 0..self.candidates.len() {
+            alpha_grad[k] += cache.weights[k] * (dots[k] - mean_dot);
+        }
+        Ok(cache.weights)
+    }
 }
 
 fn softmax(logits: &[f32]) -> Vec<f32> {
@@ -76,11 +110,7 @@ impl Layer for MixedOp {
         for (op, &w) in self.candidates.iter_mut().zip(weights.iter()) {
             let y = op.forward(x, mode)?;
             match &mut acc {
-                None => {
-                    let mut scaled = y.clone();
-                    scaled.scale(w);
-                    acc = Some(scaled);
-                }
+                None => acc = Some(y.map(|v| v * w)),
                 Some(a) => a.axpy(w, &y)?,
             }
             outputs.push(y);
@@ -92,45 +122,26 @@ impl Layer for MixedOp {
     }
 
     fn backward(&mut self, dy: &Tensor) -> Result<Tensor> {
-        let cache = self
-            .cache
-            .take()
-            .ok_or_else(|| TensorError::invalid("mixed_op: backward before forward"))?;
-        // Inner products ⟨dy, y_k⟩ for the architecture gradient.
-        let dots: Vec<f32> = cache
-            .outputs
-            .iter()
-            .map(|y| {
-                y.data()
-                    .iter()
-                    .zip(dy.data().iter())
-                    .map(|(&a, &b)| a * b)
-                    .sum()
-            })
-            .collect();
-        let mean_dot: f32 = cache
-            .weights
-            .iter()
-            .zip(dots.iter())
-            .map(|(&w, &d)| w * d)
-            .sum();
-        let alpha_grad = self.alpha.grad_mut().data_mut();
-        for k in 0..self.candidates.len() {
-            alpha_grad[k] += cache.weights[k] * (dots[k] - mean_dot);
-        }
+        let weights = self.backward_arch(dy)?;
         // Input gradient: weighted sum of candidate adjoints. Candidate
         // weight grads are scaled by w_k because y = Σ w_k op_k(x).
         let mut dx: Option<Tensor> = None;
-        for (k, op) in self.candidates.iter_mut().enumerate() {
-            let mut scaled_dy = dy.clone();
-            scaled_dy.scale(cache.weights[k]);
-            let dxk = op.backward(&scaled_dy)?;
+        for (op, &w) in self.candidates.iter_mut().zip(&weights) {
+            let dxk = op.backward(&dy.map(|g| g * w))?;
             match &mut dx {
                 None => dx = Some(dxk),
                 Some(a) => a.add_assign(&dxk)?,
             }
         }
         dx.ok_or_else(|| TensorError::invalid("mixed_op: no candidates"))
+    }
+
+    fn backward_params(&mut self, dy: &Tensor) -> Result<()> {
+        let weights = self.backward_arch(dy)?;
+        for (op, &w) in self.candidates.iter_mut().zip(&weights) {
+            op.backward_params(&dy.map(|g| g * w))?;
+        }
+        Ok(())
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -93,12 +93,13 @@ impl Layer for BatchNorm2d {
                     inv_stds[ch] = inv_std;
                     let g = self.gamma.value.data()[ch];
                     let bta = self.beta.value.data()[ch];
+                    let (xhd, yd) = (xhat.data_mut(), y.data_mut());
                     for b in 0..n {
                         let base = (b * c + ch) * h * w;
                         for i in base..base + h * w {
                             let xh = (xd[i] - mean) * inv_std;
-                            xhat.data_mut()[i] = xh;
-                            y.data_mut()[i] = g * xh + bta;
+                            xhd[i] = xh;
+                            yd[i] = g * xh + bta;
                         }
                     }
                     // Update running statistics.
@@ -113,6 +114,7 @@ impl Layer for BatchNorm2d {
                 });
             }
             Mode::Eval => {
+                let yd = y.data_mut();
                 for ch in 0..c {
                     let mean = self.running_mean.data()[ch];
                     let inv_std = 1.0 / (self.running_var.data()[ch] + self.eps).sqrt();
@@ -121,7 +123,7 @@ impl Layer for BatchNorm2d {
                     for b in 0..n {
                         let base = (b * c + ch) * h * w;
                         for i in base..base + h * w {
-                            y.data_mut()[i] = g * (xd[i] - mean) * inv_std + bta;
+                            yd[i] = g * (xd[i] - mean) * inv_std + bta;
                         }
                     }
                 }
@@ -133,13 +135,14 @@ impl Layer for BatchNorm2d {
     fn backward(&mut self, dy: &Tensor) -> Result<Tensor> {
         let cache = self
             .cache
-            .as_ref()
+            .take()
             .ok_or_else(|| TensorError::invalid("batchnorm2d: backward before forward"))?;
         let (n, c, h, w) = self.check(dy)?;
         let m = (n * h * w) as f32;
         let dyd = dy.data();
         let xhat = cache.xhat.data();
         let mut dx = Tensor::zeros(dy.dims());
+        let dxd = dx.data_mut();
         for ch in 0..c {
             let g = self.gamma.value.data()[ch];
             let inv_std = cache.inv_std[ch];
@@ -158,7 +161,7 @@ impl Layer for BatchNorm2d {
             for b in 0..n {
                 let base = (b * c + ch) * h * w;
                 for i in base..base + h * w {
-                    dx.data_mut()[i] = k * (m * dyd[i] - sum_dy - xhat[i] * sum_dy_xhat);
+                    dxd[i] = k * (m * dyd[i] - sum_dy - xhat[i] * sum_dy_xhat);
                 }
             }
         }

@@ -35,9 +35,9 @@ impl Layer for AvgPool2d {
     fn backward(&mut self, dy: &Tensor) -> Result<Tensor> {
         let dims = self
             .input_dims
-            .as_ref()
+            .take()
             .ok_or_else(|| TensorError::invalid("avg_pool2d: backward before forward"))?;
-        avg_pool2d_backward(dy, dims, self.window, self.stride)
+        avg_pool2d_backward(dy, &dims, self.window, self.stride)
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
@@ -82,9 +82,9 @@ impl Layer for MaxPool2d {
     fn backward(&mut self, dy: &Tensor) -> Result<Tensor> {
         let idx = self
             .indices
-            .as_ref()
+            .take()
             .ok_or_else(|| TensorError::invalid("max_pool2d: backward before forward"))?;
-        max_pool2d_backward(dy, idx)
+        max_pool2d_backward(dy, &idx)
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
@@ -122,9 +122,9 @@ impl Layer for GlobalAvgPool {
     fn backward(&mut self, dy: &Tensor) -> Result<Tensor> {
         let dims = self
             .input_dims
-            .as_ref()
+            .take()
             .ok_or_else(|| TensorError::invalid("global_avg_pool: backward before forward"))?;
-        global_avg_pool_backward(dy, dims)
+        global_avg_pool_backward(dy, &dims)
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}

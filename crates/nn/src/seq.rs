@@ -42,8 +42,8 @@ impl std::fmt::Debug for Sequential {
 
 impl Layer for Sequential {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
-        // The first layer reads the caller's tensor in place; only the
-        // empty sequence (the identity) has to return a copy.
+        // The first layer reads the caller's tensor in place; the empty
+        // sequence (the identity) hands back a handle to it.
         let Some((first, rest)) = self.layers.split_first_mut() else {
             return Ok(x.clone());
         };
@@ -63,6 +63,19 @@ impl Layer for Sequential {
             cur = layer.backward(&cur)?;
         }
         Ok(cur)
+    }
+
+    fn backward_params(&mut self, dy: &Tensor) -> Result<()> {
+        // Every layer but the first feeds the one before it its input
+        // gradient; nobody reads the first layer's.
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return Ok(());
+        };
+        let mut cur: Option<Tensor> = None;
+        for layer in rest.iter_mut().rev() {
+            cur = Some(layer.backward(cur.as_ref().unwrap_or(dy))?);
+        }
+        first.backward_params(cur.as_ref().unwrap_or(dy))
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -172,31 +172,6 @@ pub fn active_width() -> usize {
     active_pool().map_or(1, |p| p.size())
 }
 
-/// Applies `f` to near-equal contiguous chunks of `data` in parallel,
-/// one chunk per pool lane, when a pool is active and the chunks would
-/// be at least `min_chunk` long; otherwise applies `f` to all of `data`
-/// on the calling thread.
-///
-/// Intended for *elementwise* maps (activations and the like): chunk
-/// boundaries must not affect the value any element receives, which
-/// keeps results bitwise identical to the serial application.
-pub fn for_each_chunk(data: &mut [f32], min_chunk: usize, f: impl Fn(&mut [f32]) + Send + Sync) {
-    let pool = active_pool();
-    let width = pool.as_ref().map_or(1, ComputePool::size);
-    let chunk = data.len().div_ceil(width.max(1)).max(min_chunk.max(1));
-    if width <= 1 || chunk >= data.len() {
-        f(data);
-        return;
-    }
-    let pool = pool.expect("width > 1 implies a pool");
-    let f = &f;
-    pool.run_scope(|s| {
-        for piece in data.chunks_mut(chunk) {
-            s.spawn(move || f(piece));
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,32 +200,6 @@ mod tests {
                     // A kernel called from inside a task must not nest.
                     assert!(active_pool().is_none());
                 });
-            });
-        });
-    }
-
-    #[test]
-    fn for_each_chunk_covers_every_element() {
-        let pool = ComputePool::new(4);
-        let mut data = vec![1.0f32; 1003];
-        install(&pool, || {
-            for_each_chunk(&mut data, 16, |chunk| {
-                for v in chunk.iter_mut() {
-                    *v += 1.0;
-                }
-            });
-        });
-        assert!(data.iter().all(|&v| v == 2.0));
-    }
-
-    #[test]
-    fn for_each_chunk_respects_min_chunk() {
-        let pool = ComputePool::new(4);
-        let mut data = vec![0.0f32; 8];
-        install(&pool, || {
-            // min_chunk larger than the data: must run as one piece.
-            for_each_chunk(&mut data, 64, |chunk| {
-                assert_eq!(chunk.len(), 8);
             });
         });
     }

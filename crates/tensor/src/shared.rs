@@ -1,23 +1,25 @@
-//! Shared, copy-on-write tensor handles for the executor data plane.
+//! Read-only tensor handles for the executor data plane.
 //!
 //! The threaded Pipe-BD executor relays boundary activations between stages
 //! and broadcasts averaged gradients within a stage. Those tensors are
-//! immutable once produced, so the relay fabric shares one allocation per
-//! tensor via [`SharedTensor`] — cloning and sending a handle is a
-//! reference-count bump, not a buffer copy.
+//! immutable once produced, and [`Tensor`] storage is itself
+//! reference-counted, so [`SharedTensor`] is a [`Tensor`] that says so in
+//! its type: it hands out `&Tensor` only, and cloning or sending one is a
+//! reference-count bump on the tensor's own buffer, not a buffer copy. A
+//! layer that caches a relayed activation (`x.clone()`) holds that same
+//! buffer.
 //!
 //! The few sites that legitimately mutate a shared tensor go through
-//! [`SharedTensor::make_mut`], which is copy-on-write: it returns a direct
-//! `&mut Tensor` when the handle is the sole owner, and clones the buffer
-//! first when it is aliased, so a mutation through one handle is never
-//! observable through another.
+//! [`SharedTensor::make_mut`], which is the tensor's copy-on-write: the
+//! first write is in place when the handle is the buffer's only holder,
+//! and copies the buffer first when it is aliased, so a mutation through
+//! one handle is never observable through another.
 
 use std::ops::Deref;
-use std::sync::Arc;
 
 use crate::tensor::Tensor;
 
-/// An atomically reference-counted tensor with copy-on-write mutation.
+/// A tensor handle that is read-only until [`SharedTensor::make_mut`].
 ///
 /// `Clone` is O(1) (a refcount bump). Read access goes through `Deref`, so
 /// a `&SharedTensor` coerces to `&Tensor` wherever one is expected.
@@ -36,40 +38,43 @@ use crate::tensor::Tensor;
 /// assert_eq!(b.sum(), 12.0);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-pub struct SharedTensor(Arc<Tensor>);
+pub struct SharedTensor(Tensor);
 
 impl SharedTensor {
     /// Wraps a tensor in a shared handle (moves the buffer; no copy).
     pub fn new(tensor: Tensor) -> Self {
-        SharedTensor(Arc::new(tensor))
+        SharedTensor(tensor)
     }
 
     /// Mutable access with copy-on-write semantics.
     ///
-    /// If this handle is the unique owner the underlying buffer is
-    /// borrowed directly; otherwise the tensor is cloned first and this
-    /// handle re-pointed at the private copy. Aliasing handles never
-    /// observe the mutation.
+    /// If this handle is the buffer's only holder a write through the
+    /// returned tensor lands in place; otherwise the first write copies
+    /// the buffer and re-points this handle at the private copy. Aliasing
+    /// handles never observe the mutation.
     pub fn make_mut(&mut self) -> &mut Tensor {
-        Arc::make_mut(&mut self.0)
+        &mut self.0
     }
 
-    /// Unwraps into an owned tensor.
+    /// Unwraps into a tensor that holds its buffer alone.
     ///
-    /// Free (a move) when this handle is the unique owner; clones the
-    /// buffer when it is aliased.
-    pub fn into_tensor(self) -> Tensor {
-        Arc::try_unwrap(self.0).unwrap_or_else(|arc| (*arc).clone())
+    /// Free (a move) when this handle is the buffer's only holder; copies
+    /// the buffer when it is aliased.
+    pub fn into_tensor(mut self) -> Tensor {
+        // The copy-on-write point, asked for now: nothing for the only
+        // holder, a private copy for an aliased handle.
+        self.0.data_mut();
+        self.0
     }
 
     /// Whether two handles share the same allocation.
     pub fn ptr_eq(&self, other: &SharedTensor) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
+        self.0.shares_buffer(&other.0)
     }
 
     /// Number of live handles to this allocation.
     pub fn ref_count(&self) -> usize {
-        Arc::strong_count(&self.0)
+        self.0.buffer_holders()
     }
 }
 

@@ -1,14 +1,29 @@
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::TensorError;
+use crate::reduce;
 use crate::rng::Rng64;
 use crate::shape::Shape;
 
 /// A dense, row-major, `f32` tensor.
 ///
-/// `Tensor` owns its storage. Operations come in two flavours: methods that
-/// allocate a result, and `_inplace`/`_assign` methods that mutate `self`
-/// (used on hot paths like optimizer updates).
+/// Storage is reference-counted and copy-on-write: [`Clone`] is a
+/// refcount bump that shares the buffer, and the first write through
+/// either handle ([`Tensor::data_mut`] and every `_inplace`/`_assign`
+/// method built on it) copies the buffer first unless that handle is the
+/// only one left, so a write is never visible through another handle. An
+/// activation is immutable once produced, which is what lets a layer's
+/// backward cache, a block boundary and a relayed [`SharedTensor`] all
+/// hold the one buffer that already exists.
+///
+/// Operations come in two flavours: methods that allocate a result, and
+/// `_inplace`/`_assign` methods that mutate `self` (used on hot paths like
+/// optimizer updates, where the tensor is uniquely held and the write is
+/// in place). Call [`Tensor::data_mut`] once outside a loop, not per
+/// element: each call re-checks uniqueness.
+///
+/// [`SharedTensor`]: crate::SharedTensor
 ///
 /// # Example
 ///
@@ -23,38 +38,23 @@ use crate::shape::Shape;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(PartialEq)]
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
-    data: Vec<f32>,
-}
-
-impl Clone for Tensor {
-    fn clone(&self) -> Self {
-        Tensor {
-            shape: self.shape.clone(),
-            data: self.data.clone(),
-        }
-    }
-
-    /// Clones into an existing tensor, reusing its buffer when the
-    /// capacity suffices (callers holding a live same-size buffer avoid
-    /// reallocating; a defaulted/taken tensor still allocates).
-    fn clone_from(&mut self, source: &Self) {
-        self.shape.clone_from(&source.shape);
-        self.data.clone_from(&source.data);
-    }
+    data: Arc<Vec<f32>>,
 }
 
 impl Tensor {
-    /// A tensor of zeros with the given shape.
-    pub fn zeros(dims: &[usize]) -> Self {
-        let shape = Shape::new(dims);
-        let n = shape.numel();
+    fn from_parts(shape: Shape, data: Vec<f32>) -> Self {
         Tensor {
             shape,
-            data: vec![0.0; n],
+            data: Arc::new(data),
         }
+    }
+
+    /// A tensor of zeros with the given shape.
+    pub fn zeros(dims: &[usize]) -> Self {
+        Tensor::full(dims, 0.0)
     }
 
     /// A tensor of ones with the given shape.
@@ -66,10 +66,7 @@ impl Tensor {
     pub fn full(dims: &[usize], value: f32) -> Self {
         let shape = Shape::new(dims);
         let n = shape.numel();
-        Tensor {
-            shape,
-            data: vec![value; n],
-        }
+        Tensor::from_parts(shape, vec![value; n])
     }
 
     /// Builds a tensor from a buffer and shape.
@@ -87,20 +84,20 @@ impl Tensor {
                 op: "from_vec",
             });
         }
-        Ok(Tensor { shape, data })
+        Ok(Tensor::from_parts(shape, data))
     }
 
     /// Standard-normal-initialized tensor.
     pub fn randn(dims: &[usize], rng: &mut Rng64) -> Self {
         let mut t = Tensor::zeros(dims);
-        rng.fill_normal(&mut t.data);
+        rng.fill_normal(t.data_mut());
         t
     }
 
     /// Uniform-initialized tensor in `[lo, hi)`.
     pub fn rand_uniform(dims: &[usize], lo: f32, hi: f32, rng: &mut Rng64) -> Self {
         let mut t = Tensor::zeros(dims);
-        rng.fill_uniform(&mut t.data, lo, hi);
+        rng.fill_uniform(t.data_mut(), lo, hi);
         t
     }
 
@@ -109,7 +106,7 @@ impl Tensor {
     pub fn kaiming(dims: &[usize], fan_in: usize, rng: &mut Rng64) -> Self {
         let std = (2.0 / fan_in.max(1) as f32).sqrt();
         let mut t = Tensor::zeros(dims);
-        for v in &mut t.data {
+        for v in t.data_mut() {
             *v = rng.normal_with(0.0, std);
         }
         t
@@ -135,14 +132,27 @@ impl Tensor {
         &self.data
     }
 
-    /// Mutable view of the underlying buffer.
+    /// Mutable view of the underlying buffer: in place when this handle
+    /// is the buffer's only holder, otherwise of a private copy taken
+    /// first (copy-on-write).
     pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
+        Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
-    /// Consumes the tensor, returning its buffer.
+    /// Consumes the tensor, returning its buffer: a move when this handle
+    /// is the buffer's only holder, a copy otherwise.
     pub fn into_vec(self) -> Vec<f32> {
-        self.data
+        Arc::try_unwrap(self.data).unwrap_or_else(|shared| (*shared).clone())
+    }
+
+    /// Whether both tensors hold the same buffer.
+    pub(crate) fn shares_buffer(&self, other: &Tensor) -> bool {
+        Arc::ptr_eq(&self.data, &other.data)
+    }
+
+    /// Number of live handles to this tensor's buffer.
+    pub(crate) fn buffer_holders(&self) -> usize {
+        Arc::strong_count(&self.data)
     }
 
     /// Element at a multi-dimensional index.
@@ -161,11 +171,12 @@ impl Tensor {
     /// Propagates index validation failures from [`Shape::offset`].
     pub fn set(&mut self, index: &[usize], value: f32) -> Result<(), TensorError> {
         let off = self.shape.offset(index)?;
-        self.data[off] = value;
+        self.data_mut()[off] = value;
         Ok(())
     }
 
-    /// Returns a tensor with the same data and a new shape.
+    /// Returns a tensor with the same data (shared, not copied) and a new
+    /// shape.
     ///
     /// # Errors
     ///
@@ -187,15 +198,15 @@ impl Tensor {
 
     /// Applies `f` elementwise, returning a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor {
-            shape: self.shape.clone(),
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
+        Tensor::from_parts(
+            self.shape.clone(),
+            self.data.iter().map(|&x| f(x)).collect(),
+        )
     }
 
     /// Applies `f` elementwise in place.
     pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
+        for v in self.data_mut() {
             *v = f(*v);
         }
     }
@@ -207,15 +218,14 @@ impl Tensor {
     /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
     pub fn zip(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Result<Tensor, TensorError> {
         self.check_same_shape(other, "zip")?;
-        Ok(Tensor {
-            shape: self.shape.clone(),
-            data: self
-                .data
+        Ok(Tensor::from_parts(
+            self.shape.clone(),
+            self.data
                 .iter()
                 .zip(other.data.iter())
                 .map(|(&a, &b)| f(a, b))
                 .collect(),
-        })
+        ))
     }
 
     /// Elementwise sum.
@@ -252,7 +262,7 @@ impl Tensor {
     /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
     pub fn add_assign(&mut self, other: &Tensor) -> Result<(), TensorError> {
         self.check_same_shape(other, "add_assign")?;
-        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
+        for (a, &b) in self.data_mut().iter_mut().zip(other.data.iter()) {
             *a += b;
         }
         Ok(())
@@ -265,7 +275,7 @@ impl Tensor {
     /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
     pub fn axpy(&mut self, alpha: f32, other: &Tensor) -> Result<(), TensorError> {
         self.check_same_shape(other, "axpy")?;
-        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
+        for (a, &b) in self.data_mut().iter_mut().zip(other.data.iter()) {
             *a += alpha * b;
         }
         Ok(())
@@ -273,21 +283,19 @@ impl Tensor {
 
     /// Multiplies every element by `alpha` in place.
     pub fn scale(&mut self, alpha: f32) {
-        for v in &mut self.data {
+        for v in self.data_mut() {
             *v *= alpha;
         }
     }
 
     /// Sets every element to zero (buffer reuse for gradient accumulators).
     pub fn fill(&mut self, value: f32) {
-        for v in &mut self.data {
-            *v = value;
-        }
+        self.data_mut().fill(value);
     }
 
-    /// Sum of all elements.
+    /// Sum of all elements (lane-ordered, see [`crate::reduce`]).
     pub fn sum(&self) -> f32 {
-        self.data.iter().sum()
+        reduce::sum(&self.data)
     }
 
     /// Mean of all elements (0 for empty tensors).
@@ -304,9 +312,9 @@ impl Tensor {
         self.data.iter().copied().fold(f32::NEG_INFINITY, f32::max)
     }
 
-    /// Squared L2 norm of the tensor.
+    /// Squared L2 norm of the tensor (lane-ordered, see [`crate::reduce`]).
     pub fn sq_norm(&self) -> f32 {
-        self.data.iter().map(|&x| x * x).sum()
+        reduce::sq_norm(&self.data)
     }
 
     /// Index of the maximum element (first on ties); `None` when empty.
@@ -379,10 +387,7 @@ impl Tensor {
             let mut dims = self.shape.dims().to_vec();
             dims[0] = rows;
             let data = self.data[start * row..(start + rows) * row].to_vec();
-            out.push(Tensor {
-                shape: Shape::new(&dims),
-                data,
-            });
+            out.push(Tensor::from_parts(Shape::new(&dims), data));
             start += rows;
         }
         Ok(out)
@@ -431,10 +436,7 @@ impl Tensor {
         for p in parts {
             data.extend_from_slice(&p.data);
         }
-        Ok(Tensor {
-            shape: Shape::new(&dims),
-            data,
-        })
+        Ok(Tensor::from_parts(Shape::new(&dims), data))
     }
 
     fn check_same_shape(&self, other: &Tensor, op: &'static str) -> Result<(), TensorError> {

@@ -13,8 +13,8 @@
 
 use pipebd_tensor::parallel::{install, ComputePool};
 use pipebd_tensor::{
-    conv2d_grad_input_with, conv2d_grad_weight_with, conv2d_with, Conv2dSpec, KernelPolicy, Rng64,
-    Tensor,
+    conv2d_grad_input_with, conv2d_grad_weight_with, conv2d_with, reduce, Conv2dSpec, KernelPolicy,
+    Rng64, Tensor,
 };
 use proptest::prelude::*;
 
@@ -190,6 +190,32 @@ fn assert_pool_invariant_ret(what: &str, f: impl Fn() -> Tensor) -> Tensor {
         );
     }
     serial
+}
+
+#[test]
+fn lane_ordered_reductions_ignore_the_pool() {
+    // A reduction is never split across workers — its lanes are partial
+    // sums, and partial sums do not cross workers — so every installed
+    // width, and no pool at all, give the same bits.
+    let mut rng = Rng64::seed_from_u64(23);
+    for n in [5usize, 4099, 32 * 16 * 33] {
+        let a = Tensor::randn(&[n], &mut rng);
+        let b = Tensor::randn(&[n], &mut rng);
+        let sums = || {
+            [
+                a.sum(),
+                a.sq_norm(),
+                reduce::dot(a.data(), b.data()),
+                reduce::sq_dist(a.data(), b.data()),
+            ]
+            .map(f32::to_bits)
+        };
+        let ambient = sums();
+        for width in 1..=4usize {
+            let pooled = install(&ComputePool::new(width), sums);
+            assert_eq!(pooled, ambient, "pool width {width}, n={n}");
+        }
+    }
 }
 
 #[test]

@@ -6,8 +6,8 @@
 //! Pipe-BD parity claims) trustworthy.
 
 use pipebd_tensor::{
-    avg_pool2d, avg_pool2d_backward, conv2d, conv2d_grad_input, conv2d_grad_weight, Conv2dSpec,
-    Tensor,
+    avg_pool2d, avg_pool2d_backward, conv2d, conv2d_grad_input, conv2d_grad_weight, reduce,
+    Conv2dSpec, Tensor,
 };
 use proptest::prelude::*;
 
@@ -139,5 +139,44 @@ proptest! {
         scaled.scale(alpha);
         let expect = Tensor::from_vec(a, &[8]).unwrap().add(&scaled).unwrap();
         prop_assert!(x.allclose(&expect, 1e-5).unwrap());
+    }
+
+    #[test]
+    fn lane_sums_are_at_least_as_accurate_as_the_sequential_sum_they_replace(
+        a in proptest::collection::vec(-100.0f32..100.0, 0..700),
+        shift in -50.0f32..50.0,
+    ) {
+        // A sequential `f32` sum of `n` terms is only guaranteed
+        // `(n - 1) u Σ|t|` against the exact sum (each term passes through
+        // up to `n - 1` roundings). In lane order a term passes through at
+        // most `⌈n/16⌉ + 3` — its lane's adds after the first, then the
+        // four-level fold — so the lane sum must meet the smaller of the
+        // two, and can never be held to less than the sum it replaced.
+        let b: Vec<f32> = a.iter().map(|&x| x * 0.5 + shift).collect();
+        let n = a.len();
+        let roundings = n.saturating_sub(1).min(n.div_ceil(16) + 3) as f64;
+        let u = f32::EPSILON as f64 / 2.0;
+        let check = |got: f32, terms: Vec<f64>, term_roundings: f64| {
+            let exact: f64 = terms.iter().sum();
+            let mass: f64 = terms.iter().map(|t| t.abs()).sum();
+            // `term_roundings`: roundings spent forming each term in `f32`.
+            let bound = (roundings + term_roundings) * u * mass * 1.001;
+            (got as f64 - exact).abs() <= bound
+        };
+        let f = |x: f32| x as f64;
+        prop_assert!(check(reduce::sum(&a), a.iter().map(|&x| f(x)).collect(), 0.0));
+        prop_assert!(check(
+            reduce::dot(&a, &b),
+            a.iter().zip(&b).map(|(&x, &y)| f(x) * f(y)).collect(),
+            1.0
+        ));
+        prop_assert!(check(
+            reduce::sq_dist(&a, &b),
+            a.iter().zip(&b).map(|(&x, &y)| (f(x) - f(y)) * (f(x) - f(y))).collect(),
+            3.0
+        ));
+        let t = Tensor::from_vec(a.clone(), &[n]).unwrap();
+        prop_assert_eq!(t.sum().to_bits(), reduce::sum(&a).to_bits());
+        prop_assert!(check(t.sq_norm(), a.iter().map(|&x| f(x) * f(x)).collect(), 1.0));
     }
 }

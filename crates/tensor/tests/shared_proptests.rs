@@ -1,4 +1,5 @@
-//! Property-based tests for the copy-on-write [`SharedTensor`] handle.
+//! Property-based tests for copy-on-write [`Tensor`] storage and the
+//! [`SharedTensor`] handle over it.
 //!
 //! The executor data plane relies on one invariant above all: a tensor
 //! relayed by shared handle is immutable through that handle, and the few
@@ -59,13 +60,59 @@ proptest! {
     }
 
     #[test]
-    fn clone_from_reuses_the_destination_buffer(src in vecf(16), dst in vecf(16)) {
-        let src = Tensor::from_vec(src, &[4, 4]).unwrap();
-        let mut dst = Tensor::from_vec(dst, &[16]).unwrap();
-        let ptr = dst.data().as_ptr();
-        dst.clone_from(&src);
-        prop_assert_eq!(&dst, &src);
-        // Equal element counts: the write-back path must reuse storage.
-        prop_assert_eq!(dst.data().as_ptr(), ptr);
+    fn tensor_clone_shares_until_either_side_writes(
+        data in vecf(12),
+        scale in -3.0f32..3.0,
+        write_original in any::<bool>(),
+    ) {
+        let mut a = Tensor::from_vec(data.clone(), &[3, 4]).unwrap();
+        let mut b = a.clone();
+        let ptr = a.data().as_ptr();
+        // A clone is the same allocation, not a copy of it…
+        prop_assert_eq!(b.data().as_ptr(), ptr);
+        // …and so is a reshape.
+        let flat = a.reshape(&[12]).unwrap();
+        prop_assert_eq!(flat.data().as_ptr(), ptr);
+        drop(flat);
+        // The first write through either side copies, for that side only.
+        let (written, other) = if write_original { (&mut a, &mut b) } else { (&mut b, &mut a) };
+        written.scale(scale);
+        prop_assert_ne!(written.data().as_ptr(), ptr);
+        prop_assert_eq!(other.data().as_ptr(), ptr);
+        prop_assert_eq!(other.data(), &data[..]);
+        let expect: Vec<f32> = data.iter().map(|x| x * scale).collect();
+        prop_assert_eq!(written.data(), &expect[..]);
+        // Each side now holds its buffer alone: further writes are in place.
+        let (pw, po) = (written.data().as_ptr(), other.data().as_ptr());
+        written.data_mut()[0] = 1.0;
+        other.data_mut()[0] = 2.0;
+        prop_assert_eq!(written.data().as_ptr(), pw);
+        prop_assert_eq!(other.data().as_ptr(), po);
+    }
+
+    #[test]
+    fn unique_tensor_mutates_in_place_and_into_vec_moves(data in vecf(16), value in -2.0f32..2.0) {
+        let mut t = Tensor::from_vec(data, &[4, 4]).unwrap();
+        let ptr = t.data().as_ptr();
+        t.map_inplace(|x| x + value);
+        t.axpy(value, &Tensor::ones(&[4, 4])).unwrap();
+        t.set(&[1, 1], value).unwrap();
+        prop_assert_eq!(t.data().as_ptr(), ptr);
+        // A dropped clone leaves the survivor unique again.
+        drop(t.clone());
+        t.fill(value);
+        prop_assert_eq!(t.data().as_ptr(), ptr);
+        let v = t.into_vec();
+        prop_assert_eq!(v.as_ptr(), ptr);
+    }
+
+    #[test]
+    fn into_vec_of_a_shared_tensor_leaves_the_other_holder_intact(data in vecf(9)) {
+        let a = Tensor::from_vec(data.clone(), &[9]).unwrap();
+        let b = a.clone();
+        let mut v = b.into_vec();
+        prop_assert_ne!(v.as_ptr(), a.data().as_ptr());
+        v[0] += 1.0;
+        prop_assert_eq!(a.data(), &data[..]);
     }
 }

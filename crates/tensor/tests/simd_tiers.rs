@@ -13,8 +13,8 @@
 //! concurrently); the pure resolution checks are separate.
 
 use pipebd_tensor::{
-    conv2d_grad_input_with, conv2d_grad_weight_with, conv2d_with, Conv2dSpec, KernelPolicy, Rng64,
-    SimdTier, Tensor,
+    conv2d_grad_input_with, conv2d_grad_weight_with, conv2d_with, reduce, Conv2dSpec, KernelPolicy,
+    Rng64, SimdTier, Tensor,
 };
 use pipebd_tensor::{resolve_simd_override, set_simd_tier, simd_tier};
 
@@ -106,6 +106,35 @@ fn every_supported_tier_matches_the_oracle_and_each_other() {
                     }
                 }
             }
+        }
+    }
+
+    // The lane-ordered reductions are not tier-compiled at all: their
+    // order is fixed by the source, so forcing a tier cannot move a bit.
+    // Lengths with and without a ragged tail, and one a single lane step
+    // does not fill.
+    for n in [7usize, 16, 4099, 32 * 16 * 33] {
+        let a = Tensor::randn(&[n], &mut rng);
+        let b = Tensor::randn(&[n], &mut rng);
+        let sums = || {
+            [
+                a.sum(),
+                a.sq_norm(),
+                reduce::sum(a.data()),
+                reduce::dot(a.data(), b.data()),
+                reduce::sq_dist(a.data(), b.data()),
+            ]
+            .map(f32::to_bits)
+        };
+        let mut base: Option<(SimdTier, [u32; 5])> = None;
+        for &tier in &supported {
+            set_simd_tier(tier).unwrap();
+            let got = sums();
+            let (base_tier, want) = base.get_or_insert((tier, got));
+            assert_eq!(
+                got, *want,
+                "{tier} differs from {base_tier}: reductions n={n}"
+            );
         }
     }
 
