@@ -139,6 +139,14 @@ fn report_scenario(store: &ArtifactStore, run: &TraceRun) -> Result<(), String> 
             st.bubble_ratio * 100.0
         );
     }
+    // Activation buffers the devices' recyclers reissued / had to allocate.
+    let count = |name: &str| run.report.metrics.counter(name).unwrap_or(0);
+    println!(
+        "       buffers: {} reused, {} fresh, idle peak {:.1} KiB",
+        count("recycle.reused"),
+        count("recycle.fresh"),
+        count("recycle.idle_peak_bytes") as f64 / 1024.0,
+    );
     if !d.pass {
         return Err(format!("differential failed: {}", d.detail));
     }

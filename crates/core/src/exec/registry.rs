@@ -14,8 +14,8 @@
 //! * [`DeviceRegistry`] spawns device workers into the epoch (a
 //!   `worker_spawn` trace event per rank) and retires them at its end
 //!   (`worker_retire`): it joins every thread, turns panics into
-//!   [`ExecError::WorkerPanic`], and folds the kernel-pool counters into
-//!   the trace metrics.
+//!   [`ExecError::WorkerPanic`], and folds the kernel-pool and
+//!   buffer-recycler counters into the trace metrics.
 //!
 //! Each worker reports how its epoch ended as a [`WorkerEnd`]; `Err` is
 //! kept for real failures. `threaded::run_epoch` folds the ends into
@@ -45,12 +45,19 @@ pub(crate) type GradMsg = (usize, Vec<Vec<Tensor>>, Vec<f32>);
 /// gradients behind shared handles, plus averaged losses. Cloning the
 /// bundle clones handles, not buffers.
 pub(crate) type GradBundle = (Vec<Vec<SharedTensor>>, Vec<f32>);
-/// One worker's result rows: `(block, member, params, losses)`.
-pub(crate) type WorkerOut = Vec<(usize, usize, Vec<Tensor>, Vec<f32>)>;
+/// What a finished worker hands back, by move: its stage's trained student
+/// blocks (block `first_block + i` at index `i`) and their loss histories.
+/// The coordinator reads the parameters out of them.
+pub(crate) struct WorkerOut {
+    pub first_block: usize,
+    pub member: usize,
+    pub blocks: Vec<Block>,
+    pub losses: Vec<Vec<f32>>,
+}
 
 /// How one worker's epoch ended, short of a real failure.
 pub(crate) enum WorkerEnd {
-    /// Every round ran; the worker's result rows.
+    /// Every round ran; the worker's trained blocks and losses.
     Done(WorkerOut),
     /// A scripted join came due: stopped cleanly before round `step`.
     Grow { step: usize },
@@ -138,8 +145,10 @@ pub(crate) fn wire_roles(
         for (member, &device) in stage.devices.iter().enumerate() {
             let teacher_blocks: Vec<Block> =
                 stage.blocks().map(|i| teacher.block(i).clone()).collect();
-            let student_blocks: Vec<Block> =
-                stage.blocks().map(|i| student.block(i).clone()).collect();
+            let student_blocks: Vec<Block> = stage
+                .blocks()
+                .map(|i| super::private_clone(student.block(i)))
+                .collect();
             let output_tx = if si + 1 < num_stages {
                 stage_rx[si + 1].iter().map(|(tx, _)| tx.clone()).collect()
             } else {
@@ -189,8 +198,10 @@ pub(crate) fn wire_roles(
 /// over a freshly wired fabric.
 pub(crate) struct DeviceRegistry {
     handles: Vec<JoinHandle<Result<WorkerEnd, ExecError>>>,
-    /// Kernel pools, retained (handle clones) in `full` trace mode so
-    /// retire can snapshot their steal/park/wake counters after the join.
+    /// A handle to every worker's kernel pool, held past the join: a
+    /// pool's idle buffers go back to the system only if freed once its
+    /// thread (whose malloc cache pins its heap) is gone. In `full` trace
+    /// mode retire reads the counters first.
     pools: Vec<ComputePool>,
     trace: Option<Arc<TraceCollector>>,
     /// First round the epoch's workers participate in.
@@ -220,10 +231,8 @@ impl DeviceRegistry {
         pool: ComputePool,
         body: impl FnOnce() -> Result<WorkerEnd, ExecError> + Send + 'static,
     ) {
+        self.pools.push(pool.clone());
         if let Some(tc) = &self.trace {
-            if tc.full() {
-                self.pools.push(pool.clone());
-            }
             let t = tc.now_ns();
             tc.event(SpanKind::WorkerSpawn, self.epoch_start as u32, t, t);
         }
@@ -234,8 +243,9 @@ impl DeviceRegistry {
     /// Retires the epoch: joins every worker (spawn order), records a
     /// `worker_retire` trace event per rank (at the loss/grow step for
     /// structurally stopped workers, the epoch end otherwise), folds the
-    /// retained kernel-pool counters into the metrics registry, and
-    /// returns how each worker ended.
+    /// kernel-pool counters into the metrics registry (`pool.*`, and
+    /// `recycle.*`, each summed over the devices), and returns how each
+    /// worker ended.
     ///
     /// # Errors
     ///
@@ -259,13 +269,17 @@ impl DeviceRegistry {
             results.push(r);
         }
         // With every worker joined the pool counters are final.
-        if let Some(tc) = &self.trace {
+        if let Some(tc) = self.trace.as_ref().filter(|tc| tc.full()) {
             let m = tc.metrics();
             for pool in &self.pools {
                 let st = pool.stats();
                 m.counter("pool.steals").add(st.steals);
                 m.counter("pool.parks").add(st.parks);
                 m.counter("pool.wakes").add(st.wakes);
+                let rc = pool.recycle_stats();
+                m.counter("recycle.reused").add(rc.reused);
+                m.counter("recycle.fresh").add(rc.fresh);
+                m.counter("recycle.idle_peak_bytes").add(rc.idle_peak_bytes);
             }
         }
         results.into_iter().collect()

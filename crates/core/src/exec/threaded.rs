@@ -42,6 +42,19 @@
 //! Stage replicas are verified to remain bitwise identical after gradient
 //! averaging — divergence is reported as an error.
 //!
+//! # Buffers go home
+//!
+//! Each worker's compute pool recycles its buffers (`pipebd_tensor`'s
+//! `recycle` module): an activation goes back to the pool of the worker
+//! that allocated it when its last handle drops — a relayed boundary's on
+//! the next stage's thread. A step lets go of its input and boundaries
+//! right after the student loop, before it waits on anything, so under
+//! coupled updates every buffer is home before the barrier releases and
+//! steps after the first allocate none. A worker allocates nothing that
+//! outlives it: its student blocks are private copies the coordinator made
+//! (`private_clone`) and go back by move, and the registry drops the pools
+//! once the threads are gone, so a run's memory goes back to the system.
+//!
 //! # How an epoch ends
 //!
 //! Every call is one *epoch* of the device-thread registry. Each worker
@@ -359,11 +372,11 @@ pub(crate) fn run_epoch(
     // first (`retire` returns a worker's, then the sink's); then the
     // earliest loss; then a growth, which every incumbent reports at the
     // same boundary.
-    let mut rows = WorkerOut::new();
+    let mut outs = Vec::new();
     let (mut lost, mut grow, mut peer_gone) = (None, None, false);
     for end in devices.retire()? {
         match end {
-            WorkerEnd::Done(out) => rows.extend(out),
+            WorkerEnd::Done(out) => outs.push(out),
             WorkerEnd::Lost { rank, step } => {
                 lost = Some(lost.map_or((step, rank), |l: (usize, usize)| l.min((step, rank))));
             }
@@ -385,17 +398,25 @@ pub(crate) fn run_epoch(
             "a worker found its peers gone, but no worker failed or was lost".into(),
         ));
     }
-    finished(rows).map(EpochEnd::Finished)
+    finished(outs).map(EpochEnd::Finished)
 }
 
-/// Builds the outcome of a finished epoch from every worker's rows.
-/// Member 0 of each stage speaks for its blocks, once every replica of a
-/// widened stage is shown to hold the same parameters after its averaged
-/// updates.
-fn finished(rows: WorkerOut) -> Result<FuncOutcome, ExecError> {
+/// Builds the outcome of a finished epoch from what every worker handed
+/// back. Member 0 of each stage speaks for its blocks, once every replica
+/// of a widened stage is shown to hold the same parameters after its
+/// averaged updates.
+fn finished(outs: Vec<WorkerOut>) -> Result<FuncOutcome, ExecError> {
+    // One row per block and member: `(block, member, params, losses)`.
+    let mut rows = Vec::new();
+    for mut out in outs {
+        for (i, (s, losses)) in out.blocks.iter_mut().zip(out.losses).enumerate() {
+            let params = pipebd_nn::snapshot_params(s);
+            rows.push((out.first_block + i, out.member, params, losses));
+        }
+    }
     // A validated plan puts every block in exactly one stage, so the
     // member-0 rows sorted by block are blocks `0..b`.
-    let (mut lead, replicas): (WorkerOut, WorkerOut) =
+    let (mut lead, replicas): (Vec<_>, Vec<_>) =
         rows.into_iter().partition(|(_, member, ..)| *member == 0);
     lead.sort_by_key(|(block, ..)| *block);
     for (block, _, params, _) in &replicas {
@@ -569,6 +590,10 @@ fn train(
             })?;
             step_losses.push(loss);
         }
+        // Nothing below reads an activation: let them go before this
+        // thread blocks, so each is back with the recycler that issued it
+        // by the time that thread allocates the next step's.
+        drop((input, cur, boundaries));
 
         // (4) Gradient sharing within a widened stage (line 14).
         if role.width > 1 {
@@ -624,18 +649,13 @@ fn train(
     }
 
     // With decoupled updates some threads may finish earlier; that is the
-    // point. Return parameters per owned block.
-    let out = role
-        .student_blocks
-        .iter_mut()
-        .zip(losses)
-        .enumerate()
-        .map(|(i, (s, losses))| {
-            let params = pipebd_nn::snapshot_params(s);
-            (role.first_block + i, role.member, params, losses)
-        })
-        .collect();
-    Ok(WorkerEnd::Done(out))
+    // point. The trained blocks go back by move.
+    Ok(WorkerEnd::Done(WorkerOut {
+        first_block: role.first_block,
+        member: role.member,
+        blocks: std::mem::take(&mut role.student_blocks),
+        losses,
+    }))
 }
 
 /// Receives until every upstream member has a queued shard for the current

@@ -1,0 +1,204 @@
+//! The buffer recycler under the real executors: after warm-up a step
+//! allocates no activation, a longer run idles no more memory than a short
+//! one, and recycling changes no bit of the result.
+//!
+//! The counters are the trace plane's `recycle.*` metrics (full mode), so
+//! this also pins `DeviceRegistry::retire`'s fold. Activations here are
+//! above the recycler's floor (the other suites' 8 x 8 images are not).
+//! Updates are coupled: every buffer is home before the step barrier
+//! releases, which is what makes the counts exact rather than bounds.
+
+use std::sync::{Arc, Mutex};
+
+use pipebd_core::exec::threaded::{self, RunHooks};
+use pipebd_core::exec::{reference, FuncConfig, FuncOutcome};
+use pipebd_data::SyntheticImageDataset;
+use pipebd_models::{mini_student_dsconv, mini_teacher, MiniConfig};
+use pipebd_nn::{Block, BlockNet, Layer, Mode, Param, Sequential};
+use pipebd_sched::StagePlan;
+use pipebd_tensor::{Rng64, SharedTensor, Tensor};
+use pipebd_trace::{TraceCollector, TraceMode};
+
+const BLOCKS: usize = 2;
+const DEVICES: usize = 2;
+
+fn setup() -> (BlockNet, BlockNet, SyntheticImageDataset) {
+    let cfg = MiniConfig {
+        blocks: BLOCKS,
+        channels: 8,
+        batch_norm: false,
+    };
+    let mut rng = Rng64::seed_from_u64(18);
+    let teacher = mini_teacher(cfg, &mut rng);
+    let student = mini_student_dsconv(cfg, &mut rng);
+    (teacher, student, SyntheticImageDataset::mini(64, 32, 4, 5))
+}
+
+fn config(stages: &[(usize, usize)], steps: usize) -> FuncConfig {
+    FuncConfig {
+        devices: DEVICES,
+        steps,
+        batch: 8,
+        plan: Some(StagePlan::from_widths(stages, BLOCKS, DEVICES).unwrap()),
+        decoupled_updates: false,
+        pool_size: Some(DEVICES),
+        ..FuncConfig::default()
+    }
+}
+
+/// `(reused, fresh, idle_peak_bytes)` over a run's devices, and its outcome.
+fn traced_run(
+    nets: &(BlockNet, BlockNet, SyntheticImageDataset),
+    cfg: &FuncConfig,
+) -> ((u64, u64, u64), FuncOutcome) {
+    let (teacher, student, data) = nets;
+    let collector = TraceCollector::new(TraceMode::Full);
+    let hooks = RunHooks {
+        trace: Some(Arc::clone(&collector)),
+        ..RunHooks::default()
+    };
+    let outcome = threaded::run_hooked(teacher, student, data, cfg, &hooks).unwrap();
+    let metrics = collector.drain().metrics;
+    let count = |name: &str| metrics.counter(name).unwrap_or_else(|| panic!("no {name}"));
+    let counts = (
+        count("recycle.reused"),
+        count("recycle.fresh"),
+        count("recycle.idle_peak_bytes"),
+    );
+    (counts, outcome)
+}
+
+#[test]
+fn recycled_steady_state_allocates_nothing_on_either_plan_shape() {
+    // Relay (the boundary comes home from the next stage's thread), and
+    // batch split (gradients cross threads, activations do not).
+    let shapes: [(&str, &[(usize, usize)]); 2] = [
+        ("2-stage width-1", &[(1, 1), (1, 1)]),
+        ("1-stage width-2", &[(2, 2)]),
+    ];
+    let nets = setup();
+    for (name, stages) in shapes {
+        let ((short_reused, short_fresh, short_idle), _) = traced_run(&nets, &config(stages, 4));
+        let ((long_reused, long_fresh, long_idle), _) = traced_run(&nets, &config(stages, 12));
+        assert!(short_fresh > 0, "{name}: nothing reached the recycler");
+        assert_eq!(long_fresh, short_fresh, "{name}: steps 5..12 allocated");
+        assert!(long_reused > 2 * short_reused, "{name}");
+        assert!(
+            long_idle <= short_idle,
+            "{name}: idle bytes grew with the run, {short_idle} -> {long_idle}"
+        );
+    }
+}
+
+#[test]
+fn recycled_runs_match_the_reference_bit_for_bit() {
+    let nets = setup();
+    let cfg = config(&[(1, 1), (1, 1)], 5);
+    let ((reused, ..), threaded) = traced_run(&nets, &cfg);
+    assert!(
+        reused > 0,
+        "the run never recycled: nothing is being tested"
+    );
+    let golden = reference::run(&nets.0, &nets.1, &nets.2, &cfg).unwrap();
+    assert_eq!(threaded.max_param_diff(&golden), 0.0);
+    assert_eq!(threaded.max_loss_diff(&golden), 0.0);
+    // Decoupled, buffers come home in a different order; same bits.
+    let decoupled = FuncConfig {
+        decoupled_updates: true,
+        ..cfg
+    };
+    let (_, free_running) = traced_run(&nets, &decoupled);
+    assert_eq!(free_running.max_param_diff(&golden), 0.0);
+    assert_eq!(free_running.max_loss_diff(&golden), 0.0);
+}
+
+/// Every boundary stage 0 has relayed, in step order: one extra handle each.
+type Relayed = Arc<Mutex<Vec<SharedTensor>>>;
+
+/// Ends stage 0's teacher block: passes its input through and keeps a
+/// handle to it, which is the buffer the block relays.
+#[derive(Clone)]
+struct Witness(Relayed);
+
+/// Ends stage 1's student block: passes everything through, and at the
+/// optimizer's first visit after a forward pass — past the step barrier —
+/// requires that step's relayed boundary to have no holder but the witness.
+#[derive(Clone)]
+struct AfterBarrier {
+    relayed: Relayed,
+    forwards: usize,
+    checked: usize,
+}
+
+impl Layer for Witness {
+    fn forward(&mut self, x: &Tensor, _: Mode) -> pipebd_tensor::Result<Tensor> {
+        self.0.lock().unwrap().push(SharedTensor::new(x.clone()));
+        Ok(x.clone())
+    }
+    fn backward(&mut self, dy: &Tensor) -> pipebd_tensor::Result<Tensor> {
+        Ok(dy.clone())
+    }
+    fn visit_params(&mut self, _: &mut dyn FnMut(&mut Param)) {}
+    fn name(&self) -> &'static str {
+        "witness"
+    }
+    fn clone_box(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
+}
+
+impl Layer for AfterBarrier {
+    fn forward(&mut self, x: &Tensor, _: Mode) -> pipebd_tensor::Result<Tensor> {
+        self.forwards += 1;
+        Ok(x.clone())
+    }
+    fn backward(&mut self, dy: &Tensor) -> pipebd_tensor::Result<Tensor> {
+        Ok(dy.clone())
+    }
+    fn visit_params(&mut self, _: &mut dyn FnMut(&mut Param)) {
+        if self.checked < self.forwards {
+            self.checked = self.forwards;
+            let step = self.forwards - 1;
+            let holders = self.relayed.lock().unwrap()[step].ref_count();
+            assert_eq!(holders, 1, "step {step}: the boundary is still held");
+        }
+    }
+    fn name(&self) -> &'static str {
+        "after-barrier"
+    }
+    fn clone_box(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
+}
+
+#[test]
+fn recycled_boundaries_are_released_before_the_step_barrier() {
+    // Neither stage may hold the relayed activation (or stage 0 its
+    // teacher boundaries) through the barrier and the update: by then the
+    // buffer must be free to go home. Coupled updates order the check
+    // after both stages' student loops, so it is exact.
+    let (teacher, student, data) = setup();
+    let relayed = Relayed::default();
+    let then = |block: &Block, last: Box<dyn Layer>| {
+        Block::new(
+            "wrapped",
+            Sequential::new(vec![Box::new(block.clone()), last]),
+        )
+    };
+    let teacher = BlockNet::new(vec![
+        then(teacher.block(0), Box::new(Witness(Arc::clone(&relayed)))),
+        teacher.block(1).clone(),
+    ]);
+    let after_barrier = AfterBarrier {
+        relayed: Arc::clone(&relayed),
+        forwards: 0,
+        checked: 0,
+    };
+    let student = BlockNet::new(vec![
+        student.block(0).clone(),
+        then(student.block(1), Box::new(after_barrier)),
+    ]);
+    let cfg = config(&[(1, 1), (1, 1)], 4);
+    threaded::run(&teacher, &student, &data, &cfg).unwrap();
+    assert_eq!(relayed.lock().unwrap().len(), 4, "one boundary per step");
+}

@@ -115,14 +115,13 @@ impl SyntheticImageDataset {
     pub fn batch(&self, start: u64, n: usize) -> (Tensor, Vec<usize>) {
         let shape = self.spec.sample_shape;
         let per = shape.elems() as usize;
-        let mut data = vec![0.0f32; n * per];
+        let mut images = Tensor::zeros(&[n, shape.c, shape.h, shape.w]);
+        let data = images.data_mut();
         let mut labels = Vec::with_capacity(n);
         for k in 0..n {
             let idx = (start + k as u64) % self.len().max(1);
             labels.push(self.write_sample(idx, &mut data[k * per..(k + 1) * per]));
         }
-        let images = Tensor::from_vec(data, &[n, shape.c, shape.h, shape.w])
-            .expect("batch shape is consistent");
         (images, labels)
     }
 }

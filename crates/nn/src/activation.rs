@@ -18,9 +18,8 @@ fn gate_gradient(
             op,
         });
     }
-    let dx = dy.data().iter().zip(y.data());
-    let dx = dx.map(|(&g, &y)| if keep(y) { g } else { 0.0 }).collect();
-    Tensor::from_vec(dx, dy.dims())
+    // Only the element counts have to agree; the result takes `dy`'s dims.
+    dy.zip(&y.reshape(dy.dims())?, |g, y| if keep(y) { g } else { 0.0 })
 }
 
 /// Rectified linear unit, `max(0, x)`.

@@ -5,7 +5,9 @@
 //! (bias gradients, architecture gradients, the loss value) give the same
 //! bits on every SIMD tier and at every pool width.
 
-use pipebd_nn::{mse_loss, Block, Conv2d, Layer, Linear, MixedOp, Mode, Relu, Relu6, Sequential};
+use pipebd_nn::{
+    mse_loss, zero_grad, Block, Conv2d, Layer, Linear, MixedOp, Mode, Relu, Relu6, Sequential, Sgd,
+};
 use pipebd_tensor::parallel::{install, ComputePool};
 use pipebd_tensor::{set_simd_tier, Rng64, SimdTier, Tensor};
 
@@ -210,4 +212,46 @@ fn a_student_step_is_bitwise_on_every_tier_and_pool_width() {
         }
     }
     set_simd_tier(SimdTier::probe()).unwrap();
+}
+
+/// Three optimizer steps of `block`; the bits of every loss and of every
+/// parameter afterwards.
+fn train_bits(block: &dyn Layer, x: &Tensor, target: &Tensor) -> Vec<Vec<u32>> {
+    let mut block = block.clone_box();
+    let mut sgd = Sgd::new(0.05, 0.9, 0.0);
+    let mut out = Vec::new();
+    for _ in 0..3 {
+        let y = block.forward(x, Mode::Train).unwrap();
+        let loss = mse_loss(&y, target).unwrap();
+        block.backward_params(&loss.grad).unwrap();
+        sgd.step(block.as_mut()).unwrap();
+        zero_grad(block.as_mut());
+        out.push(vec![loss.loss.to_bits()]);
+    }
+    block.visit_params(&mut |p| out.push(bits(&p.value)));
+    out
+}
+
+#[test]
+fn training_is_bitwise_with_and_without_a_buffer_recycler() {
+    // Where a buffer's bytes live is all an `install` scope's recycler
+    // changes. 8 x 32 x 32 planes: every activation is above its floor.
+    let mut rng = Rng64::seed_from_u64(31);
+    let blocks = [
+        ("ds-conv block", dsconv_block(8, &mut rng)),
+        ("supernet block", supernet_block(8, &mut rng)),
+    ];
+    for (name, block) in blocks {
+        let x = Tensor::randn(&[4, 8, 32, 32], &mut rng);
+        let target = Tensor::randn(&[4, 8, 32, 32], &mut rng);
+        let plain = train_bits(block.as_ref(), &x, &target);
+        let pool = ComputePool::new(1);
+        let recycled = install(&pool, || train_bits(block.as_ref(), &x, &target));
+        assert_eq!(recycled, plain, "{name}");
+        let stats = pool.recycle_stats();
+        assert!(
+            stats.reused > stats.fresh,
+            "{name}: steps 2 and 3 should run on step 1's buffers: {stats:?}"
+        );
+    }
 }

@@ -206,7 +206,7 @@ pub fn conv2d_with(
     let (n, _ci, h, wd) = spec.validate(x, w)?;
     let oh = spec.out_extent(h)?;
     let ow = spec.out_extent(wd)?;
-    let mut out = vec![0.0f32; n * spec.out_channels * oh * ow];
+    let mut out = Tensor::zeros(&[n, spec.out_channels, oh, ow]);
     match policy {
         KernelPolicy::Blocked => {
             let geom = ConvGeom {
@@ -216,13 +216,13 @@ pub fn conv2d_with(
                 oh,
                 ow,
             };
-            conv2d_blocked(x.data(), w.data(), &mut out, &spec, &geom);
+            conv2d_blocked(x.data(), w.data(), out.data_mut(), &spec, &geom);
         }
         KernelPolicy::Naive => {
-            conv2d_naive(x.data(), w.data(), &mut out, spec, n, h, wd, oh, ow);
+            conv2d_naive(x.data(), w.data(), out.data_mut(), spec, n, h, wd, oh, ow);
         }
     }
-    Tensor::from_vec(out, &[n, spec.out_channels, oh, ow])
+    Ok(out)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -330,7 +330,7 @@ pub fn conv2d_grad_input_with(
             op: "conv2d_grad_input",
         });
     }
-    let mut dx = vec![0.0f32; n * spec.in_channels * h * wd];
+    let mut dx = Tensor::zeros(&[n, spec.in_channels, h, wd]);
     match policy {
         KernelPolicy::Blocked => {
             let geom = ConvGeom {
@@ -340,13 +340,13 @@ pub fn conv2d_grad_input_with(
                 oh,
                 ow,
             };
-            conv2d_grad_input_blocked(dy.data(), w.data(), &mut dx, &spec, &geom);
+            conv2d_grad_input_blocked(dy.data(), w.data(), dx.data_mut(), &spec, &geom);
         }
         KernelPolicy::Naive => {
-            conv2d_grad_input_naive(dy.data(), w.data(), &mut dx, spec, n, h, wd, oh, ow);
+            conv2d_grad_input_naive(dy.data(), w.data(), dx.data_mut(), spec, n, h, wd, oh, ow);
         }
     }
-    Tensor::from_vec(dx, &[n, spec.in_channels, h, wd])
+    Ok(dx)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -437,8 +437,7 @@ pub fn conv2d_grad_weight_with(
             op: "conv2d_grad_weight",
         });
     }
-    let cig = spec.in_channels / spec.groups;
-    let mut dw = vec![0.0f32; spec.out_channels * cig * spec.kernel * spec.kernel];
+    let mut dw = Tensor::zeros(&spec.weight_dims());
     match policy {
         KernelPolicy::Blocked => {
             let geom = ConvGeom {
@@ -448,13 +447,13 @@ pub fn conv2d_grad_weight_with(
                 oh,
                 ow,
             };
-            conv2d_grad_weight_blocked(x.data(), dy.data(), &mut dw, &spec, &geom);
+            conv2d_grad_weight_blocked(x.data(), dy.data(), dw.data_mut(), &spec, &geom);
         }
         KernelPolicy::Naive => {
-            conv2d_grad_weight_naive(x.data(), dy.data(), &mut dw, spec, n, h, wd, oh, ow);
+            conv2d_grad_weight_naive(x.data(), dy.data(), dw.data_mut(), spec, n, h, wd, oh, ow);
         }
     }
-    Tensor::from_vec(dw, &spec.weight_dims())
+    Ok(dw)
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -38,6 +38,7 @@ mod kernel;
 mod linalg;
 pub mod parallel;
 mod pool;
+mod recycle;
 pub mod reduce;
 mod rng;
 mod shape;

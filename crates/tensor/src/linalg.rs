@@ -53,10 +53,11 @@ impl Tensor {
         }
         let a = self.data();
         let b = other.data();
-        let mut out = vec![0.0f32; m * n];
+        let mut result = Tensor::zeros(&[m, n]);
+        let out = result.data_mut();
         match policy {
             KernelPolicy::Blocked => {
-                gemm_strided(m, n, k, a, k, 1, b, n, 1, &mut out, false);
+                gemm_strided(m, n, k, a, k, 1, b, n, 1, out, false);
             }
             KernelPolicy::Naive => {
                 // i-k-j loop order: streams through b rows, cache friendly.
@@ -75,7 +76,7 @@ impl Tensor {
                 }
             }
         }
-        Tensor::from_vec(out, &[m, n])
+        Ok(result)
     }
 
     /// `selfᵀ @ other` for rank-2 tensors `[k, m]ᵀ x [k, n]`.
@@ -111,11 +112,12 @@ impl Tensor {
         }
         let a = self.data();
         let b = other.data();
-        let mut out = vec![0.0f32; m * n];
+        let mut result = Tensor::zeros(&[m, n]);
+        let out = result.data_mut();
         match policy {
             KernelPolicy::Blocked => {
                 // A is stored [k, m]; strides express the transpose.
-                gemm_strided(m, n, k, a, 1, m, b, n, 1, &mut out, false);
+                gemm_strided(m, n, k, a, 1, m, b, n, 1, out, false);
             }
             KernelPolicy::Naive => {
                 for p in 0..k {
@@ -133,7 +135,7 @@ impl Tensor {
                 }
             }
         }
-        Tensor::from_vec(out, &[m, n])
+        Ok(result)
     }
 
     /// `self @ otherᵀ` for rank-2 tensors `[m, k] x [n, k]ᵀ`.
@@ -169,11 +171,12 @@ impl Tensor {
         }
         let a = self.data();
         let b = other.data();
-        let mut out = vec![0.0f32; m * n];
+        let mut result = Tensor::zeros(&[m, n]);
+        let out = result.data_mut();
         match policy {
             KernelPolicy::Blocked => {
                 // B is stored [n, k]; strides express the transpose.
-                gemm_strided(m, n, k, a, k, 1, b, 1, k, &mut out, false);
+                gemm_strided(m, n, k, a, k, 1, b, 1, k, out, false);
             }
             KernelPolicy::Naive => {
                 for i in 0..m {
@@ -189,7 +192,7 @@ impl Tensor {
                 }
             }
         }
-        Tensor::from_vec(out, &[m, n])
+        Ok(result)
     }
 
     /// Transpose of a rank-2 tensor.
@@ -200,13 +203,14 @@ impl Tensor {
     pub fn transpose2d(&self) -> Result<Tensor, TensorError> {
         let (m, n) = rank2(self, "transpose2d")?;
         let a = self.data();
-        let mut out = vec![0.0f32; m * n];
+        let mut result = Tensor::zeros(&[n, m]);
+        let out = result.data_mut();
         for i in 0..m {
             for j in 0..n {
                 out[j * m + i] = a[i * n + j];
             }
         }
-        Tensor::from_vec(out, &[n, m])
+        Ok(result)
     }
 
     /// Adds a length-`n` bias row to every row of an `[m, n]` matrix.

@@ -36,10 +36,18 @@ use std::sync::{Arc, OnceLock};
 pub use crossbeam::pool::PoolStats;
 use crossbeam::pool::{Scope, ThreadPool};
 
-/// A shareable handle to a work-stealing pool sized for kernel work.
+pub use crate::recycle::RecycleStats;
+use crate::recycle::Recycler;
+
+/// A shareable handle to a device: a work-stealing pool sized for kernel
+/// work, and the device's buffers — an activation-sized tensor allocated
+/// on a thread the pool is [`install`]ed on returns its buffer to the pool
+/// when it drops, for the next allocation of that size there. The idle
+/// buffers are freed with the last handle to the pool.
 #[derive(Clone, Debug)]
 pub struct ComputePool {
     inner: Arc<ThreadPool>,
+    recycler: Arc<Recycler>,
 }
 
 impl ComputePool {
@@ -49,6 +57,7 @@ impl ComputePool {
     pub fn new(size: usize) -> Self {
         ComputePool {
             inner: Arc::new(ThreadPool::new(size)),
+            recycler: Arc::default(),
         }
     }
 
@@ -61,6 +70,12 @@ impl ComputePool {
     /// reads these after a run; they never affect kernel results).
     pub fn stats(&self) -> PoolStats {
         self.inner.stats()
+    }
+
+    /// Snapshots the pool's buffer-recycling counters (read by the trace
+    /// plane after a run, like [`ComputePool::stats`]).
+    pub fn recycle_stats(&self) -> RecycleStats {
+        self.recycler.stats()
     }
 
     /// Runs `op` with a [`PoolScope`] for spawning kernel tasks; returns
@@ -127,6 +142,12 @@ pub fn install<R>(pool: &ComputePool, f: impl FnOnce() -> R) -> R {
 }
 
 static GLOBAL: OnceLock<Option<ComputePool>> = OnceLock::new();
+
+/// Runs `f` on the buffer recycler of this thread's innermost
+/// [`install`]ed pool, if any (the process-global pool recycles nothing).
+pub(crate) fn with_recycler<R>(f: impl FnOnce(&Arc<Recycler>) -> R) -> Option<R> {
+    INSTALLED.with(|s| s.borrow().last().map(|pool| f(&pool.recycler)))
+}
 
 /// The process-default pool budget: `PIPEBD_POOL` if set (panics on an
 /// unparsable or zero value — a silently mislabeled scaling run is worse

@@ -2,6 +2,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::error::TensorError;
+use crate::recycle::Buf;
 use crate::reduce;
 use crate::rng::Rng64;
 use crate::shape::Shape;
@@ -41,11 +42,11 @@ use crate::shape::Shape;
 #[derive(Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
-    data: Arc<Vec<f32>>,
+    data: Arc<Buf>,
 }
 
 impl Tensor {
-    fn from_parts(shape: Shape, data: Vec<f32>) -> Self {
+    fn from_parts(shape: Shape, data: Buf) -> Self {
         Tensor {
             shape,
             data: Arc::new(data),
@@ -66,7 +67,7 @@ impl Tensor {
     pub fn full(dims: &[usize], value: f32) -> Self {
         let shape = Shape::new(dims);
         let n = shape.numel();
-        Tensor::from_parts(shape, vec![value; n])
+        Tensor::from_parts(shape, Buf::filled(n, value))
     }
 
     /// Builds a tensor from a buffer and shape.
@@ -84,7 +85,7 @@ impl Tensor {
                 op: "from_vec",
             });
         }
-        Ok(Tensor::from_parts(shape, data))
+        Ok(Tensor::from_parts(shape, Buf::foreign(data)))
     }
 
     /// Standard-normal-initialized tensor.
@@ -136,13 +137,13 @@ impl Tensor {
     /// is the buffer's only holder, otherwise of a private copy taken
     /// first (copy-on-write).
     pub fn data_mut(&mut self) -> &mut [f32] {
-        Arc::make_mut(&mut self.data).as_mut_slice()
+        &mut Arc::make_mut(&mut self.data)[..]
     }
 
     /// Consumes the tensor, returning its buffer: a move when this handle
     /// is the buffer's only holder, a copy otherwise.
     pub fn into_vec(self) -> Vec<f32> {
-        Arc::try_unwrap(self.data).unwrap_or_else(|shared| (*shared).clone())
+        Arc::try_unwrap(self.data).map_or_else(|shared| shared.to_vec(), Buf::into_vec)
     }
 
     /// Whether both tensors hold the same buffer.
@@ -198,10 +199,8 @@ impl Tensor {
 
     /// Applies `f` elementwise, returning a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor::from_parts(
-            self.shape.clone(),
-            self.data.iter().map(|&x| f(x)).collect(),
-        )
+        let data = Buf::build(self.numel(), |v| v.extend(self.data.iter().map(|&x| f(x))));
+        Tensor::from_parts(self.shape.clone(), data)
     }
 
     /// Applies `f` elementwise in place.
@@ -218,14 +217,9 @@ impl Tensor {
     /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
     pub fn zip(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Result<Tensor, TensorError> {
         self.check_same_shape(other, "zip")?;
-        Ok(Tensor::from_parts(
-            self.shape.clone(),
-            self.data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        ))
+        let pairs = self.data.iter().zip(other.data.iter());
+        let data = Buf::build(self.numel(), |v| v.extend(pairs.map(|(&a, &b)| f(a, b))));
+        Ok(Tensor::from_parts(self.shape.clone(), data))
     }
 
     /// Elementwise sum.
@@ -386,7 +380,8 @@ impl Tensor {
             let rows = base + usize::from(p < extra);
             let mut dims = self.shape.dims().to_vec();
             dims[0] = rows;
-            let data = self.data[start * row..(start + rows) * row].to_vec();
+            let shard = &self.data[start * row..(start + rows) * row];
+            let data = Buf::build(shard.len(), |v| v.extend_from_slice(shard));
             out.push(Tensor::from_parts(Shape::new(&dims), data));
             start += rows;
         }
@@ -432,11 +427,13 @@ impl Tensor {
         }
         let mut dims = first.dims().to_vec();
         dims[0] = batch;
-        let mut data = Vec::with_capacity(Shape::new(&dims).numel());
-        for p in parts {
-            data.extend_from_slice(&p.data);
-        }
-        Ok(Tensor::from_parts(Shape::new(&dims), data))
+        let shape = Shape::new(&dims);
+        let data = Buf::build(shape.numel(), |v| {
+            for p in parts {
+                v.extend_from_slice(&p.data);
+            }
+        });
+        Ok(Tensor::from_parts(shape, data))
     }
 
     fn check_same_shape(&self, other: &Tensor, op: &'static str) -> Result<(), TensorError> {
@@ -460,7 +457,7 @@ impl Default for Tensor {
 impl fmt::Debug for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.numel() <= 16 {
-            write!(f, "Tensor({}, {:?})", self.shape, self.data)
+            write!(f, "Tensor({}, {:?})", self.shape, self.data())
         } else {
             write!(
                 f,

@@ -183,7 +183,9 @@ pub fn run_trace_scenario(s: &Scenario, book: &ToleranceBook) -> Result<TraceRun
     let mut rng = Rng64::seed_from_u64(s.seed);
     let teacher = mini_teacher(cfg, &mut rng);
     let student = mini_student_dsconv(cfg, &mut rng);
-    let data = SyntheticImageDataset::mini(64, 8, 4, s.seed.rotate_left(17));
+    // 24 x 24: every activation — a width-2 stage's half batch included —
+    // is above the buffer recycler's floor, so `recycle.*` counts a real run.
+    let data = SyntheticImageDataset::mini(64, 24, 4, s.seed.rotate_left(17));
     let (plan, dpu) = s.exec_plan()?;
     let func = FuncConfig {
         devices: s.ranks,
