@@ -123,6 +123,22 @@ pub mod channel {
             self.shared.ready.notify_one();
             Ok(())
         }
+
+        /// Messages sent and not yet received (the real crate's name and
+        /// meaning: a snapshot, stale as soon as it is read).
+        pub fn len(&self) -> usize {
+            self.shared
+                .state
+                .lock()
+                .expect("channel poisoned")
+                .queue
+                .len()
+        }
+
+        /// Whether [`len`](Self::len) reads 0.
+        pub fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
     }
 
     impl<T> Clone for Sender<T> {
@@ -215,6 +231,19 @@ pub mod channel {
             for i in 0..10 {
                 assert_eq!(rx.recv(), Ok(i));
             }
+        }
+
+        #[test]
+        fn len_counts_what_is_sent_and_not_yet_received() {
+            let (tx, rx) = unbounded();
+            assert!(tx.is_empty());
+            tx.send(1).unwrap();
+            tx.clone().send(2).unwrap();
+            assert_eq!(tx.len(), 2);
+            rx.recv().unwrap();
+            assert_eq!(tx.len(), 1);
+            rx.recv().unwrap();
+            assert!(tx.is_empty());
         }
 
         #[test]

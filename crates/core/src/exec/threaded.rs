@@ -55,6 +55,13 @@
 //! (`private_clone`) and go back by move, and the registry drops the pools
 //! once the threads are gone, so a run's memory goes back to the system.
 //!
+//! Under decoupled updates a stage faster than the next one runs ahead of
+//! it, and every boundary it queues is one its recycler cannot have back:
+//! a fresh allocation per step of lead. `wait_for_room` holds such a stage
+//! at the top of a step while a consumer still has `RELAY_LEAD` steps
+//! queued, so the boundaries alive at once are bounded by the plan and not
+//! by how long a downstream thread happened to be off its core.
+//!
 //! # How an epoch ends
 //!
 //! Every call is one *epoch* of the device-thread registry. Each worker
@@ -63,8 +70,9 @@
 //! outrank a peer's hang-up. A worker that ends any other way than
 //! `Done`/`Grow` — an error, a lost rank, a panic — raises the epoch's
 //! abort flag, and every blocking wait (the one channel receive,
-//! `recv_or_gone`, and the step barrier) re-checks the flag at a short
-//! interval, so no peer outlives the failure by more than `ABORT_WAKE`.
+//! `recv_or_gone`, the step barrier and the relay's `wait_for_room`)
+//! re-checks the flag at a short interval, so no peer outlives the
+//! failure by more than `ABORT_WAKE`.
 //! That holds for every run, with or without a fault script.
 
 use std::collections::{HashMap, VecDeque};
@@ -180,6 +188,27 @@ fn recv_or_gone<T>(rx: &Receiver<T>, abort: &AtomicBool) -> Result<T, Halt> {
             Err(_) => return Err(Halt::PeerGone),
         }
     }
+}
+
+/// Steps a stage may run ahead of the slowest member it relays to, counted
+/// in boundaries that member has not yet received. Two keeps a downstream
+/// stage fed across an upstream hiccup of one of its own steps; each step
+/// of lead past that is one more boundary activation alive for nothing —
+/// the consumer is the bottleneck, and its pace is the pipeline's.
+const RELAY_LEAD: usize = 2;
+
+/// Back-pressure on the relay: holds a worker at the top of a step while
+/// any next-stage member still has [`RELAY_LEAD`] steps of this stage's
+/// boundaries (`width` shards a step) queued. The channels stay unbounded
+/// and sends never block; a stage that is not ahead never waits here.
+fn wait_for_room(txs: &[Sender<Shard>], width: usize, abort: &AtomicBool) -> Result<(), Halt> {
+    while txs.iter().any(|tx| tx.len() >= RELAY_LEAD * width) {
+        if abort.load(Ordering::SeqCst) {
+            return Err(Halt::PeerGone);
+        }
+        std::thread::sleep(ABORT_WAKE);
+    }
+    Ok(())
 }
 
 /// Runs `f` inside a recorded span when a recorder is present (the span
@@ -512,6 +541,10 @@ fn train(
             FaultAction::Grow => return Ok(WorkerEnd::Grow { step }),
             FaultAction::Lost => return Ok(WorkerEnd::Lost { rank, step }),
         }
+        // Decoupled updates let a fast stage run ahead; not further than
+        // the next stage can use. Outside every span: a traced run shows
+        // the wait as untracked time on this track, not as relay.
+        wait_for_room(&role.output_tx, role.width, abort)?;
 
         // (1) Input: load data (stage 0) or receive the relayed activation.
         let input: SharedTensor = spanned(&mut rec, SpanKind::Load, None, step as u32, || {

@@ -7,6 +7,8 @@
 //! above the recycler's floor (the other suites' 8 x 8 images are not).
 //! Updates are coupled: every buffer is home before the step barrier
 //! releases, which is what makes the counts exact rather than bounds.
+//! The last test decouples them, where the relay's back-pressure is what
+//! bounds the boundaries in flight.
 
 use std::sync::{Arc, Mutex};
 
@@ -201,4 +203,94 @@ fn recycled_boundaries_are_released_before_the_step_barrier() {
     let cfg = config(&[(1, 1), (1, 1)], 4);
     threaded::run(&teacher, &student, &data, &cfg).unwrap();
     assert_eq!(relayed.lock().unwrap().len(), 4, "one boundary per step");
+}
+
+/// Ends a teacher block: passes its input through, counts its stage's
+/// steps and naps, so a test sets each stage's pace and reads how far
+/// apart they got.
+#[derive(Clone)]
+struct Pace {
+    /// Steps this stage has begun, and the other stage.
+    mine: Arc<Mutex<usize>>,
+    theirs: Arc<Mutex<usize>>,
+    /// On the upstream stage: the most steps it was ahead at any call.
+    lead: Option<Arc<Mutex<usize>>>,
+    nap: std::time::Duration,
+}
+
+impl Layer for Pace {
+    fn forward(&mut self, x: &Tensor, _: Mode) -> pipebd_tensor::Result<Tensor> {
+        let step = {
+            let mut mine = self.mine.lock().unwrap();
+            *mine += 1;
+            *mine - 1
+        };
+        if let Some(lead) = &self.lead {
+            let begun = *self.theirs.lock().unwrap();
+            let mut lead = lead.lock().unwrap();
+            *lead = (*lead).max(step.saturating_sub(begun));
+        }
+        std::thread::sleep(self.nap);
+        Ok(x.clone())
+    }
+    fn backward(&mut self, dy: &Tensor) -> pipebd_tensor::Result<Tensor> {
+        Ok(dy.clone())
+    }
+    fn visit_params(&mut self, _: &mut dyn FnMut(&mut Param)) {}
+    fn name(&self) -> &'static str {
+        "pace"
+    }
+    fn clone_box(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
+}
+
+#[test]
+fn recycled_boundaries_in_flight_are_bounded_under_a_slow_downstream_stage() {
+    // Decoupled updates, stage 1 napping 20 ms a step: unchecked, stage 0
+    // would finish its 10 steps while stage 1 is on its second, with eight
+    // boundaries queued — eight fresh buffers. The relay's back-pressure
+    // holds stage 0 at the top of step `s` until stage 1 has taken
+    // boundary `s - 2`, so when stage 0 produces boundary `s`, stage 1 has
+    // begun steps `0..s - 2` at least.
+    let (teacher, student, data) = setup();
+    let (upstream, downstream, lead) = <(Arc<_>, Arc<_>, Arc<_>)>::default();
+    let pace = |block: &Block, pace: Pace| {
+        Block::new(
+            "paced",
+            Sequential::new(vec![Box::new(block.clone()), Box::new(pace)]),
+        )
+    };
+    let teacher = BlockNet::new(vec![
+        pace(
+            teacher.block(0),
+            Pace {
+                mine: Arc::clone(&upstream),
+                theirs: Arc::clone(&downstream),
+                lead: Some(Arc::clone(&lead)),
+                nap: std::time::Duration::ZERO,
+            },
+        ),
+        pace(
+            teacher.block(1),
+            Pace {
+                mine: Arc::clone(&downstream),
+                theirs: Arc::clone(&upstream),
+                lead: None,
+                nap: std::time::Duration::from_millis(20),
+            },
+        ),
+    ]);
+    let cfg = FuncConfig {
+        decoupled_updates: true,
+        ..config(&[(1, 1), (1, 1)], 10)
+    };
+    let paced = threaded::run(&teacher, &student, &data, &cfg).unwrap();
+    let lead = *lead.lock().unwrap();
+    assert!(lead >= 1, "stage 0 never led: nothing is being tested");
+    assert!(lead <= 2, "stage 0 ran {lead} steps ahead of stage 1");
+    // Waiting changes when a step runs, never what it computes.
+    let golden = reference::run(&teacher, &student, &data, &cfg).unwrap();
+    assert_eq!(paced.max_param_diff(&golden), 0.0);
+    assert_eq!(paced.max_loss_diff(&golden), 0.0);
 }

@@ -10,9 +10,10 @@
 //!
 //! * **naive** — direct 7-deep loops: slow, exact, deterministic, easy to
 //!   verify against finite differences, and kept as the oracle;
-//! * **blocked** — the im2col + packed-GEMM lowering in the `im2col`
-//!   module, or for depthwise geometry the `stencil` module's direct
-//!   kernels (the default), typically an order of magnitude faster.
+//! * **blocked** (the default) — the `im2col` module's unit bodies: the
+//!   `direct` module's kernels for stride-1 dense geometry, the `stencil`
+//!   module's for depthwise, an im2col + packed-GEMM lowering for the
+//!   rest; one to two orders of magnitude faster.
 
 use crate::error::TensorError;
 use crate::im2col::{

@@ -1,11 +1,15 @@
 //! Packed, cache-blocked f32 GEMM — the [`KernelPolicy::Blocked`] matrix
 //! engine.
 //!
-//! One routine, [`gemm_strided`], backs every dense product in the crate:
-//! `matmul`, `matmul_t_a`, `matmul_b_t`, and (through the `im2col`
-//! lowering) `conv2d` and both of its adjoints. Transposed operands are
-//! handled by the packing step reading through arbitrary row/column
-//! strides, so no caller ever materializes a transpose.
+//! One routine, [`gemm_strided`], backs every matrix product in the
+//! crate: `matmul`, `matmul_t_a`, `matmul_b_t` (a `Linear` layer's forward
+//! and both adjoints), and through the `im2col` lowering the convolutions
+//! that still have a column matrix — strided, and grouped but not
+//! depthwise; stride-1 dense and depthwise geometry never reach it (the
+//! `direct` and `stencil` modules). Transposed operands are handled by the
+//! packing step ([`pack`]) reading through arbitrary row/column strides,
+//! along whichever axis is unit-stride, so no caller ever materializes a
+//! transpose.
 //!
 //! The structure is the standard three-level blocking of BLIS/GotoBLAS,
 //! in plain safe Rust:
@@ -309,11 +313,11 @@ pub(crate) fn gemm_serial(
                 // The first depth panel either overwrites C (accumulate
                 // off) or adds to the caller's C; later panels always add.
                 let add = accumulate || pc > 0;
-                pack_b(pb, b, rsb, csb, pc, kb, jc, nb);
+                pack::<NR>(pb, b, rsb, csb, (pc, kb), (jc, nb));
                 let mut ic = 0;
                 while ic < m {
                     let mb = mc.min(m - ic);
-                    pack_a(pa, a, rsa, csa, ic, mb, pc, kb);
+                    pack::<MR>(pa, a, csa, rsa, (pc, kb), (ic, mb));
                     let c = &mut c[ic * n..];
                     run_tiered(tier, MacroKernel(pa, pb, mb, nb, kb, c, n, jc, add));
                     ic += mb;
@@ -325,74 +329,49 @@ pub(crate) fn gemm_serial(
     });
 }
 
-#[allow(clippy::too_many_arguments)]
-/// Packs `A[ic..ic+mb, pc..pc+kb]` into MR-tall row micro-panels:
-/// panel `r` holds rows `ic + r*MR ..`, laid out column-by-column with the
-/// `MR` row values contiguous (zero-padded past the matrix edge).
-fn pack_a(
-    pa: &mut [f32],
-    a: &[f32],
-    rsa: usize,
-    csa: usize,
-    ic: usize,
-    mb: usize,
-    pc: usize,
-    kb: usize,
+/// Packs the `kb x len` block of a strided matrix whose element `(p, i)`
+/// is `src[(p0 + p) * ps + (i0 + i) * is]` into `W`-wide micro-panels:
+/// panel `t` holds `i` in `t * W ..`, depth by depth with the `W` values
+/// contiguous, zero-padded past the block's edge. `A` packs its rows
+/// `MR` wide (`ps = csa`, `is = rsa`), `B` its columns `NR` wide.
+///
+/// Reads run along the unit-stride axis: when that is the depth (a
+/// row-major `A`, a transposed `B`) each `i` is one contiguous run and the
+/// strided side is the small packed panel; otherwise each depth is.
+fn pack<const W: usize>(
+    dst: &mut [f32],
+    src: &[f32],
+    ps: usize,
+    is: usize,
+    (p0, kb): (usize, usize),
+    (i0, len): (usize, usize),
 ) {
-    let mut out = 0;
-    let mut ir = 0;
-    while ir < mb {
-        let rows = MR.min(mb - ir);
-        for p in 0..kb {
-            let col = (pc + p) * csa;
-            let base = (ic + ir) * rsa + col;
-            for r in 0..rows {
-                pa[out + r] = a[base + r * rsa];
-            }
-            for r in rows..MR {
-                pa[out + r] = 0.0;
-            }
-            out += MR;
-        }
-        ir += rows;
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-/// Packs `B[pc..pc+kb, jc..jc+nb]` into NR-wide column micro-panels:
-/// panel `j` holds columns `jc + j*NR ..`, laid out row-by-row with the
-/// `NR` column values contiguous (zero-padded past the matrix edge).
-fn pack_b(
-    pb: &mut [f32],
-    b: &[f32],
-    rsb: usize,
-    csb: usize,
-    pc: usize,
-    kb: usize,
-    jc: usize,
-    nb: usize,
-) {
-    let mut out = 0;
-    let mut jr = 0;
-    while jr < nb {
-        let cols = NR.min(nb - jr);
-        for p in 0..kb {
-            let base = (pc + p) * rsb + (jc + jr) * csb;
-            if csb == 1 {
-                // Unit column stride: a full-width panel row is a single
-                // contiguous copy (the common non-transposed case).
-                pb[out..out + cols].copy_from_slice(&b[base..base + cols]);
-            } else {
-                for j in 0..cols {
-                    pb[out + j] = b[base + j * csb];
+    let panels = dst.chunks_exact_mut(W * kb).take(len.div_ceil(W));
+    for (t, panel) in panels.enumerate() {
+        let n = W.min(len - t * W);
+        let base = p0 * ps + (i0 + t * W) * is;
+        if ps == 1 && is != 1 {
+            for i in 0..n {
+                for (p, &v) in src[base + i * is..][..kb].iter().enumerate() {
+                    panel[p * W + i] = v;
                 }
             }
-            for j in cols..NR {
-                pb[out + j] = 0.0;
+            for depth in panel.chunks_exact_mut(W) {
+                depth[n..].fill(0.0);
             }
-            out += NR;
+        } else {
+            for (p, depth) in panel.chunks_exact_mut(W).enumerate() {
+                let at = base + p * ps;
+                if is == 1 {
+                    depth[..n].copy_from_slice(&src[at..at + n]);
+                } else {
+                    for i in 0..n {
+                        depth[i] = src[at + i * is];
+                    }
+                }
+                depth[n..].fill(0.0);
+            }
         }
-        jr += cols;
     }
 }
 
@@ -462,6 +441,111 @@ fn microkernel(apanel: &[f32], bpanel: &[f32]) -> [[f32; NR]; MR] {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The loops [`pack`] replaced, kept as its oracle: depth outside,
+    /// whatever the strides. Packs `A[ic..ic+mb, pc..pc+kb]` into MR-tall
+    /// row micro-panels: panel `r` holds rows `ic + r*MR ..`, laid out
+    /// column-by-column with the `MR` row values contiguous (zero-padded
+    /// past the matrix edge).
+    #[allow(clippy::too_many_arguments)]
+    fn pack_a(
+        pa: &mut [f32],
+        a: &[f32],
+        rsa: usize,
+        csa: usize,
+        ic: usize,
+        mb: usize,
+        pc: usize,
+        kb: usize,
+    ) {
+        let mut out = 0;
+        let mut ir = 0;
+        while ir < mb {
+            let rows = MR.min(mb - ir);
+            for p in 0..kb {
+                let col = (pc + p) * csa;
+                let base = (ic + ir) * rsa + col;
+                for r in 0..rows {
+                    pa[out + r] = a[base + r * rsa];
+                }
+                for r in rows..MR {
+                    pa[out + r] = 0.0;
+                }
+                out += MR;
+            }
+            ir += rows;
+        }
+    }
+
+    /// The other oracle. Packs `B[pc..pc+kb, jc..jc+nb]` into NR-wide
+    /// column micro-panels: panel `j` holds columns `jc + j*NR ..`, laid
+    /// out row-by-row with the `NR` column values contiguous (zero-padded
+    /// past the matrix edge).
+    #[allow(clippy::too_many_arguments)]
+    fn pack_b(
+        pb: &mut [f32],
+        b: &[f32],
+        rsb: usize,
+        csb: usize,
+        pc: usize,
+        kb: usize,
+        jc: usize,
+        nb: usize,
+    ) {
+        let mut out = 0;
+        let mut jr = 0;
+        while jr < nb {
+            let cols = NR.min(nb - jr);
+            for p in 0..kb {
+                let base = (pc + p) * rsb + (jc + jr) * csb;
+                if csb == 1 {
+                    // Unit column stride: a full-width panel row is a single
+                    // contiguous copy (the common non-transposed case).
+                    pb[out..out + cols].copy_from_slice(&b[base..base + cols]);
+                } else {
+                    for j in 0..cols {
+                        pb[out + j] = b[base + j * csb];
+                    }
+                }
+                for j in cols..NR {
+                    pb[out + j] = 0.0;
+                }
+                out += NR;
+            }
+            jr += cols;
+        }
+    }
+
+    #[test]
+    fn pack_matches_the_depth_outside_loops_for_every_stride() {
+        // Row-major, transposed and gapped operands; blocks that start
+        // inside the matrix and end on ragged panels. Garbage in the
+        // destination shows any slot `pack` fails to write.
+        let mut rng = crate::Rng64::seed_from_u64(21);
+        for case in 0..300 {
+            let (rows, depth) = (1 + rng.below(3 * NR), 1 + rng.below(40));
+            let (i0, p0) = (rng.below(rows), rng.below(depth));
+            let (len, kb) = (1 + rng.below(rows - i0), 1 + rng.below(depth - p0));
+            // Element `(p, i)` at `p * ps + i * is`.
+            let (ps, is) = match case % 3 {
+                0 => (1, depth),
+                1 => (rows, 1),
+                _ => (2, 2 * depth + 1),
+            };
+            let src = filled(depth * ps + rows * is);
+            let mut got = vec![f32::NAN; len.next_multiple_of(NR) * kb];
+            let mut want = got.clone();
+            pack::<MR>(&mut got, &src, ps, is, (p0, kb), (i0, len));
+            pack_a(&mut want, &src, is, ps, i0, len, p0, kb);
+            let panels = len.next_multiple_of(MR) * kb;
+            assert_eq!(got[..panels], want[..panels], "A {rows}x{depth} {ps}/{is}");
+            got.fill(f32::NAN);
+            want.fill(f32::NAN);
+            pack::<NR>(&mut got, &src, ps, is, (p0, kb), (i0, len));
+            pack_b(&mut want, &src, ps, is, p0, kb, i0, len);
+            assert_eq!(got, want, "B {rows}x{depth} {ps}/{is}");
+        }
+    }
 
     fn reference(m: usize, n: usize, k: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
         let mut c = vec![0.0f32; m * n];

@@ -1,7 +1,19 @@
-//! im2col lowering: grouped 2-D convolution and both adjoints as GEMM.
+//! The [`KernelPolicy::Blocked`] convolution path: grouped 2-D convolution
+//! and both adjoints, split into `(batch, group)` units (row bands of `dW`
+//! for the weight gradient) and each unit lowered to the cheapest kernel
+//! its geometry allows.
 //!
-//! The [`KernelPolicy::Blocked`] convolution path. Per `(batch, group)`
-//! pair the input patch matrix is materialized once:
+//! What a unit is lowered to is chosen from the [`Conv2dSpec`] alone:
+//!
+//! | geometry | lowered to |
+//! |---|---|
+//! | dense (`groups == 1`) at stride 1 — `k x k` and pointwise | nothing — the `direct` module reads the image in place (padded once into `cig·(h+2p)·(w+2p)` floats of scratch when `p > 0`): at 16 channels the column matrix is 9x the image, copied again by GEMM's `pack_b`, and the weight gradient packed it through read streams one L1 set apart. Grad-input with `p > k - 1` has no forward twin and stays on `col2im⁺` |
+//! | depthwise (`cig == 1`, `cog == 1`) | nothing — the `stencil` module: at `M = 1, K = k*k` the GEMM packs as many floats as it multiplies |
+//! | strided, or grouped but not depthwise | `col`, then GEMM (below) |
+//!
+//! All three are called from the same unit bodies, so every geometry
+//! shares one parallel decomposition. The im2col lowering materializes the
+//! input patch matrix once per `(batch, group)` pair:
 //!
 //! ```text
 //! col[(icg*k + ky)*k + kx, oy*ow + ox] = x[b, g*cig + icg, iy, ix]   (0 if padded)
@@ -16,49 +28,51 @@
 //! weight-gradient accumulates straight into `dW` across batches through
 //! GEMM's accumulate mode, and `col2im⁺` is the scatter-add inverse of the
 //! patch lowering. Row order of `col` matches the naive kernels' reduction
-//! order `(icg, ky, kx)`, so both policies sum contributions in the same
-//! sequence.
+//! order `(icg, ky, kx)` — the order of the direct kernels' chains too —
+//! so both policies sum contributions in the same sequence.
 //!
-//! What is lowered is chosen from the [`Conv2dSpec`] alone:
-//!
-//! | geometry | lowered to |
-//! |---|---|
-//! | dense, grouped | `col`, then GEMM |
-//! | pointwise (`k == 1`, stride 1, no padding) | GEMM on `x` / `dx` in place: the group's input block *is* the column matrix |
-//! | depthwise (`cig == 1`, `cog == 1`) | nothing — the `stencil` module, called from the same unit bodies: at `M = 1, K = k*k` the GEMM packs as many floats as it multiplies |
-//!
-//! The column matrix lives in thread-local scratch ([`with_col_buffer`]):
-//! steady-state training re-lowers into the same allocation every step.
+//! The column matrix, or the direct kernels' padded image and partial
+//! sums, lives in thread-local scratch ([`with_scratch`]): steady-state
+//! training works in the same allocation every step.
 //!
 //! [`KernelPolicy::Blocked`]: crate::KernelPolicy::Blocked
 
 use std::cell::RefCell;
 
 use crate::conv::Conv2dSpec;
+use crate::direct::{Direct, Op, Window};
 use crate::gemm::gemm_strided;
-use crate::parallel::{self, ComputePool};
+use crate::parallel;
 use crate::simd::{run_tiered, simd_tier};
 use crate::stencil::{Depthwise, Plane, Stencil};
 
 thread_local! {
-    /// Column-matrix scratch, reused across calls on this thread.
-    static COL_BUFFER: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// Convolution scratch, reused across calls on this thread.
+    static SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Runs `f` with this thread's column scratch grown to `len`.
+/// Runs `f` with this thread's convolution scratch grown to `len`.
 ///
 /// The buffer is taken out of the cell for the call: `f` may wait on a
 /// pool scope and, while helping, run a foreign scope's convolution job
 /// on this thread. That job finds the cell empty and allocates its own
 /// scratch instead of meeting a live borrow.
-fn with_col_buffer<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
-    let mut buf = COL_BUFFER.take();
+fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    let mut buf = SCRATCH.take();
     if buf.len() < len {
         buf.resize(len, 0.0);
     }
     let out = f(&mut buf[..len]);
-    COL_BUFFER.set(buf);
+    SCRATCH.set(buf);
     out
+}
+
+/// Runs a direct kernel in the code compiled for the process's SIMD tier,
+/// over this thread's scratch.
+fn run_direct(op: Op<'_>, win: Window) {
+    with_scratch(op.scratch_len(&win), |scratch| {
+        run_tiered(simd_tier(), Direct(op, win, scratch));
+    });
 }
 
 /// Per-call geometry, precomputed once by the dispatching kernels.
@@ -93,9 +107,31 @@ impl ConvGeom {
         (self.cig(spec) == 1 && self.cog(spec) == 1).then_some(plane)
     }
 
-    /// Whether the lowering is the identity (the input block is `col`).
-    fn pointwise(&self, spec: &Conv2dSpec) -> bool {
-        spec.kernel == 1 && spec.stride == 1 && spec.padding == 0
+    /// The geometry of the direct kernels, when the convolution is dense
+    /// at stride 1 (and not the one-plane case the stencil takes).
+    fn direct(&self, spec: &Conv2dSpec) -> Option<Window> {
+        let (cin, cout, k, pad) = (
+            spec.in_channels,
+            spec.out_channels,
+            spec.kernel,
+            spec.padding,
+        );
+        let (h, w, oh, ow) = (self.h, self.w, self.oh, self.ow);
+        #[rustfmt::skip]
+        let win = Window { cin, cout, h, w, oh, ow, k, pad };
+        (spec.groups == 1 && spec.stride == 1 && self.depthwise(spec).is_none()).then_some(win)
+    }
+
+    /// [`ConvGeom::direct`] run backwards — `dx` from `dy` is the forward
+    /// of `dy` under the flipped, transposed weights and padding
+    /// `k - 1 - pad`, which a padding past `k - 1` does not have.
+    fn direct_adjoint(&self, spec: &Conv2dSpec) -> Option<Window> {
+        let win = self.direct(spec).filter(|win| win.pad < win.k)?;
+        #[rustfmt::skip]
+        let Window { cin, cout, h, w, oh, ow, k, pad } = win;
+        #[rustfmt::skip]
+        let adj = Window { cin: cout, cout: cin, h: oh, w: ow, oh: h, ow: w, k, pad: k - 1 - pad };
+        Some(adj)
     }
 }
 
@@ -175,11 +211,12 @@ fn col2im_add(dxg: &mut [f32], col: &[f32], spec: &Conv2dSpec, g: &ConvGeom) {
     }
 }
 
-/// Computes the output block of one `(batch, group)` unit. Inner GEMMs
-/// go through [`gemm_strided`], so a *single*-unit conv called outside a
-/// pool task still parallelizes over its GEMM bands, while unit bodies
-/// running *as* pool tasks execute serially (nested decomposition is
-/// suppressed) — either way the values are bitwise identical.
+/// Computes the output block of one `(batch, group)` unit of a strided
+/// or grouped convolution. Inner GEMMs go through [`gemm_strided`], so a
+/// *single*-unit conv called outside a pool task still parallelizes over
+/// its GEMM bands, while unit bodies running *as* pool tasks execute
+/// serially (nested decomposition is suppressed) — either way the values
+/// are bitwise identical.
 fn conv2d_unit(x: &[f32], w: &[f32], og: &mut [f32], spec: &Conv2dSpec, g: &ConvGeom, u: usize) {
     let (b, gi) = (u / spec.groups, u % spec.groups);
     let (cig, cog) = (g.cig(spec), g.cog(spec));
@@ -189,27 +226,26 @@ fn conv2d_unit(x: &[f32], w: &[f32], og: &mut [f32], spec: &Conv2dSpec, g: &Conv
     let wg = &w[gi * cog * ckk..][..cog * ckk];
     if let Some(p) = g.depthwise(spec) {
         run_tiered(simd_tier(), Depthwise(Stencil::Correlate(xg, wg, og), p));
-    } else if g.pointwise(spec) {
-        gemm_strided(cog, ohow, ckk, wg, ckk, 1, xg, hw, 1, og, false);
     } else {
-        with_col_buffer(ckk * ohow, |col| {
+        with_scratch(ckk * ohow, |col| {
             im2col(col, xg, spec, g);
             gemm_strided(cog, ohow, ckk, wg, ckk, 1, col, ohow, 1, og, false);
         });
     }
 }
 
-/// Chunks `units * block`-element `data` into one contiguous unit range
-/// per pool lane and runs `f(first_unit, chunk)` for each in parallel.
-/// Unit `u`'s block is `data[u * block ..][.. block]`, so contiguous unit
-/// ranges are contiguous slices — tasks borrow disjoint `chunks_mut`.
-fn par_units(
-    pool: &ComputePool,
-    data: &mut [f32],
-    block: usize,
-    f: impl Fn(usize, &mut [f32]) + Send + Sync,
-) {
-    let units = data.len() / block;
+/// Runs `f(first_unit, chunk)` over `data`, units of `block` elements
+/// (the last may be short): with an active pool and two units or more,
+/// one contiguous unit range per lane in parallel, otherwise all of it on
+/// this thread. Unit `u`'s block is `data[u * block ..][.. block]`, so
+/// contiguous unit ranges are contiguous slices — tasks borrow disjoint
+/// `chunks_mut`.
+fn par_units(data: &mut [f32], block: usize, f: impl Fn(usize, &mut [f32]) + Send + Sync) {
+    let units = data.len().div_ceil(block);
+    let pool = match parallel::active_pool() {
+        Some(pool) if units >= 2 => pool,
+        _ => return f(0, data),
+    };
     let per = units.div_ceil(pool.size());
     let f = &f;
     pool.run_scope(|s| {
@@ -219,8 +255,8 @@ fn par_units(
     });
 }
 
-/// Forward convolution via im2col + GEMM. `out` must be zero-length-checked
-/// by the caller: it is fully overwritten, shape `[n, co, oh, ow]`.
+/// Forward convolution. `out` must be zero-length-checked by the caller:
+/// it is fully overwritten, shape `[n, co, oh, ow]`.
 ///
 /// With an active compute pool the `(batch, group)` units are split into
 /// contiguous ranges, one range per lane; every unit's output block is
@@ -234,24 +270,22 @@ pub(crate) fn conv2d_blocked(
     g: &ConvGeom,
 ) {
     let block = g.cog(spec) * g.oh * g.ow;
-    let units = g.n * spec.groups;
-    if units >= 2 {
-        if let Some(pool) = parallel::active_pool() {
-            par_units(&pool, out, block, |u0, chunk| {
-                for (i, og) in chunk.chunks_mut(block).enumerate() {
-                    conv2d_unit(x, w, og, spec, g, u0 + i);
-                }
-            });
-            return;
+    par_units(out, block, |u0, chunk| {
+        if let Some(win) = g.direct(spec) {
+            let image = spec.in_channels * g.h * g.w;
+            let src = &x[u0 * image..][..chunk.len() / block * image];
+            #[rustfmt::skip]
+            return run_direct(Op::Correlate { src, weights: w, dst: chunk, adjoint: false }, win);
         }
-    }
-    for (u, og) in out.chunks_mut(block).enumerate() {
-        conv2d_unit(x, w, og, spec, g, u);
-    }
+        for (i, og) in chunk.chunks_mut(block).enumerate() {
+            conv2d_unit(x, w, og, spec, g, u0 + i);
+        }
+    });
 }
 
-/// Computes the input-gradient block of one `(batch, group)` unit —
-/// zeroing its own block first, so units are independent.
+/// Computes the input-gradient block of one `(batch, group)` unit of a
+/// strided or grouped convolution — zeroing its own block first, so units
+/// are independent.
 fn grad_input_unit(
     dy: &[f32],
     w: &[f32],
@@ -272,22 +306,19 @@ fn grad_input_unit(
             simd_tier(),
             Depthwise(Stencil::Correlate(dyg, wg, dxg), adj),
         );
-    } else if g.pointwise(spec) {
-        // dxg[ckk, hw] = W_gᵀ @ dy_g  (ckk == cig, hw == ohow here).
-        gemm_strided(ckk, ohow, cog, wg, 1, ckk, dyg, ohow, 1, dxg, false);
     } else {
         dxg.fill(0.0);
-        with_col_buffer(ckk * ohow, |dcol| {
+        with_scratch(ckk * ohow, |dcol| {
             gemm_strided(ckk, ohow, cog, wg, 1, ckk, dyg, ohow, 1, dcol, false);
             col2im_add(dxg, dcol, spec, g);
         });
     }
 }
 
-/// Input gradient via GEMM + col2im. `dx` has shape `[n, ci, h, w]` and is
-/// fully overwritten. Parallelizes over `(batch, group)` units exactly
-/// like [`conv2d_blocked`]; each unit's `dx` block (zero-fill, GEMM, and
-/// scatter-add) is owned end to end by one worker.
+/// Input gradient. `dx` has shape `[n, ci, h, w]` and is fully
+/// overwritten. Parallelizes over `(batch, group)` units exactly like
+/// [`conv2d_blocked`]; each unit's `dx` block is owned end to end by one
+/// worker.
 pub(crate) fn conv2d_grad_input_blocked(
     dy: &[f32],
     w: &[f32],
@@ -296,103 +327,67 @@ pub(crate) fn conv2d_grad_input_blocked(
     g: &ConvGeom,
 ) {
     let block = g.cig(spec) * g.h * g.w;
-    let units = g.n * spec.groups;
-    if units >= 2 {
-        if let Some(pool) = parallel::active_pool() {
-            par_units(&pool, dx, block, |u0, chunk| {
-                for (i, dxg) in chunk.chunks_mut(block).enumerate() {
-                    grad_input_unit(dy, w, dxg, spec, g, u0 + i);
-                }
-            });
-            return;
+    par_units(dx, block, |u0, chunk| {
+        if let Some(adj) = g.direct_adjoint(spec) {
+            let image = spec.out_channels * g.oh * g.ow;
+            let src = &dy[u0 * image..][..chunk.len() / block * image];
+            #[rustfmt::skip]
+            return run_direct(Op::Correlate { src, weights: w, dst: chunk, adjoint: true }, adj);
         }
-    }
-    for (u, dxg) in dx.chunks_mut(block).enumerate() {
-        grad_input_unit(dy, w, dxg, spec, g, u);
-    }
-}
-
-/// Accumulates the weight gradient of one group over every batch, in
-/// batch order, into its `dw` block (`dwg`, shape `[cog, ckk]`).
-fn grad_weight_group(
-    x: &[f32],
-    dy: &[f32],
-    dwg: &mut [f32],
-    spec: &Conv2dSpec,
-    g: &ConvGeom,
-    gi: usize,
-) {
-    let (cig, cog) = (g.cig(spec), g.cog(spec));
-    let ckk = cig * spec.kernel * spec.kernel;
-    let (hw, ohow) = (g.h * g.w, g.oh * g.ow);
-    if let Some(p) = g.depthwise(spec) {
-        let op = Stencil::GradWeight(&x[gi * hw..], &dy[gi * ohow..], dwg, g.n, spec.groups);
-        return run_tiered(simd_tier(), Depthwise(op, p));
-    }
-    if g.pointwise(spec) {
-        for b in 0..g.n {
-            let xg = &x[(b * spec.in_channels + gi * cig) * hw..][..cig * hw];
-            let dyg = &dy[(b * spec.out_channels + gi * cog) * ohow..][..cog * ohow];
-            // dW_g[cog, ckk] += dy_g[cog, ohow] @ xgᵀ[ohow, ckk].
-            gemm_strided(cog, ckk, ohow, dyg, ohow, 1, xg, 1, hw, dwg, true);
-        }
-        return;
-    }
-    with_col_buffer(ckk * ohow, |col| {
-        for b in 0..g.n {
-            let xg = &x[(b * spec.in_channels + gi * cig) * hw..][..cig * hw];
-            im2col(col, xg, spec, g);
-            let dyg = &dy[(b * spec.out_channels + gi * cog) * ohow..][..cog * ohow];
-            gemm_strided(cog, ckk, ohow, dyg, ohow, 1, col, 1, ohow, dwg, true);
+        for (i, dxg) in chunk.chunks_mut(block).enumerate() {
+            grad_input_unit(dy, w, dxg, spec, g, u0 + i);
         }
     });
 }
 
-/// Accumulates rows `[r0, r0 + rows)` of a dense (`groups == 1`) weight
-/// gradient over every batch in batch order. Each band re-lowers the
-/// input per batch — duplicated im2col work, traded for keeping every
-/// `dW` element's whole accumulation chain on one worker.
+/// Accumulates rows `[r0, r0 + rows)` of group `gi`'s weight gradient over
+/// every batch in batch order, into `dwband` (shape `[rows, ckk]`). Each
+/// band of a pooled dense call pads (or re-lowers) the input for itself —
+/// duplicated work, traded for keeping every `dW` element's whole
+/// accumulation chain on one worker.
 fn grad_weight_rows(
     x: &[f32],
     dy: &[f32],
     dwband: &mut [f32],
     spec: &Conv2dSpec,
     g: &ConvGeom,
+    gi: usize,
     r0: usize,
 ) {
+    if let Some(p) = g.depthwise(spec) {
+        let (hw, ohow) = (g.h * g.w, g.oh * g.ow);
+        let op = Stencil::GradWeight(&x[gi * hw..], &dy[gi * ohow..], dwband, g.n, spec.groups);
+        return run_tiered(simd_tier(), Depthwise(op, p));
+    }
+    if let Some(win) = g.direct(spec) {
+        #[rustfmt::skip]
+        return run_direct(Op::GradWeight { x, dy, dw: dwband, oc0: r0 }, win);
+    }
     let (cig, cog) = (g.cig(spec), g.cog(spec));
     let ckk = cig * spec.kernel * spec.kernel;
     let (hw, ohow) = (g.h * g.w, g.oh * g.ow);
     let rows = dwband.len() / ckk;
-    if g.pointwise(spec) {
+    with_scratch(ckk * ohow, |col| {
         for b in 0..g.n {
-            let xg = &x[b * cig * hw..][..cig * hw];
-            let dyr = &dy[(b * cog + r0) * ohow..][..rows * ohow];
-            gemm_strided(rows, ckk, ohow, dyr, ohow, 1, xg, 1, hw, dwband, true);
-        }
-        return;
-    }
-    with_col_buffer(ckk * ohow, |col| {
-        for b in 0..g.n {
-            let xg = &x[b * cig * hw..][..cig * hw];
+            let xg = &x[(b * spec.in_channels + gi * cig) * hw..][..cig * hw];
             im2col(col, xg, spec, g);
-            let dyr = &dy[(b * cog + r0) * ohow..][..rows * ohow];
+            let dyr = &dy[(b * spec.out_channels + gi * cog + r0) * ohow..][..rows * ohow];
+            // dW[rows, ckk] += dy[rows, ohow] @ colᵀ[ohow, ckk].
             gemm_strided(rows, ckk, ohow, dyr, ohow, 1, col, 1, ohow, dwband, true);
         }
     });
 }
 
-/// Weight gradient via im2col + accumulating GEMM. `dw` has shape
-/// `[co, cig, k, k]`; contributions are summed over the batch in batch
-/// order (matching the naive kernel), starting from the zeros the caller
-/// provides.
+/// Weight gradient. `dw` has shape `[co, cig, k, k]`; contributions are
+/// summed over the batch in batch order (matching the naive kernel),
+/// starting from the zeros the caller provides.
 ///
 /// `dW` accumulates *across* batches, so the batch axis cannot be split
 /// without reordering sums. Instead, an active pool splits the
 /// **output**: grouped convs parallelize over `dw`'s per-group blocks,
-/// dense convs over `dW` row bands ([`grad_weight_rows`]) — every `dW`
-/// element's accumulation chain stays on one worker, in batch order,
-/// keeping parallel results bitwise identical to serial ones.
+/// dense convs over `dW` row bands — every `dW` element's accumulation
+/// chain stays on one worker, in batch order, keeping parallel results
+/// bitwise identical to serial ones.
 pub(crate) fn conv2d_grad_weight_blocked(
     x: &[f32],
     dy: &[f32],
@@ -402,28 +397,18 @@ pub(crate) fn conv2d_grad_weight_blocked(
 ) {
     let (cig, cog) = (g.cig(spec), g.cog(spec));
     let ckk = cig * spec.kernel * spec.kernel;
-    if let Some(pool) = parallel::active_pool() {
-        if spec.groups >= 2 {
-            par_units(&pool, dw, cog * ckk, |g0, chunk| {
-                for (i, dwg) in chunk.chunks_mut(cog * ckk).enumerate() {
-                    grad_weight_group(x, dy, dwg, spec, g, g0 + i);
-                }
-            });
-            return;
+    // Groups are units of `cog` rows; a dense conv's one group is split
+    // into a band of rows per lane.
+    let band = match parallel::active_pool() {
+        Some(pool) if spec.groups == 1 => cog.div_ceil(pool.size()),
+        _ => cog,
+    };
+    par_units(dw, band * ckk, |u0, chunk| {
+        for (i, dwband) in chunk.chunks_mut(band * ckk).enumerate() {
+            let at = (u0 + i) * band;
+            grad_weight_rows(x, dy, dwband, spec, g, at / cog, at % cog);
         }
-        let band = cog.div_ceil(pool.size());
-        if band < cog {
-            pool.run_scope(|s| {
-                for (bi, dwband) in dw.chunks_mut(band * ckk).enumerate() {
-                    s.spawn(move || grad_weight_rows(x, dy, dwband, spec, g, bi * band));
-                }
-            });
-            return;
-        }
-    }
-    for (gi, dwg) in dw.chunks_mut(cog * ckk).enumerate() {
-        grad_weight_group(x, dy, dwg, spec, g, gi);
-    }
+    });
 }
 
 #[cfg(test)]

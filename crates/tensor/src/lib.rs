@@ -10,8 +10,10 @@
 //! kernel next to it, validated against finite differences in the test
 //! suite — and the hot kernels (`matmul` family, `conv2d` family) come in
 //! two [`KernelPolicy`]-selected implementations: direct naive loops (the
-//! oracle) and a cache-blocked packed GEMM with an im2col convolution
-//! lowering (the default), property-tested to agree with the oracle.
+//! oracle) and a blocked plane (the default) — a cache-blocked packed
+//! GEMM, convolutions that read the image in place where their geometry
+//! allows and lower to that GEMM through im2col where it does not —
+//! property-tested to agree with the oracle.
 //!
 //! # Example
 //!
@@ -31,6 +33,7 @@
 #![warn(missing_docs)]
 
 mod conv;
+mod direct;
 mod error;
 mod gemm;
 mod im2col;

@@ -3,8 +3,9 @@
 //! The compute plane used to be compiled `-C target-cpu=native`, which
 //! made the binary fast on exactly one microarchitecture and illegal
 //! (SIGILL) everywhere newer instructions were missing. Instead, each
-//! [`TierBody`] — the GEMM macro-kernel (`gemm::MacroKernel`) and the
-//! depthwise stencil (`stencil::Depthwise`) — exists in three
+//! [`TierBody`] — the GEMM macro-kernel (`gemm::MacroKernel`), the
+//! depthwise stencil (`stencil::Depthwise`) and the direct dense
+//! convolutions (`direct::Direct`) — exists in three
 //! [`SimdTier`]s, one compiled body per instruction-set level, selected
 //! **once at startup** by probing the CPU ([`run_tiered`] is the only
 //! caller of the `#[target_feature]` wrappers):
@@ -20,11 +21,11 @@
 //! `f32::mul_add` — a *fused* multiply-add with a single rounding on
 //! every tier, hardware FMA or software `fmaf` alike — and each output
 //! element's fma chain is identical regardless of vector width, **all
-//! tiers produce bitwise-identical results**. The one reduction that is
-//! not a single chain, the stencil's grad-weight, keeps 16 partial sums
-//! per tap: the source, not the register width, says which lane an
-//! element joins and in which order the 16 are folded, so it too is
-//! the same arithmetic on every tier. The scalar tier is therefore slow
+//! tiers produce bitwise-identical results**. The reductions that are
+//! not a single chain, the stencil's and the direct kernels' grad-weight,
+//! keep 16 partial sums per element: the source, not the register width,
+//! says which lane a product joins and in which order the 16 are folded,
+//! so they too are the same arithmetic on every tier. The scalar tier is therefore slow
 //! (a libm call per multiply-add on pre-FMA hardware) but
 //! everywhere-correct; the tier tests assert the bitwise claim directly.
 //!

@@ -1,12 +1,14 @@
 //! Property tests pinning the blocked compute plane to the naive oracle.
 //!
-//! Every hot kernel exists twice (see `KernelPolicy`): the naive direct
-//! loops and the im2col/blocked-GEMM path. These properties sample
-//! convolution geometries across strides, paddings, group counts
+//! Every hot kernel exists twice (see `KernelPolicy`): the naive loops
+//! and the blocked path — the direct kernels for stride-1 dense geometry,
+//! the stencil for depthwise, im2col + GEMM for the rest. These properties
+//! sample convolution geometries across strides, paddings, group counts
 //! (including depthwise), and non-square inputs, and assert the blocked
 //! forward and both adjoints match the oracle within tight tolerance —
 //! the two paths sum identical products in the same per-element order, so
-//! they may differ only by FMA rounding contraction.
+//! they may differ only by FMA rounding contraction (and, in the weight
+//! gradients, by the order of their partial sums).
 //!
 //! The explicit `*_with` kernel variants are used throughout: tests run
 //! concurrently and must not touch the process-global policy.
@@ -141,6 +143,31 @@ proptest! {
     }
 
     #[test]
+    fn direct_dense_kernels_match_naive(
+        ksel in 0usize..4,
+        psel in 0usize..8,
+        cisel in 0usize..5,
+        cosel in 0usize..5,
+        n in 1usize..4,
+        h in 3usize..41,
+        wsel in 1usize..38,
+        seed in any::<u64>(),
+    ) {
+        // Stride-1 dense geometry, `k x k` and pointwise — every branch of
+        // the direct kernels: channel counts that leave the 8-row forward
+        // tile and the 4 x 4 grad-weight tile partial (3 is every model's
+        // block 0), rows that leave the 32- and 16-wide steps ragged or
+        // never fill one, padding past `k - 1` (grad-input falls back to
+        // col2im) and planes narrower than the kernel. `w` is never `h`.
+        let k = [1, 3, 5, 7][ksel];
+        let padding = psel % (k + 1);
+        let w = 3 + (h - 3 + wsel) % 38;
+        prop_assume!(h + 2 * padding >= k && w + 2 * padding >= k);
+        let (cig, cog) = ([1, 3, 4, 5, 16][cisel], [1, 4, 7, 8, 18][cosel]);
+        check_all(Conv2dSpec::dense(cig, cog, k, 1, padding), n, h, w, seed);
+    }
+
+    #[test]
     fn matmul_family_blocked_matches_naive(
         m in 1usize..41,
         k in 1usize..41,
@@ -169,5 +196,17 @@ proptest! {
             &a.matmul_b_t_with(&bt, KernelPolicy::Blocked).unwrap(),
             "matmul_b_t",
         );
+    }
+}
+
+#[test]
+fn deep_direct_chains_match_naive() {
+    // `ckk > 256`: the depth at which the GEMM lowering split every
+    // forward chain into `KC`-deep partial sums. The direct kernels run
+    // one chain per element whatever its depth.
+    for (channels, k, h, w) in [(32, 3, 16, 16), (16, 5, 9, 35), (32, 5, 6, 16)] {
+        let spec = Conv2dSpec::dense(channels, channels, k, 1, k / 2);
+        assert!(channels * k * k > 256);
+        check_all(spec, 2, h, w, 77);
     }
 }

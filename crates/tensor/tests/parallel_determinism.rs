@@ -7,7 +7,7 @@
 //! no partial sums ever cross workers — so pool size must not change a
 //! single bit. These properties sample GEMM shapes and convolution
 //! geometries (strides, paddings, dense/grouped/depthwise, non-square
-//! inputs) and compare every kernel under pools of {2, 4} lanes against
+//! inputs) and compare every kernel under pools of {2, 3, 4} lanes against
 //! the pinned-serial run (an installed size-1 pool). Equality is exact:
 //! `max_abs_diff == 0`, not a tolerance.
 
@@ -21,15 +21,7 @@ use proptest::prelude::*;
 /// Runs `f` serially, then under each pooled width, and asserts the
 /// pooled results are bit-identical to the serial one.
 fn assert_pool_invariant(what: &str, f: impl Fn() -> Tensor) {
-    let serial = install(&ComputePool::new(1), &f);
-    for width in [2usize, 4] {
-        let pooled = install(&ComputePool::new(width), &f);
-        let diff = serial.max_abs_diff(&pooled).unwrap();
-        assert!(
-            diff == 0.0,
-            "{what}: pool size {width} diverged from serial by {diff}"
-        );
-    }
+    assert_pool_invariant_ret(what, f);
 }
 
 /// Samples a spec covering dense, grouped, and depthwise convolutions.
@@ -181,7 +173,7 @@ fn wide_depthwise_is_bitwise_serial_at_every_pool_width() {
 /// [`assert_pool_invariant`], returning the serial result for reuse.
 fn assert_pool_invariant_ret(what: &str, f: impl Fn() -> Tensor) -> Tensor {
     let serial = install(&ComputePool::new(1), &f);
-    for width in [2usize, 4] {
+    for width in [2usize, 3, 4] {
         let pooled = install(&ComputePool::new(width), &f);
         let diff = serial.max_abs_diff(&pooled).unwrap();
         assert!(
@@ -190,6 +182,38 @@ fn assert_pool_invariant_ret(what: &str, f: impl Fn() -> Tensor) -> Tensor {
         );
     }
     serial
+}
+
+#[test]
+fn direct_dense_convs_are_bitwise_serial_at_every_pool_width() {
+    // The direct kernels split as the lowering they replace did: forward
+    // and grad-input over 3 images, grad-weight over `oc` bands. 18 output
+    // channels band as 9 + 9, 6 + 6 + 6 and 5 + 5 + 5 + 3, and 7 as 4 + 3,
+    // 3 + 3 + 1 and 2 + 2 + 2 + 1: bands that start and end inside a 4-`oc`
+    // tile, so an element's lanes must not depend on the tile it rides in.
+    // Rows of 20 leave every vector step ragged; rows of 16 take the
+    // narrow forward tile.
+    let mut rng = Rng64::seed_from_u64(15);
+    for (ci, co, k, w) in [
+        (5, 18, 3, 20),
+        (3, 7, 5, 20),
+        (16, 18, 1, 20),
+        (9, 7, 3, 16),
+    ] {
+        let spec = Conv2dSpec::dense(ci, co, k, 1, k / 2);
+        let x = Tensor::randn(&[3, ci, 33, w], &mut rng);
+        let wt = Tensor::randn(&spec.weight_dims(), &mut rng);
+        let y = assert_pool_invariant_ret("direct forward", || {
+            conv2d_with(&x, &wt, spec, KernelPolicy::Blocked).unwrap()
+        });
+        let dy = Tensor::randn(y.dims(), &mut rng);
+        assert_pool_invariant("direct grad input", || {
+            conv2d_grad_input_with(&dy, &wt, spec, (33, w), KernelPolicy::Blocked).unwrap()
+        });
+        assert_pool_invariant("direct grad weight", || {
+            conv2d_grad_weight_with(&x, &dy, spec, KernelPolicy::Blocked).unwrap()
+        });
+    }
 }
 
 #[test]
@@ -242,16 +266,13 @@ fn concurrent_callers_sharing_one_pool_match_their_serial_twins() {
     // mid-flight. Single-unit convs (n = 1: the caller itself holds the
     // column scratch across a banded GEMM) are mixed with multi-unit ones
     // (n = 2: the units are the stealable jobs) so that re-entry happens.
+    // The strided conv is lowered through the column matrix; its stride-1
+    // twin runs the direct kernels, whose image ranges and `oc` bands are
+    // stolen the same way while the thief's own padded scratch is out.
     const CALLERS: usize = 4;
     const ROUNDS: usize = 60;
-    let spec = Conv2dSpec {
-        in_channels: 4,
-        out_channels: 12,
-        kernel: 3,
-        stride: 1,
-        padding: 1,
-        groups: 1,
-    };
+    let spec = Conv2dSpec::dense(4, 12, 3, 2, 1);
+    let direct = Conv2dSpec::dense(4, 12, 3, 1, 1);
     let pool = ComputePool::new(2);
     let start = std::sync::Barrier::new(CALLERS);
     std::thread::scope(|s| {
@@ -262,7 +283,8 @@ fn concurrent_callers_sharing_one_pool_match_their_serial_twins() {
                 let n = 1 + caller % 2;
                 let x = Tensor::randn(&[n, spec.in_channels, 8, 8], &mut rng);
                 let wt = Tensor::randn(&spec.weight_dims(), &mut rng);
-                let dy = Tensor::randn(&[n, spec.out_channels, 8, 8], &mut rng);
+                let dy = Tensor::randn(&[n, spec.out_channels, 4, 4], &mut rng);
+                let ddy = Tensor::randn(&[n, direct.out_channels, 8, 8], &mut rng);
                 let a = Tensor::randn(&[40, 24], &mut rng);
                 let b = Tensor::randn(&[24, 72], &mut rng);
                 // The depthwise stencil's units are stolen the same way;
@@ -281,6 +303,10 @@ fn concurrent_callers_sharing_one_pool_match_their_serial_twins() {
                         conv2d_grad_input_with(&dy, &wt, spec, (8, 8), KernelPolicy::Blocked)
                             .unwrap(),
                         conv2d_grad_weight_with(&x, &dy, spec, KernelPolicy::Blocked).unwrap(),
+                        conv2d_with(&x, &wt, direct, KernelPolicy::Blocked).unwrap(),
+                        conv2d_grad_input_with(&ddy, &wt, direct, (8, 8), KernelPolicy::Blocked)
+                            .unwrap(),
+                        conv2d_grad_weight_with(&x, &ddy, direct, KernelPolicy::Blocked).unwrap(),
                         a.matmul_with(&b, KernelPolicy::Blocked).unwrap(),
                     ]
                 };

@@ -1,9 +1,10 @@
 //! The runtime-dispatch battery: every supported SIMD tier must compute
 //! the same numbers, and misconfiguration must fail loudly.
 //!
-//! The blocked GEMM macrokernel and the depthwise stencil are each
-//! compiled three times (scalar, FMA, AVX-512) and selected per call from
-//! one probed-at-startup tier (or a `PIPEBD_SIMD` override). Every tier
+//! The blocked GEMM macrokernel, the depthwise stencil and the direct
+//! dense convolutions are each compiled three times (scalar, FMA,
+//! AVX-512) and selected per call from one probed-at-startup tier (or a
+//! `PIPEBD_SIMD` override). Every tier
 //! accumulates through single-rounding `f32::mul_add`, so supported tiers
 //! are **bitwise** equal to each other — asserted here, not just "close"
 //! — and match the naive oracle within FMA-contraction tolerance.
@@ -67,20 +68,32 @@ fn every_supported_tier_matches_the_oracle_and_each_other() {
         }
     }
 
-    // The depthwise stencil is the second tier-compiled body. Planes wide
-    // enough for whole vector steps with ragged tails, a strided one for
-    // the generic loops: forward, grad-input and grad-weight are bitwise
-    // equal on every tier (each element is one mul_add chain; grad-weight's
-    // 16 partial sums and their fold tree are fixed by the source).
-    for (k, stride, padding) in [(3, 1, 1), (5, 1, 2), (3, 2, 1)] {
-        let spec = Conv2dSpec::depthwise(6, k, stride, padding);
-        let x = Tensor::randn(&[3, 6, 33, 20], &mut rng);
+    // The depthwise stencil and the direct dense convolutions are the
+    // other tier-compiled bodies. Planes wide enough for whole vector
+    // steps with ragged tails, a strided depthwise for the generic loops;
+    // dense channel counts that leave both register tiles partial, a
+    // pointwise, a padding past `k - 1` and a 16-wide plane for the narrow
+    // tile: forward, grad-input and grad-weight are bitwise equal on every
+    // tier (each element is one mul_add chain; grad-weight's 16 partial
+    // sums and their fold tree are fixed by the source).
+    let depthwise =
+        [(3, 1, 1), (5, 1, 2), (3, 2, 1)].map(|(k, s, p)| (Conv2dSpec::depthwise(6, k, s, p), 20));
+    let dense = [
+        (5, 7, 3, 1, 20),
+        (3, 18, 5, 2, 20),
+        (6, 6, 1, 0, 20),
+        (5, 4, 3, 3, 20),
+        (9, 5, 3, 1, 16),
+    ]
+    .map(|(ci, co, k, p, w)| (Conv2dSpec::dense(ci, co, k, 1, p), w));
+    for (spec, w) in depthwise.into_iter().chain(dense) {
+        let x = Tensor::randn(&[3, spec.in_channels, 33, w], &mut rng);
         let wt = Tensor::randn(&spec.weight_dims(), &mut rng);
-        let (oh, ow) = (spec.out_extent(33).unwrap(), spec.out_extent(20).unwrap());
-        let dy = Tensor::randn(&[3, 6, oh, ow], &mut rng);
+        let (oh, ow) = (spec.out_extent(33).unwrap(), spec.out_extent(w).unwrap());
+        let dy = Tensor::randn(&[3, spec.out_channels, oh, ow], &mut rng);
         let kernels = |policy| {
             let y = conv2d_with(&x, &wt, spec, policy).unwrap();
-            let dx = conv2d_grad_input_with(&dy, &wt, spec, (33, 20), policy).unwrap();
+            let dx = conv2d_grad_input_with(&dy, &wt, spec, (33, w), policy).unwrap();
             let dw = conv2d_grad_weight_with(&x, &dy, spec, policy).unwrap();
             [y, dx, dw]
         };
@@ -92,7 +105,7 @@ fn every_supported_tier_matches_the_oracle_and_each_other() {
             for (i, (o, n)) in out.iter().zip(&oracle).enumerate() {
                 let scale = 1.0 + n.data().iter().fold(0.0f32, |s, v| s.max(v.abs()));
                 let diff = n.max_abs_diff(o).unwrap();
-                assert!(diff <= 1e-4 * scale, "{tier} depthwise kernel {i}: {diff}");
+                assert!(diff <= 1e-4 * scale, "{tier} {spec:?} kernel {i}: {diff}");
             }
             match &base {
                 None => base = Some((tier, out)),
@@ -101,7 +114,7 @@ fn every_supported_tier_matches_the_oracle_and_each_other() {
                         assert_eq!(
                             o.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                             b.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                            "{tier} differs from {base_tier}: depthwise k{k} s{stride} kernel {i}"
+                            "{tier} differs from {base_tier}: {spec:?} kernel {i}"
                         );
                     }
                 }
