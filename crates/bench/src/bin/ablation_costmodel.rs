@@ -3,8 +3,8 @@
 //!
 //! The simulator's cost model rests on three modeling choices: the
 //! occupancy half-saturation point (`GpuModel::occ_half`), the loader
-//! decode cost, and the prefetch depth (fixed at 4; ARCHITECTURE.md, "The
-//! fault plane", describes the loader pool). This harness sweeps the first
+//! decode cost, and the prefetch depth (fixed at 4; ARCHITECTURE.md,
+//! "Recovery", describes the loader pool). This harness sweeps the first
 //! two across an order of magnitude and reports the Pipe-BD-over-DP
 //! speedup for each setting — demonstrating that *who wins* is
 //! calibration-independent even though *by how much* moves.

@@ -1,6 +1,6 @@
 //! CI gate for the conformance plane: enumerates every conformance
-//! scenario, runs the executor and simulator/estimator differentials under
-//! each scenario's kernel policy, persists the sweep
+//! scenario, runs the executor and simulator/estimator differentials,
+//! persists the sweep
 //! (`CONFORMANCE_scenarios`, `CONFORMANCE_report`) and exits 1 on any
 //! drift. Takes no arguments.
 //!
@@ -12,18 +12,15 @@
 use std::path::PathBuf;
 
 use pipebd_artifact::{ArtifactError, ArtifactStore};
-use pipebd_tensor::{kernel_policy, set_kernel_policy};
 use pipebd_testkit::{enumerate, run_scenario, ConformanceReport, ScenarioSet, ToleranceBook};
 
 /// Runs the conformance sweep; returns the number of failing scenarios.
 fn conformance_sweep(store: &ArtifactStore) -> usize {
     let scenarios = enumerate();
     let book = ToleranceBook::gate_default();
-    let ambient = kernel_policy();
     let mut outcomes = Vec::with_capacity(scenarios.len());
     let mut failures = 0usize;
     for s in &scenarios {
-        set_kernel_policy(s.kernel_policy());
         let outcome = run_scenario(s, &book);
         let verdict = if outcome.pass { "ok  " } else { "FAIL" };
         println!(
@@ -59,7 +56,6 @@ fn conformance_sweep(store: &ArtifactStore) -> usize {
         }
         outcomes.push(outcome);
     }
-    set_kernel_policy(ambient);
 
     let persist = |name: &str, res: Result<PathBuf, ArtifactError>| match res {
         Ok(path) => println!("artifact: {}", path.display()),

@@ -1,10 +1,10 @@
 //! Shared helpers for the experiment harness binaries.
 //!
 //! Each binary in `src/bin` regenerates one table or figure of the Pipe-BD
-//! paper, or gates one plane described in `ARCHITECTURE.md` (conformance,
-//! artifact, trace); timing numbers come from `benchmark/` alone (see
-//! `EXPERIMENTS.md`). This library holds the formatting and sweep plumbing
-//! they share.
+//! paper, or is one of the gates described in `ARCHITECTURE.md`
+//! ("Verification", "The trace"); timing numbers come from `benchmark/`
+//! alone (see `EXPERIMENTS.md`). This library holds the formatting and
+//! sweep plumbing they share.
 
 #![warn(missing_docs)]
 
@@ -62,24 +62,19 @@ pub fn bar(value: f64, max: f64, width: usize) -> String {
     "█".repeat(cells.min(width))
 }
 
-/// Prints a standard harness header, including the active tensor
-/// [`KernelPolicy`](pipebd_tensor::KernelPolicy), the probed SIMD tier,
-/// the trace mode (`PIPEBD_TRACE`), and the worker-pool size, so recorded
-/// experiment output is attributable to a compute path *and* an
-/// observability configuration.
+/// Prints a standard harness header, including the two settings the
+/// environment chooses — the SIMD tier (`PIPEBD_SIMD` or the CPU
+/// probe) and the trace mode (`PIPEBD_TRACE`) — so recorded experiment
+/// output is attributable to a compute path *and* an observability
+/// configuration.
 pub fn header(title: &str, detail: &str) {
     println!("================================================================");
     println!("{title}");
     println!("{detail}");
     println!(
-        "kernel policy: {}  simd tier: {}",
-        pipebd_tensor::kernel_policy(),
-        pipebd_tensor::simd_tier()
-    );
-    println!(
-        "trace mode: {}  pool size: {}",
-        pipebd_trace::TraceMode::from_env().label(),
-        pipebd_tensor::parallel::default_pool_size()
+        "simd tier: {}  trace mode: {}",
+        pipebd_tensor::simd_tier(),
+        pipebd_trace::TraceMode::from_env().label()
     );
     println!("================================================================");
 }

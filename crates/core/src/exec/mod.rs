@@ -129,9 +129,8 @@ pub struct FuncConfig {
     /// The reference executor installs one pool of this size; the
     /// threaded executor divides it across device ranks
     /// ([`StagePlan::intra_pool_widths`]) so stage concurrency and
-    /// kernel parallelism share one budget. `None` falls back to
-    /// [`pipebd_tensor::parallel::default_pool_size`] (`PIPEBD_POOL` or
-    /// the machine width); `Some(1)` pins every kernel serial. The
+    /// kernel parallelism share one budget. `None` means the machine's
+    /// `available_parallelism()`; `Some(1)` pins every kernel serial. The
     /// tensor determinism contract keeps results bitwise identical
     /// across budgets.
     pub pool_size: Option<usize>,
@@ -154,10 +153,10 @@ impl Default for FuncConfig {
 
 impl FuncConfig {
     /// The resolved host compute-lane budget: `pool_size` if set, else
-    /// the process default (`PIPEBD_POOL` or the machine width).
+    /// the machine's `available_parallelism()`.
     pub fn pool_budget(&self) -> usize {
         self.pool_size
-            .unwrap_or_else(pipebd_tensor::parallel::default_pool_size)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
             .max(1)
     }
 

@@ -280,11 +280,12 @@ mod tests {
         let (teacher, _, data) = setup();
         let boom = || Block::new("boom", Sequential::new(vec![Box::new(Boom)]));
         let student: BlockNet = (0..teacher.num_blocks()).map(|_| boom()).collect();
-        // A budget no ambient pool has, so a pool left installed shows.
-        let ambient = parallel::active_width();
+        // Nothing is installed on a test thread, so a pool left installed
+        // shows.
+        let before = parallel::active_width();
         let cfg = FuncConfig {
             steps: 2,
-            pool_size: Some(ambient + 1),
+            pool_size: Some(before + 1),
             ..FuncConfig::default()
         };
         let attempt = std::panic::AssertUnwindSafe(|| run(&teacher, &student, &data, &cfg));
@@ -294,11 +295,11 @@ mod tests {
             Some(&"boom in the loop"),
             "the payload is the loop's own"
         );
-        assert_eq!(parallel::active_width(), ambient);
+        assert_eq!(parallel::active_width(), before);
         // The same call without the panic leaves the caller as it was too.
         let (teacher, student, data) = setup();
         run(&teacher, &student, &data, &cfg).unwrap();
-        assert_eq!(parallel::active_width(), ambient);
+        assert_eq!(parallel::active_width(), before);
     }
 
     #[test]

@@ -32,12 +32,12 @@
 //! * the gradient gather **moves** each member's gradient buffers to the
 //!   stage leader through the channel, the leader folds the average into
 //!   its own buffers (no accumulator allocation), the averaged bundle is
-//!   sent out as shared handles, and each member installs its handles
-//!   directly as `Param` shared gradients (the optimizer consumes them
-//!   in place) — the sharing path performs zero buffer copies;
+//!   sent out as shared handles, and each member assigns its params
+//!   clones of them as `Param::grad` (the optimizer consumes them in
+//!   place and lets go) — the sharing path performs zero buffer copies;
 //! * the only remaining per-step copy is batch re-sharding at stage
 //!   width *transitions* (equal-width hops forward handles untouched).
-//!   See `ARCHITECTURE.md` for the full copy audit.
+//!   See `ARCHITECTURE.md`, "Ownership rules", for the full copy audit.
 //!
 //! Stage replicas are verified to remain bitwise identical after gradient
 //! averaging — divergence is reported as an error.
@@ -628,12 +628,17 @@ fn train(
         // by the time that thread allocates the next step's.
         drop((input, cur, boundaries));
 
-        // (4) Gradient sharing within a widened stage (line 14).
-        if role.width > 1 {
+        // (4) Gradient sharing within a widened stage (line 14). This
+        // member's handles to the averages are kept until its update is
+        // done: with that second holder every replica's `clear_grad` lets
+        // go of the shared buffer, whichever of them steps last.
+        let averaged = if role.width > 1 {
             spanned(&mut rec, SpanKind::GradShare, None, step as u32, || {
                 share_gradients(role, &mut step_losses, abort)
-            })?;
-        }
+            })?
+        } else {
+            Vec::new()
+        };
 
         // (5) Barrier unless decoupled (line 15).
         if !cfg.decoupled_updates {
@@ -652,6 +657,7 @@ fn train(
             })?;
             losses[i].push(step_losses[i]);
         }
+        drop(averaged);
 
         // (7) Checkpoint capture at round boundaries: the capturing
         // member streams its blocks' state to the assembly loop. A pending
@@ -760,13 +766,15 @@ fn take_grads(blocks: &mut [Block]) -> Vec<Vec<Tensor>> {
         .collect()
 }
 
+/// Averages the stage's gradients and losses across its members, installs
+/// the averages, and returns this member's handles to them.
 fn share_gradients(
     role: &mut DeviceRole,
     step_losses: &mut [f32],
     abort: &AtomicBool,
-) -> Result<(), Halt> {
+) -> Result<Vec<Vec<SharedTensor>>, Halt> {
     let (avg, avg_losses): GradBundle = match &role.grads {
-        GradLink::Solo => return Ok(()),
+        GradLink::Solo => return Ok(Vec::new()),
         GradLink::Leader { gather, broadcast } => {
             // Gather, then fold in member order — arrival order is the
             // schedule's, and the float sum must not depend on it. The
@@ -820,20 +828,20 @@ fn share_gradients(
         }
     };
 
-    // Install the averaged gradients as shared handles — a refcount bump
-    // per param, not a copy. Every member of the stage points its params
-    // at the same averaged buffers; the optimizer consumes them in place
-    // (`Sgd::step` reads `Param::grad_view` without mutating), so the
-    // sharing path is copy-free end to end.
+    // Install the averaged gradients as clones — a refcount bump per
+    // param, not a copy. Every member of the stage points its params at
+    // the same averaged buffers; the optimizer consumes them in place
+    // (`Sgd::step` reads `Param::grad` without mutating and lets go of
+    // it), so the sharing path is copy-free end to end.
     for (s, grads) in role.student_blocks.iter_mut().zip(avg.iter()) {
         let mut idx = 0usize;
         s.visit_params(&mut |p| {
-            p.set_shared_grad(grads[idx].clone());
+            p.grad = Tensor::clone(&grads[idx]);
             idx += 1;
         });
     }
     step_losses.copy_from_slice(&avg_losses);
-    Ok(())
+    Ok(avg)
 }
 
 #[cfg(test)]

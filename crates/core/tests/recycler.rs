@@ -114,6 +114,89 @@ fn recycled_runs_match_the_reference_bit_for_bit() {
     assert_eq!(free_running.max_loss_diff(&golden), 0.0);
 }
 
+/// Ends a student block: passes everything through and owns one parameter
+/// big enough for its gradient to live in a recycled buffer. Records where
+/// each averaged gradient the executor installs lives.
+#[derive(Clone)]
+struct BigParam {
+    w: Param,
+    /// Buffer address of every installed average, in installation order
+    /// (shared by the stage's members: they are clones of one block).
+    installed: Arc<Mutex<Vec<usize>>>,
+}
+
+const BIG: usize = 48 * 1024;
+
+impl Layer for BigParam {
+    fn forward(&mut self, x: &Tensor, _: Mode) -> pipebd_tensor::Result<Tensor> {
+        Ok(x.clone())
+    }
+    fn backward(&mut self, dy: &Tensor) -> pipebd_tensor::Result<Tensor> {
+        self.w.accumulate_grad(Tensor::full(&[BIG], dy.sum()))?;
+        Ok(dy.clone())
+    }
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        // Empty before the visit and live after it: the gather had moved
+        // the local gradient out, and this visit installed the average.
+        let was_empty = self.w.grad.numel() == 0;
+        f(&mut self.w);
+        if was_empty && self.w.grad.numel() != 0 {
+            let at = self.w.grad.data().as_ptr() as usize;
+            self.installed.lock().unwrap().push(at);
+        }
+    }
+    fn name(&self) -> &'static str {
+        "big-param"
+    }
+    fn clone_box(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
+}
+
+#[test]
+fn recycled_width_2_members_step_off_one_averaged_allocation() {
+    // The gradient write-back is a clone per member, not a copy: after
+    // every gather both members' params point at the *same* averaged
+    // buffer, the optimizer reads it in place, and clearing it lets go
+    // instead of writing zeros through copy-on-write.
+    let (teacher, student, data) = setup();
+    let installed = Arc::<Mutex<Vec<usize>>>::default();
+    let big = BigParam {
+        w: Param::weight(Tensor::zeros(&[BIG])),
+        installed: Arc::clone(&installed),
+    };
+    let last = Block::new(
+        "wrapped",
+        Sequential::new(vec![Box::new(student.block(1).clone()), Box::new(big)]),
+    );
+    let with_big = BlockNet::new(vec![student.block(0).clone(), last]);
+    let fresh_of = |student: &BlockNet, steps: usize| {
+        let nets = (teacher.clone(), student.clone(), data.clone());
+        traced_run(&nets, &config(&[(2, 2)], steps)).0 .1
+    };
+    let mut fresh = Vec::new();
+    for steps in [2, 6] {
+        installed.lock().unwrap().clear();
+        fresh.push(fresh_of(&with_big, steps));
+        let installed = installed.lock().unwrap();
+        assert_eq!(
+            installed.len(),
+            2 * steps,
+            "one average per member per step"
+        );
+        // Coupled updates: a step's two installations are adjacent.
+        for (step, pair) in installed.chunks(2).enumerate() {
+            assert_eq!(pair[0], pair[1], "step {step}: the members hold copies");
+        }
+    }
+    // Step 0 adds into the constructor's zeros and allocates the velocity;
+    // from step 1 the gradient is the backward pass's own buffer, moved in.
+    // Nothing after that allocates, and the parameter costs each member two
+    // buffers for the whole run: a copy per step would show here.
+    assert_eq!(fresh[1], fresh[0], "steps 3..6 allocated");
+    assert_eq!(fresh[1], fresh_of(&student, 6) + 2 * DEVICES as u64);
+}
+
 /// Every boundary stage 0 has relayed, in step order: one extra handle each.
 type Relayed = Arc<Mutex<Vec<SharedTensor>>>;
 

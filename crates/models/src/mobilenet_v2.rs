@@ -174,14 +174,6 @@ pub fn teacher_blocks(variant: InputVariant) -> Vec<StackSpec> {
     blocks
 }
 
-/// The per-block output channel counts at the distillation boundaries
-/// (shared with the student supernet so boundary shapes match).
-pub fn boundary_channels() -> [usize; 6] {
-    [
-        16, 24, 32, 64, 96, 0, /* classifier, see teacher_blocks */
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

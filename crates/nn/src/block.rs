@@ -32,11 +32,6 @@ impl Block {
     pub fn inner(&self) -> &Sequential {
         &self.inner
     }
-
-    /// Mutable access to the wrapped layer sequence.
-    pub fn inner_mut(&mut self) -> &mut Sequential {
-        &mut self.inner
-    }
 }
 
 impl Layer for Block {

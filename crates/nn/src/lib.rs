@@ -145,8 +145,8 @@ impl Clone for Box<dyn Layer> {
     }
 }
 
-/// Zeroes the gradients of every parameter of `layer` (both the owned
-/// accumulator and any shared averaged-gradient override).
+/// Zeroes the gradient of every parameter of `layer`
+/// ([`Param::clear_grad`]).
 pub fn zero_grad(layer: &mut dyn Layer) {
     layer.visit_params(&mut |p| p.clear_grad());
 }

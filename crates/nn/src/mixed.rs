@@ -45,11 +45,6 @@ impl MixedOp {
         }
     }
 
-    /// Number of candidate operations.
-    pub fn num_candidates(&self) -> usize {
-        self.candidates.len()
-    }
-
     /// Softmax of the current architecture parameters.
     pub fn candidate_weights(&self) -> Vec<f32> {
         softmax(self.alpha.value.data())

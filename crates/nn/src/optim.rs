@@ -46,11 +46,6 @@ impl Sgd {
         self.lr
     }
 
-    /// Updates the learning rate (for schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
     /// The momentum velocity buffers, in [`Layer::visit_params`] order.
     ///
     /// Empty until the first [`Sgd::step`] (buffers are allocated
@@ -72,10 +67,9 @@ impl Sgd {
     /// Applies one update step to every matching parameter of `layer`,
     /// consuming the accumulated gradients (they are cleared afterwards).
     ///
-    /// The gradient is read through [`Param::grad_view`] and never
-    /// mutated, so a shared averaged gradient installed by the executor's
-    /// data-parallel write-back is consumed in place — every stage replica
-    /// steps off the same buffer.
+    /// The gradient is read and never mutated, so an averaged gradient the
+    /// executor's data-parallel write-back installed as a clone is
+    /// consumed in place — every stage replica steps off the same buffer.
     ///
     /// # Errors
     ///
@@ -103,7 +97,7 @@ impl Sgd {
                     if momentum != 0.0 {
                         // vel = momentum * vel + grad (+ wd * value)
                         vel.scale(momentum);
-                        vel.add_assign(p.grad_view())?;
+                        vel.add_assign(&p.grad)?;
                         if weight_decay != 0.0 {
                             vel.axpy(weight_decay, &p.value)?;
                         }
@@ -112,8 +106,7 @@ impl Sgd {
                         if weight_decay != 0.0 {
                             p.value.scale(1.0 - lr * weight_decay);
                         }
-                        let (value, grad) = p.value_and_grad();
-                        value.axpy(-lr, grad)?;
+                        p.value.axpy(-lr, &p.grad)?;
                     }
                     p.clear_grad();
                     Ok(())

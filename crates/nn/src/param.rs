@@ -17,32 +17,23 @@ pub enum ParamKind {
 
 /// A trainable tensor together with its gradient accumulator.
 ///
-/// The gradient has two representations:
+/// The gradient is one [`Tensor`] in one of two states: *live* (the shape
+/// of `value`; backward passes add into it) or *empty* (after
+/// [`Param::take_grad`], or a [`Param::clear_grad`] of a buffer held
+/// elsewhere too; the next backward pass re-seeds it by *moving* its
+/// freshly computed gradient in, see [`Param::accumulate_grad`]) —
+/// steady-state training never copies a gradient buffer.
 ///
-/// * **Owned** — [`Param::grad`], the accumulator layers add into during
-///   backward passes.
-/// * **Shared** — an optional [`SharedTensor`] override installed by the
-///   executor's gradient-averaging path ([`Param::set_shared_grad`]).
-///   Every replica of a widened stage points at the *same* averaged
-///   buffer, so the write-back is a refcount bump instead of a per-param
-///   copy. The optimizer reads whichever representation is active via
-///   [`Param::grad_view`] and consumes both on `step`.
-///
-/// After the executor's gradient gather moves the owned buffer out
-/// ([`Param::take_grad`]), the owned accumulator is left empty; the next
-/// backward pass re-materializes it by *moving* its freshly computed
-/// gradient in ([`Param::accumulate_grad`]) — steady-state training never
-/// copies a gradient buffer.
+/// A `Tensor` clone shares its buffer, so the executor's gradient
+/// averaging writes back by assigning every replica of a widened stage a
+/// clone of the same averaged tensor: a refcount bump per param, and all
+/// replicas step off one allocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Param {
     /// Current value.
     pub value: Tensor,
-    /// Owned accumulated gradient (same shape as `value`, or empty after
-    /// [`Param::take_grad`]).
+    /// Accumulated gradient (same shape as `value`, or empty).
     pub grad: Tensor,
-    /// Shared override set by gradient averaging; read preferentially by
-    /// [`Param::grad_view`].
-    shared_grad: Option<SharedTensor>,
     /// Whether this is a weight or an architecture parameter.
     pub kind: ParamKind,
 }
@@ -54,47 +45,22 @@ impl Param {
         Param {
             value,
             grad,
-            shared_grad: None,
             kind: ParamKind::Weight,
         }
     }
 
     /// Creates an architecture parameter with a zeroed gradient.
     pub fn arch(value: Tensor) -> Self {
-        let grad = Tensor::zeros(value.dims());
         Param {
-            value,
-            grad,
-            shared_grad: None,
             kind: ParamKind::Arch,
+            ..Param::weight(value)
         }
     }
 
-    /// The gradient the optimizer should consume: the shared override if
-    /// one is installed, the owned accumulator otherwise.
-    pub fn grad_view(&self) -> &Tensor {
-        match &self.shared_grad {
-            Some(s) => s,
-            None => &self.grad,
-        }
-    }
-
-    /// Split borrow of the value (mutably) and the active gradient —
-    /// needed by optimizer updates like `value.axpy(-lr, grad)`.
-    pub fn value_and_grad(&mut self) -> (&mut Tensor, &Tensor) {
-        let grad = match &self.shared_grad {
-            Some(s) => &**s,
-            None => &self.grad,
-        };
-        (&mut self.value, grad)
-    }
-
-    /// Accumulates `g` into the owned gradient.
+    /// Accumulates `g` into the gradient.
     ///
-    /// When the owned accumulator is live this adds elementwise; when it
-    /// was moved out by [`Param::take_grad`] the buffer is re-seeded by
-    /// *moving* `g` in — no allocation, no copy. Any stale shared
-    /// override is dropped (a new backward pass invalidates it).
+    /// A live accumulator adds elementwise; an empty one is re-seeded by
+    /// *moving* `g` in — no allocation, no copy.
     ///
     /// # Errors
     ///
@@ -103,7 +69,6 @@ impl Param {
     /// pass producing a wrong-shaped gradient should fail here, at the
     /// layer that produced it, not later in the optimizer).
     pub fn accumulate_grad(&mut self, g: Tensor) -> Result<()> {
-        self.shared_grad = None;
         if self.grad.numel() == 0 && g.numel() != 0 {
             if g.dims() != self.value.dims() {
                 return Err(TensorError::ShapeMismatch {
@@ -119,39 +84,36 @@ impl Param {
         }
     }
 
-    /// Mutable access to the owned gradient, re-materializing a zeroed
-    /// buffer if it was moved out by [`Param::take_grad`].
+    /// Mutable access to the gradient, re-materializing a zeroed buffer
+    /// if it is empty.
     ///
     /// For layers that accumulate by indexing (batch norm, NAS mixed
     /// ops) rather than by whole-tensor adds.
     pub fn grad_mut(&mut self) -> &mut Tensor {
-        self.shared_grad = None;
         if self.grad.numel() == 0 && self.value.numel() != 0 {
             self.grad = Tensor::zeros(self.value.dims());
         }
         &mut self.grad
     }
 
-    /// Moves the owned gradient out (for the executor's gather, which
-    /// transfers ownership through a channel), leaving the accumulator
-    /// empty and dropping any shared override.
+    /// Moves the gradient out (for the executor's gather, which transfers
+    /// ownership through a channel), leaving the accumulator empty.
     pub fn take_grad(&mut self) -> Tensor {
-        self.shared_grad = None;
         std::mem::take(&mut self.grad)
     }
 
-    /// Installs an averaged gradient as a shared handle — the executor's
-    /// zero-copy write-back. Replicas of a stage share one allocation.
-    pub fn set_shared_grad(&mut self, g: SharedTensor) {
-        self.shared_grad = Some(g);
-    }
-
-    /// Consumes the gradient after an optimizer step: drops the shared
-    /// override and zeroes the owned accumulator (a no-op if it was moved
-    /// out).
+    /// Consumes the gradient after an optimizer step. The only holder of
+    /// the buffer zeroes it in place and keeps it as the accumulator. A
+    /// buffer held elsewhere too — an averaged gradient the stage's other
+    /// replicas still read — is let go of instead, leaving the accumulator
+    /// empty: zeroing it through copy-on-write would allocate a private
+    /// copy per param per replica per step.
     pub fn clear_grad(&mut self) {
-        self.shared_grad = None;
-        self.grad.fill(0.0);
+        let grad = SharedTensor::new(std::mem::take(&mut self.grad));
+        if grad.ref_count() == 1 {
+            self.grad = grad.into_tensor();
+            self.grad.fill(0.0);
+        }
     }
 }
 
@@ -196,11 +158,18 @@ mod tests {
         let mut p = Param::weight(Tensor::ones(&[2]));
         p.accumulate_grad(Tensor::full(&[2], 5.0)).unwrap();
         let avg = SharedTensor::new(Tensor::full(&[2], 7.0));
-        p.set_shared_grad(avg.clone());
-        assert_eq!(p.grad_view().data(), &[7.0, 7.0]);
-        assert!(avg.ref_count() >= 2, "write-back must share, not copy");
+        p.grad = Tensor::clone(&avg);
+        assert_eq!(p.grad.data(), &[7.0, 7.0]);
+        assert_eq!(avg.ref_count(), 2, "write-back must share, not copy");
         p.clear_grad();
-        assert_eq!(p.grad_view().data(), &[0.0, 0.0]);
+        assert_eq!(p.grad.numel(), 0);
+        assert_eq!(avg.ref_count(), 1, "clearing must let go, not copy");
+        // The only holder zeroes in place and keeps its buffer.
+        p.accumulate_grad(Tensor::full(&[2], 5.0)).unwrap();
+        let at = p.grad.data().as_ptr();
+        p.clear_grad();
+        assert_eq!(p.grad.data(), &[0.0, 0.0]);
+        assert_eq!(p.grad.data().as_ptr(), at);
     }
 
     #[test]
@@ -209,14 +178,5 @@ mod tests {
         let _ = p.take_grad();
         p.grad_mut().data_mut()[1] += 4.0;
         assert_eq!(p.grad.data(), &[0.0, 4.0, 0.0]);
-    }
-
-    #[test]
-    fn value_and_grad_splits_for_axpy() {
-        let mut p = Param::weight(Tensor::ones(&[2]));
-        p.set_shared_grad(SharedTensor::new(Tensor::full(&[2], 2.0)));
-        let (value, grad) = p.value_and_grad();
-        value.axpy(-0.5, grad).unwrap();
-        assert_eq!(p.value.data(), &[0.0, 0.0]);
     }
 }

@@ -173,7 +173,7 @@ mod tests {
     }
 
     #[test]
-    fn global_pool_layer_shapes() {
+    fn global_avg_pool_layer_shapes() {
         let mut rng = Rng64::seed_from_u64(1);
         let mut l = GlobalAvgPool::new();
         let x = Tensor::randn(&[3, 5, 2, 2], &mut rng);

@@ -74,11 +74,6 @@ impl CostModel {
     pub fn teacher_time_blocks(&self, blocks: &[BlockDescriptor], batch: usize) -> SimTime {
         blocks.iter().map(|b| self.teacher_time(b, batch)).sum()
     }
-
-    /// Student time summed over several blocks.
-    pub fn student_time_blocks(&self, blocks: &[BlockDescriptor], batch: usize) -> SimTime {
-        blocks.iter().map(|b| self.student_time(b, batch)).sum()
-    }
 }
 
 #[cfg(test)]

@@ -5,12 +5,12 @@
 //! `groups == in_channels` is a depthwise convolution (the first half of the
 //! DS-Conv replacement blocks from the paper's model-compression workload).
 //!
-//! Each kernel exists in two implementations, selected by the process
-//! [`KernelPolicy`] (or explicitly via the `*_with` variants):
+//! Each kernel exists in two implementations; the un-suffixed functions
+//! run the blocked one, the `*_with` variants take a [`KernelPolicy`]:
 //!
 //! * **naive** — direct 7-deep loops: slow, exact, deterministic, easy to
 //!   verify against finite differences, and kept as the oracle;
-//! * **blocked** (the default) — the `im2col` module's unit bodies: the
+//! * **blocked** — the `im2col` module's unit bodies: the
 //!   `direct` module's kernels for stride-1 dense geometry, the `stencil`
 //!   module's for depthwise, an im2col + packed-GEMM lowering for the
 //!   rest; one to two orders of magnitude faster.
@@ -19,7 +19,7 @@ use crate::error::TensorError;
 use crate::im2col::{
     conv2d_blocked, conv2d_grad_input_blocked, conv2d_grad_weight_blocked, ConvGeom,
 };
-use crate::kernel::{kernel_policy, KernelPolicy};
+use crate::kernel::KernelPolicy;
 use crate::tensor::Tensor;
 
 /// Geometry of a 2-D convolution.
@@ -190,10 +190,10 @@ impl Conv2dSpec {
 /// # }
 /// ```
 pub fn conv2d(x: &Tensor, w: &Tensor, spec: Conv2dSpec) -> Result<Tensor, TensorError> {
-    conv2d_with(x, w, spec, kernel_policy())
+    conv2d_with(x, w, spec, KernelPolicy::Blocked)
 }
 
-/// [`conv2d`] with an explicit [`KernelPolicy`] (ignores the global one).
+/// [`conv2d`] with an explicit [`KernelPolicy`].
 ///
 /// # Errors
 ///
@@ -291,7 +291,7 @@ pub fn conv2d_grad_input(
     spec: Conv2dSpec,
     input_hw: (usize, usize),
 ) -> Result<Tensor, TensorError> {
-    conv2d_grad_input_with(dy, w, spec, input_hw, kernel_policy())
+    conv2d_grad_input_with(dy, w, spec, input_hw, KernelPolicy::Blocked)
 }
 
 /// [`conv2d_grad_input`] with an explicit [`KernelPolicy`].
@@ -413,7 +413,7 @@ pub fn conv2d_grad_weight(
     dy: &Tensor,
     spec: Conv2dSpec,
 ) -> Result<Tensor, TensorError> {
-    conv2d_grad_weight_with(x, dy, spec, kernel_policy())
+    conv2d_grad_weight_with(x, dy, spec, KernelPolicy::Blocked)
 }
 
 /// [`conv2d_grad_weight`] with an explicit [`KernelPolicy`].

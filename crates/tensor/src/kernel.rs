@@ -1,53 +1,27 @@
-//! Kernel-dispatch policy for the tensor crate's hot compute paths.
+//! The two implementations of the tensor crate's hot compute paths.
 //!
 //! Every heavy kernel (`matmul` and friends, `conv2d` and its adjoints)
 //! exists in two implementations:
 //!
 //! * [`KernelPolicy::Naive`] — the original direct loops: slow, exact,
 //!   trivially auditable, and kept as the oracle the fast path is
-//!   property-tested against.
-//! * [`KernelPolicy::Blocked`] — the cache-tiled compute plane: packed
-//!   blocked GEMM (`gemm` module) plus an im2col lowering for the
-//!   convolution kernels (`im2col` module).
+//!   tested against.
+//! * [`KernelPolicy::Blocked`] — the compute plane every un-suffixed
+//!   kernel runs: packed blocked GEMM (`gemm` module), and convolutions
+//!   lowered by their geometry alone (`im2col` module).
 //!
-//! The policy is process-global so every caller — NN layers, the model
-//! zoo, both executors — gets the fast path with zero signature changes.
-//! It can be overridden three ways, in precedence order:
-//!
-//! 1. explicitly per call, via the `*_with` kernel variants;
-//! 2. programmatically, via [`set_kernel_policy`];
-//! 3. from the environment: `PIPEBD_KERNEL_POLICY=naive|blocked`, read
-//!    once on first use.
-//!
-//! The default is [`KernelPolicy::Blocked`].
+//! Nothing ambient chooses between them: `matmul`, `conv2d` and the
+//! adjoints always run `Blocked`, and the `*_with` variants take the
+//! policy as an argument — the one way a test (or a probe) reaches the
+//! naive oracle.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
-
-/// Selects the implementation used by the tensor crate's compute kernels.
+/// Selects the implementation used by the `*_with` kernel variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelPolicy {
     /// Direct scalar loops — the reference oracle.
     Naive,
-    /// im2col + packed cache-blocked GEMM — the default fast path.
+    /// The blocked compute plane — what every un-suffixed kernel runs.
     Blocked,
-}
-
-impl KernelPolicy {
-    fn as_u8(self) -> u8 {
-        match self {
-            KernelPolicy::Naive => 0,
-            KernelPolicy::Blocked => 1,
-        }
-    }
-
-    fn from_u8(v: u8) -> Self {
-        if v == 0 {
-            KernelPolicy::Naive
-        } else {
-            KernelPolicy::Blocked
-        }
-    }
 }
 
 impl std::fmt::Display for KernelPolicy {
@@ -59,46 +33,13 @@ impl std::fmt::Display for KernelPolicy {
     }
 }
 
-/// 0 = naive, 1 = blocked, u8::MAX = unset (fall back to env/default).
-static POLICY: AtomicU8 = AtomicU8::new(u8::MAX);
-static ENV_POLICY: OnceLock<KernelPolicy> = OnceLock::new();
-
-fn env_policy() -> KernelPolicy {
-    *ENV_POLICY.get_or_init(|| match std::env::var("PIPEBD_KERNEL_POLICY") {
-        Ok(v) if v.trim().eq_ignore_ascii_case("naive") => KernelPolicy::Naive,
-        Ok(v) if v.trim().eq_ignore_ascii_case("blocked") => KernelPolicy::Blocked,
-        Ok(v) => {
-            // A typo'd value silently picking the fast path would
-            // mislabel recorded experiments; warn loudly and fall back.
-            eprintln!(
-                "pipebd_tensor: unrecognized PIPEBD_KERNEL_POLICY={v:?} \
-                 (expected \"naive\" or \"blocked\"); using blocked"
-            );
-            KernelPolicy::Blocked
-        }
-        Err(_) => KernelPolicy::Blocked,
-    })
-}
-
-/// The process-global kernel policy currently in effect.
-///
-/// Resolution order: the last [`set_kernel_policy`] call, else the
-/// `PIPEBD_KERNEL_POLICY` environment variable, else
+/// The implementation the un-suffixed kernels run: always
 /// [`KernelPolicy::Blocked`].
-pub fn kernel_policy() -> KernelPolicy {
-    match POLICY.load(Ordering::Relaxed) {
-        u8::MAX => env_policy(),
-        v => KernelPolicy::from_u8(v),
-    }
-}
-
-/// Overrides the process-global kernel policy.
 ///
-/// Intended for harnesses that A/B the implementations; concurrent tests
-/// should prefer the explicit `*_with` kernel variants, which take the
-/// policy as an argument and touch no global state.
-pub fn set_kernel_policy(policy: KernelPolicy) {
-    POLICY.store(policy.as_u8(), Ordering::Relaxed);
+/// Kept only because the run header in `benchmark/src/main.rs` records
+/// it; delete it with whichever change next owns `benchmark/`.
+pub fn kernel_policy() -> KernelPolicy {
+    KernelPolicy::Blocked
 }
 
 #[cfg(test)]
@@ -109,12 +50,5 @@ mod tests {
     fn display_names() {
         assert_eq!(KernelPolicy::Naive.to_string(), "naive");
         assert_eq!(KernelPolicy::Blocked.to_string(), "blocked");
-    }
-
-    #[test]
-    fn roundtrip_u8() {
-        for p in [KernelPolicy::Naive, KernelPolicy::Blocked] {
-            assert_eq!(KernelPolicy::from_u8(p.as_u8()), p);
-        }
     }
 }

@@ -9,11 +9,12 @@
 //! throughput second. Every kernel has a hand-written adjoint ("backward")
 //! kernel next to it, validated against finite differences in the test
 //! suite — and the hot kernels (`matmul` family, `conv2d` family) come in
-//! two [`KernelPolicy`]-selected implementations: direct naive loops (the
-//! oracle) and a blocked plane (the default) — a cache-blocked packed
-//! GEMM, convolutions that read the image in place where their geometry
-//! allows and lower to that GEMM through im2col where it does not —
-//! property-tested to agree with the oracle.
+//! two implementations: the blocked plane every call runs — a
+//! cache-blocked packed GEMM, convolutions that read the image in place
+//! where their geometry allows and lower to that GEMM through im2col where
+//! it does not — and direct naive loops, the oracle the blocked plane is
+//! tested against (reached through the `*_with` variants' [`KernelPolicy`]
+//! argument only).
 //!
 //! # Example
 //!
@@ -55,7 +56,7 @@ pub use conv::{
     conv2d_with, Conv2dSpec,
 };
 pub use error::TensorError;
-pub use kernel::{kernel_policy, set_kernel_policy, KernelPolicy};
+pub use kernel::{kernel_policy, KernelPolicy};
 pub use pool::{
     avg_pool2d, avg_pool2d_backward, global_avg_pool, global_avg_pool_backward, max_pool2d,
     max_pool2d_backward, MaxPoolIndices,

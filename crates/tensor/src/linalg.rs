@@ -1,15 +1,15 @@
 //! Dense matrix products and bias helpers.
 //!
 //! These are the only "BLAS-like" kernels the NN layers need. All matrices
-//! are rank-2 tensors in row-major order. The three products dispatch on
-//! the process [`KernelPolicy`]: the naive streaming loops are retained as
-//! the oracle, the default routes through the packed blocked GEMM (`gemm`
-//! module). Transposed variants never materialize a transpose under either
-//! policy.
+//! are rank-2 tensors in row-major order. The three products run the
+//! packed blocked GEMM (`gemm` module); the naive streaming loops are
+//! retained as the oracle, reachable through the `*_with` variants'
+//! [`KernelPolicy`] argument. Transposed variants never materialize a
+//! transpose under either policy.
 
 use crate::error::TensorError;
 use crate::gemm::gemm_strided;
-use crate::kernel::{kernel_policy, KernelPolicy};
+use crate::kernel::KernelPolicy;
 use crate::tensor::Tensor;
 
 impl Tensor {
@@ -33,7 +33,7 @@ impl Tensor {
     /// # }
     /// ```
     pub fn matmul(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        self.matmul_with(other, kernel_policy())
+        self.matmul_with(other, KernelPolicy::Blocked)
     }
 
     /// [`Tensor::matmul`] with an explicit [`KernelPolicy`].
@@ -88,7 +88,7 @@ impl Tensor {
     ///
     /// Same conditions as [`Tensor::matmul`].
     pub fn matmul_t_a(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        self.matmul_t_a_with(other, kernel_policy())
+        self.matmul_t_a_with(other, KernelPolicy::Blocked)
     }
 
     /// [`Tensor::matmul_t_a`] with an explicit [`KernelPolicy`].
@@ -147,7 +147,7 @@ impl Tensor {
     ///
     /// Same conditions as [`Tensor::matmul`].
     pub fn matmul_b_t(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        self.matmul_b_t_with(other, kernel_policy())
+        self.matmul_b_t_with(other, KernelPolicy::Blocked)
     }
 
     /// [`Tensor::matmul_b_t`] with an explicit [`KernelPolicy`].

@@ -2,21 +2,16 @@
 //!
 //! The blocked kernels (`gemm`, `im2col`) decompose their work across a
 //! work-stealing [`crossbeam::pool::ThreadPool`] when one is *active* on
-//! the calling thread. Activity is resolved per call, in order:
-//!
-//! 1. the innermost [`install`]ed pool (the threaded executor installs a
-//!    per-device pool sized by `sched`'s stage widths, so stage
-//!    concurrency and intra-stage parallelism share one host budget);
-//! 2. else the process-global pool, sized by `PIPEBD_POOL` (panicking on
-//!    an unparsable value — mislabeled scaling artifacts must fail
-//!    loudly, like `PIPEBD_SIMD`) or the machine's available
-//!    parallelism. A budget of 1 means no pool is ever created — the
-//!    default on a single-vCPU host is exactly the old serial plane.
+//! the calling thread: the innermost [`install`]ed pool (the executors
+//! install a per-device pool sized by `sched`'s stage widths, so stage
+//! concurrency and intra-stage parallelism share one host budget). A
+//! thread nothing was installed on runs every kernel serially — no pool
+//! is ever created behind the caller's back.
 //!
 //! A pool of size `w` is `w - 1` worker threads plus the kernel-calling
 //! thread, which helps execute tasks inside the scope. Installing a pool
-//! of size 1 forces serial execution regardless of the global default —
-//! that is how the determinism tests pin their baseline.
+//! of size 1 forces serial execution under a wider one — that is how the
+//! determinism tests pin their baseline.
 //!
 //! **Determinism contract:** every parallel decomposition in this crate
 //! partitions the *output* so that each output element is produced, in
@@ -31,7 +26,7 @@
 //! exactly this.
 
 use std::cell::{Cell, RefCell};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 pub use crossbeam::pool::PoolStats;
 use crossbeam::pool::{Scope, ThreadPool};
@@ -141,51 +136,22 @@ pub fn install<R>(pool: &ComputePool, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-static GLOBAL: OnceLock<Option<ComputePool>> = OnceLock::new();
-
 /// Runs `f` on the buffer recycler of this thread's innermost
-/// [`install`]ed pool, if any (the process-global pool recycles nothing).
+/// [`install`]ed pool, if any.
 pub(crate) fn with_recycler<R>(f: impl FnOnce(&Arc<Recycler>) -> R) -> Option<R> {
     INSTALLED.with(|s| s.borrow().last().map(|pool| f(&pool.recycler)))
 }
 
-/// The process-default pool budget: `PIPEBD_POOL` if set (panics on an
-/// unparsable or zero value — a silently mislabeled scaling run is worse
-/// than a crash), else the machine's available parallelism.
-pub fn default_pool_size() -> usize {
-    static SIZE: OnceLock<usize> = OnceLock::new();
-    *SIZE.get_or_init(|| match std::env::var("PIPEBD_POOL") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => panic!("pipebd_tensor: invalid PIPEBD_POOL={v:?} (expected a positive integer)"),
-        },
-        Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    })
-}
-
-/// The global pool, created lazily on first parallel kernel call; `None`
-/// when the default budget is 1 (no threads are ever spawned).
-fn global_pool() -> Option<ComputePool> {
-    GLOBAL
-        .get_or_init(|| {
-            let size = default_pool_size();
-            (size > 1).then(|| ComputePool::new(size))
-        })
-        .clone()
-}
-
 /// The pool a kernel on this thread should decompose onto, if any:
-/// `None` means run serially (no pool, a size-1 pool installed, or the
-/// caller is itself a pool task).
+/// `None` means run serially (no pool installed, a size-1 pool installed,
+/// or the caller is itself a pool task).
 pub(crate) fn active_pool() -> Option<ComputePool> {
     if IN_POOL_TASK.with(Cell::get) {
         return None;
     }
-    let installed = INSTALLED.with(|s| s.borrow().last().cloned());
-    match installed {
-        Some(p) => (p.size() > 1).then_some(p),
-        None => global_pool(),
-    }
+    INSTALLED
+        .with(|s| s.borrow().last().cloned())
+        .filter(|p| p.size() > 1)
 }
 
 /// The parallel width kernels on this thread currently see (1 = serial).

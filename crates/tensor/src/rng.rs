@@ -94,11 +94,6 @@ impl Rng64 {
         (self.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
     }
 
-    /// Uniform sample in `[lo, hi)`.
-    pub fn uniform_in(&mut self, lo: f32, hi: f32) -> f32 {
-        lo + (hi - lo) * self.uniform()
-    }
-
     /// Uniform integer in `[0, n)`.
     ///
     /// # Panics
@@ -137,13 +132,6 @@ impl Rng64 {
     pub fn fill_normal(&mut self, buf: &mut [f32]) {
         for v in buf {
             *v = self.normal();
-        }
-    }
-
-    /// Fills `buf` with uniform samples in `[lo, hi)`.
-    pub fn fill_uniform(&mut self, buf: &mut [f32], lo: f32, hi: f32) {
-        for v in buf {
-            *v = self.uniform_in(lo, hi);
         }
     }
 

@@ -29,13 +29,13 @@
 //! (a libm call per multiply-add on pre-FMA hardware) but
 //! everywhere-correct; the tier tests assert the bitwise claim directly.
 //!
-//! Selection, in precedence order (mirroring `PIPEBD_KERNEL_POLICY`):
+//! Selection, in precedence order:
 //!
 //! 1. programmatic: [`set_simd_tier`] (validated — unsupported tiers are
 //!    rejected, not deferred to a SIGILL);
 //! 2. environment: `PIPEBD_SIMD=scalar|fma|avx512|auto`, read once on
-//!    first use. Unlike the kernel-policy variable, a bad value here
-//!    **panics** instead of warning-and-falling-back: a run benchmarked
+//!    first use. A bad value here **panics** instead of
+//!    warning-and-falling-back: a run benchmarked
 //!    under a typo'd tier would mislabel recorded scaling artifacts, so
 //!    the failure must be loud;
 //! 3. probe: the best tier the CPU supports.
@@ -165,8 +165,7 @@ fn env_tier() -> SimdTier {
             Ok(t) => t,
             // Fail loudly: a typo'd or unsupported tier silently falling
             // back would mislabel every recorded kernel/scaling artifact
-            // in this process. (Deliberately *not* the warn-and-default
-            // behavior of PIPEBD_KERNEL_POLICY.)
+            // in this process.
             Err(e) => panic!("pipebd_tensor: invalid PIPEBD_SIMD: {e}"),
         }
     })

@@ -95,13 +95,6 @@ impl Tensor {
         t
     }
 
-    /// Uniform-initialized tensor in `[lo, hi)`.
-    pub fn rand_uniform(dims: &[usize], lo: f32, hi: f32, rng: &mut Rng64) -> Self {
-        let mut t = Tensor::zeros(dims);
-        rng.fill_uniform(t.data_mut(), lo, hi);
-        t
-    }
-
     /// Kaiming/He normal initialization for a weight tensor with the given
     /// fan-in (suitable for ReLU networks).
     pub fn kaiming(dims: &[usize], fan_in: usize, rng: &mut Rng64) -> Self {

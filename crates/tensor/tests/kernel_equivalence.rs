@@ -10,9 +10,14 @@
 //! they may differ only by FMA rounding contraction (and, in the weight
 //! gradients, by the order of their partial sums).
 //!
-//! The explicit `*_with` kernel variants are used throughout: tests run
-//! concurrently and must not touch the process-global policy.
+//! The `*_with` kernel variants are the only way to the oracle; the
+//! blocked side runs under an installed pool of 1 and of 2 lanes, since a
+//! thread nothing is installed on would only ever run it serially.
+//!
+//! The property tests sample; [`executed_geometries_match_naive`] is the
+//! deterministic list of what the executors actually run.
 
+use pipebd_tensor::parallel::{install, ComputePool};
 use pipebd_tensor::{
     conv2d_grad_input_with, conv2d_grad_weight_with, conv2d_with, Conv2dSpec, KernelPolicy, Rng64,
     Tensor,
@@ -62,23 +67,32 @@ fn spec_from(
     }
 }
 
+/// Runs `check` on a thread with a 1-lane pool installed, then a 2-lane one.
+fn under_pools(check: impl Fn(&str)) {
+    for lanes in [1, 2] {
+        install(&ComputePool::new(lanes), || {
+            check(&format!("{lanes} lanes"))
+        });
+    }
+}
+
 /// Runs all three kernels under both policies and cross-checks them.
 fn check_all(spec: Conv2dSpec, n: usize, h: usize, w: usize, seed: u64) {
     let mut rng = Rng64::seed_from_u64(seed);
     let x = Tensor::randn(&[n, spec.in_channels, h, w], &mut rng);
     let wt = Tensor::randn(&spec.weight_dims(), &mut rng);
     let naive = conv2d_with(&x, &wt, spec, KernelPolicy::Naive).unwrap();
-    let blocked = conv2d_with(&x, &wt, spec, KernelPolicy::Blocked).unwrap();
-    assert_close(&naive, &blocked, "conv2d forward");
-
     let dy = Tensor::randn(naive.dims(), &mut rng);
     let ni = conv2d_grad_input_with(&dy, &wt, spec, (h, w), KernelPolicy::Naive).unwrap();
-    let bi = conv2d_grad_input_with(&dy, &wt, spec, (h, w), KernelPolicy::Blocked).unwrap();
-    assert_close(&ni, &bi, "conv2d grad input");
-
     let nw = conv2d_grad_weight_with(&x, &dy, spec, KernelPolicy::Naive).unwrap();
-    let bw = conv2d_grad_weight_with(&x, &dy, spec, KernelPolicy::Blocked).unwrap();
-    assert_close(&nw, &bw, "conv2d grad weight");
+    under_pools(|lanes| {
+        let blocked = conv2d_with(&x, &wt, spec, KernelPolicy::Blocked).unwrap();
+        assert_close(&naive, &blocked, &format!("{spec:?} forward, {lanes}"));
+        let bi = conv2d_grad_input_with(&dy, &wt, spec, (h, w), KernelPolicy::Blocked).unwrap();
+        assert_close(&ni, &bi, &format!("{spec:?} grad input, {lanes}"));
+        let bw = conv2d_grad_weight_with(&x, &dy, spec, KernelPolicy::Blocked).unwrap();
+        assert_close(&nw, &bw, &format!("{spec:?} grad weight, {lanes}"));
+    });
 }
 
 proptest! {
@@ -177,25 +191,19 @@ proptest! {
         let mut rng = Rng64::seed_from_u64(seed);
         let a = Tensor::randn(&[m, k], &mut rng);
         let b = Tensor::randn(&[k, n], &mut rng);
-        assert_close(
-            &a.matmul_with(&b, KernelPolicy::Naive).unwrap(),
-            &a.matmul_with(&b, KernelPolicy::Blocked).unwrap(),
-            "matmul",
-        );
-
         let at = Tensor::randn(&[k, m], &mut rng);
-        assert_close(
-            &at.matmul_t_a_with(&b, KernelPolicy::Naive).unwrap(),
-            &at.matmul_t_a_with(&b, KernelPolicy::Blocked).unwrap(),
-            "matmul_t_a",
-        );
-
         let bt = Tensor::randn(&[n, k], &mut rng);
-        assert_close(
-            &a.matmul_b_t_with(&bt, KernelPolicy::Naive).unwrap(),
-            &a.matmul_b_t_with(&bt, KernelPolicy::Blocked).unwrap(),
-            "matmul_b_t",
-        );
+        let ab = a.matmul_with(&b, KernelPolicy::Naive).unwrap();
+        let atb = at.matmul_t_a_with(&b, KernelPolicy::Naive).unwrap();
+        let abt = a.matmul_b_t_with(&bt, KernelPolicy::Naive).unwrap();
+        under_pools(|lanes| {
+            let blocked = a.matmul_with(&b, KernelPolicy::Blocked).unwrap();
+            assert_close(&ab, &blocked, &format!("matmul, {lanes}"));
+            let blocked = at.matmul_t_a_with(&b, KernelPolicy::Blocked).unwrap();
+            assert_close(&atb, &blocked, &format!("matmul_t_a, {lanes}"));
+            let blocked = a.matmul_b_t_with(&bt, KernelPolicy::Blocked).unwrap();
+            assert_close(&abt, &blocked, &format!("matmul_b_t, {lanes}"));
+        });
     }
 }
 
@@ -208,5 +216,33 @@ fn deep_direct_chains_match_naive() {
         let spec = Conv2dSpec::dense(channels, channels, k, 1, k / 2);
         assert!(channels * k * k > 256);
         check_all(spec, 2, h, w, 77);
+    }
+}
+
+#[test]
+fn executed_geometries_match_naive() {
+    // Exactly the convolutions `models::mini` builds — dense 3x3 and 5x5,
+    // depthwise 3x3 and pointwise, all stride 1 with "same" padding, 3
+    // channels into block 0 and the model width after it — at the two
+    // shapes that are executed: the conformance matrix's (6 channels,
+    // 8 x 8, and every shard its batches of 8 and 12 split into) and the
+    // benchmark's (`[32, 16, 32, 32]`).
+    let geometries = |c: usize| {
+        [3, c].into_iter().flat_map(move |in_c| {
+            [
+                Conv2dSpec::dense(in_c, c, 3, 1, 1),
+                Conv2dSpec::dense(in_c, c, 5, 1, 2),
+                Conv2dSpec::depthwise(in_c, 3, 1, 1),
+                Conv2dSpec::dense(in_c, c, 1, 1, 0),
+            ]
+        })
+    };
+    for batch in [3, 4, 8, 12] {
+        for spec in geometries(6) {
+            check_all(spec, batch, 8, 8, 23);
+        }
+    }
+    for spec in geometries(16) {
+        check_all(spec, 32, 32, 32, 23);
     }
 }

@@ -13,6 +13,7 @@
 //! that switches tiers lives in ONE `#[test]` (tests in a binary run
 //! concurrently); the pure resolution checks are separate.
 
+use pipebd_tensor::parallel::{install, ComputePool};
 use pipebd_tensor::{
     conv2d_grad_input_with, conv2d_grad_weight_with, conv2d_with, reduce, Conv2dSpec, KernelPolicy,
     Rng64, SimdTier, Tensor,
@@ -21,6 +22,12 @@ use pipebd_tensor::{resolve_simd_override, set_simd_tier, simd_tier};
 
 #[test]
 fn every_supported_tier_matches_the_oracle_and_each_other() {
+    // On two lanes: the forced tier is what a pool's worker dispatches to
+    // as well, and a thread with no pool installed runs every kernel alone.
+    install(&ComputePool::new(2), tiers_match);
+}
+
+fn tiers_match() {
     let supported: Vec<SimdTier> = SimdTier::ALL
         .into_iter()
         .filter(|t| t.is_supported())
@@ -157,8 +164,8 @@ fn every_supported_tier_matches_the_oracle_and_each_other() {
 
 #[test]
 fn unknown_override_is_a_loud_error() {
-    // Deliberately unlike PIPEBD_KERNEL_POLICY's warn-and-fall-back: a
-    // typo'd PIPEBD_SIMD must never silently benchmark the wrong tier.
+    // No warn-and-fall-back: a typo'd PIPEBD_SIMD must never silently
+    // benchmark the wrong tier.
     let err = resolve_simd_override(Some("avx1024")).unwrap_err();
     assert!(
         err.contains("avx1024"),

@@ -17,6 +17,7 @@ use pipebd_core::lower::{lower, relay, Lowering};
 use pipebd_core::{MemorySink, Strategy};
 use pipebd_data::SyntheticImageDataset;
 use pipebd_models::{mini_student_dsconv, mini_student_supernet, mini_teacher, MiniConfig};
+use pipebd_nn::BlockNet;
 use pipebd_sched::replan::degraded_estimate;
 use pipebd_sched::{
     barrier_period, bottleneck_stage, dp_phase_period, estimate_period, ls, ls_round_period,
@@ -146,38 +147,56 @@ pub fn round_period_of(graph: &TaskGraph, run: &SimRun, steps: u32, tail: u32) -
     SimTime::from_ns((last.as_ns() - base.as_ns()) / u64::from(tail))
 }
 
+/// The executor direction's inputs, built by [`Scenario::exec_setup`]:
+/// `(teacher, student, dataset, run configuration)`.
+pub type ExecSetup = (BlockNet, BlockNet, SyntheticImageDataset, FuncConfig);
+
+impl Scenario {
+    /// Builds what the executor direction runs: the miniature teacher and
+    /// student (supernet or DS-Conv) and the dataset (6 channels, `side` ×
+    /// `side` images), seeded from the scenario, and the [`FuncConfig`] of
+    /// the scenario's [`Scenario::exec_plan`]. Every run of a differential
+    /// gets the same lane budget — the reference installs one pool of
+    /// `pool_size`, the threaded executor divides it across device ranks —
+    /// and the determinism contract makes parity independent of it, which
+    /// is what the pool slice exists to prove.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Scenario::sim_plan`].
+    pub fn exec_setup(&self, side: usize) -> Result<ExecSetup, String> {
+        let cfg = MiniConfig {
+            blocks: self.blocks,
+            channels: 6,
+            batch_norm: self.batch_norm,
+        };
+        let mut rng = Rng64::seed_from_u64(self.seed);
+        let teacher = mini_teacher(cfg, &mut rng);
+        let student = if self.supernet {
+            mini_student_supernet(cfg, &mut rng)
+        } else {
+            mini_student_dsconv(cfg, &mut rng)
+        };
+        let (plan, dpu) = self.exec_plan()?;
+        let data = SyntheticImageDataset::mini(64, side, 4, self.seed.rotate_left(17));
+        let func = FuncConfig {
+            devices: self.ranks,
+            steps: self.exec_steps,
+            batch: self.exec_batch,
+            lr: 0.05,
+            momentum: 0.9,
+            plan: Some(plan),
+            decoupled_updates: dpu,
+            pool_size: Some(self.pool_size),
+        };
+        Ok((teacher, student, data, func))
+    }
+}
+
 /// The executor differential: reference semantics vs the scenario's
 /// subject executor on real miniature models.
 fn exec_differential(s: &Scenario) -> Result<(f64, f64), String> {
-    let cfg = MiniConfig {
-        blocks: s.blocks,
-        channels: 6,
-        batch_norm: s.batch_norm,
-    };
-    let mut rng = Rng64::seed_from_u64(s.seed);
-    let teacher = mini_teacher(cfg, &mut rng);
-    let student = if s.supernet {
-        mini_student_supernet(cfg, &mut rng)
-    } else {
-        mini_student_dsconv(cfg, &mut rng)
-    };
-    let data = SyntheticImageDataset::mini(64, 8, 4, s.seed.rotate_left(17));
-    let (plan, dpu) = s.exec_plan()?;
-    let func = FuncConfig {
-        devices: s.ranks,
-        steps: s.exec_steps,
-        batch: s.exec_batch,
-        lr: 0.05,
-        momentum: 0.9,
-        plan: Some(plan),
-        decoupled_updates: dpu,
-        // Both runs get the scenario's lane budget: the reference
-        // installs one pool of this size, the threaded executor divides
-        // it across device ranks. The determinism contract makes the
-        // parity assertion independent of the budget — which is exactly
-        // what the pool slice exists to prove.
-        pool_size: Some(s.pool_size),
-    };
+    let (teacher, student, data, func) = s.exec_setup(8)?;
     let golden = reference::run(&teacher, &student, &data, &func)
         .map_err(|e| format!("reference run failed: {e}"))?;
     let subject: FuncOutcome = s
@@ -307,30 +326,7 @@ struct RecoveryMeasurement {
 /// and compare the recovered parameters against an *uninterrupted*
 /// reference run — the replay-equivalence claim, executed.
 fn recovery_differential(s: &Scenario, fault: &FaultCase) -> Result<RecoveryMeasurement, String> {
-    let cfg = MiniConfig {
-        blocks: s.blocks,
-        channels: 6,
-        batch_norm: s.batch_norm,
-    };
-    let mut rng = Rng64::seed_from_u64(s.seed);
-    let teacher = mini_teacher(cfg, &mut rng);
-    let student = if s.supernet {
-        mini_student_supernet(cfg, &mut rng)
-    } else {
-        mini_student_dsconv(cfg, &mut rng)
-    };
-    let data = SyntheticImageDataset::mini(64, 8, 4, s.seed.rotate_left(17));
-    let (plan, dpu) = s.exec_plan()?;
-    let func = FuncConfig {
-        devices: s.ranks,
-        steps: s.exec_steps,
-        batch: s.exec_batch,
-        lr: 0.05,
-        momentum: 0.9,
-        plan: Some(plan),
-        decoupled_updates: dpu,
-        pool_size: Some(s.pool_size),
-    };
+    let (teacher, student, data, func) = s.exec_setup(8)?;
     let golden = reference::run(&teacher, &student, &data, &func)
         .map_err(|e| format!("reference run failed: {e}"))?;
     let workload = pipebd_models::Workload::synthetic(s.blocks, s.heavy_first);
@@ -392,13 +388,34 @@ fn bottleneck_agreement(
     (true, plan.stages[idx].devices.contains(&busiest))
 }
 
+/// Records an executor-direction measurement in `outcome` and judges it
+/// against `tol` (`0.0` = bitwise); a failure is described as `what`.
+fn judge_drift(
+    outcome: &mut ScenarioOutcome,
+    failures: &mut Vec<String>,
+    what: &str,
+    tol: f32,
+    (param_diff, loss_diff): (f64, f64),
+) {
+    outcome.exec_tolerance = f64::from(tol);
+    outcome.max_param_diff = param_diff;
+    outcome.max_loss_diff = loss_diff;
+    let worst = param_diff.max(loss_diff);
+    outcome.exec_ok = if tol == 0.0 {
+        worst == 0.0
+    } else {
+        worst < f64::from(tol)
+    };
+    if !outcome.exec_ok {
+        failures.push(format!(
+            "{what} drift: param {param_diff:.3e} / loss {loss_diff:.3e} vs tolerance {tol:.0e}"
+        ));
+    }
+}
+
 /// Runs both differential checks for one scenario under the given
-/// tolerance book.
-///
-/// The caller owns the process-global kernel policy: the regression gate
-/// sets it per scenario (it sweeps sequentially), while in-test sweeps
-/// filter scenarios to the ambient policy so parallel tests never touch
-/// global state.
+/// tolerance book. Touches no process-wide state, so sweeps may run
+/// scenarios from parallel tests.
 pub fn run_scenario(s: &Scenario, book: &ToleranceBook) -> ScenarioOutcome {
     let budget = match &s.fault {
         Some(f) => book.fault_budget(f.class),
@@ -441,27 +458,14 @@ pub fn run_scenario(s: &Scenario, book: &ToleranceBook) -> ScenarioOutcome {
             // mid-training, restore, replan, resume — and the recovered
             // model must match an uninterrupted reference run.
             outcome.recovery_checked = true;
-            match (s.recovery_tolerance(), recovery_differential(s, fault)) {
+            match (s.exec_tolerance(), recovery_differential(s, fault)) {
                 (Ok(tol), Ok(m)) => {
-                    outcome.exec_tolerance = f64::from(tol);
-                    outcome.max_param_diff = m.param_diff;
-                    outcome.max_loss_diff = m.loss_diff;
+                    let diffs = (m.param_diff, m.loss_diff);
+                    judge_drift(&mut outcome, &mut failures, "recovered-run", tol, diffs);
                     outcome.restores = m.restores;
                     outcome.exec_replans = m.replans;
                     outcome.grows = m.grows;
                     outcome.fell_back = m.fell_back;
-                    let worst = m.param_diff.max(m.loss_diff);
-                    outcome.exec_ok = if tol == 0.0 {
-                        worst == 0.0
-                    } else {
-                        worst < f64::from(tol)
-                    };
-                    if !outcome.exec_ok {
-                        failures.push(format!(
-                            "recovered-run drift: param {:.3e} / loss {:.3e} vs tolerance {tol:.0e}",
-                            m.param_diff, m.loss_diff
-                        ));
-                    }
                     // A script that kills a rank mid-run must actually
                     // exercise the protocol; a membership-preserving one
                     // must never touch it.
@@ -531,29 +535,9 @@ pub fn run_scenario(s: &Scenario, book: &ToleranceBook) -> ScenarioOutcome {
         return outcome;
     }
 
-    match s.exec_tolerance() {
-        Ok(tol) => {
-            outcome.exec_tolerance = f64::from(tol);
-            match exec_differential(s) {
-                Ok((param_diff, loss_diff)) => {
-                    outcome.max_param_diff = param_diff;
-                    outcome.max_loss_diff = loss_diff;
-                    let worst = param_diff.max(loss_diff);
-                    outcome.exec_ok = if tol == 0.0 {
-                        worst == 0.0
-                    } else {
-                        worst < f64::from(tol)
-                    };
-                    if !outcome.exec_ok {
-                        failures.push(format!(
-                            "executor drift: param {param_diff:.3e} / loss {loss_diff:.3e} vs tolerance {tol:.0e}"
-                        ));
-                    }
-                }
-                Err(e) => failures.push(e),
-            }
-        }
-        Err(e) => failures.push(e),
+    match (s.exec_tolerance(), exec_differential(s)) {
+        (Ok(tol), Ok(diffs)) => judge_drift(&mut outcome, &mut failures, "executor", tol, diffs),
+        (Err(e), _) | (_, Err(e)) => failures.push(e),
     }
 
     match sim_differential(s, book) {
@@ -618,17 +602,15 @@ mod tests {
     #[test]
     fn one_scenario_passes_end_to_end() {
         // The cheapest scenario in the matrix, run for real: a 3-block
-        // 2-rank TR+DPU pipeline under the ambient kernel policy.
+        // 2-rank TR+DPU pipeline.
         let book = ToleranceBook::gate_default();
         let all = crate::enumerate();
-        let ambient = pipebd_tensor::kernel_policy().to_string();
         let s = all
             .iter()
             .find(|s| {
                 s.blocks == 3
                     && s.ranks == 2
                     && s.strategy == ConformanceStrategy::TrDpu
-                    && s.kernel_policy == ambient
                     && s.subject == ExecutorChoice::Threaded
             })
             .expect("matrix covers the smoke scenario");

@@ -15,7 +15,7 @@
 //! balanced-pipeline conclusions flip when per-stage cost assumptions
 //! drift. Before this crate the planes were spot-checked pairwise in a
 //! handful of tests; here the cross-product of model shapes × strategies ×
-//! executors × kernel policies × batch/rank configurations is enumerated
+//! executors × batch/rank/pool configurations is enumerated
 //! deterministically ([`enumerate`]) and every scenario runs the full
 //! differential ([`run_scenario`]):
 //!
@@ -66,11 +66,12 @@ mod tolerance;
 mod trace;
 
 pub use differential::{
-    round_period_of, run_scenario, simulated_round_period, ConformanceReport, ScenarioOutcome,
-    FAULT_ROUNDS, FAULT_TAIL,
+    round_period_of, run_scenario, simulated_round_period, ConformanceReport, ExecSetup,
+    ScenarioOutcome, FAULT_ROUNDS, FAULT_TAIL,
 };
 pub use scenario::{
-    enumerate, ConformanceStrategy, FaultCase, FaultClass, Scenario, ScenarioSet, SimWorkload,
+    enumerate, ConformanceStrategy, FaultCase, FaultClass, ModelShape, Scenario, ScenarioSet,
+    SimWorkload,
 };
 pub use tolerance::{RatioBudget, ToleranceBook};
 pub use trace::{

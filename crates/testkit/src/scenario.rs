@@ -3,10 +3,13 @@
 //!
 //! A [`Scenario`] pins every axis that can change what the three planes
 //! compute: the model shape (block count, imbalance, student family), the
-//! scheduling strategy, the subject executor, the kernel policy, and the
-//! batch/rank configuration. Enumeration is pure — no clocks, no ambient
-//! RNG — so a scenario id names the same work on every machine, and the
-//! per-scenario seed is derived from the id (FNV-1a), not from state.
+//! scheduling strategy, the subject executor, and the batch/rank/pool
+//! configuration. Enumeration is pure — no clocks, no ambient RNG — so a
+//! scenario id names the same work on every machine, and the per-scenario
+//! seed is derived from the id (FNV-1a), not from state. Which kernel
+//! computes a scenario is not an axis: every executor runs the blocked
+//! plane, and `crates/tensor/tests/kernel_equivalence.rs` checks that
+//! plane against the naive oracle on the geometries these models build.
 //!
 //! # Strategy → executor-plan mapping
 //!
@@ -30,7 +33,6 @@ use pipebd_core::ExecutorChoice;
 use pipebd_models::Workload;
 use pipebd_sched::{ahd, CostModel, HeteroServer, Profiler, StagePlan};
 use pipebd_sim::{FaultEvent, FaultScript, GpuModel, HardwareConfig};
-use pipebd_tensor::KernelPolicy;
 use serde::{Deserialize, Serialize};
 
 use crate::ToleranceBook;
@@ -186,7 +188,8 @@ pub struct FaultCase {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
     /// Unique, human-readable id (also the artifact lookup key), e.g.
-    /// `"syn4h-r4-ahd-blocked-threaded"`.
+    /// `"syn4h-r4-ahd-blocked-threaded"` (the `blocked` is historical:
+    /// ids, and so seeds, are kept from when the kernel was an axis).
     pub id: String,
     /// Deterministic RNG seed for model init and data (FNV-1a of `id`).
     pub seed: u64,
@@ -215,9 +218,6 @@ pub struct Scenario {
     /// The subject executor compared against the reference semantics
     /// (`Reference` makes the scenario a determinism check).
     pub subject: ExecutorChoice,
-    /// Kernel policy label (`"naive"` or `"blocked"`); see
-    /// [`Scenario::kernel_policy`].
-    pub kernel_policy: String,
     /// Host compute-lane budget for intra-stage kernel parallelism
     /// (`FuncConfig::pool_size`). `1` pins every kernel serial — the
     /// default for the classic slices, so their numbers cannot depend on
@@ -235,6 +235,9 @@ pub struct Scenario {
     pub fault: Option<FaultCase>,
 }
 
+/// The model axis: `(blocks, heavy_first, supernet_student, sim_workload)`.
+pub type ModelShape = (usize, bool, bool, SimWorkload);
+
 /// FNV-1a over a string — the id→seed derivation (no ambient state).
 fn fnv1a(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -246,13 +249,32 @@ fn fnv1a(s: &str) -> u64 {
 }
 
 impl Scenario {
-    /// The typed kernel policy (the serialized field is a label because
-    /// `KernelPolicy` lives below the serde boundary).
-    pub fn kernel_policy(&self) -> KernelPolicy {
-        if self.kernel_policy == "naive" {
-            KernelPolicy::Naive
-        } else {
-            KernelPolicy::Blocked
+    /// The one constructor: a healthy threaded-parity scenario at the
+    /// classic slices' settings (3 executor steps, serial kernels, no
+    /// batch norm), its seed derived from `id`. Slices that vary another
+    /// axis override that field with struct-update syntax.
+    pub fn new(
+        id: String,
+        (blocks, heavy_first, supernet, sim_workload): ModelShape,
+        (ranks, exec_batch): (usize, usize),
+        strategy: ConformanceStrategy,
+    ) -> Self {
+        Scenario {
+            seed: fnv1a(&id),
+            id,
+            blocks,
+            heavy_first,
+            sim_workload,
+            supernet,
+            ranks,
+            sim_batch: 256,
+            exec_batch,
+            exec_steps: 3,
+            strategy,
+            subject: ExecutorChoice::Threaded,
+            pool_size: 1,
+            batch_norm: false,
+            fault: None,
         }
     }
 
@@ -270,56 +292,42 @@ impl Scenario {
         HardwareConfig::a6000_server(self.ranks)
     }
 
-    /// The strategy's stage plan for an arbitrary workload (`None` for DP
-    /// and LS, which have no stage plan — their simulator direction uses
-    /// the genuine baseline lowering, their executor direction the
-    /// numerically-equivalent plans of [`Scenario::exec_plan`]).
+    /// The strategy's stage plan for an arbitrary workload, plus whether
+    /// updates are decoupled (`None` for DP and LS, which have no stage
+    /// plan — their simulator direction uses the genuine baseline
+    /// lowering, their executor direction the numerically-equivalent plans
+    /// of [`Scenario::exec_plan`]).
     fn strategy_plan(&self, w: &Workload) -> Result<Option<(StagePlan, bool)>, String> {
-        let b = w.num_blocks();
-        let contiguous = || StagePlan::contiguous(b, self.ranks).map_err(|e| e.to_string());
-        match self.strategy {
-            ConformanceStrategy::Dp | ConformanceStrategy::Ls => Ok(None),
-            ConformanceStrategy::Tr => Ok(Some((contiguous()?, false))),
-            ConformanceStrategy::TrDpu => Ok(Some((contiguous()?, true))),
-            ConformanceStrategy::TrIr => {
-                Ok(Some((StagePlan::internal_relaying(b, self.ranks), true)))
+        use ConformanceStrategy::{Ahd, Dp, HeteroAhd, Hybrid, Ls, Tr, TrDpu, TrIr};
+        let (b, ranks) = (w.num_blocks(), self.ranks);
+        let plan = match self.strategy {
+            Dp | Ls => return Ok(None),
+            Tr | TrDpu => StagePlan::contiguous(b, ranks).map_err(|e| e.to_string())?,
+            TrIr => StagePlan::internal_relaying(b, ranks),
+            Hybrid => {
+                let half = ranks / 2;
+                StagePlan::from_widths(&[(1, half), (b - 1, ranks - half)], b, ranks)
+                    .map_err(|e| e.to_string())?
             }
-            ConformanceStrategy::Hybrid => {
-                let half = self.ranks / 2;
-                let plan =
-                    StagePlan::from_widths(&[(1, half), (b - 1, self.ranks - half)], b, self.ranks)
-                        .map_err(|e| e.to_string())?;
-                Ok(Some((plan, true)))
-            }
-            ConformanceStrategy::Ahd => {
+            Ahd => {
                 let hw = self.hardware();
                 let table = Profiler::new(CostModel::new(hw.gpu.clone())).profile(
                     &w.model,
                     self.sim_batch,
-                    self.ranks,
+                    ranks,
                 );
-                Ok(Some((
-                    ahd::search(w, &table, &hw, self.sim_batch).plan,
-                    true,
-                )))
+                ahd::search(w, &table, &hw, self.sim_batch).plan
             }
-            ConformanceStrategy::HeteroAhd => {
-                let gpus = (0..self.ranks)
-                    .map(|r| {
-                        if r % 2 == 0 {
-                            GpuModel::a6000()
-                        } else {
-                            GpuModel::rtx2080ti()
-                        }
-                    })
-                    .collect();
-                let server = HeteroServer::new(gpus);
-                Ok(Some((
-                    pipebd_sched::hetero::search(w, &server, self.sim_batch).plan,
-                    true,
-                )))
+            HeteroAhd => {
+                let gpu = |r| match r % 2 {
+                    0 => GpuModel::a6000(),
+                    _ => GpuModel::rtx2080ti(),
+                };
+                let server = HeteroServer::new((0..ranks).map(gpu).collect());
+                pipebd_sched::hetero::search(w, &server, self.sim_batch).plan
             }
-        }
+        };
+        Ok(Some((plan, self.strategy != Tr)))
     }
 
     /// The stage plan the *simulator/estimator* direction lowers, plus
@@ -355,33 +363,22 @@ impl Scenario {
         }
     }
 
-    /// The executor-differential tolerance this scenario asserts: bitwise
-    /// (`0.0`) when the executed plan has no batch splitting, the
-    /// float-reassociation bound otherwise (averaging shard gradients
-    /// reorders float sums).
+    /// The tolerance the executor direction asserts: bitwise (`0.0`) when
+    /// the executed plan has no batch splitting — the recovery protocol
+    /// preserves width-1 through every replan — and otherwise the
+    /// float-reassociation bound (averaging shard gradients reorders float
+    /// sums), or the recovery budget for executor-recovery scenarios.
     ///
     /// # Errors
     ///
     /// Same conditions as [`Scenario::sim_plan`].
     pub fn exec_tolerance(&self) -> Result<f32, String> {
-        let (plan, _) = self.exec_plan()?;
-        Ok(ToleranceBook::exec_tolerance(
-            plan.uses_batch_split(),
-            self.batch_norm,
-        ))
-    }
-
-    /// The recovery-differential tolerance (executor-recovery fault
-    /// scenarios): bitwise when the incumbent plan is split-free — the
-    /// recovery protocol preserves width-1 through every replan — and the
-    /// recovery budget otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Scenario::sim_plan`].
-    pub fn recovery_tolerance(&self) -> Result<f32, String> {
-        let (plan, _) = self.exec_plan()?;
-        Ok(ToleranceBook::recovery_tolerance(plan.uses_batch_split()))
+        let split = self.exec_plan()?.0.uses_batch_split();
+        Ok(if self.fault.as_ref().is_some_and(|f| f.exec_recovery) {
+            ToleranceBook::recovery_tolerance(split)
+        } else {
+            ToleranceBook::exec_tolerance(split, self.batch_norm)
+        })
     }
 }
 
@@ -401,600 +398,332 @@ impl ArtifactPayload for ScenarioSet {
     // V4: fault cases carry the executor-recovery axis (`exec_recovery`).
     // V5: the rejoin slice — elastic join/rejoin scripts driven through
     // the executor-recovery protocol.
-    const VERSION: u32 = 5;
+    // V6: the kernel axis is gone — no policy field, no naive half of the
+    // synthetic slice.
+    const VERSION: u32 = 6;
 }
 
-/// The model-shape axis: `(blocks, heavy_first, supernet_student)`.
-const SHAPES: [(usize, bool, bool); 4] = [
-    (3, false, false),
-    (4, false, false),
-    (4, true, true),
-    (6, false, false),
+/// The synthetic model shapes of the healthy slices.
+const SHAPES: [ModelShape; 4] = [
+    (3, false, false, SimWorkload::Synthetic),
+    (4, false, false, SimWorkload::Synthetic),
+    (4, true, true, SimWorkload::Synthetic),
+    (6, false, false, SimWorkload::Synthetic),
+];
+
+/// The paper workloads: the simulator direction runs at their real block
+/// counts (6 and 13), the executor direction on a 4-block miniature.
+const PAPER: [ModelShape; 2] = [
+    (4, false, false, SimWorkload::NasCifar10),
+    (4, false, false, SimWorkload::CompressionCifar10),
 ];
 
 /// The rank axis with each rank count's executor batch (divisible by
 /// every stage width ≤ ranks, so any searched plan is runnable).
 const RANKS: [(usize, usize); 2] = [(2, 8), (4, 12)];
 
-/// Whether a strategy needs a contiguous plan (and therefore at least as
-/// many blocks as ranks).
-fn needs_contiguous(strategy: ConformanceStrategy) -> bool {
-    matches!(
-        strategy,
-        ConformanceStrategy::Ls | ConformanceStrategy::Tr | ConformanceStrategy::TrDpu
-    )
+/// A healthy slice of the matrix: `shapes` × [`RANKS`] × `strategies` ×
+/// `variants`, each variant `(id suffix, subject, batch_norm, pool_size)`.
+struct Slice {
+    shapes: &'static [ModelShape],
+    strategies: &'static [ConformanceStrategy],
+    variants: &'static [(&'static str, ExecutorChoice, bool, usize)],
 }
 
-/// The fault-variant axis: deterministic scripts parameterized by the rank
-/// count. Each entry is `(tag, class, static_ok, script)` where
+/// The four healthy slices, in matrix order.
+const HEALTHY: [Slice; 4] = [
+    // Synthetic: the simulator direction lowers the same synthetic
+    // structure the executors train (agreement is near exact and pinned
+    // tightly). The subject-`Reference` variant (an executor-determinism
+    // check) is emitted for TR+DPU only.
+    Slice {
+        shapes: &SHAPES,
+        strategies: &ConformanceStrategy::ALL,
+        variants: &[
+            ("blocked-threaded", ExecutorChoice::Threaded, false, 1),
+            ("blocked-reference", ExecutorChoice::Reference, false, 1),
+        ],
+    },
+    // Paper: exercises the estimators where loading and imbalance matter.
+    Slice {
+        shapes: &PAPER,
+        strategies: &ConformanceStrategy::ALL,
+        variants: &[("blocked-threaded", ExecutorChoice::Threaded, false, 1)],
+    },
+    // Batch norm: the synthetic shapes again with batch-norm models (BN
+    // only changes the executor direction's numerics).
+    Slice {
+        shapes: &SHAPES,
+        strategies: &ConformanceStrategy::ALL,
+        variants: &[("bn", ExecutorChoice::Threaded, true, 1)],
+    },
+    // Pool: threaded parity under a real kernel-parallelism budget ({2, 4}
+    // compute lanes split across the device ranks). TR+DPU runs width-1
+    // plans, so its parity stays *bitwise* — pooled kernels must reproduce
+    // the serial reference bit for bit, the tensor determinism contract
+    // end to end; IR and the hybrid shape add batch-split plans on top.
+    Slice {
+        shapes: &SHAPES,
+        strategies: &[
+            ConformanceStrategy::TrDpu,
+            ConformanceStrategy::TrIr,
+            ConformanceStrategy::Hybrid,
+        ],
+        variants: &[
+            ("p2", ExecutorChoice::Threaded, false, 2),
+            ("p4", ExecutorChoice::Threaded, false, 4),
+        ],
+    },
+];
+
+/// Whether `strategy` can be laid out: contiguous plans need at least as
+/// many blocks as ranks, the hybrid shape at least 3 ranks.
+fn fits(strategy: ConformanceStrategy, blocks: usize, ranks: usize) -> bool {
+    use ConformanceStrategy::{Hybrid, Ls, Tr, TrDpu};
+    match strategy {
+        Ls | Tr | TrDpu => blocks >= ranks,
+        Hybrid => ranks >= 3,
+        _ => true,
+    }
+}
+
+/// A slowdown of `rank` by `factor` over steps `start..end`.
+fn slow(rank: usize, factor: f64, start_step: u32, end_step: u32) -> FaultEvent {
+    FaultEvent::Slowdown {
+        rank,
+        factor,
+        start_step,
+        end_step,
+    }
+}
+
+/// The loss of `rank` at step `at_step`.
+fn lose(rank: usize, at_step: u32) -> FaultEvent {
+    FaultEvent::HostLoss { rank, at_step }
+}
+
+/// `rank` joining at step `at_step`.
+fn join(rank: usize, at_step: u32) -> FaultEvent {
+    FaultEvent::HostJoin { rank, at_step }
+}
+
+/// One row of a fault-script table: `(tag, class, static_ok, events)`.
 /// `static_ok` marks membership-preserving scripts that also get a
 /// replanning-disabled twin (a static schedule cannot survive a loss or
-/// exploit a join). Every script settles by step 10, so the fault
-/// differential's tail window (rounds 18–23 of 24) measures one steady
-/// regime.
-fn fault_variants(ranks: usize) -> Vec<(&'static str, FaultClass, bool, FaultScript)> {
-    use FaultEvent::{HostJoin, HostLoss, LoaderSlowdown, Slowdown};
+/// exploit a join).
+type FaultRow = (&'static str, FaultClass, bool, Vec<FaultEvent>);
+
+/// The timing-plane fault scripts, parameterized by the rank count. Every
+/// script settles by step 10, so the fault differential's tail window
+/// (rounds 18–23 of 24) measures one steady regime.
+fn fault_variants(ranks: usize) -> Vec<FaultRow> {
+    use FaultClass::{Compound, Join, Loss, Slowdown};
+    const END: u32 = u32::MAX;
     let last = ranks - 1;
-    let script = |events: Vec<FaultEvent>| FaultScript { events };
-    let mut out = vec![
-        (
-            "slow15",
-            FaultClass::Slowdown,
-            true,
-            script(vec![Slowdown {
-                rank: 0,
-                factor: 1.5,
-                start_step: 4,
-                end_step: u32::MAX,
-            }]),
-        ),
-        (
-            "slow3",
-            FaultClass::Slowdown,
-            true,
-            script(vec![Slowdown {
-                rank: last,
-                factor: 3.0,
-                start_step: 2,
-                end_step: u32::MAX,
-            }]),
-        ),
-        (
-            "slowwin",
-            FaultClass::Slowdown,
-            true,
-            script(vec![Slowdown {
-                rank: 0,
-                factor: 4.0,
-                start_step: 3,
-                end_step: 9,
-            }]),
-        ),
+    let loader = FaultEvent::LoaderSlowdown {
+        factor: 2.0,
+        start_step: 3,
+        end_step: END,
+    };
+    let mut rows = vec![
+        ("slow15", Slowdown, true, vec![slow(0, 1.5, 4, END)]),
+        ("slow3", Slowdown, true, vec![slow(last, 3.0, 2, END)]),
+        ("slowwin", Slowdown, true, vec![slow(0, 4.0, 3, 9)]),
         (
             "slowall",
-            FaultClass::Slowdown,
+            Slowdown,
             true,
-            script(
-                (0..ranks)
-                    .map(|r| Slowdown {
-                        rank: r,
-                        factor: 2.0,
-                        start_step: 2,
-                        end_step: u32::MAX,
-                    })
-                    .collect(),
-            ),
+            (0..ranks).map(|r| slow(r, 2.0, 2, END)).collect(),
         ),
-        (
-            "loader2",
-            FaultClass::Slowdown,
-            true,
-            script(vec![LoaderSlowdown {
-                factor: 2.0,
-                start_step: 3,
-                end_step: u32::MAX,
-            }]),
-        ),
-        (
-            "lose1",
-            FaultClass::Loss,
-            false,
-            script(vec![HostLoss {
-                rank: 1,
-                at_step: 5,
-            }]),
-        ),
-        (
-            "join1",
-            FaultClass::Join,
-            false,
-            script(vec![HostJoin {
-                rank: last,
-                at_step: 6,
-            }]),
-        ),
+        ("loader2", Slowdown, true, vec![loader]),
+        ("lose1", Loss, false, vec![lose(1, 5)]),
+        ("join1", Join, false, vec![join(last, 6)]),
         (
             "mix",
-            FaultClass::Compound,
+            Compound,
             false,
-            script(vec![
-                Slowdown {
-                    rank: 0,
-                    factor: 2.0,
-                    start_step: 2,
-                    end_step: u32::MAX,
-                },
-                HostLoss {
-                    rank: 1,
-                    at_step: 6,
-                },
-            ]),
+            vec![slow(0, 2.0, 2, END), lose(1, 6)],
         ),
         (
             "grow",
-            FaultClass::Compound,
+            Compound,
             false,
-            script(vec![
-                HostJoin {
-                    rank: last,
-                    at_step: 4,
-                },
-                Slowdown {
-                    rank: 0,
-                    factor: 2.0,
-                    start_step: 6,
-                    end_step: u32::MAX,
-                },
-            ]),
+            vec![join(last, 4), slow(0, 2.0, 6, END)],
         ),
     ];
     if ranks >= 3 {
-        out.push((
-            "lose2",
-            FaultClass::Loss,
-            false,
-            script(vec![
-                HostLoss {
-                    rank: 0,
-                    at_step: 4,
-                },
-                HostLoss {
-                    rank: last,
-                    at_step: 8,
-                },
-            ]),
-        ));
+        rows.push(("lose2", Loss, false, vec![lose(0, 4), lose(last, 8)]));
     }
-    out
+    rows
 }
 
-/// Enumerates the full conformance matrix, deterministically.
-///
-/// Two slices:
-///
-/// * the **synthetic slice** — shapes × ranks × kernel policies ×
-///   strategies, where the simulator direction lowers the same synthetic
-///   structure the executors train (agreement is near exact and pinned
-///   tightly);
-/// * the **paper slice** — NAS/compression CIFAR-10 sim workloads at
-///   their real block counts, one kernel policy (the kernel policy only
-///   affects the executor direction, which the synthetic slice already
-///   sweeps), exercising the estimators where loading and imbalance
-///   matter.
-///
-/// Skips only structurally impossible combinations (contiguous plans with
-/// fewer blocks than ranks; the hybrid shape on fewer than 3 ranks; fault
-/// scripts that change membership under a replanning-disabled schedule).
-/// Subject-`Reference` scenarios (executor-determinism checks) are
-/// emitted for the TR+DPU strategy slice.
-pub fn enumerate() -> Vec<Scenario> {
-    let mut out = Vec::new();
-    for (blocks, heavy_first, supernet) in SHAPES {
-        for (ranks, exec_batch) in RANKS {
-            for policy in ["blocked", "naive"] {
-                for strategy in ConformanceStrategy::ALL {
-                    if needs_contiguous(strategy) && blocks < ranks {
-                        continue;
-                    }
-                    if strategy == ConformanceStrategy::Hybrid && ranks < 3 {
-                        continue;
-                    }
-                    let subjects: &[ExecutorChoice] = if strategy == ConformanceStrategy::TrDpu {
-                        &[ExecutorChoice::Threaded, ExecutorChoice::Reference]
-                    } else {
-                        &[ExecutorChoice::Threaded]
-                    };
-                    for &subject in subjects {
-                        let id = format!(
-                            "syn{blocks}{}-r{ranks}-{strategy}-{policy}-{}",
-                            if heavy_first { "h" } else { "u" },
-                            subject.label(),
-                        );
-                        out.push(Scenario {
-                            seed: fnv1a(&id),
-                            id,
-                            blocks,
-                            heavy_first,
-                            sim_workload: SimWorkload::Synthetic,
-                            supernet,
-                            ranks,
-                            sim_batch: 256,
-                            exec_batch,
-                            exec_steps: 3,
-                            strategy,
-                            subject,
-                            kernel_policy: policy.to_string(),
-                            batch_norm: false,
-                            pool_size: 1,
-                            fault: None,
-                        });
-                    }
-                }
-            }
-        }
-    }
-    for sim_workload in [SimWorkload::NasCifar10, SimWorkload::CompressionCifar10] {
-        for (ranks, exec_batch) in RANKS {
-            for strategy in ConformanceStrategy::ALL {
-                // Paper workloads have 6/13 blocks: contiguous plans always
-                // fit on up to 4 ranks; only the hybrid shape needs 3+.
-                if strategy == ConformanceStrategy::Hybrid && ranks < 3 {
-                    continue;
-                }
-                let id = format!(
-                    "{}-r{ranks}-{strategy}-blocked-threaded",
-                    sim_workload.tag()
-                );
-                out.push(Scenario {
-                    seed: fnv1a(&id),
-                    id,
-                    blocks: 4,
-                    heavy_first: false,
-                    sim_workload,
-                    supernet: false,
-                    ranks,
-                    sim_batch: 256,
-                    exec_batch,
-                    exec_steps: 3,
-                    strategy,
-                    subject: ExecutorChoice::Threaded,
-                    kernel_policy: "blocked".to_string(),
-                    batch_norm: false,
-                    pool_size: 1,
-                    fault: None,
-                });
-            }
-        }
-    }
-    // The batch-norm slice: the synthetic shapes again, batch-norm models,
-    // one kernel policy and subject (BN only changes the executor
-    // direction's numerics; the plain slice already sweeps the rest).
-    for (blocks, heavy_first, supernet) in SHAPES {
-        for (ranks, exec_batch) in RANKS {
-            for strategy in ConformanceStrategy::ALL {
-                if needs_contiguous(strategy) && blocks < ranks {
-                    continue;
-                }
-                if strategy == ConformanceStrategy::Hybrid && ranks < 3 {
-                    continue;
-                }
-                let id = format!(
-                    "syn{blocks}{}-r{ranks}-{strategy}-bn",
-                    if heavy_first { "h" } else { "u" },
-                );
-                out.push(Scenario {
-                    seed: fnv1a(&id),
-                    id,
-                    blocks,
-                    heavy_first,
-                    sim_workload: SimWorkload::Synthetic,
-                    supernet,
-                    ranks,
-                    sim_batch: 256,
-                    exec_batch,
-                    exec_steps: 3,
-                    strategy,
-                    subject: ExecutorChoice::Threaded,
-                    kernel_policy: "blocked".to_string(),
-                    batch_norm: true,
-                    pool_size: 1,
-                    fault: None,
-                });
-            }
-        }
-    }
-    // The pool slice: threaded-parity scenarios re-run with a real
-    // kernel-parallelism budget ({2, 4} compute lanes split across the
-    // device ranks). TR+DPU runs width-1 plans, so its parity stays
-    // *bitwise* — pooled blocked kernels must reproduce the serial
-    // reference bit for bit, the tensor determinism contract end to end;
-    // IR and the hybrid shape add batch-split plans on top. One kernel
-    // policy (pools only parallelize the blocked kernels) and the plain
-    // model family (the other slices sweep those axes at pool 1).
-    const POOL_STRATEGIES: [ConformanceStrategy; 3] = [
-        ConformanceStrategy::TrDpu,
-        ConformanceStrategy::TrIr,
-        ConformanceStrategy::Hybrid,
-    ];
-    for (blocks, heavy_first, supernet) in SHAPES {
-        for (ranks, exec_batch) in RANKS {
-            for strategy in POOL_STRATEGIES {
-                if needs_contiguous(strategy) && blocks < ranks {
-                    continue;
-                }
-                if strategy == ConformanceStrategy::Hybrid && ranks < 3 {
-                    continue;
-                }
-                for pool_size in [2usize, 4] {
-                    let id = format!(
-                        "syn{blocks}{}-r{ranks}-{strategy}-p{pool_size}",
-                        if heavy_first { "h" } else { "u" },
-                    );
-                    out.push(Scenario {
-                        seed: fnv1a(&id),
-                        id,
-                        blocks,
-                        heavy_first,
-                        sim_workload: SimWorkload::Synthetic,
-                        supernet,
-                        ranks,
-                        sim_batch: 256,
-                        exec_batch,
-                        exec_steps: 3,
-                        strategy,
-                        subject: ExecutorChoice::Threaded,
-                        kernel_policy: "blocked".to_string(),
-                        batch_norm: false,
-                        pool_size,
-                        fault: None,
-                    });
-                }
-            }
-        }
-    }
-    // The fault slice: workload × ranks × incumbent strategy × fault
-    // variant × replan policy. DPU-family incumbents only (the splice is
-    // DPU-only; see `pipebd_core::lower::fault`); membership-changing
-    // scripts only with replanning on.
-    const FAULT_STRATEGIES: [ConformanceStrategy; 3] = [
-        ConformanceStrategy::TrDpu,
-        ConformanceStrategy::Hybrid,
-        ConformanceStrategy::Ahd,
-    ];
-    for sim_workload in [
-        SimWorkload::Synthetic,
-        SimWorkload::NasCifar10,
-        SimWorkload::CompressionCifar10,
-    ] {
-        for (ranks, exec_batch) in RANKS {
-            for strategy in FAULT_STRATEGIES {
-                if strategy == ConformanceStrategy::Hybrid && ranks < 3 {
-                    continue;
-                }
-                for (tag, class, static_ok, script) in fault_variants(ranks) {
-                    for replan in [true, false] {
-                        if !replan && !static_ok {
-                            continue;
-                        }
-                        let id = format!(
-                            "fault-{}-r{ranks}-{strategy}-{tag}-{}",
-                            sim_workload.tag(),
-                            if replan { "replan" } else { "static" },
-                        );
-                        out.push(Scenario {
-                            seed: fnv1a(&id),
-                            id,
-                            blocks: 6,
-                            heavy_first: false,
-                            sim_workload,
-                            supernet: false,
-                            ranks,
-                            sim_batch: 256,
-                            exec_batch,
-                            exec_steps: 3,
-                            strategy,
-                            subject: ExecutorChoice::Threaded,
-                            kernel_policy: "blocked".to_string(),
-                            batch_norm: false,
-                            pool_size: 1,
-                            fault: Some(FaultCase {
-                                class,
-                                replan,
-                                exec_recovery: false,
-                                script: script.clone(),
-                            }),
-                        });
-                    }
-                }
-            }
-        }
-    }
-    // The recovery slice: fault scripts driven against the *real*
-    // threaded executor through the recovery protocol (kill mid-training,
-    // restore the latest checkpoint, replan over the survivors, resume),
-    // with the recovered parameters checked against an uninterrupted
-    // reference run. TR+DPU incumbents are width-1, so their recovered
-    // runs must be *bitwise* identical; the hybrid incumbent adds the
-    // batch-split case under the recovery budget. Longer executor runs
-    // (10 steps) so every script both fires and leaves a checkpoint
-    // behind; the timing-plane fault differential runs on these scenarios
-    // too, so each point checks both planes.
-    const RECOVERY_STRATEGIES: [ConformanceStrategy; 2] =
-        [ConformanceStrategy::TrDpu, ConformanceStrategy::Hybrid];
-    for (ranks, exec_batch) in RANKS {
-        for strategy in RECOVERY_STRATEGIES {
-            if strategy == ConformanceStrategy::Hybrid && ranks < 3 {
-                continue;
-            }
-            for (tag, class, script) in recovery_variants(ranks) {
-                let id = format!("fault-rec-r{ranks}-{strategy}-{tag}");
-                out.push(Scenario {
-                    seed: fnv1a(&id),
-                    id,
-                    blocks: 6,
-                    heavy_first: false,
-                    sim_workload: SimWorkload::Synthetic,
-                    supernet: false,
-                    ranks,
-                    sim_batch: 256,
-                    exec_batch,
-                    exec_steps: 10,
-                    strategy,
-                    subject: ExecutorChoice::Threaded,
-                    kernel_policy: "blocked".to_string(),
-                    batch_norm: false,
-                    pool_size: 1,
-                    fault: Some(FaultCase {
-                        class,
-                        replan: true,
-                        exec_recovery: true,
-                        script,
-                    }),
-                });
-            }
-        }
-    }
-    // The rejoin slice: elastic-membership scripts driven against the
-    // real threaded executor. A host absent at step 0 joins mid-run (the
-    // device-thread registry grows the worker set at its round boundary),
-    // and — where the rank space allows it — a killed rank's hardware
-    // rejoins two rounds later under a fresh logical rank. TR+DPU
-    // incumbents stay width-1 through every grow, so their recovered
-    // runs assert *bitwise* replay; the hybrid incumbent re-checks the
-    // batch-split budget across membership growth.
-    for (ranks, exec_batch) in RANKS {
-        for strategy in RECOVERY_STRATEGIES {
-            if strategy == ConformanceStrategy::Hybrid && ranks < 3 {
-                continue;
-            }
-            for (tag, class, script) in rejoin_variants(ranks) {
-                let id = format!("fault-rejoin-r{ranks}-{strategy}-{tag}");
-                out.push(Scenario {
-                    seed: fnv1a(&id),
-                    id,
-                    blocks: 6,
-                    heavy_first: false,
-                    sim_workload: SimWorkload::Synthetic,
-                    supernet: false,
-                    ranks,
-                    sim_batch: 256,
-                    exec_batch,
-                    exec_steps: 10,
-                    strategy,
-                    subject: ExecutorChoice::Threaded,
-                    kernel_policy: "blocked".to_string(),
-                    batch_norm: false,
-                    pool_size: 1,
-                    fault: Some(FaultCase {
-                        class,
-                        replan: true,
-                        exec_recovery: true,
-                        script,
-                    }),
-                });
-            }
-        }
-    }
-    out
-}
-
-/// The executor-recovery fault variants: every event fires within the
-/// slice's 10 executor steps (and before the sim tail window), so each
-/// scenario genuinely kills and restores — or, for the slowdown variant,
-/// proves that pure pauses leave the result untouched with zero restores.
-fn recovery_variants(ranks: usize) -> Vec<(&'static str, FaultClass, FaultScript)> {
-    use FaultEvent::{HostLoss, Slowdown};
-    let last = ranks - 1;
-    let script = |events: Vec<FaultEvent>| FaultScript { events };
+/// The executor-recovery scripts: every event fires within the slice's
+/// 10 executor steps (and before the sim tail window), so each scenario
+/// genuinely kills and restores — or, for the slowdown variant, proves
+/// that pure pauses leave the result untouched with zero restores.
+fn recovery_variants(ranks: usize) -> Vec<FaultRow> {
+    use FaultClass::{Compound, Loss, Slowdown};
     vec![
-        (
-            "recslow",
-            FaultClass::Slowdown,
-            script(vec![Slowdown {
-                rank: 0,
-                factor: 1.5,
-                start_step: 2,
-                end_step: 8,
-            }]),
-        ),
-        (
-            "reclose",
-            FaultClass::Loss,
-            script(vec![HostLoss {
-                rank: 1,
-                at_step: 4,
-            }]),
-        ),
+        ("recslow", Slowdown, false, vec![slow(0, 1.5, 2, 8)]),
+        ("reclose", Loss, false, vec![lose(1, 4)]),
         (
             "recmix",
-            FaultClass::Compound,
-            script(vec![
-                Slowdown {
-                    rank: 0,
-                    factor: 2.0,
-                    start_step: 2,
-                    end_step: u32::MAX,
-                },
-                HostLoss {
-                    rank: last,
-                    at_step: 6,
-                },
-            ]),
+            Compound,
+            false,
+            vec![slow(0, 2.0, 2, u32::MAX), lose(ranks - 1, 6)],
         ),
     ]
 }
 
-/// The elastic-membership variants of the rejoin slice. In-set join
+/// The elastic-membership scripts of the rejoin slice. In-set join
 /// semantics: the joining rank is absent at step 0 (the first epoch runs
 /// short-handed over a replanned member set) and is admitted at its
 /// round boundary. The loss-then-rejoin compound needs a third rank —
 /// [`FaultScript::validate`] rightly rejects a rank rejoining under its
 /// own cancelled id — so it is emitted only for `ranks >= 3`.
-fn rejoin_variants(ranks: usize) -> Vec<(&'static str, FaultClass, FaultScript)> {
-    use FaultEvent::{HostJoin, HostLoss, Slowdown};
+fn rejoin_variants(ranks: usize) -> Vec<FaultRow> {
+    use FaultClass::{Compound, Join};
     let last = ranks - 1;
-    let script = |events: Vec<FaultEvent>| FaultScript { events };
-    let mut out = vec![
-        (
-            "join1",
-            FaultClass::Join,
-            script(vec![HostJoin {
-                rank: last,
-                at_step: 4,
-            }]),
-        ),
+    let mut rows = vec![
+        ("join1", Join, false, vec![join(last, 4)]),
         (
             "growmix",
-            FaultClass::Compound,
-            script(vec![
-                HostJoin {
-                    rank: last,
-                    at_step: 4,
-                },
-                Slowdown {
-                    rank: 0,
-                    factor: 2.0,
-                    start_step: 6,
-                    end_step: u32::MAX,
-                },
-            ]),
+            Compound,
+            false,
+            vec![join(last, 4), slow(0, 2.0, 6, u32::MAX)],
         ),
     ];
     if ranks >= 3 {
-        out.push((
-            "rejoin",
-            FaultClass::Compound,
-            script(vec![
-                HostLoss {
-                    rank: 1,
-                    at_step: 4,
-                },
-                HostJoin {
-                    rank: last,
-                    at_step: 6,
-                },
-            ]),
-        ));
+        rows.push(("rejoin", Compound, false, vec![lose(1, 4), join(last, 6)]));
+    }
+    rows
+}
+
+/// Incumbents of the timing-plane fault slices: DPU-family only (the
+/// splice is DPU-only; see `pipebd_core::lower::fault`).
+const FAULT_STRATEGIES: [ConformanceStrategy; 3] = [
+    ConformanceStrategy::TrDpu,
+    ConformanceStrategy::Hybrid,
+    ConformanceStrategy::Ahd,
+];
+
+/// Incumbents of the executor-recovery slices: TR+DPU is width-1, so its
+/// recovered runs must be *bitwise* identical through every replan and
+/// grow; the hybrid incumbent adds the batch-split case under the
+/// recovery budget.
+const RECOVERY_STRATEGIES: [ConformanceStrategy; 2] =
+    [ConformanceStrategy::TrDpu, ConformanceStrategy::Hybrid];
+
+/// A fault slice of the matrix: `(id tag, sim workload, script table,
+/// executor recovery?)`, swept over [`RANKS`] and the incumbents on a
+/// 6-block model.
+type FaultSlice = (&'static str, SimWorkload, fn(usize) -> Vec<FaultRow>, bool);
+
+/// The five fault slices, in matrix order. The first three are
+/// timing-plane only (incumbent × script × replan policy, one per sim
+/// workload). The recovery slice also drives its scripts against the
+/// *real* threaded executor through the recovery protocol (kill
+/// mid-training, restore the latest checkpoint, replan over the survivors,
+/// resume) and checks the recovered parameters against an uninterrupted
+/// reference run; the rejoin slice does the same for elastic membership
+/// (a host absent at step 0 joins mid-run; a killed rank's hardware
+/// rejoins under a fresh logical rank). Both run 10 executor steps, so
+/// every script fires and leaves a checkpoint behind.
+const FAULT_SLICES: [FaultSlice; 5] = [
+    ("syn", SimWorkload::Synthetic, fault_variants, false),
+    ("nas", SimWorkload::NasCifar10, fault_variants, false),
+    (
+        "vgg",
+        SimWorkload::CompressionCifar10,
+        fault_variants,
+        false,
+    ),
+    ("rec", SimWorkload::Synthetic, recovery_variants, true),
+    ("rejoin", SimWorkload::Synthetic, rejoin_variants, true),
+];
+
+/// Enumerates the full conformance matrix, deterministically: the
+/// `HEALTHY` slices, then the `FAULT_SLICES`.
+///
+/// Skips only structurally impossible combinations (`fits`; fault
+/// scripts that change membership under a replanning-disabled schedule).
+pub fn enumerate() -> Vec<Scenario> {
+    let mut out = Vec::new();
+    for slice in &HEALTHY {
+        for &shape in slice.shapes {
+            let (blocks, heavy_first, _, sim_workload) = shape;
+            let model = match sim_workload {
+                SimWorkload::Synthetic => {
+                    format!("syn{blocks}{}", if heavy_first { "h" } else { "u" })
+                }
+                paper => paper.tag().to_string(),
+            };
+            for (ranks, exec_batch) in RANKS {
+                for &strategy in slice.strategies {
+                    if !fits(strategy, blocks, ranks) {
+                        continue;
+                    }
+                    for &(suffix, subject, batch_norm, pool_size) in slice.variants {
+                        if subject == ExecutorChoice::Reference
+                            && strategy != ConformanceStrategy::TrDpu
+                        {
+                            continue;
+                        }
+                        out.push(Scenario {
+                            subject,
+                            batch_norm,
+                            pool_size,
+                            ..Scenario::new(
+                                format!("{model}-r{ranks}-{strategy}-{suffix}"),
+                                shape,
+                                (ranks, exec_batch),
+                                strategy,
+                            )
+                        });
+                    }
+                }
+            }
+        }
+    }
+    for (tag, sim_workload, rows, exec_recovery) in FAULT_SLICES {
+        let strategies: &[ConformanceStrategy] = if exec_recovery {
+            &RECOVERY_STRATEGIES
+        } else {
+            &FAULT_STRATEGIES
+        };
+        for (ranks, exec_batch) in RANKS {
+            for &strategy in strategies.iter().filter(|&&s| fits(s, 6, ranks)) {
+                for (script, class, static_ok, events) in rows(ranks) {
+                    for replan in [true, false] {
+                        if !replan && !static_ok {
+                            continue;
+                        }
+                        let mode = match (exec_recovery, replan) {
+                            (true, _) => "",
+                            (false, true) => "-replan",
+                            (false, false) => "-static",
+                        };
+                        out.push(Scenario {
+                            exec_steps: if exec_recovery { 10 } else { 3 },
+                            fault: Some(FaultCase {
+                                class,
+                                replan,
+                                exec_recovery,
+                                script: FaultScript {
+                                    events: events.clone(),
+                                },
+                            }),
+                            ..Scenario::new(
+                                format!("fault-{tag}-r{ranks}-{strategy}-{script}{mode}"),
+                                (6, false, false, sim_workload),
+                                (ranks, exec_batch),
+                                strategy,
+                            )
+                        });
+                    }
+                }
+            }
+        }
     }
     out
 }
@@ -1006,9 +735,8 @@ mod tests {
     #[test]
     fn enumeration_is_deterministic_and_large_enough() {
         let a = enumerate();
-        let b = enumerate();
-        assert_eq!(a, b);
-        assert!(a.len() >= 400, "only {} scenarios", a.len());
+        assert_eq!(a, enumerate());
+        assert_eq!(a.len(), 425);
     }
 
     #[test]
@@ -1031,122 +759,82 @@ mod tests {
             assert_eq!(plan.num_blocks, s.blocks);
             assert_eq!(plan.num_devices, s.ranks);
             for stage in &plan.stages {
-                assert_eq!(
-                    s.exec_batch % stage.width(),
-                    0,
-                    "{}: batch {} not divisible by width {}",
-                    s.id,
-                    s.exec_batch,
-                    stage.width()
-                );
+                let width = stage.width();
+                assert_eq!(s.exec_batch % width, 0, "{}: width {width}", s.id);
             }
         }
+    }
+
+    /// Whether the scenario's fault script holds an event matching `p`.
+    fn has_event(s: &Scenario, p: fn(&FaultEvent) -> bool) -> bool {
+        s.fault
+            .as_ref()
+            .is_some_and(|f| f.script.events.iter().any(p))
     }
 
     #[test]
     fn axes_are_covered() {
         let all = enumerate();
+        let has = |p: &dyn Fn(&Scenario) -> bool| all.iter().any(p);
         for strategy in ConformanceStrategy::ALL {
-            assert!(all.iter().any(|s| s.strategy == strategy), "{strategy}");
+            assert!(has(&|s| s.strategy == strategy), "{strategy}");
         }
-        assert!(all.iter().any(|s| s.kernel_policy == "naive"));
-        assert!(all.iter().any(|s| s.kernel_policy == "blocked"));
-        assert!(all.iter().any(|s| s.subject == ExecutorChoice::Reference));
-        assert!(all.iter().any(|s| s.supernet));
-        assert!(all.iter().any(|s| s.heavy_first));
-        assert!(all.iter().any(|s| s.ranks == 2) && all.iter().any(|s| s.ranks == 4));
-        assert!(all.iter().any(|s| s.batch_norm), "batch-norm slice missing");
+        assert!(has(&|s| s.subject == ExecutorChoice::Reference));
+        assert!(has(&|s| s.supernet) && has(&|s| s.heavy_first));
+        assert!(has(&|s| s.ranks == 2) && has(&|s| s.ranks == 4));
+        assert!(has(&|s| s.batch_norm), "batch-norm slice missing");
         for pool in [1usize, 2, 4] {
-            assert!(
-                all.iter().any(|s| s.pool_size == pool),
-                "pool axis missing budget {pool}"
-            );
+            assert!(has(&|s| s.pool_size == pool), "no pool budget {pool}");
         }
         // The pool slice must include bitwise scenarios: width-1 plans
         // under a real kernel-parallelism budget.
         assert!(
-            all.iter().any(|s| s.pool_size > 1
-                && s.strategy == ConformanceStrategy::TrDpu
-                && s.exec_tolerance() == Ok(0.0)),
+            has(&|s| s.pool_size > 1 && s.exec_tolerance() == Ok(0.0)),
             "no bitwise pooled scenario"
         );
         for class in FaultClass::ALL {
             for replan in [true, false] {
                 let valid = replan || class == FaultClass::Slowdown;
-                let present = all.iter().any(|s| {
+                let present = has(&|s| {
                     s.fault
                         .as_ref()
                         .is_some_and(|f| f.class == class && f.replan == replan)
                 });
-                assert_eq!(
-                    present, valid,
-                    "fault axis {class:?} replan={replan}: present={present}, valid={valid}"
-                );
+                assert_eq!(present, valid, "fault axis {class:?} replan={replan}");
             }
         }
-        // The recovery axis: killed-and-restored executor runs, both in
-        // the bitwise (width-1 incumbent) and budgeted (batch-split
-        // incumbent) regimes, plus a restore-free slowdown control.
-        let recovery: Vec<_> = all
+        // The recovery axis: killed-and-restored executor runs, in the
+        // bitwise (width-1 incumbent) and budgeted (batch-split incumbent)
+        // regimes, for every class; a bitwise elastic join; and the
+        // loss-then-rejoin compound.
+        let recovery: Vec<&Scenario> = all
             .iter()
             .filter(|s| s.fault.as_ref().is_some_and(|f| f.exec_recovery))
             .collect();
-        assert!(!recovery.is_empty(), "recovery slice missing");
-        assert!(
-            recovery.iter().any(|s| s.exec_tolerance() == Ok(0.0)),
-            "no bitwise recovery scenario"
-        );
-        assert!(
-            recovery.iter().any(|s| s.exec_tolerance() != Ok(0.0)),
-            "no batch-split recovery scenario"
-        );
+        let rec = |p: &dyn Fn(&Scenario) -> bool| recovery.iter().any(|s| p(s));
+        assert!(rec(&|s| s.exec_tolerance() == Ok(0.0)), "none bitwise");
+        assert!(rec(&|s| s.exec_tolerance() != Ok(0.0)), "none batch-split");
         for class in FaultClass::ALL {
             assert!(
-                recovery
-                    .iter()
-                    .any(|s| s.fault.as_ref().is_some_and(|f| f.class == class)),
+                rec(&|s| s.fault.as_ref().is_some_and(|f| f.class == class)),
                 "recovery slice misses {class:?}"
             );
         }
-        // The rejoin slice: elastic joins driven through the executor,
-        // including a bitwise width-1 grow and the loss-then-rejoin
-        // compound.
+        let joins = |e: &FaultEvent| matches!(e, FaultEvent::HostJoin { .. });
+        let loses = |e: &FaultEvent| matches!(e, FaultEvent::HostLoss { .. });
         assert!(
-            recovery.iter().any(|s| {
-                s.exec_tolerance() == Ok(0.0)
-                    && s.fault.as_ref().is_some_and(|f| {
-                        f.script
-                            .events
-                            .iter()
-                            .any(|e| matches!(e, FaultEvent::HostJoin { .. }))
-                    })
-            }),
+            rec(&|s| s.exec_tolerance() == Ok(0.0) && has_event(s, joins)),
             "no bitwise elastic-join recovery scenario"
         );
         assert!(
-            recovery.iter().any(|s| {
-                s.fault.as_ref().is_some_and(|f| {
-                    f.script
-                        .events
-                        .iter()
-                        .any(|e| matches!(e, FaultEvent::HostJoin { .. }))
-                        && f.script
-                            .events
-                            .iter()
-                            .any(|e| matches!(e, FaultEvent::HostLoss { .. }))
-                })
-            }),
+            rec(&|s| has_event(s, joins) && has_event(s, loses)),
             "no loss-then-rejoin recovery scenario"
         );
-        // Recovery scripts must fire inside the executor run: every event
-        // step sits strictly below the slice's step count.
+        // Recovery scripts must fire inside the executor run.
         for s in &recovery {
-            let script = &s.fault.as_ref().unwrap().script;
+            let steps = s.fault.as_ref().unwrap().script.change_steps();
             assert!(
-                script
-                    .change_steps()
-                    .iter()
-                    .any(|&st| (st as usize) < s.exec_steps),
+                steps.iter().any(|&st| (st as usize) < s.exec_steps),
                 "{}: script never fires within {} executor steps",
                 s.id,
                 s.exec_steps
@@ -1178,22 +866,21 @@ mod tests {
     #[test]
     fn dp_and_ls_map_to_equivalent_plans() {
         let all = enumerate();
-        let dp = all
-            .iter()
-            .find(|s| s.strategy == ConformanceStrategy::Dp && s.ranks == 4)
-            .unwrap();
+        let of = |strategy| {
+            all.iter()
+                .find(|s| s.strategy == strategy && s.ranks == 4)
+                .unwrap()
+        };
+        let dp = of(ConformanceStrategy::Dp);
         let (plan, dpu) = dp.exec_plan().unwrap();
         assert!(dpu);
         assert_eq!(plan.stages.len(), 1, "DP ≡ internal relaying");
         assert!(plan.uses_batch_split());
-        let ls = all
-            .iter()
-            .find(|s| s.strategy == ConformanceStrategy::Ls && s.ranks == 4)
-            .unwrap();
+        assert!(dp.exec_tolerance().unwrap() > 0.0);
+        let ls = of(ConformanceStrategy::Ls);
         let (plan, _) = ls.exec_plan().unwrap();
         assert!(!plan.uses_batch_split(), "LS ≡ width-1 pipeline (bitwise)");
         assert_eq!(ls.exec_tolerance().unwrap(), 0.0);
-        assert!(dp.exec_tolerance().unwrap() > 0.0);
     }
 
     #[test]

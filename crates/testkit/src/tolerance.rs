@@ -73,8 +73,8 @@ pub struct ToleranceBook {
 }
 
 impl ToleranceBook {
-    /// The gate's declared policy (see `ARCHITECTURE.md`, "conformance
-    /// plane" — change the numbers there and here together).
+    /// The gate's declared policy (see `ARCHITECTURE.md`, "Tolerances" —
+    /// change the numbers there and here together).
     ///
     /// Observed fidelity on the committed matrix is far tighter than these
     /// windows (steady-state ratios within ~0.994..1.001 everywhere); the

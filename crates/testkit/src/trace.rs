@@ -41,14 +41,9 @@
 use std::sync::Arc;
 
 use pipebd_core::exec::threaded::{self, RunHooks};
-use pipebd_core::exec::FuncConfig;
 use pipebd_core::lower::{relay, Lowering};
-use pipebd_core::ExecutorChoice;
-use pipebd_data::SyntheticImageDataset;
-use pipebd_models::{mini_student_dsconv, mini_teacher, MiniConfig};
 use pipebd_sched::{bottleneck_stage, estimate_period, StagePlan};
 use pipebd_sim::{busy_per_gpu, simulate, SimRun, SimTime, TaskGraph};
-use pipebd_tensor::Rng64;
 use pipebd_trace::{
     measured_profile, summarize, SpanKind, TraceCollector, TraceDifferential, TraceMode,
     TraceReport, TraceSummary,
@@ -97,38 +92,16 @@ pub fn trace_scenarios() -> Vec<Scenario> {
         ConformanceStrategy::Ahd,
     ]
     .into_iter()
-    .map(|strategy| {
-        let id = format!("trace-{}-r4", strategy.label());
-        Scenario {
-            seed: fnv1a(&id),
-            id,
-            blocks: 4,
-            heavy_first: false,
-            sim_workload: SimWorkload::Synthetic,
-            supernet: false,
-            ranks: 4,
-            sim_batch: 256,
-            exec_batch: 16,
-            exec_steps: TRACE_STEPS,
+    .map(|strategy| Scenario {
+        exec_steps: TRACE_STEPS,
+        ..Scenario::new(
+            format!("trace-{}-r4", strategy.label()),
+            (4, false, false, SimWorkload::Synthetic),
+            (4, 16),
             strategy,
-            subject: ExecutorChoice::Threaded,
-            kernel_policy: "blocked".into(),
-            pool_size: 1,
-            batch_norm: false,
-            fault: None,
-        }
+        )
     })
     .collect()
-}
-
-/// FNV-1a over a string — same id→seed derivation as the enumerator.
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in s.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Mean duration of the warm stage-0 load spans, in nanoseconds.
@@ -175,28 +148,10 @@ fn stage_of_device(plan: &StagePlan, d: usize) -> usize {
 /// Returns a message when the scenario cannot be planned, the run fails,
 /// or the trace is too sparse to summarize.
 pub fn run_trace_scenario(s: &Scenario, book: &ToleranceBook) -> Result<TraceRun, String> {
-    let cfg = MiniConfig {
-        blocks: s.blocks,
-        channels: 6,
-        batch_norm: s.batch_norm,
-    };
-    let mut rng = Rng64::seed_from_u64(s.seed);
-    let teacher = mini_teacher(cfg, &mut rng);
-    let student = mini_student_dsconv(cfg, &mut rng);
     // 24 x 24: every activation — a width-2 stage's half batch included —
     // is above the buffer recycler's floor, so `recycle.*` counts a real run.
-    let data = SyntheticImageDataset::mini(64, 24, 4, s.seed.rotate_left(17));
+    let (teacher, student, data, func) = s.exec_setup(24)?;
     let (plan, dpu) = s.exec_plan()?;
-    let func = FuncConfig {
-        devices: s.ranks,
-        steps: s.exec_steps,
-        batch: s.exec_batch,
-        lr: 0.05,
-        momentum: 0.9,
-        plan: Some(plan.clone()),
-        decoupled_updates: dpu,
-        pool_size: Some(s.pool_size),
-    };
 
     let collector = TraceCollector::new(TraceMode::Full);
     let hooks = RunHooks {

@@ -1,14 +1,8 @@
 //! The conformance matrix, run in-test.
 //!
-//! Kernel policy discipline: these tests never touch the process-global
-//! kernel policy — they run the scenarios whose declared policy matches
-//! the ambient one (`PIPEBD_KERNEL_POLICY`), so the default CI leg covers
-//! the blocked half of the matrix and the `PIPEBD_KERNEL_POLICY=naive`
-//! leg covers the naive half, with no cross-test races. The full
-//! both-policy sweep runs in the release-mode `regression_gate` CI lane.
-//!
 //! The default test samples the matrix (debug-mode budget); the exhaustive
-//! ambient-policy sweep is `#[ignore]`d for on-demand runs:
+//! sweep runs in the release-mode `regression_gate` CI lane and is
+//! `#[ignore]`d here for on-demand runs:
 //! `cargo test -p pipebd_testkit --test conformance -- --ignored`.
 
 use pipebd_artifact::ArtifactStore;
@@ -16,15 +10,6 @@ use pipebd_testkit::{
     enumerate, run_scenario, ConformanceReport, FaultClass, RatioBudget, Scenario, ScenarioSet,
     SimWorkload, ToleranceBook,
 };
-
-/// Scenarios whose declared kernel policy matches the ambient one.
-fn ambient_scenarios() -> Vec<Scenario> {
-    let ambient = pipebd_tensor::kernel_policy().to_string();
-    enumerate()
-        .into_iter()
-        .filter(|s| s.kernel_policy == ambient)
-        .collect()
-}
 
 fn assert_all_pass(scenarios: impl Iterator<Item = Scenario>) {
     let book = ToleranceBook::gate_default();
@@ -34,20 +19,20 @@ fn assert_all_pass(scenarios: impl Iterator<Item = Scenario>) {
         assert!(outcome.pass, "{}: {}", outcome.id, outcome.detail);
         ran += 1;
     }
-    assert!(ran > 0, "no scenarios matched the ambient kernel policy");
+    assert!(ran > 0, "nothing ran");
 }
 
 #[test]
-fn sampled_matrix_conforms_under_ambient_policy() {
+fn sampled_matrix_conforms() {
     // Every 25th scenario: cheap enough for the debug-mode tier-1 run,
     // still touching every strategy — and the fault slice at the end of
     // the ordering — over the whole matrix.
-    assert_all_pass(ambient_scenarios().into_iter().step_by(25));
+    assert_all_pass(enumerate().into_iter().step_by(25));
 }
 
 /// The cheapest workload's replanned fault scenario for `class`.
 fn replanned_fault_scenario(class: FaultClass) -> Scenario {
-    ambient_scenarios()
+    enumerate()
         .into_iter()
         .find(|s| {
             s.sim_workload == SimWorkload::Synthetic
@@ -95,15 +80,12 @@ fn pooled_bitwise_scenarios_conform() {
     // The pool slice's strongest claim, run for real in tier-1: width-1
     // plans under a genuine kernel-parallelism budget must reproduce the
     // serial reference *bitwise* (the tensor determinism contract, end
-    // to end through the executors). Pool scenarios declare the blocked
-    // policy, so the naive CI leg legitimately has none.
-    let pooled: Vec<Scenario> = ambient_scenarios()
+    // to end through the executors).
+    let pooled: Vec<Scenario> = enumerate()
         .into_iter()
         .filter(|s| s.pool_size > 1 && s.strategy == pipebd_testkit::ConformanceStrategy::TrDpu)
         .collect();
-    if pooled.is_empty() {
-        return;
-    }
+    assert!(!pooled.is_empty(), "the pool slice has no TR+DPU scenario");
     let book = ToleranceBook::gate_default();
     for s in pooled {
         let outcome = run_scenario(&s, &book);
@@ -117,9 +99,9 @@ fn pooled_bitwise_scenarios_conform() {
 }
 
 #[test]
-#[ignore = "exhaustive ambient-policy sweep (~minutes in debug); the release-mode regression_gate CI lane covers the full matrix"]
-fn full_matrix_conforms_under_ambient_policy() {
-    assert_all_pass(ambient_scenarios().into_iter());
+#[ignore = "exhaustive sweep (~minutes in debug); the release-mode regression_gate CI lane covers the full matrix"]
+fn full_matrix_conforms() {
+    assert_all_pass(enumerate().into_iter());
 }
 
 #[test]
@@ -138,11 +120,10 @@ fn scenario_artifacts_roundtrip_through_the_store() {
 
     // One genuinely-run outcome survives persistence bit-for-bit.
     let book = ToleranceBook::gate_default();
-    let ambient = pipebd_tensor::kernel_policy().to_string();
     let scenario = set
         .scenarios
         .iter()
-        .find(|s| s.blocks == 3 && s.ranks == 2 && s.kernel_policy == ambient)
+        .find(|s| s.blocks == 3 && s.ranks == 2)
         .expect("small scenario exists");
     let outcome = run_scenario(scenario, &book);
     let report = ConformanceReport {
@@ -159,22 +140,30 @@ fn scenario_artifacts_roundtrip_through_the_store() {
 
 #[test]
 fn matrix_meets_the_declared_floor() {
+    // Each slice's size, pinned: a slice cannot shrink (or grow) without
+    // this test saying which one did.
     let all = enumerate();
-    assert!(
-        all.len() >= 400,
-        "conformance matrix shrank to {} scenarios",
-        all.len()
+    let count = |p: &dyn Fn(&Scenario) -> bool| all.iter().filter(|s| p(s)).count();
+    let plain = |s: &Scenario| s.fault.is_none() && !s.batch_norm && s.pool_size == 1;
+    let synthetic = |s: &Scenario| s.sim_workload == SimWorkload::Synthetic;
+    let recovery = |s: &Scenario| s.fault.as_ref().is_some_and(|f| f.exec_recovery);
+    assert_eq!(count(&|s| plain(s) && synthetic(s)), 64, "synthetic slice");
+    assert_eq!(count(&|s| plain(s) && !synthetic(s)), 30, "paper slice");
+    assert_eq!(count(&|s| s.batch_norm), 57, "batch-norm slice");
+    assert_eq!(count(&|s| s.pool_size > 1), 38, "pool slice");
+    assert_eq!(
+        count(&|s| s.fault.is_some() && !recovery(s)),
+        219,
+        "fault slice"
     );
-    // Both CI policy legs must see a non-trivial share of the matrix.
-    let naive = all.iter().filter(|s| s.kernel_policy == "naive").count();
-    let blocked = all.iter().filter(|s| s.kernel_policy == "blocked").count();
-    assert!(naive >= 20, "naive leg covers only {naive} scenarios");
-    assert!(blocked >= 20, "blocked leg covers only {blocked} scenarios");
-    // The fault and batch-norm slices must stay substantial.
-    let faults = all.iter().filter(|s| s.fault.is_some()).count();
-    assert!(faults >= 150, "fault slice shrank to {faults} scenarios");
-    let bn = all.iter().filter(|s| s.batch_norm).count();
-    assert!(bn >= 40, "batch-norm slice shrank to {bn} scenarios");
-    let pooled = all.iter().filter(|s| s.pool_size > 1).count();
-    assert!(pooled >= 30, "pool slice shrank to {pooled} scenarios");
+    // The rejoin slice is the executor-recovery scenarios that admit a host.
+    let joins = |s: &Scenario| {
+        let events = &s.fault.as_ref().unwrap().script.events;
+        events
+            .iter()
+            .any(|e| matches!(e, pipebd_sim::FaultEvent::HostJoin { .. }))
+    };
+    assert_eq!(count(&|s| recovery(s) && !joins(s)), 9, "recovery slice");
+    assert_eq!(count(&|s| recovery(s) && joins(s)), 8, "rejoin slice");
+    assert_eq!(all.len(), 425);
 }

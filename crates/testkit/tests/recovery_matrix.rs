@@ -5,40 +5,43 @@
 //! plus the elastic-growth paths: a host joining mid-run grows the
 //! member set at a round boundary, and a lost host's hardware can rejoin
 //! under a fresh rank — both replaying bitwise for width-1 incumbents.
-//!
-//! Recovery scenarios declare the blocked kernel policy; under the naive
-//! CI leg these tests legitimately no-op (the release-mode
-//! `regression_gate` lane sweeps the slice under its declared policy).
 
 use std::sync::Arc;
 
 use pipebd_core::exec::recovery::{RecoveryPolicy, RecoveryRunner};
-use pipebd_core::exec::{reference, ExecError, FuncConfig};
+use pipebd_core::exec::{reference, ExecError};
 use pipebd_core::{Checkpoint, CheckpointSink, MemorySink};
-use pipebd_data::SyntheticImageDataset;
-use pipebd_models::{mini_student_dsconv, mini_teacher, MiniConfig, Workload};
+use pipebd_models::Workload;
 use pipebd_sim::{FaultEvent, FaultScript};
-use pipebd_tensor::Rng64;
 use pipebd_testkit::{
-    enumerate, run_scenario, ConformanceStrategy, FaultClass, Scenario, ToleranceBook,
+    enumerate, run_scenario, ConformanceStrategy, ExecSetup, FaultClass, Scenario, SimWorkload,
+    ToleranceBook,
 };
 
-/// The recovery scenarios, when the ambient kernel policy matches their
-/// declared one (empty under the naive leg).
+/// The executor-recovery scenarios of the matrix.
 fn recovery_scenarios() -> Vec<Scenario> {
-    let ambient = pipebd_tensor::kernel_policy().to_string();
     enumerate()
         .into_iter()
-        .filter(|s| s.kernel_policy == ambient && s.fault.as_ref().is_some_and(|f| f.exec_recovery))
+        .filter(|s| s.fault.as_ref().is_some_and(|f| f.exec_recovery))
         .collect()
+}
+
+/// The first recovery scenario of `strategy` whose script is a host loss.
+fn loss_scenario(strategy: ConformanceStrategy) -> Scenario {
+    recovery_scenarios()
+        .into_iter()
+        .find(|s| {
+            s.strategy == strategy
+                && s.fault
+                    .as_ref()
+                    .is_some_and(|f| f.class == FaultClass::Loss)
+        })
+        .expect("the recovery slice kills a host under every incumbent")
 }
 
 #[test]
 fn one_kill_and_restore_scenario_per_class_conforms() {
     let scenarios = recovery_scenarios();
-    if scenarios.is_empty() {
-        return;
-    }
     let book = ToleranceBook::gate_default();
     for class in FaultClass::ALL {
         let s = scenarios
@@ -76,14 +79,7 @@ fn killed_width1_run_replays_bitwise() {
     // mid-training by a host loss, restored from its checkpoint, and
     // replanned over the survivors trains *bitwise* identical parameters
     // to a run that was never interrupted.
-    let Some(s) = recovery_scenarios().into_iter().find(|s| {
-        s.strategy == ConformanceStrategy::TrDpu
-            && s.fault
-                .as_ref()
-                .is_some_and(|f| f.class == FaultClass::Loss)
-    }) else {
-        return;
-    };
+    let s = loss_scenario(ConformanceStrategy::TrDpu);
     let outcome = run_scenario(&s, &ToleranceBook::gate_default());
     assert!(outcome.pass, "{}: {}", outcome.id, outcome.detail);
     assert!(
@@ -101,14 +97,7 @@ fn killed_width1_run_replays_bitwise() {
 
 #[test]
 fn killed_batch_split_run_stays_within_the_recovery_budget() {
-    let Some(s) = recovery_scenarios().into_iter().find(|s| {
-        s.strategy == ConformanceStrategy::Hybrid
-            && s.fault
-                .as_ref()
-                .is_some_and(|f| f.class == FaultClass::Loss)
-    }) else {
-        return;
-    };
+    let s = loss_scenario(ConformanceStrategy::Hybrid);
     let outcome = run_scenario(&s, &ToleranceBook::gate_default());
     assert!(outcome.pass, "{}: {}", outcome.id, outcome.detail);
     assert!(
@@ -118,38 +107,20 @@ fn killed_batch_split_run_stays_within_the_recovery_budget() {
 }
 
 /// Shared fixture for the elastic-growth tests: 4 blocks, 2 logical
-/// devices, width-1 plans throughout (so replay equivalence is bitwise).
-fn growth_fixture() -> (
-    pipebd_nn::BlockNet,
-    pipebd_nn::BlockNet,
-    SyntheticImageDataset,
-    Workload,
-) {
-    let cfg = MiniConfig {
-        blocks: 4,
-        channels: 6,
-        batch_norm: false,
+/// devices, serial kernels, decoupled updates, width-1 plans throughout
+/// (so replay equivalence is bitwise), trained for `steps` steps.
+fn growth_fixture(steps: usize) -> (ExecSetup, Workload) {
+    let scenario = Scenario {
+        exec_steps: steps,
+        ..Scenario::new(
+            "growth".into(),
+            (4, false, false, SimWorkload::Synthetic),
+            (2, 8),
+            ConformanceStrategy::TrDpu,
+        )
     };
-    let mut rng = Rng64::seed_from_u64(7);
-    let teacher = mini_teacher(cfg, &mut rng);
-    let student = mini_student_dsconv(cfg, &mut rng);
-    let data = SyntheticImageDataset::mini(64, 8, 4, 11);
-    let workload = Workload::synthetic(4, false);
-    (teacher, student, data, workload)
-}
-
-/// Two logical devices, serial kernels, decoupled updates.
-fn growth_func(steps: usize) -> FuncConfig {
-    FuncConfig {
-        devices: 2,
-        steps,
-        batch: 8,
-        lr: 0.05,
-        momentum: 0.9,
-        plan: None,
-        decoupled_updates: true,
-        pool_size: Some(1),
-    }
+    let setup = scenario.exec_setup(8).expect("4 blocks fit on 2 ranks");
+    (setup, Workload::synthetic(4, false))
 }
 
 #[test]
@@ -160,14 +131,13 @@ fn join_scripts_complete_end_to_end_bitwise() {
     // 0, the first epoch runs short-handed, and the join grows the
     // member set at its round boundary — training bitwise the same
     // model as a never-elastic run.
-    let (teacher, student, data, workload) = growth_fixture();
     let script = FaultScript {
         events: vec![FaultEvent::HostJoin {
             rank: 1,
             at_step: 3,
         }],
     };
-    let func = growth_func(4);
+    let ((teacher, student, data, func), workload) = growth_fixture(4);
     let runner = RecoveryRunner {
         workload: &workload,
         script: &script,
@@ -197,7 +167,6 @@ fn killed_rank_rejoining_two_rounds_later_replays_bitwise() {
     // cancelled worker cannot restart, so rejoin is always a fresh id).
     // The run shrinks to one device, grows back to two, and still
     // trains bitwise the uninterrupted model.
-    let (teacher, student, data, workload) = growth_fixture();
     let script = FaultScript {
         events: vec![
             FaultEvent::HostLoss {
@@ -210,7 +179,7 @@ fn killed_rank_rejoining_two_rounds_later_replays_bitwise() {
             },
         ],
     };
-    let func = growth_func(8);
+    let ((teacher, student, data, func), workload) = growth_fixture(8);
     let runner = RecoveryRunner {
         workload: &workload,
         script: &script,
@@ -241,7 +210,7 @@ fn zero_restore_budget_surfaces_recovery_exhausted() {
     // A host loss with no restores allowed and no reference fallback has
     // nowhere to go: the run must end in the structured exhaustion error,
     // never a hang or a silent pass.
-    let (teacher, student, data, workload) = growth_fixture();
+    let ((teacher, student, data, func), workload) = growth_fixture(8);
     let script = FaultScript {
         events: vec![FaultEvent::HostLoss {
             rank: 1,
@@ -259,7 +228,7 @@ fn zero_restore_budget_surfaces_recovery_exhausted() {
         sink: Arc::new(MemorySink::default()),
         trace: None,
     };
-    let result = runner.run(&teacher, &student, &data, &growth_func(8));
+    let result = runner.run(&teacher, &student, &data, &func);
     assert!(
         matches!(result, Err(ExecError::RecoveryExhausted { attempts: 0 })),
         "expected RecoveryExhausted {{ attempts: 0 }}, got {:?}",
@@ -272,7 +241,7 @@ fn stale_plan_checkpoint_fails_the_rejoin_loudly() {
     // A checkpoint from a foreign plan, planted at a round that wins the
     // sink's round-max race: the join's boundary restore must refuse it
     // with the structured mismatch, not resume another run's trajectory.
-    let (teacher, student, data, workload) = growth_fixture();
+    let ((teacher, student, data, func), workload) = growth_fixture(6);
     let sink = Arc::new(MemorySink::default());
     sink.store(&Checkpoint {
         round: 99,
@@ -297,7 +266,7 @@ fn stale_plan_checkpoint_fails_the_rejoin_loudly() {
         sink,
         trace: None,
     };
-    let result = runner.run(&teacher, &student, &data, &growth_func(6));
+    let result = runner.run(&teacher, &student, &data, &func);
     assert!(
         matches!(&result, Err(ExecError::Checkpoint(msg)) if msg.contains("plan fingerprint mismatch")),
         "expected a plan fingerprint mismatch, got {:?}",

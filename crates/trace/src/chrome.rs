@@ -204,14 +204,6 @@ pub fn executor_trace(report: &TraceReport) -> Value {
     document(events)
 }
 
-/// Exports a simulated task graph (with its run's start/finish times) as
-/// a Chrome trace document.
-pub fn simulator_trace(graph: &TaskGraph, run: &SimRun) -> Value {
-    let mut events = Vec::new();
-    simulator_events(graph, run, &mut events);
-    document(events)
-}
-
 /// Exports both timelines into one document: the measured executor run as
 /// process 1, the simulated schedule as process 2, `gpu{r}` rows aligned.
 pub fn combined_trace(report: &TraceReport, graph: &TaskGraph, run: &SimRun) -> Value {

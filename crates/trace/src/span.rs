@@ -39,8 +39,7 @@ impl TraceMode {
     /// # Panics
     ///
     /// Panics on an unrecognized value — a mislabeled trace artifact is
-    /// worse than a crashed run, same policy as `PIPEBD_SIMD` and
-    /// `PIPEBD_POOL`.
+    /// worse than a crashed run, same policy as `PIPEBD_SIMD`.
     pub fn from_env() -> Self {
         match std::env::var("PIPEBD_TRACE") {
             Err(_) => TraceMode::Off,

@@ -31,9 +31,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .batch_size(256)
         .build()?;
 
-    // Attribution line: recorded schedules/timings depend on which tensor
-    // compute path produced any functional numbers alongside them.
-    println!("kernel policy: {}", pipe_bd::tensor::kernel_policy());
     let decision = experiment.ahd_decision();
     println!(
         "plan space for B={b} blocks on N={} devices: {} plans (closed form {})",

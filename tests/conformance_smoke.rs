@@ -12,17 +12,15 @@ fn conformance_plane_is_wired_through_the_umbrella() {
     let all = enumerate();
     assert!(all.len() >= 60, "matrix shrank to {}", all.len());
 
-    let ambient = pipe_bd::tensor::kernel_policy().to_string();
     let scenario = all
         .iter()
         .find(|s| {
             s.blocks == 3
                 && s.ranks == 2
                 && s.strategy == ConformanceStrategy::TrIr
-                && s.kernel_policy == ambient
                 && s.subject == ExecutorChoice::Threaded
         })
-        .expect("small IR scenario exists for the ambient policy");
+        .expect("small IR scenario exists");
     let outcome = run_scenario(scenario, &ToleranceBook::gate_default());
     assert!(outcome.pass, "{}: {}", outcome.id, outcome.detail);
 }
