@@ -1,6 +1,6 @@
 //! Loss functions for blockwise distillation and evaluation.
 
-use pipebd_tensor::{reduce, Result, Tensor, TensorError};
+use pipebd_tensor::{Result, Tensor, TensorError};
 
 /// A scalar loss with the gradient w.r.t. the first argument.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,9 +40,9 @@ pub struct LossValue {
 pub fn mse_loss(student: &Tensor, teacher: &Tensor) -> Result<LossValue> {
     let n = student.numel().max(1) as f32;
     let k = 2.0 / n;
-    let grad = student.zip(teacher, |s, t| (s - t) * k)?;
-    let loss = reduce::sq_dist(student.data(), teacher.data()) / n;
-    Ok(LossValue { loss, grad })
+    // The gradient and the squared distance from one read of both.
+    let (grad, sq) = student.zip_sum(teacher, |s, t| (s - t) * k, |s, t| (s - t) * (s - t))?;
+    Ok(LossValue { loss: sq / n, grad })
 }
 
 /// Softmax cross-entropy with integer labels on `[batch, classes]` logits.
@@ -145,6 +145,23 @@ mod tests {
         let l = mse_loss(&t, &t).unwrap();
         assert_eq!(l.loss, 0.0);
         assert_eq!(l.grad.sq_norm(), 0.0);
+    }
+
+    #[test]
+    fn mse_is_bitwise_the_two_pass_formulation() {
+        // A gradient pass, then `reduce::sq_dist` over both operands again.
+        let mut rng = Rng64::seed_from_u64(3);
+        for n in [0usize, 1, 15, 16, 17, 1000, 4099] {
+            let s = Tensor::randn(&[n], &mut rng);
+            let t = Tensor::randn(&[n], &mut rng);
+            let k = 2.0 / n.max(1) as f32;
+            let grad = s.zip(&t, |s, t| (s - t) * k).unwrap();
+            let loss = pipebd_tensor::reduce::sq_dist(s.data(), t.data()) / n.max(1) as f32;
+            let l = mse_loss(&s, &t).unwrap();
+            assert_eq!(l.loss.to_bits(), loss.to_bits(), "loss n={n}");
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&l.grad), bits(&grad), "grad n={n}");
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! **Grad-weight** carries a [`TILE`]` x `[`TILE`] block of `(oc, ic)`
 //! pairs per tap, each pair [`LANES`] partial sums: vectors run along
 //! `ox` (element `ox` joins lane `ox % LANES`), rows and batches in order,
-//! folded by the fixed 8/4/2/1 tree `stencil` and `reduce` use. A tile at
+//! folded by `reduce`'s fixed 8/4/2/1 tree, as `stencil`'s are. A tile at
 //! the edge of `oc` or `ic` repeats its last channel and drops those sums,
 //! so one body serves every extent; an `oc` band of a pooled call runs the
 //! same body over its rows. Chain, lane and fold depend on the geometry
@@ -29,6 +29,7 @@
 //! run-time tile extent, run 1.5x to 3x slower (EXPERIMENTS.md "PR 21") —
 //! the tile leaves its registers.
 
+use crate::reduce::fold;
 use crate::simd::TierBody;
 
 /// Output channels per correlate tile (the GEMM micro-kernel's `MR`).
@@ -214,7 +215,6 @@ impl Window {
                     }
                 }
             }
-            // The fixed tree over 16 lanes: 8 + 8, 4 + 4, 2 + 2, 1 + 1.
             for (i, a) in sums.chunks_exact(LANES).enumerate() {
                 let (ot, tap, r, c) = (
                     i / (kk * TILE * TILE),
@@ -223,10 +223,7 @@ impl Window {
                     i % TILE,
                 );
                 if ot * TILE + r < rows && c < ics {
-                    let q: [f32; 4] =
-                        std::array::from_fn(|l| (a[l] + a[l + 8]) + (a[l + 4] + a[l + 12]));
-                    dw[((ot * TILE + r) * cin + ic0 + c) * kk + tap] =
-                        (q[0] + q[2]) + (q[1] + q[3]);
+                    dw[((ot * TILE + r) * cin + ic0 + c) * kk + tap] = fold(a);
                 }
             }
         }

@@ -8,7 +8,7 @@
 //! | geometry | lowered to |
 //! |---|---|
 //! | dense (`groups == 1`) at stride 1 — `k x k` and pointwise | nothing — the `direct` module reads the image in place (padded once into `cig·(h+2p)·(w+2p)` floats of scratch when `p > 0`): at 16 channels the column matrix is 9x the image, copied again by GEMM's `pack_b`, and the weight gradient packed it through read streams one L1 set apart. Grad-input with `p > k - 1` has no forward twin and stays on `col2im⁺` |
-//! | depthwise (`cig == 1`, `cog == 1`) | nothing — the `stencil` module: at `M = 1, K = k*k` the GEMM packs as many floats as it multiplies |
+//! | depthwise (`cig == 1`, `cog == 1`) | nothing — the `stencil` module, which copies each plane it reads once into zero-bordered scratch (about `(h+2p)·(w+2p)` floats, ≤ 17 KiB at 64×64): at `M = 1, K = k*k` the GEMM packs as many floats as it multiplies |
 //! | strided, or grouped but not depthwise | `col`, then GEMM (below) |
 //!
 //! All three are called from the same unit bodies, so every geometry
@@ -31,9 +31,10 @@
 //! order `(icg, ky, kx)` — the order of the direct kernels' chains too —
 //! so both policies sum contributions in the same sequence.
 //!
-//! The column matrix, or the direct kernels' padded image and partial
-//! sums, lives in thread-local scratch ([`with_scratch`]): steady-state
-//! training works in the same allocation every step.
+//! The column matrix, the direct kernels' padded image and partial sums, or
+//! the stencil's padded plane lives in thread-local scratch
+//! ([`with_scratch`]): steady-state training works in the same allocation
+//! every step.
 //!
 //! [`KernelPolicy::Blocked`]: crate::KernelPolicy::Blocked
 
@@ -75,6 +76,13 @@ fn run_direct(op: Op<'_>, win: Window) {
     });
 }
 
+/// [`run_direct`] for the depthwise stencil.
+fn run_depthwise(op: Stencil<'_>, p: Plane) {
+    with_scratch(op.scratch_len(&p), |scratch| {
+        run_tiered(simd_tier(), Depthwise(op, p, scratch));
+    });
+}
+
 /// Per-call geometry, precomputed once by the dispatching kernels.
 #[derive(Clone, Copy)]
 pub(crate) struct ConvGeom {
@@ -97,14 +105,11 @@ impl ConvGeom {
         spec.out_channels / spec.groups
     }
 
-    /// The plane geometry of the direct stencil, when every group is one
-    /// plane in, one plane out (depthwise).
-    fn depthwise(&self, spec: &Conv2dSpec) -> Option<Plane> {
-        let (k, s, pad, adjoint) = (spec.kernel, spec.stride, spec.padding, false);
-        let (h, w, oh, ow) = (self.h, self.w, self.oh, self.ow);
-        #[rustfmt::skip]
-        let plane = Plane { h, w, oh, ow, k, s, pad, adjoint };
-        (self.cig(spec) == 1 && self.cog(spec) == 1).then_some(plane)
+    /// The plane geometry of the direct stencil, forward or `adjoint`, when
+    /// every group is one plane in, one plane out (depthwise).
+    fn depthwise(&self, spec: &Conv2dSpec, adjoint: bool) -> Option<Plane> {
+        let plane = || Plane::new(spec, self, adjoint);
+        (self.cig(spec) == 1 && self.cog(spec) == 1).then(plane)
     }
 
     /// The geometry of the direct kernels, when the convolution is dense
@@ -119,7 +124,8 @@ impl ConvGeom {
         let (h, w, oh, ow) = (self.h, self.w, self.oh, self.ow);
         #[rustfmt::skip]
         let win = Window { cin, cout, h, w, oh, ow, k, pad };
-        (spec.groups == 1 && spec.stride == 1 && self.depthwise(spec).is_none()).then_some(win)
+        (spec.groups == 1 && spec.stride == 1 && self.depthwise(spec, false).is_none())
+            .then_some(win)
     }
 
     /// [`ConvGeom::direct`] run backwards — `dx` from `dy` is the forward
@@ -224,14 +230,10 @@ fn conv2d_unit(x: &[f32], w: &[f32], og: &mut [f32], spec: &Conv2dSpec, g: &Conv
     let (hw, ohow) = (g.h * g.w, g.oh * g.ow);
     let xg = &x[(b * spec.in_channels + gi * cig) * hw..][..cig * hw];
     let wg = &w[gi * cog * ckk..][..cog * ckk];
-    if let Some(p) = g.depthwise(spec) {
-        run_tiered(simd_tier(), Depthwise(Stencil::Correlate(xg, wg, og), p));
-    } else {
-        with_scratch(ckk * ohow, |col| {
-            im2col(col, xg, spec, g);
-            gemm_strided(cog, ohow, ckk, wg, ckk, 1, col, ohow, 1, og, false);
-        });
-    }
+    with_scratch(ckk * ohow, |col| {
+        im2col(col, xg, spec, g);
+        gemm_strided(cog, ohow, ckk, wg, ckk, 1, col, ohow, 1, og, false);
+    });
 }
 
 /// Runs `f(first_unit, chunk)` over `data`, units of `block` elements
@@ -277,6 +279,10 @@ pub(crate) fn conv2d_blocked(
             #[rustfmt::skip]
             return run_direct(Op::Correlate { src, weights: w, dst: chunk, adjoint: false }, win);
         }
+        if let Some(p) = g.depthwise(spec, false) {
+            let src = &x[u0 * g.h * g.w..][..chunk.len() / block * g.h * g.w];
+            return run_depthwise(Stencil::Correlate((src, w, chunk, u0)), p);
+        }
         for (i, og) in chunk.chunks_mut(block).enumerate() {
             conv2d_unit(x, w, og, spec, g, u0 + i);
         }
@@ -300,19 +306,11 @@ fn grad_input_unit(
     let ohow = g.oh * g.ow;
     let dyg = &dy[(b * spec.out_channels + gi * cog) * ohow..][..cog * ohow];
     let wg = &w[gi * cog * ckk..][..cog * ckk];
-    if let Some(p) = g.depthwise(spec) {
-        let adj = Plane { adjoint: true, ..p };
-        run_tiered(
-            simd_tier(),
-            Depthwise(Stencil::Correlate(dyg, wg, dxg), adj),
-        );
-    } else {
-        dxg.fill(0.0);
-        with_scratch(ckk * ohow, |dcol| {
-            gemm_strided(ckk, ohow, cog, wg, 1, ckk, dyg, ohow, 1, dcol, false);
-            col2im_add(dxg, dcol, spec, g);
-        });
-    }
+    dxg.fill(0.0);
+    with_scratch(ckk * ohow, |dcol| {
+        gemm_strided(ckk, ohow, cog, wg, 1, ckk, dyg, ohow, 1, dcol, false);
+        col2im_add(dxg, dcol, spec, g);
+    });
 }
 
 /// Input gradient. `dx` has shape `[n, ci, h, w]` and is fully
@@ -334,6 +332,10 @@ pub(crate) fn conv2d_grad_input_blocked(
             #[rustfmt::skip]
             return run_direct(Op::Correlate { src, weights: w, dst: chunk, adjoint: true }, adj);
         }
+        if let Some(p) = g.depthwise(spec, true) {
+            let src = &dy[u0 * g.oh * g.ow..][..chunk.len() / block * g.oh * g.ow];
+            return run_depthwise(Stencil::Correlate((src, w, chunk, u0)), p);
+        }
         for (i, dxg) in chunk.chunks_mut(block).enumerate() {
             grad_input_unit(dy, w, dxg, spec, g, u0 + i);
         }
@@ -354,11 +356,6 @@ fn grad_weight_rows(
     gi: usize,
     r0: usize,
 ) {
-    if let Some(p) = g.depthwise(spec) {
-        let (hw, ohow) = (g.h * g.w, g.oh * g.ow);
-        let op = Stencil::GradWeight(&x[gi * hw..], &dy[gi * ohow..], dwband, g.n, spec.groups);
-        return run_tiered(simd_tier(), Depthwise(op, p));
-    }
     if let Some(win) = g.direct(spec) {
         #[rustfmt::skip]
         return run_direct(Op::GradWeight { x, dy, dw: dwband, oc0: r0 }, win);
@@ -404,6 +401,9 @@ pub(crate) fn conv2d_grad_weight_blocked(
         _ => cog,
     };
     par_units(dw, band * ckk, |u0, chunk| {
+        if let Some(p) = g.depthwise(spec, false) {
+            return run_depthwise(Stencil::GradWeight((x, dy, chunk, u0), spec.groups), p);
+        }
         for (i, dwband) in chunk.chunks_mut(band * ckk).enumerate() {
             let at = (u0 + i) * band;
             grad_weight_rows(x, dy, dwband, spec, g, at / cog, at % cog);

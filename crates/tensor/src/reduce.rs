@@ -4,18 +4,35 @@
 //! may not reassociate floats — so a reduction over an activation is bound
 //! by add latency, not by memory. These sums run 16 independent
 //! chains instead: element `i` adds into lane `i % 16`, in index order,
-//! and the lanes fold by the fixed 8/4/2/1 tree the depthwise grad-weight
-//! stencil uses. The order depends on the slice length alone: plain Rust
-//! with no `#[target_feature]` and never split across pool workers, so a
-//! result is bit-identical on every SIMD tier and at every pool width.
+//! and the lanes are added by `fold`'s fixed 8/4/2/1 tree, which the
+//! grad-weight kernels (`stencil`, `direct`) use too. The order depends on
+//! the slice length alone: plain Rust with no `#[target_feature]` and never
+//! split across pool workers, so a result is bit-identical on every SIMD
+//! tier and at every pool width.
 
 const LANES: usize = 16;
+/// Elements per block of [`zip_sum`]: a whole number of lane steps.
+const BLOCK: usize = 256;
+
+/// The fixed tree over 16 lanes: `8 + 8`, `4 + 4`, `2 + 2`, `1 + 1`.
+#[inline(always)]
+pub(crate) fn fold(a: &[f32]) -> f32 {
+    let q: [f32; 4] = std::array::from_fn(|l| (a[l] + a[l + 8]) + (a[l + 4] + a[l + 12]));
+    (q[0] + q[2]) + (q[1] + q[3])
+}
 
 /// `Σ f(a[i], b[i])` in lane order. Both slices have the same length.
 #[inline(always)]
 fn lane_sum(a: &[f32], b: &[f32], f: impl Fn(f32, f32) -> f32) -> f32 {
     assert_eq!(a.len(), b.len(), "lane_sum: slices differ in length");
     let mut acc = [0.0f32; LANES];
+    lane_add(&mut acc, a, b, f);
+    fold(&acc)
+}
+
+/// Adds `f(a[i], b[i])` into lane `i % LANES` of `acc`, in index order.
+#[inline(always)]
+fn lane_add(acc: &mut [f32; LANES], a: &[f32], b: &[f32], f: impl Fn(f32, f32) -> f32) {
     let (mut ca, mut cb) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
     for (x, y) in ca.by_ref().zip(cb.by_ref()) {
         for l in 0..LANES {
@@ -25,12 +42,27 @@ fn lane_sum(a: &[f32], b: &[f32], f: impl Fn(f32, f32) -> f32) -> f32 {
     for (l, (&x, &y)) in ca.remainder().iter().zip(cb.remainder()).enumerate() {
         acc[l] += f(x, y);
     }
-    for half in [8, 4, 2, 1] {
-        for l in 0..half {
-            acc[l] += acc[l + half];
-        }
+}
+
+/// Appends `f(a[i], b[i])` to `out` and returns `Σ term(a[i], b[i])` in
+/// lane order, reading `a` and `b` from memory once: block by block, the
+/// elements are written and then summed while the block is still in L1 (in
+/// one loop the lane sums would not stay in registers).
+#[inline(always)]
+pub(crate) fn zip_sum(
+    a: &[f32],
+    b: &[f32],
+    out: &mut Vec<f32>,
+    f: impl Fn(f32, f32) -> f32,
+    term: impl Fn(f32, f32) -> f32,
+) -> f32 {
+    assert_eq!(a.len(), b.len(), "zip_sum: slices differ in length");
+    let mut acc = [0.0f32; LANES];
+    for (x, y) in a.chunks(BLOCK).zip(b.chunks(BLOCK)) {
+        out.extend(x.iter().zip(y).map(|(&x, &y)| f(x, y)));
+        lane_add(&mut acc, x, y, &term);
     }
-    acc[0]
+    fold(&acc)
 }
 
 /// `Σ a[i]`.
@@ -101,6 +133,10 @@ mod tests {
                 spelled_out(&terms(|x, y| (x - y) * (x - y))).to_bits(),
                 "sq_dist n={n}"
             );
+            let mut out = Vec::new();
+            let total = zip_sum(&a, &b, &mut out, |x, y| x - y, |x, y| x * y);
+            assert_eq!(out, terms(|x, y| x - y), "zip_sum's elements n={n}");
+            assert_eq!(total.to_bits(), dot(&a, &b).to_bits(), "zip_sum n={n}");
         }
     }
 

@@ -24,8 +24,9 @@
 //! tiers produce bitwise-identical results**. The reductions that are
 //! not a single chain, the stencil's and the direct kernels' grad-weight,
 //! keep 16 partial sums per element: the source, not the register width,
-//! says which lane a product joins and in which order the 16 are folded,
-//! so they too are the same arithmetic on every tier. The scalar tier is therefore slow
+//! says which lane a product joins (`ox % 16`), and `reduce::fold` the
+//! order in which the 16 are added, so they too are the same arithmetic on
+//! every tier. The scalar tier is therefore slow
 //! (a libm call per multiply-add on pre-FMA hardware) but
 //! everywhere-correct; the tier tests assert the bitwise claim directly.
 //!

@@ -1,239 +1,240 @@
-//! Direct stencil kernels for depthwise (`cig == 1 && cog == 1`)
-//! convolution: forward, grad-input and grad-weight read `x` / `dy` rows
-//! in place — no column matrix, no GEMM (`im2col`'s lowering table says why).
+//! Direct stencil kernels for depthwise (`cig == cog == 1`) convolution —
+//! no column matrix, no GEMM (`im2col`'s lowering table says why).
 //!
-//! Every forward and grad-input element is one `f32::mul_add` chain over
-//! its present taps in `(ky, kx)` order; absent (padded) taps are skipped.
-//! Grad-weight sums each tap's products through [`LANES`] partial sums,
-//! batches in order, folded by a fixed tree. Chain and lane depend on the
-//! geometry alone: bitwise equal on every [`crate::SimdTier`] and pool size.
+//! Each plane read is copied once into a zero-bordered scratch [`Plane`]
+//! where every tap of every output is in bounds, so the tiles have no edge
+//! cases. A forward or grad-input element is one `f32::mul_add` chain over
+//! the `k x k` taps in `(ky, kx)` order (a padded tap adds an exact `0 * w`);
+//! grad-weight adds tap `t`'s product at element `ox` of a row into lane
+//! `ox % LANES` of `t`, rows and batches in order, and [`fold`]s the lanes:
+//! orders set by the geometry alone, bitwise equal on every tier and pool.
 
-use crate::simd::TierBody;
+use crate::{conv::Conv2dSpec, im2col::ConvGeom, reduce::fold, simd::TierBody};
 
-/// Partial sums per grad-weight tap: one zmm register, two ymm, four xmm.
+/// Columns per correlate tile ...
+const NR: usize = 32;
+/// ... and per tile of a row no wider than this.
+const NARROW: usize = 16;
+/// Output rows per correlate tile: each input row is read once for all.
+const ROWS: usize = 4;
+/// Partial sums per grad-weight tap: one zmm register, two ymm.
 const LANES: usize = 16;
-/// Elements per forward / grad-input step: 64-byte loads that all split a
-/// cache line run no faster than 32-byte ones, and narrow planes fit more.
-const STEP: usize = 8;
+/// Taps per grad-weight tile: a 3 x 3 kernel's, nine zmm accumulators.
+const TAPS: usize = 9;
 
-type Span = (usize, usize);
+/// A grad-weight tile: [`LANES`] partial sums of each of [`TAPS`] taps.
+type Sums = [[f32; LANES]; TAPS];
 
-/// One plane's geometry: output `(oy, ox)` of `oh x ow` meets input
-/// `(oy*s + ky - pad, ox*s + kx - pad)` of `h x w` through tap `(ky, kx)`.
-#[derive(Clone, Copy)]
-pub(crate) struct Plane {
-    pub h: usize,
-    pub w: usize,
-    pub oh: usize,
-    pub ow: usize,
-    pub k: usize,
-    pub s: usize,
-    pub pad: usize,
-    /// Run [`Stencil::Correlate`] backwards: `dx` (`h x w`) from `dy`.
-    pub adjoint: bool,
-}
+/// A [`Stencil`]'s planes read, other operand, output, first plane's channel.
+pub(crate) type Run<'a> = (&'a [f32], &'a [f32], &'a mut [f32], usize);
 
-/// A depthwise kernel over one unit of the blocked decomposition.
+/// A depthwise kernel over a run of `(batch, channel)` planes.
 pub(crate) enum Stencil<'a> {
-    /// One plane from one plane and the channel's `k x k` weights: `out`
-    /// from `x`, or `dx` from `dy` when the [`Plane`] is an adjoint.
-    Correlate(&'a [f32], &'a [f32], &'a mut [f32]),
-    /// The channel's `dw` from `x` and `dy`, each starting at the
-    /// channel's first plane, over `n` batches of `channels` planes.
-    GradWeight(&'a [f32], &'a [f32], &'a mut [f32], usize, usize),
+    /// Planes from planes, plane `i` under channel `c0 + i` (mod `C`) of `w[C, k, k]`.
+    Correlate(Run<'a>),
+    /// Channels `c0 ..` of `dw[.1, k, k]` from `x`, `dy` `[n, .1, ..]`.
+    GradWeight(Run<'a>, usize),
 }
 
-/// [`Stencil`] `.0` over the geometry `.1` — the depthwise [`TierBody`].
-pub(crate) struct Depthwise<'a>(pub Stencil<'a>, pub Plane);
+impl Stencil<'_> {
+    /// Floats of scratch: the plane, and grad-weight's zero-tailed `dy` rows.
+    pub(crate) fn scratch_len(&self, p: &Plane) -> usize {
+        let dy = p.out.0 * p.out.1.next_multiple_of(LANES);
+        p.rows * p.rs + matches!(self, Stencil::GradWeight(..)) as usize * dy
+    }
+}
+
+/// The depthwise [`TierBody`]: `.0` over `.1` in [`Stencil::scratch_len`] floats `.2`.
+pub(crate) struct Depthwise<'a>(pub Stencil<'a>, pub Plane, pub &'a mut [f32]);
 
 impl TierBody for Depthwise<'_> {
-    /// Literal `k` / `s` in the common arms let the inlined body unroll
-    /// its taps and vectorise its unit-stride steps.
+    /// Literal `k`, read stride and tap order unroll the common arms' taps.
     #[inline(always)]
+    #[rustfmt::skip]
     fn run(self) {
-        let Depthwise(op, p) = self;
-        match (p.k, p.s) {
-            (3, 1) => Plane { k: 3, s: 1, ..p }.apply(op),
-            (5, 1) => Plane { k: 5, s: 1, ..p }.apply(op),
-            (_, 1) => Plane { s: 1, ..p }.apply(op),
-            _ => p.apply(op),
+        let Depthwise(op, p, scratch) = self;
+        match (p.k, p.r, p.f) {
+            (3, 1, 0) => Plane { k: 3, r: 1, f: 0, ..p }.apply(op, scratch),
+            (3, 1, 2) => Plane { k: 3, r: 1, f: 2, ..p }.apply(op, scratch),
+            _ => p.apply(op, scratch),
         }
     }
+}
+
+/// Where one plane sits in scratch: source element `(i, j)` at
+/// `(lead + i*d, lead + j*d)` of a zero-bordered `rows x rs` plane, read by
+/// output `(o, q)` through tap `(ky, kx)` at
+/// `(at + o*r + |ky - f|, at + q*r + |kx - f|)`.
+#[derive(Clone, Copy)]
+pub(crate) struct Plane {
+    /// Extents of the planes read and written.
+    src: (usize, usize),
+    out: (usize, usize),
+    lead: usize,
+    at: usize,
+    d: usize,
+    r: usize,
+    /// `k - 1` reads the taps back to front (the adjoint), 0 in order.
+    f: usize,
+    k: usize,
+    rows: usize,
+    rs: usize,
 }
 
 impl Plane {
+    /// `spec` over `g`, or its `adjoint`: the forward of `dy` spread `s` apart
+    /// with padding `k - 1 - pad` (past `k - 1`, reads start inside `dy`).
+    pub(crate) fn new(spec: &Conv2dSpec, g: &ConvGeom, adjoint: bool) -> Plane {
+        let (k, s, pad) = (spec.kernel, spec.stride, spec.padding);
+        let (src, out, d, r, f) = match adjoint {
+            false => ((g.h, g.w), (g.oh, g.ow), 1, s, 0),
+            true => ((g.oh, g.ow), (g.h, g.w), s, 1, k - 1),
+        };
+        let e = f as isize + pad as isize * if adjoint { -1 } else { 1 };
+        let (lead, at) = (e.max(0) as usize, (-e).max(0) as usize);
+        let reach = |n: usize, tile: usize, m: usize| {
+            (at + (n.next_multiple_of(tile) - 1) * r + k).max(lead + (m - 1) * d + 1)
+        };
+        let nr = if out.1 <= NARROW { NARROW } else { NR };
+        let (rows, rs) = (reach(out.0, ROWS, src.0), reach(out.1, nr, src.1));
+        #[rustfmt::skip]
+        return Plane { src, out, lead, at, d, r, f, k, rows, rs };
+    }
+
     #[inline(always)]
-    fn apply(self, op: Stencil<'_>) {
+    fn apply(self, op: Stencil<'_>, scratch: &mut [f32]) {
+        scratch.fill(0.0);
+        let (plane, rest) = scratch.split_at_mut(self.rows * self.rs);
         match op {
-            Stencil::Correlate(src, w, dst) => self.correlate(src, &w[..self.k * self.k], dst),
-            Stencil::GradWeight(x, dy, dw, n, ch) => self.grad_weight(x, dy, dw, n, ch),
+            Stencil::Correlate(run) if self.out.1 <= NARROW => self.correlate::<NARROW>(run, plane),
+            Stencil::Correlate(run) => self.correlate::<NR>(run, plane),
+            Stencil::GradWeight(run, ch) => self.grad_weight(run, ch, [plane, rest]),
         }
     }
 
-    /// Taps `[t0, t1)` through which element `o` written meets an element
-    /// read inside `[0, extent)` (backwards, a range only at stride 1).
+    /// Copies one source plane to where it sits.
     #[inline(always)]
-    fn taps(&self, o: usize, extent: usize) -> Span {
-        let (k, pad, os) = (self.k, self.pad, o * self.s);
-        let (t0, t1) = match self.adjoint {
-            true => ((o + pad + 1).saturating_sub(extent), o + pad + 1),
-            false => (pad.saturating_sub(os), (extent + pad).saturating_sub(os)),
-        };
-        (t0.min(k), t1.min(k))
-    }
-
-    /// The element read that element `o` written meets through tap `t`,
-    /// one of its [`Plane::taps`].
-    #[inline(always)]
-    fn at(&self, o: usize, t: usize) -> usize {
-        match self.adjoint {
-            true => o + self.pad - t,
-            false => o * self.s + t - self.pad,
+    fn place(&self, plane: &mut [f32], src: &[f32]) {
+        for (i, xs) in src.chunks_exact(self.src.1).enumerate() {
+            let row = &mut plane[(self.lead + i * self.d) * self.rs + self.lead..];
+            match self.d {
+                1 => row[..xs.len()].copy_from_slice(xs),
+                d => row.iter_mut().step_by(d).zip(xs).for_each(|(v, &x)| *v = x),
+            }
         }
     }
 
-    /// Writes every element of `dst`. At stride 1 the columns that have
-    /// every `kx` go [`STEP`] at a time ([`Plane::steps`]) and the rest one
-    /// by one; a strided adjoint scatters `dy`, as the naive kernel does.
     #[inline(always)]
-    fn correlate(&self, src: &[f32], wt: &[f32], dst: &mut [f32]) {
-        let (k, pad) = (self.k, self.pad);
-        if self.adjoint && self.s > 1 {
-            let mut fwd = *self;
-            fwd.adjoint = false;
-            dst.fill(0.0);
-            for (o, &g) in src.iter().enumerate() {
-                let (oy, ox) = (o / self.ow, o % self.ow);
-                let ((ky0, ky1), (kx0, kx1)) = (fwd.taps(oy, self.h), fwd.taps(ox, self.w));
-                for ky in ky0..ky1 {
-                    for kx in kx0..kx1 {
-                        let d = &mut dst[fwd.at(oy, ky) * self.w + fwd.at(ox, kx)];
-                        *d = g.mul_add(wt[ky * k + kx], *d);
+    fn correlate<const NR: usize>(&self, (src, wt, dst, c0): Run<'_>, plane: &mut [f32]) {
+        let ((sh, sw), (oh, ow), kk) = (self.src, self.out, self.k * self.k);
+        let planes = src.chunks_exact(sh * sw).zip(dst.chunks_exact_mut(oh * ow));
+        for (i, (s, o)) in planes.enumerate() {
+            self.place(plane, s);
+            let w = &wt[(c0 + i) * kk % wt.len()..][..kk];
+            for (t, rows) in o.chunks_mut(ROWS * ow).enumerate() {
+                for j in (0..ow).step_by(NR) {
+                    let at = (self.at + t * ROWS * self.r) * self.rs + self.at + j * self.r;
+                    let acc = self.correlate_tile::<NR>(&plane[at..], w);
+                    for (orow, a) in rows.chunks_exact_mut(ow).zip(acc.iter()) {
+                        match ow - j {
+                            cols if cols >= NR => orow[j..j + NR].copy_from_slice(a),
+                            cols => orow[j..].copy_from_slice(&a[..cols]),
+                        }
                     }
                 }
             }
-            return;
-        }
-        // Extents read and written, and the columns with every `kx`.
-        let ((rh, rw), (wh, ww), (x0, x1)) = if self.adjoint {
-            let cols = (k.saturating_sub(pad + 1), self.ow.saturating_sub(pad));
-            ((self.oh, self.ow), (self.h, self.w), cols)
-        } else {
-            let cols = (pad, (self.w + pad + 1).saturating_sub(k));
-            ((self.h, self.w), (self.oh, self.ow), cols)
-        };
-        let wide = self.s == 1 && x1.min(ww) >= x0 + STEP;
-        let cols = if wide { (x0, x1.min(ww)) } else { (0, 0) };
-        for (oy, drow) in dst.chunks_exact_mut(ww).enumerate() {
-            // Literal bounds on the rows that have every `ky` let the tap
-            // loops unroll and the weights stay in registers.
-            match self.taps(oy, rh) {
-                kys if kys == (0, k) => self.steps(src, wt, drow, oy, (0, k), cols),
-                kys => self.steps(src, wt, drow, oy, kys, cols),
-            }
-        }
-        // Column by column: consecutive chains are independent.
-        for ox in (0..cols.0).chain(cols.1..ww) {
-            let (kx0, kx1) = self.taps(ox, rw);
-            for oy in 0..wh {
-                let (ky0, ky1) = self.taps(oy, rh);
-                let mut acc = 0.0f32;
-                for ky in ky0..ky1 {
-                    for kx in kx0..kx1 {
-                        let x = src[self.at(oy, ky) * rw + self.at(ox, kx)];
-                        acc = x.mul_add(wt[ky * k + kx], acc);
-                    }
-                }
-                dst[oy * ww + ox] = acc;
-            }
         }
     }
 
-    /// Columns `cols` of row `oy` written, over tap rows `kys`, [`STEP`]
-    /// at a time; a short last step backs up to end on the edge and
-    /// recomputes, bit for bit, what it overlaps.
+    /// [`ROWS`] rows of `NR` outputs: `(q, l)` is the chain over `(ky, kx)`
+    /// of `plane[(q*r + |ky - f|)*rs + |kx - f| + l*r] * w[ky*k + kx]`, each
+    /// input row read once, in the order that keeps every `ky` ascending.
     #[inline(always)]
-    fn steps(&self, src: &[f32], wt: &[f32], drow: &mut [f32], oy: usize, kys: Span, cols: Span) {
-        let rw = if self.adjoint { self.ow } else { self.w };
-        let mut j = cols.0;
-        while j < cols.1 {
-            let j0 = j.min(cols.1 - STEP);
-            let mut acc = [0.0f32; STEP];
-            for ky in kys.0..kys.1 {
-                for kx in 0..self.k {
-                    let xs = &src[self.at(oy, ky) * rw + self.at(j0, kx)..][..STEP];
-                    for l in 0..STEP {
-                        acc[l] = xs[l].mul_add(wt[ky * self.k + kx], acc[l]);
+    fn correlate_tile<const NR: usize>(&self, plane: &[f32], w: &[f32]) -> [[f32; NR]; ROWS] {
+        let (k, r, f) = (self.k, self.r, self.f);
+        let (mut acc, rows) = ([[0.0f32; NR]; ROWS], (ROWS - 1) * r + k);
+        for i in 0..rows {
+            let i = if f == 0 { i } else { rows - 1 - i };
+            let row = &plane[i * self.rs..][..(NR - 1) * r + k];
+            for kx in 0..k {
+                let xv = load::<NR>(&row[kx.abs_diff(f)..], r);
+                for (q, acc) in acc.iter_mut().enumerate() {
+                    let wv = match i.checked_sub(q * r) {
+                        Some(ky) if ky < k => w[ky.abs_diff(f) * k + kx],
+                        _ => continue,
+                    };
+                    for (a, &x) in acc.iter_mut().zip(xv.iter()) {
+                        *a = x.mul_add(wv, *a);
                     }
                 }
             }
-            drow[j0..j0 + STEP].copy_from_slice(&acc);
-            j += STEP;
         }
+        acc
     }
 
-    /// Outputs `[lo, hi)` of `outs` that meet an input inside
-    /// `[0, extent)` through tap `t`.
+    /// `dw[c, ty, tx] = Σ dy[b, c, oy, ox] * x[b, c, oy*s + ty - pad, ox*s + tx - pad]`,
+    /// a tile of taps at a time.
     #[inline(always)]
-    fn outs(&self, t: usize, extent: usize, outs: usize) -> Span {
-        let lo = self.pad.saturating_sub(t).div_ceil(self.s).min(outs);
-        let hi = (extent + self.pad).saturating_sub(t).div_ceil(self.s);
-        (lo, hi.clamp(lo, outs))
-    }
-
-    /// `dw[ky, kx] = Σ dy[b, oy, ox] * x[b, oy*s + ky - pad, ox*s + kx - pad]`.
-    #[inline(always)]
-    fn grad_weight(&self, x: &[f32], dy: &[f32], dw: &mut [f32], n: usize, channels: usize) {
-        let (k, s, hw, ohow) = (self.k, self.s, self.h * self.w, self.oh * self.ow);
-        let mut sums = vec![[0.0f32; LANES]; k * k];
-        for b in 0..n {
-            let xp = &x[b * channels * hw..][..hw];
-            let dyp = &dy[b * channels * ohow..][..ohow];
-            for (t, sum) in sums.iter_mut().enumerate() {
-                let (oy0, oy1) = self.outs(t / k, self.h, self.oh);
-                let (ox0, ox1) = self.outs(t % k, self.w, self.ow);
-                if ox0 == ox1 {
-                    continue;
+    fn grad_weight(&self, (x, dy, dw, c0): Run<'_>, ch: usize, [plane, tails]: [&mut [f32]; 2]) {
+        let ((h, w), (oh, ow), kk) = (self.src, self.out, self.k * self.k);
+        let steps = ow.next_multiple_of(LANES);
+        for (c, dwc) in (c0..).zip(dw.chunks_exact_mut(kk)) {
+            for (t0, dwt) in (0..kk).step_by(TAPS).zip(dwc.chunks_mut(TAPS)) {
+                let mut sums = [[0.0; LANES]; TAPS];
+                for b in (c..x.len() / (h * w)).step_by(ch) {
+                    self.place(plane, &x[b * h * w..][..h * w]);
+                    let mut g = &dy[b * oh * ow..][..oh * ow];
+                    if ow != steps {
+                        let rows = tails.chunks_exact_mut(steps).zip(g.chunks_exact(ow));
+                        rows.for_each(|(row, g)| row[..ow].copy_from_slice(g));
+                        g = tails;
+                    }
+                    sums = self.grad_weight_tile(sums, g, plane, t0);
                 }
-                let mut acc = *sum;
-                for oy in oy0..oy1 {
-                    let i = self.at(oy, t / k) * self.w + self.at(ox0, t % k);
-                    dot(&mut acc, &dyp[oy * self.ow..][ox0..ox1], &xp[i..], s);
-                }
-                *sum = acc;
+                dwt.iter_mut().zip(sums).for_each(|(d, a)| *d = fold(&a));
             }
         }
-        for (d, a) in dw.iter_mut().zip(sums) {
-            // The fixed tree over 16 lanes: 8 + 8, 4 + 4, 2 + 2, 1 + 1.
-            let q: [f32; 4] = std::array::from_fn(|l| (a[l] + a[l + 8]) + (a[l + 4] + a[l + 12]));
-            *d = (q[0] + q[2]) + (q[1] + q[3]);
+    }
+
+    /// One plane added to the sums `acc` of taps `t0 ..`: tap `(ty, tx)`
+    /// gains `dy[oy, ox] * plane[(oy*r + ty)*rs + ox*r + tx]`, element `ox`
+    /// in lane `ox % LANES`; a step's taps of one row read one window.
+    #[inline(always)]
+    fn grad_weight_tile(&self, mut acc: Sums, dy: &[f32], plane: &[f32], t0: usize) -> Sums {
+        let (k, r, rs, steps) = (self.k, self.r, self.rs, self.out.1.next_multiple_of(LANES));
+        for (oy, row) in dy.chunks_exact(steps).enumerate() {
+            for (j, g) in row.chunks_exact(LANES).enumerate() {
+                let dv = load::<LANES>(g, 1);
+                for ty in 0..k {
+                    let xw = &plane[(oy * r + ty) * rs + j * LANES * r..][..(LANES - 1) * r + k];
+                    for tx in 0..k {
+                        let t = match (ty * k + tx).checked_sub(t0) {
+                            Some(t) if t < TAPS => t,
+                            _ => continue,
+                        };
+                        let xv = load::<LANES>(&xw[tx..], r);
+                        for ((a, &d), &x) in acc[t].iter_mut().zip(dv.iter()).zip(xv.iter()) {
+                            *a = d.mul_add(x, *a);
+                        }
+                    }
+                }
+            }
         }
+        acc
     }
 }
 
-/// `acc[lane] = g[j].mul_add(x[j*xs], acc[lane])` for every `j`; the
-/// lane is `j % LANES`, or at unit stride the slot in a backed-up last
-/// step.
+#[cfg(test)]
+mod tests;
+
+/// `N` elements of `xs`, `r` apart, as a local array — one vector load when
+/// adjacent: loaded one by one, LLVM rebuilds overlapping windows by shuffles.
 #[inline(always)]
-fn dot(acc: &mut [f32; LANES], g: &[f32], x: &[f32], xs: usize) {
-    let n = g.len();
-    if xs != 1 || n < LANES {
-        for j in 0..n {
-            acc[j % LANES] = g[j].mul_add(x[j * xs], acc[j % LANES]);
-        }
-        return;
+fn load<const N: usize>(xs: &[f32], r: usize) -> [f32; N] {
+    let (xs, mut v) = (&xs[..(N - 1) * r + 1], [0.0f32; N]);
+    match r {
+        1 => v.copy_from_slice(xs),
+        _ => v.iter_mut().enumerate().for_each(|(l, v)| *v = xs[l * r]),
     }
-    let mut j = 0;
-    while j < n {
-        let j0 = j.min(n - LANES);
-        let (gv, xv) = (&g[j0..][..LANES], &x[j0..][..LANES]);
-        // A short last step backs up to end on the run's edge; its lanes
-        // below `j` hold elements the step before already summed.
-        let m: [u32; LANES] = std::array::from_fn(|l| if j0 + l >= j { !0 } else { 0 });
-        for l in 0..LANES {
-            let sum = gv[l].mul_add(xv[l], acc[l]);
-            acc[l] = f32::from_bits(sum.to_bits() & m[l] | acc[l].to_bits() & !m[l]);
-        }
-        j += LANES;
-    }
+    v
 }

@@ -215,6 +215,26 @@ impl Tensor {
         Ok(Tensor::from_parts(self.shape.clone(), data))
     }
 
+    /// [`Tensor::zip`], and `Σ term(a, b)` over the same pairs added in
+    /// [`reduce`]'s lane order, reading both operands from memory once.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
+    pub fn zip_sum(
+        &self,
+        other: &Tensor,
+        f: impl Fn(f32, f32) -> f32,
+        term: impl Fn(f32, f32) -> f32,
+    ) -> Result<(Tensor, f32), TensorError> {
+        self.check_same_shape(other, "zip_sum")?;
+        let mut sum = 0.0;
+        let data = Buf::build(self.numel(), |v| {
+            sum = reduce::zip_sum(&self.data, &other.data, v, f, term);
+        });
+        Ok((Tensor::from_parts(self.shape.clone(), data), sum))
+    }
+
     /// Elementwise sum.
     ///
     /// # Errors

@@ -8,7 +8,9 @@
 //! forward and both adjoints match the oracle within tight tolerance —
 //! the two paths sum identical products in the same per-element order, so
 //! they may differ only by FMA rounding contraction (and, in the weight
-//! gradients, by the order of their partial sums).
+//! gradients, by the order of their partial sums: the stencil's and the
+//! direct kernels' 16 lanes per element, element `ox` in lane `ox % 16`,
+//! added by `reduce::fold`'s 8/4/2/1 tree).
 //!
 //! The `*_with` kernel variants are the only way to the oracle; the
 //! blocked side runs under an installed pool of 1 and of 2 lanes, since a

@@ -287,8 +287,9 @@ fn concurrent_callers_sharing_one_pool_match_their_serial_twins() {
                 let ddy = Tensor::randn(&[n, direct.out_channels, 8, 8], &mut rng);
                 let a = Tensor::randn(&[40, 24], &mut rng);
                 let b = Tensor::randn(&[24, 72], &mut rng);
-                // The depthwise stencil's units are stolen the same way;
-                // it holds no scratch a re-entrant call could find taken.
+                // The depthwise stencil's units are stolen the same way; its
+                // padded plane is taken out of the thread's scratch cell for
+                // the call, so a re-entrant call allocates its own.
                 let dw = Conv2dSpec::depthwise(6, 3, 1, 1);
                 let dwx = Tensor::randn(&[3, 6, 33, 20], &mut rng);
                 let dww = Tensor::randn(&dw.weight_dims(), &mut rng);
