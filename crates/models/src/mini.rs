@@ -8,7 +8,7 @@
 //! scheduling changes *when* updates happen, never *what* they compute.
 
 use pipebd_nn::{BatchNorm2d, Block, BlockNet, Conv2d, Layer, MixedOp, Relu, Sequential};
-use pipebd_tensor::Rng64;
+use pipebd_tensor::{Activation, Rng64};
 
 /// Configuration for the miniature model family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,13 +35,18 @@ impl Default for MiniConfig {
 
 fn teacher_block(cfg: MiniConfig, index: usize, rng: &mut Rng64) -> Block {
     let in_c = if index == 0 { 3 } else { cfg.channels };
-    let mut layers: Vec<Box<dyn Layer>> = vec![
-        Box::new(Conv2d::new(in_c, cfg.channels, 3, 1, 1, rng)),
-        Box::new(Relu::new()),
-    ];
-    if cfg.batch_norm {
-        layers.insert(1, Box::new(BatchNorm2d::new(cfg.channels)));
-    }
+    let conv = Conv2d::new(in_c, cfg.channels, 3, 1, 1, rng);
+    // The convolution writes the activation itself unless a norm comes
+    // between them.
+    let layers: Vec<Box<dyn Layer>> = if cfg.batch_norm {
+        vec![
+            Box::new(conv),
+            Box::new(BatchNorm2d::new(cfg.channels)),
+            Box::new(Relu::new()),
+        ]
+    } else {
+        vec![Box::new(conv.with_activation(Activation::Relu))]
+    };
     Block::new(format!("t{index}"), Sequential::new(layers))
 }
 
@@ -60,10 +65,10 @@ pub fn mini_student_dsconv(cfg: MiniConfig, rng: &mut Rng64) -> BlockNet {
         .map(|i| {
             let in_c = if i == 0 { 3 } else { cfg.channels };
             let layers: Vec<Box<dyn Layer>> = vec![
-                Box::new(Conv2d::depthwise(in_c, 3, 1, rng)),
-                Box::new(Relu::new()),
-                Box::new(Conv2d::pointwise(in_c, cfg.channels, rng)),
-                Box::new(Relu::new()),
+                Box::new(Conv2d::depthwise(in_c, 3, 1, rng).with_activation(Activation::Relu)),
+                Box::new(
+                    Conv2d::pointwise(in_c, cfg.channels, rng).with_activation(Activation::Relu),
+                ),
             ];
             Block::new(format!("s{i}"), Sequential::new(layers))
         })

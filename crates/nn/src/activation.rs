@@ -1,16 +1,27 @@
-use pipebd_tensor::{Result, Tensor, TensorError};
+use pipebd_tensor::{Activation, Result, Tensor, TensorError};
 
 use crate::{Layer, Mode, Param};
 
-/// `dx[i] = dy[i]` where `keep(y[i])`, else `0` — a select per element,
-/// not a branch: which side an element takes is data the branch predictor
-/// cannot learn. `y` is the layer's kept output.
+/// Returns `y`, keeping a handle to it in `output` in train mode.
+fn kept(y: Tensor, mode: Mode, output: &mut Option<Tensor>) -> Tensor {
+    if mode == Mode::Train {
+        *output = Some(y.clone());
+    }
+    y
+}
+
+/// `dx[i] = gate(dy[i], y[i])` for the kept output `y`, which it consumes.
+/// Each layer passes its own closure, so that the activation is known in
+/// the loop.
 fn gate_gradient(
-    y: &Tensor,
+    output: &mut Option<Tensor>,
     dy: &Tensor,
     op: &'static str,
-    keep: impl Fn(f32) -> bool,
+    gate: impl Fn(f32, f32) -> f32,
 ) -> Result<Tensor> {
+    let y = output
+        .take()
+        .ok_or_else(|| TensorError::invalid(format!("{op}: backward before forward")))?;
     if y.numel() != dy.numel() {
         return Err(TensorError::LengthMismatch {
             expected: y.numel(),
@@ -19,10 +30,12 @@ fn gate_gradient(
         });
     }
     // Only the element counts have to agree; the result takes `dy`'s dims.
-    dy.zip(&y.reshape(dy.dims())?, |g, y| if keep(y) { g } else { 0.0 })
+    dy.zip(&y.reshape(dy.dims())?, gate)
 }
 
-/// Rectified linear unit, `max(0, x)`.
+/// Rectified linear unit, `max(0, x)`, as a layer of its own — for where
+/// no convolution precedes it ([`crate::Conv2d::with_activation`] fuses
+/// one into the convolution's write-out).
 #[derive(Debug, Clone, Default)]
 pub struct Relu {
     /// The last train-mode output, which doubles as the backward mask:
@@ -39,19 +52,14 @@ impl Relu {
 
 impl Layer for Relu {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
-        let y = x.map(|v| v.max(0.0));
-        if mode == Mode::Train {
-            self.output = Some(y.clone());
-        }
-        Ok(y)
+        let y = x.map(|v| Activation::Relu.apply(v));
+        Ok(kept(y, mode, &mut self.output))
     }
 
     fn backward(&mut self, dy: &Tensor) -> Result<Tensor> {
-        let y = self
-            .output
-            .take()
-            .ok_or_else(|| TensorError::invalid("relu: backward before forward"))?;
-        gate_gradient(&y, dy, "relu_backward", |y| y > 0.0)
+        gate_gradient(&mut self.output, dy, "relu_backward", |g, y| {
+            Activation::Relu.gate(g, y)
+        })
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
@@ -82,19 +90,14 @@ impl Relu6 {
 
 impl Layer for Relu6 {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
-        let y = x.map(|v| v.clamp(0.0, 6.0));
-        if mode == Mode::Train {
-            self.output = Some(y.clone());
-        }
-        Ok(y)
+        let y = x.map(|v| Activation::Relu6.apply(v));
+        Ok(kept(y, mode, &mut self.output))
     }
 
     fn backward(&mut self, dy: &Tensor) -> Result<Tensor> {
-        let y = self
-            .output
-            .take()
-            .ok_or_else(|| TensorError::invalid("relu6: backward before forward"))?;
-        gate_gradient(&y, dy, "relu6_backward", |y| y > 0.0 && y < 6.0)
+        gate_gradient(&mut self.output, dy, "relu6_backward", |g, y| {
+            Activation::Relu6.gate(g, y)
+        })
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}

@@ -1,28 +1,37 @@
 use pipebd_tensor::{
-    conv2d, conv2d_grad_input, conv2d_grad_weight, reduce, Conv2dSpec, Result, Rng64, Tensor,
-    TensorError,
+    conv2d_fused, conv2d_grad_epilogue, conv2d_grad_input, conv2d_grad_weight,
+    conv2d_grad_weight_fused, Activation, Conv2dSpec, Epilogue, Result, Rng64, Tensor, TensorError,
 };
 
 use crate::{Layer, Mode, Param};
 
-/// A grouped 2-D convolution layer with optional per-channel bias.
+/// A grouped 2-D convolution layer with optional per-channel bias and an
+/// [`Activation`] — the kernels write the finished `act(conv + b)`.
 ///
 /// Covers dense convolutions (`groups == 1`), depthwise convolutions
 /// (`groups == channels`), and pointwise 1×1 convolutions. Weight layout is
 /// `[out_channels, in_channels / groups, k, k]`.
+///
+/// Backward gates `dy` by the kept output and sums the bias gradient in the
+/// same pass that reads `dy` (`pipebd_tensor::conv2d_grad_epilogue`): under
+/// [`Layer::backward_params`], inside the weight gradient's own read where
+/// the lowering allows.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     spec: Conv2dSpec,
     weight: Param,
     bias: Option<Param>,
+    activation: Activation,
     cache: Option<ConvCache>,
 }
 
-/// A handle to the last train-mode input (shared with the caller, not
-/// copied), held until a backward pass consumes it.
+/// Handles to the last train-mode input and, when an activation gates the
+/// gradient, output (shared with the caller, not copied), held until a
+/// backward pass consumes them.
 #[derive(Debug, Clone)]
 struct ConvCache {
     input: Tensor,
+    output: Option<Tensor>,
 }
 
 impl Conv2d {
@@ -69,80 +78,91 @@ impl Conv2d {
             spec,
             weight,
             bias,
+            activation: Activation::None,
             cache: None,
         }
+    }
+
+    /// The same convolution writing `activation(conv + b)` (builder style).
+    pub fn with_activation(self, activation: Activation) -> Self {
+        Conv2d { activation, ..self }
     }
 
     /// The layer's convolution geometry.
     pub fn spec(&self) -> Conv2dSpec {
         self.spec
     }
-}
 
-fn add_channel_bias(y: &mut Tensor, bias: &Tensor) {
-    let dims = y.dims();
-    let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-    let bd = bias.data();
-    let yd = y.data_mut();
-    for b in 0..n {
-        for ch in 0..c {
-            let base = (b * c + ch) * h * w;
-            let bias_v = bd[ch];
-            for v in &mut yd[base..base + h * w] {
-                *v += bias_v;
-            }
+    fn take_cache(&mut self) -> Result<ConvCache> {
+        self.cache
+            .take()
+            .ok_or_else(|| TensorError::invalid("conv2d: backward before forward"))
+    }
+
+    /// Whether backward has an epilogue to undo: a bias to differentiate
+    /// or an activation to gate through.
+    fn has_epilogue(&self) -> bool {
+        self.bias.is_some() || self.activation != Activation::None
+    }
+
+    fn accumulate_bias_grad(&mut self, db: Tensor) -> Result<()> {
+        match &mut self.bias {
+            Some(b) => b.accumulate_grad(db),
+            None => Ok(()),
         }
     }
-}
-
-fn channel_bias_grad(dy: &Tensor) -> Tensor {
-    let dims = dy.dims();
-    let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-    let dyd = dy.data();
-    let mut db = vec![0.0f32; c];
-    for b in 0..n {
-        for ch in 0..c {
-            let base = (b * c + ch) * h * w;
-            db[ch] += reduce::sum(&dyd[base..base + h * w]);
-        }
-    }
-    Tensor::from_vec(db, &[c]).expect("channel bias grad shape")
 }
 
 impl Layer for Conv2d {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
-        let mut y = conv2d(x, &self.weight.value, self.spec)?;
-        if let Some(b) = &self.bias {
-            add_channel_bias(&mut y, &b.value);
-        }
+        let epilogue = Epilogue {
+            bias: self.bias.as_ref().map(|b| b.value.data()),
+            activation: self.activation,
+        };
+        let y = conv2d_fused(x, &self.weight.value, self.spec, epilogue)?;
         if mode == Mode::Train {
-            self.cache = Some(ConvCache { input: x.clone() });
+            let output = (self.activation != Activation::None).then(|| y.clone());
+            self.cache = Some(ConvCache {
+                input: x.clone(),
+                output,
+            });
         }
         Ok(y)
     }
 
     fn backward(&mut self, dy: &Tensor) -> Result<Tensor> {
-        // The input's extent, read before `backward_params` consumes it.
-        let hw = self.cache.as_ref().map(|c| {
-            let dims = c.input.dims();
-            (dims[2], dims[3])
-        });
-        self.backward_params(dy)?;
-        let hw = hw.expect("backward_params fails without a cache");
-        conv2d_grad_input(dy, &self.weight.value, self.spec, hw)
+        let ConvCache { input: x, output } = self.take_cache()?;
+        let hw = (x.dims()[2], x.dims()[3]);
+        let dz = if self.has_epilogue() {
+            // `y` is read only where the activation gates.
+            let y = output.as_ref().unwrap_or(dy);
+            let (dz, db) = conv2d_grad_epilogue(dy, y, self.activation)?;
+            self.accumulate_bias_grad(db)?;
+            dz
+        } else {
+            dy.clone()
+        };
+        // Each cached activation is let go of as soon as it is read: `dx`
+        // is allocated after both are home, and the recycler reissues one.
+        drop(output);
+        let dw = conv2d_grad_weight(&x, &dz, self.spec)?;
+        drop(x);
+        self.weight.accumulate_grad(dw)?;
+        conv2d_grad_input(&dz, &self.weight.value, self.spec, hw)
     }
 
     fn backward_params(&mut self, dy: &Tensor) -> Result<()> {
-        let ConvCache { input: x } = self
-            .cache
-            .take()
-            .ok_or_else(|| TensorError::invalid("conv2d: backward before forward"))?;
-        let dw = conv2d_grad_weight(&x, dy, self.spec)?;
-        self.weight.accumulate_grad(dw)?;
-        if let Some(b) = &mut self.bias {
-            b.accumulate_grad(channel_bias_grad(dy))?;
+        let ConvCache { input: x, output } = self.take_cache()?;
+        if !self.has_epilogue() {
+            return self
+                .weight
+                .accumulate_grad(conv2d_grad_weight(&x, dy, self.spec)?);
         }
-        Ok(())
+        // As in `backward`, `y` is read only where the activation gates.
+        let y = output.as_ref().unwrap_or(dy);
+        let (dw, db) = conv2d_grad_weight_fused(&x, dy, y, self.activation, self.spec)?;
+        self.weight.accumulate_grad(dw)?;
+        self.accumulate_bias_grad(db)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -164,6 +184,88 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pipebd_tensor::parallel::{install, ComputePool};
+    use pipebd_tensor::reduce;
+
+    /// The bias gradient's documented order, element by element: channel
+    /// `c` adds its planes of `dz` in batch order from `0.0`; a plane puts
+    /// element `i` into lane `i % 16`, in index order, and folds the lanes
+    /// `(l, l + 8) + (l + 4, l + 12)`, then `(0, 2) + (1, 3)`.
+    fn spelled_out(dz: &[f32], [n, c, h, w]: [usize; 4]) -> Vec<f32> {
+        let plane = |b: usize, ch: usize| &dz[(b * c + ch) * h * w..][..h * w];
+        let fold = |p: &[f32]| {
+            let mut lanes = [0.0f32; 16];
+            for (i, &v) in p.iter().enumerate() {
+                lanes[i % 16] += v;
+            }
+            let q: [f32; 4] =
+                std::array::from_fn(|l| (lanes[l] + lanes[l + 8]) + (lanes[l + 4] + lanes[l + 12]));
+            (q[0] + q[2]) + (q[1] + q[3])
+        };
+        let db: Vec<f32> = (0..c)
+            .map(|ch| (0..n).fold(0.0f32, |db, b| db + fold(plane(b, ch))))
+            .collect();
+        // That is the order the layer had before its epilogue was fused:
+        // `reduce::sum` per plane, planes in batch order.
+        let per_plane: Vec<f32> = (0..c)
+            .map(|ch| (0..n).fold(0.0f32, |db, b| db + reduce::sum(plane(b, ch))))
+            .collect();
+        assert_eq!(bits(&db), bits(&per_plane), "the order is today's");
+        db
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn the_bias_gradient_follows_the_documented_order() {
+        // Each path that sums it: the fused pass (`backward`), the stencil
+        // gating as it reads `dy` and the fused pass before a direct weight
+        // gradient (`backward_params`), with and without an activation.
+        let mut rng = Rng64::seed_from_u64(26);
+        let c = 6;
+        let layers = [
+            Conv2d::depthwise(c, 3, 1, &mut rng).with_activation(Activation::Relu),
+            Conv2d::pointwise(c, c, &mut rng).with_activation(Activation::Relu6),
+            Conv2d::new(c, c, 3, 1, 1, &mut rng).with_activation(Activation::Relu),
+            Conv2d::depthwise(c, 3, 1, &mut rng),
+        ];
+        // A ragged plane, and the workload's.
+        for (h, w) in [(33, 20), (32, 32)] {
+            let x = Tensor::randn(&[3, c, h, w], &mut rng);
+            let dy = Tensor::randn(&[3, c, h, w], &mut rng);
+            for layer in &layers {
+                let y = layer.clone().forward(&x, Mode::Eval).unwrap();
+                let act = layer.activation;
+                let dz: Vec<f32> = dy
+                    .data()
+                    .iter()
+                    .zip(y.data())
+                    .map(|(&g, &y)| act.gate(g, y))
+                    .collect();
+                let want = bits(&spelled_out(&dz, [3, c, h, w]));
+                // Serially, and on three lanes: the stencil's channels
+                // split 2 + 2 + 2, each lane summing its own.
+                for lanes in [1, 3] {
+                    for params_only in [false, true] {
+                        let mut l = layer.clone();
+                        install(&ComputePool::new(lanes), || {
+                            l.forward(&x, Mode::Train).unwrap();
+                            if params_only {
+                                l.backward_params(&dy).unwrap();
+                            } else {
+                                l.backward(&dy).unwrap();
+                            }
+                        });
+                        let db = &l.bias.as_ref().unwrap().grad;
+                        let what = format!("{:?} {act:?}, {h}x{w}, {lanes} lanes", l.spec);
+                        assert_eq!(bits(db.data()), want, "{what}, params only: {params_only}");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn forward_shape_and_bias() {

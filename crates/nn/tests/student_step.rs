@@ -1,22 +1,35 @@
 //! What one student step of blockwise distillation relies on:
 //! [`Layer::backward_params`] leaves exactly the parameter gradients
 //! [`Layer::backward`] leaves, ReLU's kept output decides every element as
-//! a mask of its input did, and the lane-ordered reductions inside a step
-//! (bias gradients, architecture gradients, the loss value) give the same
-//! bits on every SIMD tier and at every pool width.
+//! a mask of its input did, a convolution that writes its activation
+//! computes the bits of the convolution followed by the activation layer,
+//! and the lane-ordered reductions inside a step (bias gradients,
+//! architecture gradients, the loss value) give the same bits on every
+//! SIMD tier and at every pool width.
 
 use pipebd_nn::{
     mse_loss, zero_grad, Block, Conv2d, Layer, Linear, MixedOp, Mode, Relu, Relu6, Sequential, Sgd,
 };
 use pipebd_tensor::parallel::{install, ComputePool};
-use pipebd_tensor::{set_simd_tier, Rng64, SimdTier, Tensor};
+use pipebd_tensor::{set_simd_tier, Activation, Conv2dSpec, Rng64, SimdTier, Tensor};
 
 fn seq(layers: Vec<Box<dyn Layer>>) -> Box<dyn Layer> {
     Box::new(Sequential::new(layers))
 }
 
-/// The compression student's block: depthwise, ReLU, pointwise, ReLU.
+/// The compression student's block: depthwise finished by ReLU, pointwise
+/// finished by ReLU6.
 fn dsconv_block(c: usize, rng: &mut Rng64) -> Box<dyn Layer> {
+    let layers: Vec<Box<dyn Layer>> = vec![
+        Box::new(Conv2d::depthwise(c, 3, 1, rng).with_activation(Activation::Relu)),
+        Box::new(Conv2d::pointwise(c, c, rng).with_activation(Activation::Relu6)),
+    ];
+    Box::new(Block::new("ds", Sequential::new(layers)))
+}
+
+/// [`dsconv_block`] with each activation a layer of its own: from the same
+/// `rng` state, the same parameters.
+fn unfused_dsconv_block(c: usize, rng: &mut Rng64) -> Box<dyn Layer> {
     let layers: Vec<Box<dyn Layer>> = vec![
         Box::new(Conv2d::depthwise(c, 3, 1, rng)),
         Box::new(Relu::new()),
@@ -54,6 +67,11 @@ fn backward_params_leaves_the_gradients_backward_leaves() {
     let image = [3usize, 4, 9, 7];
     let cases: Vec<(&str, Box<dyn Layer>, Vec<usize>)> = vec![
         ("ds-conv block", dsconv_block(4, &mut rng), image.to_vec()),
+        (
+            "unfused ds-conv block",
+            unfused_dsconv_block(4, &mut rng),
+            image.to_vec(),
+        ),
         (
             "supernet block",
             supernet_block(4, &mut rng),
@@ -173,6 +191,85 @@ fn output_as_mask_equals_the_input_mask_bit_for_bit() {
     assert_eq!(bits(&relu6.forward(&x, Mode::Eval).unwrap()), bits(&y));
     assert_eq!(bits(&relu6.forward(&x, Mode::Train).unwrap()), bits(&y));
     assert_eq!(bits(&relu6.backward(&dy).unwrap()), bits(&dx));
+
+    // The same values as a convolution's pre-activations — a 1 x 1 weight
+    // of one and a zero bias pass `x` through (`-0.0` as `+0.0`) — through
+    // each lowering's epilogue: the fused layer's bits, forward and
+    // backward, are the convolution's followed by the activation layer's.
+    let n = edge.len();
+    let dy = dy.reshape(&[1, 1, 1, n]).unwrap();
+    let lowerings = [
+        ("direct", Conv2dSpec::dense(1, 1, 1, 1, 0)),
+        ("stencil", Conv2dSpec::depthwise(1, 1, 1, 0)),
+        ("gemm", Conv2dSpec::dense(1, 1, 1, 2, 0)),
+    ];
+    for (name, spec) in lowerings {
+        // Each value followed by `stride - 1` columns the stride skips.
+        let s = spec.stride;
+        let xs = edge
+            .iter()
+            .flat_map(|&v| [v].into_iter().chain(vec![1.0; s - 1]));
+        let x = Tensor::from_vec(xs.collect(), &[1, 1, 1, n * s]).unwrap();
+        let mut conv = Conv2d::from_spec(spec, true, &mut Rng64::seed_from_u64(0));
+        conv.visit_params(&mut |p| {
+            if p.value.dims() != [1] {
+                p.value.fill(1.0);
+            }
+        });
+        let unfused: [Box<dyn Layer>; 2] = [Box::new(Relu::new()), Box::new(Relu6::new())];
+        for (act, layer) in [Activation::Relu, Activation::Relu6]
+            .into_iter()
+            .zip(unfused)
+        {
+            let fused = conv.clone().with_activation(act);
+            let composed = seq(vec![Box::new(conv.clone()), layer]);
+            assert_eq!(
+                layer_bits(&fused, &x, &dy),
+                layer_bits(composed.as_ref(), &x, &dy),
+                "{name} {act:?}"
+            );
+        }
+    }
+}
+
+/// The bits of `layer` on `x` and `dy`: the output, the input gradient and
+/// the parameter gradients `backward` leaves, and those `backward_params`
+/// leaves.
+fn layer_bits(layer: &dyn Layer, x: &Tensor, dy: &Tensor) -> Vec<Vec<u32>> {
+    let (mut full, mut params_only) = (layer.clone_box(), layer.clone_box());
+    let mut out = vec![bits(&full.forward(x, Mode::Eval).unwrap())];
+    full.forward(x, Mode::Train).unwrap();
+    out.push(bits(&full.backward(dy).unwrap()));
+    out.extend(grad_bits(full.as_mut()));
+    params_only.forward(x, Mode::Train).unwrap();
+    params_only.backward_params(dy).unwrap();
+    out.extend(grad_bits(params_only.as_mut()));
+    out
+}
+
+#[test]
+fn a_fused_block_trains_bitwise_as_its_unfused_twin() {
+    // Convolutions that write their activations compute what a convolution
+    // and then an activation layer did: every loss and parameter bit of
+    // three steps, on a ragged plane and the workload's, serially and on
+    // three lanes.
+    for (h, w) in [(33, 20), (32, 32)] {
+        let mut rng = Rng64::seed_from_u64(26);
+        let x = Tensor::randn(&[3, 6, h, w], &mut rng);
+        let target = Tensor::randn(&[3, 6, h, w], &mut rng);
+        let fused = dsconv_block(6, &mut Rng64::seed_from_u64(1));
+        let unfused = unfused_dsconv_block(6, &mut Rng64::seed_from_u64(1));
+        for lanes in [1, 3] {
+            let run = |block: &dyn Layer| {
+                install(&ComputePool::new(lanes), || train_bits(block, &x, &target))
+            };
+            assert_eq!(
+                run(fused.as_ref()),
+                run(unfused.as_ref()),
+                "{h}x{w}, {lanes} lanes"
+            );
+        }
+    }
 }
 
 /// The bits a student step takes from a lane-ordered reduction: every

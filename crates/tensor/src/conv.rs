@@ -15,9 +15,11 @@
 //!   module's for depthwise, an im2col + packed-GEMM lowering for the
 //!   rest; one to two orders of magnitude faster.
 
+use crate::epilogue::{grad_epilogue, Activation, Epilogue};
 use crate::error::TensorError;
 use crate::im2col::{
-    conv2d_blocked, conv2d_grad_input_blocked, conv2d_grad_weight_blocked, ConvGeom,
+    conv2d_blocked, conv2d_grad_input_blocked, conv2d_grad_weight_blocked,
+    conv2d_grad_weight_gated, ConvGeom,
 };
 use crate::kernel::KernelPolicy;
 use crate::tensor::Tensor;
@@ -148,6 +150,21 @@ impl Conv2dSpec {
         Ok((n, ci, h, wd))
     }
 
+    /// The geometry of a weight gradient: `x` checked exactly as forward
+    /// checks it, then `dy` against the output it implies.
+    fn validate_grad_weight(&self, x: &Tensor, dy: &Tensor) -> Result<ConvGeom, TensorError> {
+        let (n, _ci, h, w) = self.validate_input(x)?;
+        let (oh, ow) = (self.out_extent(h)?, self.out_extent(w)?);
+        if dy.dims() != [n, self.out_channels, oh, ow] {
+            return Err(TensorError::ShapeMismatch {
+                expected: vec![n, self.out_channels, oh, ow],
+                actual: dy.dims().to_vec(),
+                op: "conv2d_grad_weight",
+            });
+        }
+        Ok(ConvGeom { n, h, w, oh, ow })
+    }
+
     fn validate(
         &self,
         x: &Tensor,
@@ -190,54 +207,76 @@ impl Conv2dSpec {
 /// # }
 /// ```
 pub fn conv2d(x: &Tensor, w: &Tensor, spec: Conv2dSpec) -> Result<Tensor, TensorError> {
-    conv2d_with(x, w, spec, KernelPolicy::Blocked)
+    conv2d_fused(x, w, spec, Epilogue::NONE)
 }
 
-/// [`conv2d`] with an explicit [`KernelPolicy`].
+/// [`conv2d`] whose every output element is finished by `epilogue` as the
+/// kernel writes it: `acc + bias[oc]`, then the activation.
 ///
 /// # Errors
 ///
-/// Same conditions as [`conv2d`].
+/// Same conditions as [`conv2d`], and a bias that is not one value per
+/// output channel.
+pub fn conv2d_fused(
+    x: &Tensor,
+    w: &Tensor,
+    spec: Conv2dSpec,
+    epilogue: Epilogue<'_>,
+) -> Result<Tensor, TensorError> {
+    conv2d_with(x, w, spec, epilogue, KernelPolicy::Blocked)
+}
+
+/// [`conv2d_fused`] with an explicit [`KernelPolicy`].
+///
+/// # Errors
+///
+/// Same conditions as [`conv2d_fused`].
 pub fn conv2d_with(
     x: &Tensor,
     w: &Tensor,
     spec: Conv2dSpec,
+    epilogue: Epilogue<'_>,
     policy: KernelPolicy,
 ) -> Result<Tensor, TensorError> {
     let (n, _ci, h, wd) = spec.validate(x, w)?;
+    if let Some(b) = epilogue.bias.filter(|b| b.len() != spec.out_channels) {
+        return Err(TensorError::ShapeMismatch {
+            expected: vec![spec.out_channels],
+            actual: vec![b.len()],
+            op: "conv2d",
+        });
+    }
     let oh = spec.out_extent(h)?;
     let ow = spec.out_extent(wd)?;
-    let mut out = Tensor::zeros(&[n, spec.out_channels, oh, ow]);
-    match policy {
-        KernelPolicy::Blocked => {
-            let geom = ConvGeom {
-                n,
-                h,
-                w: wd,
-                oh,
-                ow,
-            };
-            conv2d_blocked(x.data(), w.data(), out.data_mut(), &spec, &geom);
-        }
-        KernelPolicy::Naive => {
-            conv2d_naive(x.data(), w.data(), out.data_mut(), spec, n, h, wd, oh, ow);
-        }
-    }
-    Ok(out)
+    let geom = ConvGeom {
+        n,
+        h,
+        w: wd,
+        oh,
+        ow,
+    };
+    // Every lowering writes every element of the output.
+    Ok(Tensor::overwritten(
+        &[n, spec.out_channels, oh, ow],
+        |out| match policy {
+            KernelPolicy::Blocked => {
+                conv2d_blocked(x.data(), w.data(), out, epilogue, &spec, &geom)
+            }
+            KernelPolicy::Naive => conv2d_naive(x.data(), w.data(), out, epilogue, spec, &geom),
+        },
+    ))
 }
 
-#[allow(clippy::too_many_arguments)]
 fn conv2d_naive(
     xd: &[f32],
     wdta: &[f32],
     out: &mut [f32],
+    epilogue: Epilogue<'_>,
     spec: Conv2dSpec,
-    n: usize,
-    h: usize,
-    wd: usize,
-    oh: usize,
-    ow: usize,
+    geom: &ConvGeom,
 ) {
+    #[rustfmt::skip]
+    let ConvGeom { n, h, w: wd, oh, ow } = *geom;
     let cig = spec.in_channels / spec.groups;
     let cog = spec.out_channels / spec.groups;
     let k = spec.kernel;
@@ -272,6 +311,8 @@ fn conv2d_naive(
                         out[((b * spec.out_channels + oc) * oh + oy) * ow + ox] = acc;
                     }
                 }
+                let plane = &mut out[(b * spec.out_channels + oc) * oh * ow..][..oh * ow];
+                epilogue.finish(plane, oc);
             }
         }
     }
@@ -331,37 +372,36 @@ pub fn conv2d_grad_input_with(
             op: "conv2d_grad_input",
         });
     }
-    let mut dx = Tensor::zeros(&[n, spec.in_channels, h, wd]);
-    match policy {
-        KernelPolicy::Blocked => {
-            let geom = ConvGeom {
-                n,
-                h,
-                w: wd,
-                oh,
-                ow,
-            };
-            conv2d_grad_input_blocked(dy.data(), w.data(), dx.data_mut(), &spec, &geom);
-        }
-        KernelPolicy::Naive => {
-            conv2d_grad_input_naive(dy.data(), w.data(), dx.data_mut(), spec, n, h, wd, oh, ow);
-        }
-    }
-    Ok(dx)
+    let geom = ConvGeom {
+        n,
+        h,
+        w: wd,
+        oh,
+        ow,
+    };
+    // The direct adjoint and the stencil write every element; col2im units
+    // zero their own blocks, the oracle the whole tensor.
+    Ok(Tensor::overwritten(
+        &[n, spec.in_channels, h, wd],
+        |dx| match policy {
+            KernelPolicy::Blocked => {
+                conv2d_grad_input_blocked(dy.data(), w.data(), dx, &spec, &geom)
+            }
+            KernelPolicy::Naive => conv2d_grad_input_naive(dy.data(), w.data(), dx, spec, &geom),
+        },
+    ))
 }
 
-#[allow(clippy::too_many_arguments)]
 fn conv2d_grad_input_naive(
     dyd: &[f32],
     wdta: &[f32],
     dx: &mut [f32],
     spec: Conv2dSpec,
-    n: usize,
-    h: usize,
-    wd: usize,
-    oh: usize,
-    ow: usize,
+    geom: &ConvGeom,
 ) {
+    #[rustfmt::skip]
+    let ConvGeom { n, h, w: wd, oh, ow } = *geom;
+    dx.fill(0.0);
     let cig = spec.in_channels / spec.groups;
     let cog = spec.out_channels / spec.groups;
     let k = spec.kernel;
@@ -427,48 +467,105 @@ pub fn conv2d_grad_weight_with(
     spec: Conv2dSpec,
     policy: KernelPolicy,
 ) -> Result<Tensor, TensorError> {
-    // Forward validation for x; dy validated against derived extents.
-    let (n, _ci, h, wd) = spec.validate_input(x)?;
-    let oh = spec.out_extent(h)?;
-    let ow = spec.out_extent(wd)?;
-    if dy.dims() != [n, spec.out_channels, oh, ow] {
-        return Err(TensorError::ShapeMismatch {
-            expected: vec![n, spec.out_channels, oh, ow],
-            actual: dy.dims().to_vec(),
-            op: "conv2d_grad_weight",
-        });
-    }
+    let geom = spec.validate_grad_weight(x, dy)?;
     let mut dw = Tensor::zeros(&spec.weight_dims());
     match policy {
         KernelPolicy::Blocked => {
-            let geom = ConvGeom {
-                n,
-                h,
-                w: wd,
-                oh,
-                ow,
-            };
             conv2d_grad_weight_blocked(x.data(), dy.data(), dw.data_mut(), &spec, &geom);
         }
         KernelPolicy::Naive => {
-            conv2d_grad_weight_naive(x.data(), dy.data(), dw.data_mut(), spec, n, h, wd, oh, ow);
+            conv2d_grad_weight_naive(x.data(), dy.data(), dw.data_mut(), spec, &geom);
         }
     }
     Ok(dw)
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The backward of a forward [`Epilogue`] with `activation`, given the
+/// output `y` it produced: `dz = dy` where the activation passes `y`, else
+/// `0`, and the bias gradient `Σ dz` per channel — both from one read of
+/// `dy` and `y`, in the order the module `epilogue` documents. With
+/// [`Activation::None`], `dz` is `dy` itself (a shared handle) and `y` is
+/// not read.
+///
+/// # Errors
+///
+/// Returns an error unless `dy` is rank 4 and `y` has its shape.
+pub fn conv2d_grad_epilogue(
+    dy: &Tensor,
+    y: &Tensor,
+    activation: Activation,
+) -> Result<(Tensor, Tensor), TensorError> {
+    let [_, c, oh, ow] = gradient_dims(dy, y, "conv2d_grad_epilogue")?;
+    let mut db = vec![0.0f32; c];
+    let dz = grad_epilogue(dy.data(), y.data(), activation, &mut db, oh * ow).map_or_else(
+        || dy.clone(),
+        |dz| Tensor::from_parts(dy.shape().clone(), dz),
+    );
+    Ok((dz, Tensor::from_vec(db, &[c])?))
+}
+
+/// [`conv2d_grad_weight`] of [`conv2d_grad_epilogue`]'s `dz`, and its bias
+/// gradient, without `dz` ever being a tensor where the lowering allows:
+/// the depthwise stencil gates each `dy` plane as it reads it (and sums it
+/// there); every other lowering reads a `dz` that one fused pass wrote.
+/// Bitwise the two calls.
+///
+/// # Errors
+///
+/// Same conditions as [`conv2d_grad_weight`] and [`conv2d_grad_epilogue`].
+pub fn conv2d_grad_weight_fused(
+    x: &Tensor,
+    dy: &Tensor,
+    y: &Tensor,
+    activation: Activation,
+    spec: Conv2dSpec,
+) -> Result<(Tensor, Tensor), TensorError> {
+    let geom = spec.validate_grad_weight(x, dy)?;
+    gradient_dims(dy, y, "conv2d_grad_weight")?;
+    let c = spec.out_channels;
+    let (mut dw, mut db) = (Tensor::zeros(&spec.weight_dims()), vec![0.0f32; c]);
+    conv2d_grad_weight_gated(
+        x.data(),
+        dy.data(),
+        y.data(),
+        activation,
+        dw.data_mut(),
+        &mut db,
+        &spec,
+        &geom,
+    );
+    Ok((dw, Tensor::from_vec(db, &[c])?))
+}
+
+/// `dy`'s dims, checked rank 4 and equal to `y`'s.
+fn gradient_dims(dy: &Tensor, y: &Tensor, op: &'static str) -> Result<[usize; 4], TensorError> {
+    let dims: [usize; 4] = dy
+        .dims()
+        .try_into()
+        .map_err(|_| TensorError::RankMismatch {
+            expected: 4,
+            actual: dy.shape().rank(),
+            op,
+        })?;
+    if y.dims() != dims {
+        return Err(TensorError::ShapeMismatch {
+            expected: dims.to_vec(),
+            actual: y.dims().to_vec(),
+            op,
+        });
+    }
+    Ok(dims)
+}
+
 fn conv2d_grad_weight_naive(
     xd: &[f32],
     dyd: &[f32],
     dw: &mut [f32],
     spec: Conv2dSpec,
-    n: usize,
-    h: usize,
-    wd: usize,
-    oh: usize,
-    ow: usize,
+    geom: &ConvGeom,
 ) {
+    #[rustfmt::skip]
+    let ConvGeom { n, h, w: wd, oh, ow } = *geom;
     let cig = spec.in_channels / spec.groups;
     let cog = spec.out_channels / spec.groups;
     let k = spec.kernel;

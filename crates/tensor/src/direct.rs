@@ -11,7 +11,9 @@
 //! padding (or ragged rows) is copied once into zero-bordered scratch, an
 //! unpadded one whose rows fill whole tiles is read in place. Every output
 //! element is one `f32::mul_add` chain in `(ic, ky, kx)` order, whatever
-//! `ckk` is; padded taps join it as exact `+ w * 0`.
+//! `ckk` is; padded taps join it as exact `+ w * 0`. The tile's write-out
+//! applies the forward's epilogue (bias, then activation) on the way to
+//! memory.
 //!
 //! **Grad-weight** carries a [`TILE`]` x `[`TILE`] block of `(oc, ic)`
 //! pairs per tap, each pair [`LANES`] partial sums: vectors run along
@@ -29,6 +31,7 @@
 //! run-time tile extent, run 1.5x to 3x slower (EXPERIMENTS.md "PR 21") —
 //! the tile leaves its registers.
 
+use crate::epilogue::Epilogue;
 use crate::reduce::fold;
 use crate::simd::TierBody;
 
@@ -68,12 +71,14 @@ pub(crate) struct Window {
 pub(crate) enum Op<'a> {
     /// `dst[n, cout, oh, ow]` from `src[n, cin, h, w]` and the weights
     /// `[cout, cin, k, k]` — or, as the adjoint of the convolution those
-    /// weights belong to, `[cin, cout, k, k]` flipped along both taps.
+    /// weights belong to, `[cin, cout, k, k]` flipped along both taps —
+    /// every element written once, finished by `epilogue`.
     Correlate {
         src: &'a [f32],
         weights: &'a [f32],
         dst: &'a mut [f32],
         adjoint: bool,
+        epilogue: Epilogue<'a>,
     },
     /// Rows `[oc0, oc0 + dw.len() / (cin k k))` of `dw[cout, cin, k, k]`
     /// from `x[n, cin, h, w]` and `dy[n, cout, oh, ow]`; `dw` is
@@ -114,9 +119,9 @@ impl TierBody for Direct<'_> {
         let Direct(op, win, scratch) = self;
         match op {
             #[rustfmt::skip]
-            Op::Correlate { src, weights, dst, adjoint } => match win.image() {
-                image @ Image { nr: NARROW, .. } => image.correlate::<NARROW>(src, weights, dst, adjoint, scratch),
-                image => image.correlate::<NR>(src, weights, dst, adjoint, scratch),
+            Op::Correlate { src, weights, dst, adjoint, epilogue } => match win.image() {
+                image @ Image { nr: NARROW, .. } => image.correlate::<NARROW>(src, weights, dst, adjoint, epilogue, scratch),
+                image => image.correlate::<NR>(src, weights, dst, adjoint, epilogue, scratch),
             },
             Op::GradWeight { x, dy, dw, oc0 } => win.grad_weight(x, dy, dw, oc0, scratch),
         }
@@ -238,6 +243,7 @@ impl Image {
         wt: &[f32],
         dst: &mut [f32],
         adjoint: bool,
+        epilogue: Epilogue<'_>,
         scratch: &mut [f32],
     ) {
         #[rustfmt::skip]
@@ -279,8 +285,9 @@ impl Image {
                         let acc =
                             correlate_tile::<NR>(panel, &image[oy * rs + j0..], cin, k, cs, rs);
                         for r in 0..rows {
-                            let orow = &mut ob[((t * MR + r) * oh + oy) * ow + j0..][..cols];
-                            orow.copy_from_slice(&acc[r][..cols]);
+                            let o = t * MR + r;
+                            let orow = &mut ob[(o * oh + oy) * ow + j0..][..cols];
+                            epilogue.write(orow, &acc[r][..cols], o);
                         }
                     }
                 }

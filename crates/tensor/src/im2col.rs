@@ -5,15 +5,17 @@
 //!
 //! What a unit is lowered to is chosen from the [`Conv2dSpec`] alone:
 //!
-//! | geometry | lowered to |
-//! |---|---|
-//! | dense (`groups == 1`) at stride 1 — `k x k` and pointwise | nothing — the `direct` module reads the image in place (padded once into `cig·(h+2p)·(w+2p)` floats of scratch when `p > 0`): at 16 channels the column matrix is 9x the image, copied again by GEMM's `pack_b`, and the weight gradient packed it through read streams one L1 set apart. Grad-input with `p > k - 1` has no forward twin and stays on `col2im⁺` |
-//! | depthwise (`cig == 1`, `cog == 1`) | nothing — the `stencil` module, which copies each plane it reads once into zero-bordered scratch (about `(h+2p)·(w+2p)` floats, ≤ 17 KiB at 64×64): at `M = 1, K = k*k` the GEMM packs as many floats as it multiplies |
-//! | strided, or grouped but not depthwise | `col`, then GEMM (below) |
+//! | geometry | lowered to | forward epilogue | gated weight gradient |
+//! |---|---|---|---|
+//! | dense (`groups == 1`) at stride 1 — `k x k` and pointwise | nothing — the `direct` module reads the image in place (padded once into `cig·(h+2p)·(w+2p)` floats of scratch when `p > 0`): at 16 channels the column matrix is 9x the image, copied again by GEMM's `pack_b`, and the weight gradient packed it through read streams one L1 set apart. Grad-input with `p > k - 1` has no forward twin and stays on `col2im⁺` | in the register tile's write-out: free next to its `8·32·ckk` multiply-adds | a fused pass writes `dz`, which grad-input reads too |
+//! | depthwise (`cig == 1`, `cog == 1`) | nothing — the `stencil` module, which copies each plane it reads once into zero-bordered scratch (about `(h+2p)·(w+2p)` floats, ≤ 17 KiB at 64×64): at `M = 1, K = k*k` the GEMM packs as many floats as it multiplies | over each output plane once its tiles are written, in L1: in the write-out of a 9-deep tile it cost a third of the kernel | in the tile, as it loads `dy` (ragged rows: gated into scratch) |
+//! | strided, or grouped but not depthwise | `col`, then GEMM (below) | over each row of the unit's block after the GEMM, in cache | a fused pass writes `dz` |
 //!
 //! All three are called from the same unit bodies, so every geometry
-//! shares one parallel decomposition. The im2col lowering materializes the
-//! input patch matrix once per `(batch, group)` pair:
+//! shares one parallel decomposition. Forward and grad-input write every
+//! element of their output (col2im⁺ units zero their own blocks first), so
+//! their tensors are not zeroed before the kernel runs. The im2col lowering
+//! materializes the input patch matrix once per `(batch, group)` pair:
 //!
 //! ```text
 //! col[(icg*k + ky)*k + kx, oy*ow + ox] = x[b, g*cig + icg, iy, ix]   (0 if padded)
@@ -42,6 +44,7 @@ use std::cell::RefCell;
 
 use crate::conv::Conv2dSpec;
 use crate::direct::{Direct, Op, Window};
+use crate::epilogue::{grad_epilogue, Activation, Epilogue};
 use crate::gemm::gemm_strided;
 use crate::parallel;
 use crate::simd::{run_tiered, simd_tier};
@@ -218,12 +221,21 @@ fn col2im_add(dxg: &mut [f32], col: &[f32], spec: &Conv2dSpec, g: &ConvGeom) {
 }
 
 /// Computes the output block of one `(batch, group)` unit of a strided
-/// or grouped convolution. Inner GEMMs go through [`gemm_strided`], so a
-/// *single*-unit conv called outside a pool task still parallelizes over
-/// its GEMM bands, while unit bodies running *as* pool tasks execute
-/// serially (nested decomposition is suppressed) — either way the values
-/// are bitwise identical.
-fn conv2d_unit(x: &[f32], w: &[f32], og: &mut [f32], spec: &Conv2dSpec, g: &ConvGeom, u: usize) {
+/// or grouped convolution, finished by `epilogue` while the block is in
+/// cache. Inner GEMMs go through [`gemm_strided`], so a *single*-unit conv
+/// called outside a pool task still parallelizes over its GEMM bands,
+/// while unit bodies running *as* pool tasks execute serially (nested
+/// decomposition is suppressed) — either way the values are bitwise
+/// identical.
+fn conv2d_unit(
+    x: &[f32],
+    w: &[f32],
+    og: &mut [f32],
+    epilogue: Epilogue<'_>,
+    u: usize,
+    spec: &Conv2dSpec,
+    g: &ConvGeom,
+) {
     let (b, gi) = (u / spec.groups, u % spec.groups);
     let (cig, cog) = (g.cig(spec), g.cog(spec));
     let ckk = cig * spec.kernel * spec.kernel;
@@ -234,31 +246,43 @@ fn conv2d_unit(x: &[f32], w: &[f32], og: &mut [f32], spec: &Conv2dSpec, g: &Conv
         im2col(col, xg, spec, g);
         gemm_strided(cog, ohow, ckk, wg, ckk, 1, col, ohow, 1, og, false);
     });
+    for (r, row) in og.chunks_exact_mut(ohow.max(1)).enumerate() {
+        epilogue.finish(row, gi * cog + r);
+    }
 }
 
-/// Runs `f(first_unit, chunk)` over `data`, units of `block` elements
-/// (the last may be short): with an active pool and two units or more,
-/// one contiguous unit range per lane in parallel, otherwise all of it on
-/// this thread. Unit `u`'s block is `data[u * block ..][.. block]`, so
+/// Runs `f(first_unit, chunk, side_chunk)` over `data`, units of `block`
+/// elements (the last may be short), and `side`, which is empty or holds
+/// one element per unit: with an active pool and two units or more, one
+/// contiguous unit range per lane in parallel, otherwise all of it on this
+/// thread. Unit `u`'s block is `data[u * block ..][.. block]`, so
 /// contiguous unit ranges are contiguous slices — tasks borrow disjoint
 /// `chunks_mut`.
-fn par_units(data: &mut [f32], block: usize, f: impl Fn(usize, &mut [f32]) + Send + Sync) {
+fn par_units(
+    data: &mut [f32],
+    block: usize,
+    side: &mut [f32],
+    f: impl Fn(usize, &mut [f32], &mut [f32]) + Send + Sync,
+) {
     let units = data.len().div_ceil(block);
     let pool = match parallel::active_pool() {
         Some(pool) if units >= 2 => pool,
-        _ => return f(0, data),
+        _ => return f(0, data, side),
     };
     let per = units.div_ceil(pool.size());
-    let f = &f;
+    let (f, mut side) = (&f, side);
     pool.run_scope(|s| {
         for (ci, chunk) in data.chunks_mut(per * block).enumerate() {
-            s.spawn(move || f(ci * per, chunk));
+            let at = per.min(side.len());
+            let (mine, rest) = std::mem::take(&mut side).split_at_mut(at);
+            side = rest;
+            s.spawn(move || f(ci * per, chunk, mine));
         }
     });
 }
 
-/// Forward convolution. `out` must be zero-length-checked by the caller:
-/// it is fully overwritten, shape `[n, co, oh, ow]`.
+/// Forward convolution, every element finished by `epilogue`. `out`, shape
+/// `[n, co, oh, ow]`, is fully overwritten: what it held is never read.
 ///
 /// With an active compute pool the `(batch, group)` units are split into
 /// contiguous ranges, one range per lane; every unit's output block is
@@ -268,23 +292,24 @@ pub(crate) fn conv2d_blocked(
     x: &[f32],
     w: &[f32],
     out: &mut [f32],
+    epilogue: Epilogue<'_>,
     spec: &Conv2dSpec,
     g: &ConvGeom,
 ) {
     let block = g.cog(spec) * g.oh * g.ow;
-    par_units(out, block, |u0, chunk| {
+    par_units(out, block, &mut [], |u0, chunk, _| {
         if let Some(win) = g.direct(spec) {
             let image = spec.in_channels * g.h * g.w;
             let src = &x[u0 * image..][..chunk.len() / block * image];
             #[rustfmt::skip]
-            return run_direct(Op::Correlate { src, weights: w, dst: chunk, adjoint: false }, win);
+            return run_direct(Op::Correlate { src, weights: w, dst: chunk, adjoint: false, epilogue }, win);
         }
         if let Some(p) = g.depthwise(spec, false) {
             let src = &x[u0 * g.h * g.w..][..chunk.len() / block * g.h * g.w];
-            return run_depthwise(Stencil::Correlate((src, w, chunk, u0)), p);
+            return run_depthwise(Stencil::Correlate((src, w, chunk, u0), epilogue), p);
         }
         for (i, og) in chunk.chunks_mut(block).enumerate() {
-            conv2d_unit(x, w, og, spec, g, u0 + i);
+            conv2d_unit(x, w, og, epilogue, u0 + i, spec, g);
         }
     });
 }
@@ -314,9 +339,9 @@ fn grad_input_unit(
 }
 
 /// Input gradient. `dx` has shape `[n, ci, h, w]` and is fully
-/// overwritten. Parallelizes over `(batch, group)` units exactly like
-/// [`conv2d_blocked`]; each unit's `dx` block is owned end to end by one
-/// worker.
+/// overwritten: what it held is never read. Parallelizes over
+/// `(batch, group)` units exactly like [`conv2d_blocked`]; each unit's
+/// `dx` block is owned end to end by one worker.
 pub(crate) fn conv2d_grad_input_blocked(
     dy: &[f32],
     w: &[f32],
@@ -325,16 +350,17 @@ pub(crate) fn conv2d_grad_input_blocked(
     g: &ConvGeom,
 ) {
     let block = g.cig(spec) * g.h * g.w;
-    par_units(dx, block, |u0, chunk| {
+    par_units(dx, block, &mut [], |u0, chunk, _| {
+        let epilogue = Epilogue::NONE;
         if let Some(adj) = g.direct_adjoint(spec) {
             let image = spec.out_channels * g.oh * g.ow;
             let src = &dy[u0 * image..][..chunk.len() / block * image];
             #[rustfmt::skip]
-            return run_direct(Op::Correlate { src, weights: w, dst: chunk, adjoint: true }, adj);
+            return run_direct(Op::Correlate { src, weights: w, dst: chunk, adjoint: true, epilogue }, adj);
         }
         if let Some(p) = g.depthwise(spec, true) {
             let src = &dy[u0 * g.oh * g.ow..][..chunk.len() / block * g.oh * g.ow];
-            return run_depthwise(Stencil::Correlate((src, w, chunk, u0)), p);
+            return run_depthwise(Stencil::Correlate((src, w, chunk, u0), epilogue), p);
         }
         for (i, dxg) in chunk.chunks_mut(block).enumerate() {
             grad_input_unit(dy, w, dxg, spec, g, u0 + i);
@@ -400,14 +426,47 @@ pub(crate) fn conv2d_grad_weight_blocked(
         Some(pool) if spec.groups == 1 => cog.div_ceil(pool.size()),
         _ => cog,
     };
-    par_units(dw, band * ckk, |u0, chunk| {
+    par_units(dw, band * ckk, &mut [], |u0, chunk, _| {
         if let Some(p) = g.depthwise(spec, false) {
-            return run_depthwise(Stencil::GradWeight((x, dy, chunk, u0), spec.groups), p);
+            return run_depthwise(
+                Stencil::GradWeight((x, dy, chunk, u0), spec.groups, None),
+                p,
+            );
         }
         for (i, dwband) in chunk.chunks_mut(band * ckk).enumerate() {
             let at = (u0 + i) * band;
             grad_weight_rows(x, dy, dwband, spec, g, at / cog, at % cog);
         }
+    });
+}
+
+/// [`conv2d_grad_weight_blocked`] of the gradient a forward epilogue with
+/// `activation` passes back from `dy`, given the forward output `y`; adds
+/// each channel's bias gradient into `db`. The stencil gates each `dy`
+/// plane as its weight gradient reads it; every other lowering reads a
+/// `dz` that one fused pass wrote first.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn conv2d_grad_weight_gated(
+    x: &[f32],
+    dy: &[f32],
+    y: &[f32],
+    activation: Activation,
+    dw: &mut [f32],
+    db: &mut [f32],
+    spec: &Conv2dSpec,
+    g: &ConvGeom,
+) {
+    let Some(p) = g.depthwise(spec, false) else {
+        let dz = grad_epilogue(dy, y, activation, db, g.oh * g.ow);
+        return conv2d_grad_weight_blocked(x, dz.as_deref().unwrap_or(dy), dw, spec, g);
+    };
+    // Depthwise: one `dw` block (and one bias) per channel.
+    par_units(dw, spec.kernel * spec.kernel, db, |c0, chunk, db| {
+        let gate = Some((y, activation, db));
+        run_depthwise(
+            Stencil::GradWeight((x, dy, chunk, c0), spec.groups, gate),
+            p,
+        );
     });
 }
 

@@ -35,6 +35,7 @@
 
 mod conv;
 mod direct;
+mod epilogue;
 mod error;
 mod gemm;
 mod im2col;
@@ -52,9 +53,10 @@ mod stencil;
 mod tensor;
 
 pub use conv::{
-    conv2d, conv2d_grad_input, conv2d_grad_input_with, conv2d_grad_weight, conv2d_grad_weight_with,
-    conv2d_with, Conv2dSpec,
+    conv2d, conv2d_fused, conv2d_grad_epilogue, conv2d_grad_input, conv2d_grad_input_with,
+    conv2d_grad_weight, conv2d_grad_weight_fused, conv2d_grad_weight_with, conv2d_with, Conv2dSpec,
 };
+pub use epilogue::{Activation, Epilogue};
 pub use error::TensorError;
 pub use kernel::{kernel_policy, KernelPolicy};
 pub use pool::{

@@ -79,14 +79,15 @@ impl Recycler {
         at.map(|at| idle.remove(at))
     }
 
-    /// Takes a buffer back, emptied. Called from `Drop`, possibly during an
-    /// unwind, so a poisoned lock just lets the buffer go.
-    fn give(&self, mut data: Vec<f32>) {
+    /// Takes a buffer back as it is: its length and old contents stay, and
+    /// only [`Buf::overwritten`] reads the length (every other constructor
+    /// empties it first). Called from `Drop`, possibly during an unwind, so
+    /// a poisoned lock just lets the buffer go.
+    fn give(&self, data: Vec<f32>) {
         let Ok(mut guard) = self.0.lock() else {
             return;
         };
         let (idle, stats) = &mut *guard;
-        data.clear();
         idle.push(data);
         let bytes = idle.iter().map(|b| 4 * b.capacity() as u64).sum();
         stats.idle_peak_bytes = stats.idle_peak_bytes.max(bytes);
@@ -119,7 +120,13 @@ impl Buf {
     #[inline(always)]
     pub(crate) fn build(len: usize, fill: impl FnOnce(&mut Vec<f32>)) -> Buf {
         let (home, idle) = request(len);
-        let mut data = idle.unwrap_or_else(|| Vec::with_capacity(len));
+        let mut data = match idle {
+            Some(mut data) => {
+                data.clear();
+                data
+            }
+            None => Vec::with_capacity(len),
+        };
         fill(&mut data);
         debug_assert_eq!(data.len(), len, "the builder fills its buffer");
         Buf { data, home }
@@ -131,11 +138,31 @@ impl Buf {
         let (home, idle) = request(len);
         let data = match idle {
             Some(mut data) => {
+                data.clear();
                 data.resize(len, value);
                 data
             }
             None => vec![value; len],
         };
+        Buf { data, home }
+    }
+
+    /// Storage for `len` elements, every one of which `write` overwrites:
+    /// what a reissued buffer held before is left in place for it, so the
+    /// buffer is not zeroed first. A fresh one is `vec!`'s untouched pages.
+    /// Inlined for the reason [`Buf::build`] is.
+    #[inline(always)]
+    pub(crate) fn overwritten(len: usize, write: impl FnOnce(&mut [f32])) -> Buf {
+        let (home, idle) = request(len);
+        let mut data = match idle {
+            // Came home at its full length; `resize` only guards the rule.
+            Some(mut data) => {
+                data.resize(len, 0.0);
+                data
+            }
+            None => vec![0.0; len],
+        };
+        write(&mut data);
         Buf { data, home }
     }
 
@@ -193,7 +220,10 @@ mod tests {
 
     use super::*;
     use crate::parallel::{install, with_recycler, ComputePool};
-    use crate::Tensor;
+    use crate::{
+        conv2d, conv2d_fused, conv2d_grad_epilogue, conv2d_grad_input, Activation, Conv2dSpec,
+        Epilogue, Rng64, Tensor,
+    };
 
     /// Activation-sized: four times the floor.
     const DIMS: [usize; 2] = [64, 1024];
@@ -203,14 +233,93 @@ mod tests {
         with_recycler(|r| r.0.lock().unwrap().0.len()).expect("a pool is installed")
     }
 
-    /// Overwrites every idle buffer's spare capacity with `value`.
+    /// Overwrites every idle buffer with `value`, at its full capacity.
     fn poison_idle(value: f32) {
         with_recycler(|r| {
             for data in &mut r.0.lock().unwrap().0 {
                 data.resize(data.capacity(), value);
-                data.clear();
+                data.fill(value);
             }
         });
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn kernels_writing_unfilled_buffers_leave_no_stale_bit() {
+        // Every kernel whose output is not zeroed first, handed a reissued
+        // buffer full of NaN: each lowering's forward with and without an
+        // epilogue and its grad-input, the epilogue's backward pass and
+        // `zip_sum`. An element a kernel does not write shows as a NaN
+        // where the same call into a fresh (zeroed) buffer has a number.
+        let mut rng = Rng64::seed_from_u64(26);
+        let grouped = Conv2dSpec {
+            groups: 2,
+            ..Conv2dSpec::dense(8, 8, 3, 1, 1)
+        };
+        // 33 x 20 planes leave every tile and lane step ragged; the
+        // strided case reads twice the extent.
+        let lowerings = [
+            ("dense direct", Conv2dSpec::dense(8, 8, 3, 1, 1), (33, 20)),
+            ("pointwise", Conv2dSpec::dense(8, 8, 1, 1, 0), (33, 20)),
+            (
+                "depthwise stencil",
+                Conv2dSpec::depthwise(8, 3, 1, 1),
+                (33, 20),
+            ),
+            ("strided gemm", Conv2dSpec::dense(8, 8, 3, 2, 1), (66, 40)),
+            ("grouped gemm", grouped, (33, 20)),
+        ];
+        let bias = Tensor::randn(&[8], &mut rng);
+        let epilogue = Epilogue {
+            bias: Some(bias.data()),
+            activation: Activation::Relu6,
+        };
+        let pool = ComputePool::new(1);
+        for (name, spec, (h, w)) in lowerings {
+            let x = Tensor::randn(&[4, 8, h, w], &mut rng);
+            let wt = Tensor::randn(&spec.weight_dims(), &mut rng);
+            let y = conv2d(&x, &wt, spec).unwrap();
+            assert!(y.numel() >= FLOOR, "{name}: too small to be recycled");
+            let dy = Tensor::randn(y.dims(), &mut rng);
+            let kernels: [(&str, &dyn Fn() -> Tensor); 5] = [
+                ("forward", &|| conv2d(&x, &wt, spec).unwrap()),
+                ("fused forward", &|| {
+                    conv2d_fused(&x, &wt, spec, epilogue).unwrap()
+                }),
+                ("grad input", &|| {
+                    conv2d_grad_input(&dy, &wt, spec, (h, w)).unwrap()
+                }),
+                ("gate", &|| {
+                    conv2d_grad_epilogue(&dy, &y, Activation::Relu).unwrap().0
+                }),
+                ("zip_sum", &|| {
+                    y.zip_sum(&dy, |a, b| a * b, |a, _| a).unwrap().0
+                }),
+            ];
+            for (kernel, run) in kernels {
+                let want = run();
+                install(&pool, || {
+                    drop(Tensor::zeros(want.dims()));
+                    poison_idle(f32::NAN);
+                    let reused = pool.recycle_stats().reused;
+                    let got = run();
+                    assert_eq!(
+                        pool.recycle_stats().reused,
+                        reused + 1,
+                        "{name} {kernel}: wrote a poisoned buffer"
+                    );
+                    let stale = bits(&got)
+                        .iter()
+                        .zip(bits(&want))
+                        .filter(|&(&g, w)| g != w)
+                        .count();
+                    assert_eq!(stale, 0, "{name} {kernel}: elements that differ");
+                });
+            }
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ fn lane_add(acc: &mut [f32; LANES], a: &[f32], b: &[f32], f: impl Fn(f32, f32) -
     }
 }
 
-/// Appends `f(a[i], b[i])` to `out` and returns `Σ term(a[i], b[i])` in
+/// Writes `out[i] = f(a[i], b[i])` and returns `Σ term(a[i], b[i])` in
 /// lane order, reading `a` and `b` from memory once: block by block, the
 /// elements are written and then summed while the block is still in L1 (in
 /// one loop the lane sums would not stay in registers).
@@ -52,14 +52,23 @@ fn lane_add(acc: &mut [f32; LANES], a: &[f32], b: &[f32], f: impl Fn(f32, f32) -
 pub(crate) fn zip_sum(
     a: &[f32],
     b: &[f32],
-    out: &mut Vec<f32>,
+    out: &mut [f32],
     f: impl Fn(f32, f32) -> f32,
     term: impl Fn(f32, f32) -> f32,
 ) -> f32 {
-    assert_eq!(a.len(), b.len(), "zip_sum: slices differ in length");
+    assert!(
+        a.len() == b.len() && a.len() == out.len(),
+        "zip_sum: slices differ in length"
+    );
     let mut acc = [0.0f32; LANES];
-    for (x, y) in a.chunks(BLOCK).zip(b.chunks(BLOCK)) {
-        out.extend(x.iter().zip(y).map(|(&x, &y)| f(x, y)));
+    for ((x, y), o) in a
+        .chunks(BLOCK)
+        .zip(b.chunks(BLOCK))
+        .zip(out.chunks_mut(BLOCK))
+    {
+        for ((o, &x), &y) in o.iter_mut().zip(x).zip(y) {
+            *o = f(x, y);
+        }
         lane_add(&mut acc, x, y, &term);
     }
     fold(&acc)
@@ -133,7 +142,7 @@ mod tests {
                 spelled_out(&terms(|x, y| (x - y) * (x - y))).to_bits(),
                 "sq_dist n={n}"
             );
-            let mut out = Vec::new();
+            let mut out = vec![f32::NAN; n];
             let total = zip_sum(&a, &b, &mut out, |x, y| x - y, |x, y| x * y);
             assert_eq!(out, terms(|x, y| x - y), "zip_sum's elements n={n}");
             assert_eq!(total.to_bits(), dot(&a, &b).to_bits(), "zip_sum n={n}");

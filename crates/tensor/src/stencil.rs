@@ -8,7 +8,13 @@
 //! grad-weight adds tap `t`'s product at element `ox` of a row into lane
 //! `ox % LANES` of `t`, rows and batches in order, and [`fold`]s the lanes:
 //! orders set by the geometry alone, bitwise equal on every tier and pool.
+//!
+//! The forward's epilogue finishes each output plane once its tiles are
+//! written, while it is in L1. Grad-weight can read `dy` through the
+//! epilogue's gate ([`Gate`]): the tile gates each lane step as it loads it
+//! and sums the plane's bias gradient alongside.
 
+use crate::epilogue::{Activation, Epilogue};
 use crate::{conv::Conv2dSpec, im2col::ConvGeom, reduce::fold, simd::TierBody};
 
 /// Columns per correlate tile ...
@@ -28,18 +34,25 @@ type Sums = [[f32; LANES]; TAPS];
 /// A [`Stencil`]'s planes read, other operand, output, first plane's channel.
 pub(crate) type Run<'a> = (&'a [f32], &'a [f32], &'a mut [f32], usize);
 
+/// What grad-weight reads `dy` through: the forward output `y` (`dy`'s
+/// layout), its activation, and the bias gradient of the run's channels.
+pub(crate) type Gate<'a> = (&'a [f32], Activation, &'a mut [f32]);
+
 /// A depthwise kernel over a run of `(batch, channel)` planes.
 pub(crate) enum Stencil<'a> {
-    /// Planes from planes, plane `i` under channel `c0 + i` (mod `C`) of `w[C, k, k]`.
-    Correlate(Run<'a>),
-    /// Channels `c0 ..` of `dw[.1, k, k]` from `x`, `dy` `[n, .1, ..]`.
-    GradWeight(Run<'a>, usize),
+    /// Planes from planes, plane `i` under channel `c0 + i` (mod `C`) of
+    /// `w[C, k, k]`, finished by the epilogue of that channel.
+    Correlate(Run<'a>, Epilogue<'a>),
+    /// Channels `c0 ..` of `dw[.1, k, k]` from `x`, `dy` `[n, .1, ..]` —
+    /// each `dy` plane gated as it is read, when there is a [`Gate`].
+    GradWeight(Run<'a>, usize, Option<Gate<'a>>),
 }
 
 impl Stencil<'_> {
-    /// Floats of scratch: the plane, and grad-weight's zero-tailed `dy` rows.
+    /// Floats of scratch: the plane, and grad-weight's zero-tailed `dy`
+    /// rows and gated `dy` plane.
     pub(crate) fn scratch_len(&self, p: &Plane) -> usize {
-        let dy = p.out.0 * p.out.1.next_multiple_of(LANES);
+        let dy = p.out.0 * p.out.1.next_multiple_of(LANES) + p.out.0 * p.out.1;
         p.rows * p.rs + matches!(self, Stencil::GradWeight(..)) as usize * dy
     }
 }
@@ -106,9 +119,11 @@ impl Plane {
         scratch.fill(0.0);
         let (plane, rest) = scratch.split_at_mut(self.rows * self.rs);
         match op {
-            Stencil::Correlate(run) if self.out.1 <= NARROW => self.correlate::<NARROW>(run, plane),
-            Stencil::Correlate(run) => self.correlate::<NR>(run, plane),
-            Stencil::GradWeight(run, ch) => self.grad_weight(run, ch, [plane, rest]),
+            Stencil::Correlate(run, e) if self.out.1 <= NARROW => {
+                self.correlate::<NARROW>(run, e, plane)
+            }
+            Stencil::Correlate(run, e) => self.correlate::<NR>(run, e, plane),
+            Stencil::GradWeight(run, ch, gate) => self.grad_weight(run, ch, gate, [plane, rest]),
         }
     }
 
@@ -125,12 +140,18 @@ impl Plane {
     }
 
     #[inline(always)]
-    fn correlate<const NR: usize>(&self, (src, wt, dst, c0): Run<'_>, plane: &mut [f32]) {
+    fn correlate<const NR: usize>(
+        &self,
+        (src, wt, dst, c0): Run<'_>,
+        epilogue: Epilogue<'_>,
+        plane: &mut [f32],
+    ) {
         let ((sh, sw), (oh, ow), kk) = (self.src, self.out, self.k * self.k);
         let planes = src.chunks_exact(sh * sw).zip(dst.chunks_exact_mut(oh * ow));
         for (i, (s, o)) in planes.enumerate() {
             self.place(plane, s);
-            let w = &wt[(c0 + i) * kk % wt.len()..][..kk];
+            let c = (c0 + i) % (wt.len() / kk);
+            let w = &wt[c * kk..][..kk];
             for (t, rows) in o.chunks_mut(ROWS * ow).enumerate() {
                 for j in (0..ow).step_by(NR) {
                     let at = (self.at + t * ROWS * self.r) * self.rs + self.at + j * self.r;
@@ -143,6 +164,7 @@ impl Plane {
                     }
                 }
             }
+            epilogue.finish(o, c);
         }
     }
 
@@ -173,25 +195,64 @@ impl Plane {
     }
 
     /// `dw[c, ty, tx] = Σ dy[b, c, oy, ox] * x[b, c, oy*s + ty - pad, ox*s + tx - pad]`,
-    /// a tile of taps at a time.
+    /// a tile of taps at a time. With a gate, `dy` is read as `dz` and each
+    /// plane's `dz` is summed into the channel's bias gradient, in the order
+    /// `epilogue` documents: rows of whole lane steps are gated by the tile
+    /// as it loads them, element `i` of the plane summed in lane `i % 16`;
+    /// ragged rows are gated into scratch and summed there, in that order.
     #[inline(always)]
-    fn grad_weight(&self, (x, dy, dw, c0): Run<'_>, ch: usize, [plane, tails]: [&mut [f32]; 2]) {
+    fn grad_weight(
+        &self,
+        (x, dy, dw, c0): Run<'_>,
+        ch: usize,
+        mut gate: Option<Gate<'_>>,
+        [plane, rest]: [&mut [f32]; 2],
+    ) {
         let ((h, w), (oh, ow), kk) = (self.src, self.out, self.k * self.k);
         let steps = ow.next_multiple_of(LANES);
-        for (c, dwc) in (c0..).zip(dw.chunks_exact_mut(kk)) {
+        let (tails, gated) = rest.split_at_mut(oh * steps);
+        for (i, dwc) in dw.chunks_exact_mut(kk).enumerate() {
+            let c = c0 + i;
             for (t0, dwt) in (0..kk).step_by(TAPS).zip(dwc.chunks_mut(TAPS)) {
-                let mut sums = [[0.0; LANES]; TAPS];
+                let (mut sums, mut db) = ([[0.0; LANES]; TAPS], 0.0f32);
                 for b in (c..x.len() / (h * w)).step_by(ch) {
                     self.place(plane, &x[b * h * w..][..h * w]);
-                    let mut g = &dy[b * oh * ow..][..oh * ow];
+                    let at = b * oh * ow;
+                    let mut g = &dy[at..][..oh * ow];
+                    let y = gate.as_ref().map(|(y, act, _)| (&y[at..][..oh * ow], *act));
+                    // The tile gates rows of whole steps as it loads them;
+                    // ragged ones are gated and summed on their way to
+                    // zero-tailed rows.
+                    let in_tile = match y {
+                        Some((y, act)) if ow != steps => {
+                            db += act.gate_sum(g, y, gated);
+                            g = gated;
+                            None
+                        }
+                        y => y,
+                    };
                     if ow != steps {
                         let rows = tails.chunks_exact_mut(steps).zip(g.chunks_exact(ow));
                         rows.for_each(|(row, g)| row[..ow].copy_from_slice(g));
                         g = tails;
                     }
-                    sums = self.grad_weight_tile(sums, g, plane, t0);
+                    #[rustfmt::skip]
+                    let (s, lanes) = match in_tile {
+                        None => (self.grad_weight_tile(sums, g, plane, t0, |_, d| d).0, [0.0; LANES]),
+                        Some((_, Activation::None)) => self.grad_weight_tile(sums, g, plane, t0, |_, d| d),
+                        Some((y, Activation::Relu)) => self.grad_weight_tile(sums, g, plane, t0, |at, d| gate_step(Activation::Relu, d, &y[at..])),
+                        Some((y, Activation::Relu6)) => self.grad_weight_tile(sums, g, plane, t0, |at, d| gate_step(Activation::Relu6, d, &y[at..])),
+                    };
+                    sums = s;
+                    if in_tile.is_some() {
+                        db += fold(&lanes);
+                    }
                 }
                 dwt.iter_mut().zip(sums).for_each(|(d, a)| *d = fold(&a));
+                // A `k > 3` kernel's later tap tiles sum the same planes.
+                if let Some((_, _, bias)) = &mut gate {
+                    bias[i] = db;
+                }
             }
         }
     }
@@ -199,12 +260,25 @@ impl Plane {
     /// One plane added to the sums `acc` of taps `t0 ..`: tap `(ty, tx)`
     /// gains `dy[oy, ox] * plane[(oy*r + ty)*rs + ox*r + tx]`, element `ox`
     /// in lane `ox % LANES`; a step's taps of one row read one window.
+    /// Each step of `dy` is first passed through `gate(offset, step)` and
+    /// added to the returned lanes, row by row.
     #[inline(always)]
-    fn grad_weight_tile(&self, mut acc: Sums, dy: &[f32], plane: &[f32], t0: usize) -> Sums {
+    fn grad_weight_tile(
+        &self,
+        mut acc: Sums,
+        dy: &[f32],
+        plane: &[f32],
+        t0: usize,
+        gate: impl Fn(usize, [f32; LANES]) -> [f32; LANES],
+    ) -> (Sums, [f32; LANES]) {
         let (k, r, rs, steps) = (self.k, self.r, self.rs, self.out.1.next_multiple_of(LANES));
+        let mut lanes = [0.0f32; LANES];
         for (oy, row) in dy.chunks_exact(steps).enumerate() {
             for (j, g) in row.chunks_exact(LANES).enumerate() {
-                let dv = load::<LANES>(g, 1);
+                let dv = gate(oy * steps + j * LANES, load::<LANES>(g, 1));
+                for (s, &d) in lanes.iter_mut().zip(dv.iter()) {
+                    *s += d;
+                }
                 for ty in 0..k {
                     let xw = &plane[(oy * r + ty) * rs + j * LANES * r..][..(LANES - 1) * r + k];
                     for tx in 0..k {
@@ -220,8 +294,18 @@ impl Plane {
                 }
             }
         }
-        acc
+        (acc, lanes)
     }
+}
+
+/// One lane step of `dy` gated by the outputs `y[..LANES]`.
+#[inline(always)]
+fn gate_step(act: Activation, dy: [f32; LANES], y: &[f32]) -> [f32; LANES] {
+    let (yv, mut dz) = (load::<LANES>(y, 1), [0.0f32; LANES]);
+    for l in 0..LANES {
+        dz[l] = act.gate(dy[l], yv[l]);
+    }
+    dz
 }
 
 #[cfg(test)]

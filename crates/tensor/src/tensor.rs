@@ -46,11 +46,20 @@ pub struct Tensor {
 }
 
 impl Tensor {
-    fn from_parts(shape: Shape, data: Buf) -> Self {
+    pub(crate) fn from_parts(shape: Shape, data: Buf) -> Self {
         Tensor {
             shape,
             data: Arc::new(data),
         }
+    }
+
+    /// A tensor of the given shape whose every element `write` sets: its
+    /// buffer is not zeroed first ([`Buf::overwritten`]).
+    #[inline(always)]
+    pub(crate) fn overwritten(dims: &[usize], write: impl FnOnce(&mut [f32])) -> Self {
+        let shape = Shape::new(dims);
+        let data = Buf::overwritten(shape.numel(), write);
+        Tensor::from_parts(shape, data)
     }
 
     /// A tensor of zeros with the given shape.
@@ -229,7 +238,7 @@ impl Tensor {
     ) -> Result<(Tensor, f32), TensorError> {
         self.check_same_shape(other, "zip_sum")?;
         let mut sum = 0.0;
-        let data = Buf::build(self.numel(), |v| {
+        let data = Buf::overwritten(self.numel(), |v| {
             sum = reduce::zip_sum(&self.data, &other.data, v, f, term);
         });
         Ok((Tensor::from_parts(self.shape.clone(), data), sum))

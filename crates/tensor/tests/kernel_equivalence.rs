@@ -16,12 +16,17 @@
 //! blocked side runs under an installed pool of 1 and of 2 lanes, since a
 //! thread nothing is installed on would only ever run it serially.
 //!
+//! Every convolution case also samples an epilogue — no bias or a random
+//! one, and no activation, ReLU or ReLU6 — that both forwards apply as
+//! they write, and checks the weight gradient through its gate.
+//!
 //! The property tests sample; [`executed_geometries_match_naive`] is the
 //! deterministic list of what the executors actually run.
 
 use pipebd_tensor::parallel::{install, ComputePool};
 use pipebd_tensor::{
-    conv2d_grad_input_with, conv2d_grad_weight_with, conv2d_with, Conv2dSpec, KernelPolicy, Rng64,
+    conv2d_grad_epilogue, conv2d_grad_input_with, conv2d_grad_weight_fused,
+    conv2d_grad_weight_with, conv2d_with, Activation, Conv2dSpec, Epilogue, KernelPolicy, Rng64,
     Tensor,
 };
 use proptest::prelude::*;
@@ -78,22 +83,60 @@ fn under_pools(check: impl Fn(&str)) {
     }
 }
 
-/// Runs all three kernels under both policies and cross-checks them.
-fn check_all(spec: Conv2dSpec, n: usize, h: usize, w: usize, seed: u64) {
+/// The epilogue axis: selector `e` picks the activation (`e % 3`) and
+/// whether there is a bias (`e >= 3`).
+fn epilogue_from(e: usize, bias: &Tensor) -> Epilogue<'_> {
+    Epilogue {
+        bias: (e >= 3).then(|| bias.data()),
+        activation: [Activation::None, Activation::Relu, Activation::Relu6][e % 3],
+    }
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Runs all three kernels under both policies and cross-checks them, the
+/// forward finished by epilogue `e` ([`epilogue_from`]) — and the weight
+/// gradient through that epilogue's gate against the gate pass followed by
+/// the oracle.
+fn check_all(spec: Conv2dSpec, e: usize, n: usize, h: usize, w: usize, seed: u64) {
     let mut rng = Rng64::seed_from_u64(seed);
     let x = Tensor::randn(&[n, spec.in_channels, h, w], &mut rng);
     let wt = Tensor::randn(&spec.weight_dims(), &mut rng);
-    let naive = conv2d_with(&x, &wt, spec, KernelPolicy::Naive).unwrap();
+    let bias = Tensor::randn(&[spec.out_channels], &mut rng);
+    let epilogue = epilogue_from(e, &bias);
+    let naive = conv2d_with(&x, &wt, spec, epilogue, KernelPolicy::Naive).unwrap();
     let dy = Tensor::randn(naive.dims(), &mut rng);
     let ni = conv2d_grad_input_with(&dy, &wt, spec, (h, w), KernelPolicy::Naive).unwrap();
     let nw = conv2d_grad_weight_with(&x, &dy, spec, KernelPolicy::Naive).unwrap();
+    // Both gates read the oracle's output: an element within rounding of a
+    // clamp falls on the same side for both.
+    let act = epilogue.activation;
+    let (dz, ndb) = conv2d_grad_epilogue(&dy, &naive, act).unwrap();
+    let nzw = conv2d_grad_weight_with(&x, &dz, spec, KernelPolicy::Naive).unwrap();
     under_pools(|lanes| {
-        let blocked = conv2d_with(&x, &wt, spec, KernelPolicy::Blocked).unwrap();
-        assert_close(&naive, &blocked, &format!("{spec:?} forward, {lanes}"));
+        let blocked = conv2d_with(&x, &wt, spec, epilogue, KernelPolicy::Blocked).unwrap();
+        assert_close(
+            &naive,
+            &blocked,
+            &format!("{spec:?} {epilogue:?} forward, {lanes}"),
+        );
         let bi = conv2d_grad_input_with(&dy, &wt, spec, (h, w), KernelPolicy::Blocked).unwrap();
         assert_close(&ni, &bi, &format!("{spec:?} grad input, {lanes}"));
         let bw = conv2d_grad_weight_with(&x, &dy, spec, KernelPolicy::Blocked).unwrap();
         assert_close(&nw, &bw, &format!("{spec:?} grad weight, {lanes}"));
+        let (bzw, bdb) = conv2d_grad_weight_fused(&x, &dy, &naive, act, spec).unwrap();
+        assert_close(
+            &nzw,
+            &bzw,
+            &format!("{spec:?} {act:?} gated grad weight, {lanes}"),
+        );
+        assert_eq!(
+            bits(&bdb),
+            bits(&ndb),
+            "{spec:?} {act:?} bias grad, {lanes}"
+        );
     });
 }
 
@@ -111,13 +154,14 @@ proptest! {
         n in 1usize..3,
         h in 3usize..8,
         w in 3usize..8,
+        esel in 0usize..6,
         seed in any::<u64>(),
     ) {
         // Non-square inputs arise whenever h != w; groups cover dense,
         // grouped, and depthwise convolutions.
         let spec = spec_from(gsel, cim, com, k, stride, padding);
         prop_assume!(h + 2 * padding >= k && w + 2 * padding >= k);
-        check_all(spec, n, h, w, seed);
+        check_all(spec, esel, n, h, w, seed);
     }
 
     #[test]
@@ -127,13 +171,14 @@ proptest! {
         stride in 1usize..4,
         h in 3usize..7,
         w in 3usize..7,
+        esel in 0usize..6,
         seed in any::<u64>(),
     ) {
         // Dedicated depthwise coverage (groups == channels) with "same"
         // padding — the DS-Conv building block of the compression
         // workload.
         let spec = Conv2dSpec::depthwise(channels, k, stride, k / 2);
-        check_all(spec, 2, h, w, seed);
+        check_all(spec, esel, 2, h, w, seed);
     }
 
     #[test]
@@ -145,6 +190,7 @@ proptest! {
         n in 1usize..4,
         h in 3usize..41,
         wsel in 1usize..38,
+        esel in 0usize..6,
         seed in any::<u64>(),
     ) {
         // Planes wide enough to fill whole vector chunks with ragged
@@ -155,7 +201,8 @@ proptest! {
         let padding = psel % (k + 1);
         let w = 3 + (h - 3 + wsel) % 38;
         prop_assume!(h + 2 * padding >= k && w + 2 * padding >= k);
-        check_all(Conv2dSpec::depthwise(channels, k, stride, padding), n, h, w, seed);
+        let spec = Conv2dSpec::depthwise(channels, k, stride, padding);
+        check_all(spec, esel, n, h, w, seed);
     }
 
     #[test]
@@ -167,6 +214,7 @@ proptest! {
         n in 1usize..4,
         h in 3usize..41,
         wsel in 1usize..38,
+        esel in 0usize..6,
         seed in any::<u64>(),
     ) {
         // Stride-1 dense geometry, `k x k` and pointwise — every branch of
@@ -180,7 +228,7 @@ proptest! {
         let w = 3 + (h - 3 + wsel) % 38;
         prop_assume!(h + 2 * padding >= k && w + 2 * padding >= k);
         let (cig, cog) = ([1, 3, 4, 5, 16][cisel], [1, 4, 7, 8, 18][cosel]);
-        check_all(Conv2dSpec::dense(cig, cog, k, 1, padding), n, h, w, seed);
+        check_all(Conv2dSpec::dense(cig, cog, k, 1, padding), esel, n, h, w, seed);
     }
 
     #[test]
@@ -217,7 +265,7 @@ fn deep_direct_chains_match_naive() {
     for (channels, k, h, w) in [(32, 3, 16, 16), (16, 5, 9, 35), (32, 5, 6, 16)] {
         let spec = Conv2dSpec::dense(channels, channels, k, 1, k / 2);
         assert!(channels * k * k > 256);
-        check_all(spec, 2, h, w, 77);
+        check_all(spec, 4, 2, h, w, 77);
     }
 }
 
@@ -228,7 +276,8 @@ fn executed_geometries_match_naive() {
     // channels into block 0 and the model width after it — at the two
     // shapes that are executed: the conformance matrix's (6 channels,
     // 8 x 8, and every shard its batches of 8 and 12 split into) and the
-    // benchmark's (`[32, 16, 32, 32]`).
+    // benchmark's (`[32, 16, 32, 32]`) — each with its bias and finished by
+    // ReLU, as the models' blocks are (epilogue 4).
     let geometries = |c: usize| {
         [3, c].into_iter().flat_map(move |in_c| {
             [
@@ -241,10 +290,10 @@ fn executed_geometries_match_naive() {
     };
     for batch in [3, 4, 8, 12] {
         for spec in geometries(6) {
-            check_all(spec, batch, 8, 8, 23);
+            check_all(spec, 4, batch, 8, 8, 23);
         }
     }
     for spec in geometries(16) {
-        check_all(spec, 32, 32, 32, 23);
+        check_all(spec, 4, 32, 32, 32, 23);
     }
 }

@@ -13,8 +13,8 @@
 
 use pipebd_tensor::parallel::{install, ComputePool};
 use pipebd_tensor::{
-    conv2d_grad_input_with, conv2d_grad_weight_with, conv2d_with, reduce, Conv2dSpec, KernelPolicy,
-    Rng64, Tensor,
+    conv2d, conv2d_fused, conv2d_grad_input_with, conv2d_grad_weight_fused,
+    conv2d_grad_weight_with, reduce, Activation, Conv2dSpec, Epilogue, KernelPolicy, Rng64, Tensor,
 };
 use proptest::prelude::*;
 
@@ -105,7 +105,7 @@ proptest! {
         let x = Tensor::randn(&[n, spec.in_channels, h, w], &mut rng);
         let wt = Tensor::randn(&spec.weight_dims(), &mut rng);
         let y = assert_pool_invariant_ret("conv2d forward", || {
-            conv2d_with(&x, &wt, spec, KernelPolicy::Blocked).unwrap()
+            conv2d(&x, &wt, spec).unwrap()
         });
 
         let dy = Tensor::randn(y.dims(), &mut rng);
@@ -134,7 +134,7 @@ proptest! {
         let x = Tensor::randn(&[2, spec.in_channels, h, w], &mut rng);
         let wt = Tensor::randn(&spec.weight_dims(), &mut rng);
         let y = assert_pool_invariant_ret("depthwise forward", || {
-            conv2d_with(&x, &wt, spec, KernelPolicy::Blocked).unwrap()
+            conv2d(&x, &wt, spec).unwrap()
         });
         let dy = Tensor::randn(y.dims(), &mut rng);
         assert_pool_invariant("depthwise grad input", || {
@@ -157,9 +157,8 @@ fn wide_depthwise_is_bitwise_serial_at_every_pool_width() {
         let spec = Conv2dSpec::depthwise(6, k, stride, k / 2);
         let x = Tensor::randn(&[3, 6, 33, 20], &mut rng);
         let wt = Tensor::randn(&spec.weight_dims(), &mut rng);
-        let y = assert_pool_invariant_ret("wide depthwise forward", || {
-            conv2d_with(&x, &wt, spec, KernelPolicy::Blocked).unwrap()
-        });
+        let y =
+            assert_pool_invariant_ret("wide depthwise forward", || conv2d(&x, &wt, spec).unwrap());
         let dy = Tensor::randn(y.dims(), &mut rng);
         assert_pool_invariant("wide depthwise grad input", || {
             conv2d_grad_input_with(&dy, &wt, spec, (33, 20), KernelPolicy::Blocked).unwrap()
@@ -167,6 +166,20 @@ fn wide_depthwise_is_bitwise_serial_at_every_pool_width() {
         assert_pool_invariant("wide depthwise grad weight", || {
             conv2d_grad_weight_with(&x, &dy, spec, KernelPolicy::Blocked).unwrap()
         });
+        // With an epilogue: the output finished in the tiles, and the gated
+        // weight gradient whose bias sums each lane writes for its run of
+        // channels.
+        let bias = Tensor::randn(&[6], &mut rng);
+        let epilogue = Epilogue {
+            bias: Some(bias.data()),
+            activation: Activation::Relu6,
+        };
+        let y = assert_pool_invariant_ret("wide depthwise fused forward", || {
+            conv2d_fused(&x, &wt, spec, epilogue).unwrap()
+        });
+        let gated = || conv2d_grad_weight_fused(&x, &dy, &y, Activation::Relu6, spec).unwrap();
+        assert_pool_invariant("gated grad weight", || gated().0);
+        assert_pool_invariant("gated bias grad", || gated().1);
     }
 }
 
@@ -203,9 +216,7 @@ fn direct_dense_convs_are_bitwise_serial_at_every_pool_width() {
         let spec = Conv2dSpec::dense(ci, co, k, 1, k / 2);
         let x = Tensor::randn(&[3, ci, 33, w], &mut rng);
         let wt = Tensor::randn(&spec.weight_dims(), &mut rng);
-        let y = assert_pool_invariant_ret("direct forward", || {
-            conv2d_with(&x, &wt, spec, KernelPolicy::Blocked).unwrap()
-        });
+        let y = assert_pool_invariant_ret("direct forward", || conv2d(&x, &wt, spec).unwrap());
         let dy = Tensor::randn(y.dims(), &mut rng);
         assert_pool_invariant("direct grad input", || {
             conv2d_grad_input_with(&dy, &wt, spec, (33, w), KernelPolicy::Blocked).unwrap()
@@ -296,15 +307,15 @@ fn concurrent_callers_sharing_one_pool_match_their_serial_twins() {
                 let dwdy = Tensor::randn(&[3, 6, 33, 20], &mut rng);
                 let kernels = || {
                     [
-                        conv2d_with(&dwx, &dww, dw, KernelPolicy::Blocked).unwrap(),
+                        conv2d(&dwx, &dww, dw).unwrap(),
                         conv2d_grad_input_with(&dwdy, &dww, dw, (33, 20), KernelPolicy::Blocked)
                             .unwrap(),
                         conv2d_grad_weight_with(&dwx, &dwdy, dw, KernelPolicy::Blocked).unwrap(),
-                        conv2d_with(&x, &wt, spec, KernelPolicy::Blocked).unwrap(),
+                        conv2d(&x, &wt, spec).unwrap(),
                         conv2d_grad_input_with(&dy, &wt, spec, (8, 8), KernelPolicy::Blocked)
                             .unwrap(),
                         conv2d_grad_weight_with(&x, &dy, spec, KernelPolicy::Blocked).unwrap(),
-                        conv2d_with(&x, &wt, direct, KernelPolicy::Blocked).unwrap(),
+                        conv2d(&x, &wt, direct).unwrap(),
                         conv2d_grad_input_with(&ddy, &wt, direct, (8, 8), KernelPolicy::Blocked)
                             .unwrap(),
                         conv2d_grad_weight_with(&x, &ddy, direct, KernelPolicy::Blocked).unwrap(),

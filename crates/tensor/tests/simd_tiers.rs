@@ -15,10 +15,15 @@
 
 use pipebd_tensor::parallel::{install, ComputePool};
 use pipebd_tensor::{
-    conv2d_grad_input_with, conv2d_grad_weight_with, conv2d_with, reduce, Conv2dSpec, KernelPolicy,
+    conv2d_grad_epilogue, conv2d_grad_input_with, conv2d_grad_weight_fused,
+    conv2d_grad_weight_with, conv2d_with, reduce, Activation, Conv2dSpec, Epilogue, KernelPolicy,
     Rng64, SimdTier, Tensor,
 };
 use pipebd_tensor::{resolve_simd_override, set_simd_tier, simd_tier};
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
 
 #[test]
 fn every_supported_tier_matches_the_oracle_and_each_other() {
@@ -98,8 +103,14 @@ fn tiers_match() {
         let wt = Tensor::randn(&spec.weight_dims(), &mut rng);
         let (oh, ow) = (spec.out_extent(33).unwrap(), spec.out_extent(w).unwrap());
         let dy = Tensor::randn(&[3, spec.out_channels, oh, ow], &mut rng);
+        // The forward is finished by a bias and ReLU6 in the tiles.
+        let bias = Tensor::randn(&[spec.out_channels], &mut rng);
+        let epilogue = Epilogue {
+            bias: Some(bias.data()),
+            activation: Activation::Relu6,
+        };
         let kernels = |policy| {
-            let y = conv2d_with(&x, &wt, spec, policy).unwrap();
+            let y = conv2d_with(&x, &wt, spec, epilogue, policy).unwrap();
             let dx = conv2d_grad_input_with(&dy, &wt, spec, (33, w), policy).unwrap();
             let dw = conv2d_grad_weight_with(&x, &dy, spec, policy).unwrap();
             [y, dx, dw]
@@ -114,13 +125,22 @@ fn tiers_match() {
                 let diff = n.max_abs_diff(o).unwrap();
                 assert!(diff <= 1e-4 * scale, "{tier} {spec:?} kernel {i}: {diff}");
             }
+            // The weight gradient gated as the stencil reads `dy` is the
+            // gate pass and then the plain kernel, bit for bit, on the tier.
+            let y = &oracle[0];
+            let gated = conv2d_grad_weight_fused(&x, &dy, y, Activation::Relu6, spec).unwrap();
+            let (dz, db) = conv2d_grad_epilogue(&dy, y, Activation::Relu6).unwrap();
+            let dw = conv2d_grad_weight_with(&x, &dz, spec, KernelPolicy::Blocked).unwrap();
+            for (got, want) in [(&gated.0, &dw), (&gated.1, &db)] {
+                assert_eq!(bits(got), bits(want), "{tier} {spec:?} gated grad weight");
+            }
             match &base {
                 None => base = Some((tier, out)),
                 Some((base_tier, want)) => {
                     for (i, (o, b)) in out.iter().zip(want).enumerate() {
                         assert_eq!(
-                            o.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                            b.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                            bits(o),
+                            bits(b),
                             "{tier} differs from {base_tier}: {spec:?} kernel {i}"
                         );
                     }
