@@ -2,7 +2,8 @@
 //!
 //! The simulator's `FaultScript`s perturb *when* work runs; the driver
 //! interprets the same scripts against the threaded executor's real
-//! worker threads, as a pure function of `(rank, step)`:
+//! worker threads, as a pure function of `(rank, step)` read off the
+//! script's [`FaultTimeline`]:
 //!
 //! * **Slowdown windows** pause the covered rank's thread for a small
 //!   wall-clock interval each step — observable in timing, invisible in
@@ -13,21 +14,20 @@
 //!   [`FaultAction::Lost`] and the worker ends its epoch as lost. Waking
 //!   the survivors is the epoch's job, not the driver's — see
 //!   `exec::threaded`.
-//! * **Host join** events for ranks *beyond* the current worker set are
-//!   pending growth: the step gate returns [`FaultAction::Grow`] at the
-//!   earliest join step, every incumbent stops cleanly at that round
+//! * **Host join**: from the first join step on, the step gate returns
+//!   [`FaultAction::Grow`]: every incumbent stops cleanly at that round
 //!   boundary, and the recovery plane wires the next epoch over the
-//!   enlarged member set (see `exec::recovery`). A join targeting a rank
-//!   *inside* the worker set is rejected at construction — that member
-//!   already exists, so the script must be projected
-//!   (`FaultScript::for_survivors`) before a driver is built over it.
+//!   enlarged member set (see `exec::recovery`).
 //!
-//! Non-decoupled configs with a non-healthy script are rejected too: the
-//! recovery plane's replay guarantees are stated for decoupled updates.
+//! The timeline's first ranks are the epoch's workers, members from its
+//! first step, then the joiners — the layout
+//! `FaultTimeline::for_survivors` produces. Fault injection requires
+//! decoupled updates: the recovery plane's replay guarantees are stated
+//! for them.
 
 use std::time::Duration;
 
-use pipebd_sim::{FaultEvent, FaultScript};
+use pipebd_sim::FaultTimeline;
 
 use super::ExecError;
 
@@ -49,70 +49,39 @@ pub enum FaultAction {
     Grow,
 }
 
-/// Deterministic interpreter of a [`FaultScript`] over executor threads.
+/// Deterministic interpreter of a [`FaultTimeline`] over executor threads.
 /// Immutable once built; one instance is shared (via `Arc`) by every
 /// worker of an epoch.
 #[derive(Debug)]
 pub struct FaultDriver {
-    script: FaultScript,
-    /// Earliest pending-join step: the round at which the current epoch
-    /// must stop so the member set can grow. `None` when no growth is
-    /// scripted.
+    timeline: FaultTimeline,
+    /// The first join step, where the epoch stops so the member set can
+    /// grow. `None` when no growth is scripted.
     grow: Option<usize>,
 }
 
 impl FaultDriver {
-    /// Builds a driver for `script` over `devices` ranks. Join events for
-    /// ranks `>= devices` are accepted as pending growth (they must
-    /// extend the worker set contiguously — the shape
-    /// `FaultScript::for_survivors` produces); the script is validated
-    /// against the grown rank space.
+    /// Builds a driver over `timeline`, whose first ranks are the epoch's
+    /// workers (see the module docs).
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError::Config`] when the script fails
-    /// [`FaultScript::validate`], contains a join for a rank already in
-    /// the worker set (project the script first), scatters its join
-    /// ranks non-contiguously, or `decoupled` is false with a non-healthy
-    /// script.
-    pub fn new(script: &FaultScript, devices: usize, decoupled: bool) -> Result<Self, ExecError> {
-        if let Some(FaultEvent::HostJoin { rank, at_step }) = script
-            .events
-            .iter()
-            .find(|e| matches!(e, FaultEvent::HostJoin { rank, .. } if *rank < devices))
-        {
-            return Err(ExecError::Config(format!(
-                "host join (rank {rank} at step {at_step}) targets a rank already \
-                 in the {devices}-rank worker set: project the script with \
-                 for_survivors after membership changes"
-            )));
-        }
-        let pending = script.pending_joins(devices);
-        let total = devices + pending.len();
-        let mut join_ranks: Vec<usize> = pending.iter().map(|&(r, _)| r).collect();
-        join_ranks.sort_unstable();
-        if join_ranks != (devices..total).collect::<Vec<_>>() {
-            return Err(ExecError::Config(format!(
-                "pending join ranks {join_ranks:?} must extend the {devices}-rank \
-                 worker set contiguously (project the script with for_survivors)"
-            )));
-        }
-        script
-            .validate(total)
-            .map_err(|v| ExecError::Config(format!("fault script rejected: {v}")))?;
-        if !decoupled && !script.is_healthy() {
+    /// Returns [`ExecError::Config`] when `decoupled` is false and the
+    /// timeline is not healthy.
+    pub fn new(timeline: &FaultTimeline, decoupled: bool) -> Result<Self, ExecError> {
+        if !decoupled && !timeline.is_healthy() {
             return Err(ExecError::Config(
                 "fault injection requires decoupled updates".into(),
             ));
         }
         Ok(FaultDriver {
-            script: script.clone(),
-            grow: pending.iter().map(|&(_, s)| s as usize).min(),
+            timeline: timeline.clone(),
+            grow: timeline.first_join().map(|s| s as usize),
         })
     }
 
     /// The round at which the current epoch must stop for the member set
-    /// to grow (the earliest pending-join step), if any.
+    /// to grow (the first join step), if any.
     pub fn grow_step(&self) -> Option<usize> {
         self.grow
     }
@@ -126,105 +95,90 @@ impl FaultDriver {
             return FaultAction::Grow;
         }
         let step32 = step.min(u32::MAX as usize) as u32;
-        if !self.script.alive(rank, step32) {
+        if !self.timeline.alive(rank, step32) {
             return FaultAction::Lost;
         }
-        let factor = self.script.factor(rank, step32);
-        if factor > 1.0 {
-            std::thread::sleep(PAUSE_PER_FACTOR.mul_f64(factor - 1.0));
-        }
+        pause(self.timeline.factor(rank, step32));
         FaultAction::Continue
     }
 
     /// Loader gate for stage-0 members loading step `step`'s batch.
     pub fn before_load(&self, step: usize) {
-        let factor = self
-            .script
-            .loader_factor(step.min(u32::MAX as usize) as u32);
-        if factor > 1.0 {
-            std::thread::sleep(PAUSE_PER_FACTOR.mul_f64(factor - 1.0));
-        }
+        pause(
+            self.timeline
+                .loader_factor(step.min(u32::MAX as usize) as u32),
+        );
+    }
+}
+
+/// Serves the wall-clock pause of a slowdown `factor`.
+fn pause(factor: f64) {
+    if factor > 1.0 {
+        std::thread::sleep(PAUSE_PER_FACTOR.mul_f64(factor - 1.0));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pipebd_sim::{FaultEvent, FaultScript};
 
-    fn loss_script(rank: usize, at_step: u32) -> FaultScript {
-        FaultScript {
-            events: vec![FaultEvent::HostLoss { rank, at_step }],
-        }
+    fn driver(events: Vec<FaultEvent>, ranks: usize) -> FaultDriver {
+        let timeline = FaultScript { events }.timeline(ranks).unwrap();
+        FaultDriver::new(&timeline, true).unwrap()
     }
 
     #[test]
-    fn rejects_in_set_joins_and_coupled_updates() {
-        // A join for a rank already inside the worker set is a script
-        // that should have been projected first.
-        let join = FaultScript {
-            events: vec![FaultEvent::HostJoin {
-                rank: 1,
-                at_step: 3,
+    fn rejects_coupled_updates() {
+        let loss = FaultScript {
+            events: vec![FaultEvent::HostLoss {
+                rank: 0,
+                at_step: 2,
             }],
         };
-        match FaultDriver::new(&join, 2, true) {
-            Err(ExecError::Config(m)) => assert!(m.contains("already"), "got: {m}"),
-            other => panic!("expected Config rejection, got {other:?}"),
-        }
         assert!(matches!(
-            FaultDriver::new(&loss_script(0, 2), 2, false),
+            FaultDriver::new(&loss.timeline(2).unwrap(), false),
             Err(ExecError::Config(_))
         ));
         // A healthy script is fine even with a barrier.
-        FaultDriver::new(&FaultScript::healthy(), 2, false).expect("healthy + barrier ok");
+        let healthy = FaultScript::healthy().timeline(2).unwrap();
+        FaultDriver::new(&healthy, false).expect("healthy + barrier ok");
     }
 
     #[test]
     fn future_joins_arm_the_grow_gate() {
-        // Rank 2 joins a 2-rank worker set at step 3: accepted as pending
-        // growth, and every incumbent stops at exactly that round.
-        let join = FaultScript {
-            events: vec![FaultEvent::HostJoin {
+        // Rank 2 joins a 2-rank worker set at step 3: pending growth, and
+        // every incumbent stops at exactly that round.
+        let d = driver(
+            vec![FaultEvent::HostJoin {
                 rank: 2,
                 at_step: 3,
             }],
-        };
-        let d = FaultDriver::new(&join, 2, true).expect("future join is realizable");
+            3,
+        );
         assert_eq!(d.grow_step(), Some(3));
         assert_eq!(d.before_step(0, 2), FaultAction::Continue);
         assert_eq!(d.before_step(0, 3), FaultAction::Grow);
         assert_eq!(d.before_step(1, 3), FaultAction::Grow);
         // Growth wins over a same-step loss: the loss fires under the
         // re-wired member set, not in this epoch.
-        let compound = FaultScript {
-            events: vec![
-                FaultEvent::HostLoss {
-                    rank: 0,
-                    at_step: 3,
-                },
-                FaultEvent::HostJoin {
-                    rank: 2,
-                    at_step: 3,
-                },
-            ],
-        };
-        let d = FaultDriver::new(&compound, 2, true).unwrap();
-        assert_eq!(d.before_step(0, 3), FaultAction::Grow);
-        // Non-contiguous join ranks are a projection bug, loudly.
-        let scattered = FaultScript {
-            events: vec![FaultEvent::HostJoin {
-                rank: 5,
+        let compound = vec![
+            FaultEvent::HostLoss {
+                rank: 0,
                 at_step: 3,
-            }],
-        };
-        assert!(matches!(
-            FaultDriver::new(&scattered, 2, true),
-            Err(ExecError::Config(_))
-        ));
+            },
+            FaultEvent::HostJoin {
+                rank: 2,
+                at_step: 3,
+            },
+        ];
+        assert_eq!(driver(compound, 3).before_step(0, 3), FaultAction::Grow);
     }
 
     #[test]
     fn rejects_invalid_scripts() {
+        // An unrealizable script has no timeline, so no driver is built
+        // over it.
         let overlap = FaultScript {
             events: vec![
                 FaultEvent::Slowdown {
@@ -241,15 +195,18 @@ mod tests {
                 },
             ],
         };
-        assert!(matches!(
-            FaultDriver::new(&overlap, 2, true),
-            Err(ExecError::Config(_))
-        ));
+        assert!(overlap.timeline(2).is_err());
     }
 
     #[test]
     fn loss_fires_exactly_at_its_step_and_stays_lost() {
-        let d = FaultDriver::new(&loss_script(1, 4), 2, true).unwrap();
+        let d = driver(
+            vec![FaultEvent::HostLoss {
+                rank: 1,
+                at_step: 4,
+            }],
+            2,
+        );
         assert_eq!(d.before_step(1, 3), FaultAction::Continue);
         assert_eq!(d.before_step(1, 4), FaultAction::Lost);
         assert_eq!(d.before_step(1, 5), FaultAction::Lost);
@@ -259,7 +216,7 @@ mod tests {
 
     #[test]
     fn healthy_driver_never_aborts() {
-        let d = FaultDriver::new(&FaultScript::healthy(), 1, true).unwrap();
+        let d = driver(vec![], 1);
         for step in 0..16 {
             assert_eq!(d.before_step(0, step), FaultAction::Continue);
             d.before_load(step);

@@ -8,9 +8,10 @@
 //! * **Finished** — the run is done.
 //! * **Lost** — a rank was cancelled. The runner takes the one
 //!   replan-and-restore path: snapshot the members alive at the loss
-//!   step, ask `pipebd_sched::replan` for a plan over them, project the
-//!   fault script onto them, restore the latest checkpoint of this run's
-//!   plan lineage, and run the next epoch — up to `max_restores` times.
+//!   step, ask `pipebd_sched::replan` for a plan over them, re-lay the
+//!   fault timeline out over them (`FaultTimeline::for_survivors`),
+//!   restore the latest checkpoint of this run's plan lineage, and run the
+//!   next epoch — up to `max_restores` times.
 //!   Exhausting the budget degrades gracefully: either to the
 //!   single-threaded reference executor (which cannot lose a rank)
 //!   resuming from the last checkpoint, or to a clean
@@ -18,19 +19,19 @@
 //! * **Grow** — a scripted `HostJoin` came due and every incumbent
 //!   stopped cleanly at the join's round boundary, with a forced
 //!   checkpoint at exactly that round. The same path runs over the
-//!   **enlarged** member set (the admitted join is dropped from the
-//!   script, later joins stay pending) and resumes from the boundary
+//!   **enlarged** member set (the admitted joiner becomes a member,
+//!   later joiners stay pending) and resumes from the boundary
 //!   checkpoint. Growth consumes no restore budget — nothing was lost.
 //!
 //! Anything else an epoch returns is a real error and ends the run.
 //!
-//! A join naming a rank of the initial worker set means that host is
-//! absent at step 0 and arrives mid-run: the first epoch starts over the
-//! step-0 members (the same replan, with nothing to restore) and the join
-//! is renumbered onto a fresh rank beyond them. Rejoin after loss
-//! composes from the two primitives: the lost host's *hardware* comes
-//! back under a fresh logical rank (`HostJoin` on a new id), since a
-//! cancelled worker itself cannot restart.
+//! The script is read once, as a `FaultTimeline` over the worker set plus
+//! one rank per joiner beyond it. Step 0 is planning time: when the step-0
+//! members are not the configured workers (an in-set rank joins later, a
+//! rank joins or is lost at step 0), the first epoch is planned over them
+//! by the same replan, with nothing to restore. A lost host's *hardware*
+//! rejoins under a fresh logical rank (`HostJoin` on a new id): a rank
+//! joins and leaves at most once, and a cancelled worker cannot restart.
 //!
 //! Every epoch's checkpoints carry the plan's structural fingerprint,
 //! and restores go through [`CheckpointSink::latest_matching`] against
@@ -61,7 +62,7 @@ use pipebd_models::Workload;
 use pipebd_nn::BlockNet;
 use pipebd_sched::replan::replan;
 use pipebd_sched::{DegradedServer, StagePlan};
-use pipebd_sim::{FaultEvent, FaultScript, HardwareConfig};
+use pipebd_sim::{FaultEvent, FaultScript, FaultTimeline, HardwareConfig};
 use pipebd_trace::{SpanKind, TraceCollector};
 
 use super::fault::FaultDriver;
@@ -109,7 +110,7 @@ pub struct RecoveryReport {
     /// yet).
     pub resumed_rounds: Vec<usize>,
     /// Replanning passes performed (one per mid-run restore or growth,
-    /// plus one when the run starts elastically short-handed).
+    /// plus one when the step-0 members are not the configured devices).
     pub replans: usize,
     /// Whether the run finished on the reference-executor fallback.
     pub fell_back: bool,
@@ -142,9 +143,9 @@ impl RecoveryRunner<'_> {
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError::Config`] for unrealizable scripts (overlap
-    /// violations, loss-before-join orderings, non-decoupled configs,
-    /// scripts that leave no member at some step),
+    /// Returns [`ExecError::Config`] for scripts with no timeline over
+    /// the worker set and its joiners, non-decoupled configs, and scripts
+    /// that leave no member at some step,
     /// [`ExecError::RecoveryExhausted`] when the budget runs out with no
     /// fallback configured, [`ExecError::Checkpoint`] when the sink's
     /// checkpoint fails the plan-lineage gate, or any underlying
@@ -164,6 +165,15 @@ impl RecoveryRunner<'_> {
             )));
         }
         let base_plan = cfg.stage_plan(b)?;
+        // The rank space: the workers, then one fresh rank per joiner.
+        let joiners = self.script.events.iter().filter(|e| match e {
+            FaultEvent::HostJoin { rank, .. } => *rank >= cfg.devices,
+            _ => false,
+        });
+        let timeline = self
+            .script
+            .timeline(cfg.devices + joiners.count())
+            .map_err(|v| ExecError::Config(format!("fault script rejected: {v}")))?;
         let mut run = Run {
             runner: self,
             teacher,
@@ -173,7 +183,7 @@ impl RecoveryRunner<'_> {
             // stay split-free through every replan, or bitwise parity dies.
             preserve_width1: !base_plan.uses_batch_split(),
             cfg: cfg.clone(),
-            script: self.script.clone(),
+            timeline,
             resume: None,
             lineage: Vec::new(),
             restores: 0,
@@ -181,14 +191,9 @@ impl RecoveryRunner<'_> {
             replans: 0,
             resumed_rounds: Vec::new(),
         };
-        // Elastic start: a join naming an in-set rank means that host is
-        // absent at step 0 and arrives mid-run. Plan the first epoch over
-        // the step-0 members — the projection renumbers the join onto a
-        // fresh rank beyond them — and let the grow arm below admit it
-        // when the join comes due. Nothing has run, so nothing is restored.
-        let in_set_join =
-            |e: &FaultEvent| matches!(e, FaultEvent::HostJoin { rank, .. } if *rank < cfg.devices);
-        if self.script.events.iter().any(in_set_join) {
+        // Step 0 is planning time: the first epoch runs over the step-0
+        // members. Nothing has run, so nothing is restored.
+        if run.timeline.members(0) != (0..cfg.devices).collect::<Vec<_>>() {
             run.replan(0)?;
         } else {
             run.lineage.push(base_plan.fingerprint());
@@ -225,8 +230,9 @@ struct Run<'a> {
     preserve_width1: bool,
     /// Devices and plan of the next epoch.
     cfg: FuncConfig,
-    /// The fault script projected onto the current members.
-    script: FaultScript,
+    /// The fault timeline laid out over the current members, then the
+    /// pending joiners.
+    timeline: FaultTimeline,
     resume: Option<Arc<Checkpoint>>,
     /// The plan fingerprints of every epoch this run has used, newest
     /// last — the lineage restores are checked against.
@@ -238,10 +244,10 @@ struct Run<'a> {
 }
 
 impl Run<'_> {
-    /// Runs one epoch of the threaded executor under the current script.
+    /// Runs one epoch of the threaded executor under the current timeline.
     fn epoch(&self) -> Result<EpochEnd, ExecError> {
         let runner = self.runner;
-        let driver = FaultDriver::new(&self.script, self.cfg.devices, self.cfg.decoupled_updates)?;
+        let driver = FaultDriver::new(&self.timeline, self.cfg.decoupled_updates)?;
         let hooks = RunHooks {
             driver: Some(Arc::new(driver)),
             resume: self.resume.clone(),
@@ -255,13 +261,10 @@ impl Run<'_> {
     }
 
     /// Re-forms the run over the members alive at `step`: a fresh plan
-    /// search over them, and the script projected onto them.
+    /// search over them, and the timeline laid out over them.
     fn replan(&mut self, step: usize) -> Result<(), ExecError> {
-        // The rank space includes pending joins so a loss + rejoin
-        // compound script stays valid through the projection.
-        let total = self.cfg.devices + self.script.pending_joins(self.cfg.devices).len();
-        let hw = HardwareConfig::a6000_server(total);
-        let server = DegradedServer::at_step(&hw, &self.script, step as u32)
+        let hw = HardwareConfig::a6000_server(self.timeline.num_ranks());
+        let server = DegradedServer::from_timeline(&hw, &self.timeline, step as u32)
             .map_err(|v| ExecError::Config(format!("replan: {v}")))?;
         let m = server.num_members();
         let mut plan = replan(self.runner.workload, &server, self.cfg.batch).plan;
@@ -274,10 +277,10 @@ impl Run<'_> {
                 ))
             })?;
         }
-        // Projection drops the admitted joins (their ranks are members
-        // now) and keeps later joins pending under fresh ids, so
-        // staggered joins grow epoch by epoch.
-        self.script = self.script.for_survivors(&server.members);
+        // The admitted joiners are members now; later joiners stay
+        // pending under fresh ranks, so staggered joins grow epoch by
+        // epoch.
+        self.timeline = self.timeline.for_survivors(step as u32);
         self.cfg.devices = m;
         self.lineage.push(plan.fingerprint());
         self.cfg.plan = Some(plan);

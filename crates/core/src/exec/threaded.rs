@@ -102,7 +102,7 @@ use crate::checkpoint::{self, BlockState, Checkpoint, CheckpointPolicy, Checkpoi
 /// three, the trace plane the fourth.
 #[derive(Default, Clone)]
 pub struct RunHooks {
-    /// Fault driver interpreting a `FaultScript` against the workers.
+    /// Fault driver answering for a fault script's timeline.
     pub driver: Option<Arc<FaultDriver>>,
     /// Checkpoint to resume from (training replays steps
     /// `resume.round..cfg.steps`; the data cursor follows the global step

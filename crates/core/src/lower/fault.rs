@@ -54,8 +54,6 @@ pub struct FaultLowered {
     pub segments: Vec<FaultSegment>,
     /// Sum of per-splice replanning overheads.
     pub total_overhead: SimTime,
-    /// Rounds emitted.
-    pub rounds: u32,
 }
 
 impl FaultLowered {
@@ -88,23 +86,24 @@ pub fn lower_faulted(
     replan_on_fault: bool,
 ) -> Result<FaultLowered, String> {
     let n = l.hw.num_gpus;
-    script.validate(n).map_err(|e| e.to_string())?;
+    let timeline = script.timeline(n).map_err(|e| e.to_string())?;
     let identity: Vec<usize> = (0..n).collect();
 
     // Probe steps: schedule start plus every in-range cluster change.
     let mut probes: Vec<u32> = vec![0];
     probes.extend(
-        script
+        timeline
             .change_steps()
             .into_iter()
-            .filter(|&s| s > 0 && s < l.rounds),
+            .filter(|&s| s < l.rounds),
     );
 
     let segments: Vec<FaultSegment> = if replan_on_fault {
         let mut segs: Vec<FaultSegment> = Vec::new();
         let mut prev_state: Option<DegradedServer> = None;
         for &s in &probes {
-            let state = DegradedServer::at_step(l.hw, script, s).map_err(|e| e.to_string())?;
+            let state =
+                DegradedServer::from_timeline(l.hw, &timeline, s).map_err(|e| e.to_string())?;
             if prev_state.as_ref() == Some(&state) {
                 continue; // window edge with no net change: keep the plan
             }
@@ -142,7 +141,7 @@ pub fn lower_faulted(
             .collect();
         for &s in &probes {
             for &d in &used {
-                if !script.alive(d, s) {
+                if !timeline.alive(d, s) {
                     return Err(format!(
                         "replanning disabled, but rank {d} is unavailable at step {s}: \
                          the static schedule cannot place its work"
@@ -195,7 +194,6 @@ pub fn lower_faulted(
         graph: em.graph,
         segments,
         total_overhead,
-        rounds: l.rounds,
     })
 }
 

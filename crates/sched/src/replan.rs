@@ -26,7 +26,8 @@
 
 use pipebd_models::Workload;
 use pipebd_sim::{
-    FaultScript, FaultViolation, GpuModel, HardwareConfig, HostModel, PcieModel, SimTime,
+    FaultScript, FaultTimeline, FaultViolation, GpuModel, HardwareConfig, HostModel, PcieModel,
+    SimTime,
 };
 
 use crate::cost::CostModel;
@@ -51,45 +52,48 @@ pub struct DegradedServer {
 }
 
 impl DegradedServer {
-    /// Snapshots `hw` under `script` at training step `step`.
+    /// Snapshots `hw` under `script` at training step `step`: the script's
+    /// timeline over `hw`'s ranks, read by [`Self::from_timeline`].
     ///
     /// # Errors
     ///
-    /// Returns [`FaultViolation::InvalidScript`] when the script is
-    /// malformed for this server or no rank survives at `step`.
+    /// Returns the [`FaultViolation`] refusing the script on this server,
+    /// or the one of [`Self::from_timeline`].
     pub fn at_step(
         hw: &HardwareConfig,
         script: &FaultScript,
         step: u32,
     ) -> Result<Self, FaultViolation> {
-        script.validate(hw.num_gpus)?;
-        let members = script.alive_ranks(hw.num_gpus, step);
+        Self::from_timeline(hw, &script.timeline(hw.num_gpus)?, step)
+    }
+
+    /// Snapshots `hw` under `timeline` (over the server's ranks) at
+    /// training step `step`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FaultViolation::InvalidScript`] when no rank survives at
+    /// `step`.
+    pub fn from_timeline(
+        hw: &HardwareConfig,
+        timeline: &FaultTimeline,
+        step: u32,
+    ) -> Result<Self, FaultViolation> {
+        let members = timeline.members(step);
         if members.is_empty() {
             return Err(FaultViolation::InvalidScript(format!(
                 "no rank survives at step {step}"
             )));
         }
-        let factors = members.iter().map(|&r| script.factor(r, step)).collect();
+        let factors = members.iter().map(|&r| timeline.factor(r, step)).collect();
         Ok(DegradedServer {
             members,
             factors,
             gpu: hw.gpu.clone(),
             pcie: hw.pcie.clone(),
             host: hw.host.clone(),
-            loader_factor: script.loader_factor(step),
+            loader_factor: timeline.loader_factor(step),
         })
-    }
-
-    /// The healthy view of `hw`: all ranks present, unit factors.
-    pub fn healthy(hw: &HardwareConfig) -> Self {
-        DegradedServer {
-            members: (0..hw.num_gpus).collect(),
-            factors: vec![1.0; hw.num_gpus],
-            gpu: hw.gpu.clone(),
-            pcie: hw.pcie.clone(),
-            host: hw.host.clone(),
-            loader_factor: 1.0,
-        }
     }
 
     /// Number of surviving members.
@@ -246,6 +250,10 @@ mod tests {
         HardwareConfig::a6000_server(4)
     }
 
+    fn healthy(hw: &HardwareConfig) -> DegradedServer {
+        DegradedServer::at_step(hw, &FaultScript::healthy(), 0).unwrap()
+    }
+
     fn slowdown(rank: usize, factor: f64) -> FaultScript {
         FaultScript {
             events: vec![FaultEvent::Slowdown {
@@ -261,7 +269,8 @@ mod tests {
     fn healthy_snapshot_has_all_members_at_unit_factor() {
         let hw = hw();
         let s = DegradedServer::at_step(&hw, &FaultScript::healthy(), 7).unwrap();
-        assert_eq!(s, DegradedServer::healthy(&hw));
+        assert_eq!(s.factors, vec![1.0; 4]);
+        assert_eq!(s.loader_factor, 1.0);
         assert!(s.is_healthy(4));
         assert_eq!(s.members, vec![0, 1, 2, 3]);
     }
@@ -313,7 +322,7 @@ mod tests {
         // reduces exactly to the AHD estimator the search already uses.
         let w = Workload::nas_cifar10();
         let hw = hw();
-        let server = DegradedServer::healthy(&hw);
+        let server = healthy(&hw);
         let table = Profiler::new(CostModel::new(hw.gpu.clone())).profile(&w.model, 256, 4);
         for plan in [
             StagePlan::contiguous(6, 4).unwrap(),
@@ -374,7 +383,7 @@ mod tests {
     fn replan_on_healthy_server_matches_paper_ahd() {
         let w = Workload::nas_imagenet();
         let hw = hw();
-        let server = DegradedServer::healthy(&hw);
+        let server = healthy(&hw);
         let d = replan(&w, &server, 256);
         let table = Profiler::new(CostModel::new(hw.gpu.clone())).profile(&w.model, 256, 4);
         let paper = ahd::search(&w, &table, &hw, 256);
@@ -424,7 +433,7 @@ mod tests {
     fn overhead_is_positive_and_grows_with_plan_space() {
         let w = Workload::nas_cifar10();
         let hw = hw();
-        let full = DegradedServer::healthy(&hw);
+        let full = healthy(&hw);
         let script = FaultScript {
             events: vec![FaultEvent::HostLoss {
                 rank: 0,
@@ -443,7 +452,7 @@ mod tests {
         let w = Workload::nas_cifar10();
         let hw = hw();
         let plan = StagePlan::contiguous(6, 4).unwrap();
-        let healthy = degraded_estimate(&plan, &DegradedServer::healthy(&hw), &w, 256);
+        let healthy = degraded_estimate(&plan, &healthy(&hw), &w, 256);
         let script = FaultScript {
             events: vec![FaultEvent::LoaderSlowdown {
                 factor: 64.0,

@@ -43,7 +43,7 @@ mod trace;
 
 pub use engine::{busy_per_gpu, simulate, SimRun};
 pub use fault::{
-    simulate_faulted, FaultEvent, FaultRecord, FaultScript, FaultSimRun, FaultViolation,
+    simulate_faulted, FaultEvent, FaultScript, FaultSimRun, FaultTimeline, FaultViolation,
 };
 pub use gpu::GpuModel;
 pub use hardware::HardwareConfig;

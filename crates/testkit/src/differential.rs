@@ -468,10 +468,11 @@ pub fn run_scenario(s: &Scenario, book: &ToleranceBook) -> ScenarioOutcome {
                     outcome.fell_back = m.fell_back;
                     // A script that kills a rank mid-run must actually
                     // exercise the protocol; a membership-preserving one
-                    // must never touch it.
+                    // must never touch it. Step 0 is planning time: a rank
+                    // lost there never starts.
                     let kills = fault.script.events.iter().any(|e| {
                         matches!(e, pipebd_sim::FaultEvent::HostLoss { at_step, .. }
-                            if (*at_step as usize) < s.exec_steps)
+                            if *at_step > 0 && (*at_step as usize) < s.exec_steps)
                     });
                     if kills && m.restores == 0 && !m.fell_back {
                         failures.push("host-loss script triggered no restore".into());

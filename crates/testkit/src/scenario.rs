@@ -578,9 +578,10 @@ fn recovery_variants(ranks: usize) -> Vec<FaultRow> {
 /// The elastic-membership scripts of the rejoin slice. In-set join
 /// semantics: the joining rank is absent at step 0 (the first epoch runs
 /// short-handed over a replanned member set) and is admitted at its
-/// round boundary. The loss-then-rejoin compound needs a third rank —
-/// [`FaultScript::validate`] rightly rejects a rank rejoining under its
-/// own cancelled id — so it is emitted only for `ranks >= 3`.
+/// round boundary. The loss-then-rejoin compound needs a third rank — a
+/// rank joins and leaves at most once, and [`FaultScript::timeline`]
+/// rightly rejects a rank rejoining under its own cancelled id — so it
+/// is emitted only for `ranks >= 3`.
 fn rejoin_variants(ranks: usize) -> Vec<FaultRow> {
     use FaultClass::{Compound, Join};
     let last = ranks - 1;
@@ -832,7 +833,8 @@ mod tests {
         );
         // Recovery scripts must fire inside the executor run.
         for s in &recovery {
-            let steps = s.fault.as_ref().unwrap().script.change_steps();
+            let script = &s.fault.as_ref().unwrap().script;
+            let steps = script.timeline(s.ranks).unwrap().change_steps();
             assert!(
                 steps.iter().any(|&st| (st as usize) < s.exec_steps),
                 "{}: script never fires within {} executor steps",
@@ -846,14 +848,14 @@ mod tests {
     fn fault_scripts_are_valid_and_settle_before_the_tail() {
         for s in enumerate() {
             let Some(fault) = &s.fault else { continue };
-            fault
+            let timeline = fault
                 .script
-                .validate(s.ranks)
+                .timeline(s.ranks)
                 .unwrap_or_else(|e| panic!("{}: {e}", s.id));
-            assert!(!fault.script.is_healthy(), "{}: empty fault script", s.id);
+            assert!(!timeline.is_healthy(), "{}: empty fault script", s.id);
             // Every finite change step sits before the measurement tail
             // (infinite window ends never fire inside the schedule).
-            for step in fault.script.change_steps() {
+            for step in timeline.change_steps() {
                 assert!(
                     step == u32::MAX || step <= 10,
                     "{}: change step {step} lands inside the tail window",

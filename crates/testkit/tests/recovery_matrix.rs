@@ -5,14 +5,22 @@
 //! plus the elastic-growth paths: a host joining mid-run grows the
 //! member set at a round boundary, and a lost host's hardware can rejoin
 //! under a fresh rank — both replaying bitwise for width-1 incumbents.
+//! Step 0 is planning time: a host joining or lost there changes the first
+//! epoch's member set, not the run's history. A script with no timeline is
+//! refused alike by every reader.
 
 use std::sync::Arc;
 
-use pipebd_core::exec::recovery::{RecoveryPolicy, RecoveryRunner};
+use pipebd_core::exec::recovery::{RecoveryPolicy, RecoveryReport, RecoveryRunner};
 use pipebd_core::exec::{reference, ExecError};
+use pipebd_core::lower::fault::lower_faulted;
+use pipebd_core::lower::Lowering;
 use pipebd_core::{Checkpoint, CheckpointSink, MemorySink};
 use pipebd_models::Workload;
-use pipebd_sim::{FaultEvent, FaultScript};
+use pipebd_sched::{DegradedServer, StagePlan};
+use pipebd_sim::{
+    simulate_faulted, FaultEvent, FaultScript, FaultViolation, HardwareConfig, TaskGraph,
+};
 use pipebd_testkit::{
     enumerate, run_scenario, ConformanceStrategy, ExecSetup, FaultClass, Scenario, SimWorkload,
     ToleranceBook,
@@ -272,4 +280,88 @@ fn stale_plan_checkpoint_fails_the_rejoin_loudly() {
         "expected a plan fingerprint mismatch, got {:?}",
         result.map(|r| r.grows)
     );
+}
+
+/// Runs `script` on the 2-device growth fixture for `steps` steps.
+fn run_growth(script: &FaultScript, steps: usize) -> Result<RecoveryReport, ExecError> {
+    let ((teacher, student, data, func), workload) = growth_fixture(steps);
+    let runner = RecoveryRunner {
+        workload: &workload,
+        script,
+        policy: RecoveryPolicy::default(),
+        sink: Arc::new(MemorySink::default()),
+        trace: None,
+    };
+    runner.run(&teacher, &student, &data, &func)
+}
+
+/// Asserts `report` trained the 4-step fixture's model bitwise on
+/// `devices` members with no restore, growth or fallback.
+fn assert_planned_at_step_zero(report: &RecoveryReport, devices: usize) {
+    assert_eq!(report.restores, 0, "nothing ran, so nothing is restored");
+    assert_eq!(report.grows, 0, "step 0 is planning time, not growth");
+    assert!(report.resumed_rounds.is_empty());
+    assert!(!report.fell_back);
+    assert_eq!(report.final_devices, devices);
+    let ((teacher, student, data, func), _) = growth_fixture(4);
+    let golden = reference::run(&teacher, &student, &data, &func).unwrap();
+    assert_eq!(
+        report.outcome.max_param_diff(&golden),
+        0.0,
+        "width-1 runs replay bitwise"
+    );
+}
+
+#[test]
+fn a_step_zero_join_is_a_member_from_the_start() {
+    let script = FaultScript {
+        events: vec![FaultEvent::HostJoin {
+            rank: 2,
+            at_step: 0,
+        }],
+    };
+    let report = run_growth(&script, 4).expect("a step-0 join runs");
+    assert_planned_at_step_zero(&report, 3);
+}
+
+#[test]
+fn a_rank_lost_at_step_zero_never_starts() {
+    let script = FaultScript {
+        events: vec![FaultEvent::HostLoss {
+            rank: 1,
+            at_step: 0,
+        }],
+    };
+    let report = run_growth(&script, 4).expect("a step-0 loss runs");
+    assert_planned_at_step_zero(&report, 1);
+}
+
+#[test]
+fn a_repeated_join_is_refused_alike_everywhere() {
+    // A rank joins once: a second join of rank 2 has one meaning, refusal,
+    // whichever reader meets the script first (rank 2 is in range on the
+    // 3-rank server and for the 2-device run's one joiner).
+    let join = |at_step| FaultEvent::HostJoin { rank: 2, at_step };
+    let script = FaultScript {
+        events: vec![join(3), join(5)],
+    };
+    let hw = HardwareConfig::a6000_server(3);
+    let why = simulate_faulted(&TaskGraph::new(3), &script).unwrap_err();
+    assert!(
+        matches!(&why, FaultViolation::InvalidScript(r) if r.contains("rank 2 joins twice")),
+        "{why}"
+    );
+    assert_eq!(DegradedServer::at_step(&hw, &script, 0).unwrap_err(), why);
+    let workload = Workload::synthetic(4, false);
+    let lowering = Lowering::new(&workload, &hw, 256, 8);
+    let plan = StagePlan::contiguous(4, 3).unwrap();
+    let lowered = lower_faulted(&lowering, &plan, &script, true).unwrap_err();
+    assert_eq!(lowered, why.to_string());
+    match run_growth(&script, 4) {
+        Err(ExecError::Config(m)) => assert!(m.ends_with(&why.to_string()), "{m}"),
+        other => panic!(
+            "expected the script refused, got {:?}",
+            other.map(|r| r.grows)
+        ),
+    }
 }
