@@ -40,10 +40,10 @@ pub use trace::TraceArtifact;
 
 use pipebd_core::RunReport;
 use pipebd_sched::StagePlan;
-use serde::{de::DeserializeOwned, Serialize};
+use serde::{Deserialize, Serialize};
 
 /// A type that can be persisted as a schema-tagged artifact.
-pub trait ArtifactPayload: Serialize + DeserializeOwned {
+pub trait ArtifactPayload: Serialize + Deserialize {
     /// Schema identifier stamped into the envelope (e.g.
     /// `"pipebd.run_report"`).
     const SCHEMA: &'static str;

@@ -142,14 +142,13 @@ impl ArtifactStore {
     ///
     /// # Errors
     ///
-    /// [`ArtifactError::Io`] on filesystem failures, [`ArtifactError::Json`]
-    /// if the payload fails to serialize.
+    /// [`ArtifactError::Io`] on filesystem failures.
     pub fn save<T: ArtifactPayload>(
         &self,
         name: &str,
         payload: &T,
     ) -> Result<PathBuf, ArtifactError> {
-        let payload_value = pipebd_json::to_value(payload)?;
+        let payload_value = payload.to_json();
         let envelope = Value::Object(vec![
             ("schema".into(), Value::String(T::SCHEMA.into())),
             (
@@ -163,7 +162,7 @@ impl ArtifactStore {
             ),
             ("payload".into(), payload_value),
         ]);
-        let mut text = pipebd_json::to_string_pretty(&envelope)?;
+        let mut text = pipebd_json::render::pretty(&envelope);
         text.push('\n');
         let path = self.path_of(name);
         write_atomic(&path, text.as_bytes())?;
@@ -205,7 +204,7 @@ impl ArtifactStore {
                 expected: T::VERSION,
             });
         }
-        let payload = pipebd_json::from_value(&payload_value)?;
+        let payload = T::from_json(&payload_value)?;
         Ok((meta, payload))
     }
 

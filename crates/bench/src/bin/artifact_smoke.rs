@@ -40,7 +40,7 @@ fn typed<T: ArtifactPayload>(meta: &ArtifactMeta, payload: &Value) -> Result<T, 
             expected: T::VERSION,
         });
     }
-    Ok(pipebd_json::from_value(payload)?)
+    Ok(T::from_json(payload)?)
 }
 
 /// Revalidates one artifact under its registered payload type, returning

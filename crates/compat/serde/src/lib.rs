@@ -1,32 +1,16 @@
-//! Offline stand-in for the `serde` crate — now with a **functional data
-//! model**, not just marker traits.
+//! Offline stand-in for the `serde` crate: a facade over `pipebd_json`.
 //!
-//! Earlier revisions of this shim provided blanket-implemented marker
-//! traits so the workspace's `#[derive(Serialize, Deserialize)]`
-//! annotations compiled without a backend. Since the JSON backend landed
-//! (`crates/json`), the shim implements the real serde architecture in
-//! miniature:
-//!
-//! * [`Serialize`] drives a [`Serializer`] describing the value through
-//!   typed calls (`serialize_u64`, `serialize_struct`, …);
-//! * [`Deserialize`] hands a [`de::Visitor`] to a [`Deserializer`], which
-//!   dispatches on the input's actual shape (visitor-style value
-//!   dispatch) through [`de::SeqAccess`] / [`de::MapAccess`] /
-//!   [`de::EnumAccess`].
-//!
-//! The derive macros (`crates/compat/serde_derive`) generate real
-//! field-by-field implementations against these traits, so call sites are
-//! identical to the real crate for the subset the workspace uses.
-//! Deliberate simplifications versus real serde: no `*_seed` variants
-//! (map keys are always borrowed `&str`s), no zero-copy `visit_borrowed_*`
-//! distinction, no `u128`/`i128`/byte-buffer methods, and self-describing
-//! formats only (the hint methods default to [`Deserializer::deserialize_any`]).
+//! The data model is `pipebd_json`'s — [`Serialize`] builds a JSON value,
+//! [`Deserialize`] reads one back — and the derives of the same names
+//! (`crates/compat/serde_derive`) generate both for named-field structs,
+//! newtype structs and externally tagged enums. Workspace code keeps the
+//! real crate's `use serde::{Deserialize, Serialize}` spelling; the trait
+//! methods are not the real crate's, so this is no longer a manifest-only
+//! swap.
 
+pub use pipebd_json::{Deserialize, Serialize};
 pub use serde_derive::{Deserialize, Serialize};
 
-pub mod ser;
-
-pub mod de;
-
-pub use de::{Deserialize, DeserializeOwned, Deserializer};
-pub use ser::{Serialize, Serializer};
+/// The path derived impls name their types and helpers through.
+#[doc(hidden)]
+pub use pipebd_json as __private;

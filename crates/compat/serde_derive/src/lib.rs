@@ -1,21 +1,21 @@
-//! Offline stand-in for the `serde_derive` proc-macro crate — generating
-//! **real** field-by-field implementations.
+//! Offline stand-in for the `serde_derive` proc-macro crate: derives that
+//! write a type's `to_json` / `from_json` (the `pipebd_json` data model,
+//! re-exported by the `serde` facade).
 //!
 //! The crates.io `serde_derive` leans on `syn`/`quote`; neither is
 //! available offline, so this implementation parses the derive input
 //! directly from the [`proc_macro`] token tree and emits generated code as
-//! source text (parsed back into a `TokenStream` at the end). It supports
-//! the shapes the workspace actually derives:
+//! source text. It supports exactly the shapes the workspace persists, in
+//! the JSON layout real serde gives them:
 //!
-//! * structs with named fields,
-//! * tuple structs (arity 1 serializes transparently as the inner value,
-//!   like real serde's newtype structs; higher arities as sequences),
-//! * unit structs,
-//! * enums with any mix of unit, newtype, tuple, and struct variants
-//!   (externally tagged, real serde's default representation).
+//! * structs with named fields — an object, fields in declaration order;
+//! * newtype structs — the inner value, transparently;
+//! * enums of unit, newtype and named-field variants — externally tagged:
+//!   `"Unit"`, `{"Newtype": inner}`, `{"Named": {fields}}`.
 //!
-//! Unsupported, by design: generic types, `#[serde(...)]` attributes
-//! (accepted and ignored so existing annotations keep compiling), unions.
+//! Anything else (unit structs, wider tuple structs, tuple variants,
+//! generic types) is a `compile_error!` naming the type, and so is any
+//! `#[serde(...)]` attribute: none is registered.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -29,543 +29,242 @@ enum Fields {
     Tuple(usize),
 }
 
-/// One enum variant.
-struct Variant {
-    name: String,
-    fields: Fields,
-}
-
 /// The parsed derive input.
 enum Item {
-    Struct {
-        name: String,
-        fields: Fields,
-    },
-    Enum {
-        name: String,
-        variants: Vec<Variant>,
-    },
+    Struct(Fields),
+    Enum(Vec<(String, Fields)>),
 }
 
-impl Item {
-    fn name(&self) -> &str {
-        match self {
-            Item::Struct { name, .. } | Item::Enum { name, .. } => name,
-        }
-    }
-}
+/// Path the generated code reaches `pipebd_json` through.
+const JSON: &str = "::serde::__private";
 
-/// Real stand-in for `#[derive(Serialize)]`.
-#[proc_macro_derive(Serialize, attributes(serde))]
+/// Header of every generated impl: keeps lints away from machine code.
+const IMPL_ATTRS: &str = "#[automatically_derived]\n#[allow(clippy::all)]\n";
+
+/// `#[derive(Serialize)]`: implements `to_json`.
+#[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    let code = gen_serialize(&item);
-    code.parse()
-        .expect("serde_derive generated invalid Serialize impl")
+    expand(input, |name, item| {
+        let body = match item {
+            Item::Struct(Fields::Named(names)) => object(names, |f| format!("&self.{f}")),
+            Item::Struct(_) => "::serde::Serialize::to_json(&self.0)".to_string(),
+            Item::Enum(variants) => {
+                let arms = variants.iter().map(|(v, fields)| match fields {
+                    Fields::Unit => {
+                        format!("{name}::{v} => {JSON}::derive::unit(\"{v}\"),")
+                    }
+                    Fields::Tuple(_) => {
+                        let content = "::serde::Serialize::to_json(__0)";
+                        format!("{name}::{v}(__0) => {},", tagged(v, content))
+                    }
+                    Fields::Named(names) => {
+                        let content = object(names, str::to_string);
+                        format!(
+                            "{name}::{v} {{ {} }} => {},",
+                            names.join(", "),
+                            tagged(v, &content)
+                        )
+                    }
+                });
+                format!("match self {{ {} }}", arms.collect::<String>())
+            }
+        };
+        format!(
+            "{IMPL_ATTRS}impl ::serde::Serialize for {name} {{\n\
+             fn to_json(&self) -> {JSON}::Value {{ {body} }}\n}}"
+        )
+    })
 }
 
-/// Real stand-in for `#[derive(Deserialize)]`.
-#[proc_macro_derive(Deserialize, attributes(serde))]
+/// `#[derive(Deserialize)]`: implements `from_json`.
+#[proc_macro_derive(Deserialize)]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    let code = gen_deserialize(&item);
-    code.parse()
-        .expect("serde_derive generated invalid Deserialize impl")
+    expand(input, |name, item| {
+        let body = match item {
+            Item::Struct(Fields::Named(names)) => {
+                fields_of("__value", &format!("struct {name}"), name, names)
+            }
+            Item::Struct(_) => format!("Ok({name}(::serde::Deserialize::from_json(__value)?))"),
+            Item::Enum(variants) => {
+                let arms = variants.iter().map(|(v, fields)| match fields {
+                    Fields::Unit => format!("(\"{v}\", None) => Ok({name}::{v}),"),
+                    Fields::Tuple(_) => format!(
+                        "(\"{v}\", Some(__content)) => \
+                         Ok({name}::{v}(::serde::Deserialize::from_json(__content)?)),"
+                    ),
+                    Fields::Named(names) => {
+                        let what = format!("struct variant {name}::{v}");
+                        let ctor = format!("{name}::{v}");
+                        let build = fields_of("__content", &what, &ctor, names);
+                        format!("(\"{v}\", Some(__content)) => {{ {build} }}")
+                    }
+                });
+                let tags: Vec<String> = variants.iter().map(|(v, _)| format!("\"{v}\"")).collect();
+                format!(
+                    "let (__tag, __content) = {JSON}::derive::variant(__value, \"{name}\")?;\n\
+                     match (__tag, __content) {{ {}\n\
+                     _ => Err({JSON}::derive::bad_variant(__tag, __content, &[{}])),\n}}",
+                    arms.collect::<String>(),
+                    tags.join(", ")
+                )
+            }
+        };
+        format!(
+            "{IMPL_ATTRS}impl ::serde::Deserialize for {name} {{\n\
+             fn from_json(__value: &{JSON}::Value) -> \
+             ::core::result::Result<Self, {JSON}::Error> {{ {body} }}\n}}"
+        )
+    })
+}
+
+/// Parses the input, vets its shape and renders `generate`'s source, or
+/// a `compile_error!` naming what is not supported.
+fn expand(input: TokenStream, generate: impl Fn(&str, &Item) -> String) -> TokenStream {
+    let code = match parse_item(input).and_then(|(name, item)| {
+        let unsupported = match &item {
+            Item::Struct(Fields::Unit) => Some(format!("unit struct `{name}`")),
+            Item::Struct(Fields::Tuple(n)) if *n != 1 => Some(format!("tuple struct `{name}`")),
+            Item::Struct(_) => None,
+            Item::Enum(variants) => (variants.iter())
+                .find(|(_, fields)| matches!(fields, Fields::Tuple(n) if *n != 1))
+                .map(|(v, _)| format!("tuple variant `{name}::{v}`")),
+        };
+        match unsupported {
+            Some(what) => Err(format!("{what} is not a supported shape")),
+            None => Ok(generate(&name, &item)),
+        }
+    }) {
+        Ok(code) => code,
+        Err(why) => format!(
+            "::core::compile_error!(\"serde_derive: {why}; derive named-field structs, \
+             newtype structs, or enums of unit, newtype and named-field variants\");"
+        ),
+    };
+    code.parse().expect("serde_derive generates valid Rust")
+}
+
+/// `{JSON}::Value::Object` of the named fields, each value read by
+/// `access(field)`.
+fn object(names: &[String], access: impl Fn(&str) -> String) -> String {
+    let entries = names.iter().map(|f| {
+        let value = access(f);
+        format!("(\"{f}\".into(), ::serde::Serialize::to_json({value})),")
+    });
+    format!(
+        "{JSON}::Value::Object(vec![{}])",
+        entries.collect::<String>()
+    )
+}
+
+/// `{"tag": content}`, an externally tagged variant.
+fn tagged(tag: &str, content: &str) -> String {
+    format!("{JSON}::derive::tagged(\"{tag}\", {content})")
+}
+
+/// Reads the named fields of `ctor` from the object `value`, refusing a
+/// non-object as not `what`.
+fn fields_of(value: &str, what: &str, ctor: &str, names: &[String]) -> String {
+    let fields = names
+        .iter()
+        .map(|f| format!("{f}: {JSON}::derive::field(__entries, \"{f}\")?,"));
+    format!(
+        "let __entries = {JSON}::derive::object({value}, \"{what}\")?;\n\
+         Ok({ctor} {{ {} }})",
+        fields.collect::<String>()
+    )
 }
 
 // ---------------------------------------------------------------------------
 // Input parsing
 // ---------------------------------------------------------------------------
 
-/// Skips outer attributes (`#[...]`) starting at `i`, returning the index
-/// of the first non-attribute token.
-fn skip_attributes(tokens: &[TokenTree], mut i: usize) -> usize {
-    while i + 1 < tokens.len() {
-        match (&tokens[i], &tokens[i + 1]) {
-            (TokenTree::Punct(p), TokenTree::Group(g))
+/// Skips outer attributes (`#[...]`) and a visibility qualifier (`pub`,
+/// `pub(crate)`, …) starting at `i`.
+fn skip_attributes_and_visibility(tokens: &[TokenTree], mut i: usize) -> usize {
+    loop {
+        match (tokens.get(i), tokens.get(i + 1)) {
+            (Some(TokenTree::Punct(p)), Some(TokenTree::Group(g)))
                 if p.as_char() == '#' && g.delimiter() == Delimiter::Bracket =>
             {
-                i += 2;
+                i += 2
             }
-            _ => break,
+            (Some(TokenTree::Ident(id)), next) if id.to_string() == "pub" => {
+                let restricted = matches!(next, Some(TokenTree::Group(g))
+                    if g.delimiter() == Delimiter::Parenthesis);
+                i += 1 + usize::from(restricted);
+            }
+            _ => return i,
         }
     }
-    i
 }
 
-/// Skips a visibility qualifier (`pub`, `pub(crate)`, …) starting at `i`.
-fn skip_visibility(tokens: &[TokenTree], mut i: usize) -> usize {
-    if let Some(TokenTree::Ident(id)) = tokens.get(i) {
-        if id.to_string() == "pub" {
-            i += 1;
-            if let Some(TokenTree::Group(g)) = tokens.get(i) {
-                if g.delimiter() == Delimiter::Parenthesis {
-                    i += 1;
-                }
-            }
-        }
-    }
-    i
-}
-
-/// Skips type tokens until a top-level `,` (consumed) or the end, tracking
-/// generic-angle-bracket depth (`Vec<u64>` keeps its inner tokens at the
-/// same token-tree level).
-fn skip_type(tokens: &[TokenTree], mut i: usize) -> usize {
+/// Skips tokens up to and past the next top-level `,` (or to the end),
+/// tracking angle brackets so `BTreeMap<K, V>` stays one type.
+fn skip_past_comma(tokens: &[TokenTree], mut i: usize) -> usize {
     let mut angle_depth = 0i32;
-    while i < tokens.len() {
-        if let TokenTree::Punct(p) = &tokens[i] {
+    while let Some(token) = tokens.get(i) {
+        i += 1;
+        if let TokenTree::Punct(p) = token {
             match p.as_char() {
                 '<' => angle_depth += 1,
                 '>' if angle_depth > 0 => angle_depth -= 1,
-                ',' if angle_depth == 0 => return i + 1,
+                ',' if angle_depth == 0 => break,
                 _ => {}
             }
         }
-        i += 1;
     }
     i
 }
 
-/// Parses `name: Type, ...` field lists (struct bodies and struct
-/// variants).
-fn parse_named_fields(stream: TokenStream) -> Vec<String> {
-    let tokens: Vec<TokenTree> = stream.into_iter().collect();
-    let mut fields = Vec::new();
-    let mut i = 0;
+/// Parses the fields of a `{ ... }` or `( ... )` body.
+fn parse_fields(body: Option<&TokenTree>) -> Fields {
+    let Some(TokenTree::Group(g)) = body else {
+        return Fields::Unit;
+    };
+    let tokens: Vec<TokenTree> = g.stream().into_iter().collect();
+    let mut names = Vec::new();
+    let mut i = skip_attributes_and_visibility(&tokens, 0);
     while i < tokens.len() {
-        i = skip_attributes(&tokens, i);
-        i = skip_visibility(&tokens, i);
-        let Some(TokenTree::Ident(name)) = tokens.get(i) else {
-            break;
-        };
-        fields.push(name.to_string());
-        i += 1;
-        match tokens.get(i) {
-            Some(TokenTree::Punct(p)) if p.as_char() == ':' => i += 1,
-            other => panic!("serde_derive: expected `:` after field name, got {other:?}"),
-        }
-        i = skip_type(&tokens, i);
+        names.push(tokens[i].to_string());
+        i = skip_attributes_and_visibility(&tokens, skip_past_comma(&tokens, i));
     }
-    fields
+    match g.delimiter() {
+        Delimiter::Brace => Fields::Named(names),
+        _ => Fields::Tuple(names.len()),
+    }
 }
 
-/// Counts the fields of a tuple body (`(T, U, ...)`).
-fn parse_tuple_fields(stream: TokenStream) -> usize {
-    let tokens: Vec<TokenTree> = stream.into_iter().collect();
-    let mut count = 0;
-    let mut i = 0;
-    while i < tokens.len() {
-        i = skip_attributes(&tokens, i);
-        i = skip_visibility(&tokens, i);
-        if i >= tokens.len() {
-            break;
-        }
-        count += 1;
-        i = skip_type(&tokens, i);
-    }
-    count
-}
-
-/// Parses the variants of an enum body.
-fn parse_variants(stream: TokenStream) -> Vec<Variant> {
-    let tokens: Vec<TokenTree> = stream.into_iter().collect();
-    let mut variants = Vec::new();
-    let mut i = 0;
-    while i < tokens.len() {
-        i = skip_attributes(&tokens, i);
-        let Some(TokenTree::Ident(name)) = tokens.get(i) else {
-            break;
-        };
-        let name = name.to_string();
-        i += 1;
-        let fields = match tokens.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                let f = Fields::Named(parse_named_fields(g.stream()));
-                i += 1;
-                f
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                let f = Fields::Tuple(parse_tuple_fields(g.stream()));
-                i += 1;
-                f
-            }
-            _ => Fields::Unit,
-        };
-        // Skip to (and past) the separating comma; tolerates explicit
-        // discriminants even though none exist in the workspace.
-        while i < tokens.len() {
-            if let TokenTree::Punct(p) = &tokens[i] {
-                if p.as_char() == ',' {
-                    i += 1;
-                    break;
-                }
-            }
-            i += 1;
-        }
-        variants.push(Variant { name, fields });
-    }
-    variants
-}
-
-/// Parses the whole derive input into an [`Item`].
-fn parse_item(input: TokenStream) -> Item {
+/// Parses the derive input into its type name and [`Item`].
+fn parse_item(input: TokenStream) -> Result<(String, Item), String> {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
-    let mut i = 0;
-    let kind = loop {
-        i = skip_attributes(&tokens, i);
-        i = skip_visibility(&tokens, i);
-        match tokens.get(i) {
-            Some(TokenTree::Ident(id)) if id.to_string() == "struct" => break "struct",
-            Some(TokenTree::Ident(id)) if id.to_string() == "enum" => break "enum",
-            Some(_) => i += 1,
-            None => panic!("serde_derive: no struct or enum found in derive input"),
-        }
-    };
-    i += 1;
-    let name = match tokens.get(i) {
-        Some(TokenTree::Ident(id)) => id.to_string(),
-        other => panic!("serde_derive: expected type name, got {other:?}"),
-    };
-    i += 1;
-    if let Some(TokenTree::Punct(p)) = tokens.get(i) {
-        if p.as_char() == '<' {
-            panic!("serde_derive shim: generic type `{name}` is not supported");
-        }
+    let mut i = skip_attributes_and_visibility(&tokens, 0);
+    let kind = tokens.get(i).map(ToString::to_string).unwrap_or_default();
+    let name = tokens
+        .get(i + 1)
+        .map(ToString::to_string)
+        .unwrap_or_default();
+    i += 2;
+    if matches!(tokens.get(i), Some(TokenTree::Punct(p)) if p.as_char() == '<') {
+        return Err(format!("generic type `{name}` is not a supported shape"));
     }
-    if kind == "enum" {
-        match tokens.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => Item::Enum {
-                name,
-                variants: parse_variants(g.stream()),
-            },
-            other => panic!("serde_derive: expected enum body, got {other:?}"),
-        }
-    } else {
-        let fields = match tokens.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                Fields::Named(parse_named_fields(g.stream()))
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                Fields::Tuple(parse_tuple_fields(g.stream()))
-            }
-            Some(TokenTree::Punct(p)) if p.as_char() == ';' => Fields::Unit,
-            other => panic!("serde_derive: expected struct body, got {other:?}"),
-        };
-        Item::Struct { name, fields }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Serialize codegen
-// ---------------------------------------------------------------------------
-
-/// Header line shared by every generated impl: keeps clippy and dead-code
-/// lints away from machine-written code.
-const IMPL_ATTRS: &str = "#[automatically_derived]\n#[allow(unused_variables, clippy::all)]\n";
-
-fn gen_serialize(item: &Item) -> String {
-    let name = item.name();
-    let body = match item {
-        Item::Struct { fields, .. } => gen_serialize_struct_body(name, fields),
-        Item::Enum { variants, .. } => gen_serialize_enum_body(name, variants),
-    };
-    format!(
-        "{IMPL_ATTRS}impl ::serde::Serialize for {name} {{\n\
-         fn serialize<__S: ::serde::Serializer>(&self, __serializer: __S)\n\
-         -> ::core::result::Result<__S::Ok, __S::Error> {{\n{body}\n}}\n}}\n"
-    )
-}
-
-fn gen_serialize_struct_body(name: &str, fields: &Fields) -> String {
-    match fields {
-        Fields::Unit => {
-            format!("::serde::Serializer::serialize_unit_struct(__serializer, \"{name}\")")
-        }
-        Fields::Tuple(1) => format!(
-            "::serde::Serializer::serialize_newtype_struct(__serializer, \"{name}\", &self.0)"
-        ),
-        Fields::Tuple(n) => {
-            let mut out = format!(
-                "let mut __state = ::serde::Serializer::serialize_seq(__serializer, \
-                 ::core::option::Option::Some({n}usize))?;\n"
-            );
-            for i in 0..*n {
-                out.push_str(&format!(
-                    "::serde::ser::SerializeSeq::serialize_element(&mut __state, &self.{i})?;\n"
+    match kind.as_str() {
+        "struct" => Ok((name, Item::Struct(parse_fields(tokens.get(i))))),
+        "enum" => {
+            let Some(TokenTree::Group(body)) = tokens.get(i) else {
+                return Err(format!("enum `{name}` has no body"));
+            };
+            let tokens: Vec<TokenTree> = body.stream().into_iter().collect();
+            let mut variants = Vec::new();
+            let mut i = skip_attributes_and_visibility(&tokens, 0);
+            while i < tokens.len() {
+                let fields = parse_fields(tokens.get(i + 1).filter(
+                    |t| matches!(t, TokenTree::Group(g) if g.delimiter() != Delimiter::Bracket),
                 ));
+                variants.push((tokens[i].to_string(), fields));
+                i = skip_attributes_and_visibility(&tokens, skip_past_comma(&tokens, i));
             }
-            out.push_str("::serde::ser::SerializeSeq::end(__state)");
-            out
+            Ok((name, Item::Enum(variants)))
         }
-        Fields::Named(names) => {
-            let n = names.len();
-            let mut out = format!(
-                "let mut __state = ::serde::Serializer::serialize_struct(__serializer, \
-                 \"{name}\", {n}usize)?;\n"
-            );
-            for f in names {
-                out.push_str(&format!(
-                    "::serde::ser::SerializeStruct::serialize_field(&mut __state, \"{f}\", &self.{f})?;\n"
-                ));
-            }
-            out.push_str("::serde::ser::SerializeStruct::end(__state)");
-            out
-        }
+        _ => Err(format!("`{kind} {name}` is not a struct or enum")),
     }
-}
-
-fn gen_serialize_enum_body(name: &str, variants: &[Variant]) -> String {
-    let mut arms = String::new();
-    for (index, v) in variants.iter().enumerate() {
-        let vname = &v.name;
-        match &v.fields {
-            Fields::Unit => arms.push_str(&format!(
-                "{name}::{vname} => ::serde::Serializer::serialize_unit_variant(\
-                 __serializer, \"{name}\", {index}u32, \"{vname}\"),\n"
-            )),
-            Fields::Tuple(1) => arms.push_str(&format!(
-                "{name}::{vname}(__field0) => ::serde::Serializer::serialize_newtype_variant(\
-                 __serializer, \"{name}\", {index}u32, \"{vname}\", __field0),\n"
-            )),
-            Fields::Tuple(n) => {
-                let binders: Vec<String> = (0..*n).map(|i| format!("__field{i}")).collect();
-                let mut arm = format!(
-                    "{name}::{vname}({}) => {{\n\
-                     let mut __state = ::serde::Serializer::serialize_tuple_variant(\
-                     __serializer, \"{name}\", {index}u32, \"{vname}\", {n}usize)?;\n",
-                    binders.join(", ")
-                );
-                for b in &binders {
-                    arm.push_str(&format!(
-                        "::serde::ser::SerializeTupleVariant::serialize_field(&mut __state, {b})?;\n"
-                    ));
-                }
-                arm.push_str("::serde::ser::SerializeTupleVariant::end(__state)\n},\n");
-                arms.push_str(&arm);
-            }
-            Fields::Named(names) => {
-                let n = names.len();
-                let mut arm = format!(
-                    "{name}::{vname} {{ {} }} => {{\n\
-                     let mut __state = ::serde::Serializer::serialize_struct_variant(\
-                     __serializer, \"{name}\", {index}u32, \"{vname}\", {n}usize)?;\n",
-                    names.join(", ")
-                );
-                for f in names {
-                    arm.push_str(&format!(
-                        "::serde::ser::SerializeStructVariant::serialize_field(&mut __state, \"{f}\", {f})?;\n"
-                    ));
-                }
-                arm.push_str("::serde::ser::SerializeStructVariant::end(__state)\n},\n");
-                arms.push_str(&arm);
-            }
-        }
-    }
-    if variants.is_empty() {
-        // An empty enum has no values; the match is vacuously exhaustive.
-        "match *self {}".to_string()
-    } else {
-        format!("match self {{\n{arms}}}")
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Deserialize codegen
-// ---------------------------------------------------------------------------
-
-fn gen_deserialize(item: &Item) -> String {
-    let name = item.name();
-    let body = match item {
-        Item::Struct { fields, .. } => gen_deserialize_struct_body(name, fields),
-        Item::Enum { variants, .. } => gen_deserialize_enum_body(name, variants),
-    };
-    format!(
-        "{IMPL_ATTRS}impl<'de> ::serde::Deserialize<'de> for {name} {{\n\
-         fn deserialize<__D: ::serde::Deserializer<'de>>(__deserializer: __D)\n\
-         -> ::core::result::Result<Self, __D::Error> {{\n{body}\n}}\n}}\n"
-    )
-}
-
-/// Generates the shared map-visiting skeleton used by named structs and
-/// struct variants: declarations, the key-dispatch loop, and the final
-/// construction of `ctor { field: ..., ... }`.
-fn gen_visit_map_body(ctor: &str, names: &[String]) -> String {
-    let mut decls = String::new();
-    let mut arms = String::new();
-    let mut builds = String::new();
-    for (i, f) in names.iter().enumerate() {
-        decls.push_str(&format!(
-            "let mut __field{i} = ::core::option::Option::None;\n"
-        ));
-        arms.push_str(&format!(
-            "\"{f}\" => {{\n\
-             if __field{i}.is_some() {{\n\
-             return ::core::result::Result::Err(::serde::de::Error::duplicate_field(\"{f}\"));\n\
-             }}\n\
-             __field{i} = ::core::option::Option::Some(\
-             ::serde::de::MapAccess::next_value(&mut __map)?);\n}}\n"
-        ));
-        builds.push_str(&format!(
-            "{f}: __field{i}.ok_or_else(|| ::serde::de::Error::missing_field(\"{f}\"))?,\n"
-        ));
-    }
-    format!(
-        "{decls}\
-         while let ::core::option::Option::Some(__key) = \
-         ::serde::de::MapAccess::next_key(&mut __map)? {{\n\
-         match __key {{\n{arms}\
-         _ => {{ ::serde::de::MapAccess::skip_value(&mut __map)?; }}\n\
-         }}\n}}\n\
-         ::core::result::Result::Ok({ctor} {{\n{builds}}})"
-    )
-}
-
-/// Generates the shared seq-visiting body used by multi-field tuple
-/// structs and tuple variants: `ctor(e0, e1, ...)`.
-fn gen_visit_seq_body(ctor: &str, n: usize, what: &str) -> String {
-    let mut out = String::new();
-    for i in 0..n {
-        out.push_str(&format!(
-            "let __field{i} = ::serde::de::SeqAccess::next_element(&mut __seq)?\
-             .ok_or_else(|| ::serde::de::Error::invalid_length({i}usize, \"{what}\"))?;\n"
-        ));
-    }
-    let binders: Vec<String> = (0..n).map(|i| format!("__field{i}")).collect();
-    out.push_str(&format!(
-        "::core::result::Result::Ok({ctor}({}))",
-        binders.join(", ")
-    ));
-    out
-}
-
-fn quoted_list(names: &[String]) -> String {
-    names
-        .iter()
-        .map(|n| format!("\"{n}\""))
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
-fn gen_deserialize_struct_body(name: &str, fields: &Fields) -> String {
-    match fields {
-        Fields::Unit => format!(
-            "struct __Visitor;\n\
-             impl<'de> ::serde::de::Visitor<'de> for __Visitor {{\n\
-             type Value = {name};\n\
-             fn expecting(&self, __f: &mut ::core::fmt::Formatter<'_>) -> ::core::fmt::Result {{\n\
-             __f.write_str(\"unit struct {name}\")\n}}\n\
-             fn visit_unit<__E: ::serde::de::Error>(self) -> ::core::result::Result<{name}, __E> {{\n\
-             ::core::result::Result::Ok({name})\n}}\n\
-             }}\n\
-             ::serde::Deserializer::deserialize_unit(__deserializer, __Visitor)"
-        ),
-        Fields::Tuple(1) => format!(
-            "::core::result::Result::Ok({name}(::serde::Deserialize::deserialize(__deserializer)?))"
-        ),
-        Fields::Tuple(n) => {
-            let seq_body = gen_visit_seq_body(name, *n, &format!("tuple struct {name}"));
-            format!(
-                "struct __Visitor;\n\
-                 impl<'de> ::serde::de::Visitor<'de> for __Visitor {{\n\
-                 type Value = {name};\n\
-                 fn expecting(&self, __f: &mut ::core::fmt::Formatter<'_>) -> ::core::fmt::Result {{\n\
-                 __f.write_str(\"tuple struct {name}\")\n}}\n\
-                 fn visit_seq<__A: ::serde::de::SeqAccess<'de>>(self, mut __seq: __A)\n\
-                 -> ::core::result::Result<{name}, __A::Error> {{\n{seq_body}\n}}\n\
-                 }}\n\
-                 ::serde::Deserializer::deserialize_seq(__deserializer, __Visitor)"
-            )
-        }
-        Fields::Named(names) => {
-            let map_body = gen_visit_map_body(name, names);
-            let field_list = quoted_list(names);
-            format!(
-                "struct __Visitor;\n\
-                 impl<'de> ::serde::de::Visitor<'de> for __Visitor {{\n\
-                 type Value = {name};\n\
-                 fn expecting(&self, __f: &mut ::core::fmt::Formatter<'_>) -> ::core::fmt::Result {{\n\
-                 __f.write_str(\"struct {name}\")\n}}\n\
-                 fn visit_map<__A: ::serde::de::MapAccess<'de>>(self, mut __map: __A)\n\
-                 -> ::core::result::Result<{name}, __A::Error> {{\n{map_body}\n}}\n\
-                 }}\n\
-                 ::serde::Deserializer::deserialize_struct(\
-                 __deserializer, \"{name}\", &[{field_list}], __Visitor)"
-            )
-        }
-    }
-}
-
-fn gen_deserialize_enum_body(name: &str, variants: &[Variant]) -> String {
-    let variant_list = quoted_list(&variants.iter().map(|v| v.name.clone()).collect::<Vec<_>>());
-    let mut arms = String::new();
-    for v in variants {
-        let vname = &v.name;
-        match &v.fields {
-            Fields::Unit => arms.push_str(&format!(
-                "\"{vname}\" => {{\n\
-                 ::serde::de::VariantAccess::unit_variant(__variant_access)?;\n\
-                 ::core::result::Result::Ok({name}::{vname})\n}}\n"
-            )),
-            Fields::Tuple(1) => arms.push_str(&format!(
-                "\"{vname}\" => ::core::result::Result::Ok({name}::{vname}(\
-                 ::serde::de::VariantAccess::newtype_variant(__variant_access)?)),\n"
-            )),
-            Fields::Tuple(n) => {
-                let seq_body = gen_visit_seq_body(
-                    &format!("{name}::{vname}"),
-                    *n,
-                    &format!("variant {vname}"),
-                );
-                arms.push_str(&format!(
-                    "\"{vname}\" => {{\n\
-                     struct __VariantVisitor;\n\
-                     impl<'de> ::serde::de::Visitor<'de> for __VariantVisitor {{\n\
-                     type Value = {name};\n\
-                     fn expecting(&self, __f: &mut ::core::fmt::Formatter<'_>) -> ::core::fmt::Result {{\n\
-                     __f.write_str(\"tuple variant {name}::{vname}\")\n}}\n\
-                     fn visit_seq<__A2: ::serde::de::SeqAccess<'de>>(self, mut __seq: __A2)\n\
-                     -> ::core::result::Result<{name}, __A2::Error> {{\n{seq_body}\n}}\n\
-                     }}\n\
-                     ::serde::de::VariantAccess::tuple_variant(__variant_access, {n}usize, __VariantVisitor)\n\
-                     }}\n"
-                ));
-            }
-            Fields::Named(names) => {
-                let map_body = gen_visit_map_body(&format!("{name}::{vname}"), names);
-                let field_list = quoted_list(names);
-                arms.push_str(&format!(
-                    "\"{vname}\" => {{\n\
-                     struct __VariantVisitor;\n\
-                     impl<'de> ::serde::de::Visitor<'de> for __VariantVisitor {{\n\
-                     type Value = {name};\n\
-                     fn expecting(&self, __f: &mut ::core::fmt::Formatter<'_>) -> ::core::fmt::Result {{\n\
-                     __f.write_str(\"struct variant {name}::{vname}\")\n}}\n\
-                     fn visit_map<__A2: ::serde::de::MapAccess<'de>>(self, mut __map: __A2)\n\
-                     -> ::core::result::Result<{name}, __A2::Error> {{\n{map_body}\n}}\n\
-                     }}\n\
-                     ::serde::de::VariantAccess::struct_variant(\
-                     __variant_access, &[{field_list}], __VariantVisitor)\n\
-                     }}\n"
-                ));
-            }
-        }
-    }
-    format!(
-        "struct __Visitor;\n\
-         impl<'de> ::serde::de::Visitor<'de> for __Visitor {{\n\
-         type Value = {name};\n\
-         fn expecting(&self, __f: &mut ::core::fmt::Formatter<'_>) -> ::core::fmt::Result {{\n\
-         __f.write_str(\"enum {name}\")\n}}\n\
-         fn visit_enum<__A: ::serde::de::EnumAccess<'de>>(self, __access: __A)\n\
-         -> ::core::result::Result<{name}, __A::Error> {{\n\
-         let (__variant_name, __variant_access) = ::serde::de::EnumAccess::variant(__access)?;\n\
-         match __variant_name {{\n{arms}\
-         _ => ::core::result::Result::Err(::serde::de::Error::unknown_variant(\
-         __variant_name, &[{variant_list}])),\n\
-         }}\n}}\n\
-         }}\n\
-         ::serde::Deserializer::deserialize_enum(\
-         __deserializer, \"{name}\", &[{variant_list}], __Visitor)"
-    )
 }

@@ -260,7 +260,7 @@ pub fn restore_block(
 /// Round-interval checkpoint policy: snapshot after every `every`-th
 /// completed round (and never after the final round — a finished run has
 /// its outcome, not a checkpoint).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointPolicy {
     /// Rounds between snapshots; `0` disables checkpointing.
     pub every: usize,
@@ -590,7 +590,7 @@ fn read_header(bytes: &[u8]) -> Result<(Header, usize), CodecError> {
         Some(found) => return Err(CodecError::Version { found }),
         None => return Err(corrupt("header has no version")),
     }
-    let header = pipebd_json::from_value(&header).map_err(|e| corrupt(format!("header: {e}")))?;
+    let header = Header::from_json(&header).map_err(|e| corrupt(format!("header: {e}")))?;
     Ok((header, payload_start))
 }
 

@@ -4,6 +4,7 @@
 //! nanoseconds, so equality is bitwise, not approximate).
 
 use pipebd_core::{ExecutorChoice, ExperimentBuilder, RunReport, Strategy};
+use pipebd_json::Serialize;
 use pipebd_models::Workload;
 use pipebd_sched::{enumerate_hybrid_plans, StagePlan};
 use pipebd_sim::HardwareConfig;
@@ -38,7 +39,7 @@ fn run_report_roundtrips_exactly_for_every_strategy() {
 #[test]
 fn run_report_json_shape_is_externally_tagged_and_field_named() {
     let report = real_report(Strategy::PipeBd);
-    let value = pipebd_json::to_value(&report).expect("to_value");
+    let value = report.to_json();
     // Spot-check the concrete JSON layout the artifact plane relies on.
     assert_eq!(
         value.get("strategy").and_then(|v| v.as_str()),

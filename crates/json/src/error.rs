@@ -1,9 +1,10 @@
-//! The crate-wide error type, usable as both a serde serialization and
-//! deserialization error.
+//! The crate-wide error type.
 
 use std::fmt;
 
-/// Error raised by JSON parsing, rendering, or the serde bridge.
+use crate::value::{Number, Value};
+
+/// Error raised by parsing JSON text or reading a typed value from it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Error {
     /// Data-model error (wrong type, missing field, …) with a message.
@@ -32,14 +33,19 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl serde::ser::Error for Error {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        Error::Message(msg.to_string())
-    }
-}
-
-impl serde::de::Error for Error {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        Error::Message(msg.to_string())
+impl Error {
+    /// `value` is of the wrong kind for what was `expected`.
+    pub(crate) fn invalid_type(value: &Value, expected: &str) -> Error {
+        let found = match value {
+            Value::Null => "a unit value",
+            Value::Bool(_) => "a boolean",
+            Value::Number(Number::PosInt(_)) => "an unsigned integer",
+            Value::Number(Number::NegInt(_)) => "an integer",
+            Value::Number(Number::Float(_)) => "a float",
+            Value::String(_) => "a string",
+            Value::Array(_) => "a sequence",
+            Value::Object(_) => "a map",
+        };
+        Error::Message(format!("invalid type: {found}, expected {expected}"))
     }
 }

@@ -1,6 +1,7 @@
 //! Text rendering of [`Value`] trees: compact and pretty forms, string
-//! escaping, and the round-trip-exact number formatting shared with the
-//! streaming serializer.
+//! escaping, and round-trip-exact number formatting.
+
+use std::fmt::Write;
 
 use crate::value::{Number, Value};
 
@@ -71,10 +72,10 @@ fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
 }
 
 /// Appends a number in its round-trip-exact text form.
-pub(crate) fn push_number(out: &mut String, n: Number) {
+fn push_number(out: &mut String, n: Number) {
     match n {
-        Number::PosInt(v) => out.push_str(&v.to_string()),
-        Number::NegInt(v) => out.push_str(&v.to_string()),
+        Number::PosInt(v) => write!(out, "{v}").expect("a String takes any text"),
+        Number::NegInt(v) => write!(out, "{v}").expect("a String takes any text"),
         Number::Float(v) => push_f64(out, v),
     }
 }
@@ -82,35 +83,20 @@ pub(crate) fn push_number(out: &mut String, n: Number) {
 /// Appends an `f64`: Rust's shortest-round-trip `Display`, forced to
 /// contain a decimal point (or exponent) so it re-parses as a float.
 /// Non-finite values render as `null` (JSON has no NaN/Inf).
-pub(crate) fn push_f64(out: &mut String, v: f64) {
+fn push_f64(out: &mut String, v: f64) {
     if !v.is_finite() {
         out.push_str("null");
         return;
     }
-    let s = v.to_string();
-    out.push_str(&s);
-    if !s.bytes().any(|b| matches!(b, b'.' | b'e' | b'E')) {
-        out.push_str(".0");
-    }
-}
-
-/// Appends an `f32` from the `f32` formatter directly, so the text is the
-/// shortest decimal identifying the `f32` (re-parsing through `f64` and
-/// narrowing recovers the exact bits).
-pub(crate) fn push_f32(out: &mut String, v: f32) {
-    if !v.is_finite() {
-        out.push_str("null");
-        return;
-    }
-    let s = v.to_string();
-    out.push_str(&s);
-    if !s.bytes().any(|b| matches!(b, b'.' | b'e' | b'E')) {
+    let start = out.len();
+    write!(out, "{v}").expect("a String takes any text");
+    if !out[start..].contains(['.', 'e', 'E']) {
         out.push_str(".0");
     }
 }
 
 /// Appends a quoted, escaped JSON string.
-pub(crate) fn push_escaped(out: &mut String, s: &str) {
+fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -172,9 +158,6 @@ mod tests {
         s.clear();
         push_f64(&mut s, f64::NAN);
         assert_eq!(s, "null");
-        s.clear();
-        push_f32(&mut s, 0.1f32);
-        assert_eq!(s, "0.1");
     }
 
     #[test]

@@ -7,10 +7,8 @@
 //! same arithmetic is unit-tested against `pipebd_tensor::Conv2dSpec` so the
 //! analytic model and the executable mini models cannot drift apart.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-sample activation shape in CHW layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ActShape {
     /// Channels.
     pub c: usize,
@@ -50,7 +48,7 @@ impl std::fmt::Display for ActShape {
 }
 
 /// One analytic layer in an architecture description.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayerSpec {
     /// Grouped 2-D convolution (+ folded bias).
     Conv {
@@ -200,14 +198,14 @@ impl LayerSpec {
 }
 
 /// A sequence of analytic layers with derived aggregates.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StackSpec {
     /// The layers, in execution order.
     pub layers: Vec<LayerSpec>,
 }
 
 /// Aggregates of a [`StackSpec`] evaluated at a concrete input shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StackCost {
     /// Multiply-accumulates per sample (forward).
     pub macs: u64,

@@ -6,12 +6,10 @@
 //! time decoding/augmenting one sample costs. The functional engine
 //! (crate `pipebd-data`) builds synthetic datasets that match these shapes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::arch::ActShape;
 
 /// Loading-cost profile of a dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetSpec {
     /// Dataset name, e.g. `"cifar10"`.
     pub name: String,

@@ -1,8 +1,6 @@
 //! Block descriptors: everything the simulator and scheduler need to know
 //! about one teacher/student block pair.
 
-use serde::{Deserialize, Serialize};
-
 use crate::arch::{ActShape, StackSpec};
 
 /// Analytic description of one teacher/student block pair.
@@ -10,7 +8,7 @@ use crate::arch::{ActShape, StackSpec};
 /// Blockwise distillation trains student block `i` against teacher block
 /// `i`; both consume the teacher activation at boundary `i − 1` and the
 /// loss compares their outputs, so a single descriptor carries both sides.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockDescriptor {
     /// Human-readable block name (e.g. `"b2"`, `"conv3_2"`).
     pub name: String,
@@ -100,7 +98,7 @@ impl BlockDescriptor {
 }
 
 /// The blockwise teacher/student pair for one workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockModel {
     /// Model-pair name, e.g. `"mobilenetv2->proxyless"`.
     pub name: String,

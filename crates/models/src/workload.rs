@@ -1,8 +1,6 @@
 //! Workload definitions: a model pair plus a dataset plus training-loop
 //! structure.
 
-use serde::{Deserialize, Serialize};
-
 use crate::arch::ActShape;
 use crate::dataset::DatasetSpec;
 use crate::descriptor::{BlockDescriptor, BlockModel};
@@ -11,7 +9,7 @@ use crate::proxyless::nas_block_model;
 use crate::vgg16::compression_block_model;
 
 /// The two blockwise-distillation applications the paper evaluates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskKind {
     /// Blockwise NAS (DNA-style supernet search).
     Nas,
@@ -29,7 +27,7 @@ impl std::fmt::Display for TaskKind {
 }
 
 /// A complete workload: model pair, dataset, and step structure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Which application this is.
     pub task: TaskKind,

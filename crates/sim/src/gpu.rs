@@ -10,12 +10,10 @@
 //! baseline (and that makes the gap worse on bigger GPUs, the paper's
 //! Fig. 5 observation).
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimTime;
 
 /// Parameters of one GPU type.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuModel {
     /// Marketing name, e.g. `"RTX A6000"`.
     pub name: String,

@@ -1,13 +1,11 @@
 //! Complete server configurations (the paper's Table I environments).
 
-use serde::{Deserialize, Serialize};
-
 use crate::gpu::GpuModel;
 use crate::host::HostModel;
 use crate::interconnect::PcieModel;
 
 /// A single-node multi-GPU training server.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HardwareConfig {
     /// GPU model (all devices identical, as in the paper).
     pub gpu: GpuModel,

@@ -11,13 +11,11 @@
 //! per-batch cost (collate + host-to-device copy), mirroring the main-
 //! process work of a PyTorch `DataLoader` loop.
 
-use serde::{Deserialize, Serialize};
-
 use crate::interconnect::PcieModel;
 use crate::time::SimTime;
 
 /// Host CPU / loader-pool parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HostModel {
     /// CPU description, e.g. `"EPYC 7302"`.
     pub name: String,

@@ -1,11 +1,9 @@
 //! PCIe interconnect model for activation relays and gradient sharing.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimTime;
 
 /// A PCIe link between host and devices (and peer-to-peer between devices).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PcieModel {
     /// Generation label, e.g. `"PCIe 4.0 x16"`.
     pub name: String,

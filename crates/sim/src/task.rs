@@ -1,11 +1,9 @@
 //! Task-graph vocabulary: resources, task kinds, and the graph builder.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimTime;
 
 /// Identifies a task within a [`TaskGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub(crate) u32);
 
 impl TaskId {
@@ -22,7 +20,7 @@ impl TaskId {
 /// transfers overlap with kernels, as the paper's implementation does; the
 /// loader pool is a single shared resource, which is what makes redundant
 /// data loading expensive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Resource {
     /// Compute stream of GPU `i`.
     Gpu(usize),
@@ -33,7 +31,7 @@ pub enum Resource {
 }
 
 /// What a task represents (used for breakdowns and Gantt rendering).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskKind {
     /// Batch decode on the loader pool, or consumer-side collate + H2D copy.
     Load,
@@ -56,7 +54,7 @@ pub enum TaskKind {
 }
 
 /// One node of the simulated execution DAG.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Task {
     /// Where the task runs.
     pub resource: Resource,
@@ -73,7 +71,7 @@ pub struct Task {
 }
 
 /// A builder for the execution DAG of one (or a few) training epochs.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TaskGraph {
     pub(crate) tasks: Vec<Task>,
     pub(crate) num_gpus: usize,

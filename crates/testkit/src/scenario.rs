@@ -891,8 +891,7 @@ mod tests {
             description: "test".into(),
             scenarios: enumerate(),
         };
-        let value = pipebd_json::to_value(&set).expect("serialize");
-        let back: ScenarioSet = pipebd_json::from_value(&value).expect("deserialize");
+        let back = ScenarioSet::from_json(&set.to_json()).expect("deserialize");
         assert_eq!(back, set);
     }
 }

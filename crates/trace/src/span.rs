@@ -17,12 +17,10 @@
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
-
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 
 /// How much the trace plane records, parsed from `PIPEBD_TRACE`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceMode {
     /// No collector is constructed; instrumentation costs one branch.
     Off,
@@ -70,7 +68,7 @@ impl TraceMode {
 /// What a span measures. Kinds mirror the simulator's `TaskKind` where a
 /// counterpart exists, so executor and simulator tracks align in the
 /// Chrome export.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanKind {
     /// Input acquisition: batch materialization (stage 0) or receiving and
     /// re-sharding the relayed activation (later stages).
@@ -137,7 +135,7 @@ impl SpanKind {
 }
 
 /// One recorded interval on one track.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     /// What the interval measures.
     pub kind: SpanKind,
@@ -161,7 +159,7 @@ impl Span {
 }
 
 /// One thread's drained spans plus its identity in the run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrackSpans {
     /// Device rank (the `gpu{device}` track).
     pub device: usize,
@@ -177,7 +175,7 @@ pub struct TrackSpans {
 }
 
 /// Everything one run recorded, drained from the collector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceReport {
     /// Mode label the run recorded under (`"spans"` or `"full"`).
     pub mode: String,

@@ -14,8 +14,8 @@
 //! * [`data`] — dataset descriptors and synthetic datasets.
 //! * [`core`] — the Pipe-BD strategies, simulator lowering, threaded
 //!   functional executor, and the [`core::Experiment`] facade.
-//! * [`json`] — the JSON backend (parser, `Value` tree, renderers, serde
-//!   bridge) behind the artifact plane.
+//! * [`json`] — the JSON backend (parser, `Value` tree, renderers, and
+//!   the `Serialize`/`Deserialize` data model) behind the artifact plane.
 //! * [`artifact`] — the persistent artifact store: schema-tagged run
 //!   reports, schedules, profiles, and bench baselines under
 //!   `target/artifacts/`.
