@@ -6,7 +6,10 @@
 //! demonstrating that Pipe-BD scheduling leaves training results unchanged
 //! — any deterministic input distribution exercises the identical code
 //! path, so this crate generates procedural images: each class has a
-//! parametric spatial pattern, perturbed with seeded noise.
+//! parametric spatial pattern, perturbed with seeded noise. The noise is
+//! one standard normal per pixel from [`Rng64::normal`] (a ziggurat, so
+//! 98.5 % of attempts cost one multiply and one compare), drawn in pixel
+//! order from a stream seeded by the sample's index.
 //!
 //! # Example
 //!
@@ -82,8 +85,9 @@ impl SyntheticImageDataset {
     /// Writes sample `index` into `out`, one `[c, h, w]` image: a
     /// class-dependent smooth pattern plus seeded noise. The pattern is a
     /// sine of the column times a cosine of the row, so each is evaluated
-    /// once per row or column instead of once per pixel; the noise stream
-    /// is drawn in pixel order. Returns the sample's label.
+    /// once per row or column instead of once per pixel. The noise stream
+    /// is drawn in pixel order, a row at a time into the row itself, and
+    /// the pattern is then added in place. Returns the sample's label.
     fn write_sample(&self, index: u64, out: &mut [f32]) -> usize {
         let shape = self.spec.sample_shape;
         let label = self.label(index);
@@ -101,8 +105,9 @@ impl SyntheticImageDataset {
             }
             for (y, &cos) in cos_row.iter().enumerate() {
                 let row = &mut out[(c * shape.h + y) * shape.w..][..shape.w];
+                rng.fill_normal(row);
                 for (v, &sin) in row.iter_mut().zip(&sin_col) {
-                    *v = 0.5 * (sin * cos) + 0.1 * rng.normal();
+                    *v = 0.5 * (sin * cos) + 0.1 * *v;
                 }
             }
         }

@@ -129,14 +129,15 @@ mod tests {
         }
     }
 
-    #[test]
-    fn one_distillation_step_reduces_block_loss() {
+    /// Block 0's distillation loss after 120 SGD steps over its first,
+    /// for one seed's teacher, student and input.
+    fn block0_loss_ratio(seed: u64) -> f32 {
         let cfg = MiniConfig {
             blocks: 2,
             channels: 6,
             batch_norm: false,
         };
-        let mut rng = Rng64::seed_from_u64(1);
+        let mut rng = Rng64::seed_from_u64(seed);
         let mut teacher = mini_teacher(cfg, &mut rng);
         let mut student = mini_student_dsconv(cfg, &mut rng);
         let x = Tensor::randn(&[4, 3, 8, 8], &mut rng);
@@ -153,11 +154,22 @@ mod tests {
             first.get_or_insert(loss.loss);
             last = loss.loss;
         }
-        assert!(
-            last < 0.5 * first.unwrap(),
-            "distillation loss should halve: {} -> {last}",
-            first.unwrap()
-        );
+        last / first.unwrap()
+    }
+
+    /// Distillation lowers block 0's loss for every seed, and by about
+    /// half for a typical one. Halving holds for only about 60 % of seeds,
+    /// so a check of it on one seed would pass or fail with the random
+    /// stream; the claim is made over the fixed seeds 0..16 instead.
+    #[test]
+    fn one_distillation_step_reduces_block_loss() {
+        let mut ratios: Vec<f32> = (0..16).map(block0_loss_ratio).collect();
+        for (seed, &ratio) in ratios.iter().enumerate() {
+            assert!(ratio < 1.0, "seed {seed}: the loss rose by {ratio}x");
+        }
+        ratios.sort_by(f32::total_cmp);
+        let median = 0.5 * (ratios[7] + ratios[8]);
+        assert!(median <= 0.6, "median loss ratio {median} over seeds 0..16");
     }
 
     #[test]
