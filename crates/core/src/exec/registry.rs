@@ -22,10 +22,11 @@
 //! one [`EpochEnd`], and the recovery protocol (`exec::recovery`)
 //! decides whether another epoch follows and over which members.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, SendError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use pipebd_nn::{Block, BlockNet};
 use pipebd_sched::StagePlan;
 use pipebd_tensor::parallel::{self, ComputePool};
@@ -78,6 +79,55 @@ pub(crate) enum EpochEnd {
     Lost { rank: usize, step: usize },
 }
 
+/// The producers' end of one relay edge: the channel into one next-stage
+/// member, and the count of shards sent on it and not yet received (the
+/// relay's back-pressure reads it; a std channel has no length). The
+/// count publishes no data, so it is relaxed: the channel already orders
+/// each send's increment before the matching receive's decrement.
+#[derive(Clone)]
+pub(crate) struct RelayTx {
+    tx: Sender<Shard>,
+    queued: Arc<AtomicUsize>,
+}
+
+/// The consuming member's end of a relay edge.
+pub(crate) struct RelayRx {
+    pub rx: Receiver<Shard>,
+    queued: Arc<AtomicUsize>,
+}
+
+/// Creates one relay edge.
+pub(crate) fn relay_edge() -> (RelayTx, RelayRx) {
+    let (tx, rx) = channel();
+    let queued = Arc::new(AtomicUsize::new(0));
+    let rx = RelayRx {
+        rx,
+        queued: Arc::clone(&queued),
+    };
+    (RelayTx { tx, queued }, rx)
+}
+
+impl RelayTx {
+    /// Sends `shard`, counted in flight before it can be received (so the
+    /// count never runs below the channel's length). Never blocks.
+    pub fn send(&self, shard: Shard) -> Result<(), SendError<Shard>> {
+        self.queued.fetch_add(1, Ordering::Relaxed);
+        self.tx.send(shard)
+    }
+
+    /// Shards sent on this edge and not yet received.
+    pub fn queued(&self) -> usize {
+        self.queued.load(Ordering::Relaxed)
+    }
+}
+
+impl RelayRx {
+    /// Marks one shard taken off [`RelayRx::rx`].
+    pub fn received(&self) {
+        self.queued.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 /// A device's end of its stage's gradient-sharing fabric.
 pub(crate) enum GradLink {
     /// Width-1 stage: nothing to share.
@@ -106,10 +156,10 @@ pub(crate) struct DeviceRole {
     pub first_block: usize,
     pub teacher_blocks: Vec<Block>,
     pub student_blocks: Vec<Block>,
-    /// Receiver for the previous stage's shards (`None` for stage 0).
-    pub input_rx: Option<Receiver<Shard>>,
-    /// Senders to every member of the next stage (empty for the last).
-    pub output_tx: Vec<Sender<Shard>>,
+    /// Relay edge from the previous stage (`None` for stage 0).
+    pub input_rx: Option<RelayRx>,
+    /// Relay edges to every member of the next stage (empty for the last).
+    pub output_tx: Vec<RelayTx>,
     pub grads: GradLink,
 }
 
@@ -122,51 +172,46 @@ pub(crate) fn wire_roles(
     teacher: &BlockNet,
     student: &BlockNet,
 ) -> Vec<DeviceRole> {
-    let num_stages = plan.stages.len();
     let mut roles: Vec<DeviceRole> = Vec::with_capacity(plan.num_devices);
-    // Input receivers for each stage's members; pre-created so the
-    // previous stage's senders can be wired while visiting it.
-    let mut stage_rx: Vec<Vec<(Sender<Shard>, Receiver<Shard>)>> = Vec::new();
-    for s in &plan.stages {
-        stage_rx.push((0..s.width()).map(|_| unbounded()).collect());
-    }
+    // One relay edge into each member of every stage after the first: the
+    // previous stage's members take clones of the senders, the consumer
+    // moves its receiver out.
+    let (senders, receivers): (Vec<Vec<RelayTx>>, Vec<Vec<RelayRx>>) = plan
+        .stages
+        .iter()
+        .skip(1)
+        .map(|s| (0..s.width()).map(|_| relay_edge()).unzip())
+        .unzip();
+    let mut inputs: Vec<_> = receivers.into_iter().map(Vec::into_iter).collect();
 
     for (si, stage) in plan.stages.iter().enumerate() {
         let width = stage.width();
         // The stage's gradient fabric: one gather channel into the leader
-        // and one averaged-bundle channel out to each other member. Roles
-        // take clones and the originals drop with this iteration, so the
-        // leader holds no sender to its own gather channel: it disconnects
-        // when the members are gone.
-        let (to_leader, gather) = unbounded::<GradMsg>();
-        let (broadcast, averaged): (Vec<_>, Vec<_>) =
-            (1..width).map(|_| unbounded::<GradBundle>()).unzip();
+        // and one averaged-bundle channel out to each other member. The
+        // members take clones of the gather sender and the original drops
+        // here, so the leader holds no sender to its own gather channel:
+        // it disconnects when the members are gone.
+        let grads: Vec<GradLink> = if width == 1 {
+            vec![GradLink::Solo]
+        } else {
+            let (to_leader, gather) = channel::<GradMsg>();
+            let (broadcast, averaged): (Vec<_>, Vec<_>) =
+                (1..width).map(|_| channel::<GradBundle>()).unzip();
+            std::iter::once(GradLink::Leader { gather, broadcast })
+                .chain(averaged.into_iter().map(|averaged| GradLink::Member {
+                    to_leader: to_leader.clone(),
+                    averaged,
+                }))
+                .collect()
+        };
 
-        for (member, &device) in stage.devices.iter().enumerate() {
+        for (member, (&device, grads)) in stage.devices.iter().zip(grads).enumerate() {
             let teacher_blocks: Vec<Block> =
                 stage.blocks().map(|i| teacher.block(i).clone()).collect();
             let student_blocks: Vec<Block> = stage
                 .blocks()
                 .map(|i| super::private_clone(student.block(i)))
                 .collect();
-            let output_tx = if si + 1 < num_stages {
-                stage_rx[si + 1].iter().map(|(tx, _)| tx.clone()).collect()
-            } else {
-                Vec::new()
-            };
-            let grads = if width == 1 {
-                GradLink::Solo
-            } else if member == 0 {
-                GradLink::Leader {
-                    gather: gather.clone(),
-                    broadcast: broadcast.clone(),
-                }
-            } else {
-                GradLink::Member {
-                    to_leader: to_leader.clone(),
-                    averaged: averaged[member - 1].clone(),
-                }
-            };
             roles.push(DeviceRole {
                 device,
                 stage_index: si,
@@ -180,12 +225,8 @@ pub(crate) fn wire_roles(
                 first_block: stage.first_block,
                 teacher_blocks,
                 student_blocks,
-                input_rx: if si == 0 {
-                    None
-                } else {
-                    Some(stage_rx[si][member].1.clone())
-                },
-                output_tx,
+                input_rx: si.checked_sub(1).and_then(|prev| inputs[prev].next()),
+                output_tx: senders.get(si).cloned().unwrap_or_default(),
                 grads,
             });
         }

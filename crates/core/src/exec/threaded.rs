@@ -1,5 +1,5 @@
 //! Multi-threaded teacher relaying: the paper's Algorithm 1 with OS
-//! threads as devices and crossbeam channels as the PCIe links.
+//! threads as devices and `std::sync::mpsc` channels as the PCIe links.
 //!
 //! Per step and per device (Algorithm 1, lines 7–16):
 //!
@@ -77,10 +77,10 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use pipebd_data::SyntheticImageDataset;
 use pipebd_nn::{mse_loss, Block, BlockNet, Layer, Mode, Sgd};
 use pipebd_tensor::parallel::ComputePool;
@@ -89,8 +89,8 @@ use pipebd_trace::{Span, SpanKind, TraceCollector, TrackRecorder};
 
 use super::fault::{FaultAction, FaultDriver};
 use super::registry::{
-    self, DeviceRegistry, DeviceRole, EpochEnd, GradBundle, GradLink, GradMsg, Shard, WorkerEnd,
-    WorkerOut,
+    self, DeviceRegistry, DeviceRole, EpochEnd, GradBundle, GradLink, GradMsg, RelayRx, RelayTx,
+    WorkerEnd, WorkerOut,
 };
 pub use super::ExecError;
 use super::{FuncConfig, FuncOutcome};
@@ -199,10 +199,11 @@ const RELAY_LEAD: usize = 2;
 
 /// Back-pressure on the relay: holds a worker at the top of a step while
 /// any next-stage member still has [`RELAY_LEAD`] steps of this stage's
-/// boundaries (`width` shards a step) queued. The channels stay unbounded
-/// and sends never block; a stage that is not ahead never waits here.
-fn wait_for_room(txs: &[Sender<Shard>], width: usize, abort: &AtomicBool) -> Result<(), Halt> {
-    while txs.iter().any(|tx| tx.len() >= RELAY_LEAD * width) {
+/// boundaries (`width` shards a step) queued, read from each edge's
+/// in-flight count. The channels stay unbounded and sends never block; a
+/// stage that is not ahead never waits here.
+fn wait_for_room(txs: &[RelayTx], width: usize, abort: &AtomicBool) -> Result<(), Halt> {
+    while txs.iter().any(|tx| tx.queued() >= RELAY_LEAD * width) {
         if abort.load(Ordering::SeqCst) {
             return Err(Halt::PeerGone);
         }
@@ -336,7 +337,7 @@ pub(crate) fn run_epoch(
     // sender clones live in the workers; once they all exit, `recv`
     // disconnects and the assembly loop ends.
     let ckpt = hooks.checkpoint.as_ref().map(|(policy, sink)| {
-        let (tx, rx) = unbounded::<CkptFrag>();
+        let (tx, rx) = channel::<CkptFrag>();
         (*policy, tx, rx, sink)
     });
 
@@ -700,12 +701,13 @@ fn train(
 /// Receives until every upstream member has a queued shard for the current
 /// step, then pops one shard per member, ordered by member index.
 fn receive_full_batch(
-    rx: &Receiver<Shard>,
+    input: &RelayRx,
     queues: &mut [VecDeque<SharedTensor>],
     abort: &AtomicBool,
 ) -> Result<Vec<SharedTensor>, Halt> {
     while queues.iter().any(VecDeque::is_empty) {
-        let (member, shard) = recv_or_gone(rx, abort)?;
+        let (member, shard) = recv_or_gone(&input.rx, abort)?;
+        input.received();
         queues
             .get_mut(member)
             .ok_or_else(|| ExecError::Config(format!("unknown upstream member {member}")))?
@@ -963,16 +965,21 @@ mod tests {
     #[test]
     fn rejects_mismatched_plan() {
         let (teacher, student, data) = setup(3);
-        let plan = StagePlan::contiguous(6, 4).unwrap();
-        let cfg = FuncConfig {
+        let mismatched = FuncConfig {
             devices: 4,
-            plan: Some(plan),
+            plan: Some(StagePlan::contiguous(6, 4).unwrap()),
             ..FuncConfig::default()
         };
-        assert!(matches!(
-            run(&teacher, &student, &data, &cfg),
-            Err(ExecError::Config(_))
-        ));
+        let no_devices = FuncConfig {
+            devices: 0,
+            ..FuncConfig::default()
+        };
+        for cfg in [mismatched, no_devices] {
+            assert!(matches!(
+                run(&teacher, &student, &data, &cfg),
+                Err(ExecError::Config(_))
+            ));
+        }
     }
 
     #[test]
@@ -1064,6 +1071,43 @@ mod tests {
             )
         });
         assert!(gone, "the gather must disconnect, not block or deliver");
+    }
+
+    #[test]
+    fn relay_back_pressure_holds_at_the_lead_until_a_receive_or_an_abort() {
+        within_watchdog(|| {
+            let width = 2;
+            let (tx, rx) = registry::relay_edge();
+            let send = || tx.send((0, SharedTensor::new(Tensor::ones(&[1])))).unwrap();
+            // `wait_for_room` looks at the abort flag only while it holds, so
+            // under a raised flag `PeerGone` means "held" and `Ok` "room".
+            let raised = AtomicBool::new(true);
+            let holds = || {
+                let end = wait_for_room(std::slice::from_ref(&tx), width, &raised);
+                matches!(end, Err(Halt::PeerGone))
+            };
+            for _ in 1..RELAY_LEAD * width {
+                send();
+            }
+            assert!(!holds(), "one shard short of the lead leaves room");
+            send();
+            assert!(holds(), "a full edge holds the producer");
+            // A producer held on a live epoch goes on after one receive ...
+            let abort = Arc::new(AtomicBool::new(false));
+            let park = || {
+                let (txs, abort) = (vec![tx.clone()], Arc::clone(&abort));
+                std::thread::spawn(move || wait_for_room(&txs, width, &abort))
+            };
+            let held = park();
+            assert!(recv_or_gone(&rx.rx, &abort).is_ok());
+            rx.received();
+            assert!(matches!(held.join().unwrap(), Ok(())));
+            // ... and stops once the epoch aborts.
+            send();
+            let held = park();
+            abort.store(true, Ordering::SeqCst);
+            assert!(matches!(held.join().unwrap(), Err(Halt::PeerGone)));
+        });
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub use mixed::MixedOp;
 pub use norm::BatchNorm2d;
 pub use optim::Sgd;
 pub use param::{Param, ParamKind};
-pub use pool_layer::{AvgPool2d, GlobalAvgPool, MaxPool2d};
+pub use pool_layer::GlobalAvgPool;
 pub use seq::Sequential;
 
 use pipebd_tensor::{Result, Tensor};

@@ -105,8 +105,12 @@ impl StagePlan {
     ///
     /// # Errors
     ///
-    /// Returns [`InvalidPlan`] if there are fewer blocks than devices.
+    /// Returns [`InvalidPlan`] if there are no devices or fewer blocks than
+    /// devices.
     pub fn contiguous(num_blocks: usize, num_devices: usize) -> Result<Self, InvalidPlan> {
+        if num_devices == 0 {
+            return Err(InvalidPlan("a plan needs at least one device".into()));
+        }
         if num_blocks < num_devices {
             return Err(InvalidPlan(format!(
                 "cannot place {num_blocks} blocks on {num_devices} devices without batch splitting"
@@ -357,6 +361,8 @@ mod tests {
     #[test]
     fn contiguous_rejects_too_few_blocks() {
         assert!(StagePlan::contiguous(3, 4).is_err());
+        assert!(StagePlan::contiguous(4, 0).is_err());
+        assert!(StagePlan::contiguous(0, 0).is_err());
     }
 
     #[test]

@@ -185,7 +185,7 @@ fn gemm_rows_parallel(
     accumulate: bool,
 ) {
     debug_assert!(band % MR == 0 && band < m);
-    pool.run_scope(|s| {
+    pool.scope(|s| {
         for (bi, cband) in c.chunks_mut(band * n).enumerate() {
             let rows = cband.len() / n;
             let a_band = &a[bi * band * rsa..];
@@ -245,7 +245,7 @@ fn gemm_cols_parallel(
             }
         }
     }
-    pool.run_scope(|s| {
+    pool.scope(|s| {
         for (bi, sb) in scratch.chunks_mut(m * nband).enumerate() {
             let (j0, nb) = extent(bi);
             let b_band = &b[j0 * csb..];

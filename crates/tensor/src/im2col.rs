@@ -271,7 +271,7 @@ fn par_units(
     };
     let per = units.div_ceil(pool.size());
     let (f, mut side) = (&f, side);
-    pool.run_scope(|s| {
+    pool.scope(|s| {
         for (ci, chunk) in data.chunks_mut(per * block).enumerate() {
             let at = per.min(side.len());
             let (mine, rest) = std::mem::take(&mut side).split_at_mut(at);

@@ -59,10 +59,7 @@ pub use conv::{
 pub use epilogue::{Activation, Epilogue};
 pub use error::TensorError;
 pub use kernel::{kernel_policy, KernelPolicy};
-pub use pool::{
-    avg_pool2d, avg_pool2d_backward, global_avg_pool, global_avg_pool_backward, max_pool2d,
-    max_pool2d_backward, MaxPoolIndices,
-};
+pub use pool::{global_avg_pool, global_avg_pool_backward};
 pub use rng::Rng64;
 pub use shape::Shape;
 pub use shared::SharedTensor;

@@ -1,16 +1,7 @@
-//! Pooling kernels and their adjoints.
+//! Global average pooling and its adjoint.
 
 use crate::error::TensorError;
 use crate::tensor::Tensor;
-
-/// Book-keeping produced by [`max_pool2d`]: the flat input offset chosen for
-/// each output element, needed to route gradients in
-/// [`max_pool2d_backward`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MaxPoolIndices {
-    indices: Vec<usize>,
-    input_dims: Vec<usize>,
-}
 
 fn rank4(t: &Tensor, op: &'static str) -> Result<(usize, usize, usize, usize), TensorError> {
     if t.shape().rank() != 4 {
@@ -21,169 +12,6 @@ fn rank4(t: &Tensor, op: &'static str) -> Result<(usize, usize, usize, usize), T
         });
     }
     Ok((t.dims()[0], t.dims()[1], t.dims()[2], t.dims()[3]))
-}
-
-fn pooled_extent(extent: usize, window: usize, stride: usize) -> Result<usize, TensorError> {
-    if stride == 0 || window == 0 {
-        return Err(TensorError::invalid("pool: window and stride must be > 0"));
-    }
-    if extent < window {
-        return Err(TensorError::invalid(format!(
-            "pool: input extent {extent} smaller than window {window}"
-        )));
-    }
-    Ok((extent - window) / stride + 1)
-}
-
-/// Average pooling with a square window.
-///
-/// # Errors
-///
-/// Returns an error for non-rank-4 inputs, zero window/stride, or inputs
-/// smaller than the window.
-pub fn avg_pool2d(x: &Tensor, window: usize, stride: usize) -> Result<Tensor, TensorError> {
-    let (n, c, h, w) = rank4(x, "avg_pool2d")?;
-    let oh = pooled_extent(h, window, stride)?;
-    let ow = pooled_extent(w, window, stride)?;
-    let inv = 1.0 / (window * window) as f32;
-    let xd = x.data();
-    let mut out = vec![0.0f32; n * c * oh * ow];
-    for b in 0..n {
-        for ch in 0..c {
-            let base = (b * c + ch) * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = 0.0f32;
-                    for ky in 0..window {
-                        for kx in 0..window {
-                            acc += xd[base + (oy * stride + ky) * w + ox * stride + kx];
-                        }
-                    }
-                    out[((b * c + ch) * oh + oy) * ow + ox] = acc * inv;
-                }
-            }
-        }
-    }
-    Tensor::from_vec(out, &[n, c, oh, ow])
-}
-
-/// Adjoint of [`avg_pool2d`].
-///
-/// # Errors
-///
-/// Returns an error if `dy` is inconsistent with the pooled extents of
-/// `input_dims`.
-pub fn avg_pool2d_backward(
-    dy: &Tensor,
-    input_dims: &[usize],
-    window: usize,
-    stride: usize,
-) -> Result<Tensor, TensorError> {
-    let (n, c, oh, ow) = rank4(dy, "avg_pool2d_backward")?;
-    if input_dims.len() != 4 {
-        return Err(TensorError::RankMismatch {
-            expected: 4,
-            actual: input_dims.len(),
-            op: "avg_pool2d_backward",
-        });
-    }
-    let (h, w) = (input_dims[2], input_dims[3]);
-    if pooled_extent(h, window, stride)? != oh || pooled_extent(w, window, stride)? != ow {
-        return Err(TensorError::ShapeMismatch {
-            expected: vec![n, c, oh, ow],
-            actual: input_dims.to_vec(),
-            op: "avg_pool2d_backward",
-        });
-    }
-    let inv = 1.0 / (window * window) as f32;
-    let dyd = dy.data();
-    let mut dx = vec![0.0f32; n * c * h * w];
-    for b in 0..n {
-        for ch in 0..c {
-            let base = (b * c + ch) * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let g = dyd[((b * c + ch) * oh + oy) * ow + ox] * inv;
-                    for ky in 0..window {
-                        for kx in 0..window {
-                            dx[base + (oy * stride + ky) * w + ox * stride + kx] += g;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Tensor::from_vec(dx, input_dims)
-}
-
-/// Max pooling with a square window; also returns the winning indices.
-///
-/// # Errors
-///
-/// Same conditions as [`avg_pool2d`].
-pub fn max_pool2d(
-    x: &Tensor,
-    window: usize,
-    stride: usize,
-) -> Result<(Tensor, MaxPoolIndices), TensorError> {
-    let (n, c, h, w) = rank4(x, "max_pool2d")?;
-    let oh = pooled_extent(h, window, stride)?;
-    let ow = pooled_extent(w, window, stride)?;
-    let xd = x.data();
-    let mut out = vec![0.0f32; n * c * oh * ow];
-    let mut idx = vec![0usize; n * c * oh * ow];
-    for b in 0..n {
-        for ch in 0..c {
-            let base = (b * c + ch) * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_off = 0usize;
-                    for ky in 0..window {
-                        for kx in 0..window {
-                            let off = base + (oy * stride + ky) * w + ox * stride + kx;
-                            if xd[off] > best {
-                                best = xd[off];
-                                best_off = off;
-                            }
-                        }
-                    }
-                    let o = ((b * c + ch) * oh + oy) * ow + ox;
-                    out[o] = best;
-                    idx[o] = best_off;
-                }
-            }
-        }
-    }
-    Ok((
-        Tensor::from_vec(out, &[n, c, oh, ow])?,
-        MaxPoolIndices {
-            indices: idx,
-            input_dims: vec![n, c, h, w],
-        },
-    ))
-}
-
-/// Adjoint of [`max_pool2d`]: routes each output gradient to the input
-/// element that won the max.
-///
-/// # Errors
-///
-/// Returns an error if `dy` does not match the recorded output size.
-pub fn max_pool2d_backward(dy: &Tensor, indices: &MaxPoolIndices) -> Result<Tensor, TensorError> {
-    if dy.numel() != indices.indices.len() {
-        return Err(TensorError::LengthMismatch {
-            expected: indices.indices.len(),
-            actual: dy.numel(),
-            op: "max_pool2d_backward",
-        });
-    }
-    let mut dx = Tensor::zeros(&indices.input_dims);
-    let dxd = dx.data_mut();
-    for (g, &off) in dy.data().iter().zip(indices.indices.iter()) {
-        dxd[off] += g;
-    }
-    Ok(dx)
 }
 
 /// Global average pooling: `[n, c, h, w] -> [n, c]`.
@@ -247,54 +75,6 @@ mod tests {
     use crate::rng::Rng64;
 
     #[test]
-    fn avg_pool_hand_checked() {
-        let x = Tensor::from_vec(
-            vec![
-                1.0, 2.0, 3.0, 4.0, //
-                5.0, 6.0, 7.0, 8.0, //
-                9.0, 10.0, 11.0, 12.0, //
-                13.0, 14.0, 15.0, 16.0,
-            ],
-            &[1, 1, 4, 4],
-        )
-        .unwrap();
-        let y = avg_pool2d(&x, 2, 2).unwrap();
-        assert_eq!(y.dims(), &[1, 1, 2, 2]);
-        assert_eq!(y.data(), &[3.5, 5.5, 11.5, 13.5]);
-    }
-
-    #[test]
-    fn avg_pool_backward_distributes_evenly() {
-        let dy = Tensor::ones(&[1, 1, 2, 2]);
-        let dx = avg_pool2d_backward(&dy, &[1, 1, 4, 4], 2, 2).unwrap();
-        assert!(dx.data().iter().all(|&v| (v - 0.25).abs() < 1e-6));
-        assert!((dx.sum() - dy.sum()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn max_pool_and_routing() {
-        let x = Tensor::from_vec(
-            vec![
-                1.0, 2.0, 5.0, 4.0, //
-                3.0, 0.0, 1.0, 1.0, //
-                0.0, 0.0, 9.0, 0.0, //
-                7.0, 0.0, 0.0, 0.0,
-            ],
-            &[1, 1, 4, 4],
-        )
-        .unwrap();
-        let (y, idx) = max_pool2d(&x, 2, 2).unwrap();
-        assert_eq!(y.data(), &[3.0, 5.0, 7.0, 9.0]);
-        let dy = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]).unwrap();
-        let dx = max_pool2d_backward(&dy, &idx).unwrap();
-        assert_eq!(dx.at(&[0, 0, 1, 0]).unwrap(), 1.0); // 3.0 won
-        assert_eq!(dx.at(&[0, 0, 0, 2]).unwrap(), 2.0); // 5.0 won
-        assert_eq!(dx.at(&[0, 0, 3, 0]).unwrap(), 3.0); // 7.0 won
-        assert_eq!(dx.at(&[0, 0, 2, 2]).unwrap(), 4.0); // 9.0 won
-        assert!((dx.sum() - dy.sum()).abs() < 1e-6);
-    }
-
-    #[test]
     fn global_avg_pool_and_backward() {
         let mut rng = Rng64::seed_from_u64(1);
         let x = Tensor::randn(&[2, 3, 4, 4], &mut rng);
@@ -315,11 +95,10 @@ mod tests {
 
     #[test]
     fn pool_validations() {
-        let x = Tensor::zeros(&[1, 1, 2, 2]);
-        assert!(avg_pool2d(&x, 3, 1).is_err()); // window bigger than input
-        assert!(avg_pool2d(&x, 2, 0).is_err()); // zero stride
         let v = Tensor::zeros(&[4]);
-        assert!(avg_pool2d(&v, 1, 1).is_err()); // wrong rank
-        assert!(global_avg_pool(&v).is_err());
+        assert!(global_avg_pool(&v).is_err()); // wrong rank
+        let dy = Tensor::zeros(&[2, 3]);
+        assert!(global_avg_pool_backward(&dy, &[2, 3, 4]).is_err());
+        assert!(global_avg_pool_backward(&dy, &[3, 2, 4, 4]).is_err());
     }
 }

@@ -255,8 +255,8 @@ fn lane_ordered_reductions_ignore_the_pool() {
 
 #[test]
 fn repeated_pooled_runs_are_bit_stable() {
-    // Determinism across *runs* at a fixed pool size: stealing order is
-    // nondeterministic, results must not be.
+    // Determinism across *runs* at a fixed pool size: which lane takes
+    // which task is nondeterministic, results must not be.
     let mut rng = Rng64::seed_from_u64(99);
     let a = Tensor::randn(&[64, 32], &mut rng);
     let b = Tensor::randn(&[32, 64], &mut rng);

@@ -6,8 +6,8 @@
 //! Pipe-BD parity claims) trustworthy.
 
 use pipebd_tensor::{
-    avg_pool2d, avg_pool2d_backward, conv2d, conv2d_grad_input, conv2d_grad_weight, reduce,
-    Conv2dSpec, Tensor,
+    conv2d, conv2d_grad_input, conv2d_grad_weight, global_avg_pool, global_avg_pool_backward,
+    reduce, Conv2dSpec, Tensor,
 };
 use proptest::prelude::*;
 
@@ -97,11 +97,11 @@ proptest! {
     }
 
     #[test]
-    fn avg_pool_is_adjoint(x in vecf(16), y in vecf(4)) {
-        let x = Tensor::from_vec(x, &[1, 1, 4, 4]).unwrap();
-        let y = Tensor::from_vec(y, &[1, 1, 2, 2]).unwrap();
-        let fx = avg_pool2d(&x, 2, 2).unwrap();
-        let fty = avg_pool2d_backward(&y, &[1, 1, 4, 4], 2, 2).unwrap();
+    fn avg_pool_is_adjoint(x in vecf(32), y in vecf(4)) {
+        let x = Tensor::from_vec(x, &[2, 2, 2, 4]).unwrap();
+        let y = Tensor::from_vec(y, &[2, 2]).unwrap();
+        let fx = global_avg_pool(&x).unwrap();
+        let fty = global_avg_pool_backward(&y, &[2, 2, 2, 4]).unwrap();
         let lhs = dot(&fx, &y);
         let rhs = dot(&x, &fty);
         prop_assert!((lhs - rhs).abs() < 1e-4 * (1.0 + lhs.abs()));

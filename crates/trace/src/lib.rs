@@ -31,7 +31,7 @@
 //! `None`, and trained parameters are bitwise identical to an
 //! instrumented run (tracing observes the schedule, never the math).
 //! `spans` records spans only; `full` additionally populates the metrics
-//! registry and work-stealing pool counters.
+//! registry and compute-pool counters.
 
 #![warn(missing_docs)]
 
