@@ -27,7 +27,7 @@ use pipebd_nn::{Layer, Sgd};
 use pipebd_tensor::{Tensor, TensorError};
 use serde::{Deserialize, Serialize};
 
-use crate::exec::{ExecError, FuncConfig};
+use crate::exec::{ExecError, RunSpec};
 
 /// A bitwise-exact, serializable snapshot of one tensor.
 ///
@@ -169,19 +169,16 @@ impl Checkpoint {
         Ok(state.losses.clone())
     }
 
-    /// [`validate`](Self::validate) for a run about to resume from this
-    /// checkpoint, which must also not lie beyond the run's last step.
-    pub(crate) fn validate_resume(
-        &self,
-        num_blocks: usize,
-        cfg: &FuncConfig,
-    ) -> Result<(), ExecError> {
-        self.validate(num_blocks, cfg.batch)
+    /// [`validate`](Self::validate) for the accepted run `spec` about to
+    /// resume from this checkpoint, which must also not lie beyond the
+    /// run's last step.
+    pub(crate) fn validate_resume(&self, spec: &RunSpec) -> Result<(), ExecError> {
+        self.validate(spec.blocks(), spec.cfg.batch)
             .map_err(ExecError::Checkpoint)?;
-        if self.round > cfg.steps {
+        if self.round > spec.cfg.steps {
             return Err(ExecError::Checkpoint(format!(
                 "checkpoint round {} beyond the run's {} steps",
-                self.round, cfg.steps
+                self.round, spec.cfg.steps
             )));
         }
         Ok(())

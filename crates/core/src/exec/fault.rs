@@ -29,7 +29,7 @@ use std::time::Duration;
 
 use pipebd_sim::FaultTimeline;
 
-use super::ExecError;
+use super::SpecError;
 
 /// Wall-clock pause per unit of excess slowdown factor. Kept small: the
 /// pause must be observable enough to reorder decoupled workers without
@@ -66,13 +66,11 @@ impl FaultDriver {
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError::Config`] when `decoupled` is false and the
-    /// timeline is not healthy.
-    pub fn new(timeline: &FaultTimeline, decoupled: bool) -> Result<Self, ExecError> {
+    /// Returns [`SpecError::CoupledFaults`] when `decoupled` is false and
+    /// the timeline is not healthy.
+    pub fn new(timeline: &FaultTimeline, decoupled: bool) -> Result<Self, SpecError> {
         if !decoupled && !timeline.is_healthy() {
-            return Err(ExecError::Config(
-                "fault injection requires decoupled updates".into(),
-            ));
+            return Err(SpecError::CoupledFaults);
         }
         Ok(FaultDriver {
             timeline: timeline.clone(),
@@ -136,10 +134,10 @@ mod tests {
                 at_step: 2,
             }],
         };
-        assert!(matches!(
-            FaultDriver::new(&loss.timeline(2).unwrap(), false),
-            Err(ExecError::Config(_))
-        ));
+        assert_eq!(
+            FaultDriver::new(&loss.timeline(2).unwrap(), false).unwrap_err(),
+            SpecError::CoupledFaults
+        );
         // A healthy script is fine even with a barrier.
         let healthy = FaultScript::healthy().timeline(2).unwrap();
         FaultDriver::new(&healthy, false).expect("healthy + barrier ok");

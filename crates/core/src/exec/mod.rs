@@ -31,6 +31,18 @@
 //! The threaded executor's data plane is zero-copy (activations and
 //! averaged gradients travel as `Arc`-backed handles); its invariants are
 //! stated once, in the [`threaded`] module docs.
+//!
+//! # One validated run
+//!
+//! Whether a [`FuncConfig`] is a run is decided in one place, the
+//! crate-private `RunSpec::new`: teacher and student block counts agree,
+//! the batch is not empty, the plan (`cfg.plan`, else contiguous over
+//! `cfg.devices`) is valid, its shape is the run's blocks × devices, and
+//! every stage width divides the batch. [`reference::run`],
+//! [`threaded::run`] and [`recovery::RecoveryRunner::run`] each open by
+//! building that spec, so the oracle and the executors it checks accept
+//! exactly the same configs, and refuse the rest with the same
+//! [`SpecError`]. Everything past the gate takes the spec, not the config.
 
 pub mod fault;
 pub mod recovery;
@@ -40,15 +52,16 @@ pub mod threaded;
 
 use pipebd_data::SyntheticImageDataset;
 use pipebd_nn::{Block, BlockNet, Layer};
-use pipebd_sched::StagePlan;
+use pipebd_sched::{InvalidPlan, StagePlan};
+use pipebd_sim::FaultViolation;
 use pipebd_tensor::TensorError;
 use serde::{Deserialize, Serialize};
 
 /// Error raised by an executor.
 #[derive(Debug)]
 pub enum ExecError {
-    /// Configuration cannot be executed (plan/batch mismatch, …).
-    Config(String),
+    /// The run was refused before anything ran.
+    Spec(SpecError),
     /// A tensor operation failed inside a device thread.
     Tensor(TensorError),
     /// A device thread panicked.
@@ -77,12 +90,22 @@ pub enum ExecError {
     },
     /// Checkpoint capture, persistence, or restore failed.
     Checkpoint(String),
+    /// A scripted join came due at `step` in a single-epoch run
+    /// ([`threaded::run_hooked`]); growing the member set takes
+    /// [`recovery::RecoveryRunner`].
+    JoinNeedsRecovery {
+        /// The round boundary the join came due at.
+        step: usize,
+    },
+    /// The threaded executor broke one of its own invariants: a bug in
+    /// the executor, never a property of the config.
+    BrokenInvariant(String),
 }
 
 impl std::fmt::Display for ExecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ExecError::Config(m) => write!(f, "bad executor config: {m}"),
+            ExecError::Spec(e) => write!(f, "run refused: {e}"),
             ExecError::Tensor(e) => write!(f, "tensor error in worker: {e}"),
             ExecError::WorkerPanic(m) => write!(f, "device thread panicked: {m}"),
             ExecError::ReplicaDivergence { block, diff } => {
@@ -95,6 +118,11 @@ impl std::fmt::Display for ExecError {
                 write!(f, "recovery exhausted after {attempts} restore attempts")
             }
             ExecError::Checkpoint(m) => write!(f, "checkpoint failure: {m}"),
+            ExecError::JoinNeedsRecovery { step } => write!(
+                f,
+                "a join came due at step {step}: growing the member set takes the recovery runner"
+            ),
+            ExecError::BrokenInvariant(m) => write!(f, "executor invariant broken: {m}"),
         }
     }
 }
@@ -107,20 +135,186 @@ impl From<TensorError> for ExecError {
     }
 }
 
+impl From<SpecError> for ExecError {
+    fn from(e: SpecError) -> Self {
+        ExecError::Spec(e)
+    }
+}
+
+/// Why a run was refused before anything ran: one variant per refusal.
+/// `RunSpec::new` decides the first five for every entry point; the rest
+/// are the recovery runner's and the fault driver's.
+#[derive(Debug, Clone, PartialEq)]
+#[non_exhaustive]
+pub enum SpecError {
+    /// The teacher and the student have different block counts.
+    BlockCount {
+        /// Blocks of the teacher.
+        teacher: usize,
+        /// Blocks of the student.
+        student: usize,
+    },
+    /// `batch` is 0.
+    EmptyBatch,
+    /// The plan (`cfg.plan`, else contiguous over `cfg.devices`) is not a
+    /// plan.
+    Plan(InvalidPlan),
+    /// The plan is for another shape than the run's blocks × devices.
+    PlanShape {
+        /// `(blocks, devices)` the plan is for.
+        plan: (usize, usize),
+        /// `(blocks, devices)` of the run: the networks' and `cfg.devices`.
+        run: (usize, usize),
+    },
+    /// A stage width does not divide the batch.
+    IndivisibleBatch {
+        /// The global batch.
+        batch: usize,
+        /// The first stage width that does not divide it.
+        width: usize,
+    },
+    /// The recovery runner's cost-model workload describes another number
+    /// of blocks than the networks have.
+    WorkloadBlocks {
+        /// Blocks the workload describes.
+        workload: usize,
+        /// Blocks of the networks.
+        blocks: usize,
+    },
+    /// The fault script has no reading over the run's ranks, or leaves
+    /// no member at some step.
+    FaultScript(FaultViolation),
+    /// Fault injection under coupled updates (`decoupled_updates: false`):
+    /// the recovery plane's replay guarantees are stated for decoupled
+    /// ones.
+    CoupledFaults,
+    /// No plan runs on the `members` alive at `step`: the replanned plan
+    /// was refused, and so was the contiguous one over them (`why`).
+    Replan {
+        /// The step the member set changed at.
+        step: usize,
+        /// Members alive at `step`.
+        members: usize,
+        /// Why the contiguous plan was refused.
+        why: Box<SpecError>,
+    },
+}
+
+impl std::fmt::Display for SpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SpecError::BlockCount { teacher, student } => {
+                write!(f, "teacher has {teacher} blocks, student {student}")
+            }
+            SpecError::EmptyBatch => f.write_str("batch is 0"),
+            SpecError::Plan(e) => write!(f, "{e}"),
+            SpecError::PlanShape { plan, run } => write!(
+                f,
+                "plan is for {}x{} blocks x devices but the run is {}x{}",
+                plan.0, plan.1, run.0, run.1
+            ),
+            SpecError::IndivisibleBatch { batch, width } => {
+                write!(f, "batch {batch} not divisible by stage width {width}")
+            }
+            SpecError::WorkloadBlocks { workload, blocks } => {
+                write!(
+                    f,
+                    "workload describes {workload} blocks, networks have {blocks}"
+                )
+            }
+            SpecError::FaultScript(v) => write!(f, "fault script rejected: {v}"),
+            SpecError::CoupledFaults => f.write_str("fault injection requires decoupled updates"),
+            SpecError::Replan { step, members, why } => write!(
+                f,
+                "no runnable plan for the {members} members at step {step}: {why}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SpecError {}
+
+/// A run config that passed every check, with its plan resolved. Building
+/// one is the validation (see the [module docs](self)); holding one is
+/// the proof.
+#[derive(Debug, Clone)]
+pub(crate) struct RunSpec {
+    /// The config as given (`cfg.plan` may be `None`; `plan` is what runs).
+    pub(crate) cfg: FuncConfig,
+    /// `cfg.plan`, else contiguous over `cfg.devices`; valid, shaped
+    /// blocks × devices, and every stage width divides the batch.
+    pub(crate) plan: StagePlan,
+}
+
+impl RunSpec {
+    /// Checks `cfg` against the networks, in this order: block counts,
+    /// batch, plan validity, plan shape, batch divisibility.
+    pub(crate) fn new(
+        teacher: &BlockNet,
+        student: &BlockNet,
+        cfg: &FuncConfig,
+    ) -> Result<RunSpec, SpecError> {
+        let (blocks, devices) = (teacher.num_blocks(), cfg.devices);
+        if student.num_blocks() != blocks {
+            return Err(SpecError::BlockCount {
+                teacher: blocks,
+                student: student.num_blocks(),
+            });
+        }
+        if cfg.batch == 0 {
+            return Err(SpecError::EmptyBatch);
+        }
+        let plan = match &cfg.plan {
+            Some(plan) => plan.clone(),
+            None => StagePlan::contiguous(blocks, devices).map_err(SpecError::Plan)?,
+        };
+        plan.validate().map_err(SpecError::Plan)?;
+        let (shape, run) = ((plan.num_blocks, plan.num_devices), (blocks, devices));
+        if shape != run {
+            return Err(SpecError::PlanShape { plan: shape, run });
+        }
+        if let Some(s) = plan.stages.iter().find(|s| cfg.batch % s.width() != 0) {
+            return Err(SpecError::IndivisibleBatch {
+                batch: cfg.batch,
+                width: s.width(),
+            });
+        }
+        Ok(RunSpec {
+            cfg: cfg.clone(),
+            plan,
+        })
+    }
+
+    /// Blocks of the run (the teacher's and the student's).
+    pub(crate) fn blocks(&self) -> usize {
+        self.plan.num_blocks
+    }
+}
+
 /// Functional training configuration.
+///
+/// Every executor accepts exactly the configs whose `batch` is at least 1
+/// and divisible by every stage width, and whose plan (`plan`, else
+/// contiguous over `devices`) is valid and shaped blocks × `devices`, for
+/// a teacher and student with the same block count; anything else is an
+/// [`ExecError::Spec`] before a thread starts.
 #[derive(Debug, Clone)]
 pub struct FuncConfig {
-    /// Number of device threads.
+    /// Number of device threads (the plan's device count).
     pub devices: usize,
-    /// Optimizer steps to run.
+    /// Optimizer steps to run. `0` is a run: it trains nothing and returns
+    /// the student as given, with empty loss histories.
     pub steps: usize,
-    /// Global batch size (must be divisible by any stage width used).
+    /// Global batch size: at least 1, and divisible by every stage width
+    /// of the plan.
     pub batch: usize,
     /// SGD learning rate.
     pub lr: f32,
     /// SGD momentum.
     pub momentum: f32,
-    /// Stage plan for the threaded executor (defaults to contiguous).
+    /// Stage plan (`None`: contiguous over `devices`). It must cover the
+    /// networks' blocks on exactly `devices` devices. The reference
+    /// executor checks it as the threaded one does, and ignores it after.
     pub plan: Option<StagePlan>,
     /// Whether updates are decoupled (no inter-device barrier). Changes
     /// scheduling only; parity tests verify results are unchanged.
@@ -158,16 +352,6 @@ impl FuncConfig {
         self.pool_size
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
             .max(1)
-    }
-
-    /// The stage plan a threaded run over `num_blocks` blocks follows:
-    /// `plan` if set, else contiguous over `devices`.
-    pub(crate) fn stage_plan(&self, num_blocks: usize) -> Result<StagePlan, ExecError> {
-        match &self.plan {
-            Some(p) => Ok(p.clone()),
-            None => StagePlan::contiguous(num_blocks, self.devices)
-                .map_err(|e| ExecError::Config(e.to_string())),
-        }
     }
 }
 
@@ -281,7 +465,7 @@ impl ExecutorChoice {
         cfg: &FuncConfig,
     ) -> Result<FuncOutcome, ExecError> {
         match self {
-            ExecutorChoice::Reference => Ok(reference::run(teacher, student, data, cfg)?),
+            ExecutorChoice::Reference => reference::run(teacher, student, data, cfg),
             ExecutorChoice::Threaded => threaded::run(teacher, student, data, cfg),
         }
     }

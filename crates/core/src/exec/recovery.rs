@@ -61,14 +61,14 @@ use pipebd_data::SyntheticImageDataset;
 use pipebd_models::Workload;
 use pipebd_nn::BlockNet;
 use pipebd_sched::replan::replan;
-use pipebd_sched::{DegradedServer, StagePlan};
+use pipebd_sched::DegradedServer;
 use pipebd_sim::{FaultEvent, FaultScript, FaultTimeline, HardwareConfig};
 use pipebd_trace::{SpanKind, TraceCollector};
 
 use super::fault::FaultDriver;
 use super::registry::EpochEnd;
 use super::threaded::{self, RunHooks};
-use super::{reference, ExecError, FuncConfig, FuncOutcome};
+use super::{reference, ExecError, FuncConfig, FuncOutcome, RunSpec, SpecError};
 use crate::checkpoint::{Checkpoint, CheckpointPolicy, CheckpointSink};
 
 /// Bounds and knobs for the recovery protocol.
@@ -143,9 +143,10 @@ impl RecoveryRunner<'_> {
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError::Config`] for scripts with no timeline over
-    /// the worker set and its joiners, non-decoupled configs, and scripts
-    /// that leave no member at some step,
+    /// Returns [`ExecError::Spec`] for a config that is not a run, a
+    /// workload of another block count, scripts with no timeline over the
+    /// worker set and its joiners or that leave no member at some step,
+    /// faults under coupled updates, and member sets no plan runs on;
     /// [`ExecError::RecoveryExhausted`] when the budget runs out with no
     /// fallback configured, [`ExecError::Checkpoint`] when the sink's
     /// checkpoint fails the plan-lineage gate, or any underlying
@@ -157,14 +158,14 @@ impl RecoveryRunner<'_> {
         data: &SyntheticImageDataset,
         cfg: &FuncConfig,
     ) -> Result<RecoveryReport, ExecError> {
-        let b = teacher.num_blocks();
-        if self.workload.num_blocks() != b {
-            return Err(ExecError::Config(format!(
-                "workload describes {} blocks, networks have {b}",
-                self.workload.num_blocks()
-            )));
+        let spec = RunSpec::new(teacher, student, cfg)?;
+        if self.workload.num_blocks() != spec.blocks() {
+            return Err(SpecError::WorkloadBlocks {
+                workload: self.workload.num_blocks(),
+                blocks: spec.blocks(),
+            }
+            .into());
         }
-        let base_plan = cfg.stage_plan(b)?;
         // The rank space: the workers, then one fresh rank per joiner.
         let joiners = self.script.events.iter().filter(|e| match e {
             FaultEvent::HostJoin { rank, .. } => *rank >= cfg.devices,
@@ -173,7 +174,7 @@ impl RecoveryRunner<'_> {
         let timeline = self
             .script
             .timeline(cfg.devices + joiners.count())
-            .map_err(|v| ExecError::Config(format!("fault script rejected: {v}")))?;
+            .map_err(SpecError::FaultScript)?;
         let mut run = Run {
             runner: self,
             teacher,
@@ -181,8 +182,8 @@ impl RecoveryRunner<'_> {
             data,
             // The replay-equivalence contract: a split-free incumbent must
             // stay split-free through every replan, or bitwise parity dies.
-            preserve_width1: !base_plan.uses_batch_split(),
-            cfg: cfg.clone(),
+            preserve_width1: !spec.plan.uses_batch_split(),
+            spec,
             timeline,
             resume: None,
             lineage: Vec::new(),
@@ -196,7 +197,7 @@ impl RecoveryRunner<'_> {
         if run.timeline.members(0) != (0..cfg.devices).collect::<Vec<_>>() {
             run.replan(0)?;
         } else {
-            run.lineage.push(base_plan.fingerprint());
+            run.lineage.push(run.spec.plan.fingerprint());
         }
 
         loop {
@@ -228,8 +229,8 @@ struct Run<'a> {
     student: &'a BlockNet,
     data: &'a SyntheticImageDataset,
     preserve_width1: bool,
-    /// Devices and plan of the next epoch.
-    cfg: FuncConfig,
+    /// The next epoch's run: its devices and plan.
+    spec: RunSpec,
     /// The fault timeline laid out over the current members, then the
     /// pending joiners.
     timeline: FaultTimeline,
@@ -247,7 +248,7 @@ impl Run<'_> {
     /// Runs one epoch of the threaded executor under the current timeline.
     fn epoch(&self) -> Result<EpochEnd, ExecError> {
         let runner = self.runner;
-        let driver = FaultDriver::new(&self.timeline, self.cfg.decoupled_updates)?;
+        let driver = FaultDriver::new(&self.timeline, self.spec.cfg.decoupled_updates)?;
         let hooks = RunHooks {
             driver: Some(Arc::new(driver)),
             resume: self.resume.clone(),
@@ -257,33 +258,40 @@ impl Run<'_> {
             )),
             trace: runner.trace.clone(),
         };
-        threaded::run_epoch(self.teacher, self.student, self.data, &self.cfg, &hooks)
+        threaded::run_epoch(self.teacher, self.student, self.data, &self.spec, &hooks)
     }
 
     /// Re-forms the run over the members alive at `step`: a fresh plan
-    /// search over them, and the timeline laid out over them.
-    fn replan(&mut self, step: usize) -> Result<(), ExecError> {
+    /// search over them, and the timeline laid out over them. The searched
+    /// plan runs if it is a run (and keeps a split-free incumbent
+    /// split-free); otherwise the contiguous plan over the members does.
+    fn replan(&mut self, step: usize) -> Result<(), SpecError> {
         let hw = HardwareConfig::a6000_server(self.timeline.num_ranks());
         let server = DegradedServer::from_timeline(&hw, &self.timeline, step as u32)
-            .map_err(|v| ExecError::Config(format!("replan: {v}")))?;
-        let m = server.num_members();
-        let mut plan = replan(self.runner.workload, &server, self.cfg.batch).plan;
+            .map_err(SpecError::FaultScript)?;
+        let members = server.num_members();
+        let searched = replan(self.runner.workload, &server, self.spec.cfg.batch).plan;
         self.replans += 1;
-        let indivisible = plan.stages.iter().any(|s| self.cfg.batch % s.width() != 0);
-        if (self.preserve_width1 && plan.uses_batch_split()) || indivisible {
-            plan = StagePlan::contiguous(self.teacher.num_blocks(), m).map_err(|e| {
-                ExecError::Config(format!(
-                    "no runnable plan for the {m} members at step {step}: {e}"
-                ))
-            })?;
-        }
+        let over = |plan| FuncConfig {
+            devices: members,
+            plan,
+            ..self.spec.cfg.clone()
+        };
+        let (teacher, student) = (self.teacher, self.student);
+        let spec = match RunSpec::new(teacher, student, &over(Some(searched))) {
+            Ok(spec) if !(self.preserve_width1 && spec.plan.uses_batch_split()) => spec,
+            _ => RunSpec::new(teacher, student, &over(None)).map_err(|why| SpecError::Replan {
+                step,
+                members,
+                why: Box::new(why),
+            })?,
+        };
         // The admitted joiners are members now; later joiners stay
         // pending under fresh ranks, so staggered joins grow epoch by
         // epoch.
         self.timeline = self.timeline.for_survivors(step as u32);
-        self.cfg.devices = m;
-        self.lineage.push(plan.fingerprint());
-        self.cfg.plan = Some(plan);
+        self.lineage.push(spec.plan.fingerprint());
+        self.spec = spec;
         Ok(())
     }
 
@@ -320,10 +328,7 @@ impl Run<'_> {
         self.resumed_rounds
             .push(latest.as_ref().map_or(0, |c| c.round));
         let (teacher, student, data) = (self.teacher, self.student, self.data);
-        let outcome = match &latest {
-            Some(ckpt) => reference::resume(teacher, student, data, &self.cfg, ckpt)?,
-            None => reference::run(teacher, student, data, &self.cfg)?,
-        };
+        let outcome = reference::replay(teacher, student, data, &self.spec, latest.as_ref())?;
         Ok(self.report(outcome, true))
     }
 
@@ -335,7 +340,7 @@ impl Run<'_> {
             resumed_rounds: self.resumed_rounds,
             replans: self.replans,
             fell_back,
-            final_devices: if fell_back { 1 } else { self.cfg.devices },
+            final_devices: if fell_back { 1 } else { self.spec.cfg.devices },
         }
     }
 }

@@ -17,7 +17,7 @@ use pipebd_nn::{mse_loss, BlockNet, Layer, Mode, Sgd};
 use pipebd_tensor::parallel::{self, ComputePool};
 use pipebd_tensor::TensorError;
 
-use super::{ExecError, FuncConfig, FuncOutcome};
+use super::{ExecError, FuncConfig, FuncOutcome, RunSpec};
 use crate::checkpoint::Checkpoint;
 
 /// Trains `student` against `teacher` sequentially: for every step, run
@@ -31,21 +31,23 @@ use crate::checkpoint::Checkpoint;
 /// determinism contract this never changes a single bit of the result —
 /// the conformance tests compare outcomes across budgets to prove it.
 ///
+/// `cfg` must be a run the threaded executor would accept too (plan and
+/// devices included, though this executor runs neither): the oracle and
+/// the executors it checks share one accepted set.
+///
 /// # Errors
 ///
-/// Propagates tensor shape errors (which indicate mismatched teacher and
-/// student boundary shapes).
+/// Returns [`ExecError::Spec`] for a config that is not a run, and
+/// [`ExecError::Tensor`] for shape errors (mismatched teacher and student
+/// boundary shapes).
 pub fn run(
     teacher: &BlockNet,
     student: &BlockNet,
     data: &SyntheticImageDataset,
     cfg: &FuncConfig,
-) -> Result<FuncOutcome, TensorError> {
-    let pool = ComputePool::new(cfg.pool_budget());
-    serial_semantics(teacher, student, data, cfg, None, &pool).map_err(|e| match e {
-        ExecError::Tensor(e) => e,
-        other => unreachable!("a run from scratch restores no checkpoint: {other}"),
-    })
+) -> Result<FuncOutcome, ExecError> {
+    let spec = RunSpec::new(teacher, student, cfg)?;
+    replay(teacher, student, data, &spec, None)
 }
 
 /// Resumes the sequential semantics from a checkpoint: restores every
@@ -60,8 +62,8 @@ pub fn run(
 ///
 /// # Errors
 ///
-/// Returns [`ExecError::Checkpoint`] for a structurally mismatched
-/// checkpoint, or [`ExecError::Tensor`] for shape errors.
+/// As [`run`], and [`ExecError::Checkpoint`] for a structurally
+/// mismatched checkpoint.
 pub fn resume(
     teacher: &BlockNet,
     student: &BlockNet,
@@ -69,27 +71,43 @@ pub fn resume(
     cfg: &FuncConfig,
     from: &Checkpoint,
 ) -> Result<FuncOutcome, ExecError> {
-    from.validate_resume(teacher.num_blocks(), cfg)?;
-    let pool = ComputePool::new(cfg.pool_budget());
-    serial_semantics(teacher, student, data, cfg, Some(from), &pool)
+    let spec = RunSpec::new(teacher, student, cfg)?;
+    replay(teacher, student, data, &spec, Some(from))
 }
 
-/// The one body behind [`run`] and [`resume`]: fresh optimizer state,
-/// optionally overwritten from a checkpoint, then [`train_range`] from
-/// the checkpoint's round (or 0) on a thread of its own, under `pool`
-/// (`cfg.pool_budget()` lanes; the caller keeps it until that thread is
-/// gone).
+/// [`run`] (`from` is `None`) or [`resume`] of an accepted spec, under a
+/// compute pool of `spec.cfg.pool_budget()` lanes that outlives the loop
+/// thread.
+pub(super) fn replay(
+    teacher: &BlockNet,
+    student: &BlockNet,
+    data: &SyntheticImageDataset,
+    spec: &RunSpec,
+    from: Option<&Checkpoint>,
+) -> Result<FuncOutcome, ExecError> {
+    if let Some(from) = from {
+        from.validate_resume(spec)?;
+    }
+    let pool = ComputePool::new(spec.cfg.pool_budget());
+    serial_semantics(teacher, student, data, spec, from, &pool)
+}
+
+/// The one body behind [`replay`]: fresh optimizer state, optionally
+/// overwritten from a checkpoint, then [`train_range`] from the
+/// checkpoint's round (or 0) on a thread of its own, under `pool` (the
+/// caller keeps it until that thread is gone).
 fn serial_semantics(
     teacher: &BlockNet,
     student: &BlockNet,
     data: &SyntheticImageDataset,
-    cfg: &FuncConfig,
+    spec: &RunSpec,
     from: Option<&Checkpoint>,
     pool: &ComputePool,
 ) -> Result<FuncOutcome, ExecError> {
+    let cfg = &spec.cfg;
+    let b = spec.blocks();
     let mut teacher = teacher.clone();
-    let b = teacher.num_blocks();
-    let mut student: BlockNet = (0..student.num_blocks())
+    let mut student: BlockNet = (0..b)
         .map(|i| super::private_clone(student.block(i)))
         .collect();
     let mut optims: Vec<Sgd> = (0..b)
@@ -172,6 +190,7 @@ fn train_range(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{threaded, SpecError};
     use pipebd_models::{mini_student_dsconv, mini_teacher, MiniConfig};
     use pipebd_nn::{Block, Param, Sequential};
     use pipebd_tensor::{Rng64, Tensor};
@@ -244,8 +263,9 @@ mod tests {
                 pool_size: Some(1),
                 ..FuncConfig::default()
             };
+            let spec = RunSpec::new(&teacher, &student, &cfg).unwrap();
             let pool = ComputePool::new(1);
-            serial_semantics(&teacher, &student, &data, &cfg, None, &pool).unwrap();
+            serial_semantics(&teacher, &student, &data, &spec, None, &pool).unwrap();
             pool.recycle_stats()
         };
         let (short, long) = (stats_of(4), stats_of(12));
@@ -300,6 +320,90 @@ mod tests {
         let (teacher, student, data) = setup();
         run(&teacher, &student, &data, &cfg).unwrap();
         assert_eq!(parallel::active_width(), before);
+    }
+
+    /// A mini teacher of `teacher` blocks and a mini student of `student`.
+    fn nets(teacher: usize, student: usize) -> (BlockNet, BlockNet) {
+        let mini = |blocks| MiniConfig {
+            blocks,
+            channels: 4,
+            batch_norm: false,
+        };
+        let mut rng = Rng64::seed_from_u64(3);
+        let t = mini_teacher(mini(teacher), &mut rng);
+        (t, mini_student_dsconv(mini(student), &mut rng))
+    }
+
+    /// Both executors' answers for one config: the oracle's and the
+    /// threaded one's.
+    fn both(
+        teacher: &BlockNet,
+        student: &BlockNet,
+        cfg: &FuncConfig,
+    ) -> [Result<FuncOutcome, ExecError>; 2] {
+        let data = SyntheticImageDataset::mini(16, 8, 4, 9);
+        [
+            run(teacher, student, &data, cfg),
+            threaded::run(teacher, student, &data, cfg),
+        ]
+    }
+
+    #[test]
+    fn both_executors_refuse_unequal_block_counts() {
+        // The oracle refuses both as the pipeline does: 3 over 2 would reach
+        // for a student block that is not there, 2 over 3 would train two
+        // blocks and drop the third.
+        for (teacher, student) in [(3, 2), (2, 3)] {
+            let (t, s) = nets(teacher, student);
+            let cfg = FuncConfig {
+                devices: 2,
+                steps: 1,
+                pool_size: Some(1),
+                ..FuncConfig::default()
+            };
+            let refused = SpecError::BlockCount { teacher, student };
+            for end in both(&t, &s, &cfg) {
+                assert!(
+                    matches!(&end, Err(ExecError::Spec(e)) if *e == refused),
+                    "{teacher} over {student}: {:?}",
+                    end.map(|o| o.losses)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn both_executors_refuse_an_empty_batch_and_run_zero_steps() {
+        let (t, s) = nets(2, 2);
+        let cfg = FuncConfig {
+            devices: 2,
+            steps: 2,
+            batch: 0,
+            pool_size: Some(1),
+            ..FuncConfig::default()
+        };
+        for end in both(&t, &s, &cfg) {
+            assert!(
+                matches!(end, Err(ExecError::Spec(SpecError::EmptyBatch))),
+                "{:?}",
+                end.map(|o| o.losses)
+            );
+        }
+        // Zero steps is a run: nothing trains, and the student comes back
+        // as given.
+        let cfg = FuncConfig {
+            steps: 0,
+            batch: 8,
+            ..cfg
+        };
+        let [oracle, threaded] = both(&t, &s, &cfg).map(Result::unwrap);
+        assert_eq!(oracle.losses, vec![Vec::<f32>::new(); 2]);
+        assert_eq!(threaded.max_param_diff(&oracle), 0.0);
+        let mut given = s.clone();
+        let given: Vec<_> = (0..2)
+            .map(|i| pipebd_nn::snapshot_params(given.block_mut(i)))
+            .collect();
+        assert_eq!(oracle.params, given);
     }
 
     #[test]

@@ -93,7 +93,7 @@ use super::registry::{
     WorkerEnd, WorkerOut,
 };
 pub use super::ExecError;
-use super::{FuncConfig, FuncOutcome};
+use super::{FuncConfig, FuncOutcome, RunSpec};
 use crate::checkpoint::{self, BlockState, Checkpoint, CheckpointPolicy, CheckpointSink};
 
 /// Optional instrumentation for a threaded run: fault injection, a resume
@@ -128,7 +128,7 @@ const ABORT_WAKE: Duration = Duration::from_millis(1);
 
 /// What every worker of one epoch shares.
 struct Epoch {
-    cfg: FuncConfig,
+    spec: RunSpec,
     data: SyntheticImageDataset,
     hooks: RunHooks,
     /// Raised by any worker that ends other than `Done`/`Grow`.
@@ -146,7 +146,7 @@ impl Epoch {
     fn barrier_wait(&self) -> Result<(), Halt> {
         let mut state = self.barrier.lock().expect("barrier holders never panic");
         state.0 += 1;
-        if state.0 == self.cfg.devices {
+        if state.0 == self.spec.cfg.devices {
             *state = (0, state.1 + 1);
             self.released.notify_all();
             return Ok(());
@@ -262,7 +262,7 @@ pub fn run(
 /// Returns [`ExecError`] for invalid configurations, tensor failures,
 /// worker panics, replica divergence, checkpoint failures,
 /// [`ExecError::RankLost`] when the fault driver cancels a rank, or
-/// [`ExecError::Config`] when a scripted join comes due.
+/// [`ExecError::JoinNeedsRecovery`] when a scripted join comes due.
 pub fn run_hooked(
     teacher: &BlockNet,
     student: &BlockNet,
@@ -270,16 +270,15 @@ pub fn run_hooked(
     cfg: &FuncConfig,
     hooks: &RunHooks,
 ) -> Result<FuncOutcome, ExecError> {
-    match run_epoch(teacher, student, data, cfg, hooks)? {
+    let spec = RunSpec::new(teacher, student, cfg)?;
+    match run_epoch(teacher, student, data, &spec, hooks)? {
         EpochEnd::Finished(outcome) => Ok(outcome),
         EpochEnd::Lost { rank, step } => Err(ExecError::RankLost { rank, step }),
-        EpochEnd::Grow { step } => Err(ExecError::Config(format!(
-            "a join came due at step {step}: growing the member set takes the recovery runner"
-        ))),
+        EpochEnd::Grow { step } => Err(ExecError::JoinNeedsRecovery { step }),
     }
 }
 
-/// Runs one epoch: wires the fabric for `cfg.plan`, spawns a worker per
+/// Runs one epoch: wires the fabric for `spec.plan`, spawns a worker per
 /// device, assembles checkpoints while they run, and folds how they
 /// ended into one [`EpochEnd`].
 ///
@@ -291,37 +290,13 @@ pub(crate) fn run_epoch(
     teacher: &BlockNet,
     student: &BlockNet,
     data: &SyntheticImageDataset,
-    cfg: &FuncConfig,
+    spec: &RunSpec,
     hooks: &RunHooks,
 ) -> Result<EpochEnd, ExecError> {
-    let b = teacher.num_blocks();
-    if student.num_blocks() != b {
-        return Err(ExecError::Config(format!(
-            "teacher has {b} blocks, student {}",
-            student.num_blocks()
-        )));
-    }
-    let plan = cfg.stage_plan(b)?;
-    plan.validate()
-        .map_err(|e| ExecError::Config(e.to_string()))?;
-    if plan.num_blocks != b || plan.num_devices != cfg.devices {
-        return Err(ExecError::Config(format!(
-            "plan is for {}x{} but workload is {b} blocks x {} devices",
-            plan.num_blocks, plan.num_devices, cfg.devices
-        )));
-    }
-    for s in &plan.stages {
-        if cfg.batch % s.width() != 0 {
-            return Err(ExecError::Config(format!(
-                "batch {} not divisible by stage width {}",
-                cfg.batch,
-                s.width()
-            )));
-        }
-    }
     if let Some(ckpt) = &hooks.resume {
-        ckpt.validate_resume(b, cfg)?;
+        ckpt.validate_resume(spec)?;
     }
+    let (cfg, plan, b) = (&spec.cfg, &spec.plan, spec.blocks());
 
     // Split the host compute budget across device ranks: each worker
     // installs a pool of its assigned width, so intra-stage kernel
@@ -342,7 +317,7 @@ pub(crate) fn run_epoch(
     });
 
     let epoch = Arc::new(Epoch {
-        cfg: cfg.clone(),
+        spec: spec.clone(),
         data: data.clone(),
         hooks: hooks.clone(),
         abort: AtomicBool::new(false),
@@ -351,7 +326,7 @@ pub(crate) fn run_epoch(
     });
     let start_round = hooks.resume.as_ref().map_or(0, |c| c.round);
     let mut devices = DeviceRegistry::open(hooks.trace.clone(), start_round, cfg.steps);
-    for role in registry::wire_roles(&plan, teacher, student) {
+    for role in registry::wire_roles(plan, teacher, student) {
         let pool = ComputePool::new(intra_widths[role.device]);
         let epoch = Arc::clone(&epoch);
         // Replicas hold bitwise identical state, so member 0 alone
@@ -424,7 +399,7 @@ pub(crate) fn run_epoch(
         return Ok(EpochEnd::Grow { step });
     }
     if peer_gone {
-        return Err(ExecError::Config(
+        return Err(ExecError::BrokenInvariant(
             "a worker found its peers gone, but no worker failed or was lost".into(),
         ));
     }
@@ -498,8 +473,9 @@ fn train(
     capture: Option<&(CheckpointPolicy, Sender<CkptFrag>)>,
 ) -> Result<WorkerEnd, Halt> {
     let Epoch {
-        cfg, hooks, abort, ..
+        spec, hooks, abort, ..
     } = epoch;
+    let cfg = &spec.cfg;
     let num_blocks = role.teacher_blocks.len();
     let mut optims: Vec<Sgd> = (0..num_blocks)
         .map(|_| Sgd::new(cfg.lr, cfg.momentum, 0.0))
@@ -710,7 +686,7 @@ fn receive_full_batch(
         input.received();
         queues
             .get_mut(member)
-            .ok_or_else(|| ExecError::Config(format!("unknown upstream member {member}")))?
+            .ok_or_else(|| ExecError::BrokenInvariant(format!("unknown upstream member {member}")))?
             .push_back(shard);
     }
     Ok(queues
@@ -849,7 +825,7 @@ fn share_gradients(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::reference;
+    use crate::exec::{reference, SpecError};
     use pipebd_models::{mini_student_dsconv, mini_teacher, MiniConfig};
     use pipebd_sched::StagePlan;
     use pipebd_tensor::Rng64;
@@ -958,7 +934,10 @@ mod tests {
         };
         assert!(matches!(
             run(&teacher, &student, &data, &cfg),
-            Err(ExecError::Config(_))
+            Err(ExecError::Spec(SpecError::IndivisibleBatch {
+                batch: 6,
+                width: 4
+            }))
         ));
     }
 
@@ -970,16 +949,21 @@ mod tests {
             plan: Some(StagePlan::contiguous(6, 4).unwrap()),
             ..FuncConfig::default()
         };
+        assert!(matches!(
+            run(&teacher, &student, &data, &mismatched),
+            Err(ExecError::Spec(SpecError::PlanShape {
+                plan: (6, 4),
+                run: (3, 4),
+            }))
+        ));
         let no_devices = FuncConfig {
             devices: 0,
             ..FuncConfig::default()
         };
-        for cfg in [mismatched, no_devices] {
-            assert!(matches!(
-                run(&teacher, &student, &data, &cfg),
-                Err(ExecError::Config(_))
-            ));
-        }
+        assert!(matches!(
+            run(&teacher, &student, &data, &no_devices),
+            Err(ExecError::Spec(SpecError::Plan(_)))
+        ));
     }
 
     #[test]

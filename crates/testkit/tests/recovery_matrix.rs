@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use pipebd_core::exec::recovery::{RecoveryPolicy, RecoveryReport, RecoveryRunner};
-use pipebd_core::exec::{reference, ExecError};
+use pipebd_core::exec::{reference, ExecError, SpecError};
 use pipebd_core::lower::fault::lower_faulted;
 use pipebd_core::lower::Lowering;
 use pipebd_core::{Checkpoint, CheckpointSink, MemorySink};
@@ -133,8 +133,8 @@ fn growth_fixture(steps: usize) -> (ExecSetup, Workload) {
 
 #[test]
 fn join_scripts_complete_end_to_end_bitwise() {
-    // ISSUE 10's tentpole claim: this exact script used to return
-    // `ExecError::Config` ("the executor spawns a fixed thread set").
+    // The device-thread registry's claim: this exact script used to be
+    // refused as a bad config ("the executor spawns a fixed thread set").
     // With the device-thread registry the host is simply absent at step
     // 0, the first epoch runs short-handed, and the join grows the
     // member set at its round boundary — training bitwise the same
@@ -358,10 +358,40 @@ fn a_repeated_join_is_refused_alike_everywhere() {
     let lowered = lower_faulted(&lowering, &plan, &script, true).unwrap_err();
     assert_eq!(lowered, why.to_string());
     match run_growth(&script, 4) {
-        Err(ExecError::Config(m)) => assert!(m.ends_with(&why.to_string()), "{m}"),
+        Err(ExecError::Spec(SpecError::FaultScript(v))) => assert_eq!(v, why),
         other => panic!(
             "expected the script refused, got {:?}",
             other.map(|r| r.grows)
         ),
+    }
+}
+
+#[test]
+fn member_sets_no_plan_runs_on_are_refused() {
+    // Three joiners at step 0 make five members for four blocks: the
+    // searched plan splits the batch, which a width-1 incumbent refuses,
+    // and the contiguous plan cannot place four blocks on five devices.
+    let join = |rank| FaultEvent::HostJoin { rank, at_step: 0 };
+    let crowd = FaultScript {
+        events: vec![join(2), join(3), join(4)],
+    };
+    match run_growth(&crowd, 4) {
+        Err(ExecError::Spec(SpecError::Replan {
+            step: 0,
+            members: 5,
+            why,
+        })) => assert!(matches!(*why, SpecError::Plan(_)), "{why}"),
+        other => panic!("expected no plan, got {:?}", other.map(|r| r.grows)),
+    }
+    // Losing every rank leaves nobody to replan over.
+    let loss = |rank| FaultEvent::HostLoss { rank, at_step: 2 };
+    let wipeout = FaultScript {
+        events: vec![loss(0), loss(1)],
+    };
+    match run_growth(&wipeout, 4) {
+        Err(ExecError::Spec(SpecError::FaultScript(FaultViolation::InvalidScript(why)))) => {
+            assert_eq!(why, "no rank survives at step 2")
+        }
+        other => panic!("expected no survivor, got {:?}", other.map(|r| r.restores)),
     }
 }
