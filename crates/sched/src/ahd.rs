@@ -1,11 +1,19 @@
 //! Automatic hybrid distribution: exhaustive search over the hybrid plan
 //! space using profiled block times (the paper's Section IV-C).
+//!
+//! A plan's estimate is the maximum of its stages' [`stage_time`]s
+//! ([`estimate_period`](crate::estimate_period)), and a stage's time
+//! depends only on its block range and width. So the search computes
+//! [`stage_time`] once per
+//! `(first_block, num_blocks, width)`, walks the plan space
+//! ([`walk_hybrid_plans`](crate::walk_hybrid_plans)) taking each plan's
+//! maximum over that table, and builds only the winner.
 
 use pipebd_models::Workload;
 use pipebd_sim::{HardwareConfig, SimTime};
 
-use crate::estimate::estimate_period;
-use crate::plan::{enumerate_hybrid_plans, StagePlan};
+use crate::estimate::stage_time;
+use crate::plan::{first_minimum, hybrid_plan_count, StagePlan, StageTerms};
 use crate::profile::ProfileTable;
 
 /// The outcome of an AHD search.
@@ -16,36 +24,42 @@ pub struct AhdDecision {
     pub plan: StagePlan,
     /// Its estimated steady-state period.
     pub estimate: SimTime,
-    /// Every evaluated `(plan, estimate)` pair, in enumeration order
-    /// (exposed for the schedule-explorer example and for tests).
-    pub evaluated: Vec<(StagePlan, SimTime)>,
+    /// Every plan's estimate, in walk order: zip it with
+    /// [`enumerate_hybrid_plans`](crate::enumerate_hybrid_plans) for the
+    /// plans (the schedule-explorer example ranks them that way).
+    pub evaluated: Vec<SimTime>,
 }
 
 /// Runs the exhaustive AHD search.
 ///
 /// The paper notes the search space (`B` and `N` around ten) is small
 /// enough for exhaustion, and the decision is made once before training so
-/// its cost amortizes to nothing.
+/// its cost amortizes to nothing. Every plan gets exactly its
+/// [`estimate_period`](crate::estimate_period).
+///
+/// # Panics
+///
+/// Panics when the workload has no blocks or the server no GPUs.
 pub fn search(
     workload: &Workload,
     table: &ProfileTable,
     hw: &HardwareConfig,
     global_batch: usize,
 ) -> AhdDecision {
-    let plans = enumerate_hybrid_plans(workload.num_blocks(), hw.num_gpus);
-    assert!(!plans.is_empty(), "plan space cannot be empty");
-    let mut evaluated = Vec::with_capacity(plans.len());
-    let mut best: Option<(usize, SimTime)> = None;
-    for (i, plan) in plans.iter().enumerate() {
-        let est = estimate_period(plan, table, workload, hw, global_batch);
-        if best.map_or(true, |(_, b)| est < b) {
-            best = Some((i, est));
-        }
-        evaluated.push((plan.clone(), est));
-    }
-    let (idx, estimate) = best.expect("at least one plan");
+    let (blocks, devices) = (workload.num_blocks(), hw.num_gpus);
+    let times = StageTerms::by_width(blocks, devices, |stage| {
+        stage_time(stage, table, workload, hw, global_batch)
+    });
+    let mut evaluated = Vec::with_capacity(hybrid_plan_count(blocks, devices));
+    let (plan, estimate) = first_minimum(blocks, devices, |block_counts, widths| {
+        let est = times
+            .of_plan(block_counts, widths)
+            .fold(SimTime::ZERO, |period, (&t, _)| period.max(t));
+        evaluated.push(est);
+        est
+    });
     AhdDecision {
-        plan: plans[idx].clone(),
+        plan,
         estimate,
         evaluated,
     }
@@ -55,16 +69,16 @@ pub fn search(
 mod tests {
     use super::*;
     use crate::cost::CostModel;
-    use crate::plan::hybrid_plan_count;
+    use crate::estimate::estimate_period;
+    use crate::plan::enumerate_hybrid_plans;
     use crate::profile::Profiler;
 
+    fn profile(workload: &Workload, hw: &HardwareConfig, batch: usize) -> ProfileTable {
+        Profiler::new(CostModel::new(hw.gpu.clone())).profile(&workload.model, batch, hw.num_gpus)
+    }
+
     fn decide(workload: &Workload, hw: &HardwareConfig, batch: usize) -> AhdDecision {
-        let table = Profiler::new(CostModel::new(hw.gpu.clone())).profile(
-            &workload.model,
-            batch,
-            hw.num_gpus,
-        );
-        search(workload, &table, hw, batch)
+        search(workload, &profile(workload, hw, batch), hw, batch)
     }
 
     #[test]
@@ -79,10 +93,20 @@ mod tests {
     fn chosen_plan_minimizes_estimate() {
         let w = Workload::nas_cifar10();
         let hw = HardwareConfig::a6000_server(4);
-        let d = decide(&w, &hw, 256);
-        for (_, est) in &d.evaluated {
+        let table = profile(&w, &hw, 256);
+        let d = search(&w, &table, &hw, 256);
+        let plans = enumerate_hybrid_plans(6, 4);
+        assert_eq!(d.evaluated.len(), plans.len());
+        for (plan, est) in plans.iter().zip(&d.evaluated) {
+            assert_eq!(*est, estimate_period(plan, &table, &w, &hw, 256), "{plan}");
             assert!(d.estimate <= *est);
         }
+        let first = d.evaluated.iter().position(|est| *est == d.estimate);
+        assert_eq!(
+            first.map(|i| &plans[i]),
+            Some(&d.plan),
+            "first minimum wins"
+        );
     }
 
     #[test]

@@ -10,13 +10,15 @@
 //! stage.
 //!
 //! The plan vocabulary is unchanged ([`StagePlan`]); the decision gains a
-//! per-stage batch split.
+//! per-stage batch split. The search walks the same plan space in the same
+//! order as the paper's AHD, from a table of per-stage times keyed by the
+//! stage's block range and device range (see [`search`]).
 
 use pipebd_models::Workload;
 use pipebd_sim::{GpuModel, HostModel, PcieModel, SimTime};
 
 use crate::cost::CostModel;
-use crate::plan::{enumerate_hybrid_plans, Stage, StagePlan};
+use crate::plan::{first_minimum, Stage, StagePlan, StageTerms};
 
 /// A single-node server whose ranks may carry different GPU models.
 #[derive(Debug, Clone, PartialEq)]
@@ -214,33 +216,42 @@ pub fn stage_time_hetero(
 
 /// Exhaustive heterogeneous AHD search: same plan space as the paper's
 /// AHD, per-rank cost models, proportional batch splits.
+///
+/// A plan's estimate is the maximum of its stages' [`stage_time_hetero`].
+/// With per-rank GPUs a stage's time depends on where its ranks sit, so
+/// the search computes it once per `(first_block, num_blocks,
+/// first_device, width)`, walks the plan space taking each plan's maximum
+/// over that table, and builds only the winner, whose splits come from the
+/// same table.
+///
+/// # Panics
+///
+/// Panics when the workload has no blocks or the server no GPUs.
 pub fn search(workload: &Workload, server: &HeteroServer, batch: usize) -> HeteroDecision {
     let costs: Vec<CostModel> = server
         .gpus
         .iter()
         .map(|g| CostModel::new(g.clone()))
         .collect();
-    let plans = enumerate_hybrid_plans(workload.num_blocks(), server.num_gpus());
-    let mut best: Option<HeteroDecision> = None;
-    for plan in plans {
-        let mut period = SimTime::ZERO;
-        let mut splits = Vec::with_capacity(plan.stages.len());
-        for stage in &plan.stages {
-            let (t, split) = stage_time_hetero(&costs, workload, server, stage, batch);
-            if t > period {
-                period = t;
-            }
-            splits.push(split);
-        }
-        if best.as_ref().map_or(true, |b| period < b.estimate) {
-            best = Some(HeteroDecision {
-                plan,
-                splits,
-                estimate: period,
-            });
-        }
+    let (blocks, devices) = (workload.num_blocks(), server.num_gpus());
+    let stages = StageTerms::by_placement(blocks, devices, |stage| {
+        stage_time_hetero(&costs, workload, server, stage, batch)
+    });
+    let (plan, estimate) = first_minimum(blocks, devices, |block_counts, widths| {
+        stages
+            .of_plan(block_counts, widths)
+            .fold(SimTime::ZERO, |period, ((t, _), _)| period.max(*t))
+    });
+    let splits = plan
+        .stages
+        .iter()
+        .map(|stage| stages.get(stage).1.clone())
+        .collect();
+    HeteroDecision {
+        plan,
+        splits,
+        estimate,
     }
-    best.expect("plan space is never empty")
 }
 
 #[cfg(test)]

@@ -6,8 +6,12 @@
 //!   (Fig. 3b–d schedules are all stage plans);
 //! * [`CostModel`] / [`Profiler`] — the profiling pass that measures block
 //!   times at feasible batch sizes before training (Section V-B);
+//! * [`walk_hybrid_plans`] — the one order of the hybrid plan space, walked
+//!   without building plans;
 //! * [`ahd::search`] — the exhaustive automatic-hybrid-distribution search
-//!   over profiled times (Section IV-C);
+//!   over profiled times (Section IV-C), [`replan::replan`] on a degraded
+//!   server and [`hetero::search`] on mixed GPUs, each scoring stages from
+//!   a per-search table;
 //! * [`ls::pack`] — the layerwise bin-packing baseline of Blakeney et al.;
 //! * [`estimate_period`] — the steady-state pipeline period estimate the
 //!   search minimizes (validated against the simulator in the integration
@@ -50,7 +54,8 @@ pub use estimate::{
 pub use hetero::{HeteroDecision, HeteroServer};
 pub use ls::LsAssignment;
 pub use plan::{
-    compositions, enumerate_hybrid_plans, hybrid_plan_count, InvalidPlan, Stage, StagePlan,
+    compositions, enumerate_hybrid_plans, hybrid_plan_count, walk_hybrid_plans, InvalidPlan, Stage,
+    StagePlan,
 };
 pub use profile::{ProfileTable, Profiler};
 pub use replan::{degraded_estimate, replan_overhead, DegradedServer, ReplanDecision};

@@ -8,7 +8,18 @@
 //!
 //! * one stage per device, one or more blocks each → plain teacher relaying;
 //! * a single stage holding every block on every device → internal relaying.
+//!
+//! The hybrid plan space is walked in one order, by [`walk_hybrid_plans`],
+//! which hands each plan over as its block counts and widths without
+//! building it; [`enumerate_hybrid_plans`] is that walk, materialised. The
+//! searches (`ahd`, `replan`, `hetero`) score each walked plan from a
+//! per-search table of stage terms ([`StageTerms`]), keep the first
+//! strict minimum ([`first_minimum`]) and build only the winner.
 
+use std::cell::OnceCell;
+use std::ops::Range;
+
+use pipebd_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// One pipeline stage: a contiguous block range replicated over a device
@@ -78,10 +89,22 @@ impl StagePlan {
         num_blocks: usize,
         num_devices: usize,
     ) -> Result<Self, InvalidPlan> {
-        let mut stages = Vec::with_capacity(pairs.len());
+        let plan = StagePlan::from_parts(pairs.iter().copied(), num_blocks, num_devices);
+        plan.validate()?;
+        Ok(plan)
+    }
+
+    /// Lays `(blocks_in_stage, devices_in_stage)` pairs out on consecutive
+    /// block and device ranges, unchecked.
+    fn from_parts(
+        pairs: impl Iterator<Item = (usize, usize)>,
+        num_blocks: usize,
+        num_devices: usize,
+    ) -> Self {
+        let mut stages = Vec::new();
         let mut block = 0usize;
         let mut device = 0usize;
-        for &(nb, nd) in pairs {
+        for (nb, nd) in pairs {
             stages.push(Stage {
                 first_block: block,
                 num_blocks: nb,
@@ -90,13 +113,11 @@ impl StagePlan {
             block += nb;
             device += nd;
         }
-        let plan = StagePlan {
+        StagePlan {
             stages,
             num_blocks,
             num_devices,
-        };
-        plan.validate()?;
-        Ok(plan)
+        }
     }
 
     /// The plain teacher-relaying plan: blocks split contiguously into `N`
@@ -277,29 +298,205 @@ impl std::fmt::Display for StagePlan {
     }
 }
 
-/// Enumerates every hybrid plan for `num_blocks` blocks on `num_devices`
-/// devices: all contiguous block groupings × all device-count compositions.
+/// Walks every hybrid plan for `num_blocks` blocks on `num_devices` devices
+/// without building one: `visit(block_counts, widths)` sees a plan whose
+/// stage `s` holds the next `block_counts[s]` blocks on the next
+/// `widths[s]` device ranks.
 ///
-/// The space is `Σ_S C(B−1, S−1) · C(N−1, S−1)` — a few hundred plans for
-/// the paper's `B ≈ 6..13`, `N = 4..8`, which is why the paper can search it
-/// exhaustively.
-pub fn enumerate_hybrid_plans(num_blocks: usize, num_devices: usize) -> Vec<StagePlan> {
-    let mut plans = Vec::new();
-    let max_stages = num_blocks.min(num_devices);
-    for stages in 1..=max_stages {
-        let block_splits = compositions(num_blocks, stages);
-        let device_splits = compositions(num_devices, stages);
-        for bs in &block_splits {
-            for ds in &device_splits {
-                let pairs: Vec<(usize, usize)> =
-                    bs.iter().copied().zip(ds.iter().copied()).collect();
-                let plan = StagePlan::from_widths(&pairs, num_blocks, num_devices)
-                    .expect("enumerated plans are valid by construction");
-                plans.push(plan);
+/// This is the one definition of the plan order: stage count ascending;
+/// within a stage count, block compositions outer and device compositions
+/// inner, each in lexicographic order (the order of [`compositions`]).
+/// The searches score plans in this order and keep the first minimum, so
+/// the order decides ties.
+pub fn walk_hybrid_plans(
+    num_blocks: usize,
+    num_devices: usize,
+    mut visit: impl FnMut(&[usize], &[usize]),
+) {
+    for stages in 1..=num_blocks.min(num_devices) {
+        let mut block_counts = first_composition(num_blocks, stages);
+        loop {
+            let mut widths = first_composition(num_devices, stages);
+            loop {
+                visit(&block_counts, &widths);
+                if !next_composition(&mut widths) {
+                    break;
+                }
+            }
+            if !next_composition(&mut block_counts) {
+                break;
             }
         }
     }
+}
+
+/// Enumerates every hybrid plan for `num_blocks` blocks on `num_devices`
+/// devices: [`walk_hybrid_plans`], materialised.
+///
+/// The space is `Σ_S C(B−1, S−1) · C(N−1, S−1)` — a few hundred plans for
+/// the paper's `B ≈ 6..13`, `N = 4`, tens of thousands on 8 devices.
+pub fn enumerate_hybrid_plans(num_blocks: usize, num_devices: usize) -> Vec<StagePlan> {
+    let mut plans = Vec::with_capacity(hybrid_plan_count(num_blocks, num_devices));
+    walk_hybrid_plans(num_blocks, num_devices, |block_counts, widths| {
+        let pairs = block_counts.iter().copied().zip(widths.iter().copied());
+        plans.push(StagePlan::from_parts(pairs, num_blocks, num_devices));
+    });
     plans
+}
+
+/// The first plan of [`walk_hybrid_plans`] with the smallest `score`, and
+/// that score. A later plan displaces the incumbent only when it scores
+/// strictly less, so ties go to the earlier plan. Only the winner is built.
+///
+/// # Panics
+///
+/// Panics when the plan space is empty (no blocks or no devices).
+pub(crate) fn first_minimum(
+    num_blocks: usize,
+    num_devices: usize,
+    mut score: impl FnMut(&[usize], &[usize]) -> SimTime,
+) -> (StagePlan, SimTime) {
+    let mut best: Option<(Vec<(usize, usize)>, SimTime)> = None;
+    walk_hybrid_plans(num_blocks, num_devices, |block_counts, widths| {
+        let s = score(block_counts, widths);
+        if best.as_ref().map_or(true, |(_, b)| s < *b) {
+            let pairs = block_counts.iter().copied().zip(widths.iter().copied());
+            best = Some((pairs.collect(), s));
+        }
+    });
+    let (pairs, s) = best.expect("the plan space over at least one block and device is not empty");
+    let plan = StagePlan::from_parts(pairs.into_iter(), num_blocks, num_devices);
+    (plan, s)
+}
+
+/// A search's term for every stage a walked plan can hold, each computed
+/// the first time a plan of the search holds that stage. A term is keyed by
+/// the stage's block range and either its width ([`StageTerms::by_width`])
+/// or its device range ([`StageTerms::by_placement`]).
+pub(crate) struct StageTerms<T, F> {
+    terms: Vec<OnceCell<T>>,
+    term: F,
+    num_blocks: usize,
+    num_devices: usize,
+    placed: bool,
+}
+
+impl<T, F: Fn(&Stage) -> T> StageTerms<T, F> {
+    /// Terms keyed by `(first_block, num_blocks, width)`, for terms that do
+    /// not depend on which ranks a stage runs on. `term` sees each stage on
+    /// ranks `0..width`.
+    pub(crate) fn by_width(num_blocks: usize, num_devices: usize, term: F) -> Self {
+        Self::new(num_blocks, num_devices, false, term)
+    }
+
+    /// Terms keyed by `(first_block, num_blocks, first_device, width)`.
+    pub(crate) fn by_placement(num_blocks: usize, num_devices: usize, term: F) -> Self {
+        Self::new(num_blocks, num_devices, true, term)
+    }
+
+    fn new(num_blocks: usize, num_devices: usize, placed: bool, term: F) -> Self {
+        let device_keys = if placed {
+            range_count(num_devices)
+        } else {
+            num_devices
+        };
+        StageTerms {
+            terms: (0..range_count(num_blocks) * device_keys)
+                .map(|_| OnceCell::new())
+                .collect(),
+            term,
+            num_blocks,
+            num_devices,
+            placed,
+        }
+    }
+
+    /// The term of `num_blocks` blocks from `first_block` on `width` ranks
+    /// from `first_device`.
+    fn at(&self, first_block: usize, num_blocks: usize, first_device: usize, width: usize) -> &T {
+        let (device_keys, device_key, first_device) = if self.placed {
+            (
+                range_count(self.num_devices),
+                range_index(first_device, width, self.num_devices),
+                first_device,
+            )
+        } else {
+            (self.num_devices, width - 1, 0)
+        };
+        let block_key = range_index(first_block, num_blocks, self.num_blocks);
+        self.terms[block_key * device_keys + device_key].get_or_init(|| {
+            (self.term)(&Stage {
+                first_block,
+                num_blocks,
+                devices: (first_device..first_device + width).collect(),
+            })
+        })
+    }
+
+    /// The term of a built stage.
+    pub(crate) fn get(&self, stage: &Stage) -> &T {
+        self.at(
+            stage.first_block,
+            stage.num_blocks,
+            stage.devices[0],
+            stage.width(),
+        )
+    }
+
+    /// The terms of a walked plan's stages, in stage order, each with the
+    /// stage's device ranks.
+    pub(crate) fn of_plan<'a>(
+        &'a self,
+        block_counts: &'a [usize],
+        widths: &'a [usize],
+    ) -> impl Iterator<Item = (&'a T, Range<usize>)> + 'a {
+        let (mut block, mut device) = (0, 0);
+        block_counts
+            .iter()
+            .zip(widths)
+            .map(move |(&blocks, &width)| {
+                let term = self.at(block, blocks, device, width);
+                let devices = device..device + width;
+                block += blocks;
+                device += width;
+                (term, devices)
+            })
+    }
+}
+
+/// Number of non-empty ranges in `0..total`.
+fn range_count(total: usize) -> usize {
+    total * (total + 1) / 2
+}
+
+/// Position of the range `first..first + len` among the non-empty ranges of
+/// `0..total`, ordered by start, then length.
+fn range_index(first: usize, len: usize, total: usize) -> usize {
+    first * total - first * first.saturating_sub(1) / 2 + len - 1
+}
+
+/// The lexicographically first composition of `total` into `parts`
+/// positive parts: `[1, …, 1, total − parts + 1]`.
+fn first_composition(total: usize, parts: usize) -> Vec<usize> {
+    let mut c = vec![1; parts];
+    c[parts - 1] = total - (parts - 1);
+    c
+}
+
+/// Steps `parts` to the next composition of its sum in lexicographic order;
+/// `false` (leaving `parts` as it was) after the last one.
+fn next_composition(parts: &mut [usize]) -> bool {
+    // The rightmost part past the first that can give one to its left
+    // neighbour; everything after the neighbour restarts at its smallest.
+    let Some(j) = (1..parts.len()).rev().find(|&j| parts[j] > 1) else {
+        return false;
+    };
+    let rest: usize = parts[j..].iter().sum::<usize>() - 1;
+    parts[j - 1] += 1;
+    let last = parts.len() - 1;
+    parts[j..].fill(1);
+    parts[last] += rest - (parts.len() - j);
+    true
 }
 
 /// All ordered ways to write `total` as a sum of `parts` positive integers.

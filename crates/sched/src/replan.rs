@@ -15,8 +15,10 @@
 //!   durations — and the shared loader pool bounds the round from below;
 //! * [`replan`] — the AHD search re-run over the degraded snapshot:
 //!   exhaustive over hybrid plans for the surviving member count, scored
-//!   by [`degraded_estimate`], plus a deterministic [`replan_overhead`]
-//!   charge (search cost + redistributing student/optimizer state).
+//!   by [`degraded_estimate`] from a table of per-stage member chains,
+//!   plus a deterministic [`replan_overhead`] charge (search cost +
+//!   redistributing student/optimizer state). That charge is a modeled
+//!   constant per plan in simulated time, not the search's wall time.
 //!
 //! Because the search space for `m` members contains every plan over `m`
 //! logical devices, the incumbent plan (remapped onto the survivors) is
@@ -31,7 +33,7 @@ use pipebd_sim::{
 };
 
 use crate::cost::CostModel;
-use crate::plan::{enumerate_hybrid_plans, StagePlan};
+use crate::plan::{first_minimum, Stage, StagePlan, StageTerms};
 
 /// A homogeneous server as a fault script leaves it at one training step.
 #[derive(Debug, Clone, PartialEq)]
@@ -148,38 +150,66 @@ pub fn degraded_estimate(
     let cost = CostModel::new(server.gpu.clone());
     let mut period = SimTime::ZERO;
     for stage in &plan.stages {
-        let db = stage.device_batch(global_batch);
-        let mut chain = SimTime::ZERO;
-        for b in stage.blocks() {
-            let desc = &workload.model.blocks[b];
-            chain += cost.teacher_time(desc, db);
-            chain += cost.student_time(desc, db);
-            chain += cost.update_time(desc);
-        }
-        if stage.width() > 1 {
-            let grad_bytes: u64 = stage
-                .blocks()
-                .map(|b| 4 * workload.model.blocks[b].student_params)
-                .sum();
-            chain += server.pcie.allreduce_time(grad_bytes, stage.width());
-        }
-        if stage.first_block == 0 {
-            let bytes = db as u64 * workload.dataset.sample_bytes();
-            chain += server.host.consume_time(db, bytes, &server.pcie);
-        }
+        let chain = member_chain(stage, &cost, server, workload, global_batch);
         for &d in &stage.devices {
             period = period.max(scaled(chain, server.factors[d]));
         }
     }
-    // Shared-pool bound: stage 0's consumers each decode one batch per
-    // round on the (possibly degraded) FIFO loader pool.
-    let stage0 = &plan.stages[0];
-    let db0 = stage0.device_batch(global_batch);
+    period.max(pool_bound(
+        plan.stages[0].width(),
+        server,
+        workload,
+        global_batch,
+    ))
+}
+
+/// One member's unscaled per-round chain in `stage`: teacher, student and
+/// update per block, the gradient all-reduce of a widened stage, and
+/// stage 0's consume.
+fn member_chain(
+    stage: &Stage,
+    cost: &CostModel,
+    server: &DegradedServer,
+    workload: &Workload,
+    global_batch: usize,
+) -> SimTime {
+    let db = stage.device_batch(global_batch);
+    let mut chain = SimTime::ZERO;
+    for b in stage.blocks() {
+        let desc = &workload.model.blocks[b];
+        chain += cost.teacher_time(desc, db);
+        chain += cost.student_time(desc, db);
+        chain += cost.update_time(desc);
+    }
+    if stage.width() > 1 {
+        let grad_bytes: u64 = stage
+            .blocks()
+            .map(|b| 4 * workload.model.blocks[b].student_params)
+            .sum();
+        chain += server.pcie.allreduce_time(grad_bytes, stage.width());
+    }
+    if stage.first_block == 0 {
+        let bytes = db as u64 * workload.dataset.sample_bytes();
+        chain += server.host.consume_time(db, bytes, &server.pcie);
+    }
+    chain
+}
+
+/// Shared-pool bound of a plan whose stage 0 is `width0` members wide: each
+/// consumer decodes one batch per round on the (possibly degraded) FIFO
+/// loader pool.
+fn pool_bound(
+    width0: usize,
+    server: &DegradedServer,
+    workload: &Workload,
+    global_batch: usize,
+) -> SimTime {
+    let db0 = global_batch.div_ceil(width0);
     let one_decode = server
         .host
         .decode_time(db0, workload.dataset.decode_us_per_sample);
-    let pool_round = SimTime::from_ns(one_decode.as_ns() * stage0.width() as u64);
-    period.max(scaled(pool_round, server.loader_factor))
+    let pool_round = SimTime::from_ns(one_decode.as_ns() * width0 as u64);
+    scaled(pool_round, server.loader_factor)
 }
 
 /// Deterministic cost of one online replanning pass on `server`: the
@@ -217,25 +247,41 @@ pub struct ReplanDecision {
 
 /// Re-runs the AHD search against a degraded server snapshot.
 ///
-/// Exhaustive over [`enumerate_hybrid_plans`] for the surviving member
-/// count, scored by [`degraded_estimate`].
+/// Exhaustive over the hybrid plans for the surviving member count; every
+/// plan gets exactly its [`degraded_estimate`]. A member's chain depends
+/// only on its stage's block range and width, so the search computes each
+/// `(first_block, num_blocks, width)` chain once, scales it by each
+/// member's factor per plan, and builds only the winner.
+///
+/// # Panics
+///
+/// Panics when the workload has no blocks or the server no members.
 pub fn replan(workload: &Workload, server: &DegradedServer, global_batch: usize) -> ReplanDecision {
-    let plans = enumerate_hybrid_plans(workload.num_blocks(), server.num_members());
-    assert!(!plans.is_empty(), "plan space cannot be empty");
-    let mut best: Option<(usize, SimTime)> = None;
-    for (i, plan) in plans.iter().enumerate() {
-        let est = degraded_estimate(plan, server, workload, global_batch);
-        if best.map_or(true, |(_, b)| est < b) {
-            best = Some((i, est));
+    let (blocks, members) = (workload.num_blocks(), server.num_members());
+    let cost = CostModel::new(server.gpu.clone());
+    let chains = StageTerms::by_width(blocks, members, |stage| {
+        member_chain(stage, &cost, server, workload, global_batch)
+    });
+    let pools: Vec<SimTime> = (1..=members)
+        .map(|width0| pool_bound(width0, server, workload, global_batch))
+        .collect();
+    let mut evaluated = 0;
+    let (plan, estimate) = first_minimum(blocks, members, |block_counts, widths| {
+        evaluated += 1;
+        let mut period = SimTime::ZERO;
+        for (&chain, devices) in chains.of_plan(block_counts, widths) {
+            for d in devices {
+                period = period.max(scaled(chain, server.factors[d]));
+            }
         }
-    }
-    let (idx, estimate) = best.expect("at least one plan");
+        period.max(pools[widths[0] - 1])
+    });
     ReplanDecision {
-        plan: plans[idx].clone(),
+        plan,
         device_map: server.members.clone(),
         estimate,
         overhead: replan_overhead(workload, server),
-        evaluated: plans.len(),
+        evaluated,
     }
 }
 
@@ -388,6 +434,7 @@ mod tests {
         let table = Profiler::new(CostModel::new(hw.gpu.clone())).profile(&w.model, 256, 4);
         let paper = ahd::search(&w, &table, &hw, 256);
         assert_eq!(d.plan, paper.plan);
+        assert_eq!(d.estimate, paper.estimate);
         assert_eq!(d.evaluated, paper.evaluated.len());
     }
 

@@ -9,7 +9,7 @@
 use pipe_bd::artifact::{ArtifactStore, CostProfile};
 use pipe_bd::core::{ExperimentBuilder, Strategy};
 use pipe_bd::models::Workload;
-use pipe_bd::sched::{ahd, hybrid_plan_count, CostModel, Profiler};
+use pipe_bd::sched::{ahd, enumerate_hybrid_plans, hybrid_plan_count, CostModel, Profiler};
 use pipe_bd::sim::HardwareConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -39,7 +39,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         hybrid_plan_count(b, hw.num_gpus),
     );
 
-    let mut ranked = decision.evaluated.clone();
+    let mut ranked: Vec<_> = enumerate_hybrid_plans(b, hw.num_gpus)
+        .into_iter()
+        .zip(decision.evaluated.iter().copied())
+        .collect();
     ranked.sort_by_key(|(_, est)| *est);
     println!("\ntop 5 plans by estimated step period:");
     for (plan, est) in ranked.iter().take(5) {
