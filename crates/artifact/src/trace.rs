@@ -21,8 +21,8 @@ pub struct TraceArtifact {
     pub lanes: usize,
     /// The measured timeline summary.
     pub summary: TraceSummary,
-    /// Counters/gauges/histograms snapshotted at drain (empty unless the
-    /// run traced in full mode).
+    /// Counters and gauges snapshotted at drain (empty unless the run
+    /// traced in full mode).
     pub metrics: MetricsSnapshot,
     /// Measured-vs-predicted verdict, when the differential ran.
     pub differential: Option<TraceDifferential>,
@@ -30,7 +30,8 @@ pub struct TraceArtifact {
 
 impl ArtifactPayload for TraceArtifact {
     const SCHEMA: &'static str = "pipebd.trace";
-    const VERSION: u32 = 1;
+    // V2: the metrics snapshot has no `histograms` field.
+    const VERSION: u32 = 2;
 }
 
 #[cfg(test)]
@@ -86,7 +87,7 @@ mod tests {
         let (meta, loaded) = store.load_with_meta::<TraceArtifact>("TRACE_test").unwrap();
         assert_eq!(loaded, art);
         assert_eq!(meta.schema, "pipebd.trace");
-        assert_eq!(meta.version, 1);
+        assert_eq!(meta.version, 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

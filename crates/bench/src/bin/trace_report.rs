@@ -17,10 +17,9 @@
 //!    (`pipebd.trace`) and round-trips it through the typed store,
 //!    failing on any envelope drift.
 //!
-//! `PIPEBD_TRACE` does not gate this bin — exporting a trace is the whole
-//! point, so the harness always instruments in full mode (the env var is
-//! still echoed in the header; the off-mode overhead contract is proved
-//! by the testkit's bitwise differential instead).
+//! Exporting a trace is the whole point, so the harness always instruments
+//! in full mode (the off-mode overhead contract — no collector, no
+//! recording — is proved by the testkit's bitwise differential instead).
 //!
 //! Exit 1 on any differential failure, dropped span, export parse
 //! failure, or artifact drift. Run with:

@@ -62,20 +62,15 @@ pub fn bar(value: f64, max: f64, width: usize) -> String {
     "█".repeat(cells.min(width))
 }
 
-/// Prints a standard harness header, including the two settings the
-/// environment chooses — the SIMD tier (`PIPEBD_SIMD` or the CPU
-/// probe) and the trace mode (`PIPEBD_TRACE`) — so recorded experiment
-/// output is attributable to a compute path *and* an observability
-/// configuration.
+/// Prints a standard harness header, including the one setting the
+/// environment chooses for the compute path — the SIMD tier
+/// (`PIPEBD_SIMD` or the CPU probe) — so recorded experiment output is
+/// attributable to it.
 pub fn header(title: &str, detail: &str) {
     println!("================================================================");
     println!("{title}");
     println!("{detail}");
-    println!(
-        "simd tier: {}  trace mode: {}",
-        pipebd_tensor::simd_tier(),
-        pipebd_trace::TraceMode::from_env().label()
-    );
+    println!("simd tier: {}", pipebd_tensor::simd_tier());
     println!("================================================================");
 }
 

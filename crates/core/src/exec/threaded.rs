@@ -110,8 +110,8 @@ pub struct RunHooks {
     pub resume: Option<Arc<Checkpoint>>,
     /// Round-interval checkpoint capture into a sink.
     pub checkpoint: Option<(CheckpointPolicy, Arc<dyn CheckpointSink>)>,
-    /// Span collector for the trace plane. `None` (the `PIPEBD_TRACE=off`
-    /// case) costs exactly one branch per instrumentation point; tracing
+    /// Span collector for the trace plane. `None` (tracing off, the
+    /// default) costs exactly one branch per instrumentation point; tracing
     /// observes the schedule and never the math, so traced runs stay
     /// bitwise identical to untraced ones.
     pub trace: Option<Arc<TraceCollector>>,

@@ -5,107 +5,27 @@
 //! no redundancy, no imbalance), but every block executes at the small
 //! per-device batch — the utilization loss that makes IR lose to full
 //! Pipe-BD. It is exactly the plan where every block is batch-split, which
-//! the paper notes is a special case of TR+DPU+AHD.
-
-use pipebd_sched::StagePlan;
-use pipebd_sim::{Resource, TaskGraph, TaskId, TaskKind};
-
-use super::{Lowered, Lowering, PREFETCH_DEPTH};
-
-/// Emits the internal-relaying schedule.
-pub fn lower(l: &Lowering<'_>) -> Lowered {
-    let n = l.hw.num_gpus;
-    let b = l.workload.num_blocks();
-    let shard = l.batch.div_ceil(n);
-    let mut g = TaskGraph::new(n);
-    let mut recent_consumes: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-
-    for round in 0..l.rounds {
-        let mut last_students = Vec::with_capacity(n);
-        for d in 0..n {
-            let throttle = recent_consumes[d]
-                .len()
-                .checked_sub(PREFETCH_DEPTH)
-                .map(|idx| recent_consumes[d][idx]);
-            let (_, consume) = l.emit_load(&mut g, d, shard, round, throttle);
-            recent_consumes[d].push(consume);
-
-            // One full teacher pass, activations stored internally.
-            let mut prev = consume;
-            for block in 0..b {
-                prev = g.add_tagged(
-                    Resource::Gpu(d),
-                    TaskKind::Teacher,
-                    l.teacher(block, shard),
-                    vec![prev],
-                    Some(block as u16),
-                    round,
-                );
-            }
-            // All students, reading the stored activations.
-            for block in 0..b {
-                prev = g.add_tagged(
-                    Resource::Gpu(d),
-                    TaskKind::Student,
-                    l.student(block, shard),
-                    vec![prev],
-                    Some(block as u16),
-                    round,
-                );
-            }
-            last_students.push(prev);
-        }
-        // Fused all-reduce over every student's gradients, then updates.
-        let grad_bytes: u64 = l
-            .workload
-            .model
-            .blocks
-            .iter()
-            .map(|blk| 4 * blk.student_params)
-            .sum();
-        let share_time = l.hw.pcie.allreduce_time(grad_bytes, n);
-        for d in 0..n {
-            let share = g.add_tagged(
-                Resource::Gpu(d),
-                TaskKind::GradShare,
-                share_time,
-                last_students.clone(),
-                None,
-                round,
-            );
-            let mut prev = share;
-            for block in 0..b {
-                prev = g.add_tagged(
-                    Resource::Gpu(d),
-                    TaskKind::Update,
-                    l.update(block),
-                    vec![prev],
-                    Some(block as u16),
-                    round,
-                );
-            }
-        }
-    }
-
-    Lowered {
-        graph: g,
-        plan: Some(StagePlan::internal_relaying(b, n)),
-        ls: None,
-        rounds: l.rounds,
-    }
-}
+//! the paper notes is a special case of TR+DPU+AHD, so [`super::lower`]
+//! emits it through the relay emitter ([`super::relay::lower_plan`] of
+//! [`pipebd_sched::StagePlan::internal_relaying`], with DPU). This module
+//! holds the strategy's own checks.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::lower::{lower, Lowered, Lowering};
+    use crate::strategy::Strategy;
     use pipebd_models::Workload;
     use pipebd_sim::{simulate, Breakdown, HardwareConfig, SimTime};
+
+    fn lower_ir(l: &Lowering<'_>) -> Lowered {
+        lower(l, Strategy::TrIr).unwrap()
+    }
 
     #[test]
     fn ranks_are_symmetric() {
         let w = Workload::synthetic(6, false);
         let hw = HardwareConfig::a6000_server(4);
-        let lowered = lower(&Lowering::new(&w, &hw, 256, 4));
+        let lowered = lower_ir(&Lowering::new(&w, &hw, 256, 4));
         let run = simulate(&lowered.graph);
         let bd = Breakdown::from_run(&lowered.graph, &run);
         for r in &bd.ranks[1..] {
@@ -119,7 +39,7 @@ mod tests {
         let w = Workload::nas_cifar10();
         let hw = HardwareConfig::a6000_server(4);
         let l = Lowering::new(&w, &hw, 256, 1);
-        let lowered = lower(&l);
+        let lowered = lower_ir(&l);
         let run = simulate(&lowered.graph);
         let bd = Breakdown::from_run(&lowered.graph, &run);
         // Each rank runs the full teacher once at shard size.
@@ -137,13 +57,8 @@ mod tests {
         let w = Workload::nas_cifar10();
         let hw = HardwareConfig::a6000_server(4);
         let l = Lowering::new(&w, &hw, 256, 8);
-        let ir = simulate(&lower(&l).graph).makespan;
-        let pb = simulate(
-            &crate::lower::lower(&l, crate::strategy::Strategy::PipeBd)
-                .unwrap()
-                .graph,
-        )
-        .makespan;
+        let ir = simulate(&lower_ir(&l).graph).makespan;
+        let pb = simulate(&lower(&l, Strategy::PipeBd).unwrap().graph).makespan;
         assert!(pb < ir, "Pipe-BD {pb} must beat IR {ir}");
         assert!(ir > SimTime::ZERO);
     }

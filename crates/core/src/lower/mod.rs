@@ -2,8 +2,8 @@
 //!
 //! Each submodule emits the event schedule of one of the paper's Fig. 3
 //! diagrams: [`dp`] (Fig. 3a), [`relay`] (Fig. 3b–d, parameterized by the
-//! stage plan and the DPU flag), [`ir`] (internal relaying), and [`ls`]
-//! (the layerwise baseline).
+//! stage plan and the DPU flag — internal relaying, [`ir`], is its
+//! every-block-batch-split plan), and [`ls`] (the layerwise baseline).
 
 pub mod dp;
 pub mod epochs;
@@ -150,7 +150,14 @@ pub fn lower(lowering: &Lowering<'_>, strategy: Strategy) -> Result<Lowered, Str
         Strategy::LayerwiseScheduling => Ok(ls::lower(lowering)),
         Strategy::TeacherRelaying => relay::lower_contiguous(lowering, false),
         Strategy::TrDpu => relay::lower_contiguous(lowering, true),
-        Strategy::TrIr => Ok(ir::lower(lowering)),
+        Strategy::TrIr => {
+            let (b, n) = (lowering.workload.num_blocks(), lowering.hw.num_gpus);
+            Ok(relay::lower_plan(
+                lowering,
+                &StagePlan::internal_relaying(b, n),
+                true,
+            ))
+        }
         Strategy::PipeBd => relay::lower_ahd(lowering),
     }
 }

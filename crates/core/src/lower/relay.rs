@@ -10,7 +10,7 @@
 //! immediately and the next round starts as soon as input is available.
 
 use pipebd_sched::{ahd, Profiler, StagePlan};
-use pipebd_sim::{Resource, SimTime, TaskGraph, TaskId, TaskKind};
+use pipebd_sim::{Resource, TaskGraph, TaskId, TaskKind};
 
 use super::{Lowered, Lowering, PREFETCH_DEPTH};
 
@@ -95,7 +95,9 @@ impl<'l, 'a> RoundEmitter<'l, 'a> {
 
         for stage in &plan.stages {
             let db = stage.device_batch(l.batch);
-            let mut stage_students: Vec<TaskId> = Vec::new();
+            // Each member's last student: its backwards run in order on
+            // one stream, so that one finishing means all of them have.
+            let mut member_lasts: Vec<TaskId> = Vec::with_capacity(stage.width());
             let mut stage_sends: Vec<TaskId> = Vec::new();
 
             for &d in &stage.devices {
@@ -124,7 +126,7 @@ impl<'l, 'a> RoundEmitter<'l, 'a> {
                 let mut last_teacher = None;
                 for b in stage.blocks() {
                     let deps = match last_teacher {
-                        None => input_deps.clone(),
+                        None => std::mem::take(&mut input_deps),
                         Some(t) => vec![t],
                     };
                     let teach = g.add_tagged(
@@ -166,11 +168,15 @@ impl<'l, 'a> RoundEmitter<'l, 'a> {
                         Some(b as u16),
                         round,
                     );
-                    stage_students.push(stu);
-                    this_round_students.push(stu);
+                    if !dpu {
+                        // Only the barrier below reads them.
+                        this_round_students.push(stu);
+                    }
                     last_stu = Some(stu);
 
-                    if dpu && stage.width() == 1 {
+                    if stage.width() > 1 {
+                        // Updated after the gradient sharing below.
+                    } else if dpu {
                         // Immediate per-block update (Fig. 3c).
                         let upd = g.add_tagged(
                             Resource::Gpu(p),
@@ -185,31 +191,32 @@ impl<'l, 'a> RoundEmitter<'l, 'a> {
                         pending_updates.push((d, b, stu));
                     }
                 }
+                member_lasts.extend(last_stu);
             }
 
             // Data-parallel gradient sharing inside a widened stage: one
             // fused all-reduce per member, depending on every member's
-            // backwards; the member's updates chain after it.
+            // backwards (its last student); the member's updates chain
+            // after it.
             if stage.width() > 1 {
                 let grad_bytes: u64 = stage
                     .blocks()
                     .map(|b| 4 * l.workload.model.blocks[b].student_params)
                     .sum();
                 let share_time = l.hw.pcie.allreduce_time(grad_bytes, stage.width());
-                let mut retained = Vec::new();
                 for &d in &stage.devices {
                     let share = g.add_tagged(
                         Resource::Gpu(map[d]),
                         TaskKind::GradShare,
                         share_time,
-                        stage_students.clone(),
+                        member_lasts.clone(),
                         None,
                         round,
                     );
-                    for &(pd, b, _) in pending_updates.iter().filter(|(pd, _, _)| *pd == d) {
+                    for b in stage.blocks() {
                         if dpu {
                             g.add_tagged(
-                                Resource::Gpu(map[pd]),
+                                Resource::Gpu(map[d]),
                                 TaskKind::Update,
                                 l.update(b),
                                 vec![share],
@@ -217,12 +224,10 @@ impl<'l, 'a> RoundEmitter<'l, 'a> {
                                 round,
                             );
                         } else {
-                            retained.push((pd, b, share));
+                            pending_updates.push((d, b, share));
                         }
                     }
                 }
-                pending_updates.retain(|(pd, _, _)| !stage.devices.contains(pd));
-                pending_updates.extend(retained);
             }
 
             prev_stage_sends = stage_sends;
@@ -265,32 +270,11 @@ pub fn lower_plan(l: &Lowering<'_>, plan: &StagePlan, dpu: bool) -> Lowered {
     }
 }
 
-/// Estimated steady-state period of the simulated pipeline: total time of
-/// the last `tail` rounds divided by `tail` (used to validate the analytic
-/// estimator).
-pub fn simulated_period(l: &Lowering<'_>, plan: &StagePlan, dpu: bool, tail: u32) -> SimTime {
-    let lowered = lower_plan(l, plan, dpu);
-    let run = pipebd_sim::simulate(&lowered.graph);
-    // Find the completion time of round (rounds - tail - 1) and of the last
-    // round; their difference spans `tail` rounds.
-    let mut end_by_round = vec![SimTime::ZERO; l.rounds as usize];
-    for (id, t) in lowered.graph.iter() {
-        let f = run.finish[id.index()];
-        let r = t.step as usize;
-        if f > end_by_round[r] {
-            end_by_round[r] = f;
-        }
-    }
-    let last = *end_by_round.last().expect("at least one round");
-    let base = end_by_round[l.rounds as usize - 1 - tail as usize];
-    SimTime::from_ns((last.as_ns() - base.as_ns()) / tail as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pipebd_models::Workload;
-    use pipebd_sim::{simulate, Breakdown, HardwareConfig};
+    use pipebd_sim::{simulate, Breakdown, HardwareConfig, SimTime};
 
     fn ctx<'a>(w: &'a Workload, hw: &'a HardwareConfig, rounds: u32) -> Lowering<'a> {
         Lowering::new(w, hw, 256, rounds)
@@ -346,7 +330,8 @@ mod tests {
         let plan = StagePlan::contiguous(6, 4).unwrap();
         let table = Profiler::new(l.cost.clone()).profile(&w.model, 256, 4);
         let analytic = pipebd_sched::estimate_period(&plan, &table, &w, &hw, 256);
-        let simulated = simulated_period(&l, &plan, true, 8);
+        let lowered = lower_plan(&l, &plan, true);
+        let simulated = simulate(&lowered.graph).round_period(&lowered.graph, l.rounds, 8);
         let ratio = simulated.as_secs_f64() / analytic.as_secs_f64();
         assert!(
             (0.9..1.1).contains(&ratio),

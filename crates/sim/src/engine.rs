@@ -39,6 +39,26 @@ impl SimRun {
     pub fn start_of(&self, id: TaskId) -> SimTime {
         self.start[id.index()]
     }
+
+    /// Steady-state period of the run of `graph`: the spread of the last
+    /// `tail` per-step completion times, averaged. `steps` is the total
+    /// number of `step` tags the graph was emitted with; the window must
+    /// sit inside one steady regime (for DP: within the last phase).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tail >= steps`.
+    pub fn round_period(&self, graph: &TaskGraph, steps: u32, tail: u32) -> SimTime {
+        assert!(tail < steps, "tail window must leave a base step");
+        let mut end = vec![SimTime::ZERO; steps as usize];
+        for (id, task) in graph.iter() {
+            let s = task.step as usize;
+            end[s] = end[s].max(self.finish[id.index()]);
+        }
+        let last = end[steps as usize - 1];
+        let base = end[steps as usize - 1 - tail as usize];
+        SimTime::from_ns((last.as_ns() - base.as_ns()) / u64::from(tail))
+    }
 }
 
 /// Executes the task graph, returning per-task times.

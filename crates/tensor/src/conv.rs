@@ -10,18 +10,16 @@
 //!
 //! * **naive** — direct 7-deep loops: slow, exact, deterministic, easy to
 //!   verify against finite differences, and kept as the oracle;
-//! * **blocked** — the `im2col` module's unit bodies: the
-//!   `direct` module's kernels for stride-1 dense geometry, the `stencil`
-//!   module's for depthwise, an im2col + packed-GEMM lowering for the
-//!   rest; one to two orders of magnitude faster.
+//! * **blocked** — the kernel the `lowering` module picks from the
+//!   geometry: the `direct` module's for stride-1 dense, the `stencil`
+//!   module's for depthwise (one to two orders of magnitude faster), and
+//!   the naive loops for the rest — strided dense and grouped but not
+//!   depthwise, which no executed model runs.
 
 use crate::epilogue::{grad_epilogue, Activation, Epilogue};
 use crate::error::TensorError;
-use crate::im2col::{
-    conv2d_blocked, conv2d_grad_input_blocked, conv2d_grad_weight_blocked,
-    conv2d_grad_weight_gated, ConvGeom,
-};
 use crate::kernel::KernelPolicy;
+use crate::lowering::{self, ConvGeom, Direction};
 use crate::tensor::Tensor;
 
 /// Geometry of a 2-D convolution.
@@ -102,7 +100,7 @@ impl Conv2dSpec {
         Ok((padded - self.kernel) / self.stride + 1)
     }
 
-    /// Multiply-accumulate count for one sample at the given input extent.
+    /// Multiply-add count for one sample at the given input extent.
     ///
     /// Used to keep the simulator's FLOP model and the executable models in
     /// agreement.
@@ -255,19 +253,15 @@ pub fn conv2d_with(
         oh,
         ow,
     };
-    // Every lowering writes every element of the output.
+    let kernel = geom.kernel(&spec, Direction::Forward, policy);
+    // Every kernel writes every element of the output.
     Ok(Tensor::overwritten(
         &[n, spec.out_channels, oh, ow],
-        |out| match policy {
-            KernelPolicy::Blocked => {
-                conv2d_blocked(x.data(), w.data(), out, epilogue, &spec, &geom)
-            }
-            KernelPolicy::Naive => conv2d_naive(x.data(), w.data(), out, epilogue, spec, &geom),
-        },
+        |out| lowering::forward(x.data(), w.data(), out, epilogue, &spec, &geom, kernel),
     ))
 }
 
-fn conv2d_naive(
+pub(crate) fn conv2d_naive(
     xd: &[f32],
     wdta: &[f32],
     out: &mut [f32],
@@ -379,20 +373,15 @@ pub fn conv2d_grad_input_with(
         oh,
         ow,
     };
-    // The direct adjoint and the stencil write every element; col2im units
-    // zero their own blocks, the oracle the whole tensor.
-    Ok(Tensor::overwritten(
-        &[n, spec.in_channels, h, wd],
-        |dx| match policy {
-            KernelPolicy::Blocked => {
-                conv2d_grad_input_blocked(dy.data(), w.data(), dx, &spec, &geom)
-            }
-            KernelPolicy::Naive => conv2d_grad_input_naive(dy.data(), w.data(), dx, spec, &geom),
-        },
-    ))
+    let kernel = geom.kernel(&spec, Direction::GradInput, policy);
+    // The direct adjoint and the stencil write every element; the oracle
+    // zeroes the whole tensor first.
+    Ok(Tensor::overwritten(&[n, spec.in_channels, h, wd], |dx| {
+        lowering::grad_input(dy.data(), w.data(), dx, &spec, &geom, kernel)
+    }))
 }
 
-fn conv2d_grad_input_naive(
+pub(crate) fn conv2d_grad_input_naive(
     dyd: &[f32],
     wdta: &[f32],
     dx: &mut [f32],
@@ -468,15 +457,9 @@ pub fn conv2d_grad_weight_with(
     policy: KernelPolicy,
 ) -> Result<Tensor, TensorError> {
     let geom = spec.validate_grad_weight(x, dy)?;
+    let kernel = geom.kernel(&spec, Direction::GradWeight, policy);
     let mut dw = Tensor::zeros(&spec.weight_dims());
-    match policy {
-        KernelPolicy::Blocked => {
-            conv2d_grad_weight_blocked(x.data(), dy.data(), dw.data_mut(), &spec, &geom);
-        }
-        KernelPolicy::Naive => {
-            conv2d_grad_weight_naive(x.data(), dy.data(), dw.data_mut(), spec, &geom);
-        }
-    }
+    lowering::grad_weight(x.data(), dy.data(), dw.data_mut(), &spec, &geom, kernel);
     Ok(dw)
 }
 
@@ -505,9 +488,9 @@ pub fn conv2d_grad_epilogue(
 }
 
 /// [`conv2d_grad_weight`] of [`conv2d_grad_epilogue`]'s `dz`, and its bias
-/// gradient, without `dz` ever being a tensor where the lowering allows:
+/// gradient, without `dz` ever being a tensor where the kernel allows:
 /// the depthwise stencil gates each `dy` plane as it reads it (and sums it
-/// there); every other lowering reads a `dz` that one fused pass wrote.
+/// there); every other kernel reads a `dz` that one fused pass wrote.
 /// Bitwise the two calls.
 ///
 /// # Errors
@@ -524,7 +507,7 @@ pub fn conv2d_grad_weight_fused(
     gradient_dims(dy, y, "conv2d_grad_weight")?;
     let c = spec.out_channels;
     let (mut dw, mut db) = (Tensor::zeros(&spec.weight_dims()), vec![0.0f32; c]);
-    conv2d_grad_weight_gated(
+    lowering::grad_weight_gated(
         x.data(),
         dy.data(),
         y.data(),
@@ -557,7 +540,7 @@ fn gradient_dims(dy: &Tensor, y: &Tensor, op: &'static str) -> Result<[usize; 4]
     Ok(dims)
 }
 
-fn conv2d_grad_weight_naive(
+pub(crate) fn conv2d_grad_weight_naive(
     xd: &[f32],
     dyd: &[f32],
     dw: &mut [f32],

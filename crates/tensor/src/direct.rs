@@ -1,7 +1,7 @@
 //! Direct kernels for stride-1 dense (`groups == 1`) convolution, `k x k`
 //! and pointwise: forward, grad-input and grad-weight read the image where
-//! it lies — no column matrix, no GEMM packs (`im2col`'s lowering table
-//! says when and why).
+//! it lies — no column matrix, no GEMM packs (`lowering`'s table says
+//! when).
 //!
 //! **Correlate** — forward, and grad-input as the forward of `dy` under
 //! the flipped, transposed weights with padding `k - 1 - pad` — is the

@@ -3,8 +3,8 @@
 //!
 //! **Forward.** An [`Epilogue`] is `acc + bias[oc]` (when there is a bias)
 //! and then the [`Activation`], applied by every lowering as it writes its
-//! output or while what it wrote is still in cache (`im2col`'s lowering
-//! table says where): the same two operations, in the same order, as a
+//! output or while what it wrote is still in cache (`lowering`'s table
+//! says where): the same two operations, in the same order, as a
 //! bias pass and an activation pass over the finished tensor would apply.
 //!
 //! **Backward.** The activation's gradient is a select on the *output*:
@@ -126,13 +126,13 @@ macro_rules! finishing {
 }
 
 impl Epilogue<'_> {
-    /// No bias, no activation: the accumulated value as it is.
+    /// No bias, no activation: the summed value as it is.
     pub const NONE: Epilogue<'static> = Epilogue {
         bias: None,
         activation: Activation::None,
     };
 
-    /// Finishes accumulated elements of output channel `oc` in place, while
+    /// Finishes summed elements of output channel `oc` in place, while
     /// the kernel that wrote them still has them in cache.
     #[inline(always)]
     pub(crate) fn finish(&self, out: &mut [f32], oc: usize) {
@@ -143,7 +143,7 @@ impl Epilogue<'_> {
         });
     }
 
-    /// Writes the accumulated elements `acc` of output channel `oc`
+    /// Writes the summed elements `acc` of output channel `oc`
     /// finished: a register tile's write-out.
     #[inline(always)]
     pub(crate) fn write(&self, out: &mut [f32], acc: &[f32], oc: usize) {

@@ -2,14 +2,12 @@
 //! engine.
 //!
 //! One routine, [`gemm_strided`], backs every matrix product in the
-//! crate: `matmul`, `matmul_t_a`, `matmul_b_t` (a `Linear` layer's forward
-//! and both adjoints), and through the `im2col` lowering the convolutions
-//! that still have a column matrix — strided, and grouped but not
-//! depthwise; stride-1 dense and depthwise geometry never reach it (the
-//! `direct` and `stencil` modules). Transposed operands are handled by the
-//! packing step ([`pack`]) reading through arbitrary row/column strides,
-//! along whichever axis is unit-stride, so no caller ever materializes a
-//! transpose.
+//! crate: `matmul`, `matmul_t_a` and `matmul_b_t` (a `Linear` layer's
+//! forward and both adjoints). No convolution reaches it: those run on the
+//! `direct` and `stencil` kernels or the naive loops (`lowering` module).
+//! Transposed operands are handled by the packing step ([`pack`]) reading
+//! through arbitrary row/column strides, along whichever axis is
+//! unit-stride, so no caller ever materializes a transpose.
 //!
 //! The structure is the standard three-level blocking of BLIS/GotoBLAS,
 //! in plain safe Rust:
@@ -94,14 +92,12 @@ fn with_pack_buffers<R>(
     out
 }
 
-/// `C (+)= A @ B` for strided operands and a contiguous row-major `C`.
+/// `C = A @ B` for strided operands and a contiguous row-major `C`.
 ///
 /// `a` holds an `m x k` matrix with element `(i, p)` at `a[i*rsa + p*csa]`;
 /// `b` holds a `k x n` matrix with element `(p, j)` at `b[p*rsb + j*csb]`.
-/// `c` is dense row-major `[m, n]`. With `accumulate == false` `C` is
-/// overwritten, otherwise the product is added to it — callers chain
-/// per-batch contributions (e.g. `conv2d_grad_weight`) without a separate
-/// accumulator pass.
+/// `c` is dense row-major `[m, n]` and overwritten: what it held is never
+/// read.
 ///
 /// Strides express transposes for free:
 ///
@@ -125,16 +121,13 @@ pub(crate) fn gemm_strided(
     rsb: usize,
     csb: usize,
     c: &mut [f32],
-    accumulate: bool,
 ) {
     debug_assert_eq!(c.len(), m * n, "gemm: C extent");
     if m == 0 || n == 0 {
         return;
     }
     if k == 0 {
-        if !accumulate {
-            c.fill(0.0);
-        }
+        c.fill(0.0);
         return;
     }
     if let Some(pool) = crate::parallel::active_pool() {
@@ -143,23 +136,19 @@ pub(crate) fn gemm_strided(
         // contiguous, so tasks borrow disjoint `chunks_mut` directly.
         let band = m.div_ceil(width).next_multiple_of(MR);
         if band < m {
-            gemm_rows_parallel(
-                &pool, band, m, n, k, a, rsa, csa, b, rsb, csb, c, accumulate,
-            );
+            gemm_rows_parallel(&pool, band, m, n, k, a, rsa, csa, b, rsb, csb, c);
             return;
         }
         // Too few rows to split (e.g. a conv with a handful of output
         // channels): split C's columns instead, through per-band scratch.
         let nband = n.div_ceil(width).next_multiple_of(NR);
         if nband < n {
-            gemm_cols_parallel(
-                &pool, nband, m, n, k, a, rsa, csa, b, rsb, csb, c, accumulate,
-            );
+            gemm_cols_parallel(&pool, nband, m, n, k, a, rsa, csa, b, rsb, csb, c);
             return;
         }
         // Smaller than one band either way: not worth a scope.
     }
-    gemm_serial(m, n, k, a, rsa, csa, b, rsb, csb, c, accumulate);
+    gemm_serial(m, n, k, a, rsa, csa, b, rsb, csb, c);
 }
 
 /// Parallel GEMM over horizontal bands of C: task `i` computes rows
@@ -182,7 +171,6 @@ fn gemm_rows_parallel(
     rsb: usize,
     csb: usize,
     c: &mut [f32],
-    accumulate: bool,
 ) {
     debug_assert!(band % MR == 0 && band < m);
     pool.scope(|s| {
@@ -190,7 +178,7 @@ fn gemm_rows_parallel(
             let rows = cband.len() / n;
             let a_band = &a[bi * band * rsa..];
             s.spawn(move || {
-                gemm_serial(rows, n, k, a_band, rsa, csa, b, rsb, csb, cband, accumulate);
+                gemm_serial(rows, n, k, a_band, rsa, csa, b, rsb, csb, cband);
             });
         }
     });
@@ -206,10 +194,8 @@ thread_local! {
 
 /// Parallel GEMM over vertical bands of C for short-and-wide outputs.
 /// Column bands of row-major C interleave in memory, so each task
-/// computes its band into a contiguous scratch block; the caller copies
-/// bands in before the scope (when accumulating, so the serial
-/// `c_prev + panel₀ + panel₁ + …` chain per element is preserved
-/// exactly) and back out after. The copies are whole-row-segment
+/// computes its band into a contiguous scratch block, and the caller
+/// copies the bands out after the scope. The copies are whole-row-segment
 /// `memcpy`s and change no values — bitwise parity holds.
 #[allow(clippy::too_many_arguments)]
 fn gemm_cols_parallel(
@@ -225,7 +211,6 @@ fn gemm_cols_parallel(
     rsb: usize,
     csb: usize,
     c: &mut [f32],
-    accumulate: bool,
 ) {
     debug_assert!(nband % NR == 0 && nband < n);
     let nbands = n.div_ceil(nband);
@@ -237,21 +222,13 @@ fn gemm_cols_parallel(
     }
     let scratch = &mut buf[..m * nband * nbands];
     let extent = |bi: usize| (bi * nband, nband.min(n - bi * nband));
-    if accumulate {
-        for (bi, sb) in scratch.chunks_mut(m * nband).enumerate() {
-            let (j0, nb) = extent(bi);
-            for r in 0..m {
-                sb[r * nb..][..nb].copy_from_slice(&c[r * n + j0..][..nb]);
-            }
-        }
-    }
     pool.scope(|s| {
         for (bi, sb) in scratch.chunks_mut(m * nband).enumerate() {
             let (j0, nb) = extent(bi);
             let b_band = &b[j0 * csb..];
             let sb = &mut sb[..m * nb];
             s.spawn(move || {
-                gemm_serial(m, nb, k, a, rsa, csa, b_band, rsb, csb, sb, accumulate);
+                gemm_serial(m, nb, k, a, rsa, csa, b_band, rsb, csb, sb);
             });
         }
     });
@@ -279,16 +256,13 @@ pub(crate) fn gemm_serial(
     rsb: usize,
     csb: usize,
     c: &mut [f32],
-    accumulate: bool,
 ) {
     debug_assert_eq!(c.len(), m * n, "gemm: C extent");
     if m == 0 || n == 0 {
         return;
     }
     if k == 0 {
-        if !accumulate {
-            c.fill(0.0);
-        }
+        c.fill(0.0);
         return;
     }
 
@@ -310,9 +284,8 @@ pub(crate) fn gemm_serial(
             let mut pc = 0;
             while pc < k {
                 let kb = kc.min(k - pc);
-                // The first depth panel either overwrites C (accumulate
-                // off) or adds to the caller's C; later panels always add.
-                let add = accumulate || pc > 0;
+                // The first depth panel overwrites C; later panels add.
+                let add = pc > 0;
                 pack::<NR>(pb, b, rsb, csb, (pc, kb), (jc, nb));
                 let mut ic = 0;
                 while ic < m {
@@ -579,7 +552,7 @@ mod tests {
             let a = filled(m * k);
             let b = filled(k * n);
             let mut c = vec![0.0f32; m * n];
-            gemm_strided(m, n, k, &a, k, 1, &b, n, 1, &mut c, false);
+            gemm_strided(m, n, k, &a, k, 1, &b, n, 1, &mut c);
             let want = reference(m, n, k, &a, &b);
             for (got, want) in c.iter().zip(want.iter()) {
                 assert!(
@@ -611,9 +584,9 @@ mod tests {
         }
         let want = reference(m, n, k, &a, &b);
         let mut c1 = vec![0.0f32; m * n];
-        gemm_strided(m, n, k, &at, 1, m, &b, n, 1, &mut c1, false);
+        gemm_strided(m, n, k, &at, 1, m, &b, n, 1, &mut c1);
         let mut c2 = vec![0.0f32; m * n];
-        gemm_strided(m, n, k, &a, k, 1, &bt, 1, k, &mut c2, false);
+        gemm_strided(m, n, k, &a, k, 1, &bt, 1, k, &mut c2);
         for (got, want) in c1.iter().zip(want.iter()) {
             assert!((got - want).abs() < 1e-4, "transposed A");
         }
@@ -623,25 +596,9 @@ mod tests {
     }
 
     #[test]
-    fn accumulate_adds_to_existing_c() {
-        let (m, n, k) = (4, 4, 4);
-        let a = filled(m * k);
-        let b = filled(k * n);
-        let mut c = vec![1.0f32; m * n];
-        gemm_strided(m, n, k, &a, k, 1, &b, n, 1, &mut c, true);
-        let want = reference(m, n, k, &a, &b);
-        for (got, want) in c.iter().zip(want.iter()) {
-            assert!((got - (want + 1.0)).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn zero_k_clears_or_keeps_c() {
+    fn zero_k_clears_c() {
         let mut c = vec![3.0f32; 4];
-        gemm_strided(2, 2, 0, &[], 1, 1, &[], 1, 1, &mut c, false);
+        gemm_strided(2, 2, 0, &[], 1, 1, &[], 1, 1, &mut c);
         assert_eq!(c, vec![0.0; 4]);
-        let mut c = vec![3.0f32; 4];
-        gemm_strided(2, 2, 0, &[], 1, 1, &[], 1, 1, &mut c, true);
-        assert_eq!(c, vec![3.0; 4]);
     }
 }

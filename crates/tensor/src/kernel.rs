@@ -7,8 +7,9 @@
 //!   trivially auditable, and kept as the oracle the fast path is
 //!   tested against.
 //! * [`KernelPolicy::Blocked`] — the compute plane every un-suffixed
-//!   kernel runs: packed blocked GEMM (`gemm` module), and convolutions
-//!   lowered by their geometry alone (`im2col` module).
+//!   kernel runs: packed blocked GEMM (`gemm` module) for the matrix
+//!   products, and for convolutions the kernel their geometry allows
+//!   (`lowering` module) — the naive loops where there is no faster one.
 //!
 //! Nothing ambient chooses between them: `matmul`, `conv2d` and the
 //! adjoints always run `Blocked`, and the `*_with` variants take the

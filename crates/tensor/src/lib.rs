@@ -10,11 +10,12 @@
 //! kernel next to it, validated against finite differences in the test
 //! suite — and the hot kernels (`matmul` family, `conv2d` family) come in
 //! two implementations: the blocked plane every call runs — a
-//! cache-blocked packed GEMM, convolutions that read the image in place
-//! where their geometry allows and lower to that GEMM through im2col where
-//! it does not — and direct naive loops, the oracle the blocked plane is
-//! tested against (reached through the `*_with` variants' [`KernelPolicy`]
-//! argument only).
+//! cache-blocked packed GEMM for the matrix products, and convolutions
+//! that read the image in place where their geometry allows (stride-1
+//! dense and depthwise) and run the naive loops where it does not — and
+//! direct naive loops, the oracle the blocked plane is tested against
+//! (reached through the `*_with` variants' [`KernelPolicy`] argument
+//! only).
 //!
 //! # Example
 //!
@@ -38,9 +39,9 @@ mod direct;
 mod epilogue;
 mod error;
 mod gemm;
-mod im2col;
 mod kernel;
 mod linalg;
+mod lowering;
 pub mod parallel;
 mod pool;
 mod recycle;

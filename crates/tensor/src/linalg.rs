@@ -57,7 +57,7 @@ impl Tensor {
         let out = result.data_mut();
         match policy {
             KernelPolicy::Blocked => {
-                gemm_strided(m, n, k, a, k, 1, b, n, 1, out, false);
+                gemm_strided(m, n, k, a, k, 1, b, n, 1, out);
             }
             KernelPolicy::Naive => {
                 // i-k-j loop order: streams through b rows, cache friendly.
@@ -117,7 +117,7 @@ impl Tensor {
         match policy {
             KernelPolicy::Blocked => {
                 // A is stored [k, m]; strides express the transpose.
-                gemm_strided(m, n, k, a, 1, m, b, n, 1, out, false);
+                gemm_strided(m, n, k, a, 1, m, b, n, 1, out);
             }
             KernelPolicy::Naive => {
                 for p in 0..k {
@@ -176,7 +176,7 @@ impl Tensor {
         match policy {
             KernelPolicy::Blocked => {
                 // B is stored [n, k]; strides express the transpose.
-                gemm_strided(m, n, k, a, k, 1, b, 1, k, out, false);
+                gemm_strided(m, n, k, a, k, 1, b, 1, k, out);
             }
             KernelPolicy::Naive => {
                 for i in 0..m {

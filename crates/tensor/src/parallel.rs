@@ -1,6 +1,6 @@
 //! The compute pool behind the parallel compute plane.
 //!
-//! The blocked kernels (`gemm`, `im2col`) decompose their work across a
+//! The blocked kernels (`gemm`, `lowering`) decompose their work across a
 //! [`ComputePool`] when one is *active* on the calling thread: the
 //! innermost [`install`]ed pool (the executors install a per-device pool
 //! sized by `sched`'s stage widths, so stage concurrency and intra-stage

@@ -1,5 +1,5 @@
 //! Direct stencil kernels for depthwise (`cig == cog == 1`) convolution —
-//! no column matrix, no GEMM (`im2col`'s lowering table says why).
+//! no column matrix, no GEMM (`lowering`'s table says when).
 //!
 //! Each plane read is copied once into a zero-bordered scratch [`Plane`]
 //! where every tap of every output is in bounds, so the tiles have no edge
@@ -15,7 +15,7 @@
 //! and sums the plane's bias gradient alongside.
 
 use crate::epilogue::{Activation, Epilogue};
-use crate::{conv::Conv2dSpec, im2col::ConvGeom, reduce::fold, simd::TierBody};
+use crate::{conv::Conv2dSpec, lowering::ConvGeom, reduce::fold, simd::TierBody};
 
 /// Columns per correlate tile ...
 const NR: usize = 32;

@@ -2,15 +2,18 @@
 //!
 //! Every hot kernel exists twice (see `KernelPolicy`): the naive loops
 //! and the blocked path — the direct kernels for stride-1 dense geometry,
-//! the stencil for depthwise, im2col + GEMM for the rest. These properties
-//! sample convolution geometries across strides, paddings, group counts
-//! (including depthwise), and non-square inputs, and assert the blocked
-//! forward and both adjoints match the oracle within tight tolerance —
-//! the two paths sum identical products in the same per-element order, so
-//! they may differ only by FMA rounding contraction (and, in the weight
-//! gradients, by the order of their partial sums: the stencil's and the
-//! direct kernels' 16 lanes per element, element `ox` in lane `ox % 16`,
-//! added by `reduce::fold`'s 8/4/2/1 tree).
+//! the stencil for depthwise, and the naive loops themselves for the rest
+//! (strided dense, grouped but not depthwise, and dense grad-input with
+//! padding past `k - 1`). These properties sample convolution geometries
+//! across strides, paddings, group counts (including depthwise), and
+//! non-square inputs, and assert the blocked forward and both adjoints
+//! match the oracle within tight tolerance — the two paths sum identical
+//! products in the same per-element order, so they may differ only by FMA
+//! rounding contraction (and, in the weight gradients, by the order of
+//! their partial sums: the stencil's and the direct kernels' 16 lanes per
+//! element, element `ox` in lane `ox % 16`, added by `reduce::fold`'s
+//! 8/4/2/1 tree). Where the blocked path runs the oracle, they must agree
+//! bit for bit.
 //!
 //! The `*_with` kernel variants are the only way to the oracle; the
 //! blocked side runs under an installed pool of 1 and of 2 lanes, since a
@@ -96,6 +99,26 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
+/// Whether the blocked plane runs the oracle for `spec`'s forward and
+/// weight gradient, and for its grad-input: geometry with neither a
+/// stencil (depthwise) nor a direct kernel (stride-1 dense, and for
+/// grad-input padding no wider than `k - 1`).
+fn runs_the_oracle(spec: &Conv2dSpec) -> (bool, bool) {
+    let depthwise = spec.in_channels == spec.groups && spec.out_channels == spec.groups;
+    let slow = !depthwise && (spec.groups != 1 || spec.stride != 1);
+    (slow, slow || (!depthwise && spec.padding >= spec.kernel))
+}
+
+/// [`assert_close`], or bitwise equality where `oracle` says the blocked
+/// side ran the naive kernel itself.
+fn assert_matches(oracle: bool, naive: &Tensor, blocked: &Tensor, what: &str) {
+    if oracle {
+        assert_eq!(bits(naive), bits(blocked), "{what} (oracle)");
+    } else {
+        assert_close(naive, blocked, what);
+    }
+}
+
 /// Runs all three kernels under both policies and cross-checks them, the
 /// forward finished by epilogue `e` ([`epilogue_from`]) — and the weight
 /// gradient through that epilogue's gate against the gate pass followed by
@@ -115,19 +138,23 @@ fn check_all(spec: Conv2dSpec, e: usize, n: usize, h: usize, w: usize, seed: u64
     let act = epilogue.activation;
     let (dz, ndb) = conv2d_grad_epilogue(&dy, &naive, act).unwrap();
     let nzw = conv2d_grad_weight_with(&x, &dz, spec, KernelPolicy::Naive).unwrap();
+    let (oracle, oracle_input) = runs_the_oracle(&spec);
     under_pools(|lanes| {
         let blocked = conv2d_with(&x, &wt, spec, epilogue, KernelPolicy::Blocked).unwrap();
-        assert_close(
+        assert_matches(
+            oracle,
             &naive,
             &blocked,
             &format!("{spec:?} {epilogue:?} forward, {lanes}"),
         );
         let bi = conv2d_grad_input_with(&dy, &wt, spec, (h, w), KernelPolicy::Blocked).unwrap();
-        assert_close(&ni, &bi, &format!("{spec:?} grad input, {lanes}"));
+        let what = format!("{spec:?} grad input, {lanes}");
+        assert_matches(oracle_input, &ni, &bi, &what);
         let bw = conv2d_grad_weight_with(&x, &dy, spec, KernelPolicy::Blocked).unwrap();
-        assert_close(&nw, &bw, &format!("{spec:?} grad weight, {lanes}"));
+        assert_matches(oracle, &nw, &bw, &format!("{spec:?} grad weight, {lanes}"));
         let (bzw, bdb) = conv2d_grad_weight_fused(&x, &dy, &naive, act, spec).unwrap();
-        assert_close(
+        assert_matches(
+            oracle,
             &nzw,
             &bzw,
             &format!("{spec:?} {act:?} gated grad weight, {lanes}"),
@@ -221,8 +248,8 @@ proptest! {
         // the direct kernels: channel counts that leave the 8-row forward
         // tile and the 4 x 4 grad-weight tile partial (3 is every model's
         // block 0), rows that leave the 32- and 16-wide steps ragged or
-        // never fill one, padding past `k - 1` (grad-input falls back to
-        // col2im) and planes narrower than the kernel. `w` is never `h`.
+        // never fill one, padding past `k - 1` (grad-input runs the
+        // oracle) and planes narrower than the kernel. `w` is never `h`.
         let k = [1, 3, 5, 7][ksel];
         let padding = psel % (k + 1);
         let w = 3 + (h - 3 + wsel) % 38;

@@ -23,7 +23,7 @@ use pipebd_sched::{
     barrier_period, bottleneck_stage, dp_phase_period, estimate_period, ls, ls_round_period,
     CostModel, DegradedServer, Profiler, StagePlan,
 };
-use pipebd_sim::{busy_per_gpu, simulate, simulate_faulted, SimRun, SimTime, TaskGraph};
+use pipebd_sim::{busy_per_gpu, simulate, simulate_faulted, SimTime, TaskGraph};
 use pipebd_tensor::Rng64;
 use serde::{Deserialize, Serialize};
 
@@ -113,40 +113,6 @@ impl ArtifactPayload for ConformanceReport {
     const VERSION: u32 = 4;
 }
 
-/// Steady-state period of a simulated task graph: the spread of the last
-/// `tail` per-step completion times, averaged. `steps` is the total number
-/// of `step` tags the graph was emitted with; the window must sit inside
-/// one steady regime (for DP: within the last phase).
-///
-/// # Panics
-///
-/// Panics if `tail >= steps`.
-pub fn simulated_round_period(graph: &TaskGraph, steps: u32, tail: u32) -> SimTime {
-    round_period_of(graph, &simulate(graph), steps, tail)
-}
-
-/// [`simulated_round_period`] over an already-simulated run (the fault
-/// differential simulates through `simulate_faulted`, which owns the
-/// perturbed graph).
-///
-/// # Panics
-///
-/// Panics if `tail >= steps`.
-pub fn round_period_of(graph: &TaskGraph, run: &SimRun, steps: u32, tail: u32) -> SimTime {
-    assert!(tail < steps, "tail window must leave a base step");
-    let mut end = vec![SimTime::ZERO; steps as usize];
-    for (id, task) in graph.iter() {
-        let f = run.finish[id.index()];
-        let s = task.step as usize;
-        if f > end[s] {
-            end[s] = f;
-        }
-    }
-    let last = end[steps as usize - 1];
-    let base = end[steps as usize - 1 - tail as usize];
-    SimTime::from_ns((last.as_ns() - base.as_ns()) / u64::from(tail))
-}
-
 /// The executor direction's inputs, built by [`Scenario::exec_setup`]:
 /// `(teacher, student, dataset, run configuration)`.
 pub type ExecSetup = (BlockNet, BlockNet, SyntheticImageDataset, FuncConfig);
@@ -226,7 +192,7 @@ fn sim_differential(s: &Scenario, book: &ToleranceBook) -> Result<(f64, bool, bo
                 lower(&l, Strategy::DataParallel).map_err(|e| format!("DP lowering: {e}"))?;
             let blocks = w.num_blocks();
             let steps = blocks as u32 * rounds;
-            let simulated = simulated_round_period(&lowered.graph, steps, 3);
+            let simulated = simulate(&lowered.graph).round_period(&lowered.graph, steps, 3);
             let analytic = dp_phase_period(blocks - 1, &table, &w, &hw, s.sim_batch, s.ranks);
             Ok((ratio(simulated, analytic), false, true))
         }
@@ -235,7 +201,7 @@ fn sim_differential(s: &Scenario, book: &ToleranceBook) -> Result<(f64, bool, bo
             let l = Lowering::new(&w, &hw, s.sim_batch, rounds);
             let lowered = lower(&l, Strategy::LayerwiseScheduling)
                 .map_err(|e| format!("LS lowering: {e}"))?;
-            let simulated = simulated_round_period(&lowered.graph, rounds, 4);
+            let simulated = simulate(&lowered.graph).round_period(&lowered.graph, rounds, 4);
             let assignment = ls::pack(&w, &table, s.ranks, s.sim_batch);
             let analytic = ls_round_period(&assignment, &table, &w, &hw, s.sim_batch);
             Ok((ratio(simulated, analytic), false, true))
@@ -249,7 +215,7 @@ fn sim_differential(s: &Scenario, book: &ToleranceBook) -> Result<(f64, bool, bo
             // Lower once; the same graph serves the steady-state period
             // measurement and the bottleneck busy-time check.
             let lowered = relay::lower_plan(&l, &plan, dpu);
-            let simulated = simulated_round_period(&lowered.graph, rounds, 6);
+            let simulated = simulate(&lowered.graph).round_period(&lowered.graph, rounds, 6);
             let analytic = if dpu {
                 estimate_period(&plan, &table, &w, &hw, s.sim_batch)
             } else {
@@ -291,7 +257,9 @@ fn fault_differential(s: &Scenario, fault: &FaultCase) -> Result<FaultMeasuremen
         .map_err(|e| format!("fault lowering: {e}"))?;
     let sim = simulate_faulted(&lowered.graph, &fault.script)
         .map_err(|e| format!("degraded simulation: {e}"))?;
-    let simulated = round_period_of(&lowered.graph, &sim.run, FAULT_ROUNDS, FAULT_TAIL);
+    let simulated = sim
+        .run
+        .round_period(&lowered.graph, FAULT_ROUNDS, FAULT_TAIL);
     // Every script settles before the tail window, so the cluster state at
     // the last round is the steady state the final segment planned for.
     let server = DegradedServer::at_step(&hw, &fault.script, FAULT_ROUNDS - 1)
@@ -588,8 +556,9 @@ mod tests {
             );
             prev = Some(t);
         }
+        let run = simulate(&g);
         for tail in [1, 4, 8] {
-            assert_eq!(simulated_round_period(&g, 10, tail), SimTime::from_us(10.0));
+            assert_eq!(run.round_period(&g, 10, tail), SimTime::from_us(10.0));
         }
     }
 
@@ -597,7 +566,7 @@ mod tests {
     #[should_panic(expected = "tail window")]
     fn simulated_round_period_rejects_degenerate_tail() {
         let g = TaskGraph::new(1);
-        let _ = simulated_round_period(&g, 4, 4);
+        let _ = simulate(&g).round_period(&g, 4, 4);
     }
 
     #[test]

@@ -66,8 +66,7 @@ mod tolerance;
 mod trace;
 
 pub use differential::{
-    round_period_of, run_scenario, simulated_round_period, ConformanceReport, ExecSetup,
-    ScenarioOutcome, FAULT_ROUNDS, FAULT_TAIL,
+    run_scenario, ConformanceReport, ExecSetup, ScenarioOutcome, FAULT_ROUNDS, FAULT_TAIL,
 };
 pub use scenario::{
     enumerate, ConformanceStrategy, FaultCase, FaultClass, ModelShape, Scenario, ScenarioSet,

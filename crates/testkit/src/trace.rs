@@ -49,7 +49,6 @@ use pipebd_trace::{
     TraceReport, TraceSummary,
 };
 
-use crate::differential::round_period_of;
 use crate::{ConformanceStrategy, Scenario, SimWorkload, ToleranceBook};
 
 /// Steps the trace differential trains for (enough that the tail window
@@ -179,7 +178,7 @@ pub fn run_trace_scenario(s: &Scenario, book: &ToleranceBook) -> Result<TraceRun
     let l = Lowering::new(&w, &hw, s.exec_batch, rounds).with_profile(&table);
     let lowered = relay::lower_plan(&l, &plan, dpu);
     let sim_run = simulate(&lowered.graph);
-    let simulated = round_period_of(&lowered.graph, &sim_run, rounds, TRACE_TAIL);
+    let simulated = sim_run.round_period(&lowered.graph, rounds, TRACE_TAIL);
 
     // No core folding: the measured block times already carry the host's
     // timesharing contention (see the module docs), so the max-stage-time

@@ -23,7 +23,7 @@ use pipebd_models::Workload;
 use pipebd_sched::replan::{degraded_estimate, replan, DegradedServer};
 use pipebd_sched::{ahd, CostModel, Profiler, StagePlan};
 use pipebd_sim::{simulate_faulted, FaultEvent, FaultScript, HardwareConfig, SimTime};
-use pipebd_testkit::{round_period_of, FAULT_ROUNDS, FAULT_TAIL};
+use pipebd_testkit::{FAULT_ROUNDS, FAULT_TAIL};
 use proptest::prelude::*;
 
 fn workload(index: usize) -> Workload {
@@ -54,7 +54,7 @@ fn slow_script(rank: usize, factor: f64) -> FaultScript {
 /// Steady tail period of `graph` simulated under `script`.
 fn tail_period(graph: &pipebd_sim::TaskGraph, script: &FaultScript) -> SimTime {
     let sim = simulate_faulted(graph, script).expect("valid fault simulation");
-    round_period_of(graph, &sim.run, FAULT_ROUNDS, FAULT_TAIL)
+    sim.run.round_period(graph, FAULT_ROUNDS, FAULT_TAIL)
 }
 
 proptest! {

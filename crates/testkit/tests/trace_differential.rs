@@ -49,7 +49,7 @@ fn trace_differential_passes_on_acceptance_strategies() {
 
 #[test]
 fn tracing_never_changes_the_math() {
-    // PIPEBD_TRACE=off (no collector) vs full instrumentation: bitwise
+    // Tracing off (no collector) vs full instrumentation: bitwise
     // identical parameters and losses — the overhead contract, asserted
     // at the strongest possible level.
     let s = &trace_scenarios()[0];

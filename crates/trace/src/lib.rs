@@ -12,9 +12,9 @@
 //!   the hot path); rings flush into the shared [`TraceCollector`] when
 //!   the thread finishes. With tracing off the executor pays exactly one
 //!   `Option` branch per instrumentation point.
-//! * [`metrics`] — a hand-rolled registry of counters, gauges, and
-//!   fixed-bucket log₂ histograms, snapshotted into serializable form for
-//!   the `pipebd.trace` artifact envelope.
+//! * [`metrics`] — a hand-rolled registry of counters and gauges,
+//!   snapshotted into serializable form for the `pipebd.trace` artifact
+//!   envelope.
 //! * [`chrome`] — Chrome `trace_event` JSON export (open in Perfetto or
 //!   `chrome://tracing`) for executor traces *and* simulator task graphs,
 //!   on shared track naming so the two render side by side.
@@ -26,12 +26,13 @@
 //!
 //! # Overhead contract
 //!
-//! `PIPEBD_TRACE=off` (the default) constructs no collector: every
-//! instrumentation point in the executor reduces to one branch on a
-//! `None`, and trained parameters are bitwise identical to an
-//! instrumented run (tracing observes the schedule, never the math).
-//! `spans` records spans only; `full` additionally populates the metrics
-//! registry and compute-pool counters.
+//! A run is traced only when its caller hands the executor a
+//! [`TraceCollector`] (no environment variable turns one on). Without one
+//! — the default — every instrumentation point in the executor reduces to
+//! one branch on a `None`, and trained parameters are bitwise identical to
+//! an instrumented run (tracing observes the schedule, never the math).
+//! [`TraceMode::Spans`] records spans only; [`TraceMode::Full`]
+//! additionally populates the metrics registry and compute-pool counters.
 
 #![warn(missing_docs)]
 
@@ -41,8 +42,7 @@ pub mod span;
 pub mod summary;
 
 pub use metrics::{
-    Counter, CounterSnapshot, Gauge, GaugeSnapshot, Histogram, HistogramBucket, HistogramSnapshot,
-    MetricsRegistry, MetricsSnapshot,
+    Counter, CounterSnapshot, Gauge, GaugeSnapshot, MetricsRegistry, MetricsSnapshot,
 };
 pub use span::{Span, SpanKind, TraceCollector, TraceMode, TraceReport, TrackRecorder, TrackSpans};
 pub use summary::{measured_profile, summarize, StageObservation, TraceDifferential, TraceSummary};

@@ -1,11 +1,9 @@
-//! Hand-rolled metrics registry: counters, gauges, and fixed-bucket
-//! log₂-scale histograms.
+//! Hand-rolled metrics registry: counters and gauges.
 //!
 //! Hot-path operations are single relaxed atomic RMWs on pre-registered
 //! handles; only registration (get-or-create by name) takes a lock. The
 //! registry snapshots into plain serializable structs for the
-//! `pipebd.trace` artifact envelope — this is the substrate the ROADMAP's
-//! serving plane will reuse for p50/p99/p999 latency artifacts.
+//! `pipebd.trace` artifact envelope.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -55,96 +53,10 @@ impl Gauge {
     }
 }
 
-/// Number of histogram buckets. Bucket 0 holds zeros; bucket `0 < i < 63`
-/// holds values in the half-open `[2^(i-1), 2^i)` — so an exact power of
-/// two `2^k` lands in bucket `k + 1`, the bucket whose *lower* bound it
-/// is; the last bucket (63) absorbs everything at or above `2^62`, i.e.
-/// the closed range `[2^62, u64::MAX]`.
-pub const HISTOGRAM_BUCKETS: usize = 64;
-
-/// A fixed-bucket log₂ histogram over `u64` samples (durations in
-/// nanoseconds, payload bytes, ...). Recording is one relaxed
-/// `fetch_add`; bucket bounds are powers of two, so the bucket index is a
-/// leading-zeros count — no floats, no search.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    sum: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum: AtomicU64::new(0),
-        }
-    }
-}
-
-impl Histogram {
-    /// The bucket index a value lands in.
-    pub fn bucket_index(v: u64) -> usize {
-        (u64::BITS - v.leading_zeros()).min(HISTOGRAM_BUCKETS as u32 - 1) as usize
-    }
-
-    /// The value range of bucket `i`: half-open `[lo, hi)` for every
-    /// bucket except the last, whose range is the **closed**
-    /// `[2^62, u64::MAX]` — its returned `hi` of `u64::MAX` is itself a
-    /// member of the bucket, not an exclusive bound (there is no `2^64`
-    /// in `u64` to exclude up to).
-    pub fn bucket_bounds(i: usize) -> (u64, u64) {
-        assert!(i < HISTOGRAM_BUCKETS, "bucket {i} out of range");
-        if i == 0 {
-            return (0, 1);
-        }
-        let lo = 1u64 << (i - 1);
-        let hi = if i == HISTOGRAM_BUCKETS - 1 {
-            u64::MAX
-        } else {
-            1u64 << i
-        };
-        (lo, hi)
-    }
-
-    /// Records one sample.
-    pub fn record(&self, v: u64) {
-        self.buckets[Self::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Sum of all recorded samples.
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    fn snapshot(&self, name: &str) -> HistogramSnapshot {
-        let mut buckets = Vec::new();
-        for (i, b) in self.buckets.iter().enumerate() {
-            let count = b.load(Ordering::Relaxed);
-            if count > 0 {
-                let (lo, hi) = Self::bucket_bounds(i);
-                buckets.push(HistogramBucket { lo, hi, count });
-            }
-        }
-        HistogramSnapshot {
-            name: name.to_owned(),
-            count: buckets.iter().map(|b| b.count).sum(),
-            sum: self.sum(),
-            buckets,
-        }
-    }
-}
-
 #[derive(Debug, Clone)]
 enum Metric {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
 }
 
 /// Named metrics, registered on demand and snapshotted at run end.
@@ -191,22 +103,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Returns the histogram `name`, creating it on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered as a different metric kind.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.inner.lock().expect("metrics lock");
-        match map
-            .entry(name.to_owned())
-            .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::default())))
-        {
-            Metric::Histogram(h) => Arc::clone(h),
-            _ => panic!("metric `{name}` is not a histogram"),
-        }
-    }
-
     /// Snapshots every registered metric, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let map = self.inner.lock().expect("metrics lock");
@@ -221,7 +117,6 @@ impl MetricsRegistry {
                     name: name.clone(),
                     value: g.get(),
                 }),
-                Metric::Histogram(h) => snap.histograms.push(h.snapshot(name)),
             }
         }
         snap
@@ -246,32 +141,6 @@ pub struct GaugeSnapshot {
     pub value: i64,
 }
 
-/// One occupied histogram bucket.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HistogramBucket {
-    /// Inclusive lower bound of the bucket's value range.
-    pub lo: u64,
-    /// Exclusive upper bound — except the last bucket, where `hi` is
-    /// `u64::MAX` and *inclusive* (that bucket is the closed range
-    /// `[2^62, u64::MAX]`).
-    pub hi: u64,
-    /// Samples in the bucket.
-    pub count: u64,
-}
-
-/// A histogram's occupied buckets at snapshot time.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HistogramSnapshot {
-    /// Metric name.
-    pub name: String,
-    /// Total samples.
-    pub count: u64,
-    /// Sum of all samples.
-    pub sum: u64,
-    /// Occupied buckets, ascending.
-    pub buckets: Vec<HistogramBucket>,
-}
-
 /// Everything a registry held, in serializable form.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
@@ -279,8 +148,6 @@ pub struct MetricsSnapshot {
     pub counters: Vec<CounterSnapshot>,
     /// Gauges, sorted by name.
     pub gauges: Vec<GaugeSnapshot>,
-    /// Histograms, sorted by name.
-    pub histograms: Vec<HistogramSnapshot>,
 }
 
 impl MetricsSnapshot {
@@ -298,86 +165,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bucket_index_covers_powers_of_two() {
-        assert_eq!(Histogram::bucket_index(0), 0);
-        assert_eq!(Histogram::bucket_index(1), 1);
-        assert_eq!(Histogram::bucket_index(2), 2);
-        assert_eq!(Histogram::bucket_index(3), 2);
-        assert_eq!(Histogram::bucket_index(4), 3);
-        assert_eq!(Histogram::bucket_index(u64::MAX), HISTOGRAM_BUCKETS - 1);
-    }
-
-    #[test]
-    fn bucket_edges_are_pinned_at_powers_of_two() {
-        // 1 is the sole member of bucket 1: [1, 2).
-        assert_eq!(Histogram::bucket_index(1), 1);
-        assert_eq!(Histogram::bucket_bounds(1), (1, 2));
-        // An exact power of two 2^k opens bucket k+1 (it is that bucket's
-        // inclusive lower bound), while 2^k - 1 closes bucket k — for
-        // every k up to the saturation point.
-        for k in 1..62u32 {
-            let v = 1u64 << k;
-            assert_eq!(Histogram::bucket_index(v), k as usize + 1, "2^{k}");
-            assert_eq!(Histogram::bucket_index(v - 1), k as usize, "2^{k}-1");
-            let (lo, hi) = Histogram::bucket_bounds(k as usize + 1);
-            assert_eq!(lo, v, "2^{k} is bucket {}'s inclusive lo", k + 1);
-            assert!(v < hi);
-        }
-        // The saturation edge: 2^62 - 1 is the top of bucket 62; 2^62,
-        // 2^63, and u64::MAX all land in the closed last bucket.
-        assert_eq!(Histogram::bucket_index((1u64 << 62) - 1), 62);
-        assert_eq!(Histogram::bucket_index(1u64 << 62), 63);
-        assert_eq!(Histogram::bucket_index(1u64 << 63), 63);
-        assert_eq!(Histogram::bucket_index(u64::MAX), 63);
-        let (lo, hi) = Histogram::bucket_bounds(63);
-        assert_eq!((lo, hi), (1u64 << 62, u64::MAX));
-        // The last bucket's `hi` is inclusive: u64::MAX itself lands in
-        // the bucket whose bounds report it.
-        assert_eq!(Histogram::bucket_index(hi), 63);
-    }
-
-    #[test]
-    fn bucket_bounds_partition_the_domain() {
-        // Every value's bucket bounds contain it.
-        for v in [0u64, 1, 2, 7, 1000, 1 << 40, u64::MAX] {
-            let (lo, hi) = Histogram::bucket_bounds(Histogram::bucket_index(v));
-            assert!(lo <= v, "{v} below bucket lo {lo}");
-            assert!(v < hi || hi == u64::MAX, "{v} at or above bucket hi {hi}");
-        }
-        // Adjacent buckets tile without gaps.
-        for i in 1..HISTOGRAM_BUCKETS - 1 {
-            assert_eq!(
-                Histogram::bucket_bounds(i).1,
-                Histogram::bucket_bounds(i + 1).0
-            );
-        }
-    }
-
-    #[test]
-    fn histogram_counts_and_sums() {
-        let h = Histogram::default();
-        for v in [0u64, 1, 3, 1000] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.sum(), 1004);
-        let snap = h.snapshot("t");
-        assert_eq!(snap.count, 4);
-        assert_eq!(snap.sum, 1004);
-        assert_eq!(snap.buckets.iter().map(|b| b.count).sum::<u64>(), 4);
-    }
-
-    #[test]
     fn registry_get_or_create_shares_handles() {
         let r = MetricsRegistry::new();
         r.counter("a").add(2);
         r.counter("a").inc();
         r.gauge("g").set(-5);
-        r.histogram("h").record(9);
         let snap = r.snapshot();
         assert_eq!(snap.counter("a"), Some(3));
         assert_eq!(snap.gauges[0].value, -5);
-        assert_eq!(snap.histograms[0].count, 1);
     }
 
     #[test]

@@ -19,7 +19,8 @@ use std::time::Instant;
 
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 
-/// How much the trace plane records, parsed from `PIPEBD_TRACE`.
+/// How much the trace plane records: chosen by whoever builds the
+/// [`TraceCollector`] (a run with no collector records nothing).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceMode {
     /// No collector is constructed; instrumentation costs one branch.
@@ -31,25 +32,6 @@ pub enum TraceMode {
 }
 
 impl TraceMode {
-    /// Resolves the mode from `PIPEBD_TRACE` (`off` | `spans` | `full`,
-    /// unset means `off`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognized value — a mislabeled trace artifact is
-    /// worse than a crashed run, same policy as `PIPEBD_SIMD`.
-    pub fn from_env() -> Self {
-        match std::env::var("PIPEBD_TRACE") {
-            Err(_) => TraceMode::Off,
-            Ok(v) => match v.as_str() {
-                "" | "off" => TraceMode::Off,
-                "spans" => TraceMode::Spans,
-                "full" => TraceMode::Full,
-                other => panic!("PIPEBD_TRACE must be off|spans|full, got `{other}`"),
-            },
-        }
-    }
-
     /// Stable lowercase label (`"off"`, `"spans"`, `"full"`).
     pub fn label(self) -> &'static str {
         match self {

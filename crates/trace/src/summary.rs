@@ -2,8 +2,8 @@
 //! steady-state period, the critical-path stage, and a measured
 //! [`ProfileTable`] the estimator and simulator can replay.
 //!
-//! The measured period mirrors the conformance plane's tail-window
-//! formula (`pipebd_testkit::round_period_of`): per-step completion is
+//! The measured period mirrors the simulator's tail-window formula
+//! (`pipebd_sim::SimRun::round_period`): per-step completion is
 //! the latest `update` span end across all tracks, and the period is
 //! averaged over the last `tail` steps, past the pipeline fill.
 //!

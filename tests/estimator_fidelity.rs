@@ -6,8 +6,17 @@
 
 use pipe_bd::core::lower::{relay, Lowering};
 use pipe_bd::models::Workload;
-use pipe_bd::sched::{enumerate_hybrid_plans, estimate_period, CostModel, Profiler};
-use pipe_bd::sim::HardwareConfig;
+use pipe_bd::sched::{enumerate_hybrid_plans, estimate_period, CostModel, Profiler, StagePlan};
+use pipe_bd::sim::{simulate, HardwareConfig};
+
+/// Seconds per round of `plan`'s simulated DPU pipeline over its last
+/// `tail` rounds.
+fn simulated_period(l: &Lowering<'_>, plan: &StagePlan, tail: u32) -> f64 {
+    let lowered = relay::lower_plan(l, plan, true);
+    let run = simulate(&lowered.graph);
+    run.round_period(&lowered.graph, l.rounds, tail)
+        .as_secs_f64()
+}
 
 #[test]
 fn estimates_track_simulation_across_the_plan_space() {
@@ -26,7 +35,7 @@ fn estimates_track_simulation_across_the_plan_space() {
         }
         checked += 1;
         let analytic = estimate_period(&plan, &table, &w, &hw, 256).as_secs_f64();
-        let simulated = relay::simulated_period(&lowering, &plan, true, 8).as_secs_f64();
+        let simulated = simulated_period(&lowering, &plan, 8);
         let ratio = simulated / analytic;
         assert!(
             (0.85..1.25).contains(&ratio),
@@ -49,10 +58,10 @@ fn chosen_plan_is_near_optimal_under_simulation() {
 
     let mut best_simulated = f64::INFINITY;
     for plan in enumerate_hybrid_plans(6, 4) {
-        let p = relay::simulated_period(&lowering, &plan, true, 6).as_secs_f64();
+        let p = simulated_period(&lowering, &plan, 6);
         best_simulated = best_simulated.min(p);
     }
-    let chosen = relay::simulated_period(&lowering, &decision.plan, true, 6).as_secs_f64();
+    let chosen = simulated_period(&lowering, &decision.plan, 6);
     assert!(
         chosen <= best_simulated * 1.10,
         "chosen plan {:.6}s is >10% off the simulated optimum {best_simulated:.6}s",
