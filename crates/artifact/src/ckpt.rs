@@ -6,7 +6,9 @@
 //! corrupted on disk) surfaces as a structured error from
 //! [`CheckpointStore::latest`], never a silent "no checkpoint": silently
 //! restarting from scratch when a checkpoint existed would discard
-//! training the operator paid for.
+//! training the operator paid for. Every failure is a
+//! [`CheckpointError::Sink`] whose source is the [`ArtifactError`] — the
+//! store's own error, for callers to downcast.
 //!
 //! # File layout
 //!
@@ -47,10 +49,16 @@ use std::io::{self, Read};
 use std::path::PathBuf;
 
 use pipebd_core::checkpoint::{self, CodecError};
-use pipebd_core::{Checkpoint, CheckpointSink};
+use pipebd_core::{Checkpoint, CheckpointError, CheckpointSink};
 
 use crate::store::{retrying, write_atomic};
 use crate::ArtifactError;
+
+impl From<ArtifactError> for CheckpointError {
+    fn from(e: ArtifactError) -> Self {
+        CheckpointError::Sink(Box::new(e))
+    }
+}
 
 impl From<CodecError> for ArtifactError {
     fn from(e: CodecError) -> Self {
@@ -71,16 +79,13 @@ impl From<CodecError> for ArtifactError {
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
     path: PathBuf,
-    name: String,
 }
 
 impl CheckpointStore {
     /// A checkpoint store writing `<root>/<name>.ckpt`.
     pub fn at(root: impl Into<PathBuf>, name: impl Into<String>) -> Self {
-        let name = name.into();
         CheckpointStore {
-            path: root.into().join(format!("{name}.ckpt")),
-            name,
+            path: root.into().join(format!("{}.ckpt", name.into())),
         }
     }
 
@@ -111,14 +116,10 @@ impl CheckpointStore {
             ))),
         }
     }
-
-    fn named(&self, e: impl Into<ArtifactError>) -> String {
-        format!("checkpoint `{}`: {}", self.name, e.into())
-    }
 }
 
 impl CheckpointSink for CheckpointStore {
-    fn store(&self, checkpoint: &Checkpoint) -> Result<(), String> {
+    fn store(&self, checkpoint: &Checkpoint) -> Result<(), CheckpointError> {
         // Round-max semantics, matching the in-memory sink: never replace
         // a newer checkpoint with a stale round. A torn, damaged or
         // foreign-version incumbent is the exception — overwriting it
@@ -126,22 +127,23 @@ impl CheckpointSink for CheckpointStore {
         // the file may be fine, so that error goes to the caller.
         match self.incumbent_round() {
             Ok(Some(round)) if round >= checkpoint.round => return Ok(()),
-            Err(ArtifactError::Io(e)) => return Err(self.named(e)),
+            Err(e @ ArtifactError::Io(_)) => return Err(e.into()),
             _ => {}
         }
-        write_atomic(&self.path, &checkpoint::encode(checkpoint)).map_err(|e| self.named(e))
+        write_atomic(&self.path, &checkpoint::encode(checkpoint)).map_err(ArtifactError::from)?;
+        Ok(())
     }
 
-    fn latest(&self) -> Result<Option<Checkpoint>, String> {
+    fn latest(&self) -> Result<Option<Checkpoint>, CheckpointError> {
         let bytes = match retrying(|| fs::read(&self.path)) {
             Ok(bytes) => bytes,
             // No file yet is the one benign miss: nothing was ever stored.
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(self.named(e)),
+            Err(e) => return Err(ArtifactError::from(e).into()),
         };
         // A checkpoint existed; losing it must be loud.
-        let decoded = checkpoint::decode(&bytes);
-        decoded.map(Some).map_err(|e| self.named(e))
+        let decoded = checkpoint::decode(&bytes).map_err(ArtifactError::from)?;
+        Ok(Some(decoded))
     }
 }
 
@@ -156,6 +158,16 @@ mod tests {
             std::env::temp_dir().join(format!("pipebd_ckpt_store_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         root
+    }
+
+    /// The store's own error behind a sink failure.
+    fn artifact_error(err: &CheckpointError) -> &ArtifactError {
+        match err {
+            CheckpointError::Sink(e) => e
+                .downcast_ref()
+                .expect("the store fails with its own error"),
+            other => panic!("not a sink failure: {other:?}"),
+        }
     }
 
     fn checkpoint(round: usize) -> Checkpoint {
@@ -251,8 +263,8 @@ mod tests {
 
         let err = sink.latest().unwrap_err();
         assert!(
-            err.contains("ckpt"),
-            "torn-file error should name the checkpoint: {err}"
+            matches!(artifact_error(&err), ArtifactError::Malformed(_)),
+            "{err:?}"
         );
 
         // Storing a fresh checkpoint repairs the torn incumbent.
@@ -262,7 +274,7 @@ mod tests {
     }
 
     /// Every way the file at `path()` can be wrong is a structured error
-    /// from `latest()` that names the checkpoint — never `Ok(None)` — and
+    /// from `latest()` — never `Ok(None)` — and
     /// the next `store` repairs it. What the header or the file's length
     /// gives away is repaired even by an older round; damage inside a
     /// payload of the right length is invisible to `store`, which reads
@@ -286,28 +298,43 @@ mod tests {
         let v1 = br#"{"schema": "pipebd.checkpoint", "version": 1, "name": "ckpt",
             "created_unix_s": 1753000000, "payload": {"round": 5, "blocks": []}}"#;
         let in_header = &good[..checkpoint::PRELUDE_LEN + 20];
-        let cases: [(&str, &[u8], &str, usize); 7] = [
-            ("empty file", &[], "bad magic", 1),
-            ("cut in the header", in_header, "inside the header", 1),
-            ("cut in the payload", &good[..header_end + 10], "bytes", 1),
+        // `None`: refused for its version, not as malformed.
+        let cases: [(&str, &[u8], Option<&str>, usize); 7] = [
+            ("empty file", &[], Some("bad magic"), 1),
+            ("cut in the header", in_header, Some("inside the header"), 1),
+            (
+                "cut in the payload",
+                &good[..header_end + 10],
+                Some("bytes"),
+                1,
+            ),
             (
                 "cut before the checksum",
                 &good[..good.len() - 8],
-                "bytes",
+                Some("bytes"),
                 1,
             ),
-            ("one flipped payload byte", &flipped, "bad checksum", 6),
-            ("wrong magic", &wrong_magic, "bad magic", 1),
-            ("version-1 JSON envelope", v1, "found 1, expected 2", 1),
+            (
+                "one flipped payload byte",
+                &flipped,
+                Some("bad checksum"),
+                6,
+            ),
+            ("wrong magic", &wrong_magic, Some("bad magic"), 1),
+            ("version-1 JSON envelope", v1, None, 1),
         ];
-        for (case, bytes, expected, repair_round) in cases {
+        for (case, bytes, malformed, repair_round) in cases {
             std::fs::create_dir_all(&root).unwrap();
             std::fs::write(sink.path(), bytes).unwrap();
             let err = sink.latest().expect_err(case);
-            assert!(
-                err.contains("checkpoint `ckpt`") && err.contains(expected),
-                "{case}: unexpected error: {err}"
-            );
+            let refused = match (artifact_error(&err), malformed) {
+                (ArtifactError::Malformed(why), Some(expected)) => why.contains(expected),
+                (ArtifactError::Version { found, expected }, None) => {
+                    (*found, *expected) == (1, checkpoint::VERSION)
+                }
+                _ => false,
+            };
+            assert!(refused, "{case}: unexpected error: {err:?}");
             sink.store(&checkpoint(repair_round)).unwrap();
             let repaired = sink.latest().unwrap().unwrap();
             assert_eq!(repaired, checkpoint(repair_round), "{case}");
@@ -336,8 +363,7 @@ mod tests {
 
     /// Only a torn or foreign *file* is repaired by overwrite. When the
     /// incumbent cannot be read at all (here: the path is a directory)
-    /// the error comes back, naming the checkpoint, and nothing is
-    /// written over it.
+    /// the I/O error comes back, and nothing is written over it.
     #[test]
     fn unreadable_incumbent_is_an_error_not_a_repair() {
         let root = temp_root("unreadable");
@@ -346,10 +372,14 @@ mod tests {
 
         let err = sink.store(&checkpoint(2)).unwrap_err();
         assert!(
-            err.contains("checkpoint `ckpt`") && err.contains("I/O"),
-            "unexpected error: {err}"
+            matches!(artifact_error(&err), ArtifactError::Io(_)),
+            "{err:?}"
         );
-        assert!(sink.latest().unwrap_err().contains("checkpoint `ckpt`"));
+        let err = sink.latest().unwrap_err();
+        assert!(
+            matches!(artifact_error(&err), ArtifactError::Io(_)),
+            "{err:?}"
+        );
         assert!(sink.path().is_dir(), "nothing replaced the incumbent");
         assert!(!root.join("ckpt.ckpt.tmp").exists(), "nothing was written");
         let _ = std::fs::remove_dir_all(&root);

@@ -53,7 +53,7 @@ pub trait ArtifactPayload: Serialize + Deserialize {
 
 impl ArtifactPayload for RunReport {
     const SCHEMA: &'static str = "pipebd.run_report";
-    const VERSION: u32 = 1;
+    const VERSION: u32 = 2;
 }
 
 impl ArtifactPayload for StagePlan {

@@ -22,7 +22,7 @@ pub struct RunSet {
 
 impl ArtifactPayload for RunSet {
     const SCHEMA: &'static str = "pipebd.run_set";
-    const VERSION: u32 = 1;
+    const VERSION: u32 = 2;
 }
 
 /// Profiled cost of one block at every profiled batch size, in integer

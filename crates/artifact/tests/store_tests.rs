@@ -5,7 +5,7 @@
 use std::path::PathBuf;
 
 use pipebd_artifact::{ArtifactError, ArtifactStore, CostProfile, RunSet};
-use pipebd_core::{ExecutorChoice, ExperimentBuilder, RunReport, Strategy};
+use pipebd_core::{ExperimentBuilder, RunReport, Strategy};
 use pipebd_models::Workload;
 use pipebd_sched::{CostModel, Profiler, StagePlan};
 use pipebd_sim::{GpuModel, HardwareConfig};
@@ -22,7 +22,6 @@ fn report(strategy: Strategy) -> RunReport {
         .hardware(HardwareConfig::a6000_server(4))
         .batch_size(64)
         .sim_rounds(4)
-        .executor(ExecutorChoice::Threaded)
         .build()
         .expect("valid experiment")
         .run(strategy)

@@ -18,16 +18,28 @@
 //! [`decode`], the pure byte codec below; the file layout is described
 //! once, in that crate's `ckpt` module).
 //! The round-interval policy lives in [`CheckpointPolicy`].
+//!
+//! # One resume gate
+//!
+//! Whether a checkpoint may resume a run is decided once, by the
+//! crate-private `Checkpoint::check_resume`, against the accepted run and
+//! the student's parameter shapes. `reference::resume`, the recovery
+//! fallback and the threaded executor call it before any work starts (the
+//! threaded one before it spawns a device thread), so a block's restore
+//! past it cannot fail. Every refusal is a variant of [`CheckpointError`],
+//! which also carries a sink's own failure ([`CheckpointError::Sink`])
+//! and the recovery runner's lineage refusal
+//! ([`CheckpointError::ForeignPlan`]).
 
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use pipebd_json::Value;
-use pipebd_nn::{Layer, Sgd};
+use pipebd_nn::{BlockNet, Layer, Sgd};
 use pipebd_tensor::{Tensor, TensorError};
 use serde::{Deserialize, Serialize};
 
-use crate::exec::{ExecError, RunSpec};
+use crate::exec::RunSpec;
 
 /// A bitwise-exact, serializable snapshot of one tensor.
 ///
@@ -109,79 +121,124 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// The state of global block `index`, if present.
-    pub fn block(&self, index: usize) -> Option<&BlockState> {
-        self.blocks.iter().find(|b| b.block == index)
-    }
-
-    /// Structural validation against a run shape.
+    /// The resume gate: whether this checkpoint may resume the accepted
+    /// run `spec` of `student`. Both executors call it before any work
+    /// starts (the threaded one before it spawns a device thread), so a
+    /// restore past it cannot fail. It checks, in order: the block count,
+    /// the batch, the round against the run's steps, the data cursor, and
+    /// then per block its index, its loss history, its parameters against
+    /// the student block's (count and dims) and its velocities (one per
+    /// parameter with that parameter's dims, or none at round 0).
     ///
-    /// # Errors
-    ///
-    /// Returns a human-readable reason when the checkpoint cannot resume
-    /// a `num_blocks`-block run at batch size `batch`.
-    pub fn validate(&self, num_blocks: usize, batch: usize) -> Result<(), String> {
-        if self.blocks.len() != num_blocks {
-            return Err(format!(
-                "checkpoint has {} blocks, run has {num_blocks}",
-                self.blocks.len()
-            ));
-        }
-        for i in 0..num_blocks {
-            let Some(b) = self.block(i) else {
-                return Err(format!("checkpoint is missing block {i}"));
-            };
-            if b.losses.len() != self.round {
-                return Err(format!(
-                    "block {i} has {} losses at round {}",
-                    b.losses.len(),
-                    self.round
-                ));
-            }
+    /// Plan lineage is not the gate's business: a direct resume names its
+    /// checkpoint, and the recovery runner checks lineage when it reads
+    /// one from its sink.
+    pub(crate) fn check_resume(
+        &self,
+        spec: &RunSpec,
+        student: &BlockNet,
+    ) -> Result<(), CheckpointError> {
+        let (blocks, batch, steps) = (spec.blocks(), spec.cfg.batch, spec.cfg.steps);
+        if self.blocks.len() != blocks {
+            return Err(CheckpointError::BlockCount {
+                checkpoint: self.blocks.len(),
+                run: blocks,
+            });
         }
         if self.batch != batch {
-            return Err(format!(
-                "checkpoint batch {} differs from run batch {batch}",
-                self.batch
-            ));
+            return Err(CheckpointError::Batch {
+                checkpoint: self.batch,
+                run: batch,
+            });
         }
-        if self.data_cursor != self.round as u64 * self.batch as u64 {
-            return Err(format!(
-                "data cursor {} inconsistent with round {} x batch {}",
-                self.data_cursor, self.round, self.batch
-            ));
+        if self.round > steps {
+            return Err(CheckpointError::BeyondRun {
+                round: self.round,
+                steps,
+            });
+        }
+        if (self.round as u64).checked_mul(batch as u64) != Some(self.data_cursor) {
+            return Err(CheckpointError::DataCursor {
+                cursor: self.data_cursor,
+                round: self.round,
+                batch,
+            });
+        }
+        for (position, state) in self.blocks.iter().enumerate() {
+            let block = state.block;
+            if block != position {
+                return Err(CheckpointError::BlockIndex { position, block });
+            }
+            if state.losses.len() != self.round {
+                return Err(CheckpointError::LossHistory {
+                    block,
+                    losses: state.losses.len(),
+                    round: self.round,
+                });
+            }
+            let mut layer = student.block(block).clone();
+            let mut expected = Vec::new();
+            layer.visit_params(&mut |p| expected.push(p.value.dims().to_vec()));
+            if state.params.len() != expected.len() {
+                return Err(CheckpointError::ParamCount {
+                    block,
+                    checkpoint: state.params.len(),
+                    layer: expected.len(),
+                });
+            }
+            let velocities = state.velocities.len();
+            if velocities != expected.len() && !(velocities == 0 && self.round == 0) {
+                return Err(CheckpointError::VelocityCount {
+                    block,
+                    velocities,
+                    params: expected.len(),
+                    round: self.round,
+                });
+            }
+            let slots = [
+                (Slot::Param, &state.params),
+                (Slot::Velocity, &state.velocities),
+            ];
+            for (slot, snapshots) in slots {
+                for (index, (snap, dims)) in snapshots.iter().zip(&expected).enumerate() {
+                    if snap.dims != *dims || snap.data.len() != dims.iter().product::<usize>() {
+                        return Err(CheckpointError::Shape {
+                            block,
+                            slot,
+                            index,
+                            dims: snap.dims.clone(),
+                            elements: snap.data.len(),
+                            expected: dims.clone(),
+                        });
+                    }
+                }
+            }
         }
         Ok(())
     }
+}
 
-    /// Restores global block `index` into `layer` and `optim`
-    /// ([`restore_block`]) and returns the block's loss history so far.
-    pub(crate) fn restore_into(
-        &self,
-        index: usize,
-        layer: &mut dyn Layer,
-        optim: &mut Sgd,
-    ) -> Result<Vec<f32>, ExecError> {
-        let state = self
-            .block(index)
-            .ok_or_else(|| ExecError::Checkpoint(format!("missing block {index}")))?;
-        restore_block(layer, optim, state).map_err(ExecError::Checkpoint)?;
-        Ok(state.losses.clone())
-    }
-
-    /// [`validate`](Self::validate) for the accepted run `spec` about to
-    /// resume from this checkpoint, which must also not lie beyond the
-    /// run's last step.
-    pub(crate) fn validate_resume(&self, spec: &RunSpec) -> Result<(), ExecError> {
-        self.validate(spec.blocks(), spec.cfg.batch)
-            .map_err(ExecError::Checkpoint)?;
-        if self.round > spec.cfg.steps {
-            return Err(ExecError::Checkpoint(format!(
-                "checkpoint round {} beyond the run's {} steps",
-                self.round, spec.cfg.steps
-            )));
-        }
-        Ok(())
+impl BlockState {
+    /// Installs this state: parameter values are replaced (gradients
+    /// cleared, dropping any shared-grad override) and the optimizer's
+    /// momentum velocities are reinstalled, so the next step continues the
+    /// exact trajectory of the run that was checkpointed. Returns the loss
+    /// history so far.
+    ///
+    /// Only for a state whose checkpoint passed the resume gate
+    /// ([`Checkpoint::check_resume`]) against this block: the gate matched
+    /// every snapshot to `layer`'s parameters, so nothing here can fail.
+    pub(crate) fn restore(&self, layer: &mut dyn Layer, optim: &mut Sgd) -> Vec<f32> {
+        let tensor = |snap: &TensorSnapshot| {
+            (snap.to_tensor()).expect("the resume gate matched every snapshot to its dims")
+        };
+        let mut params = self.params.iter();
+        layer.visit_params(&mut |p| {
+            p.value = tensor(params.next().expect("the resume gate counted the params"));
+            p.clear_grad();
+        });
+        optim.restore_velocities(self.velocities.iter().map(tensor).collect());
+        self.losses.clone()
     }
 }
 
@@ -204,54 +261,203 @@ pub fn capture_block(
     }
 }
 
-/// Restores one block's state: parameter values are replaced (gradients
-/// cleared, dropping any shared-grad override) and the optimizer's
-/// momentum velocities are reinstalled, so the next step continues the
-/// exact trajectory of the run that was checkpointed.
-///
-/// # Errors
-///
-/// Returns a human-readable reason when `state` does not structurally
-/// match `layer` (wrong parameter count or corrupt snapshot shapes).
-pub fn restore_block(
-    layer: &mut dyn Layer,
-    optim: &mut Sgd,
-    state: &BlockState,
-) -> Result<(), String> {
-    let mut idx = 0usize;
-    let mut err: Option<String> = None;
-    layer.visit_params(&mut |p| {
-        if err.is_none() {
-            match state.params.get(idx).map(TensorSnapshot::to_tensor) {
-                Some(Ok(t)) => {
-                    p.value = t;
-                    p.clear_grad();
-                }
-                Some(Err(e)) => err = Some(format!("block {}: param {idx}: {e}", state.block)),
-                None => err = Some(format!("block {}: missing param {idx}", state.block)),
+/// Which tensors of a [`BlockState`] a [`CheckpointError::Shape`] is about.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Slot {
+    /// `BlockState::params`.
+    Param,
+    /// `BlockState::velocities`.
+    Velocity,
+}
+
+/// Why a checkpoint was not stored, read or resumed: one variant per
+/// refusal of the resume gate, the recovery runner's lineage refusal, and
+/// a sink's own failure.
+#[derive(Debug)]
+#[non_exhaustive]
+pub enum CheckpointError {
+    /// The sink failed to store or read a checkpoint. The source is the
+    /// sink's own error (`pipebd_artifact::ArtifactError` for a file
+    /// store), for callers to downcast.
+    Sink(Box<dyn std::error::Error + Send + Sync>),
+    /// The sink's latest checkpoint was written under a plan the restoring
+    /// recovery never ran: another run's state, not a resume point.
+    ForeignPlan {
+        /// The checkpoint's round.
+        round: usize,
+        /// The fingerprint the checkpoint carries.
+        found: String,
+        /// The fingerprints of every plan the recovery has run under.
+        lineage: Vec<String>,
+    },
+    /// The checkpoint holds another number of blocks than the run has.
+    BlockCount {
+        /// Blocks in the checkpoint.
+        checkpoint: usize,
+        /// Blocks of the run.
+        run: usize,
+    },
+    /// The checkpoint was written at another batch size.
+    Batch {
+        /// The checkpoint's batch.
+        checkpoint: usize,
+        /// The run's batch.
+        run: usize,
+    },
+    /// The checkpoint lies beyond the run's last step.
+    BeyondRun {
+        /// The checkpoint's round.
+        round: usize,
+        /// The run's steps.
+        steps: usize,
+    },
+    /// The data cursor is not `round × batch`.
+    DataCursor {
+        /// The checkpoint's cursor.
+        cursor: u64,
+        /// The checkpoint's round.
+        round: usize,
+        /// The batch.
+        batch: usize,
+    },
+    /// The block states are not blocks `0..n` in order.
+    BlockIndex {
+        /// Position in `Checkpoint::blocks`.
+        position: usize,
+        /// The block index found there.
+        block: usize,
+    },
+    /// A block's loss history is not one loss per completed round.
+    LossHistory {
+        /// The block.
+        block: usize,
+        /// Losses in its history.
+        losses: usize,
+        /// The checkpoint's round.
+        round: usize,
+    },
+    /// A block holds another number of parameters than the student block.
+    ParamCount {
+        /// The block.
+        block: usize,
+        /// Parameters in the checkpoint.
+        checkpoint: usize,
+        /// Parameters of the student block.
+        layer: usize,
+    },
+    /// A block's velocities are neither one per parameter nor, at round 0,
+    /// none.
+    VelocityCount {
+        /// The block.
+        block: usize,
+        /// Velocities in the checkpoint.
+        velocities: usize,
+        /// Parameters of the student block.
+        params: usize,
+        /// The checkpoint's round.
+        round: usize,
+    },
+    /// A parameter or velocity snapshot does not have the dims of its
+    /// student parameter, or its data does not fill them.
+    Shape {
+        /// The block.
+        block: usize,
+        /// Parameter or velocity.
+        slot: Slot,
+        /// Index in `visit_params` order.
+        index: usize,
+        /// The snapshot's dims.
+        dims: Vec<usize>,
+        /// The snapshot's element count.
+        elements: usize,
+        /// The student parameter's dims.
+        expected: Vec<usize>,
+    },
+}
+
+impl fmt::Display for CheckpointError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use CheckpointError as E;
+        match self {
+            E::Sink(e) => write!(f, "checkpoint sink: {e}"),
+            E::ForeignPlan {
+                round,
+                found,
+                lineage,
+            } => write!(
+                f,
+                "plan fingerprint mismatch: checkpoint at round {round} written under `{found}`, \
+                 expected one of [{}]",
+                lineage.join(", ")
+            ),
+            E::BlockCount { checkpoint, run } => {
+                write!(f, "checkpoint has {checkpoint} blocks, run has {run}")
             }
+            E::Batch { checkpoint, run } => {
+                write!(
+                    f,
+                    "checkpoint batch {checkpoint} differs from run batch {run}"
+                )
+            }
+            E::BeyondRun { round, steps } => {
+                write!(f, "checkpoint round {round} beyond the run's {steps} steps")
+            }
+            E::DataCursor {
+                cursor,
+                round,
+                batch,
+            } => write!(
+                f,
+                "data cursor {cursor} inconsistent with round {round} x batch {batch}"
+            ),
+            E::BlockIndex { position, block } => {
+                write!(f, "block state {position} is for block {block}")
+            }
+            E::LossHistory {
+                block,
+                losses,
+                round,
+            } => write!(f, "block {block} has {losses} losses at round {round}"),
+            E::ParamCount {
+                block,
+                checkpoint,
+                layer,
+            } => write!(
+                f,
+                "block {block}: layer has {layer} params, checkpoint has {checkpoint}"
+            ),
+            E::VelocityCount {
+                block,
+                velocities,
+                params,
+                round,
+            } => write!(
+                f,
+                "block {block}: {velocities} velocities for {params} params at round {round}"
+            ),
+            E::Shape {
+                block,
+                slot,
+                index,
+                dims,
+                elements,
+                expected,
+            } => write!(
+                f,
+                "block {block}: {slot:?} {index} is {dims:?} with {elements} elements, \
+                 the layer's is {expected:?}"
+            ),
         }
-        idx += 1;
-    });
-    if let Some(e) = err {
-        return Err(e);
     }
-    if idx != state.params.len() {
-        return Err(format!(
-            "block {}: layer has {idx} params, checkpoint has {}",
-            state.block,
-            state.params.len()
-        ));
+}
+
+impl std::error::Error for CheckpointError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            CheckpointError::Sink(e) => Some(&**e),
+            _ => None,
+        }
     }
-    let velocities: Result<Vec<Tensor>, TensorError> = state
-        .velocities
-        .iter()
-        .map(TensorSnapshot::to_tensor)
-        .collect();
-    optim.restore_velocities(
-        velocities.map_err(|e| format!("block {}: velocity: {e}", state.block))?,
-    );
-    Ok(())
 }
 
 /// Round-interval checkpoint policy: snapshot after every `every`-th
@@ -281,60 +487,30 @@ impl CheckpointPolicy {
 
 /// Where completed checkpoints go, and where a recovery restores from.
 ///
-/// Errors are rendered as text — the executor wraps them in
-/// `ExecError::Checkpoint`. Implementations must be thread-safe: the
-/// executor may store from the assembly thread while a recovery
-/// orchestrator reads `latest`.
+/// Implementations must be thread-safe: the executor may store from the
+/// assembly thread while a recovery orchestrator reads `latest`. What a
+/// checkpoint may resume is not the sink's business: the resume gate and
+/// the recovery runner's lineage check decide that.
 pub trait CheckpointSink: Send + Sync {
     /// Persists a completed checkpoint.
     ///
     /// # Errors
     ///
-    /// Returns the sink-specific failure as text.
-    fn store(&self, checkpoint: &Checkpoint) -> Result<(), String>;
+    /// Returns [`CheckpointError::Sink`] with the sink-specific failure.
+    fn store(&self, checkpoint: &Checkpoint) -> Result<(), CheckpointError>;
 
     /// The highest-round checkpoint stored so far, if any.
     ///
     /// # Errors
     ///
-    /// Returns the sink-specific failure as text (a torn on-disk
-    /// file is an error, never silently `None`).
-    fn latest(&self) -> Result<Option<Checkpoint>, String>;
-
-    /// [`CheckpointSink::latest`], gated on plan lineage: the checkpoint's
-    /// `plan_fingerprint` must be one of `lineage` (the fingerprints of
-    /// every plan the restoring recovery has run under). A checkpoint
-    /// written under a foreign plan is **mismatched state** — silently
-    /// resuming it would splice another run's trajectory into this one —
-    /// so it is a structured error, distinct from a torn file (which
-    /// `latest` already reports as its own sink-specific text).
-    ///
-    /// Checkpoints with an empty fingerprint predate the lineage stamp
-    /// and pass unchecked.
-    ///
-    /// # Errors
-    ///
-    /// Returns the sink failure verbatim, or a
-    /// `"plan fingerprint mismatch: ..."` message for a foreign
-    /// checkpoint.
-    fn latest_matching(&self, lineage: &[String]) -> Result<Option<Checkpoint>, String> {
-        let Some(ckpt) = self.latest()? else {
-            return Ok(None);
-        };
-        if !ckpt.plan_fingerprint.is_empty() && !lineage.contains(&ckpt.plan_fingerprint) {
-            return Err(format!(
-                "plan fingerprint mismatch: checkpoint at round {} written under `{}`, \
-                 expected one of [{}]",
-                ckpt.round,
-                ckpt.plan_fingerprint,
-                lineage.join(", ")
-            ));
-        }
-        Ok(Some(ckpt))
-    }
+    /// Returns [`CheckpointError::Sink`] with the sink-specific failure (a
+    /// torn on-disk file is an error, never silently `None`).
+    fn latest(&self) -> Result<Option<Checkpoint>, CheckpointError>;
 }
 
 /// An in-memory [`CheckpointSink`] keeping the highest-round checkpoint.
+/// It never fails: every update leaves its state whole, so a lock a
+/// panicking thread poisoned is taken over as it is.
 #[derive(Debug, Default)]
 pub struct MemorySink {
     inner: Mutex<MemoryState>,
@@ -354,13 +530,17 @@ impl MemorySink {
 
     /// How many checkpoints have been stored (including superseded ones).
     pub fn stored(&self) -> usize {
-        self.inner.lock().expect("sink lock").stored
+        self.state().stored
+    }
+
+    fn state(&self) -> MutexGuard<'_, MemoryState> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 impl CheckpointSink for MemorySink {
-    fn store(&self, checkpoint: &Checkpoint) -> Result<(), String> {
-        let mut inner = self.inner.lock().map_err(|_| "sink poisoned".to_string())?;
+    fn store(&self, checkpoint: &Checkpoint) -> Result<(), CheckpointError> {
+        let mut inner = self.state();
         inner.stored += 1;
         if !matches!(&inner.latest, Some(c) if c.round >= checkpoint.round) {
             inner.latest = Some(checkpoint.clone());
@@ -368,9 +548,8 @@ impl CheckpointSink for MemorySink {
         Ok(())
     }
 
-    fn latest(&self) -> Result<Option<Checkpoint>, String> {
-        let inner = self.inner.lock().map_err(|_| "sink poisoned".to_string())?;
-        Ok(inner.latest.clone())
+    fn latest(&self) -> Result<Option<Checkpoint>, CheckpointError> {
+        Ok(self.state().latest.clone())
     }
 }
 
@@ -678,7 +857,12 @@ pub fn decode(bytes: &[u8]) -> Result<Checkpoint, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::threaded::{self, RunHooks};
+    use crate::exec::{reference, ExecError, FuncConfig};
+    use pipebd_data::SyntheticImageDataset;
+    use pipebd_models::{mini_student_dsconv, mini_teacher, MiniConfig};
     use pipebd_tensor::Rng64;
+    use std::sync::Arc;
 
     fn tiny_checkpoint(round: usize, batch: usize) -> Checkpoint {
         let mut rng = Rng64::seed_from_u64(11);
@@ -784,18 +968,174 @@ mod tests {
         assert!(!CheckpointPolicy::every(0).due(3, 10), "0 disables");
     }
 
+    /// A 3-block run of 4 steps over 2 devices, and its checkpoint at
+    /// round 2 (the sink keeps the latest).
+    fn captured() -> (
+        BlockNet,
+        BlockNet,
+        SyntheticImageDataset,
+        FuncConfig,
+        Checkpoint,
+    ) {
+        let mini = MiniConfig {
+            blocks: 3,
+            channels: 4,
+            batch_norm: false,
+        };
+        let mut rng = Rng64::seed_from_u64(5);
+        let teacher = mini_teacher(mini, &mut rng);
+        let student = mini_student_dsconv(mini, &mut rng);
+        let data = SyntheticImageDataset::mini(32, 8, 4, 5);
+        let cfg = FuncConfig {
+            steps: 4,
+            pool_size: Some(1),
+            ..FuncConfig::default()
+        };
+        let sink = Arc::new(MemorySink::new());
+        let hooks = RunHooks {
+            checkpoint: Some((CheckpointPolicy::every(2), sink.clone())),
+            ..RunHooks::default()
+        };
+        threaded::run_hooked(&teacher, &student, &data, &cfg, &hooks).unwrap();
+        let ckpt = sink
+            .latest()
+            .unwrap()
+            .expect("a 4-step run checkpoints at round 2");
+        (teacher, student, data, cfg, ckpt)
+    }
+
     #[test]
     fn checkpoint_validate_catches_structural_drift() {
-        let good = tiny_checkpoint(4, 8);
-        good.validate(1, 8).expect("well-formed");
-        assert!(good.validate(2, 8).is_err(), "block count");
-        assert!(good.validate(1, 4).is_err(), "batch mismatch");
-        let mut torn = good.clone();
-        torn.data_cursor = 7;
-        assert!(torn.validate(1, 8).is_err(), "cursor drift");
-        let mut short = good.clone();
-        short.blocks[0].losses.pop();
-        assert!(short.validate(1, 8).is_err(), "loss history length");
+        let (teacher, student, _, cfg, good) = captured();
+        let spec = RunSpec::new(&teacher, &student, &cfg).unwrap();
+        let gate = |c: &Checkpoint| c.check_resume(&spec, &student);
+        gate(&good).expect("the run's own checkpoint resumes it");
+        use CheckpointError as E;
+        let drifts: [(fn(&mut Checkpoint), fn(&E) -> bool); 10] = [
+            (
+                |c| c.blocks.truncate(2),
+                |e| matches!(e, E::BlockCount { checkpoint: 2, .. }),
+            ),
+            (
+                |c| c.batch = 4,
+                |e| matches!(e, E::Batch { checkpoint: 4, .. }),
+            ),
+            (
+                |c| (c.round, c.data_cursor) = (5, 40),
+                |e| matches!(e, E::BeyondRun { round: 5, .. }),
+            ),
+            (
+                |c| c.data_cursor = 7,
+                |e| matches!(e, E::DataCursor { cursor: 7, .. }),
+            ),
+            (
+                |c| c.blocks.swap(0, 1),
+                |e| matches!(e, E::BlockIndex { block: 1, .. }),
+            ),
+            (
+                |c| c.blocks[1].losses.truncate(1),
+                |e| matches!(e, E::LossHistory { losses: 1, .. }),
+            ),
+            (
+                |c| c.blocks[2].params.truncate(1),
+                |e| matches!(e, E::ParamCount { block: 2, .. }),
+            ),
+            (
+                |c| c.blocks[0].params[0].dims.reverse(),
+                |e| {
+                    matches!(
+                        e,
+                        E::Shape {
+                            slot: Slot::Param,
+                            index: 0,
+                            ..
+                        }
+                    )
+                },
+            ),
+            (
+                |c| c.blocks[0].params[1].data.truncate(1),
+                |e| {
+                    matches!(
+                        e,
+                        E::Shape {
+                            slot: Slot::Param,
+                            index: 1,
+                            ..
+                        }
+                    )
+                },
+            ),
+            (
+                |c| c.blocks[1].velocities[0].data.push(0.0),
+                |e| {
+                    matches!(
+                        e,
+                        E::Shape {
+                            slot: Slot::Velocity,
+                            ..
+                        }
+                    )
+                },
+            ),
+        ];
+        for (i, (drift, refusal)) in drifts.into_iter().enumerate() {
+            let mut c = good.clone();
+            drift(&mut c);
+            let e = gate(&c).expect_err("a drifted checkpoint must be refused");
+            assert!(refusal(&e), "drift {i}: {e:?}");
+        }
+    }
+
+    /// Momentum restarting from zero for the parameters whose velocities
+    /// went missing is a different trajectory, not a resume.
+    #[test]
+    fn truncated_velocities_are_refused() {
+        let (teacher, student, data, cfg, mut ckpt) = captured();
+        let params = ckpt.blocks[1].params.len();
+        ckpt.blocks[1].velocities.truncate(params - 1);
+        let resumed = [
+            reference::resume(&teacher, &student, &data, &cfg, &ckpt),
+            threaded::run_hooked(
+                &teacher,
+                &student,
+                &data,
+                &cfg,
+                &RunHooks {
+                    resume: Some(Arc::new(ckpt.clone())),
+                    ..RunHooks::default()
+                },
+            ),
+        ];
+        for end in resumed {
+            assert!(
+                matches!(
+                    &end,
+                    Err(ExecError::Checkpoint(CheckpointError::VelocityCount {
+                        block: 1,
+                        round: 2,
+                        ..
+                    }))
+                ),
+                "{:?}",
+                end.map(|o| o.losses)
+            );
+        }
+        // No velocities at all is what an optimizer that never stepped
+        // holds: a round-0 state only.
+        ckpt.blocks[1].velocities.clear();
+        let spec = RunSpec::new(&teacher, &student, &cfg).unwrap();
+        assert!(ckpt.check_resume(&spec, &student).is_err());
+        let mut fresh = ckpt.clone();
+        fresh.round = 0;
+        fresh.data_cursor = 0;
+        for b in &mut fresh.blocks {
+            b.velocities.clear();
+            b.losses.clear();
+        }
+        fresh
+            .check_resume(&spec, &student)
+            .expect("round 0 needs no velocities");
     }
 
     #[test]
@@ -807,28 +1147,5 @@ mod tests {
         sink.store(&tiny_checkpoint(4, 8)).unwrap();
         assert_eq!(sink.latest().unwrap().unwrap().round, 6);
         assert_eq!(sink.stored(), 3);
-    }
-
-    #[test]
-    fn latest_matching_gates_on_plan_lineage() {
-        let sink = MemorySink::new();
-        assert!(sink.latest_matching(&[]).unwrap().is_none(), "empty sink");
-        sink.store(&tiny_checkpoint(2, 8)).unwrap();
-        // In-lineage fingerprint resumes.
-        let lineage = vec!["0x0:dead".to_string(), "1x1:test".to_string()];
-        assert_eq!(sink.latest_matching(&lineage).unwrap().unwrap().round, 2);
-        // Foreign fingerprint is a structured error, not a silent resume.
-        let err = sink
-            .latest_matching(&["2x2:beef".to_string()])
-            .expect_err("foreign plan must not resume");
-        assert!(
-            err.contains("plan fingerprint mismatch") && err.contains("1x1:test"),
-            "unexpected error: {err}"
-        );
-        // Pre-stamp checkpoints (empty fingerprint) pass unchecked.
-        let mut legacy = tiny_checkpoint(4, 8);
-        legacy.plan_fingerprint.clear();
-        sink.store(&legacy).unwrap();
-        assert_eq!(sink.latest_matching(&[]).unwrap().unwrap().round, 4);
     }
 }

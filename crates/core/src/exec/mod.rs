@@ -57,6 +57,8 @@ use pipebd_sim::FaultViolation;
 use pipebd_tensor::TensorError;
 use serde::{Deserialize, Serialize};
 
+use crate::checkpoint::CheckpointError;
+
 /// Error raised by an executor.
 #[derive(Debug)]
 pub enum ExecError {
@@ -88,8 +90,9 @@ pub enum ExecError {
         /// Restore attempts consumed before giving up.
         attempts: usize,
     },
-    /// Checkpoint capture, persistence, or restore failed.
-    Checkpoint(String),
+    /// A checkpoint could not be stored or read, or may not resume the
+    /// run.
+    Checkpoint(CheckpointError),
     /// A scripted join came due at `step` in a single-epoch run
     /// ([`threaded::run_hooked`]); growing the member set takes
     /// [`recovery::RecoveryRunner`].
@@ -132,6 +135,12 @@ impl std::error::Error for ExecError {}
 impl From<TensorError> for ExecError {
     fn from(e: TensorError) -> Self {
         ExecError::Tensor(e)
+    }
+}
+
+impl From<CheckpointError> for ExecError {
+    fn from(e: CheckpointError) -> Self {
+        ExecError::Checkpoint(e)
     }
 }
 
@@ -426,16 +435,14 @@ pub(crate) fn private_clone(block: &Block) -> Block {
     block
 }
 
-/// Which executor drives functional runs — the `Experiment` facade's
-/// executor-selection knob, recorded in every persisted
-/// [`RunReport`](crate::RunReport) so an artifact names the execution
-/// engine behind its numbers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// One of the two functional executors, as a value: what the conformance
+/// harness (`pipebd_testkit`'s scenarios and differentials) and the
+/// executor-equivalence tests quantify over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ExecutorChoice {
     /// Golden sequential semantics ([`reference::run`]).
     Reference,
-    /// Real multi-threaded pipeline ([`threaded::run`]); the default.
-    #[default]
+    /// Real multi-threaded pipeline ([`threaded::run`]).
     Threaded,
 }
 

@@ -33,11 +33,15 @@
 //! rejoins under a fresh logical rank (`HostJoin` on a new id): a rank
 //! joins and leaves at most once, and a cancelled worker cannot restart.
 //!
-//! Every epoch's checkpoints carry the plan's structural fingerprint,
-//! and restores go through [`CheckpointSink::latest_matching`] against
-//! the lineage of every plan this run has used — a checkpoint from a
-//! foreign run (or a stale sink) fails loudly instead of silently
-//! resuming the wrong model.
+//! Every epoch's checkpoints carry the plan's structural fingerprint.
+//! Every restore — after a loss, after a growth, and for the reference
+//! fallback — takes one step, `Run::restore`: read the sink's latest
+//! checkpoint and refuse it with [`CheckpointError::ForeignPlan`] unless
+//! its fingerprint is in the lineage of every plan this run has used, so a
+//! checkpoint from a foreign run (or a stale sink) fails loudly instead of
+//! silently resuming the wrong model. What passes goes to the executor,
+//! whose resume gate checks it against the run and the student before any
+//! work starts.
 //!
 //! # Replay equivalence
 //!
@@ -69,7 +73,7 @@ use super::fault::FaultDriver;
 use super::registry::EpochEnd;
 use super::threaded::{self, RunHooks};
 use super::{reference, ExecError, FuncConfig, FuncOutcome, RunSpec, SpecError};
-use crate::checkpoint::{Checkpoint, CheckpointPolicy, CheckpointSink};
+use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointPolicy, CheckpointSink};
 
 /// Bounds and knobs for the recovery protocol.
 #[derive(Debug, Clone)]
@@ -148,9 +152,9 @@ impl RecoveryRunner<'_> {
     /// worker set and its joiners or that leave no member at some step,
     /// faults under coupled updates, and member sets no plan runs on;
     /// [`ExecError::RecoveryExhausted`] when the budget runs out with no
-    /// fallback configured, [`ExecError::Checkpoint`] when the sink's
-    /// checkpoint fails the plan-lineage gate, or any underlying
-    /// executor error.
+    /// fallback configured, [`ExecError::Checkpoint`] when the sink fails,
+    /// its checkpoint was written under a plan outside the run's lineage,
+    /// or the resume gate refuses it, or any underlying executor error.
     pub fn run(
         &self,
         teacher: &BlockNet,
@@ -309,11 +313,28 @@ impl Run<'_> {
         self.replan(step)?;
         timed(SpanKind::Replan, t0);
         let t0 = trace.map(TraceCollector::now_ns);
-        let latest = self.runner.sink.latest_matching(&self.lineage);
-        self.resume = latest.map_err(ExecError::Checkpoint)?.map(Arc::new);
-        self.resumed_rounds
-            .push(self.resume.as_ref().map_or(0, |c| c.round));
+        self.restore()?;
         timed(SpanKind::Restore, t0);
+        Ok(())
+    }
+
+    /// The one restore step: the sink's latest checkpoint becomes the
+    /// next run's resume point (none yet means restarting from scratch),
+    /// unless a plan outside this run's lineage wrote it.
+    fn restore(&mut self) -> Result<(), CheckpointError> {
+        let latest = self.runner.sink.latest()?;
+        if let Some(ckpt) = latest.as_ref() {
+            if !self.lineage.contains(&ckpt.plan_fingerprint) {
+                return Err(CheckpointError::ForeignPlan {
+                    round: ckpt.round,
+                    found: ckpt.plan_fingerprint.clone(),
+                    lineage: self.lineage.clone(),
+                });
+            }
+        }
+        self.resumed_rounds
+            .push(latest.as_ref().map_or(0, |c| c.round));
+        self.resume = latest.map(Arc::new);
         Ok(())
     }
 
@@ -324,11 +345,10 @@ impl Run<'_> {
                 attempts: self.restores,
             });
         }
-        let latest = self.runner.sink.latest().map_err(ExecError::Checkpoint)?;
-        self.resumed_rounds
-            .push(latest.as_ref().map_or(0, |c| c.round));
+        self.restore()?;
         let (teacher, student, data) = (self.teacher, self.student, self.data);
-        let outcome = reference::replay(teacher, student, data, &self.spec, latest.as_ref())?;
+        let from = self.resume.as_deref();
+        let outcome = reference::replay(teacher, student, data, &self.spec, from)?;
         Ok(self.report(outcome, true))
     }
 

@@ -62,8 +62,9 @@ pub fn run(
 ///
 /// # Errors
 ///
-/// As [`run`], and [`ExecError::Checkpoint`] for a structurally
-/// mismatched checkpoint.
+/// As [`run`], and [`ExecError::Checkpoint`] for a checkpoint the resume
+/// gate refuses (`Checkpoint::check_resume`): one that does not fit the
+/// run or the student, checked before the loop thread starts.
 pub fn resume(
     teacher: &BlockNet,
     student: &BlockNet,
@@ -86,7 +87,7 @@ pub(super) fn replay(
     from: Option<&Checkpoint>,
 ) -> Result<FuncOutcome, ExecError> {
     if let Some(from) = from {
-        from.validate_resume(spec)?;
+        from.check_resume(spec, student)?;
     }
     let pool = ComputePool::new(spec.cfg.pool_budget());
     serial_semantics(teacher, student, data, spec, from, &pool)
@@ -115,8 +116,8 @@ fn serial_semantics(
         .collect();
     let mut losses = vec![Vec::with_capacity(cfg.steps); b];
     if let Some(from) = from {
-        for i in 0..b {
-            losses[i] = from.restore_into(i, student.block_mut(i), &mut optims[i])?;
+        for (i, state) in from.blocks.iter().enumerate() {
+            losses[i] = state.restore(student.block_mut(i), &mut optims[i]);
         }
     }
     let start = from.map_or(0, |c| c.round);

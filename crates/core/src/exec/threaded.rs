@@ -94,7 +94,9 @@ use super::registry::{
 };
 pub use super::ExecError;
 use super::{FuncConfig, FuncOutcome, RunSpec};
-use crate::checkpoint::{self, BlockState, Checkpoint, CheckpointPolicy, CheckpointSink};
+use crate::checkpoint::{
+    self, BlockState, Checkpoint, CheckpointError, CheckpointPolicy, CheckpointSink,
+};
 
 /// Optional instrumentation for a threaded run: fault injection, a resume
 /// point, checkpoint capture, and span tracing. [`run`] uses the empty
@@ -106,7 +108,8 @@ pub struct RunHooks {
     pub driver: Option<Arc<FaultDriver>>,
     /// Checkpoint to resume from (training replays steps
     /// `resume.round..cfg.steps`; the data cursor follows the global step
-    /// index automatically).
+    /// index automatically). The resume gate checks it against the run and
+    /// the student before any device thread spawns.
     pub resume: Option<Arc<Checkpoint>>,
     /// Round-interval checkpoint capture into a sink.
     pub checkpoint: Option<(CheckpointPolicy, Arc<dyn CheckpointSink>)>,
@@ -260,7 +263,8 @@ pub fn run(
 /// # Errors
 ///
 /// Returns [`ExecError`] for invalid configurations, tensor failures,
-/// worker panics, replica divergence, checkpoint failures,
+/// worker panics, replica divergence, a resume checkpoint the resume gate
+/// refuses or a sink that fails to store,
 /// [`ExecError::RankLost`] when the fault driver cancels a rank, or
 /// [`ExecError::JoinNeedsRecovery`] when a scripted join comes due.
 pub fn run_hooked(
@@ -294,7 +298,7 @@ pub(crate) fn run_epoch(
     hooks: &RunHooks,
 ) -> Result<EpochEnd, ExecError> {
     if let Some(ckpt) = &hooks.resume {
-        ckpt.validate_resume(spec)?;
+        ckpt.check_resume(spec, student)?;
     }
     let (cfg, plan, b) = (&spec.cfg, &spec.plan, spec.blocks());
 
@@ -342,12 +346,12 @@ pub(crate) fn run_epoch(
     // reaching round r at different wall-clock times is fine: the
     // per-block objective is schedule-independent, so the assembled state
     // equals the sequential reference after r steps, bit for bit.
-    let mut ckpt_err: Option<String> = None;
+    let mut ckpt_err: Option<CheckpointError> = None;
     if let Some((_, tx, rx, sink)) = ckpt {
         drop(tx);
         // The plan's structural fingerprint stamps every checkpoint this
-        // epoch writes, so a later resume can prove lineage (see
-        // `CheckpointSink::latest_matching`).
+        // epoch writes, so a later restore can prove lineage (see the
+        // recovery runner's `restore`).
         let fingerprint = plan.fingerprint();
         let mut pending: HashMap<usize, Vec<BlockState>> = HashMap::new();
         while let Ok((round, state)) = rx.recv() {
@@ -484,11 +488,12 @@ fn train(
     // Resume: reinstall the checkpointed parameters, velocities, and loss
     // history, then continue from the checkpoint round. Every replica
     // restores the same state (replicas are bitwise identical after
-    // averaged updates, so the captured state is theirs too).
+    // averaged updates, so the captured state is theirs too). `run_epoch`
+    // passed the checkpoint through the resume gate before spawning us.
     let start = hooks.resume.as_ref().map_or(0, |c| c.round);
     if let Some(ckpt) = &hooks.resume {
         for (i, s) in role.student_blocks.iter_mut().enumerate() {
-            losses[i] = ckpt.restore_into(role.first_block + i, s, &mut optims[i])?;
+            losses[i] = ckpt.blocks[role.first_block + i].restore(s, &mut optims[i]);
         }
     }
     let driver = hooks.driver.as_deref();
@@ -655,8 +660,11 @@ fn train(
                             &optims[i],
                             &losses[i],
                         );
-                        tx.send((done, state))
-                            .map_err(|_| ExecError::Checkpoint("assembly loop hung up".into()))?;
+                        // `run_epoch` holds the receiver until every
+                        // worker has exited.
+                        tx.send((done, state)).map_err(|_| {
+                            ExecError::BrokenInvariant("checkpoint assembly loop hung up".into())
+                        })?;
                     }
                     Ok::<_, ExecError>(())
                 })?;

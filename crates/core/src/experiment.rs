@@ -5,7 +5,6 @@ use pipebd_models::Workload;
 use pipebd_sched::{ahd, AhdDecision, CostModel, Profiler};
 use pipebd_sim::{render_gantt, simulate, Breakdown, HardwareConfig, SimTime};
 
-use crate::exec::ExecutorChoice;
 use crate::lower::{lower, Lowering};
 use crate::memory::memory_per_rank;
 use crate::report::RunReport;
@@ -30,7 +29,6 @@ pub struct ExperimentBuilder {
     hw: HardwareConfig,
     batch: usize,
     sim_rounds: u32,
-    executor: ExecutorChoice,
 }
 
 impl ExperimentBuilder {
@@ -41,7 +39,6 @@ impl ExperimentBuilder {
             hw: HardwareConfig::a6000_server(4),
             batch: 256,
             sim_rounds: 32,
-            executor: ExecutorChoice::default(),
         }
     }
 
@@ -90,14 +87,6 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Selects which functional executor backs the experiment
-    /// ([`ExecutorChoice::run`]); recorded in every [`RunReport`] so
-    /// persisted artifacts name their execution engine.
-    pub fn executor(mut self, executor: ExecutorChoice) -> Self {
-        self.executor = executor;
-        self
-    }
-
     /// Validates and builds the experiment.
     ///
     /// # Errors
@@ -123,7 +112,6 @@ impl ExperimentBuilder {
             hw: self.hw,
             batch: self.batch,
             sim_rounds: self.sim_rounds,
-            executor: self.executor,
         })
     }
 }
@@ -135,7 +123,6 @@ pub struct Experiment {
     hw: HardwareConfig,
     batch: usize,
     sim_rounds: u32,
-    executor: ExecutorChoice,
 }
 
 impl Experiment {
@@ -152,11 +139,6 @@ impl Experiment {
     /// The global batch size.
     pub fn batch(&self) -> usize {
         self.batch
-    }
-
-    /// The configured functional-executor choice.
-    pub fn executor_choice(&self) -> ExecutorChoice {
-        self.executor
     }
 
     /// Rounds per epoch (`steps_per_epoch × rounds_per_step`).
@@ -193,7 +175,6 @@ impl Experiment {
 
         let mut report = RunReport {
             strategy,
-            executor: self.executor,
             workload: self.workload.label(),
             hardware: self.hw.label(),
             global_batch: self.batch,
@@ -283,27 +264,6 @@ mod tests {
             let chart = e.gantt(s, 60).unwrap();
             assert!(chart.contains("gpu0"), "{s} chart missing rows");
         }
-    }
-
-    #[test]
-    fn executor_choice_flows_into_reports() {
-        let e = ExperimentBuilder::new(Workload::synthetic(6, false))
-            .sim_rounds(4)
-            .executor(ExecutorChoice::Reference)
-            .build()
-            .unwrap();
-        assert_eq!(e.executor_choice(), ExecutorChoice::Reference);
-        let r = e.run(Strategy::TrDpu).unwrap();
-        assert_eq!(r.executor, ExecutorChoice::Reference);
-        // Default is the threaded pipeline.
-        let d = ExperimentBuilder::new(Workload::synthetic(6, false))
-            .sim_rounds(4)
-            .build()
-            .unwrap();
-        assert_eq!(
-            d.run(Strategy::TrDpu).unwrap().executor,
-            ExecutorChoice::Threaded
-        );
     }
 
     #[test]

@@ -34,7 +34,9 @@ mod memory;
 mod report;
 mod strategy;
 
-pub use checkpoint::{BlockState, Checkpoint, CheckpointPolicy, CheckpointSink, MemorySink};
+pub use checkpoint::{
+    BlockState, Checkpoint, CheckpointError, CheckpointPolicy, CheckpointSink, MemorySink,
+};
 pub use exec::ExecutorChoice;
 pub use experiment::{Experiment, ExperimentBuilder, ExperimentError};
 pub use memory::memory_per_rank;

@@ -4,7 +4,6 @@ use pipebd_sched::{LsAssignment, StagePlan};
 use pipebd_sim::{Breakdown, SimTime};
 use serde::{Deserialize, Serialize};
 
-use crate::exec::ExecutorChoice;
 use crate::strategy::Strategy;
 
 /// The outcome of simulating one strategy.
@@ -16,8 +15,6 @@ use crate::strategy::Strategy;
 pub struct RunReport {
     /// Which strategy ran.
     pub strategy: Strategy,
-    /// Which functional executor the experiment was configured with.
-    pub executor: ExecutorChoice,
     /// Workload identifier (e.g. `"NAS/cifar10"`).
     pub workload: String,
     /// Hardware identifier (e.g. `"4x RTX A6000"`).
@@ -101,7 +98,6 @@ mod tests {
     fn dummy(strategy: Strategy, epoch_s: f64, mem: Vec<u64>) -> RunReport {
         RunReport {
             strategy,
-            executor: ExecutorChoice::default(),
             workload: "test".into(),
             hardware: "test".into(),
             global_batch: 256,

@@ -116,8 +116,15 @@ impl Conv2dSpec {
             * (self.kernel as u64)
     }
 
-    /// Checks the spec against itself and the input; `x`'s `(n, ci, h, w)`.
-    fn validate_input(&self, x: &Tensor) -> Result<(usize, usize, usize, usize), TensorError> {
+    /// Checks the spec against itself: channels, kernel and stride are
+    /// nonzero, and `groups` divides both channel counts.
+    fn check(&self) -> Result<(), TensorError> {
+        if self.in_channels == 0 || self.out_channels == 0 || self.kernel == 0 {
+            return Err(TensorError::invalid(format!(
+                "conv2d: in {} and out {} channels and kernel {} must be > 0",
+                self.in_channels, self.out_channels, self.kernel
+            )));
+        }
         if self.stride == 0 {
             return Err(TensorError::invalid("conv2d: stride must be > 0"));
         }
@@ -130,6 +137,12 @@ impl Conv2dSpec {
                 self.groups, self.in_channels, self.out_channels
             )));
         }
+        Ok(())
+    }
+
+    /// Checks the spec and the input; `x`'s `(n, ci, h, w)`.
+    fn validate_input(&self, x: &Tensor) -> Result<(usize, usize, usize, usize), TensorError> {
+        self.check()?;
         if x.shape().rank() != 4 {
             return Err(TensorError::RankMismatch {
                 expected: 4,
@@ -342,6 +355,7 @@ pub fn conv2d_grad_input_with(
     policy: KernelPolicy,
 ) -> Result<Tensor, TensorError> {
     let (h, wd) = input_hw;
+    spec.check()?;
     if w.dims() != spec.weight_dims() {
         return Err(TensorError::ShapeMismatch {
             expected: spec.weight_dims().to_vec(),
@@ -751,6 +765,27 @@ mod tests {
                 })
             ));
         }
+    }
+
+    /// Every `groups` divides 0, so these specs passed the group check and
+    /// then panicked inside the kernels.
+    #[test]
+    fn zero_channels_and_kernels_are_refused() {
+        let x = Tensor::ones(&[1, 3, 4, 4]);
+        let refused =
+            |r: Result<Tensor, TensorError>| matches!(r, Err(TensorError::InvalidArgument { .. }));
+        let no_out = Conv2dSpec::dense(3, 0, 3, 1, 1);
+        let w = Tensor::zeros(&no_out.weight_dims());
+        let dy = Tensor::zeros(&[1, 0, 4, 4]);
+        assert!(refused(conv2d(&x, &w, no_out)));
+        assert!(refused(conv2d_grad_weight(&x, &dy, no_out)));
+        assert!(refused(conv2d_grad_input(&dy, &w, no_out, (4, 4))));
+        let no_in = Conv2dSpec::dense(0, 2, 3, 1, 1);
+        let w = Tensor::zeros(&no_in.weight_dims());
+        assert!(refused(conv2d(&Tensor::ones(&[1, 0, 4, 4]), &w, no_in)));
+        let no_kernel = Conv2dSpec::dense(3, 2, 0, 1, 1);
+        let w = Tensor::zeros(&no_kernel.weight_dims());
+        assert!(refused(conv2d(&x, &w, no_kernel)));
     }
 
     #[test]

@@ -6,6 +6,7 @@ use std::fmt;
 /// variants carry enough context (the offending shapes or sizes) to diagnose
 /// the failure without a debugger.
 #[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
 pub enum TensorError {
     /// Two shapes that were required to match (exactly or per-axis) did not.
     ShapeMismatch {

@@ -120,9 +120,10 @@ impl ConvGeom {
     /// every group is one plane in, one plane out; the direct kernels for
     /// the rest of stride-1 dense geometry, except a grad-input whose
     /// padding is past `k - 1`; the oracle otherwise, and always under
-    /// [`KernelPolicy::Naive`].
+    /// [`KernelPolicy::Naive`] or over an input with no rows or no columns
+    /// (its output is padding alone; neither fast kernel plans for that).
     pub(crate) fn kernel(&self, spec: &Conv2dSpec, dir: Direction, policy: KernelPolicy) -> Kernel {
-        if policy == KernelPolicy::Naive {
+        if policy == KernelPolicy::Naive || self.h == 0 || self.w == 0 {
             return Kernel::Oracle;
         }
         if self.cig(spec) == 1 && self.cog(spec) == 1 {

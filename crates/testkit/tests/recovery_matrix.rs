@@ -12,10 +12,11 @@
 use std::sync::Arc;
 
 use pipebd_core::exec::recovery::{RecoveryPolicy, RecoveryReport, RecoveryRunner};
+use pipebd_core::exec::threaded::{self, RunHooks};
 use pipebd_core::exec::{reference, ExecError, SpecError};
 use pipebd_core::lower::fault::lower_faulted;
 use pipebd_core::lower::Lowering;
-use pipebd_core::{Checkpoint, CheckpointSink, MemorySink};
+use pipebd_core::{Checkpoint, CheckpointError, CheckpointPolicy, CheckpointSink, MemorySink};
 use pipebd_models::Workload;
 use pipebd_sched::{DegradedServer, StagePlan};
 use pipebd_sim::{
@@ -276,9 +277,64 @@ fn stale_plan_checkpoint_fails_the_rejoin_loudly() {
     };
     let result = runner.run(&teacher, &student, &data, &func);
     assert!(
-        matches!(&result, Err(ExecError::Checkpoint(msg)) if msg.contains("plan fingerprint mismatch")),
+        matches!(
+            &result,
+            Err(ExecError::Checkpoint(CheckpointError::ForeignPlan { round: 99, found, .. }))
+                if found == "9x9:0000000000000bad"
+        ),
         "expected a plan fingerprint mismatch, got {:?}",
         result.map(|r| r.grows)
+    );
+}
+
+#[test]
+fn the_fallback_refuses_a_foreign_checkpoint_too() {
+    // The reference fallback restores through the same lineage check as a
+    // replan: a well-formed checkpoint of another plan, at a round that
+    // wins the sink's round-max race, is refused rather than resumed.
+    let ((teacher, student, data, func), workload) = growth_fixture(8);
+    let own = Arc::new(MemorySink::default());
+    let hooks = RunHooks {
+        checkpoint: Some((CheckpointPolicy::every(6), own.clone())),
+        ..RunHooks::default()
+    };
+    threaded::run_hooked(&teacher, &student, &data, &func, &hooks).unwrap();
+    let foreign = Checkpoint {
+        plan_fingerprint: "9x9:0000000000000bad".to_string(),
+        ..own
+            .latest()
+            .unwrap()
+            .expect("an 8-step run checkpoints at round 6")
+    };
+    let sink = Arc::new(MemorySink::default());
+    sink.store(&foreign).unwrap();
+    let script = FaultScript {
+        events: vec![FaultEvent::HostLoss {
+            rank: 1,
+            at_step: 7,
+        }],
+    };
+    let runner = RecoveryRunner {
+        workload: &workload,
+        script: &script,
+        policy: RecoveryPolicy {
+            max_restores: 0,
+            ..RecoveryPolicy::default()
+        },
+        sink,
+        trace: None,
+    };
+    let result = runner.run(&teacher, &student, &data, &func);
+    assert!(
+        matches!(
+            &result,
+            Err(ExecError::Checkpoint(CheckpointError::ForeignPlan {
+                round: 6,
+                ..
+            }))
+        ),
+        "expected the fallback to refuse the foreign plan, got {:?}",
+        result.map(|r| (r.fell_back, r.resumed_rounds))
     );
 }
 
