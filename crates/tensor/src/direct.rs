@@ -401,3 +401,6 @@ fn grad_weight_tile(
     }
     acc
 }
+
+#[cfg(test)]
+mod tests;
