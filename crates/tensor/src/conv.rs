@@ -73,8 +73,13 @@ impl Conv2dSpec {
         }
     }
 
-    /// Expected weight tensor dims: `[co, ci/groups, k, k]`.
+    /// Expected weight tensor dims: `[co, ci/groups, k, k]`, or `[0; 4]`
+    /// for a spec that every convolution refuses (a zero channel count,
+    /// kernel, stride or `groups`, or `groups` not dividing the channels).
     pub fn weight_dims(&self) -> [usize; 4] {
+        if self.check().is_err() {
+            return [0; 4];
+        }
         [
             self.out_channels,
             self.in_channels / self.groups,
@@ -87,10 +92,17 @@ impl Conv2dSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidArgument`] if the padded input is
-    /// smaller than the kernel.
+    /// Returns [`TensorError::InvalidArgument`] if the stride is zero, the
+    /// padded input is smaller than the kernel, or its extent overflows.
     pub fn out_extent(&self, extent: usize) -> Result<usize, TensorError> {
-        let padded = extent + 2 * self.padding;
+        if self.stride == 0 {
+            return Err(TensorError::invalid("conv2d: stride must be > 0"));
+        }
+        let padded = self
+            .padding
+            .checked_mul(2)
+            .and_then(|p| p.checked_add(extent))
+            .ok_or_else(|| TensorError::invalid("conv2d: padded input overflows"))?;
         if padded < self.kernel {
             return Err(TensorError::invalid(format!(
                 "conv2d: padded input {padded} smaller than kernel {}",
@@ -100,20 +112,31 @@ impl Conv2dSpec {
         Ok((padded - self.kernel) / self.stride + 1)
     }
 
-    /// Multiply-add count for one sample at the given input extent.
+    /// Multiply-add count for one sample at the given input extent, or 0
+    /// for a spec that every convolution refuses (as for
+    /// [`Conv2dSpec::weight_dims`]). Saturates rather than overflow.
     ///
     /// Used to keep the simulator's FLOP model and the executable models in
     /// agreement.
     pub fn flops_per_sample(&self, height: usize, width: usize) -> u64 {
-        let oh = (height + 2 * self.padding).saturating_sub(self.kernel) / self.stride + 1;
-        let ow = (width + 2 * self.padding).saturating_sub(self.kernel) / self.stride + 1;
+        if self.check().is_err() {
+            return 0;
+        }
+        let out = |e: usize| {
+            let padded = e.saturating_add(self.padding.saturating_mul(2));
+            padded.saturating_sub(self.kernel) / self.stride + 1
+        };
         // 2 ops (mul + add) per MAC.
-        2 * (self.out_channels as u64)
-            * (oh as u64)
-            * (ow as u64)
-            * ((self.in_channels / self.groups) as u64)
-            * (self.kernel as u64)
-            * (self.kernel as u64)
+        [
+            out(height),
+            out(width),
+            self.out_channels,
+            self.in_channels / self.groups,
+            self.kernel,
+            self.kernel,
+        ]
+        .into_iter()
+        .fold(2u64, |acc, v| acc.saturating_mul(v as u64))
     }
 
     /// Checks the spec against itself: channels, kernel and stride are
@@ -786,6 +809,25 @@ mod tests {
         let no_kernel = Conv2dSpec::dense(3, 2, 0, 1, 1);
         let w = Tensor::zeros(&no_kernel.weight_dims());
         assert!(refused(conv2d(&x, &w, no_kernel)));
+    }
+
+    #[test]
+    fn spec_queries_are_total() {
+        let no_groups = Conv2dSpec {
+            groups: 0,
+            ..Conv2dSpec::dense(4, 4, 3, 1, 1)
+        };
+        let no_stride = Conv2dSpec::dense(4, 4, 3, 0, 1);
+        assert_eq!(no_groups.weight_dims(), [0; 4]);
+        assert_eq!(no_groups.flops_per_sample(8, 8), 0);
+        assert_eq!(no_stride.flops_per_sample(8, 8), 0);
+        assert!(matches!(
+            no_stride.out_extent(8),
+            Err(TensorError::InvalidArgument { .. })
+        ));
+        let huge = Conv2dSpec::dense(4, 4, 3, 1, usize::MAX / 2 + 1);
+        assert!(huge.out_extent(8).is_err());
+        assert_eq!(Conv2dSpec::dense(4, 4, 3, 1, 1).out_extent(8).unwrap(), 8);
     }
 
     #[test]

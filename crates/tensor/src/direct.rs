@@ -15,14 +15,25 @@
 //! applies the forward's epilogue (bias, then activation) on the way to
 //! memory.
 //!
-//! **Grad-weight** carries a [`TILE`]` x `[`TILE`] block of `(oc, ic)`
-//! pairs per tap, each pair [`LANES`] partial sums: vectors run along
-//! `ox` (element `ox` joins lane `ox % LANES`), rows and batches in order,
-//! folded by `reduce`'s fixed 8/4/2/1 tree, as `stencil`'s are. A tile at
-//! the edge of `oc` or `ic` repeats its last channel and drops those sums,
-//! so one body serves every extent; an `oc` band of a pooled call runs the
-//! same body over its rows. Chain, lane and fold depend on the geometry
-//! alone: bitwise equal on every [`crate::SimdTier`] and pool size.
+//! **Grad-weight** gives every `dW` element [`LANES`] partial sums:
+//! vectors run along `ox` (element `ox` joins lane `ox % LANES`), rows and
+//! then images in order, and `reduce`'s fixed 8/4/2/1 tree folds the lanes,
+//! as `stencil`'s do. A register tile holds [`TILE`] output channels by
+//! [`TILE`] columns, a column being one `(ic, ky, kx)` of a block of
+//! [`TILE`] input channels taken in that order — taps of a channel side by
+//! side, running on into the next channel — so a block's `TILE k k` columns
+//! fill whole tiles at every `k`. A tile reads its columns as windows of
+//! the block's zero-bordered copy (the image itself when unpadded), and a
+//! plane whose rows are whole lane steps in one flat walk. When every
+//! image's copy fits in the scratch that would otherwise keep the sums
+//! between images, a tile runs over the whole batch in its registers and
+//! folds straight into `dW`; otherwise it runs image by image. A tile at
+//! the edge of `oc` or of the columns repeats its last channel or column
+//! and drops those sums; an `oc` band of a pooled call runs the same body
+//! over its rows. An element's chain depends on the geometry alone — not
+//! on the tile it rides in, its place there or the images a tile runs at
+//! once — so results are bitwise equal on every [`crate::SimdTier`] and
+//! pool size (`tests` spells the chain out).
 //!
 //! Both register tiles are local arrays built inside an `#[inline(always)]`
 //! function and returned by value, and the multiply-adds that update them
@@ -42,15 +53,12 @@ const NR: usize = 32;
 /// ... and per tile of an image whose rows are no wider than this, where
 /// half of every `NR`-wide tile would be thrown away.
 const NARROW: usize = 16;
-/// Output and input channels per grad-weight tile.
+/// Output channels and columns per grad-weight tile, and input channels
+/// per block of columns.
 const TILE: usize = 4;
 /// Partial sums per grad-weight element: one zmm register, two ymm.
 const LANES: usize = 16;
-/// Output elements per plane a grad-weight tile visits before it moves to
-/// the next tap: its eight planes' rows stay in L1 across the taps.
-const BLOCK: usize = 512;
-
-/// Sixteen `(oc, ic)` pairs of [`LANES`] partial sums, `oc`-major.
+/// Sixteen `(oc, column)` pairs of [`LANES`] partial sums, `oc`-major.
 type Sums = [[f32; LANES]; TILE * TILE];
 
 /// Geometry of one stride-1 dense convolution: `cout` planes of `oh x ow`
@@ -101,9 +109,10 @@ impl Op<'_> {
             Op::Correlate { .. } => {
                 win.cout.next_multiple_of(MR) * win.cin * kk + win.image().padded
             }
-            Op::GradWeight { dw, .. } => {
-                let rows = dw.len() / (win.cin * kk);
-                rows.next_multiple_of(TILE) * kk * TILE * LANES + win.padded_planes()
+            Op::GradWeight { x, dw, .. } => {
+                let n = x.len() / (win.cin * win.h * win.w);
+                let (_, sums, planes) = win.gw_plan(n, dw.len() / (win.cin * kk));
+                sums + planes
             }
         }
     }
@@ -163,13 +172,23 @@ impl Window {
         return Image { win, nr, rs, cs, padded };
     }
 
-    /// Floats of zero-bordered scratch grad-weight copies one `ic` tile's
-    /// planes into; 0 when it reads `x` in place.
+    /// How grad-weight stages `n` images for `rows` output channels:
+    /// images per chunk, and floats of partial sums and of zero-bordered
+    /// planes. Every image's padded planes of one block of input channels
+    /// (none when `x` is read in place) take the place of the partial sums
+    /// when they fit there: each tile then runs over the whole batch in
+    /// its registers. Otherwise the tiles run image by image, their sums
+    /// kept between images in scratch.
     #[inline(always)]
-    fn padded_planes(&self) -> usize {
-        match self.pad {
+    fn gw_plan(&self, n: usize, rows: usize) -> (usize, usize, usize) {
+        let per = match self.pad {
             0 => 0,
             pad => TILE * (self.h + 2 * pad) * (self.w + 2 * pad),
+        };
+        let sums = rows.next_multiple_of(TILE) * self.k * self.k * TILE * LANES;
+        match n * per <= sums + per {
+            true => (n.max(1), 0, n * per),
+            false => (1, sums, per),
         }
     }
 
@@ -180,59 +199,123 @@ impl Window {
         let (kk, hw, ohow) = (k * k, h * w, oh * ow);
         let rows = dw.len() / (cin * kk);
         let n = x.len() / (cin * hw);
-        // Row and plane strides of the (padded) input planes.
-        let (rs, ps) = (w + 2 * pad, (h + 2 * pad) * (w + 2 * pad));
-        let (sums, planes) = scratch.split_at_mut(rows.next_multiple_of(TILE) * kk * TILE * LANES);
-        let planes = &mut planes[..self.padded_planes()];
+        if n == 0 {
+            return dw.fill(0.0);
+        }
+        let (chunk, kept, padded) = self.gw_plan(n, rows);
+        let (sums, planes) = scratch.split_at_mut(kept);
+        let planes = &mut planes[..padded];
         planes.fill(0.0);
-        let block = (BLOCK / ow).max(1);
+        // Row and plane strides of the (padded) input planes, and the
+        // stride between images: of `x`, or of the padded blocks.
+        let (rs, ps) = (w + 2 * pad, (h + 2 * pad) * (w + 2 * pad));
+        let image_stride = match pad {
+            0 => cin * hw,
+            _ => TILE * ps,
+        };
+        // A pointwise plane whose rows are whole lane steps is one row:
+        // element `oy * ow + ox` keeps lane `ox % LANES`.
+        #[rustfmt::skip]
+        let walk = match (k, pad, ow % LANES) {
+            (1, 0, 0) => Walk { rows: 1, steps: ohow / LANES, tail: 0, ow: ohow, rs: ohow },
+            _ => Walk { rows: oh, steps: ow / LANES, tail: ow % LANES, ow, rs },
+        };
         for ic0 in (0..cin).step_by(TILE) {
             let ics = TILE.min(cin - ic0);
-            sums.fill(0.0);
-            for b in 0..n {
-                let xb = &x[(b * cin + ic0) * hw..][..ics * hw];
+            // The block's columns: `(ic, tap)` pairs, `ic`-major.
+            let cols = ics * kk;
+            for b0 in (0..n).step_by(chunk) {
+                let nb = chunk.min(n - b0);
                 let image: &[f32] = match pad {
-                    0 => xb,
+                    0 => &x[(b0 * cin + ic0) * hw..],
                     _ => {
-                        copy_inside(planes, xb, (h, w), pad, (rs, ps));
+                        for (b, dst) in planes.chunks_exact_mut(image_stride).take(nb).enumerate() {
+                            let xb = &x[((b0 + b) * cin + ic0) * hw..][..ics * hw];
+                            copy_inside(dst, xb, (h, w), pad, (rs, ps));
+                        }
                         planes
                     }
                 };
-                // A channel past the edge repeats the last one; the fold
-                // below drops what it sums.
-                let xs: [&[f32]; TILE] =
-                    std::array::from_fn(|c| &image[c.min(ics - 1) * ps..][..ps]);
+                let run = Run {
+                    dy: &dy[b0 * cout * ohow..],
+                    image,
+                    nb,
+                    dy_stride: cout * ohow,
+                    image_stride,
+                };
+                let mut tiles = sums.chunks_exact_mut(TILE * TILE * LANES);
                 for ot in (0..rows).step_by(TILE) {
-                    let dys: [&[f32]; TILE] = std::array::from_fn(|r| {
-                        let oc = oc0 + (ot + r).min(rows - 1);
-                        &dy[(b * cout + oc) * ohow..][..ohow]
-                    });
-                    let tile = &mut sums[ot * kk * TILE * LANES..][..kk * TILE * TILE * LANES];
-                    for oy0 in (0..oh).step_by(block) {
-                        let oys = (oy0, (oy0 + block).min(oh));
-                        for (tap, s) in tile.chunks_exact_mut(TILE * TILE * LANES).enumerate() {
-                            let at = (tap / k) * rs + tap % k;
-                            let acc = grad_weight_tile(s, &dys, &xs, oys, ow, rs, at);
-                            for (a, v) in acc.iter().zip(s.chunks_exact_mut(LANES)) {
+                    // A channel or column past the edge repeats the last
+                    // one; the fold below drops what it sums.
+                    let mut dys = [0; TILE];
+                    for r in 0..TILE {
+                        dys[r] = (oc0 + (ot + r).min(rows - 1)) * ohow;
+                    }
+                    // Where column `(ic, ky, kx)` starts: `ic * ps + ky * rs
+                    // + kx`, kept as the columns advance.
+                    let (mut at, mut ky, mut kx) = (0, 0, 0);
+                    for col0 in (0..cols).step_by(TILE) {
+                        let mut xs = [0; TILE];
+                        for c in 0..TILE {
+                            if col0 + c >= cols {
+                                xs[c] = xs[c - 1];
+                                continue;
+                            }
+                            xs[c] = at;
+                            (at, kx) = (at + 1, kx + 1);
+                            if kx == k {
+                                (at, ky, kx) = (at + rs - k, ky + 1, 0);
+                            }
+                            if ky == k {
+                                (at, ky) = (at + ps - k * rs, 0);
+                            }
+                        }
+                        // The sums kept between images, if any.
+                        let kept = tiles.next();
+                        let init = kept.as_deref().filter(|_| b0 != 0);
+                        let acc = grad_weight_tile(init, &run, &dys, &xs, walk);
+                        if b0 + nb < n {
+                            let kept = kept.expect("partial sums kept in scratch");
+                            for (a, v) in acc.iter().zip(kept.chunks_exact_mut(LANES)) {
                                 v.copy_from_slice(a);
+                            }
+                            continue;
+                        }
+                        // Pair `r * TILE + c` is `(ot + r, col0 + c)`.
+                        for (i, a) in acc.iter().enumerate() {
+                            let (oc, col) = (ot + i / TILE, col0 + i % TILE);
+                            if oc < rows && col < cols {
+                                dw[(oc * cin + ic0) * kk + col] = fold(a);
                             }
                         }
                     }
                 }
             }
-            for (i, a) in sums.chunks_exact(LANES).enumerate() {
-                let (ot, tap, r, c) = (
-                    i / (kk * TILE * TILE),
-                    i / (TILE * TILE) % kk,
-                    i / TILE % TILE,
-                    i % TILE,
-                );
-                if ot * TILE + r < rows && c < ics {
-                    dw[((ot * TILE + r) * cin + ic0 + c) * kk + tap] = fold(a);
-                }
-            }
         }
     }
+}
+
+/// How a grad-weight tile walks its planes: `rows` rows of `steps` whole
+/// lane steps and a ragged `tail` (fewer than [`LANES`]), `ow` elements of
+/// `dy` and `rs` of `x` apart.
+#[derive(Clone, Copy)]
+struct Walk {
+    rows: usize,
+    steps: usize,
+    tail: usize,
+    ow: usize,
+    rs: usize,
+}
+
+/// The images a grad-weight tile runs over: `nb` of `dy` from `dy`'s
+/// start, `dy_stride` floats apart, and of input planes from `image`'s,
+/// `image_stride` apart.
+struct Run<'a> {
+    dy: &'a [f32],
+    image: &'a [f32],
+    nb: usize,
+    dy_stride: usize,
+    image_stride: usize,
 }
 
 impl Image {
@@ -297,7 +380,8 @@ impl Image {
 }
 
 /// Copies planes of `h x w` into the interior of zero-bordered planes:
-/// `pad` rows and columns in, row stride `rs`, plane stride `ps`.
+/// `pad` rows and columns in, row stride `rs`, plane stride `ps`. Rows go
+/// over in whole lane steps, written inline, and a ragged tail.
 #[inline(always)]
 fn copy_inside(
     dst: &mut [f32],
@@ -306,9 +390,17 @@ fn copy_inside(
     pad: usize,
     (rs, ps): (usize, usize),
 ) {
-    for (row, xrow) in src.chunks_exact(w).enumerate() {
-        let (c, y) = (row / h, row % h);
-        dst[c * ps + (y + pad) * rs + pad..][..w].copy_from_slice(xrow);
+    for (plane, xp) in dst.chunks_mut(ps).zip(src.chunks_exact(h * w)) {
+        let rows = plane[pad * rs + pad..].chunks_mut(rs);
+        for (row, xrow) in rows.zip(xp.chunks_exact(w)) {
+            let (mut to, mut from) = (row[..w].chunks_exact_mut(LANES), xrow.chunks_exact(LANES));
+            for (to, from) in to.by_ref().zip(from.by_ref()) {
+                to.copy_from_slice(from);
+            }
+            if w % LANES != 0 {
+                to.into_remainder().copy_from_slice(from.remainder());
+            }
+        }
     }
 }
 
@@ -345,43 +437,47 @@ fn correlate_tile<const NR: usize>(
     acc
 }
 
-/// Rows `oys` of one tap added to a tile's sums `init`: element
-/// `r * TILE + c` gains `dys[r][oy, ox] * xs[c][oy * rs + at + ox]`,
-/// element `ox` in lane `ox % LANES`. A ragged last step is zero-filled,
-/// which adds exact zeros. Like [`correlate_tile`], the accumulator is a
-/// local returned by value.
+/// A tile's sums, from `init` or zero, plus its contributions from every
+/// image of `run` in order: element `r * TILE + c` gains `dy[oy * ow + ox]`
+/// of the plane at `dys[r]` times `x[oy * rs + ox]` of the plane from
+/// `xs[c]`, over the walk — element `ox` in lane `ox % LANES`, rows in
+/// order. The ragged tail of a row is zero-filled, which adds exact zeros.
+/// Like [`correlate_tile`], the accumulator is a local returned by value.
+/// Every plane of a step has one length, so the step checks its bounds
+/// once per operand.
 #[inline(always)]
 fn grad_weight_tile(
-    init: &[f32],
-    dys: &[&[f32]; TILE],
-    xs: &[&[f32]; TILE],
-    oys: (usize, usize),
-    ow: usize,
-    rs: usize,
-    at: usize,
+    init: Option<&[f32]>,
+    run: &Run<'_>,
+    dys: &[usize; TILE],
+    xs: &[usize; TILE],
+    walk: Walk,
 ) -> Sums {
     let mut acc: Sums = [[0.0; LANES]; TILE * TILE];
-    for (a, v) in acc.iter_mut().zip(init.chunks_exact(LANES)) {
-        a.copy_from_slice(v);
-    }
-    let full = ow - ow % LANES;
-    for oy in oys.0..oys.1 {
-        let mut d = [&[][..]; TILE];
-        let mut x = [&[][..]; TILE];
-        for i in 0..TILE {
-            d[i] = &dys[i][oy * ow..][..ow];
-            x[i] = &xs[i][oy * rs + at..][..ow];
+    if let Some(init) = init {
+        for (a, v) in acc.iter_mut().zip(init.chunks_exact(LANES)) {
+            a.copy_from_slice(v);
         }
-        // One step: sixteen lanes of every `(oc, ic)` pair. Written out at
-        // both sites — behind a call, even an inlined one, the accumulator
+    }
+    #[rustfmt::skip]
+    let Walk { rows, steps, tail, ow, rs } = walk;
+    let span = (rows - 1) * rs + ow;
+    for b in 0..run.nb {
+        let (mut dp, mut xp) = ([&run.dy[..0]; TILE], [&run.image[..0]; TILE]);
+        for i in 0..TILE {
+            dp[i] = &run.dy[b * run.dy_stride + dys[i]..][..rows * ow];
+            xp[i] = &run.image[b * run.image_stride + xs[i]..][..span];
+        }
+        // One step: `len` lanes of every `(oc, column)` pair, `dv` of `dy`
+        // and `x` elements `x0` on, the rest zero. Written out at every
+        // site — behind a call, even an inlined one, the accumulator
         // leaves its registers.
         macro_rules! step {
-            ($len:expr, $j:expr) => {
-                let mut dv = [[0.0f32; LANES]; TILE];
+            ($dv:expr, $x0:expr, $len:expr) => {
+                let dv: [[f32; LANES]; TILE] = $dv;
                 let mut xv = [[0.0f32; LANES]; TILE];
                 for i in 0..TILE {
-                    dv[i][..$len].copy_from_slice(&d[i][$j..$j + $len]);
-                    xv[i][..$len].copy_from_slice(&x[i][$j..$j + $len]);
+                    xv[i] = lanes(&xp[i][$x0..], $len);
                 }
                 for r in 0..TILE {
                     for c in 0..TILE {
@@ -392,14 +488,48 @@ fn grad_weight_tile(
                 }
             };
         }
-        for j in (0..full).step_by(LANES) {
-            step!(LANES, j);
+        let mut x0 = 0;
+        if tail == 0 {
+            // Whole steps only: `dy`'s run on across rows — one index for
+            // the tile's four `oc` rows, no bounds check — and `x` skips
+            // the `rs - ow` columns past each row's end.
+            let [d0, d1, d2, d3] = dp.map(|d| d.chunks_exact(LANES));
+            let mut left = steps;
+            for (((d0, d1), d2), d3) in d0.zip(d1).zip(d2).zip(d3) {
+                let dv = [d0, d1, d2, d3].map(|d| lanes(d, LANES));
+                step!(dv, x0, LANES);
+                (x0, left) = (x0 + LANES, left - 1);
+                if left == 0 {
+                    (x0, left) = (x0 + rs - ow, steps);
+                }
+            }
+            continue;
         }
-        if full < ow {
-            step!(ow - full, full);
+        for oy in 0..rows {
+            let d0 = oy * ow;
+            for s in 0..=steps {
+                let (j, len) = (s * LANES, if s < steps { LANES } else { tail });
+                let mut dv = [[0.0f32; LANES]; TILE];
+                for i in 0..TILE {
+                    dv[i] = lanes(&dp[i][d0 + j..], len);
+                }
+                step!(dv, x0 + j, len);
+            }
+            x0 += rs;
         }
     }
     acc
+}
+
+/// The first `len` of `xs` (at most [`LANES`]), zero-filled to a step.
+#[inline(always)]
+fn lanes(xs: &[f32], len: usize) -> [f32; LANES] {
+    let xs = &xs[..len];
+    let mut v = [0.0f32; LANES];
+    for l in 0..LANES {
+        v[l] = if l < len { xs[l] } else { 0.0 };
+    }
+    v
 }
 
 #[cfg(test)]

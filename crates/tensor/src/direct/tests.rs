@@ -44,6 +44,28 @@ fn bits(t: &[f32]) -> Vec<u32> {
     t.iter().map(|v| v.to_bits()).collect()
 }
 
+/// Checks `spec` over `n` images of `h x w` on every tier in `tiers`, on
+/// one lane and on two (which split `cout` into bands).
+fn check(spec: Conv2dSpec, n: usize, (h, w): (usize, usize), tiers: &[SimdTier], rng: &mut Rng64) {
+    let (oh, ow) = (spec.out_extent(h).unwrap(), spec.out_extent(w).unwrap());
+    let x = Tensor::randn(&[n, spec.in_channels, h, w], rng);
+    let dy = Tensor::randn(&[n, spec.out_channels, oh, ow], rng);
+    let want = bits(&spelled_out(&spec, &x, &dy));
+    for &tier in tiers {
+        set_simd_tier(tier).unwrap();
+        for lanes in [1, 2] {
+            let got = install(&ComputePool::new(lanes), || {
+                conv2d_grad_weight(&x, &dy, spec).unwrap()
+            });
+            assert_eq!(
+                bits(got.data()),
+                want,
+                "{spec:?}, {n} x {h}x{w} -> {oh}x{ow}, {tier}, {lanes} lanes"
+            );
+        }
+    }
+}
+
 #[test]
 fn grad_weight_follows_the_documented_chain() {
     let tiers: Vec<SimdTier> = SimdTier::ALL
@@ -56,37 +78,35 @@ fn grad_weight_follows_the_documented_chain() {
             // Widths below one lane step, at it, ragged past one and two
             // steps; the input is as wide as each needs (skipped when the
             // padding alone is wider). Two rows, or, at 17 wide and
-            // k <= 3, enough to fill more than one row block.
+            // k <= 3, a tall plane.
             for ow in [1, 15, 16, 17, 31, 32, 33] {
                 let Some(w) = (ow + k - 1).checked_sub(2 * pad).filter(|&w| w > 0) else {
                     continue;
                 };
                 let rows = if ow == 17 && k <= 3 { 35 } else { 2 };
                 let h = (rows + k - 1).saturating_sub(2 * pad).max(1);
-                // Channel counts no tile divides, taken in turn; two lanes
-                // split `cout` into ragged bands.
+                // Channel counts no tile divides, taken in turn.
                 let (cin, cout) = [(3, 5), (5, 9)][(k + pad + ow) % 2];
-                let spec = Conv2dSpec::dense(cin, cout, k, 1, pad);
-                let oh = spec.out_extent(h).unwrap();
-                let x = Tensor::randn(&[2, cin, h, w], &mut rng);
-                let dy = Tensor::randn(&[2, cout, oh, ow], &mut rng);
-                let want = bits(&spelled_out(&spec, &x, &dy));
-                for &tier in &tiers {
-                    set_simd_tier(tier).unwrap();
-                    for lanes in [1, 2] {
-                        let got = install(&ComputePool::new(lanes), || {
-                            conv2d_grad_weight(&x, &dy, spec).unwrap()
-                        });
-                        assert_eq!(
-                            bits(got.data()),
-                            want,
-                            "k {k}, pad {pad}, {h}x{w} -> {oh}x{ow}, {cin} -> {cout}, \
-                             {tier}, {lanes} lanes"
-                        );
-                    }
-                }
+                check(
+                    Conv2dSpec::dense(cin, cout, k, 1, pad),
+                    2,
+                    (h, w),
+                    &tiers,
+                    &mut rng,
+                );
             }
         }
+    }
+    // Three images whose padded planes fit where the sums between images
+    // would be kept, and three that do not.
+    for side in [8, 40] {
+        check(
+            Conv2dSpec::dense(5, 6, 3, 1, 1),
+            3,
+            (side, side),
+            &tiers,
+            &mut rng,
+        );
     }
     set_simd_tier(was).unwrap();
 }

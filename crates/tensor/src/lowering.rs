@@ -328,9 +328,10 @@ mod tests {
     fn executed_geometries_never_reach_the_oracle() {
         // `kernel_equivalence`'s `executed_geometries_match_naive` list:
         // every convolution `models::mini` builds, at the conformance
-        // matrix's shape and the benchmark's. A model change that would
-        // fall to the serial oracle fails here.
-        for (c, n, side) in [(6, 12, 8), (16, 32, 32)] {
+        // matrix's shape and the benchmark's (`tr_compress`,
+        // `ckpt_recover` and a `split_nas` shard). A model change that
+        // would fall to the serial oracle fails here.
+        for (c, n, side) in [(6, 12, 8), (16, 32, 32), (32, 8, 16), (16, 8, 32)] {
             for in_c in [3, c] {
                 let dense = [
                     Conv2dSpec::dense(in_c, c, 3, 1, 1),

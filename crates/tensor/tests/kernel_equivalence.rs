@@ -300,11 +300,13 @@ fn deep_direct_chains_match_naive() {
 fn executed_geometries_match_naive() {
     // Exactly the convolutions `models::mini` builds — dense 3x3 and 5x5,
     // depthwise 3x3 and pointwise, all stride 1 with "same" padding, 3
-    // channels into block 0 and the model width after it — at the two
-    // shapes that are executed: the conformance matrix's (6 channels,
-    // 8 x 8, and every shard its batches of 8 and 12 split into) and the
-    // benchmark's (`[32, 16, 32, 32]`) — each with its bias and finished by
-    // ReLU, as the models' blocks are (epilogue 4).
+    // channels into block 0 and the model width after it — at the shapes
+    // that are executed: the conformance matrix's (6 channels, 8 x 8, and
+    // every shard its batches of 8 and 12 split into) and the benchmark's
+    // (`tr_compress`'s `[32, 16, 32, 32]`, `ckpt_recover`'s
+    // `[8, 32, 16, 16]` and a `split_nas` shard's `[8, 16, 32, 32]`) —
+    // each with its bias and finished by ReLU, as the models' blocks are
+    // (epilogue 4).
     let geometries = |c: usize| {
         [3, c].into_iter().flat_map(move |in_c| {
             [
@@ -320,7 +322,9 @@ fn executed_geometries_match_naive() {
             check_all(spec, 4, batch, 8, 8, 23);
         }
     }
-    for spec in geometries(16) {
-        check_all(spec, 4, 32, 32, 32, 23);
+    for (c, batch, side) in [(16, 32, 32), (32, 8, 16), (16, 8, 32)] {
+        for spec in geometries(c) {
+            check_all(spec, 4, batch, side, side, 23);
+        }
     }
 }
