@@ -10,14 +10,13 @@
 //!   results (the tensor determinism contract makes scheduling
 //!   result-free).
 //! * **Loader slowdown** pauses stage-0 data loading the same way.
-//! * **Host loss** cancels the rank: the step gate returns
-//!   [`FaultAction::Lost`] and the worker ends its epoch as lost. Waking
-//!   the survivors is the epoch's job, not the driver's — see
-//!   `exec::threaded`.
-//! * **Host join**: from the first join step on, the step gate returns
-//!   [`FaultAction::Grow`]: every incumbent stops cleanly at that round
-//!   boundary, and the recovery plane wires the next epoch over the
-//!   enlarged member set (see `exec::recovery`).
+//! * **Host loss** cancels the rank: the step gate answers `false` and
+//!   the worker ends its epoch as lost. Waking the survivors is the
+//!   epoch's job, not the driver's — see `exec::threaded`.
+//!
+//! Joins are not the driver's business: an epoch runs over a fixed member
+//! set, so the recovery runner ends each epoch at the next join and wires
+//! the next one over the enlarged set (see `exec::recovery`).
 //!
 //! The timeline's first ranks are the epoch's workers, members from its
 //! first step, then the joiners — the layout
@@ -36,28 +35,12 @@ use super::SpecError;
 /// slowing the test matrix down.
 const PAUSE_PER_FACTOR: Duration = Duration::from_micros(300);
 
-/// What a worker must do at the top of a training step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultAction {
-    /// Proceed (any slowdown pause has already been served).
-    Continue,
-    /// The rank is lost from this step on: the worker ends its epoch.
-    Lost,
-    /// A scripted join came due: the epoch ends at this round boundary so
-    /// the next one can be wired over the enlarged member set. Every
-    /// incumbent stops here.
-    Grow,
-}
-
 /// Deterministic interpreter of a [`FaultTimeline`] over executor threads.
 /// Immutable once built; one instance is shared (via `Arc`) by every
 /// worker of an epoch.
 #[derive(Debug)]
 pub struct FaultDriver {
     timeline: FaultTimeline,
-    /// The first join step, where the epoch stops so the member set can
-    /// grow. `None` when no growth is scripted.
-    grow: Option<usize>,
 }
 
 impl FaultDriver {
@@ -74,30 +57,28 @@ impl FaultDriver {
         }
         Ok(FaultDriver {
             timeline: timeline.clone(),
-            grow: timeline.first_join().map(|s| s as usize),
         })
     }
 
-    /// The round at which the current epoch must stop for the member set
-    /// to grow (the first join step), if any.
-    pub fn grow_step(&self) -> Option<usize> {
-        self.grow
+    /// The epoch gate: refuses an epoch ending at round `end` that a rank
+    /// joins before then, since an epoch runs over a fixed member set.
+    pub(crate) fn check_epoch(&self, end: usize) -> Result<(), SpecError> {
+        match self.timeline.first_join().map(|j| j as usize) {
+            Some(join) if join < end => Err(SpecError::JoinInEpoch { join, end }),
+            _ => Ok(()),
+        }
     }
 
-    /// Step gate for GPU `rank` entering training step `step`: serves the
-    /// rank's slowdown pause (wall-clock only) and reports growth and
-    /// losses. Growth wins over a same-step loss — the epoch ends at the
-    /// boundary and the loss fires under the re-wired member set.
-    pub fn before_step(&self, rank: usize, step: usize) -> FaultAction {
-        if matches!(self.grow, Some(g) if step >= g) {
-            return FaultAction::Grow;
-        }
+    /// Step gate for GPU `rank` entering training step `step`: whether
+    /// the rank is still alive, with its slowdown pause (wall-clock only)
+    /// served if it is. A lost rank stays lost.
+    pub fn before_step(&self, rank: usize, step: usize) -> bool {
         let step32 = step.min(u32::MAX as usize) as u32;
-        if !self.timeline.alive(rank, step32) {
-            return FaultAction::Lost;
+        let alive = self.timeline.alive(rank, step32);
+        if alive {
+            pause(self.timeline.factor(rank, step32));
         }
-        pause(self.timeline.factor(rank, step32));
-        FaultAction::Continue
+        alive
     }
 
     /// Loader gate for stage-0 members loading step `step`'s batch.
@@ -144,36 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn future_joins_arm_the_grow_gate() {
-        // Rank 2 joins a 2-rank worker set at step 3: pending growth, and
-        // every incumbent stops at exactly that round.
-        let d = driver(
-            vec![FaultEvent::HostJoin {
-                rank: 2,
-                at_step: 3,
-            }],
-            3,
-        );
-        assert_eq!(d.grow_step(), Some(3));
-        assert_eq!(d.before_step(0, 2), FaultAction::Continue);
-        assert_eq!(d.before_step(0, 3), FaultAction::Grow);
-        assert_eq!(d.before_step(1, 3), FaultAction::Grow);
-        // Growth wins over a same-step loss: the loss fires under the
-        // re-wired member set, not in this epoch.
-        let compound = vec![
-            FaultEvent::HostLoss {
-                rank: 0,
-                at_step: 3,
-            },
-            FaultEvent::HostJoin {
-                rank: 2,
-                at_step: 3,
-            },
-        ];
-        assert_eq!(driver(compound, 3).before_step(0, 3), FaultAction::Grow);
-    }
-
-    #[test]
     fn rejects_invalid_scripts() {
         // An unrealizable script has no timeline, so no driver is built
         // over it.
@@ -205,20 +156,19 @@ mod tests {
             }],
             2,
         );
-        assert_eq!(d.before_step(1, 3), FaultAction::Continue);
-        assert_eq!(d.before_step(1, 4), FaultAction::Lost);
-        assert_eq!(d.before_step(1, 5), FaultAction::Lost);
+        assert!(d.before_step(1, 3));
+        assert!(!d.before_step(1, 4));
+        assert!(!d.before_step(1, 5));
         // The surviving rank keeps stepping.
-        assert_eq!(d.before_step(0, 4), FaultAction::Continue);
+        assert!(d.before_step(0, 4));
     }
 
     #[test]
     fn healthy_driver_never_aborts() {
         let d = driver(vec![], 1);
         for step in 0..16 {
-            assert_eq!(d.before_step(0, step), FaultAction::Continue);
+            assert!(d.before_step(0, step));
             d.before_load(step);
         }
-        assert_eq!(d.grow_step(), None);
     }
 }

@@ -93,13 +93,6 @@ pub enum ExecError {
     /// A checkpoint could not be stored or read, or may not resume the
     /// run.
     Checkpoint(CheckpointError),
-    /// A scripted join came due at `step` in a single-epoch run
-    /// ([`threaded::run_hooked`]); growing the member set takes
-    /// [`recovery::RecoveryRunner`].
-    JoinNeedsRecovery {
-        /// The round boundary the join came due at.
-        step: usize,
-    },
     /// The threaded executor broke one of its own invariants: a bug in
     /// the executor, never a property of the config.
     BrokenInvariant(String),
@@ -121,10 +114,6 @@ impl std::fmt::Display for ExecError {
                 write!(f, "recovery exhausted after {attempts} restore attempts")
             }
             ExecError::Checkpoint(m) => write!(f, "checkpoint failure: {m}"),
-            ExecError::JoinNeedsRecovery { step } => write!(
-                f,
-                "a join came due at step {step}: growing the member set takes the recovery runner"
-            ),
             ExecError::BrokenInvariant(m) => write!(f, "executor invariant broken: {m}"),
         }
     }
@@ -152,7 +141,7 @@ impl From<SpecError> for ExecError {
 
 /// Why a run was refused before anything ran: one variant per refusal.
 /// `RunSpec::new` decides the first five for every entry point; the rest
-/// are the recovery runner's and the fault driver's.
+/// are the recovery runner's, the fault driver's and the threaded epoch's.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum SpecError {
@@ -197,6 +186,15 @@ pub enum SpecError {
     /// the recovery plane's replay guarantees are stated for decoupled
     /// ones.
     CoupledFaults,
+    /// The fault script admits a rank at round `join`, before the epoch's
+    /// end at round `end`: an epoch runs over a fixed member set, and
+    /// growing it takes [`recovery::RecoveryRunner`].
+    JoinInEpoch {
+        /// The first step at which a rank joins.
+        join: usize,
+        /// The round the epoch was to end at.
+        end: usize,
+    },
     /// No plan runs on the `members` alive at `step`: the replanned plan
     /// was refused, and so was the contiguous one over them (`why`).
     Replan {
@@ -233,6 +231,9 @@ impl std::fmt::Display for SpecError {
             }
             SpecError::FaultScript(v) => write!(f, "fault script rejected: {v}"),
             SpecError::CoupledFaults => f.write_str("fault injection requires decoupled updates"),
+            SpecError::JoinInEpoch { join, end } => {
+                write!(f, "rank joins at step {join}, before epoch end {end}")
+            }
             SpecError::Replan { step, members, why } => write!(
                 f,
                 "no runnable plan for the {members} members at step {step}: {why}"

@@ -2,10 +2,19 @@
 //! restore budget — in both directions of membership change.
 //!
 //! [`RecoveryRunner::run`] drives the threaded executor one *epoch* at a
-//! time under a fault script and matches on how each epoch ended
+//! time under a fault script. Each epoch runs up to the next scripted
+//! join, clipped to `cfg.steps`, and the runner matches on how it ended
 //! (`EpochEnd`):
 //!
-//! * **Finished** — the run is done.
+//! * **Finished** at `cfg.steps` — the run is done.
+//! * **Finished** before `cfg.steps` — a growth: the epoch stopped at a
+//!   scripted `HostJoin`, and every incumbent captured a checkpoint at
+//!   exactly that round. The replan-and-restore path below runs over the
+//!   **enlarged** member set (the admitted joiner becomes a member, later
+//!   joiners stay pending) and resumes from the boundary checkpoint.
+//!   Growth consumes no restore budget — nothing was lost. A loss scripted
+//!   at the join's step never fires in the ending epoch; the replan at
+//!   the join drops the lost rank.
 //! * **Lost** — a rank was cancelled. The runner takes the one
 //!   replan-and-restore path: snapshot the members alive at the loss
 //!   step, ask `pipebd_sched::replan` for a plan over them, re-lay the
@@ -16,12 +25,6 @@
 //!   single-threaded reference executor (which cannot lose a rank)
 //!   resuming from the last checkpoint, or to a clean
 //!   [`ExecError::RecoveryExhausted`].
-//! * **Grow** — a scripted `HostJoin` came due and every incumbent
-//!   stopped cleanly at the join's round boundary, with a forced
-//!   checkpoint at exactly that round. The same path runs over the
-//!   **enlarged** member set (the admitted joiner becomes a member,
-//!   later joiners stay pending) and resumes from the boundary
-//!   checkpoint. Growth consumes no restore budget — nothing was lost.
 //!
 //! Anything else an epoch returns is a real error and ends the run.
 //!
@@ -205,18 +208,24 @@ impl RecoveryRunner<'_> {
         }
 
         loop {
-            let step = match run.epoch()? {
-                EpochEnd::Finished(outcome) => return Ok(run.report(outcome, false)),
+            // The member set is fixed within an epoch: it ends at the next
+            // join, where the run grows.
+            let join = run.timeline.first_join().map(|j| j as usize);
+            let end = join.map_or(cfg.steps, |j| j.min(cfg.steps));
+            let step = match run.epoch(end)? {
+                EpochEnd::Finished(outcome) if end == cfg.steps => {
+                    return Ok(run.report(outcome, false))
+                }
+                // Growth consumes no restore budget — nothing was lost.
+                EpochEnd::Finished(_) => {
+                    run.grows += 1;
+                    end
+                }
                 EpochEnd::Lost { .. } if run.restores == self.policy.max_restores => {
                     return run.exhausted()
                 }
                 EpochEnd::Lost { step, .. } => {
                     run.restores += 1;
-                    step
-                }
-                // Growth consumes no restore budget — nothing was lost.
-                EpochEnd::Grow { step } => {
-                    run.grows += 1;
                     step
                 }
             };
@@ -249,8 +258,9 @@ struct Run<'a> {
 }
 
 impl Run<'_> {
-    /// Runs one epoch of the threaded executor under the current timeline.
-    fn epoch(&self) -> Result<EpochEnd, ExecError> {
+    /// Runs one epoch of the threaded executor under the current
+    /// timeline, up to round `end`.
+    fn epoch(&self, end: usize) -> Result<EpochEnd, ExecError> {
         let runner = self.runner;
         let driver = FaultDriver::new(&self.timeline, self.spec.cfg.decoupled_updates)?;
         let hooks = RunHooks {
@@ -262,7 +272,8 @@ impl Run<'_> {
             )),
             trace: runner.trace.clone(),
         };
-        threaded::run_epoch(self.teacher, self.student, self.data, &self.spec, &hooks)
+        let (teacher, student, data) = (self.teacher, self.student, self.data);
+        threaded::run_epoch(teacher, student, data, &self.spec, &hooks, end)
     }
 
     /// Re-forms the run over the members alive at `step`: a fresh plan

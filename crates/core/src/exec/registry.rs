@@ -17,11 +17,13 @@
 //!   [`ExecError::WorkerPanic`], and folds the kernel-pool and
 //!   buffer-recycler counters into the trace metrics.
 //!
-//! Each worker reports how its epoch ended as a [`WorkerEnd`]; `Err` is
-//! kept for real failures. `threaded::run_epoch` folds the ends into
-//! one [`EpochEnd`], and the recovery protocol (`exec::recovery`)
-//! decides whether another epoch follows and over which members.
+//! Each worker reports how its epoch ended as a [`WorkerEnd`]: its
+//! trained blocks, or the [`Halt`] that stopped it. `threaded::run_epoch`
+//! folds the ends into one [`EpochEnd`], and the recovery protocol
+//! (`exec::recovery`) decides whether another epoch follows and over
+//! which members.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, SendError, Sender};
 use std::sync::Arc;
@@ -56,25 +58,31 @@ pub(crate) struct WorkerOut {
     pub losses: Vec<Vec<f32>>,
 }
 
-/// How one worker's epoch ended, short of a real failure.
-pub(crate) enum WorkerEnd {
-    /// Every round ran; the worker's trained blocks and losses.
-    Done(WorkerOut),
-    /// A scripted join came due: stopped cleanly before round `step`.
-    Grow { step: usize },
+/// How one worker's epoch ended: every round ran and here are its trained
+/// blocks, or why it stopped.
+pub(crate) type WorkerEnd = Result<WorkerOut, Halt>;
+
+/// Why a worker stopped before the end of its epoch.
+pub(crate) enum Halt {
+    /// The epoch is aborting or a channel peer hung up. Secondary damage:
+    /// never the cause of an epoch's end.
+    PeerGone,
     /// The fault script cancelled this rank at round `step`.
     Lost { rank: usize, step: usize },
-    /// A peer ended early (abort flag or a hung-up channel), so this
-    /// worker stopped too. Never the cause of an epoch's end.
-    PeerGone,
+    /// A real failure: the worker's error, or its thread's panic.
+    Failed(ExecError),
+}
+
+impl<E: Into<ExecError>> From<E> for Halt {
+    fn from(e: E) -> Self {
+        Halt::Failed(e.into())
+    }
 }
 
 /// How an epoch ended: the fold of its workers' [`WorkerEnd`]s.
 pub(crate) enum EpochEnd {
-    /// Every worker ran every round.
+    /// Every worker ran every round of the epoch.
     Finished(FuncOutcome),
-    /// The member set must grow before round `step`.
-    Grow { step: usize },
     /// `rank` was lost at round `step` (the earliest loss).
     Lost { rank: usize, step: usize },
 }
@@ -217,11 +225,7 @@ pub(crate) fn wire_roles(
                 stage_index: si,
                 member,
                 width,
-                prev_width: if si == 0 {
-                    0
-                } else {
-                    plan.stages[si - 1].width()
-                },
+                prev_width: si.checked_sub(1).map_or(0, |p| plan.stages[p].width()),
                 first_block: stage.first_block,
                 teacher_blocks,
                 student_blocks,
@@ -238,28 +242,25 @@ pub(crate) fn wire_roles(
 /// at a round boundary; the next epoch (if any) opens a fresh registry
 /// over a freshly wired fabric.
 pub(crate) struct DeviceRegistry {
-    handles: Vec<JoinHandle<Result<WorkerEnd, ExecError>>>,
+    handles: Vec<JoinHandle<WorkerEnd>>,
     /// A handle to every worker's kernel pool, held past the join: a
     /// pool's idle buffers go back to the system only if freed once its
     /// thread (whose malloc cache pins its heap) is gone. In `full` trace
     /// mode retire reads the counters first.
     pools: Vec<ComputePool>,
     trace: Option<Arc<TraceCollector>>,
-    /// First round the epoch's workers participate in.
-    epoch_start: usize,
-    /// First round past the epoch (the run's step count).
-    epoch_end: usize,
+    /// The rounds the epoch's workers run.
+    rounds: Range<usize>,
 }
 
 impl DeviceRegistry {
-    /// Opens an empty epoch covering rounds `[epoch_start, epoch_end)`.
-    pub fn open(trace: Option<Arc<TraceCollector>>, epoch_start: usize, epoch_end: usize) -> Self {
+    /// Opens an empty epoch covering `rounds`.
+    pub fn open(trace: Option<Arc<TraceCollector>>, rounds: Range<usize>) -> Self {
         DeviceRegistry {
             handles: Vec::new(),
             pools: Vec::new(),
             trace,
-            epoch_start,
-            epoch_end,
+            rounds,
         }
     }
 
@@ -267,47 +268,37 @@ impl DeviceRegistry {
     /// with `pool` installed as its kernel compute pool; a
     /// `worker_spawn` trace event is recorded at the epoch's first
     /// round.
-    pub fn spawn(
-        &mut self,
-        pool: ComputePool,
-        body: impl FnOnce() -> Result<WorkerEnd, ExecError> + Send + 'static,
-    ) {
+    pub fn spawn(&mut self, pool: ComputePool, body: impl FnOnce() -> WorkerEnd + Send + 'static) {
         self.pools.push(pool.clone());
         if let Some(tc) = &self.trace {
             let t = tc.now_ns();
-            tc.event(SpanKind::WorkerSpawn, self.epoch_start as u32, t, t);
+            tc.event(SpanKind::WorkerSpawn, self.rounds.start as u32, t, t);
         }
         self.handles
             .push(std::thread::spawn(move || parallel::install(&pool, body)));
     }
 
     /// Retires the epoch: joins every worker (spawn order), records a
-    /// `worker_retire` trace event per rank (at the loss/grow step for
-    /// structurally stopped workers, the epoch end otherwise), folds the
-    /// kernel-pool counters into the metrics registry (`pool.*`, and
-    /// `recycle.*`, each summed over the devices), and returns how each
-    /// worker ended.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first worker's real failure in spawn order — its own
-    /// error, or [`ExecError::WorkerPanic`] if its thread panicked — once
-    /// every thread has been joined.
-    pub fn retire(self) -> Result<Vec<WorkerEnd>, ExecError> {
-        let mut results = Vec::with_capacity(self.handles.len());
+    /// `worker_retire` trace event per rank (at the loss step for a lost
+    /// worker, the epoch's end otherwise), folds the kernel-pool counters
+    /// into the metrics registry (`pool.*`, and `recycle.*`, each summed
+    /// over the devices), and returns how each worker ended, in spawn
+    /// order. A thread that panicked ended as [`ExecError::WorkerPanic`].
+    pub fn retire(self) -> Vec<WorkerEnd> {
+        let mut ends = Vec::with_capacity(self.handles.len());
         for h in self.handles {
-            let r = h
+            let end = h
                 .join()
-                .unwrap_or_else(|p| Err(ExecError::WorkerPanic(format!("{p:?}"))));
+                .unwrap_or_else(|p| Err(ExecError::WorkerPanic(format!("{p:?}")).into()));
             if let Some(tc) = &self.trace {
-                let retired = match &r {
-                    Ok(WorkerEnd::Lost { step, .. } | WorkerEnd::Grow { step }) => *step,
-                    _ => self.epoch_end,
+                let retired = match &end {
+                    Err(Halt::Lost { step, .. }) => *step,
+                    _ => self.rounds.end,
                 };
                 let t = tc.now_ns();
                 tc.event(SpanKind::WorkerRetire, retired as u32, t, t);
             }
-            results.push(r);
+            ends.push(end);
         }
         // With every worker joined the pool counters are final.
         if let Some(tc) = self.trace.as_ref().filter(|tc| tc.full()) {
@@ -323,6 +314,6 @@ impl DeviceRegistry {
                 m.counter("recycle.idle_peak_bytes").add(rc.idle_peak_bytes);
             }
         }
-        results.into_iter().collect()
+        ends
     }
 }

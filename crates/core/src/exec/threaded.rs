@@ -1,17 +1,26 @@
 //! Multi-threaded teacher relaying: the paper's Algorithm 1 with OS
 //! threads as devices and `std::sync::mpsc` channels as the PCIe links.
 //!
-//! Per step and per device (Algorithm 1, lines 7–16):
+//! Per step and per device (Algorithm 1, lines 7–16), each a `Worker`
+//! method that `train` wires in this order:
 //!
-//! 1. receive the input activation from the previous stage — or load a
-//!    batch, if this device owns block 0 (lines 8–9);
-//! 2. run the assigned teacher blocks and relay the boundary activation to
-//!    the next stage (lines 10–11);
-//! 3. run the assigned student blocks forward/backward (lines 12–13);
-//! 4. share gradients within a batch-split stage (line 14, AHD);
-//! 5. wait on the global barrier unless decoupled updates are enabled
-//!    (line 15, DPU);
-//! 6. update the student weights (line 16).
+//! 0. the fault gate: serve this rank's slowdown pause, or stop if the
+//!    fault script cancelled it (then, outside every span, wait until the
+//!    next stage has room for another boundary);
+//! 1. the input: load a batch shard, if this device owns block 0, or
+//!    receive the relayed activation from the previous stage (lines 8–9);
+//! 2. the teacher: run the assigned teacher blocks (line 10);
+//! 3. the relay: send the last boundary activation to every member of the
+//!    next stage (line 11);
+//! 4. the students: run the assigned student blocks forward/backward
+//!    (lines 12–13);
+//! 5. the share: average gradients within a batch-split stage (line 14,
+//!    AHD);
+//! 6. the barrier: wait for every device unless decoupled updates are
+//!    enabled (line 15, DPU);
+//! 7. the update: step the student weights (line 16);
+//! 8. the capture: stream this round's checkpoint fragments when one is
+//!    due.
 //!
 //! # Zero-copy data plane
 //!
@@ -64,18 +73,27 @@
 //!
 //! # How an epoch ends
 //!
-//! Every call is one *epoch* of the device-thread registry. Each worker
-//! reports how it ended as a `WorkerEnd` and `run_epoch` folds those
-//! into one `EpochEnd`; `Err` is kept for real failures, which always
-//! outrank a peer's hang-up. A worker that ends any other way than
-//! `Done`/`Grow` — an error, a lost rank, a panic — raises the epoch's
-//! abort flag, and every blocking wait (the one channel receive,
-//! `recv_or_gone`, the step barrier and the relay's `wait_for_room`)
-//! re-checks the flag at a short interval, so no peer outlives the
-//! failure by more than `ABORT_WAKE`.
+//! Every call is one *epoch* of the device-thread registry over rounds
+//! `start..end`: `start` is the resume checkpoint's round (else 0), and
+//! `end` is the caller's bound — `cfg.steps` for [`run_hooked`], the next
+//! scripted join for the recovery runner, which re-wires the member set
+//! there. A join inside the epoch is refused before any thread starts,
+//! so the member set never changes within one. An epoch that ends before
+//! `cfg.steps` captures its last round, whatever the checkpoint policy,
+//! so the next epoch resumes from exactly there.
+//!
+//! Each worker reports how it ended as a `WorkerEnd` — its trained
+//! blocks, or the `Halt` that stopped it — and `run_epoch` folds those
+//! into one `EpochEnd`: a real failure outranks a loss, and a loss
+//! outranks a peer's hang-up. A worker that stops before the epoch's end
+//! — an error, a lost rank, a panic — raises the epoch's abort flag, and
+//! every blocking wait (the one channel receive, `recv_or_gone`, the step
+//! barrier and the relay's `wait_for_room`) re-checks the flag at a short
+//! interval, so no peer outlives the failure by more than `ABORT_WAKE`.
 //! That holds for every run, with or without a fault script.
 
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -85,12 +103,12 @@ use pipebd_data::SyntheticImageDataset;
 use pipebd_nn::{mse_loss, Block, BlockNet, Layer, Mode, Sgd};
 use pipebd_tensor::parallel::ComputePool;
 use pipebd_tensor::{SharedTensor, Tensor};
-use pipebd_trace::{Span, SpanKind, TraceCollector, TrackRecorder};
+use pipebd_trace::{SpanKind, TraceCollector, TrackRecorder};
 
-use super::fault::{FaultAction, FaultDriver};
+use super::fault::FaultDriver;
 use super::registry::{
-    self, DeviceRegistry, DeviceRole, EpochEnd, GradBundle, GradLink, GradMsg, RelayRx, RelayTx,
-    WorkerEnd, WorkerOut,
+    self, DeviceRegistry, DeviceRole, EpochEnd, GradBundle, GradLink, GradMsg, Halt, RelayRx,
+    RelayTx, WorkerEnd, WorkerOut,
 };
 pub use super::ExecError;
 use super::{FuncConfig, FuncOutcome, RunSpec};
@@ -134,7 +152,10 @@ struct Epoch {
     spec: RunSpec,
     data: SyntheticImageDataset,
     hooks: RunHooks,
-    /// Raised by any worker that ends other than `Done`/`Grow`.
+    /// The rounds the epoch runs: from the resume round to the caller's
+    /// bound.
+    rounds: Range<usize>,
+    /// Raised by any worker that stops before the epoch's end.
     abort: AtomicBool,
     /// The step barrier's `(arrived, generation)`.
     barrier: Mutex<(usize, usize)>,
@@ -163,21 +184,6 @@ impl Epoch {
             state = woken.expect("barrier holders never panic").0;
         }
         Ok(())
-    }
-}
-
-/// Why a worker stopped mid-step.
-enum Halt {
-    /// The epoch is aborting or a channel peer hung up. Secondary damage:
-    /// it ends the worker as [`WorkerEnd::PeerGone`], never as an error.
-    PeerGone,
-    /// A real failure, reported as the worker's `Err`.
-    Failed(ExecError),
-}
-
-impl<E: Into<ExecError>> From<E> for Halt {
-    fn from(e: E) -> Self {
-        Halt::Failed(e.into())
     }
 }
 
@@ -215,27 +221,6 @@ fn wait_for_room(txs: &[RelayTx], width: usize, abort: &AtomicBool) -> Result<()
     Ok(())
 }
 
-/// Runs `f` inside a recorded span when a recorder is present (the span
-/// covers `f` exactly; with tracing off this is the one branch on `None`).
-fn spanned<T>(
-    rec: &mut Option<TrackRecorder>,
-    kind: SpanKind,
-    block: Option<u16>,
-    step: u32,
-    f: impl FnOnce() -> T,
-) -> T {
-    match rec {
-        None => f(),
-        Some(r) => {
-            let t0 = r.now_ns();
-            let out = f();
-            let t1 = r.now_ns();
-            r.record_span(kind, block, step, t0, t1);
-            out
-        }
-    }
-}
-
 /// Runs blockwise distillation on device threads following `cfg.plan`
 /// (contiguous by default).
 ///
@@ -256,17 +241,19 @@ pub fn run(
 /// and resume-from-checkpoint (see [`RunHooks`]).
 ///
 /// A run never hangs on a failed worker (see the [module docs](self)).
-/// This entry point runs a single epoch, so a scripted membership change
-/// is an error here; the recovery protocol ([`super::recovery`]) is what
-/// carries a run across epochs.
+/// This entry point runs a single epoch up to `cfg.steps`, so a fault
+/// script whose member set grows before then is refused; the recovery
+/// protocol ([`super::recovery`]) is what carries a run across epochs.
 ///
 /// # Errors
 ///
 /// Returns [`ExecError`] for invalid configurations, tensor failures,
 /// worker panics, replica divergence, a resume checkpoint the resume gate
 /// refuses or a sink that fails to store,
-/// [`ExecError::RankLost`] when the fault driver cancels a rank, or
-/// [`ExecError::JoinNeedsRecovery`] when a scripted join comes due.
+/// [`SpecError::JoinInEpoch`](super::SpecError::JoinInEpoch)
+/// before any thread starts when a scripted join comes before
+/// `cfg.steps`, or [`ExecError::RankLost`] when the fault driver cancels
+/// a rank.
 pub fn run_hooked(
     teacher: &BlockNet,
     student: &BlockNet,
@@ -275,33 +262,62 @@ pub fn run_hooked(
     hooks: &RunHooks,
 ) -> Result<FuncOutcome, ExecError> {
     let spec = RunSpec::new(teacher, student, cfg)?;
-    match run_epoch(teacher, student, data, &spec, hooks)? {
+    match run_epoch(teacher, student, data, &spec, hooks, cfg.steps)? {
         EpochEnd::Finished(outcome) => Ok(outcome),
         EpochEnd::Lost { rank, step } => Err(ExecError::RankLost { rank, step }),
-        EpochEnd::Grow { step } => Err(ExecError::JoinNeedsRecovery { step }),
     }
 }
 
-/// Runs one epoch: wires the fabric for `spec.plan`, spawns a worker per
-/// device, assembles checkpoints while they run, and folds how they
-/// ended into one [`EpochEnd`].
+/// Runs one epoch over rounds `start..end` (`start` is the resume round):
+/// wires the fabric for `spec.plan` and spawns a worker per device,
+/// assembles checkpoints while they run, and folds how they ended into
+/// one [`EpochEnd`].
 ///
 /// # Errors
 ///
-/// As [`run_hooked`], except that a lost rank or a due join is an
-/// `Ok(EpochEnd)`, not an error.
+/// As [`run_hooked`], except that a lost rank is an `Ok(EpochEnd)`, not
+/// an error.
 pub(crate) fn run_epoch(
     teacher: &BlockNet,
     student: &BlockNet,
     data: &SyntheticImageDataset,
     spec: &RunSpec,
     hooks: &RunHooks,
+    end: usize,
 ) -> Result<EpochEnd, ExecError> {
     if let Some(ckpt) = &hooks.resume {
         ckpt.check_resume(spec, student)?;
     }
-    let (cfg, plan, b) = (&spec.cfg, &spec.plan, spec.blocks());
+    if let Some(driver) = &hooks.driver {
+        driver.check_epoch(end)?;
+    }
+    let epoch = Arc::new(Epoch {
+        spec: spec.clone(),
+        data: data.clone(),
+        hooks: hooks.clone(),
+        rounds: hooks.resume.as_ref().map_or(0, |c| c.round)..end,
+        abort: AtomicBool::new(false),
+        barrier: Mutex::new((0, 0)),
+        released: Condvar::new(),
+    });
+    // The checkpoint fabric exists only when the hooks capture.
+    let (capture, assembly) = hooks.checkpoint.as_ref().map(|_| channel()).unzip();
+    let devices = spawn_workers(teacher, student, &epoch, capture);
+    let ckpt_err = assembly.and_then(|rx| assemble_checkpoints(&epoch, &rx));
+    fold_ends(devices.retire(), ckpt_err)
+}
 
+/// Wires the epoch's fabric and spawns one worker per device into a fresh
+/// registry. `capture` (present when the hooks checkpoint) is cloned into
+/// each stage's member 0 and dropped here, so the assembly loop sees its
+/// channel disconnect once every worker has exited.
+fn spawn_workers(
+    teacher: &BlockNet,
+    student: &BlockNet,
+    epoch: &Arc<Epoch>,
+    capture: Option<Sender<CkptFrag>>,
+) -> DeviceRegistry {
+    let (cfg, plan) = (&epoch.spec.cfg, &epoch.spec.plan);
     // Split the host compute budget across device ranks: each worker
     // installs a pool of its assigned width, so intra-stage kernel
     // parallelism never multiplies with stage concurrency into
@@ -310,102 +326,83 @@ pub(crate) fn run_epoch(
     // default. By the tensor determinism contract the widths change
     // wall-clock only, never a bit of the result.
     let intra_widths = plan.intra_pool_widths(cfg.pool_budget());
-
-    // Checkpoint fabric: member-0 workers stream per-block fragments to
-    // this thread, which assembles complete rounds and stores them. The
-    // sender clones live in the workers; once they all exit, `recv`
-    // disconnects and the assembly loop ends.
-    let ckpt = hooks.checkpoint.as_ref().map(|(policy, sink)| {
-        let (tx, rx) = channel::<CkptFrag>();
-        (*policy, tx, rx, sink)
-    });
-
-    let epoch = Arc::new(Epoch {
-        spec: spec.clone(),
-        data: data.clone(),
-        hooks: hooks.clone(),
-        abort: AtomicBool::new(false),
-        barrier: Mutex::new((0, 0)),
-        released: Condvar::new(),
-    });
-    let start_round = hooks.resume.as_ref().map_or(0, |c| c.round);
-    let mut devices = DeviceRegistry::open(hooks.trace.clone(), start_round, cfg.steps);
+    let mut devices = DeviceRegistry::open(epoch.hooks.trace.clone(), epoch.rounds.clone());
     for role in registry::wire_roles(plan, teacher, student) {
         let pool = ComputePool::new(intra_widths[role.device]);
-        let epoch = Arc::clone(&epoch);
+        let epoch = Arc::clone(epoch);
         // Replicas hold bitwise identical state, so member 0 alone
         // captures its stage's blocks.
-        let capture = ckpt.as_ref().filter(|_| role.member == 0);
-        let capture = capture.map(|(policy, tx, ..)| (*policy, tx.clone()));
+        let capture = capture.clone().filter(|_| role.member == 0);
         devices.spawn(pool, move || worker(role, &epoch, capture));
     }
+    devices
+}
 
-    // Assemble checkpoints while the workers run. A round is stored the
-    // moment its last block fragment arrives; rounds can complete out of
-    // order under decoupled updates, so sinks keep the max round. Blocks
-    // reaching round r at different wall-clock times is fine: the
-    // per-block objective is schedule-independent, so the assembled state
-    // equals the sequential reference after r steps, bit for bit.
-    let mut ckpt_err: Option<CheckpointError> = None;
-    if let Some((_, tx, rx, sink)) = ckpt {
-        drop(tx);
-        // The plan's structural fingerprint stamps every checkpoint this
-        // epoch writes, so a later restore can prove lineage (see the
-        // recovery runner's `restore`).
-        let fingerprint = plan.fingerprint();
-        let mut pending: HashMap<usize, Vec<BlockState>> = HashMap::new();
-        while let Ok((round, state)) = rx.recv() {
-            let fragments = pending.entry(round).or_default();
-            fragments.push(state);
-            if fragments.len() < b {
-                continue;
-            }
-            let mut blocks = std::mem::take(fragments);
-            blocks.sort_by_key(|s| s.block);
-            let ckpt = Checkpoint {
-                round,
-                data_cursor: round as u64 * cfg.batch as u64,
-                batch: cfg.batch,
-                lr: cfg.lr,
-                momentum: cfg.momentum,
-                plan_fingerprint: fingerprint.clone(),
-                blocks,
-            };
-            if ckpt_err.is_none() {
-                ckpt_err = sink.store(&ckpt).err();
-            }
+/// Assembles checkpoints while the workers run, and returns the sink's
+/// first failure. A round is stored the moment its last block fragment
+/// arrives; rounds can complete out of order under decoupled updates, so
+/// sinks keep the max round. Blocks reaching round r at different
+/// wall-clock times is fine: the per-block objective is
+/// schedule-independent, so the assembled state equals the sequential
+/// reference after r steps, bit for bit.
+fn assemble_checkpoints(epoch: &Epoch, assembly: &Receiver<CkptFrag>) -> Option<CheckpointError> {
+    let (_, sink) = epoch.hooks.checkpoint.as_ref()?;
+    let (cfg, b) = (&epoch.spec.cfg, epoch.spec.blocks());
+    // The plan's structural fingerprint stamps every checkpoint this epoch
+    // writes, so a later restore can prove lineage (see the recovery
+    // runner's `restore`).
+    let fingerprint = epoch.spec.plan.fingerprint();
+    let mut pending: HashMap<usize, Vec<BlockState>> = HashMap::new();
+    let mut failure = None;
+    while let Ok((round, state)) = assembly.recv() {
+        let fragments = pending.entry(round).or_default();
+        fragments.push(state);
+        if fragments.len() < b {
+            continue;
+        }
+        let mut blocks = std::mem::take(fragments);
+        blocks.sort_by_key(|s| s.block);
+        let ckpt = Checkpoint {
+            round,
+            data_cursor: round as u64 * cfg.batch as u64,
+            batch: cfg.batch,
+            lr: cfg.lr,
+            momentum: cfg.momentum,
+            plan_fingerprint: fingerprint.clone(),
+            blocks,
+        };
+        if failure.is_none() {
+            failure = sink.store(&ckpt).err();
         }
     }
+    failure
+}
 
-    // Retire the epoch and fold how its workers ended. Real failures come
-    // first (`retire` returns a worker's, then the sink's); then the
-    // earliest loss; then a growth, which every incumbent reports at the
-    // same boundary.
-    let mut outs = Vec::new();
-    let (mut lost, mut grow, mut peer_gone) = (None, None, false);
-    for end in devices.retire()? {
+/// Folds how the epoch's workers ended. Real failures come first, a
+/// worker's (the first in spawn order) before the sink's; then the
+/// earliest loss.
+fn fold_ends(
+    ends: Vec<WorkerEnd>,
+    ckpt_err: Option<CheckpointError>,
+) -> Result<EpochEnd, ExecError> {
+    let (mut outs, mut lost, mut peer_gone) = (Vec::new(), Vec::new(), false);
+    for end in ends {
         match end {
-            WorkerEnd::Done(out) => outs.push(out),
-            WorkerEnd::Lost { rank, step } => {
-                lost = Some(lost.map_or((step, rank), |l: (usize, usize)| l.min((step, rank))));
-            }
-            WorkerEnd::Grow { step } => grow = Some(step),
-            WorkerEnd::PeerGone => peer_gone = true,
+            Ok(out) => outs.push(out),
+            Err(Halt::Failed(e)) => return Err(e),
+            Err(Halt::Lost { rank, step }) => lost.push((step, rank)),
+            Err(Halt::PeerGone) => peer_gone = true,
         }
     }
     if let Some(e) = ckpt_err {
         return Err(ExecError::Checkpoint(e));
     }
-    if let Some((step, rank)) = lost {
+    if let Some((step, rank)) = lost.into_iter().min() {
         return Ok(EpochEnd::Lost { rank, step });
     }
-    if let Some(step) = grow {
-        return Ok(EpochEnd::Grow { step });
-    }
     if peer_gone {
-        return Err(ExecError::BrokenInvariant(
-            "a worker found its peers gone, but no worker failed or was lost".into(),
-        ));
+        let why = "a worker found its peers gone, but no worker failed or was lost";
+        return Err(ExecError::BrokenInvariant(why.into()));
     }
     finished(outs).map(EpochEnd::Finished)
 }
@@ -428,14 +425,11 @@ fn finished(outs: Vec<WorkerOut>) -> Result<FuncOutcome, ExecError> {
     let (mut lead, replicas): (Vec<_>, Vec<_>) =
         rows.into_iter().partition(|(_, member, ..)| *member == 0);
     lead.sort_by_key(|(block, ..)| *block);
-    for (block, _, params, _) in &replicas {
-        for (a, c) in lead[*block].2.iter().zip(params) {
+    for &(block, _, ref params, _) in &replicas {
+        for (a, c) in lead[block].2.iter().zip(params) {
             let diff = a.max_abs_diff(c)?;
             if diff > 1e-6 {
-                return Err(ExecError::ReplicaDivergence {
-                    block: *block,
-                    diff,
-                });
+                return Err(ExecError::ReplicaDivergence { block, diff });
             }
         }
     }
@@ -444,12 +438,8 @@ fn finished(outs: Vec<WorkerOut>) -> Result<FuncOutcome, ExecError> {
 }
 
 /// One device thread's epoch: trains, and on the way out raises the
-/// abort flag unless the end was clean.
-fn worker(
-    mut role: DeviceRole,
-    epoch: &Epoch,
-    capture: Option<(CheckpointPolicy, Sender<CkptFrag>)>,
-) -> Result<WorkerEnd, ExecError> {
+/// abort flag unless every round ran.
+fn worker(mut role: DeviceRole, epoch: &Epoch, capture: Option<Sender<CkptFrag>>) -> WorkerEnd {
     /// Raises the flag when dropped, so every way out but a clean one —
     /// an error's `?`, a lost rank, a panic's unwinding — wakes the peers
     /// blocked on this worker. A clean end forgets it instead.
@@ -460,226 +450,346 @@ fn worker(
         }
     }
     let abort = RaiseOnDrop(&epoch.abort);
-    let end = match train(&mut role, epoch, capture.as_ref()) {
-        Ok(end) => end,
-        Err(Halt::PeerGone) => WorkerEnd::PeerGone,
-        Err(Halt::Failed(e)) => return Err(e),
-    };
-    if matches!(end, WorkerEnd::Done(_) | WorkerEnd::Grow { .. }) {
-        std::mem::forget(abort);
-    }
-    Ok(end)
+    let out = Worker::new(&mut role, epoch, capture.as_ref()).train()?;
+    std::mem::forget(abort);
+    Ok(out)
 }
 
-fn train(
-    role: &mut DeviceRole,
-    epoch: &Epoch,
-    capture: Option<&(CheckpointPolicy, Sender<CkptFrag>)>,
-) -> Result<WorkerEnd, Halt> {
-    let Epoch {
-        spec, hooks, abort, ..
-    } = epoch;
-    let cfg = &spec.cfg;
-    let num_blocks = role.teacher_blocks.len();
-    let mut optims: Vec<Sgd> = (0..num_blocks)
-        .map(|_| Sgd::new(cfg.lr, cfg.momentum, 0.0))
-        .collect();
-    let mut losses: Vec<Vec<f32>> = vec![Vec::with_capacity(cfg.steps); num_blocks];
-    // Resume: reinstall the checkpointed parameters, velocities, and loss
-    // history, then continue from the checkpoint round. Every replica
-    // restores the same state (replicas are bitwise identical after
-    // averaged updates, so the captured state is theirs too). `run_epoch`
-    // passed the checkpoint through the resume gate before spawning us.
-    let start = hooks.resume.as_ref().map_or(0, |c| c.round);
-    if let Some(ckpt) = &hooks.resume {
-        for (i, s) in role.student_blocks.iter_mut().enumerate() {
-            losses[i] = ckpt.blocks[role.first_block + i].restore(s, &mut optims[i]);
+/// One device thread's training state for its epoch: the role's blocks
+/// and channel ends, an optimizer and a loss history per block, the span
+/// recorder, and the relay's reorder queues.
+struct Worker<'a> {
+    role: &'a mut DeviceRole,
+    epoch: &'a Epoch,
+    /// Where this member streams checkpoint fragments (member 0 of a
+    /// stage, when the hooks checkpoint).
+    capture: Option<&'a Sender<CkptFrag>>,
+    optims: Vec<Sgd>,
+    losses: Vec<Vec<f32>>,
+    /// Trace plane: one ring recorder per worker thread, flushed into the
+    /// collector when the worker drops. With tracing off (`None`) every
+    /// instrumentation point is a single branch.
+    rec: Option<TrackRecorder>,
+    /// Out-of-order relay buffering: with decoupled updates a fast
+    /// upstream member may deliver step s+1 before a slow one delivers
+    /// step s. Each sender's channel order is its step order, so one FIFO
+    /// per upstream member restores alignment.
+    shard_queues: Vec<VecDeque<SharedTensor>>,
+}
+
+impl<'a> Worker<'a> {
+    /// A worker at the epoch's first round. On resume it reinstalls the
+    /// checkpointed parameters, velocities and loss history; every
+    /// replica restores the same state (replicas are bitwise identical
+    /// after averaged updates, so the captured state is theirs too).
+    /// `run_epoch` passed the checkpoint through the resume gate before
+    /// spawning this thread.
+    fn new(
+        role: &'a mut DeviceRole,
+        epoch: &'a Epoch,
+        capture: Option<&'a Sender<CkptFrag>>,
+    ) -> Self {
+        let (cfg, blocks) = (&epoch.spec.cfg, role.student_blocks.len());
+        let mut optims = vec![Sgd::new(cfg.lr, cfg.momentum, 0.0); blocks];
+        let mut losses: Vec<Vec<f32>> = vec![Vec::with_capacity(cfg.steps); blocks];
+        if let Some(ckpt) = &epoch.hooks.resume {
+            for (i, s) in role.student_blocks.iter_mut().enumerate() {
+                losses[i] = ckpt.blocks[role.first_block + i].restore(s, &mut optims[i]);
+            }
+        }
+        let trace = epoch.hooks.trace.as_ref();
+        Worker {
+            rec: trace.map(|t| t.recorder(role.device, role.stage_index, role.member)),
+            shard_queues: vec![VecDeque::new(); role.prev_width],
+            role,
+            epoch,
+            capture,
+            optims,
+            losses,
         }
     }
-    let driver = hooks.driver.as_deref();
-    // Trace plane: one ring recorder per worker thread, flushed into the
-    // collector when this function returns (recorder drop). With tracing
-    // off (`None`) every instrumentation point below is a single branch.
-    let mut rec = hooks
-        .trace
-        .as_ref()
-        .map(|t| t.recorder(role.device, role.stage_index, role.member));
-    // Out-of-order relay buffering: with decoupled updates a fast upstream
-    // member may deliver step s+1 before a slow one delivers step s. Each
-    // sender's channel order is its step order, so one FIFO per upstream
-    // member restores alignment.
-    let mut shard_queues: Vec<VecDeque<SharedTensor>> = vec![VecDeque::new(); role.prev_width];
 
-    for step in start..cfg.steps {
-        // (0) Fault gate: serve this rank's slowdown pause, stop for a
-        // membership growth, or die. A scripted join stops *every*
-        // incumbent at the same round boundary (the driver gates growth
-        // before the loss check, so all ranks agree on the boundary);
-        // channel sends for earlier steps have already balanced, so the
-        // epoch drains cleanly and needs no abort.
-        let rank = role.device;
-        match driver.map_or(FaultAction::Continue, |d| d.before_step(rank, step)) {
-            FaultAction::Continue => {}
-            FaultAction::Grow => return Ok(WorkerEnd::Grow { step }),
-            FaultAction::Lost => return Ok(WorkerEnd::Lost { rank, step }),
+    /// The step loop: Algorithm 1 over the epoch's rounds, wired from one
+    /// `Worker` method per step of the module docs' list.
+    fn train(mut self) -> WorkerEnd {
+        for step in self.epoch.rounds.clone() {
+            self.fault_gate(step)?;
+            // Decoupled updates let a fast stage run ahead; not further
+            // than the next stage can use. Outside every span: a traced run
+            // shows the wait as untracked time on this track, not as relay.
+            wait_for_room(&self.role.output_tx, self.role.width, &self.epoch.abort)?;
+            let input = self.input(step)?;
+            let boundaries = self.teacher(step, &input)?;
+            self.relay(step, boundaries.last().unwrap_or(&input))?;
+            let mut step_losses = self.students(step, &input, &boundaries)?;
+            // Nothing below reads an activation: let them go before this
+            // thread blocks, so each is back with the recycler that issued
+            // it by the time that thread allocates the next step's.
+            drop((input, boundaries));
+            let averaged = self.share(step, &mut step_losses)?;
+            self.barrier(step)?;
+            self.update(step, &step_losses)?;
+            drop(averaged);
+            self.capture(step)?;
         }
-        // Decoupled updates let a fast stage run ahead; not further than
-        // the next stage can use. Outside every span: a traced run shows
-        // the wait as untracked time on this track, not as relay.
-        wait_for_room(&role.output_tx, role.width, abort)?;
+        // With decoupled updates some threads may finish earlier; that is
+        // the point. The trained blocks go back by move.
+        Ok(self.done())
+    }
 
-        // (1) Input: load data (stage 0) or receive the relayed activation.
-        let input: SharedTensor = spanned(&mut rec, SpanKind::Load, None, step as u32, || {
-            match &role.input_rx {
-                None => {
-                    if let Some(d) = driver {
-                        d.before_load(step);
-                    }
-                    // Sample generation is per-index deterministic, so each
-                    // member materializes exactly its own shard — identical
-                    // values to splitting a full batch (widths divide the
-                    // batch), without generating the other members' rows
-                    // only to discard them.
-                    let shard = cfg.batch / role.width;
-                    let start = step as u64 * cfg.batch as u64 + (role.member * shard) as u64;
-                    let (x, _labels) = epoch.data.batch(start, shard);
-                    Ok(SharedTensor::new(x))
-                }
-                Some(rx) => {
-                    let prev_shards = receive_full_batch(rx, &mut shard_queues, abort)?;
-                    Ok::<_, Halt>(reshard(prev_shards, role.width, role.member)?)
-                }
+    /// Runs `f` inside a recorded span of `kind` carrying `bytes` when a
+    /// recorder is present (the span covers `f` exactly; with tracing off
+    /// this costs a branch on `None` either side). `block` is the
+    /// stage-local index.
+    fn spanned<T>(
+        &mut self,
+        kind: SpanKind,
+        block: Option<usize>,
+        step: usize,
+        bytes: u64,
+        f: impl FnOnce(&mut Self) -> T,
+    ) -> T {
+        let t0 = self.rec.as_ref().map(TrackRecorder::now_ns);
+        let out = f(self);
+        if let (Some(r), Some(t0)) = (self.rec.as_mut(), t0) {
+            let block = block.map(|i| (self.role.first_block + i) as u16);
+            r.record_span(kind, block, step as u32, t0, r.now_ns(), bytes);
+        }
+        out
+    }
+
+    /// (0) Fault gate: serves this rank's slowdown pause, or stops the
+    /// worker as lost from this round on.
+    fn fault_gate(&self, step: usize) -> Result<(), Halt> {
+        let rank = self.role.device;
+        match &self.epoch.hooks.driver {
+            Some(d) if !d.before_step(rank, step) => Err(Halt::Lost { rank, step }),
+            _ => Ok(()),
+        }
+    }
+
+    /// (1) Input: this member's shard of the step's batch (stage 0), or
+    /// the relayed activation re-sharded to this member (lines 8–9).
+    fn input(&mut self, step: usize) -> Result<SharedTensor, Halt> {
+        self.spanned(SpanKind::Load, None, step, 0, |w| match &w.role.input_rx {
+            None => Ok(w.load(step)),
+            Some(rx) => {
+                let prev = receive_full_batch(rx, &mut w.shard_queues, &w.epoch.abort)?;
+                Ok(reshard(prev, w.role.width, w.role.member)?)
             }
-        })?;
+        })
+    }
 
-        // (2) Teacher blocks, collecting every boundary (lines 10–11).
-        // Each boundary is wrapped in a shared handle once; caching it and
-        // relaying it downstream are refcount bumps, never buffer copies.
-        let mut boundaries: Vec<SharedTensor> = Vec::with_capacity(num_blocks);
-        let mut cur = input.clone();
-        for (bi, t) in role.teacher_blocks.iter_mut().enumerate() {
-            let block = Some((role.first_block + bi) as u16);
-            cur = spanned(&mut rec, SpanKind::Teacher, block, step as u32, || {
-                Ok::<_, Halt>(SharedTensor::new(t.forward(&cur, Mode::Eval)?))
+    /// Stage 0's input. Sample generation is per-index deterministic, so
+    /// each member materializes exactly its own shard — identical values
+    /// to splitting a full batch (widths divide the batch), without
+    /// generating the other members' rows only to discard them.
+    fn load(&self, step: usize) -> SharedTensor {
+        if let Some(d) = &self.epoch.hooks.driver {
+            d.before_load(step);
+        }
+        let (cfg, role) = (&self.epoch.spec.cfg, &self.role);
+        let shard = cfg.batch / role.width;
+        let start = step as u64 * cfg.batch as u64 + (role.member * shard) as u64;
+        SharedTensor::new(self.epoch.data.batch(start, shard).0)
+    }
+
+    /// (2) Teacher blocks, collecting every boundary (line 10). Each
+    /// boundary is wrapped in a shared handle once; caching it and
+    /// relaying it downstream are refcount bumps, never buffer copies.
+    fn teacher(&mut self, step: usize, input: &SharedTensor) -> Result<Vec<SharedTensor>, Halt> {
+        let mut boundaries: Vec<SharedTensor> = Vec::with_capacity(self.role.teacher_blocks.len());
+        for i in 0..self.role.teacher_blocks.len() {
+            let x = boundaries.last().unwrap_or(input);
+            let y = self.spanned(SpanKind::Teacher, Some(i), step, 0, |w| {
+                let y = w.role.teacher_blocks[i].forward(x, Mode::Eval)?;
+                Ok::<_, Halt>(SharedTensor::new(y))
             })?;
-            boundaries.push(cur.clone());
+            boundaries.push(y);
         }
-        // Relay the final boundary to every member of the next stage. The
-        // span carries the logical relay volume (f32 payload × receivers);
-        // the send itself is a refcount bump, so the duration measures
-        // channel handoff, not a copy.
-        if !role.output_tx.is_empty() {
-            let t0 = rec.as_mut().map(|r| r.now_ns());
-            for tx in &role.output_tx {
-                tx.send((role.member, cur.clone()))
-                    .map_err(|_| Halt::PeerGone)?;
-            }
-            if let (Some(r), Some(t0)) = (rec.as_mut(), t0) {
-                let t1 = r.now_ns();
-                let bytes = (cur.numel() * 4 * role.output_tx.len()) as u64;
-                r.record(Span {
-                    kind: SpanKind::Relay,
-                    block: None,
-                    step: step as u32,
-                    t0_ns: t0,
-                    t1_ns: t1,
-                    bytes,
-                });
-                if r.full() {
-                    r.metrics().counter("relay.bytes").add(bytes);
-                    r.metrics().counter("relay.sends").inc();
-                }
-            }
-        }
+        Ok(boundaries)
+    }
 
-        // (3) Students forward/backward (lines 12–13).
-        let mut step_losses = Vec::with_capacity(num_blocks);
-        for (i, s) in role.student_blocks.iter_mut().enumerate() {
-            let block = Some((role.first_block + i) as u16);
-            let loss = spanned(&mut rec, SpanKind::Student, block, step as u32, || {
-                let s_in = if i == 0 { &input } else { &boundaries[i - 1] };
-                let s_out = s.forward(s_in, Mode::Train)?;
-                let loss = mse_loss(&s_out, &boundaries[i])?;
+    /// (3) Relays the final boundary to every member of the next stage
+    /// (line 11). The span carries the logical relay volume (f32 payload ×
+    /// receivers); each send is a refcount bump, so the duration measures
+    /// channel hand-off, not a copy.
+    fn relay(&mut self, step: usize, last: &SharedTensor) -> Result<(), Halt> {
+        let receivers = self.role.output_tx.len();
+        if receivers == 0 {
+            return Ok(());
+        }
+        let bytes = (last.numel() * 4 * receivers) as u64;
+        self.spanned(SpanKind::Relay, None, step, bytes, |w| {
+            for tx in &w.role.output_tx {
+                let shard = (w.role.member, last.clone());
+                tx.send(shard).map_err(|_| Halt::PeerGone)?;
+            }
+            Ok(())
+        })
+    }
+
+    /// (4) Students forward, loss and backward (lines 12–13): block i
+    /// learns to map boundary i − 1 (the input, for i = 0) to boundary i.
+    fn students(
+        &mut self,
+        step: usize,
+        input: &SharedTensor,
+        boundaries: &[SharedTensor],
+    ) -> Result<Vec<f32>, Halt> {
+        let students = boundaries.iter().enumerate().map(|(i, target)| {
+            let x = if i == 0 { input } else { &boundaries[i - 1] };
+            self.spanned(SpanKind::Student, Some(i), step, 0, |w| {
+                let s = &mut w.role.student_blocks[i];
+                let out = s.forward(x, Mode::Train)?;
+                let loss = mse_loss(&out, target)?;
                 s.backward_params(&loss.grad)?;
-                Ok::<_, Halt>(loss.loss)
-            })?;
-            step_losses.push(loss);
-        }
-        // Nothing below reads an activation: let them go before this
-        // thread blocks, so each is back with the recycler that issued it
-        // by the time that thread allocates the next step's.
-        drop((input, cur, boundaries));
+                Ok(loss.loss)
+            })
+        });
+        students.collect()
+    }
 
-        // (4) Gradient sharing within a widened stage (line 14). This
-        // member's handles to the averages are kept until its update is
-        // done: with that second holder every replica's `clear_grad` lets
-        // go of the shared buffer, whichever of them steps last.
-        let averaged = if role.width > 1 {
-            spanned(&mut rec, SpanKind::GradShare, None, step as u32, || {
-                share_gradients(role, &mut step_losses, abort)
-            })?
-        } else {
-            Vec::new()
+    /// (5) Gradient sharing within a widened stage (line 14). The caller
+    /// keeps this member's handles to the averages until its update is
+    /// done: with that second holder every replica's `clear_grad` lets go
+    /// of the shared buffer, whichever of them steps last.
+    fn share(
+        &mut self,
+        step: usize,
+        step_losses: &mut [f32],
+    ) -> Result<Vec<Vec<SharedTensor>>, Halt> {
+        if self.role.width == 1 {
+            return Ok(Vec::new());
+        }
+        self.spanned(SpanKind::GradShare, None, step, 0, |w| {
+            w.average(step_losses)
+        })
+    }
+
+    /// Averages the stage's gradients and losses across its members,
+    /// installs the averages, and returns this member's handles to them.
+    fn average(&mut self, step_losses: &mut [f32]) -> Result<Vec<Vec<SharedTensor>>, Halt> {
+        let (role, abort) = (&mut *self.role, &self.epoch.abort);
+        let (avg, avg_losses): GradBundle = match &role.grads {
+            GradLink::Solo => return Ok(Vec::new()),
+            GradLink::Leader { gather, broadcast } => {
+                // Gather, then fold in member order — arrival order is
+                // the schedule's, and the float sum must not depend on it.
+                // The average accumulates into the leader's own moved-out
+                // gradient storage, allocating nothing.
+                let mut others: Vec<GradMsg> = (1..role.width)
+                    .map(|_| recv_or_gone(gather, abort))
+                    .collect::<Result<_, _>>()?;
+                others.sort_by_key(|(member, ..)| *member);
+                let mut acc = take_grads(&mut role.student_blocks);
+                let mut loss_acc = step_losses.to_vec();
+                for (_, grads, l) in &others {
+                    for (ta, tg) in acc.iter_mut().flatten().zip(grads.iter().flatten()) {
+                        ta.add_assign(tg)?;
+                    }
+                    for (la, lb) in loss_acc.iter_mut().zip(l) {
+                        *la += lb;
+                    }
+                }
+                let inv = 1.0 / role.width as f32;
+                acc.iter_mut().flatten().for_each(|g| g.scale(inv));
+                loss_acc.iter_mut().for_each(|l| *l *= inv);
+                // Publish the averaged gradients behind shared handles;
+                // each send clones handles, not buffers.
+                let shared = acc
+                    .into_iter()
+                    .map(|b| b.into_iter().map(SharedTensor::new));
+                let bundle: GradBundle = (shared.map(Iterator::collect).collect(), loss_acc);
+                for tx in broadcast {
+                    tx.send(bundle.clone()).map_err(|_| Halt::PeerGone)?;
+                }
+                bundle
+            }
+            GradLink::Member {
+                to_leader,
+                averaged,
+            } => {
+                let grads = take_grads(&mut role.student_blocks);
+                let msg = (role.member, grads, step_losses.to_vec());
+                to_leader.send(msg).map_err(|_| Halt::PeerGone)?;
+                recv_or_gone(averaged, abort)?
+            }
         };
 
-        // (5) Barrier unless decoupled (line 15).
-        if !cfg.decoupled_updates {
-            spanned(&mut rec, SpanKind::Barrier, None, step as u32, || {
-                epoch.barrier_wait()
-            })?;
+        // Install the averaged gradients as clones — a refcount bump per
+        // param, not a copy. Every member of the stage points its params
+        // at the same averaged buffers; the optimizer consumes them in
+        // place (`Sgd::step` reads `Param::grad` without mutating and lets
+        // go of it), so the sharing path is copy-free end to end.
+        for (s, grads) in role.student_blocks.iter_mut().zip(avg.iter()) {
+            let mut grads = grads.iter();
+            s.visit_params(&mut |p| p.grad = Tensor::clone(grads.next().expect("one per param")));
         }
+        step_losses.copy_from_slice(&avg_losses);
+        Ok(avg)
+    }
 
-        // (6) Updates (line 16).
-        for (i, s) in role.student_blocks.iter_mut().enumerate() {
-            let block = Some((role.first_block + i) as u16);
-            spanned(&mut rec, SpanKind::Update, block, step as u32, || {
-                optims[i].step(s)?;
+    /// (6) The step barrier, unless updates are decoupled (line 15).
+    fn barrier(&mut self, step: usize) -> Result<(), Halt> {
+        if self.epoch.spec.cfg.decoupled_updates {
+            return Ok(());
+        }
+        self.spanned(SpanKind::Barrier, None, step, 0, |w| w.epoch.barrier_wait())
+    }
+
+    /// (7) Updates (line 16), and the step's losses into the history.
+    fn update(&mut self, step: usize, step_losses: &[f32]) -> Result<(), Halt> {
+        for (i, &loss) in step_losses.iter().enumerate() {
+            self.spanned(SpanKind::Update, Some(i), step, 0, |w| {
+                let s = &mut w.role.student_blocks[i];
+                w.optims[i].step(s)?;
                 pipebd_nn::zero_grad(s);
                 Ok::<_, Halt>(())
             })?;
-            losses[i].push(step_losses[i]);
+            self.losses[i].push(loss);
         }
-        drop(averaged);
-
-        // (7) Checkpoint capture at round boundaries: the capturing
-        // member streams its blocks' state to the assembly loop. A pending
-        // membership growth forces a capture at exactly the grow
-        // boundary (regardless of the policy interval), so the next
-        // epoch resumes from the joined round and the new rank never
-        // recomputes pre-join steps.
-        if let Some((policy, tx)) = capture {
-            let done = step + 1;
-            let grow_boundary =
-                driver.and_then(FaultDriver::grow_step) == Some(done) && done < cfg.steps;
-            if policy.due(done, cfg.steps) || grow_boundary {
-                spanned(&mut rec, SpanKind::Checkpoint, None, step as u32, || {
-                    for (i, s) in role.student_blocks.iter_mut().enumerate() {
-                        let state = checkpoint::capture_block(
-                            s,
-                            role.first_block + i,
-                            &optims[i],
-                            &losses[i],
-                        );
-                        // `run_epoch` holds the receiver until every
-                        // worker has exited.
-                        tx.send((done, state)).map_err(|_| {
-                            ExecError::BrokenInvariant("checkpoint assembly loop hung up".into())
-                        })?;
-                    }
-                    Ok::<_, ExecError>(())
-                })?;
-            }
-        }
+        Ok(())
     }
 
-    // With decoupled updates some threads may finish earlier; that is the
-    // point. The trained blocks go back by move.
-    Ok(WorkerEnd::Done(WorkerOut {
-        first_block: role.first_block,
-        member: role.member,
-        blocks: std::mem::take(&mut role.student_blocks),
-        losses,
-    }))
+    /// (8) Checkpoint capture at round boundaries: the capturing member
+    /// streams its blocks' state to the assembly loop when the policy is
+    /// due, and at the last round of an epoch that ends before the run
+    /// does, so the next epoch resumes from exactly there and a joined
+    /// rank never recomputes pre-join steps.
+    fn capture(&mut self, step: usize) -> Result<(), Halt> {
+        let (Some(tx), Some((policy, _))) = (self.capture, &self.epoch.hooks.checkpoint) else {
+            return Ok(());
+        };
+        let (done, steps) = (step + 1, self.epoch.spec.cfg.steps);
+        let bound = done == self.epoch.rounds.end && done < steps;
+        if !policy.due(done, steps) && !bound {
+            return Ok(());
+        }
+        self.spanned(SpanKind::Checkpoint, None, step, 0, |w| {
+            for (i, s) in w.role.student_blocks.iter_mut().enumerate() {
+                let block = w.role.first_block + i;
+                let state = checkpoint::capture_block(s, block, &w.optims[i], &w.losses[i]);
+                // `run_epoch` holds the receiver until every worker has
+                // exited.
+                tx.send((done, state)).map_err(|_| {
+                    ExecError::BrokenInvariant("checkpoint assembly loop hung up".into())
+                })?;
+            }
+            Ok(())
+        })
+    }
+
+    /// The clean end: the trained blocks and their loss histories, by
+    /// move.
+    fn done(self) -> WorkerOut {
+        WorkerOut {
+            first_block: self.role.first_block,
+            member: self.role.member,
+            blocks: std::mem::take(&mut self.role.student_blocks),
+            losses: self.losses,
+        }
+    }
 }
 
 /// Receives until every upstream member has a queued shard for the current
@@ -752,91 +862,16 @@ fn take_grads(blocks: &mut [Block]) -> Vec<Vec<Tensor>> {
         .collect()
 }
 
-/// Averages the stage's gradients and losses across its members, installs
-/// the averages, and returns this member's handles to them.
-fn share_gradients(
-    role: &mut DeviceRole,
-    step_losses: &mut [f32],
-    abort: &AtomicBool,
-) -> Result<Vec<Vec<SharedTensor>>, Halt> {
-    let (avg, avg_losses): GradBundle = match &role.grads {
-        GradLink::Solo => return Ok(Vec::new()),
-        GradLink::Leader { gather, broadcast } => {
-            // Gather, then fold in member order — arrival order is the
-            // schedule's, and the float sum must not depend on it. The
-            // average accumulates into the leader's own moved-out
-            // gradient storage, allocating nothing.
-            let mut others: Vec<GradMsg> = (1..role.width)
-                .map(|_| recv_or_gone(gather, abort))
-                .collect::<Result<_, _>>()?;
-            others.sort_by_key(|(member, ..)| *member);
-            let mut acc = take_grads(&mut role.student_blocks);
-            let mut loss_acc = step_losses.to_vec();
-            for (_, grads, l) in &others {
-                for (a, g) in acc.iter_mut().zip(grads) {
-                    for (ta, tg) in a.iter_mut().zip(g) {
-                        ta.add_assign(tg)?;
-                    }
-                }
-                for (la, lb) in loss_acc.iter_mut().zip(l) {
-                    *la += lb;
-                }
-            }
-            let inv = 1.0 / role.width as f32;
-            for g in acc.iter_mut().flatten() {
-                g.scale(inv);
-            }
-            for l in &mut loss_acc {
-                *l *= inv;
-            }
-            // Publish the averaged gradients behind shared handles; each
-            // send clones handles, not buffers.
-            let bundle: GradBundle = (
-                acc.into_iter()
-                    .map(|block| block.into_iter().map(SharedTensor::new).collect())
-                    .collect(),
-                loss_acc,
-            );
-            for tx in broadcast {
-                tx.send(bundle.clone()).map_err(|_| Halt::PeerGone)?;
-            }
-            bundle
-        }
-        GradLink::Member {
-            to_leader,
-            averaged,
-        } => {
-            let local = take_grads(&mut role.student_blocks);
-            to_leader
-                .send((role.member, local, step_losses.to_vec()))
-                .map_err(|_| Halt::PeerGone)?;
-            recv_or_gone(averaged, abort)?
-        }
-    };
-
-    // Install the averaged gradients as clones — a refcount bump per
-    // param, not a copy. Every member of the stage points its params at
-    // the same averaged buffers; the optimizer consumes them in place
-    // (`Sgd::step` reads `Param::grad` without mutating and lets go of
-    // it), so the sharing path is copy-free end to end.
-    for (s, grads) in role.student_blocks.iter_mut().zip(avg.iter()) {
-        let mut idx = 0usize;
-        s.visit_params(&mut |p| {
-            p.grad = Tensor::clone(&grads[idx]);
-            idx += 1;
-        });
-    }
-    step_losses.copy_from_slice(&avg_losses);
-    Ok(avg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::MemorySink;
     use crate::exec::{reference, SpecError};
     use pipebd_models::{mini_student_dsconv, mini_teacher, MiniConfig};
     use pipebd_sched::StagePlan;
+    use pipebd_sim::{FaultEvent, FaultScript};
     use pipebd_tensor::Rng64;
+    use pipebd_trace::TraceMode;
 
     fn setup(blocks: usize) -> (BlockNet, BlockNet, SyntheticImageDataset) {
         let cfg = MiniConfig {
@@ -990,6 +1025,111 @@ mod tests {
                 l.last().unwrap() < l.first().unwrap(),
                 "block {i} loss did not decrease"
             );
+        }
+    }
+
+    /// Hooks over a 2-worker script in which rank 2 joins at `join`, with
+    /// capture every round into a fresh sink and span tracing.
+    fn joining_hooks(join: u32) -> (RunHooks, Arc<MemorySink>, Arc<TraceCollector>) {
+        let script = FaultScript {
+            events: vec![FaultEvent::HostJoin {
+                rank: 2,
+                at_step: join,
+            }],
+        };
+        let timeline = script.timeline(3).unwrap();
+        let sink = Arc::new(MemorySink::default());
+        let trace = TraceCollector::new(TraceMode::Spans);
+        let hooks = RunHooks {
+            driver: Some(Arc::new(FaultDriver::new(&timeline, true).unwrap())),
+            checkpoint: Some((CheckpointPolicy::every(1), sink.clone())),
+            trace: Some(Arc::clone(&trace)),
+            ..RunHooks::default()
+        };
+        (hooks, sink, trace)
+    }
+
+    #[test]
+    fn a_join_inside_the_epoch_is_refused_before_any_thread_starts() {
+        let (teacher, student, data) = setup(4);
+        let cfg = FuncConfig {
+            steps: 6,
+            ..FuncConfig::default()
+        };
+        let (hooks, sink, trace) = joining_hooks(3);
+        let refused = run_hooked(&teacher, &student, &data, &cfg, &hooks);
+        assert!(
+            matches!(
+                refused,
+                Err(ExecError::Spec(SpecError::JoinInEpoch { join: 3, end: 6 }))
+            ),
+            "got {refused:?}"
+        );
+        let report = trace.drain();
+        assert_eq!(report.span_count(), 0, "a worker ran");
+        assert!(report.events.is_empty(), "a worker spawned");
+        assert!(sink.latest().unwrap().is_none(), "a checkpoint was stored");
+    }
+
+    #[test]
+    fn a_join_at_or_after_the_last_step_runs_to_completion() {
+        let (teacher, student, data) = setup(4);
+        let cfg = FuncConfig {
+            steps: 6,
+            ..FuncConfig::default()
+        };
+        let golden = reference::run(&teacher, &student, &data, &cfg).unwrap();
+        for join in [6, 9] {
+            let (hooks, sink, _) = joining_hooks(join);
+            let out = run_hooked(&teacher, &student, &data, &cfg, &hooks).unwrap();
+            assert_eq!(out.max_param_diff(&golden), 0.0, "join at {join}");
+            // The run's final round is not captured, whatever the bound.
+            let latest = sink.latest().unwrap().expect("rounds 1..6 captured");
+            assert_eq!(latest.round, 5, "join at {join}");
+        }
+    }
+
+    #[test]
+    fn each_step_records_its_spans_in_order_and_the_relay_its_volume() {
+        // Stage 0 (blocks 0–1, one device) relays to a width-2 stage 1.
+        let (teacher, student, data) = setup(4);
+        let cfg = FuncConfig {
+            devices: 3,
+            steps: 3,
+            plan: Some(StagePlan::from_widths(&[(2, 1), (2, 2)], 4, 3).unwrap()),
+            ..FuncConfig::default()
+        };
+        let trace = TraceCollector::new(TraceMode::Spans);
+        let hooks = RunHooks {
+            trace: Some(Arc::clone(&trace)),
+            ..RunHooks::default()
+        };
+        run_hooked(&teacher, &student, &data, &cfg, &hooks).unwrap();
+        let x = data.batch(0, cfg.batch).0;
+        let boundary = teacher.clone().forward_range(&x, 0, 2, Mode::Eval).unwrap();
+        let relay_bytes = (boundary.numel() * 4 * 2) as u64;
+        let report = trace.drain();
+        use SpanKind::{GradShare, Load, Relay, Student, Teacher, Update};
+        assert_eq!(report.tracks.len(), 3, "one track per device");
+        for track in &report.tracks {
+            let kinds: Vec<_> = track.spans.iter().map(|s| (s.step, s.kind)).collect();
+            let step = if track.device == 0 {
+                vec![
+                    Load, Teacher, Teacher, Relay, Student, Student, Update, Update,
+                ]
+            } else {
+                vec![
+                    Load, Teacher, Teacher, Student, Student, GradShare, Update, Update,
+                ]
+            };
+            let expect: Vec<_> = (0..3)
+                .flat_map(|s| step.iter().map(move |&k| (s, k)))
+                .collect();
+            assert_eq!(kinds, expect, "device {}", track.device);
+            for s in &track.spans {
+                let bytes = if s.kind == Relay { relay_bytes } else { 0 };
+                assert_eq!(s.bytes, bytes, "device {} {:?}", track.device, s.kind);
+            }
         }
     }
 

@@ -1,22 +1,57 @@
 //! The experiment facade: configure a workload + hardware once, then run
 //! any strategy and get a [`RunReport`].
 
-use pipebd_models::Workload;
+use pipebd_models::{ModelError, Workload};
 use pipebd_sched::{ahd, AhdDecision, CostModel, Profiler};
 use pipebd_sim::{render_gantt, simulate, Breakdown, HardwareConfig, SimTime};
 
-use crate::lower::{lower, Lowering};
+use crate::lower::{lower, Lowered, Lowering};
 use crate::memory::memory_per_rank;
 use crate::report::RunReport;
 use crate::strategy::Strategy;
 
-/// Error raised when building or running an experiment.
+/// Error raised when building or running an experiment: one variant per
+/// check of [`ExperimentBuilder::build`], and the layout failure of
+/// [`Experiment::run`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExperimentError(pub String);
+#[non_exhaustive]
+pub enum ExperimentError {
+    /// The hardware has no GPU.
+    NoDevices,
+    /// The global batch is 0.
+    EmptyBatch,
+    /// The global batch has fewer rows than there are devices.
+    BatchBelowDevices {
+        /// The global batch.
+        batch: usize,
+        /// The device count.
+        devices: usize,
+    },
+    /// The workload's model is not a chain of blocks.
+    Model(ModelError),
+    /// The strategy cannot be laid out on this configuration.
+    Layout {
+        /// The strategy that was asked for.
+        strategy: Strategy,
+        /// Why the lowering refused it.
+        reason: String,
+    },
+}
 
 impl std::fmt::Display for ExperimentError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "experiment error: {}", self.0)
+        f.write_str("experiment error: ")?;
+        match self {
+            ExperimentError::NoDevices => f.write_str("need at least one GPU"),
+            ExperimentError::EmptyBatch => f.write_str("batch size must be positive"),
+            ExperimentError::BatchBelowDevices { batch, devices } => {
+                write!(f, "batch {batch} smaller than device count {devices}")
+            }
+            ExperimentError::Model(e) => write!(f, "{e}"),
+            ExperimentError::Layout { strategy, reason } => {
+                write!(f, "{strategy} cannot be laid out: {reason}")
+            }
+        }
     }
 }
 
@@ -94,19 +129,20 @@ impl ExperimentBuilder {
     /// Returns [`ExperimentError`] for nonsensical configurations (no
     /// devices, zero batch, fewer batch rows than devices).
     pub fn build(self) -> Result<Experiment, ExperimentError> {
-        if self.hw.num_gpus == 0 {
-            return Err(ExperimentError("need at least one GPU".into()));
+        let (batch, devices) = (self.batch, self.hw.num_gpus);
+        if devices == 0 {
+            return Err(ExperimentError::NoDevices);
         }
-        if self.batch == 0 {
-            return Err(ExperimentError("batch size must be positive".into()));
+        if batch == 0 {
+            return Err(ExperimentError::EmptyBatch);
         }
-        if self.batch < self.hw.num_gpus {
-            return Err(ExperimentError(format!(
-                "batch {} smaller than device count {}",
-                self.batch, self.hw.num_gpus
-            )));
+        if batch < devices {
+            return Err(ExperimentError::BatchBelowDevices { batch, devices });
         }
-        self.workload.model.validate().map_err(ExperimentError)?;
+        self.workload
+            .model
+            .validate()
+            .map_err(ExperimentError::Model)?;
         Ok(Experiment {
             workload: self.workload,
             hw: self.hw,
@@ -153,8 +189,7 @@ impl Experiment {
     /// Returns [`ExperimentError`] if the strategy cannot be laid out on
     /// this configuration (e.g. plain TR with fewer blocks than devices).
     pub fn run(&self, strategy: Strategy) -> Result<RunReport, ExperimentError> {
-        let lowering = Lowering::new(&self.workload, &self.hw, self.batch, self.sim_rounds);
-        let lowered = lower(&lowering, strategy).map_err(ExperimentError)?;
+        let lowered = self.lower(strategy, self.sim_rounds)?;
         let run = simulate(&lowered.graph);
         let breakdown = Breakdown::from_run(&lowered.graph, &run);
         let memory = memory_per_rank(
@@ -200,11 +235,15 @@ impl Experiment {
     ///
     /// Same conditions as [`Experiment::run`].
     pub fn gantt(&self, strategy: Strategy, columns: usize) -> Result<String, ExperimentError> {
-        let rounds = 4;
-        let lowering = Lowering::new(&self.workload, &self.hw, self.batch, rounds);
-        let lowered = lower(&lowering, strategy).map_err(ExperimentError)?;
+        let lowered = self.lower(strategy, 4)?;
         let run = simulate(&lowered.graph);
         Ok(render_gantt(&lowered.graph, &run, columns))
+    }
+
+    /// Lays `strategy` out over `rounds` simulated rounds.
+    fn lower(&self, strategy: Strategy, rounds: u32) -> Result<Lowered, ExperimentError> {
+        let lowering = Lowering::new(&self.workload, &self.hw, self.batch, rounds);
+        lower(&lowering, strategy).map_err(|reason| ExperimentError::Layout { strategy, reason })
     }
 
     /// Runs the profiling pass and the AHD search, returning the decision
@@ -225,17 +264,67 @@ mod tests {
 
     #[test]
     fn builder_validates() {
-        assert!(ExperimentBuilder::nas_cifar10().devices(0).build().is_err());
-        assert!(ExperimentBuilder::nas_cifar10()
-            .batch_size(0)
-            .build()
-            .is_err());
-        assert!(ExperimentBuilder::nas_cifar10()
+        assert!(ExperimentBuilder::nas_cifar10().build().is_ok());
+    }
+
+    #[test]
+    fn no_devices_is_refused() {
+        let why = ExperimentBuilder::nas_cifar10().devices(0).build();
+        assert_eq!(why.unwrap_err(), ExperimentError::NoDevices);
+    }
+
+    #[test]
+    fn an_empty_batch_is_refused() {
+        let why = ExperimentBuilder::nas_cifar10().batch_size(0).build();
+        assert_eq!(why.unwrap_err(), ExperimentError::EmptyBatch);
+    }
+
+    #[test]
+    fn a_batch_below_the_device_count_is_refused() {
+        let why = ExperimentBuilder::nas_cifar10()
             .batch_size(2)
             .devices(4)
+            .build();
+        let why = why.unwrap_err();
+        assert_eq!(
+            why,
+            ExperimentError::BatchBelowDevices {
+                batch: 2,
+                devices: 4
+            }
+        );
+        assert_eq!(
+            why.to_string(),
+            "experiment error: batch 2 smaller than device count 4"
+        );
+    }
+
+    #[test]
+    fn a_broken_model_is_refused_with_its_own_error() {
+        let mut workload = Workload::synthetic(3, false);
+        workload.model.blocks.clear();
+        let why = ExperimentBuilder::new(workload).build().unwrap_err();
+        assert_eq!(why, ExperimentError::Model(ModelError::NoBlocks));
+        assert_eq!(why.to_string(), "experiment error: model has no blocks");
+    }
+
+    #[test]
+    fn a_strategy_with_no_layout_names_itself() {
+        // Plain teacher relaying needs a block per device: 2 blocks do not
+        // fill 4 devices.
+        let e = ExperimentBuilder::new(Workload::synthetic(2, false))
+            .sim_rounds(4)
             .build()
-            .is_err());
-        assert!(ExperimentBuilder::nas_cifar10().build().is_ok());
+            .unwrap();
+        for why in [
+            e.run(Strategy::TeacherRelaying).unwrap_err(),
+            e.gantt(Strategy::TeacherRelaying, 60).unwrap_err(),
+        ] {
+            assert!(
+                matches!(&why, ExperimentError::Layout { strategy: Strategy::TeacherRelaying, reason } if !reason.is_empty()),
+                "{why:?}"
+            );
+        }
     }
 
     #[test]

@@ -142,28 +142,77 @@ impl BlockModel {
 
     /// Validates boundary continuity: each block's input shape equals the
     /// previous block's output shape, and block 0 consumes the model input.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.blocks.is_empty() {
-            return Err("model has no blocks".to_string());
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`ModelError`] in that order.
+    pub fn validate(&self) -> Result<(), ModelError> {
+        let first = self.blocks.first().ok_or(ModelError::NoBlocks)?;
+        if first.in_shape != self.input_shape {
+            return Err(ModelError::Input {
+                block: first.in_shape,
+                model: self.input_shape,
+            });
         }
-        if self.blocks[0].in_shape != self.input_shape {
-            return Err(format!(
-                "block 0 input {} differs from model input {}",
-                self.blocks[0].in_shape, self.input_shape
-            ));
-        }
-        for i in 1..self.blocks.len() {
-            if self.blocks[i].in_shape != self.blocks[i - 1].out_shape {
-                return Err(format!(
-                    "boundary {i}: block input {} differs from previous output {}",
-                    self.blocks[i].in_shape,
-                    self.blocks[i - 1].out_shape
-                ));
+        for (i, pair) in self.blocks.windows(2).enumerate() {
+            if pair[1].in_shape != pair[0].out_shape {
+                return Err(ModelError::Boundary {
+                    boundary: i + 1,
+                    input: pair[1].in_shape,
+                    previous_output: pair[0].out_shape,
+                });
             }
         }
         Ok(())
     }
 }
+
+/// Why a [`BlockModel`] is not a chain of blocks: one variant per check
+/// of [`BlockModel::validate`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum ModelError {
+    /// The model has no blocks.
+    NoBlocks,
+    /// Block 0 does not consume the model input.
+    Input {
+        /// Block 0's input shape.
+        block: ActShape,
+        /// The model's input shape.
+        model: ActShape,
+    },
+    /// A block's input is not the previous block's output.
+    Boundary {
+        /// Index of the block whose input differs.
+        boundary: usize,
+        /// That block's input shape.
+        input: ActShape,
+        /// The previous block's output shape.
+        previous_output: ActShape,
+    },
+}
+
+impl std::fmt::Display for ModelError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ModelError::NoBlocks => f.write_str("model has no blocks"),
+            ModelError::Input { block, model } => {
+                write!(f, "block 0 input {block} differs from model input {model}")
+            }
+            ModelError::Boundary {
+                boundary,
+                input,
+                previous_output,
+            } => write!(
+                f,
+                "boundary {boundary}: block input {input} differs from previous output \
+                 {previous_output}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ModelError {}
 
 #[cfg(test)]
 mod tests {
@@ -203,8 +252,53 @@ mod tests {
     #[test]
     fn validate_rejects_broken_boundary() {
         let mut m = model();
+        let previous_output = m.blocks[0].out_shape;
         m.blocks[1].in_shape = ActShape::new(99, 1, 1);
-        assert!(m.validate().is_err());
+        let why = m.validate().unwrap_err();
+        assert_eq!(
+            why,
+            ModelError::Boundary {
+                boundary: 1,
+                input: ActShape::new(99, 1, 1),
+                previous_output,
+            }
+        );
+        assert_eq!(
+            why.to_string(),
+            format!(
+                "boundary 1: block input 99x1x1 differs from previous output {previous_output}"
+            )
+        );
+    }
+
+    #[test]
+    fn validate_rejects_an_empty_model() {
+        let m = BlockModel {
+            blocks: Vec::new(),
+            ..model()
+        };
+        assert_eq!(m.validate(), Err(ModelError::NoBlocks));
+        assert_eq!(ModelError::NoBlocks.to_string(), "model has no blocks");
+    }
+
+    #[test]
+    fn validate_rejects_a_foreign_input() {
+        let m = BlockModel {
+            input_shape: ActShape::new(1, 8, 8),
+            ..model()
+        };
+        let why = m.validate().unwrap_err();
+        assert_eq!(
+            why,
+            ModelError::Input {
+                block: ActShape::new(3, 8, 8),
+                model: ActShape::new(1, 8, 8),
+            }
+        );
+        assert_eq!(
+            why.to_string(),
+            "block 0 input 3x8x8 differs from model input 1x8x8"
+        );
     }
 
     #[test]

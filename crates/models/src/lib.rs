@@ -40,7 +40,7 @@ pub mod workload;
 
 pub use arch::{ActShape, LayerSpec, StackCost, StackSpec};
 pub use dataset::DatasetSpec;
-pub use descriptor::{BlockDescriptor, BlockModel};
+pub use descriptor::{BlockDescriptor, BlockModel, ModelError};
 pub use mini::{mini_student_dsconv, mini_student_supernet, mini_teacher, MiniConfig};
 pub use mobilenet_v2::InputVariant;
 pub use proxyless::nas_block_model;

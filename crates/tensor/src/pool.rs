@@ -18,9 +18,16 @@ fn rank4(t: &Tensor, op: &'static str) -> Result<(usize, usize, usize, usize), T
 ///
 /// # Errors
 ///
-/// Returns an error for non-rank-4 inputs.
+/// Returns an error for non-rank-4 inputs, and
+/// [`TensorError::InvalidArgument`] for an input with no rows or no
+/// columns: the mean of nothing is undefined.
 pub fn global_avg_pool(x: &Tensor) -> Result<Tensor, TensorError> {
     let (n, c, h, w) = rank4(x, "global_avg_pool")?;
+    if h == 0 || w == 0 {
+        return Err(TensorError::invalid(format!(
+            "global_avg_pool: no plane to average over a {h}x{w} input"
+        )));
+    }
     let inv = 1.0 / (h * w) as f32;
     let xd = x.data();
     let mut out = vec![0.0f32; n * c];
@@ -97,6 +104,12 @@ mod tests {
     fn pool_validations() {
         let v = Tensor::zeros(&[4]);
         assert!(global_avg_pool(&v).is_err()); // wrong rank
+        for dims in [[2, 3, 0, 4], [2, 3, 4, 0], [0, 3, 0, 0]] {
+            assert!(matches!(
+                global_avg_pool(&Tensor::zeros(&dims)),
+                Err(TensorError::InvalidArgument { .. })
+            ));
+        }
         let dy = Tensor::zeros(&[2, 3]);
         assert!(global_avg_pool_backward(&dy, &[2, 3, 4]).is_err());
         assert!(global_avg_pool_backward(&dy, &[3, 2, 4, 4]).is_err());

@@ -86,10 +86,14 @@ fn gated(dy: &Tensor, y: &Tensor, activation: Activation) -> Option<[Tensor; 2]>
 }
 
 /// [`global_avg_pool`] spelled out: each plane's sum times `1 / (h w)`.
+/// An input with no rows or no columns has no mean.
 fn pooled(x: &Tensor) -> Option<Tensor> {
     let &[n, c, h, w] = x.dims() else {
         return None;
     };
+    if h == 0 || w == 0 {
+        return None;
+    }
     let inv = 1.0 / (h * w) as f32;
     let planes = (0..n * c).map(|p| x.data()[p * h * w..][..h * w].iter().sum::<f32>() * inv);
     Tensor::from_vec(planes.collect(), &[n, c]).ok()

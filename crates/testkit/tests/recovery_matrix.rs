@@ -215,6 +215,38 @@ fn killed_rank_rejoining_two_rounds_later_replays_bitwise() {
 }
 
 #[test]
+fn a_loss_and_a_join_at_the_same_step_grow_once_and_restore_nothing() {
+    // The epoch ends at the join, so the loss at the same step never fires
+    // in it: the replan at that round drops the lost rank and admits the
+    // joiner in one pass, and the run resumes from the boundary checkpoint.
+    let script = FaultScript {
+        events: vec![
+            FaultEvent::HostLoss {
+                rank: 0,
+                at_step: 3,
+            },
+            FaultEvent::HostJoin {
+                rank: 2,
+                at_step: 3,
+            },
+        ],
+    };
+    let report = run_growth(&script, 6).expect("a same-step loss and join run");
+    assert_eq!(report.grows, 1, "the join grows the member set once");
+    assert_eq!(report.restores, 0, "the loss is resolved by the growth");
+    assert_eq!(report.resumed_rounds, vec![3], "resumed at the boundary");
+    assert!(!report.fell_back);
+    assert_eq!(report.final_devices, 2, "one rank lost, one admitted");
+    let ((teacher, student, data, func), _) = growth_fixture(6);
+    let golden = reference::run(&teacher, &student, &data, &func).unwrap();
+    assert_eq!(
+        report.outcome.max_param_diff(&golden),
+        0.0,
+        "width-1 growth must replay bitwise"
+    );
+}
+
+#[test]
 fn zero_restore_budget_surfaces_recovery_exhausted() {
     // A host loss with no restores allowed and no reference fallback has
     // nowhere to go: the run must end in the structured exhaustion error,

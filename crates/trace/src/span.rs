@@ -324,16 +324,6 @@ impl TrackRecorder {
         self.collector.now_ns()
     }
 
-    /// Whether `full`-mode extras are on.
-    pub fn full(&self) -> bool {
-        self.collector.full()
-    }
-
-    /// The shared metrics registry (record only when [`Self::full`]).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        self.collector.metrics()
-    }
-
     /// Records one span. When the ring is full the oldest span is
     /// overwritten, keeping the most recent window — steady-state
     /// summaries read the tail, so the tail must survive.
@@ -347,7 +337,7 @@ impl TrackRecorder {
         }
     }
 
-    /// Convenience: record a completed interval of `kind`.
+    /// Records a completed interval of `kind` carrying `bytes`.
     pub fn record_span(
         &mut self,
         kind: SpanKind,
@@ -355,6 +345,7 @@ impl TrackRecorder {
         step: u32,
         t0_ns: u64,
         t1_ns: u64,
+        bytes: u64,
     ) {
         self.record(Span {
             kind,
@@ -362,7 +353,7 @@ impl TrackRecorder {
             step,
             t0_ns,
             t1_ns,
-            bytes: 0,
+            bytes,
         });
     }
 }
