@@ -6,77 +6,53 @@
 //! runs student `i`, all-reduces gradients, and updates. Phases run
 //! back-to-back.
 
-use pipebd_sim::{Resource, TaskGraph, TaskId, TaskKind};
+use pipebd_sim::{Resource, SimTime, TaskGraph, TaskKind};
 
-use super::{Lowered, Lowering, PREFETCH_DEPTH};
+use super::{Loads, Lowered, Lowering};
 
 /// Emits the DP schedule: `rounds` rounds for each of the `B` phases.
 pub fn lower(l: &Lowering<'_>) -> Lowered {
     let n = l.hw.num_gpus;
     let b = l.workload.num_blocks();
-    let shard = l.batch.div_ceil(n);
+    let prices = l.at(l.batch.div_ceil(n));
+    // Per device and round: decode, consume, teacher prefix, student,
+    // share and update, each with one dependency but the share, which
+    // waits on all `n` students.
+    let rounds = b * l.rounds as usize;
     let mut g = TaskGraph::new(n);
-
-    // Per-device ring buffer of consume tasks for loader throttling.
-    let mut recent_consumes: Vec<Vec<TaskId>> = vec![Vec::new(); n];
+    g.reserve(6 * n * rounds, n * (n + 5) * rounds);
+    let mut loads = Loads::new(n);
+    let mut consumes = Vec::with_capacity(n);
+    let mut students = Vec::with_capacity(n);
+    // The whole teacher prefix 0..=phase, fused into one task (its
+    // duration is the sum of the per-block times).
+    let mut prefix = SimTime::ZERO;
 
     for phase in 0..b {
+        prefix += prices.teacher(phase);
+        let (student, update) = (prices.student(phase), l.update(phase));
+        let tag = Some(phase as u16);
+        // Gradient all-reduce is a collective: every device's share
+        // depends on every device's backward.
+        let grad_bytes = 4 * l.workload.model.blocks[phase].student_params;
+        let share_time = l.hw.pcie.allreduce_time(grad_bytes, n);
         for round in 0..l.rounds {
             let step = phase as u32 * l.rounds + round;
-            let mut students = Vec::with_capacity(n);
-            let mut teacher_deps = Vec::with_capacity(n);
+            consumes.clear();
+            students.clear();
             for d in 0..n {
-                let throttle = recent_consumes[d]
-                    .len()
-                    .checked_sub(PREFETCH_DEPTH)
-                    .map(|idx| recent_consumes[d][idx]);
-                let (_, consume) = l.emit_load(&mut g, d, shard, step, throttle);
-                recent_consumes[d].push(consume);
-                teacher_deps.push(consume);
+                consumes.push(loads.emit(&mut g, prices, d, step));
+            }
+            for (d, &consume) in consumes.iter().enumerate() {
+                let gpu = Resource::Gpu(d);
+                let teach = g.add_tagged(gpu, TaskKind::Teacher, prefix, &[consume], tag, step);
+                students.push(g.add_tagged(gpu, TaskKind::Student, student, &[teach], tag, step));
             }
             for d in 0..n {
-                // The whole teacher prefix 0..=phase, fused into one task
-                // (its duration is the sum of the per-block times).
-                let prefix: pipebd_sim::SimTime = (0..=phase).map(|k| l.teacher(k, shard)).sum();
-                let teach = g.add_tagged(
-                    Resource::Gpu(d),
-                    TaskKind::Teacher,
-                    prefix,
-                    vec![teacher_deps[d]],
-                    Some(phase as u16),
-                    step,
-                );
-                let stu = g.add_tagged(
-                    Resource::Gpu(d),
-                    TaskKind::Student,
-                    l.student(phase, shard),
-                    vec![teach],
-                    Some(phase as u16),
-                    step,
-                );
-                students.push(stu);
-            }
-            // Gradient all-reduce is a collective: every device's share
-            // depends on every device's backward.
-            let grad_bytes = 4 * l.workload.model.blocks[phase].student_params;
-            let share_time = l.hw.pcie.allreduce_time(grad_bytes, n);
-            for d in 0..n {
-                let share = g.add_tagged(
-                    Resource::Gpu(d),
-                    TaskKind::GradShare,
-                    share_time,
-                    students.clone(),
-                    Some(phase as u16),
-                    step,
-                );
-                g.add_tagged(
-                    Resource::Gpu(d),
-                    TaskKind::Update,
-                    l.update(phase),
-                    vec![share],
-                    Some(phase as u16),
-                    step,
-                );
+                let gpu = Resource::Gpu(d);
+                let share =
+                    g.add_tagged(gpu, TaskKind::GradShare, share_time, &students, tag, step);
+                g.add_tagged(gpu, TaskKind::Update, update, &[share], tag, step);
             }
         }
     }
@@ -129,7 +105,7 @@ mod tests {
         let lowered = lower(&l);
         let run = simulate(&lowered.graph);
         let bd = Breakdown::from_run(&lowered.graph, &run);
-        let one_pass: f64 = (0..6).map(|k| l.teacher(k, 64).as_secs_f64()).sum();
+        let one_pass: f64 = (0..6).map(|k| l.at(64).teacher(k).as_secs_f64()).sum();
         let simulated = bd.ranks[0].teacher.as_secs_f64();
         assert!(
             simulated > 3.0 * one_pass,

@@ -34,6 +34,8 @@ pub fn simulate_with_epoch_sync(
     epochs: u32,
     rounds_per_epoch: u32,
 ) -> EpochSyncReport {
+    // An empty schedule has no makespan to take an overhead against; the
+    // callers are the sync-overhead experiments, which pass constants.
     assert!(epochs > 0 && rounds_per_epoch > 0, "need work to simulate");
 
     // Boundary-free reference: one long pipeline.
@@ -79,24 +81,19 @@ fn append_validation_pass(l: &Lowering<'_>, plan: &StagePlan, graph: &mut TaskGr
         last
     };
     let all_last: Vec<TaskId> = last_per_device.iter().flatten().copied().collect();
-    let shard = l.batch.div_ceil(graph.num_gpus());
+    let prices = l.at(l.batch.div_ceil(graph.num_gpus()));
+    // Validation: full model forward (teacher reference + student) on
+    // each device's shard.
+    let eval_time: SimTime = (0..plan.num_blocks)
+        .map(|b| {
+            // Student eval forward ≈ one third of fwd+bwd cost.
+            let stu_fwd = SimTime::from_secs_f64(prices.student(b).as_secs_f64() / 3.0);
+            prices.teacher(b) + stu_fwd
+        })
+        .sum();
     for d in 0..graph.num_gpus() {
-        let sync = graph.add(
-            Resource::Gpu(d),
-            TaskKind::Sync,
-            SimTime::ZERO,
-            all_last.clone(),
-        );
-        // Validation: full model forward (teacher reference + student) on
-        // this device's shard.
-        let eval_time: SimTime = (0..plan.num_blocks)
-            .map(|b| {
-                // Student eval forward ≈ one third of fwd+bwd cost.
-                let stu_fwd = SimTime::from_secs_f64(l.student(b, shard).as_secs_f64() / 3.0);
-                l.teacher(b, shard) + stu_fwd
-            })
-            .sum();
-        graph.add(Resource::Gpu(d), TaskKind::Teacher, eval_time, vec![sync]);
+        let sync = graph.add(Resource::Gpu(d), TaskKind::Sync, SimTime::ZERO, &all_last);
+        graph.add(Resource::Gpu(d), TaskKind::Teacher, eval_time, &[sync]);
     }
 }
 

@@ -60,6 +60,9 @@ impl FaultLowered {
     /// The segment in force at the end of the schedule (steady state for
     /// scripts whose last change step precedes the final round).
     pub fn final_segment(&self) -> &FaultSegment {
+        // `lower_faulted` always opens a segment at round 0 (a healthy or
+        // replanned start, or the static incumbent); only a hand-built
+        // value can lack one.
         self.segments
             .last()
             .expect("lower_faulted emits >= 1 segment")
@@ -161,9 +164,10 @@ pub fn lower_faulted(
     let mut total_overhead = SimTime::ZERO;
     // Every task of the most recently emitted round (splice barrier deps).
     let mut prev_round_ids: Vec<TaskId> = Vec::new();
+    let mut splice_deps: Vec<TaskId> = Vec::new();
     for (i, seg) in segments.iter().enumerate() {
         let end = segments.get(i + 1).map_or(l.rounds, |nx| nx.start_round);
-        let mut splice_deps: Vec<TaskId> = Vec::new();
+        splice_deps.clear();
         if i > 0 {
             total_overhead += seg.overhead;
             for &p in &seg.device_map {
@@ -171,22 +175,18 @@ pub fn lower_faulted(
                     Resource::Gpu(p),
                     TaskKind::Replan,
                     seg.overhead,
-                    prev_round_ids.clone(),
+                    &prev_round_ids,
                     None,
                     seg.start_round,
                 );
                 splice_deps.push(id);
             }
         }
-        for round in seg.start_round..end {
-            let mark = em.graph.len();
-            let gate: &[TaskId] = if round == seg.start_round {
-                &splice_deps
-            } else {
-                &[]
-            };
-            em.emit_round(&seg.plan, true, round, &seg.device_map, gate);
-            prev_round_ids = em.graph.iter().skip(mark).map(|(id, _)| id).collect();
+        let rounds = seg.start_round..end;
+        if !rounds.is_empty() {
+            let mark = em.emit_rounds(&seg.plan, true, rounds, &seg.device_map, &splice_deps);
+            prev_round_ids.clear();
+            prev_round_ids.extend(em.graph.iter().skip(mark).map(|(id, _)| id));
         }
     }
 
@@ -202,7 +202,7 @@ mod tests {
     use super::*;
     use crate::lower::relay::lower_plan;
     use pipebd_models::Workload;
-    use pipebd_sched::{ahd, Profiler};
+    use pipebd_sched::ahd;
     use pipebd_sim::{simulate_faulted, FaultEvent, HardwareConfig};
 
     fn ctx<'a>(w: &'a Workload, hw: &'a HardwareConfig, rounds: u32) -> Lowering<'a> {
@@ -210,9 +210,7 @@ mod tests {
     }
 
     fn incumbent(l: &Lowering<'_>) -> StagePlan {
-        let table =
-            Profiler::new(l.cost.clone()).profile(&l.workload.model, l.batch, l.hw.num_gpus);
-        ahd::search(l.workload, &table, l.hw, l.batch).plan
+        ahd::search(l.workload, l.table(), l.hw, l.batch).plan
     }
 
     fn assert_graphs_equal(a: &TaskGraph, b: &TaskGraph) {
@@ -222,7 +220,7 @@ mod tests {
             assert_eq!(ta.resource, tb.resource, "task {ia:?}");
             assert_eq!(ta.kind, tb.kind, "task {ia:?}");
             assert_eq!(ta.duration, tb.duration, "task {ia:?}");
-            assert_eq!(ta.deps, tb.deps, "task {ia:?}");
+            assert_eq!(a.deps(ia), b.deps(ib), "task {ia:?}");
             assert_eq!(ta.block, tb.block, "task {ia:?}");
             assert_eq!(ta.step, tb.step, "task {ia:?}");
         }

@@ -43,11 +43,11 @@ mod tests {
         let run = simulate(&lowered.graph);
         let bd = Breakdown::from_run(&lowered.graph, &run);
         // Each rank runs the full teacher once at shard size.
-        let per_rank: f64 = (0..6).map(|k| l.teacher(k, 64).as_secs_f64()).sum();
+        let per_rank: f64 = (0..6).map(|k| l.at(64).teacher(k).as_secs_f64()).sum();
         assert!((bd.ranks[0].teacher.as_secs_f64() - per_rank).abs() < 1e-9);
         // Four ranks at batch 64 do more total teacher-time than one full
         // batch-256 pass (occupancy loss) — the paper's IR caveat.
-        let full: f64 = (0..6).map(|k| l.teacher(k, 256).as_secs_f64()).sum();
+        let full: f64 = (0..6).map(|k| l.at(256).teacher(k).as_secs_f64()).sum();
         let total = 4.0 * per_rank;
         assert!(total > full, "IR must pay the small-batch penalty");
     }

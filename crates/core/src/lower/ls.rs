@@ -6,62 +6,56 @@
 //! communication. Imbalance appears when few, very unequal blocks must be
 //! packed — the paper's explanation for LS losing to DP on ImageNet.
 
-use pipebd_sched::{ls, Profiler};
-use pipebd_sim::{Resource, SimTime, TaskGraph, TaskId, TaskKind};
+use pipebd_sched::{ls, CostModel, Profiler};
+use pipebd_sim::{Resource, SimTime, TaskGraph, TaskKind};
 
-use super::{Lowered, Lowering, PREFETCH_DEPTH};
+use super::{Loads, Lowered, Lowering};
 
 /// Emits the LS schedule: `rounds` rounds, each device running its packed
 /// block tasks sequentially.
 pub fn lower(l: &Lowering<'_>) -> Lowered {
     let n = l.hw.num_gpus;
-    // Pack using the same profile the AHD search would see.
-    let table = Profiler::new(l.cost.clone()).profile(&l.workload.model, l.batch, n);
+    // Pack using the same analytic profile the AHD search would see.
+    let cost = CostModel::new(l.hw.gpu.clone());
+    let table = Profiler::new(cost).profile(&l.workload.model, l.batch, n);
     let assignment = ls::pack(l.workload, &table, n, l.batch);
 
+    let prices = l.at(l.batch);
+    // Independent tasks: block `k`'s re-runs the teacher prefix 0..=k.
+    let prefix: Vec<SimTime> = (0..l.workload.num_blocks())
+        .scan(SimTime::ZERO, |sum, k| {
+            *sum += prices.teacher(k);
+            Some(*sum)
+        })
+        .collect();
+    // Per round: a decode and a consume per loading device, then a
+    // teacher, student and update per packed block, one dependency each.
+    let loading = assignment.device_blocks.iter().filter(|b| !b.is_empty());
+    let per_round = 2 * loading.count() + 3 * l.workload.num_blocks();
     let mut g = TaskGraph::new(n);
-    let mut recent_consumes: Vec<Vec<TaskId>> = vec![Vec::new(); n];
+    g.reserve(per_round * l.rounds as usize, per_round * l.rounds as usize);
+    let mut loads = Loads::new(n);
 
     for round in 0..l.rounds {
-        for d in 0..n {
-            if assignment.device_blocks[d].is_empty() {
+        for (d, blocks) in assignment.device_blocks.iter().enumerate() {
+            if blocks.is_empty() {
                 continue;
             }
-            let throttle = recent_consumes[d]
-                .len()
-                .checked_sub(PREFETCH_DEPTH)
-                .map(|idx| recent_consumes[d][idx]);
-            let (_, consume) = l.emit_load(&mut g, d, l.batch, round, throttle);
-            recent_consumes[d].push(consume);
-            let mut prev = consume;
-            for &block in &assignment.device_blocks[d] {
-                // Independent task: teacher prefix up to `block` re-runs.
-                let prefix: SimTime = (0..=block).map(|k| l.teacher(k, l.batch)).sum();
-                let teach = g.add_tagged(
-                    Resource::Gpu(d),
-                    TaskKind::Teacher,
-                    prefix,
-                    vec![prev],
-                    Some(block as u16),
-                    round,
-                );
+            let gpu = Resource::Gpu(d);
+            let mut prev = loads.emit(&mut g, prices, d, round);
+            for &block in blocks {
+                let tag = Some(block as u16);
+                let teach =
+                    g.add_tagged(gpu, TaskKind::Teacher, prefix[block], &[prev], tag, round);
                 let stu = g.add_tagged(
-                    Resource::Gpu(d),
+                    gpu,
                     TaskKind::Student,
-                    l.student(block, l.batch),
-                    vec![teach],
-                    Some(block as u16),
+                    prices.student(block),
+                    &[teach],
+                    tag,
                     round,
                 );
-                let upd = g.add_tagged(
-                    Resource::Gpu(d),
-                    TaskKind::Update,
-                    l.update(block),
-                    vec![stu],
-                    Some(block as u16),
-                    round,
-                );
-                prev = upd;
+                prev = g.add_tagged(gpu, TaskKind::Update, l.update(block), &[stu], tag, round);
             }
         }
     }

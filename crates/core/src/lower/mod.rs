@@ -4,6 +4,15 @@
 //! diagrams: [`dp`] (Fig. 3a), [`relay`] (Fig. 3b–d, parameterized by the
 //! stage plan and the DPU flag — internal relaying, [`ir`], is its
 //! every-block-batch-split plan), and [`ls`] (the layerwise baseline).
+//!
+//! Like the paper's profiler, a [`Lowering`] prices every block once and
+//! then schedules from the table: its context holds one [`ProfileTable`]
+//! (the analytic one, or a measured one from [`Lowering::with_profile`])
+//! plus the loader's times per shard size, and every emitter reads its
+//! durations from it through `Prices`, one column per per-device batch.
+//! The searches that pick a plan (LS packing, AHD) keep profiling the
+//! analytic [`CostModel`] themselves, so a measured table prices a
+//! schedule without steering which schedule is chosen.
 
 pub mod dp;
 pub mod epochs;
@@ -12,8 +21,10 @@ pub mod ir;
 pub mod ls;
 pub mod relay;
 
+use std::borrow::Cow;
+
 use pipebd_models::Workload;
-use pipebd_sched::{CostModel, LsAssignment, ProfileTable, StagePlan};
+use pipebd_sched::{CostModel, LsAssignment, ProfileTable, Profiler, StagePlan};
 use pipebd_sim::{HardwareConfig, Resource, SimTime, TaskGraph, TaskId, TaskKind};
 
 use crate::strategy::Strategy;
@@ -22,106 +33,156 @@ use crate::strategy::Strategy;
 /// (PyTorch-style bounded prefetching).
 pub const PREFETCH_DEPTH: usize = 4;
 
-/// Shared lowering context.
+/// Shared lowering context: what is trained, where, at which batch, and
+/// the price table, built with the context, that every emitter reads.
 #[derive(Debug, Clone)]
 pub struct Lowering<'a> {
-    /// The workload being trained.
-    pub workload: &'a Workload,
-    /// The simulated server.
-    pub hw: &'a HardwareConfig,
-    /// Block-level timing model (must match the profiler's).
-    pub cost: CostModel,
-    /// Global batch size.
-    pub batch: usize,
+    workload: &'a Workload,
+    hw: &'a HardwareConfig,
+    batch: usize,
     /// Number of forward/backward rounds to emit (for DP: per phase).
     pub rounds: u32,
-    /// Measured per-block timing override. When set, block durations come
-    /// from this profile instead of the analytic [`CostModel`] — the trace
-    /// plane replays an *observed* executor run through the simulator this
-    /// way. `None` (the default) leaves lowering bit-identical to before.
-    pub profile: Option<&'a ProfileTable>,
+    table: Cow<'a, ProfileTable>,
+    /// Loader decode and consume time of one shard, per column of `table`.
+    load: Vec<(SimTime, SimTime)>,
+}
+
+/// The prices at one per-device batch: a column of the context's table,
+/// resolved once by [`Lowering::at`], then indexed per task.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Prices<'p> {
+    table: &'p ProfileTable,
+    column: usize,
+    decode: SimTime,
+    consume: SimTime,
+}
+
+impl Prices<'_> {
+    /// Teacher forward duration of `block`.
+    pub(crate) fn teacher(&self, block: usize) -> SimTime {
+        self.table.teacher_rows()[block][self.column]
+    }
+
+    /// Student forward + backward duration of `block`.
+    pub(crate) fn student(&self, block: usize) -> SimTime {
+        self.table.student_rows()[block][self.column]
+    }
 }
 
 impl<'a> Lowering<'a> {
-    /// Creates a lowering context.
+    /// Creates a lowering context, pricing every block at each per-device
+    /// batch `⌈batch/m⌉`, `m = 1..=hw.num_gpus`, through the analytic
+    /// [`CostModel`] of the server's GPU.
     pub fn new(workload: &'a Workload, hw: &'a HardwareConfig, batch: usize, rounds: u32) -> Self {
-        Lowering {
+        let cost = CostModel::new(hw.gpu.clone());
+        let table = Profiler::new(cost).profile(&workload.model, batch, hw.num_gpus);
+        let (table, load) = (Cow::Owned(table), Vec::new());
+        let l = Lowering {
             workload,
             hw,
-            cost: CostModel::new(hw.gpu.clone()),
             batch,
             rounds,
-            profile: None,
-        }
+            table,
+            load,
+        };
+        l.priced()
     }
 
     /// Returns this context with block durations taken from a measured
-    /// profile (see [`Lowering::profile`]).
+    /// profile instead: the trace plane replays an *observed* executor run
+    /// through the simulator this way. The profile must price the
+    /// per-device batches of whatever is lowered from the context (a run's
+    /// measured profile prices its own plan's stages).
     #[must_use]
-    pub fn with_profile(mut self, profile: &'a ProfileTable) -> Self {
-        self.profile = Some(profile);
+    pub fn with_profile(self, profile: &'a ProfileTable) -> Self {
+        let table = Cow::Borrowed(profile);
+        Lowering { table, ..self }.priced()
+    }
+
+    /// Prices the loader at each batch size of the table.
+    fn priced(mut self) -> Self {
+        let (host, data) = (&self.hw.host, &self.workload.dataset);
+        let load = self.table.batch_sizes().iter().map(|&samples| {
+            let bytes = samples as u64 * data.sample_bytes();
+            let decode = host.decode_time(samples, data.decode_us_per_sample);
+            (decode, host.consume_time(samples, bytes, &self.hw.pcie))
+        });
+        self.load = load.collect();
         self
     }
 
-    /// Emits the decode (loader pool) and consume (device-side collate +
-    /// H2D copy) tasks for one batch of `samples` on device `device`.
+    /// The price table the emitters read.
+    pub fn table(&self) -> &ProfileTable {
+        &self.table
+    }
+
+    /// The prices at per-device batch `batch`.
     ///
-    /// `throttle` is the consume task `PREFETCH_DEPTH` batches ago on the
-    /// same consumer, bounding how far the loader runs ahead.
-    pub(crate) fn emit_load(
-        &self,
-        g: &mut TaskGraph,
-        device: usize,
-        samples: usize,
-        step: u32,
-        throttle: Option<TaskId>,
-    ) -> (TaskId, TaskId) {
-        let decode = g.add_tagged(
-            Resource::Loader,
-            TaskKind::Load,
-            self.hw
-                .host
-                .decode_time(samples, self.workload.dataset.decode_us_per_sample),
-            throttle.into_iter().collect(),
-            None,
-            step,
-        );
-        let bytes = samples as u64 * self.workload.dataset.sample_bytes();
-        let consume = g.add_tagged(
-            Resource::Gpu(device),
-            TaskKind::Load,
-            self.hw.host.consume_time(samples, bytes, &self.hw.pcie),
-            vec![decode],
-            None,
-            step,
-        );
-        (decode, consume)
-    }
-
-    /// Teacher execution duration for one block at a per-device batch.
-    pub(crate) fn teacher(&self, block: usize, batch: usize) -> SimTime {
-        if let Some(p) = self.profile {
-            return p.teacher_time(block, batch);
+    /// # Panics
+    ///
+    /// Panics if the table has no column for `batch`. Emitters ask for
+    /// `⌈batch/w⌉` with `w` a stage width, at most `hw.num_gpus` (DP: `n`,
+    /// LS: 1), all of which [`Lowering::new`] prices; a measured table must
+    /// price what is lowered from it ([`Lowering::with_profile`]).
+    pub(crate) fn at(&self, batch: usize) -> Prices<'_> {
+        let column = self.table.column(batch).unwrap_or_else(|e| panic!("{e}"));
+        let (decode, consume) = self.load[column];
+        Prices {
+            table: &self.table,
+            column,
+            decode,
+            consume,
         }
-        self.cost
-            .teacher_time(&self.workload.model.blocks[block], batch)
-    }
-
-    /// Student execution duration for one block at a per-device batch.
-    pub(crate) fn student(&self, block: usize, batch: usize) -> SimTime {
-        if let Some(p) = self.profile {
-            return p.student_time(block, batch);
-        }
-        self.cost
-            .student_time(&self.workload.model.blocks[block], batch)
     }
 
     /// Update duration for one block.
     pub(crate) fn update(&self, block: usize) -> SimTime {
-        if let Some(p) = self.profile {
-            return p.update_time(block);
-        }
-        self.cost.update_time(&self.workload.model.blocks[block])
+        self.table.update_row()[block]
+    }
+}
+
+/// The loader's bounded prefetch: per consumer rank, its last
+/// [`PREFETCH_DEPTH`] consume tasks, oldest first.
+pub(crate) struct Loads(Vec<[Option<TaskId>; PREFETCH_DEPTH]>);
+
+impl Loads {
+    pub(crate) fn new(ranks: usize) -> Self {
+        Loads(vec![[None; PREFETCH_DEPTH]; ranks])
+    }
+
+    /// Emits the decode (loader pool) and consume (device-side collate +
+    /// H2D copy) tasks of one shard at `prices`' batch on rank `device`,
+    /// and returns the consume. The decode waits for the rank's consume
+    /// [`PREFETCH_DEPTH`] batches back, bounding how far the loader runs
+    /// ahead.
+    pub(crate) fn emit(
+        &mut self,
+        g: &mut TaskGraph,
+        prices: Prices<'_>,
+        device: usize,
+        step: u32,
+    ) -> TaskId {
+        let recent = &mut self.0[device];
+        let throttle = recent[0].as_slice();
+        let decode = g.add_tagged(
+            Resource::Loader,
+            TaskKind::Load,
+            prices.decode,
+            throttle,
+            None,
+            step,
+        );
+        let consume = g.add_tagged(
+            Resource::Gpu(device),
+            TaskKind::Load,
+            prices.consume,
+            &[decode],
+            None,
+            step,
+        );
+        recent.rotate_left(1);
+        recent[PREFETCH_DEPTH - 1] = Some(consume);
+        consume
     }
 }
 

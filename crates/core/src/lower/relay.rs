@@ -9,10 +9,12 @@
 //! global barrier precedes the updates; with DPU each block updates
 //! immediately and the next round starts as soon as input is available.
 
-use pipebd_sched::{ahd, Profiler, StagePlan};
+use std::ops::Range;
+
+use pipebd_sched::{ahd, CostModel, Profiler, StagePlan};
 use pipebd_sim::{Resource, TaskGraph, TaskId, TaskKind};
 
-use super::{Lowered, Lowering, PREFETCH_DEPTH};
+use super::{Loads, Lowered, Lowering};
 
 /// Lowers plain teacher relaying (optionally with DPU) on the naive
 /// contiguous plan.
@@ -30,12 +32,16 @@ pub fn lower_contiguous(l: &Lowering<'_>, dpu: bool) -> Result<Lowered, String> 
 /// Lowers the full Pipe-BD schedule: profile, search hybrid plans, then
 /// emit the chosen plan with DPU.
 ///
+/// The search profiles the analytic cost model itself, whatever table
+/// prices the emitted tasks.
+///
 /// # Errors
 ///
 /// Currently infallible in practice (the hybrid space is never empty); the
 /// `Result` mirrors [`lower_contiguous`] for a uniform dispatch signature.
 pub fn lower_ahd(l: &Lowering<'_>) -> Result<Lowered, String> {
-    let table = Profiler::new(l.cost.clone()).profile(&l.workload.model, l.batch, l.hw.num_gpus);
+    let cost = CostModel::new(l.hw.gpu.clone());
+    let table = Profiler::new(cost).profile(&l.workload.model, l.batch, l.hw.num_gpus);
     let decision = ahd::search(l.workload, &table, l.hw, l.batch);
     Ok(lower_plan(l, &decision.plan, true))
 }
@@ -51,8 +57,8 @@ pub fn lower_ahd(l: &Lowering<'_>) -> Result<Lowered, String> {
 pub(crate) struct RoundEmitter<'l, 'a> {
     l: &'l Lowering<'a>,
     pub(crate) graph: TaskGraph,
-    /// Consume tasks per *physical* rank (prefetch throttling).
-    recent_consumes: Vec<Vec<TaskId>>,
+    /// Prefetch throttling per *physical* rank.
+    loads: Loads,
     /// Update tasks of the previous round (barrier deps when `!dpu`).
     prev_round_updates: Vec<TaskId>,
 }
@@ -63,9 +69,37 @@ impl<'l, 'a> RoundEmitter<'l, 'a> {
         RoundEmitter {
             l,
             graph: TaskGraph::new(n),
-            recent_consumes: vec![Vec::new(); n],
+            loads: Loads::new(n),
             prev_round_updates: Vec::new(),
         }
+    }
+
+    /// Emits `rounds` of `plan`, the first gated by `gate` (see
+    /// [`RoundEmitter::emit_round`]), and returns the index of the last
+    /// round's first task. Later rounds take the first one's size, plus a
+    /// prefetch throttle per device, so it reserves them.
+    pub(crate) fn emit_rounds(
+        &mut self,
+        plan: &StagePlan,
+        dpu: bool,
+        rounds: Range<u32>,
+        map: &[usize],
+        gate: &[TaskId],
+    ) -> usize {
+        let (tasks, edges) = (self.graph.len(), self.graph.num_edges());
+        let mut mark = tasks;
+        for round in rounds.clone() {
+            mark = self.graph.len();
+            let first = round == rounds.start;
+            self.emit_round(plan, dpu, round, map, if first { gate } else { &[] });
+            if first {
+                let rest = (rounds.end - round - 1) as usize;
+                let added = self.graph.len() - tasks;
+                let linked = self.graph.num_edges() - edges + self.l.hw.num_gpus;
+                self.graph.reserve(rest * added, rest * linked);
+            }
+        }
+        mark
     }
 
     /// Emits one round of `plan`.
@@ -84,73 +118,75 @@ impl<'l, 'a> RoundEmitter<'l, 'a> {
         map: &[usize],
         extra_deps: &[TaskId],
     ) {
-        let l = self.l;
-        let g = &mut self.graph;
+        let RoundEmitter {
+            l,
+            graph: g,
+            loads,
+            prev_round_updates,
+        } = self;
         // Boundary sends of the previous stage within this round.
         let mut prev_stage_sends: Vec<TaskId> = Vec::new();
         let mut this_round_students: Vec<TaskId> = Vec::new();
         // Deferred update emission for the barrier (non-DPU) case:
         // (logical device, block, deps-so-far).
         let mut pending_updates: Vec<(usize, usize, TaskId)> = Vec::new();
+        // The dependency list being assembled for the next task.
+        let mut deps: Vec<TaskId> = Vec::new();
 
         for stage in &plan.stages {
             let db = stage.device_batch(l.batch);
+            let prices = l.at(db);
             // Each member's last student: its backwards run in order on
             // one stream, so that one finishing means all of them have.
             let mut member_lasts: Vec<TaskId> = Vec::with_capacity(stage.width());
             let mut stage_sends: Vec<TaskId> = Vec::new();
+            // Relay the boundary activation onward, unless this stage
+            // holds the last block.
+            let last_block = stage.first_block + stage.num_blocks - 1;
+            let send_time = (last_block + 1 < plan.num_blocks).then(|| {
+                let bytes = l.workload.model.blocks[last_block].boundary_bytes() * db as u64;
+                l.hw.pcie.transfer_time(bytes)
+            });
 
             for &d in &stage.devices {
                 let p = map[d];
+                let gpu = Resource::Gpu(p);
                 // Input: load for stage 0, relay receive otherwise.
-                let mut input_deps: Vec<TaskId> = if stage.first_block == 0 {
-                    let throttle = self.recent_consumes[p]
-                        .len()
-                        .checked_sub(PREFETCH_DEPTH)
-                        .map(|idx| self.recent_consumes[p][idx]);
-                    let (_, consume) = l.emit_load(g, p, db, round, throttle);
-                    self.recent_consumes[p].push(consume);
-                    let mut deps = vec![consume];
+                deps.clear();
+                if stage.first_block == 0 {
+                    deps.push(loads.emit(g, prices, p, round));
                     deps.extend_from_slice(extra_deps);
-                    deps
                 } else {
-                    prev_stage_sends.clone()
-                };
+                    deps.extend_from_slice(&prev_stage_sends);
+                }
                 // Without DPU the new round may not start before the global
                 // barrier of the previous round resolved.
                 if !dpu {
-                    input_deps.extend(self.prev_round_updates.iter().copied());
+                    deps.extend_from_slice(prev_round_updates);
                 }
 
-                // Teacher chain over the stage's blocks.
-                let mut last_teacher = None;
-                for b in stage.blocks() {
-                    let deps = match last_teacher {
-                        None => std::mem::take(&mut input_deps),
-                        Some(t) => vec![t],
-                    };
-                    let teach = g.add_tagged(
-                        Resource::Gpu(p),
-                        TaskKind::Teacher,
-                        l.teacher(b, db),
-                        deps,
-                        Some(b as u16),
-                        round,
-                    );
-                    last_teacher = Some(teach);
+                // Teacher chain over the stage's blocks (a valid plan's
+                // stages hold at least one, `StagePlan::validate`): the
+                // first waits for the input, each next for the last.
+                let first = stage.first_block;
+                let tag = Some(first as u16);
+                let teacher = prices.teacher(first);
+                let mut last_teacher =
+                    g.add_tagged(gpu, TaskKind::Teacher, teacher, &deps, tag, round);
+                for b in stage.blocks().skip(1) {
+                    let (teacher, tag) = (prices.teacher(b), Some(b as u16));
+                    last_teacher =
+                        g.add_tagged(gpu, TaskKind::Teacher, teacher, &[last_teacher], tag, round);
                 }
-                let last_teacher = last_teacher.expect("stages are nonempty");
 
                 // Relay the boundary activation onward (overlapped on the
                 // copy engine).
-                let last_block = stage.first_block + stage.num_blocks - 1;
-                if last_block + 1 < plan.num_blocks {
-                    let bytes = l.workload.model.blocks[last_block].boundary_bytes() * db as u64;
+                if let Some(send_time) = send_time {
                     let send = g.add_tagged(
                         Resource::Copy(p),
                         TaskKind::Comm,
-                        l.hw.pcie.transfer_time(bytes),
-                        vec![last_teacher],
+                        send_time,
+                        &[last_teacher],
                         Some(last_block as u16),
                         round,
                     );
@@ -158,40 +194,29 @@ impl<'l, 'a> RoundEmitter<'l, 'a> {
                 }
 
                 // Students (forward + backward) per block.
-                let mut last_stu = None;
+                let mut last_stu = last_teacher;
                 for b in stage.blocks() {
-                    let stu = g.add_tagged(
-                        Resource::Gpu(p),
-                        TaskKind::Student,
-                        l.student(b, db),
-                        vec![last_stu.unwrap_or(last_teacher)],
-                        Some(b as u16),
-                        round,
-                    );
+                    let tag = Some(b as u16);
+                    let student = prices.student(b);
+                    let stu =
+                        g.add_tagged(gpu, TaskKind::Student, student, &[last_stu], tag, round);
                     if !dpu {
                         // Only the barrier below reads them.
                         this_round_students.push(stu);
                     }
-                    last_stu = Some(stu);
+                    last_stu = stu;
 
                     if stage.width() > 1 {
                         // Updated after the gradient sharing below.
                     } else if dpu {
                         // Immediate per-block update (Fig. 3c).
-                        let upd = g.add_tagged(
-                            Resource::Gpu(p),
-                            TaskKind::Update,
-                            l.update(b),
-                            vec![stu],
-                            Some(b as u16),
-                            round,
-                        );
-                        last_stu = Some(upd);
+                        let update = l.update(b);
+                        last_stu = g.add_tagged(gpu, TaskKind::Update, update, &[stu], tag, round);
                     } else {
                         pending_updates.push((d, b, stu));
                     }
                 }
-                member_lasts.extend(last_stu);
+                member_lasts.push(last_stu);
             }
 
             // Data-parallel gradient sharing inside a widened stage: one
@@ -205,24 +230,19 @@ impl<'l, 'a> RoundEmitter<'l, 'a> {
                     .sum();
                 let share_time = l.hw.pcie.allreduce_time(grad_bytes, stage.width());
                 for &d in &stage.devices {
+                    let gpu = Resource::Gpu(map[d]);
                     let share = g.add_tagged(
-                        Resource::Gpu(map[d]),
+                        gpu,
                         TaskKind::GradShare,
                         share_time,
-                        member_lasts.clone(),
+                        &member_lasts,
                         None,
                         round,
                     );
                     for b in stage.blocks() {
                         if dpu {
-                            g.add_tagged(
-                                Resource::Gpu(map[d]),
-                                TaskKind::Update,
-                                l.update(b),
-                                vec![share],
-                                Some(b as u16),
-                                round,
-                            );
+                            let tag = Some(b as u16);
+                            g.add_tagged(gpu, TaskKind::Update, l.update(b), &[share], tag, round);
                         } else {
                             pending_updates.push((d, b, share));
                         }
@@ -235,23 +255,16 @@ impl<'l, 'a> RoundEmitter<'l, 'a> {
 
         // Barrier before updates (plain TR): every pending update waits on
         // every student of the round.
-        let mut round_updates = Vec::new();
-        if !dpu {
-            for (d, b, dep) in pending_updates.drain(..) {
-                let mut deps = this_round_students.clone();
-                deps.push(dep);
-                let upd = g.add_tagged(
-                    Resource::Gpu(map[d]),
-                    TaskKind::Update,
-                    l.update(b),
-                    deps,
-                    Some(b as u16),
-                    round,
-                );
-                round_updates.push(upd);
-            }
+        prev_round_updates.clear();
+        for (d, b, dep) in pending_updates {
+            deps.clear();
+            deps.extend_from_slice(&this_round_students);
+            deps.push(dep);
+            let gpu = Resource::Gpu(map[d]);
+            let tag = Some(b as u16);
+            let upd = g.add_tagged(gpu, TaskKind::Update, l.update(b), &deps, tag, round);
+            prev_round_updates.push(upd);
         }
-        self.prev_round_updates = round_updates;
     }
 }
 
@@ -259,9 +272,7 @@ impl<'l, 'a> RoundEmitter<'l, 'a> {
 pub fn lower_plan(l: &Lowering<'_>, plan: &StagePlan, dpu: bool) -> Lowered {
     let mut em = RoundEmitter::new(l);
     let identity: Vec<usize> = (0..l.hw.num_gpus).collect();
-    for round in 0..l.rounds {
-        em.emit_round(plan, dpu, round, &identity, &[]);
-    }
+    em.emit_rounds(plan, dpu, 0..l.rounds, &identity, &[]);
     Lowered {
         graph: em.graph,
         plan: Some(plan.clone()),
@@ -301,7 +312,7 @@ mod tests {
         let run = simulate(&lowered.graph);
         let bd = Breakdown::from_run(&lowered.graph, &run);
         let total_teacher: f64 = bd.ranks.iter().map(|r| r.teacher.as_secs_f64()).sum();
-        let one_pass: f64 = (0..8).map(|k| l.teacher(k, 256).as_secs_f64()).sum();
+        let one_pass: f64 = (0..8).map(|k| l.at(256).teacher(k).as_secs_f64()).sum();
         assert!((total_teacher - one_pass).abs() < 1e-9);
     }
 
@@ -328,8 +339,8 @@ mod tests {
         let hw = HardwareConfig::a6000_server(4);
         let l = ctx(&w, &hw, 24);
         let plan = StagePlan::contiguous(6, 4).unwrap();
-        let table = Profiler::new(l.cost.clone()).profile(&w.model, 256, 4);
-        let analytic = pipebd_sched::estimate_period(&plan, &table, &w, &hw, 256);
+        let table = l.table();
+        let analytic = pipebd_sched::estimate_period(&plan, table, &w, &hw, 256);
         let lowered = lower_plan(&l, &plan, true);
         let simulated = simulate(&lowered.graph).round_period(&lowered.graph, l.rounds, 8);
         let ratio = simulated.as_secs_f64() / analytic.as_secs_f64();
@@ -371,10 +382,11 @@ mod tests {
         let lowered = lower_plan(&l, &plan, false);
         // Every update in round 0 must depend on >= 4 students.
         let mut found = 0;
-        for (_, t) in lowered.graph.iter() {
+        for (id, t) in lowered.graph.iter() {
             if t.kind == TaskKind::Update && t.step == 0 {
-                let stu_deps = t
-                    .deps
+                let stu_deps = lowered
+                    .graph
+                    .deps(id)
                     .iter()
                     .filter(|d| lowered.graph.task(**d).kind == TaskKind::Student)
                     .count();

@@ -57,5 +57,5 @@ pub use plan::{
     compositions, enumerate_hybrid_plans, hybrid_plan_count, walk_hybrid_plans, InvalidPlan, Stage,
     StagePlan,
 };
-pub use profile::{ProfileTable, Profiler};
+pub use profile::{ProfileTable, Profiler, UnprofiledBatch};
 pub use replan::{degraded_estimate, replan_overhead, DegradedServer, ReplanDecision};

@@ -12,6 +12,27 @@ use pipebd_sim::SimTime;
 
 use crate::cost::CostModel;
 
+/// A batch size a [`ProfileTable`] holds no column for.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnprofiledBatch {
+    /// The batch that was asked for.
+    pub batch: usize,
+    /// The batch sizes the table was profiled at.
+    pub profiled: Vec<usize>,
+}
+
+impl std::fmt::Display for UnprofiledBatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "batch {} was not profiled: {:?}",
+            self.batch, self.profiled
+        )
+    }
+}
+
+impl std::error::Error for UnprofiledBatch {}
+
 /// Profiled per-block execution times at a set of feasible batch sizes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileTable {
@@ -113,11 +134,29 @@ impl ProfileTable {
         self.update[block]
     }
 
-    fn batch_index(&self, batch: usize) -> usize {
+    /// The column of `batch` in the rows ([`ProfileTable::teacher_rows`],
+    /// [`ProfileTable::student_rows`]): resolve it once, then index.
+    ///
+    /// # Errors
+    ///
+    /// [`UnprofiledBatch`] when the table holds no column for `batch`.
+    pub fn column(&self, batch: usize) -> Result<usize, UnprofiledBatch> {
         self.batch_sizes
             .iter()
             .position(|&b| b == batch)
-            .unwrap_or_else(|| panic!("batch {batch} was not profiled: {:?}", self.batch_sizes))
+            .ok_or_else(|| UnprofiledBatch {
+                batch,
+                profiled: self.batch_sizes.clone(),
+            })
+    }
+
+    fn batch_index(&self, batch: usize) -> usize {
+        // The searches and estimates ask only for `⌈batch/m⌉` with `m` at
+        // most the device count the table was profiled for, a set
+        // `Profiler::profile` covers by construction. A caller holding a
+        // table of other batches resolves columns with `column` and gets
+        // the typed error instead.
+        self.column(batch).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -254,6 +293,21 @@ mod tests {
     fn unprofiled_batch_panics() {
         let t = table(0.0);
         let _ = t.teacher_time(0, 57);
+    }
+
+    #[test]
+    fn columns_align_with_the_batch_sizes() {
+        let t = table(0.0);
+        for (i, &b) in t.batch_sizes().iter().enumerate() {
+            assert_eq!(t.column(b), Ok(i));
+            assert_eq!(t.teacher_rows()[3][i], t.teacher_time(3, b));
+        }
+        let why = t.column(57).unwrap_err();
+        assert_eq!(why.batch, 57);
+        assert_eq!(
+            why.to_string(),
+            "batch 57 was not profiled: [64, 86, 128, 256]"
+        );
     }
 
     #[test]

@@ -429,8 +429,9 @@ pub fn simulate_faulted(
     script: &FaultScript,
 ) -> Result<FaultSimRun, FaultViolation> {
     let timeline = script.timeline(graph.num_gpus())?;
-    let mut perturbed = TaskGraph::new(graph.num_gpus());
-    for (_, t) in graph.iter() {
+    // Same tasks, same edges: only durations change.
+    let mut perturbed = graph.clone();
+    for t in &mut perturbed.tasks {
         let step = t.step;
         let factor = match t.resource {
             Resource::Loader => timeline.loader_factor(step),
@@ -444,14 +445,7 @@ pub fn simulate_faulted(
                 _ => timeline.factor(rank, step),
             },
         };
-        perturbed.add_tagged(
-            t.resource,
-            t.kind,
-            scaled(t.duration, factor),
-            t.deps.clone(),
-            t.block,
-            t.step,
-        );
+        t.duration = scaled(t.duration, factor);
     }
     Ok(FaultSimRun {
         run: simulate(&perturbed),
@@ -475,9 +469,9 @@ mod tests {
     fn two_rank_graph(steps: u32) -> TaskGraph {
         let mut g = TaskGraph::new(2);
         for s in 0..steps {
-            g.add_tagged(Loader, TaskKind::Load, ns(40), vec![], None, s);
-            g.add_tagged(Gpu(0), TaskKind::Student, ns(100), vec![], Some(0), s);
-            g.add_tagged(Gpu(1), TaskKind::Student, ns(50), vec![], Some(1), s);
+            g.add_tagged(Loader, TaskKind::Load, ns(40), &[], None, s);
+            g.add_tagged(Gpu(0), TaskKind::Student, ns(100), &[], Some(0), s);
+            g.add_tagged(Gpu(1), TaskKind::Student, ns(50), &[], Some(1), s);
         }
         g
     }
@@ -850,8 +844,8 @@ mod tests {
     #[test]
     fn slowdown_scales_copy_engine_but_not_loader() {
         let mut g = TaskGraph::new(1);
-        g.add_tagged(Loader, TaskKind::Load, ns(40), vec![], None, 0);
-        g.add_tagged(Copy(0), TaskKind::Comm, ns(10), vec![], None, 0);
+        g.add_tagged(Loader, TaskKind::Load, ns(40), &[], None, 0);
+        g.add_tagged(Copy(0), TaskKind::Comm, ns(10), &[], None, 0);
         let fsr = simulate_faulted(&g, &script(vec![slow(0, 3.0, 0, 1)])).unwrap();
         let durs: Vec<u64> = fsr.graph.iter().map(|(_, t)| t.duration.as_ns()).collect();
         assert_eq!(durs, vec![40, 30], "copy scaled 3x, loader untouched");

@@ -22,9 +22,9 @@
 //! use pipebd_sim::{simulate, Resource, SimTime, TaskGraph, TaskKind};
 //!
 //! let mut g = TaskGraph::new(2);
-//! let t0 = g.add(Resource::Gpu(0), TaskKind::Teacher, SimTime::from_us(10.0), vec![]);
-//! let send = g.add(Resource::Copy(0), TaskKind::Comm, SimTime::from_us(1.0), vec![t0]);
-//! let t1 = g.add(Resource::Gpu(1), TaskKind::Teacher, SimTime::from_us(10.0), vec![send]);
+//! let t0 = g.add(Resource::Gpu(0), TaskKind::Teacher, SimTime::from_us(10.0), &[]);
+//! let send = g.add(Resource::Copy(0), TaskKind::Comm, SimTime::from_us(1.0), &[t0]);
+//! let t1 = g.add(Resource::Gpu(1), TaskKind::Teacher, SimTime::from_us(10.0), &[send]);
 //! let run = simulate(&g);
 //! assert_eq!(run.finish_of(t1), SimTime::from_us(21.0));
 //! ```

@@ -173,15 +173,15 @@ mod tests {
 
     fn sample_run() -> (TaskGraph, SimRun) {
         let mut g = TaskGraph::new(2);
-        let l = g.add(Loader, TaskKind::Load, ns(30), vec![]);
-        let lc = g.add(Gpu(0), TaskKind::Load, ns(10), vec![l]);
-        let t0 = g.add_tagged(Gpu(0), TaskKind::Teacher, ns(20), vec![lc], Some(0), 0);
-        let send = g.add_tagged(Copy(0), TaskKind::Comm, ns(5), vec![t0], Some(0), 0);
-        let s0 = g.add_tagged(Gpu(0), TaskKind::Student, ns(40), vec![t0], Some(0), 0);
-        let u0 = g.add_tagged(Gpu(0), TaskKind::Update, ns(2), vec![s0], Some(0), 0);
-        let t1 = g.add_tagged(Gpu(1), TaskKind::Teacher, ns(20), vec![send], Some(1), 0);
-        let s1 = g.add_tagged(Gpu(1), TaskKind::Student, ns(30), vec![t1], Some(1), 0);
-        let u1 = g.add_tagged(Gpu(1), TaskKind::Update, ns(2), vec![s1], Some(1), 0);
+        let l = g.add(Loader, TaskKind::Load, ns(30), &[]);
+        let lc = g.add(Gpu(0), TaskKind::Load, ns(10), &[l]);
+        let t0 = g.add_tagged(Gpu(0), TaskKind::Teacher, ns(20), &[lc], Some(0), 0);
+        let send = g.add_tagged(Copy(0), TaskKind::Comm, ns(5), &[t0], Some(0), 0);
+        let s0 = g.add_tagged(Gpu(0), TaskKind::Student, ns(40), &[t0], Some(0), 0);
+        let u0 = g.add_tagged(Gpu(0), TaskKind::Update, ns(2), &[s0], Some(0), 0);
+        let t1 = g.add_tagged(Gpu(1), TaskKind::Teacher, ns(20), &[send], Some(1), 0);
+        let s1 = g.add_tagged(Gpu(1), TaskKind::Student, ns(30), &[t1], Some(1), 0);
+        let u1 = g.add_tagged(Gpu(1), TaskKind::Update, ns(2), &[s1], Some(1), 0);
         let _ = (u0, u1);
         let run = simulate(&g);
         (g, run)

@@ -31,15 +31,20 @@ fn rand_tasks(max: usize) -> impl Strategy<Value = Vec<RandTask>> {
     )
 }
 
+/// Task `i`'s dependencies: its back-offsets that land inside the graph.
+fn dep_indices(tasks: &[RandTask], i: usize) -> Vec<usize> {
+    tasks[i]
+        .dep_offsets
+        .iter()
+        .filter_map(|&off| i.checked_sub(off))
+        .collect()
+}
+
 fn build(tasks: &[RandTask]) -> TaskGraph {
     let mut g = TaskGraph::new(3);
     let mut ids: Vec<TaskId> = Vec::new();
     for (i, t) in tasks.iter().enumerate() {
-        let deps: Vec<TaskId> = t
-            .dep_offsets
-            .iter()
-            .filter_map(|&off| i.checked_sub(off).map(|j| ids[j]))
-            .collect();
+        let deps: Vec<TaskId> = dep_indices(tasks, i).into_iter().map(|j| ids[j]).collect();
         let resource = if t.copy_stream {
             Resource::Copy(t.gpu)
         } else {
@@ -49,7 +54,7 @@ fn build(tasks: &[RandTask]) -> TaskGraph {
             resource,
             TaskKind::Teacher,
             SimTime::from_ns(t.dur_ns),
-            deps,
+            &deps,
         ));
     }
     g
@@ -62,8 +67,8 @@ proptest! {
     fn starts_respect_dependencies(tasks in rand_tasks(40)) {
         let g = build(&tasks);
         let run = simulate(&g);
-        for (id, task) in g.iter() {
-            for d in &task.deps {
+        for (id, _) in g.iter() {
+            for d in g.deps(id) {
                 prop_assert!(
                     run.start[id.index()] >= run.finish[d.index()],
                     "task {} started before dep {} finished",
@@ -72,6 +77,22 @@ proptest! {
                 );
             }
         }
+    }
+
+    #[test]
+    fn each_task_reads_back_the_deps_it_was_given(tasks in rand_tasks(40)) {
+        // The flat edge store against a per-task list: same deps, same
+        // order, none borrowed from a neighbour.
+        let g = build(&tasks);
+        prop_assert_eq!(g.len(), tasks.len());
+        let mut edges = 0;
+        for (id, _) in g.iter() {
+            let read: Vec<usize> = g.deps(id).iter().map(|d| d.index()).collect();
+            let given = dep_indices(&tasks, id.index());
+            edges += given.len();
+            prop_assert_eq!(read, given);
+        }
+        prop_assert_eq!(g.num_edges(), edges);
     }
 
     #[test]
@@ -120,8 +141,8 @@ proptest! {
     #[test]
     fn zero_duration_tasks_are_instant(gpu in 0usize..3) {
         let mut g = TaskGraph::new(3);
-        let a = g.add(Resource::Gpu(gpu), TaskKind::Teacher, SimTime::from_ns(100), vec![]);
-        let sync = g.add(Resource::Gpu(gpu), TaskKind::Sync, SimTime::ZERO, vec![a]);
+        let a = g.add(Resource::Gpu(gpu), TaskKind::Teacher, SimTime::from_ns(100), &[]);
+        let sync = g.add(Resource::Gpu(gpu), TaskKind::Sync, SimTime::ZERO, &[a]);
         let run = simulate(&g);
         prop_assert_eq!(run.start_of(sync), run.finish_of(sync));
         prop_assert_eq!(run.start_of(sync), run.finish_of(a));

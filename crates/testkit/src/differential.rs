@@ -550,7 +550,7 @@ mod tests {
                 Resource::Gpu(0),
                 TaskKind::Teacher,
                 SimTime::from_us(10.0),
-                prev.into_iter().collect(),
+                prev.as_slice(),
                 None,
                 step,
             );
